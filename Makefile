@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
+.PHONY: verify fmt vet build test race chaos bench bench-compare bench-harness fuzz-seeds bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
 
-verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke
+verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke bench-harness fuzz-seeds
 
 # Fail on any file gofmt would rewrite.
 fmt:
@@ -63,6 +63,34 @@ trace-smoke:
 sched-smoke:
 	$(GO) run -race ./cmd/mrsim -sched -sched-check >/dev/null
 
+# The repository's benchmark (benchmark/README.md): every workload
+# untraced, the per-layer ladder, then every workload traced, built by
+# run.sh from this checkout. One call is one side of one pair; a claimed
+# gain needs ten alternating pairs of parent and change.
+#   make bench SEED=1 OUT=/tmp/change.json
+SEED ?= 1
+OUT ?= bench-run.json
+bench:
+	bash benchmark/run.sh -seed $(SEED) -out $(OUT)
+
+# B judged against A, metric by metric, with the bounds BENCHMARK.json
+# fixes; exits non-zero when B is outside one.
+#   make bench-compare A=/tmp/parent.json B=/tmp/change.json
+bench-compare:
+	bash benchmark/run.sh -compare $(A) $(B)
+
+# The benchmark harness's own tests (statistics, span accounting,
+# compare verdicts); under a second. `race` runs them too, but may be
+# served from the test cache; -count=1 makes this gate always execute.
+bench-harness:
+	$(GO) test -count=1 ./benchmark
+
+# Every fuzz target's seed corpus as plain tests — the map-output
+# equivalence oracle (D14) and the wire codecs — without the fuzzing
+# engine and, like bench-harness, never from the cache.
+fuzz-seeds:
+	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/
+
 # D7 overhead proof: the disabled-observability copier hot path must not
 # allocate (0 B/op) or read the clock; the Enabled pair prices what a
 # live profile + trace costs per chunk.
@@ -107,8 +135,10 @@ bench-depth:
 	$(GO) test -run=NONE -bench=AblationOutstandingDepth .
 	$(GO) test -run=NONE -bench=FetchChunkAllocs ./internal/core/
 
-# Short fuzz pass over the shuffle wire codecs.
+# Short fuzz pass over the shuffle wire codecs and the map-side collect
+# buffer (kv.SortBuffer against the stable-sort reference, D14).
 fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzSortBuffer -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataRequest -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataResponse -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzTakeString -fuzztime=10s ./internal/shuffle/wire/

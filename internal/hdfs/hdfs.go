@@ -197,7 +197,7 @@ type Writer struct {
 	fs        *FileSystem
 	path      string
 	preferred string
-	buf       []byte
+	buf       []byte // the block being filled; its capacity is kept across blocks
 	blocks    []BlockLocation
 	size      int64
 	closed    bool
@@ -220,7 +220,12 @@ func (fs *FileSystem) Create(path, preferredHost string) (*Writer, error) {
 	return &Writer{fs: fs, path: path, preferred: preferredHost}, nil
 }
 
-// Write buffers p, flushing whole blocks as they fill.
+// Write fills the current block from p, cutting it when it reaches the
+// block size. One buffer serves every block of the file: it doubles toward
+// the block size, so a small file never pays for a whole block and a large
+// one copies less than a block's worth while growing, and after a cut it
+// is rewound, not dropped. A whole block arriving while the buffer is
+// empty is cut from p directly.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("hdfs: write to closed writer")
@@ -228,15 +233,29 @@ func (w *Writer) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.buf = append(w.buf, p...)
-	for int64(len(w.buf)) >= w.fs.blockSize {
-		if err := w.cutBlock(w.buf[:w.fs.blockSize]); err != nil {
-			w.err = err
-			return 0, err
+	n := len(p)
+	blockSize := int(w.fs.blockSize)
+	for len(p) > 0 && w.err == nil {
+		if len(w.buf) == 0 && len(p) >= blockSize {
+			w.err = w.cutBlock(p[:blockSize])
+			p = p[blockSize:]
+			continue
 		}
-		w.buf = w.buf[w.fs.blockSize:]
+		k := min(blockSize-len(w.buf), len(p))
+		if need := len(w.buf) + k; need > cap(w.buf) {
+			w.buf = append(make([]byte, 0, min(blockSize, max(2*cap(w.buf), need))), w.buf...)
+		}
+		w.buf = append(w.buf, p[:k]...)
+		p = p[k:]
+		if len(w.buf) == blockSize {
+			w.err = w.cutBlock(w.buf)
+			w.buf = w.buf[:0]
+		}
 	}
-	return len(p), nil
+	if w.err != nil {
+		return 0, w.err
+	}
+	return n, nil
 }
 
 func (w *Writer) cutBlock(data []byte) error {
@@ -482,11 +501,26 @@ func (fs *FileSystem) Fsck() FsckReport {
 	return rep
 }
 
-// ReadFile is a convenience returning the full contents of path.
+// ReadFile is a convenience returning the full contents of path: the one
+// block of a single-block file as ReadBlock returned it, otherwise a
+// buffer allocated once from the file's size. Open is the streaming
+// alternative.
 func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
-	r, err := fs.Open(path)
+	info, err := fs.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	return io.ReadAll(r)
+	if len(info.Blocks) == 1 {
+		data, _, err := fs.ReadBlock(info.Blocks[0], "")
+		return data, err
+	}
+	out := make([]byte, 0, info.Size)
+	for _, bl := range info.Blocks {
+		data, _, err := fs.ReadBlock(bl, "")
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+	}
+	return out, nil
 }

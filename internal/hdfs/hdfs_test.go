@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -412,5 +413,131 @@ func TestRenameFirstCommitterWins(t *testing.T) {
 	}
 	if winners != 1 {
 		t.Fatalf("want exactly one committer, got %d", winners)
+	}
+}
+
+// allocatedBytes reports the heap bytes fn allocates. TotalAlloc only
+// grows, so a collection in the middle does not disturb it.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestChunkedWritesMatchSingleWrite feeds a Writer the way a reduce task
+// does — 64 KiB flushes — and requires the blocks a single Write of the
+// same bytes produces, at no more than twice the payload in allocations
+// (one copy into each stored block, plus the writer's one block buffer).
+// Re-growing the buffer for every flush cost about four times the payload.
+func TestChunkedWritesMatchSingleWrite(t *testing.T) {
+	const blockSize, fileSize, chunk = 1 << 20, 8<<20 + 12345, 64 << 10
+	fs := cluster(t, 3, blockSize, 1)
+	data := make([]byte, fileSize)
+	rand.New(rand.NewSource(5)).Read(data)
+
+	if err := fs.WriteFile("/whole", "node1", data); err != nil {
+		t.Fatal(err)
+	}
+	allocated := allocatedBytes(func() {
+		w, err := fs.Create("/chunked", "node1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); off += chunk {
+			if _, err := w.Write(data[off:min(off+chunk, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocated > 2*fileSize {
+		t.Errorf("chunked write of %d bytes allocated %d, budget %d", fileSize, allocated, 2*fileSize)
+	}
+
+	whole, err := fs.Stat("/whole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := fs.Stat("/chunked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunked.Size != whole.Size || len(chunked.Blocks) != len(whole.Blocks) {
+		t.Fatalf("chunked: %d bytes in %d blocks, whole: %d bytes in %d blocks",
+			chunked.Size, len(chunked.Blocks), whole.Size, len(whole.Blocks))
+	}
+	for i := range whole.Blocks {
+		a, _, err := fs.ReadBlock(whole.Blocks[i], "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := fs.ReadBlock(chunked.Blocks[i], "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("block %d differs between the chunked and the single write (%d vs %d bytes)", i, len(b), len(a))
+		}
+	}
+}
+
+// TestWriteStraddlingBlockBoundaries covers the writer's three ways in: a
+// tail that completes a buffered block, whole blocks taken straight from
+// the caller's slice, and a remainder left buffered for Close.
+func TestWriteStraddlingBlockBoundaries(t *testing.T) {
+	fs := cluster(t, 2, 100, 1)
+	data := make([]byte, 730)
+	rand.New(rand.NewSource(6)).Read(data)
+	w, err := fs.Create("/f", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range [][2]int{{0, 30}, {30, 450}, {450, 500}, {500, 500}, {500, 730}} {
+		if n, err := w.Write(data[cut[0]:cut[1]]); err != nil || n != cut[1]-cut[0] {
+			t.Fatalf("Write(%v) = %d, %v", cut, n, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Blocks) != 8 || info.Blocks[6].Size != 100 || info.Blocks[7].Size != 30 {
+		t.Fatalf("blocks: %+v", info.Blocks)
+	}
+	got, err := fs.ReadFile("/f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip mismatch (err=%v)", err)
+	}
+}
+
+// TestReadFileAllocatesOnce bounds ReadFile at the block copies plus one
+// result buffer; growing the result by doubling cost about twice that.
+func TestReadFileAllocatesOnce(t *testing.T) {
+	const blockSize, fileSize = 1 << 20, 8<<20 + 999
+	fs := cluster(t, 2, blockSize, 1)
+	data := make([]byte, fileSize)
+	rand.New(rand.NewSource(8)).Read(data)
+	if err := fs.WriteFile("/f", "", data); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	allocated := allocatedBytes(func() {
+		var err error
+		if got, err = fs.ReadFile("/f"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(got, data) {
+		t.Fatal("ReadFile mismatch")
+	}
+	if budget := uint64(2*fileSize + fileSize/4); allocated > budget {
+		t.Errorf("ReadFile of %d bytes allocated %d, budget %d", fileSize, allocated, budget)
 	}
 }

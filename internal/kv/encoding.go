@@ -110,7 +110,7 @@ func (it *BufferIterator) Err() error { return it.err }
 
 // Sorted-run file format (IFile equivalent):
 //
-//	magic "RMR1" | uvarint(recordCount) | records... | crc32c(le uint32)
+//	magic "RMR1" | records... | recordCount(le uint64) | crc32(le uint32)
 //
 // The CRC covers the record bytes only, so a writer can stream records and
 // emit the checksum at Close.
@@ -286,16 +286,32 @@ func VerifyChecksum(buf []byte) error {
 }
 
 // WriteRun encodes recs (which must already be sorted if order matters
-// downstream) as a complete run and returns the buffer.
+// downstream) as a complete run in one exactly-sized buffer and returns
+// it.
 func WriteRun(recs []Record) []byte {
-	var buf writerBuffer
-	rw := NewRunWriter(&buf)
+	body := 0
 	for _, r := range recs {
-		// writes to an in-memory buffer cannot fail
-		_ = rw.Write(r)
+		body += r.EncodedLen()
 	}
-	_ = rw.Close()
-	return buf.b
+	buf := newRunBuffer(body)
+	for _, r := range recs {
+		buf = AppendRecord(buf, r)
+	}
+	return sealRun(buf, uint64(len(recs)))
+}
+
+// newRunBuffer starts a run whose record body will be bodyLen bytes: the
+// magic, with capacity for the body and the 12-byte trailer.
+func newRunBuffer(bodyLen int) []byte {
+	return append(make([]byte, 0, len(runMagic)+bodyLen+12), runMagic[:]...)
+}
+
+// sealRun appends the trailer (record count + CRC of the body) to a run
+// built on newRunBuffer.
+func sealRun(buf []byte, count uint64) []byte {
+	crc := crc32.ChecksumIEEE(buf[len(runMagic):])
+	buf = binary.LittleEndian.AppendUint64(buf, count)
+	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
 type writerBuffer struct{ b []byte }

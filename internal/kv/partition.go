@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -81,21 +82,28 @@ func (p *TotalOrderPartitioner) Splits() [][]byte { return p.splits }
 // SortRecords sorts recs in place by key under cmp, with a stable order so
 // equal keys preserve input (map emission) order as Hadoop's sort does.
 func SortRecords(recs []Record, cmp Comparator) {
-	sort.SliceStable(recs, func(i, j int) bool { return cmp(recs[i].Key, recs[j].Key) < 0 })
+	slices.SortStableFunc(recs, func(a, b Record) int { return cmp(a.Key, b.Key) })
 }
 
 // PartitionAndSort splits recs into n per-partition slices and sorts each by
-// key. This is the map-side "sort and spill" step: every partition of a map
-// output file is sorted before it is ever shuffled, which is the property
-// the reducer-side priority-queue merge in internal/core relies on.
+// key, equal keys keeping their input order. It is the map task's "sort
+// and spill" step run over a record slice: the records go through a
+// SortBuffer exactly as collected map output does, so the result views the
+// buffer's arena rather than the input's memory. A nil cmp means byte
+// order, as for NewSortBuffer.
 func PartitionAndSort(recs []Record, part Partitioner, n int, cmp Comparator) [][]Record {
-	out := make([][]Record, n)
+	size := 0
 	for _, r := range recs {
-		p := part.Partition(r.Key, n)
-		out[p] = append(out[p], r)
+		size += len(r.Key) + len(r.Value)
 	}
-	for i := range out {
-		SortRecords(out[i], cmp)
+	b := NewSortBuffer(part, n, cmp, size)
+	for _, r := range recs {
+		b.Add(r.Key, r.Value)
+	}
+	b.Sort()
+	out := make([][]Record, n)
+	for p := range out {
+		out[p] = b.Records(p, nil)
 	}
 	return out
 }

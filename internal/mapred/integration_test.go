@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -594,5 +595,139 @@ func TestMapSideSpillsWithCombiner(t *testing.T) {
 	}
 	if counts["x"] != "800" || counts["y"] != "400" {
 		t.Fatalf("counts: %v", counts)
+	}
+}
+
+func reverseOrder(a, b []byte) int { return bytes.Compare(b, a) }
+
+// readParts returns every output part's records, cloned, in file order.
+func readParts(t *testing.T, c *mapred.Cluster, dir string) [][]kv.Record {
+	t.Helper()
+	var parts [][]kv.Record
+	for _, p := range c.FS().List(dir + "/") {
+		data, err := c.FS().ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := kv.NewRunReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := kv.Drain(rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, recs)
+	}
+	return parts
+}
+
+// TestCustomComparatorBypassesPrefixSort runs a job whose Comparator
+// reverses byte order over keys that differ within their first eight
+// bytes. The map-side sort's key-prefix shortcut assumes byte order; were
+// it applied here, map outputs would come out ascending and the reduce
+// merge, which trusts them to be descending, would interleave them.
+func TestCustomComparatorBypassesPrefixSort(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	fs := c.FS()
+	rng := rand.New(rand.NewSource(9))
+	const files, perFile = 3, 400
+	var inputs []string
+	for f := 0; f < files; f++ {
+		var recs []kv.Record
+		for i := 0; i < perFile; i++ {
+			key := fmt.Sprintf("%04d-key", rng.Intn(150)) // duplicates within and across maps
+			recs = append(recs, kv.Record{Key: []byte(key), Value: []byte(fmt.Sprintf("f%d-%03d", f, i))})
+		}
+		path := fmt.Sprintf("/rev/in-%d", f)
+		if err := fs.WriteFile(path, "", kv.WriteRun(recs)); err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, path)
+	}
+	if _, err := c.RunJob(ctxT(t), &mapred.Job{
+		Name: "rev", Input: inputs, Output: "/rev/out",
+		Comparator: reverseOrder, NumReduces: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for p, recs := range readParts(t, c, "/rev/out") {
+		total += len(recs)
+		lastSeq := map[string]string{} // per (key, map): last value seen
+		for i, r := range recs {
+			if i > 0 && bytes.Compare(recs[i-1].Key, r.Key) < 0 {
+				t.Fatalf("part %d not in descending key order at record %d: %q then %q", p, i, recs[i-1].Key, r.Key)
+			}
+			// Values of one key from one map keep emission order.
+			id := string(r.Key) + "/" + string(r.Value[:2])
+			if prev, ok := lastSeq[id]; ok && prev > string(r.Value) {
+				t.Fatalf("part %d: key %q values out of emission order: %s then %s", p, r.Key, prev, r.Value)
+			}
+			lastSeq[id] = string(r.Value)
+		}
+	}
+	if total != files*perFile {
+		t.Fatalf("output has %d records, want %d", total, files*perFile)
+	}
+}
+
+// TestCombinerSeesSortedGroups checks the combiner path of the map-side
+// sort under a custom order: the combiner is handed each partition's
+// records grouped (one call per distinct key, so combine.records.out is
+// the number of distinct keys) and its output reaches the reducers sorted.
+func TestCombinerSeesSortedGroups(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	fs := c.FS()
+	words := []string{"pear-pear-pear", "fig", "apple-apple", "fig", "", "pear-pear-pear", "kiwi-kiwi-k", "fig"}
+	const repeats = 250
+	if err := workload.WordGen(fs, "/csg/in", words, repeats); err != nil {
+		t.Fatal(err)
+	}
+	sum := func(key []byte, values [][]byte, emit func(k, v []byte)) error {
+		total := 0
+		for _, v := range values {
+			n, err := strconv.Atoi(string(v))
+			if err != nil {
+				return err
+			}
+			total += n
+		}
+		emit(key, []byte(strconv.Itoa(total)))
+		return nil
+	}
+	res, err := c.RunJob(ctxT(t), &mapred.Job{
+		Name: "csg", Input: []string{"/csg/in"}, Output: "/csg/out",
+		Mapper: func(_, line []byte, emit func(k, v []byte)) error {
+			emit(line, []byte("1"))
+			return nil
+		},
+		Reducer: sum, Combiner: sum, Comparator: reverseOrder,
+		InputFormat: mapred.LineInput{}, NumReduces: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const distinct = 5 // pear…, fig, apple…, "", kiwi…
+	if in, out := res.Counters["combine.records.in"], res.Counters["combine.records.out"]; in != int64(len(words)*repeats) || out != distinct {
+		t.Fatalf("combine.records in=%d out=%d, want %d and %d", in, out, len(words)*repeats, distinct)
+	}
+	counts := map[string]string{}
+	for p, recs := range readParts(t, c, "/csg/out") {
+		for i, r := range recs {
+			if i > 0 && bytes.Compare(recs[i-1].Key, r.Key) <= 0 {
+				t.Fatalf("part %d not strictly descending at %d: %q then %q", p, i, recs[i-1].Key, r.Key)
+			}
+			counts[string(r.Key)] = string(r.Value)
+		}
+	}
+	want := map[string]string{"pear-pear-pear": "500", "fig": "750", "apple-apple": "250", "": "250", "kiwi-kiwi-k": "250"}
+	if len(counts) != len(want) {
+		t.Fatalf("counts: %v", counts)
+	}
+	for k, v := range want {
+		if counts[k] != v {
+			t.Fatalf("count[%q] = %q, want %s (all: %v)", k, counts[k], v, counts)
+		}
 	}
 }

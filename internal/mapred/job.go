@@ -25,7 +25,10 @@ import (
 type Mapper func(key, value []byte, emit func(k, v []byte)) error
 
 // Reducer folds all values for one key, emitting output records. values
-// arrive in map-emission order within each map, merged across maps.
+// arrive in map-emission order within each map, merged across maps. key
+// and values belong to the framework and are reused after the call
+// returns; a reducer that keeps any of them must copy it. The emitted
+// slices are copied by the framework.
 type Reducer func(key []byte, values [][]byte, emit func(k, v []byte)) error
 
 // IdentityMapper emits its input unchanged — the map function of both
@@ -81,6 +84,11 @@ type Job struct {
 	// Conf overrides the cluster configuration for this job (nil = use
 	// the cluster's).
 	Conf *config.Config
+
+	// byteOrder records that Comparator was left nil, i.e. keys sort in
+	// plain byte order — the one order for which the map-side sort may
+	// compare 8-byte key prefixes before the keys themselves.
+	byteOrder bool
 }
 
 func (j *Job) withDefaults(clusterConf *config.Config) (*Job, error) {
@@ -108,6 +116,7 @@ func (j *Job) withDefaults(clusterConf *config.Config) (*Job, error) {
 	}
 	if out.Comparator == nil {
 		out.Comparator = kv.BytesComparator
+		out.byteOrder = true
 	}
 	if out.GroupComparator == nil {
 		out.GroupComparator = out.Comparator

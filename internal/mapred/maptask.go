@@ -30,8 +30,16 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 			tr.Span(tt.Host(), lane, obs.CatMap, name, start, time.Now(), nil)
 		}(fmt.Sprintf("map m%d@%d", sp.id, attempt))
 	}
-	// Read the split's blocks.
+	// Read the split's blocks. A single-block split is parsed where
+	// ReadBlock put it; a longer one is assembled in a buffer sized once.
 	var data []byte
+	if len(sp.blocks) > 1 {
+		size := int64(0)
+		for _, bl := range sp.blocks {
+			size += bl.Size
+		}
+		data = make([]byte, 0, size)
+	}
 	for _, bl := range sp.blocks {
 		blk, served, err := c.fs.ReadBlock(bl, tt.Host())
 		if err != nil {
@@ -42,7 +50,11 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 		} else {
 			c.counters.Add("map.input.blocks.remote", 1)
 		}
-		data = append(data, blk...)
+		if len(sp.blocks) == 1 {
+			data = blk
+		} else {
+			data = append(data, blk...)
+		}
 	}
 	c.counters.Add("map.input.bytes", int64(len(data)))
 
@@ -56,12 +68,11 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 	// sorted (with the combiner applied), and spilled as intermediate
 	// runs; task finish merges each partition's spill runs into the map
 	// output file — Hadoop's sort-and-spill pipeline.
-	spiller := &mapSpiller{c: c, tt: tt, info: info, job: job, mapID: sp.id,
-		bufLimit: job.Conf.Int(config.KeyIOSortMB)}
+	spiller := newMapSpiller(c, tt, info, job, sp.id, len(data))
 	inRecords := int64(0)
 	outRecords := int64(0)
 	emit := func(k, v []byte) {
-		spiller.add(kv.Record{Key: k, Value: v}.Clone())
+		spiller.add(k, v)
 		outRecords++
 	}
 	for it.Next() {
@@ -101,10 +112,10 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 	return nil
 }
 
-// mapSpiller implements the map-side sort-and-spill pipeline: records
-// accumulate until io.sort.mb, each overflow becomes one sorted spill of
-// per-partition runs, and finish merges the spills per partition into
-// the final map output file.
+// mapSpiller implements the map-side sort-and-spill pipeline: emitted
+// records are copied once into a kv.SortBuffer until io.sort.mb, each
+// overflow becomes one sorted spill of per-partition runs, and finish
+// merges the spills per partition into the final map output file.
 type mapSpiller struct {
 	c     *Cluster
 	tt    *TaskTracker
@@ -113,23 +124,35 @@ type mapSpiller struct {
 	mapID int
 
 	bufLimit int64
-	buffered int64
-	recs     []kv.Record
+	buf      *kv.SortBuffer
+	views    []kv.Record // combiner input, reused across partitions
 	spills   int
 	err      error
+}
+
+// newMapSpiller sizes the collect buffer for a split of splitLen bytes
+// (what an identity map emits), capped at io.sort.mb.
+func newMapSpiller(c *Cluster, tt *TaskTracker, info JobInfo, job *Job, mapID, splitLen int) *mapSpiller {
+	bufLimit := job.Conf.Int(config.KeyIOSortMB)
+	cmp := job.Comparator
+	if job.byteOrder {
+		cmp = nil // lets the sort compare key prefixes first
+	}
+	hint := int(max(0, min(int64(splitLen), bufLimit)))
+	return &mapSpiller{c: c, tt: tt, info: info, job: job, mapID: mapID, bufLimit: bufLimit,
+		buf: kv.NewSortBuffer(job.Partitioner, info.NumReduces, cmp, hint)}
 }
 
 func (ms *mapSpiller) spillKey(spill, partition int) string {
 	return fmt.Sprintf("spill/%s/m%05d/s%03d/p%05d", ms.info.ID, ms.mapID, spill, partition)
 }
 
-func (ms *mapSpiller) add(r kv.Record) {
+func (ms *mapSpiller) add(k, v []byte) {
 	if ms.err != nil {
 		return
 	}
-	ms.recs = append(ms.recs, r)
-	ms.buffered += int64(r.EncodedLen())
-	if ms.buffered >= ms.bufLimit {
+	ms.buf.Add(k, v)
+	if ms.buf.EncodedBytes() >= ms.bufLimit {
 		ms.err = ms.spill()
 	}
 }
@@ -137,60 +160,66 @@ func (ms *mapSpiller) add(r kv.Record) {
 // spill sorts and writes the buffered records as one spill (a run per
 // partition).
 func (ms *mapSpiller) spill() error {
-	parts, err := ms.sortedPartitions()
+	err := ms.sortedRuns(func(r int, run []byte) error {
+		ms.tt.Store().OverwriteOwned(ms.spillKey(ms.spills, r), run)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	for r, recs := range parts {
-		ms.tt.Store().Overwrite(ms.spillKey(ms.spills, r), kv.WriteRun(recs))
-	}
 	ms.spills++
 	ms.c.counters.Add("map.spills", 1)
-	ms.recs = ms.recs[:0]
-	ms.buffered = 0
+	ms.buf.Reset()
 	return nil
 }
 
-func (ms *mapSpiller) sortedPartitions() ([][]kv.Record, error) {
-	parts := kv.PartitionAndSort(ms.recs, ms.job.Partitioner, ms.info.NumReduces, ms.job.Comparator)
-	if ms.job.Combiner == nil {
-		return parts, nil
-	}
-	for r, recs := range parts {
-		combined, err := combine(recs, ms.job.Combiner, ms.job.Comparator)
-		if err != nil {
-			return nil, fmt.Errorf("combiner: %w", err)
+// sortedRuns sorts the collect buffer and hands put each partition's
+// encoded run, which put then owns. Without a combiner a run is encoded
+// straight from the buffer; with one, the partition's records are viewed
+// in place, combined, and the combiner's output is encoded.
+func (ms *mapSpiller) sortedRuns(put func(partition int, run []byte) error) error {
+	ms.buf.Sort()
+	for r := 0; r < ms.info.NumReduces; r++ {
+		var run []byte
+		if ms.job.Combiner == nil {
+			run = ms.buf.Run(r)
+		} else {
+			ms.views = ms.buf.Records(r, ms.views[:0])
+			combined, err := combine(ms.views, ms.job.Combiner, ms.job.Comparator)
+			if err != nil {
+				return fmt.Errorf("combiner: %w", err)
+			}
+			ms.c.counters.Add("combine.records.in", int64(len(ms.views)))
+			ms.c.counters.Add("combine.records.out", int64(len(combined)))
+			run = kv.WriteRun(combined)
 		}
-		ms.c.counters.Add("combine.records.in", int64(len(recs)))
-		ms.c.counters.Add("combine.records.out", int64(len(combined)))
-		parts[r] = combined
+		if err := put(r, run); err != nil {
+			return err
+		}
 	}
-	return parts, nil
+	return nil
 }
 
-// finish produces the final map output: the single-buffer fast path when
-// nothing spilled, otherwise a per-partition merge of all spill runs.
+// storeOutput commits one partition of the final map output.
+func (ms *mapSpiller) storeOutput(r int, run []byte) error {
+	if err := ms.tt.storeMapOutput(ms.info.ID, ms.mapID, r, run); err != nil {
+		return fmt.Errorf("storing partition %d: %w", r, err)
+	}
+	ms.c.counters.Add("map.output.bytes", int64(len(run)))
+	return nil
+}
+
+// finish produces the final map output: straight from the collect buffer
+// when nothing spilled, otherwise a per-partition merge of all spill runs.
 func (ms *mapSpiller) finish() error {
 	if ms.err != nil {
 		return ms.err
 	}
 	if ms.spills == 0 {
-		// Fast path: everything fit in the collect buffer.
-		parts, err := ms.sortedPartitions()
-		if err != nil {
-			return err
-		}
-		for r, recs := range parts {
-			run := kv.WriteRun(recs)
-			if err := ms.tt.storeMapOutput(ms.info.ID, ms.mapID, r, run); err != nil {
-				return fmt.Errorf("spilling partition %d: %w", r, err)
-			}
-			ms.c.counters.Add("map.output.bytes", int64(len(run)))
-		}
-		return nil
+		return ms.sortedRuns(ms.storeOutput)
 	}
 	// Final spill of the residue, then merge spills per partition.
-	if len(ms.recs) > 0 {
+	if ms.buf.Len() > 0 {
 		if err := ms.spill(); err != nil {
 			return err
 		}
@@ -211,10 +240,9 @@ func (ms *mapSpiller) finish() error {
 		if err != nil {
 			return fmt.Errorf("merging spills for partition %d: %w", r, err)
 		}
-		if err := ms.tt.storeMapOutput(ms.info.ID, ms.mapID, r, merged); err != nil {
-			return fmt.Errorf("storing partition %d: %w", r, err)
+		if err := ms.storeOutput(r, merged); err != nil {
+			return err
 		}
-		ms.c.counters.Add("map.output.bytes", int64(len(merged)))
 	}
 	return nil
 }
@@ -226,12 +254,13 @@ func combine(recs []kv.Record, combiner Reducer, cmp kv.Comparator) ([]kv.Record
 	emit := func(k, v []byte) {
 		out = append(out, kv.Record{Key: k, Value: v}.Clone())
 	}
+	var values [][]byte
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && cmp(recs[i].Key, recs[j].Key) == 0 {
 			j++
 		}
-		values := make([][]byte, 0, j-i)
+		values = values[:0]
 		for _, r := range recs[i:j] {
 			values = append(values, r.Value)
 		}

@@ -88,10 +88,15 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 		outRecords++
 	}
 
-	// Group consecutive equal keys from the merged sorted stream.
+	// Group consecutive equal keys from the merged sorted stream. The
+	// group's values are copied back to back into one arena that is
+	// rewound at each flush, so the reduce function's values are valid
+	// only during its call. Growing the arena leaves earlier values in
+	// the array they were written to, which they keep alive.
 	var (
 		curKey    []byte
 		curValues [][]byte
+		arena     []byte
 		haveGroup bool
 	)
 	flush := func() error {
@@ -102,6 +107,7 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 			return fmt.Errorf("reduce function: %w", err)
 		}
 		curValues = curValues[:0]
+		arena = arena[:0]
 		haveGroup = false
 		return nil
 	}
@@ -116,9 +122,9 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 			curKey = append(curKey[:0], rec.Key...)
 			haveGroup = true
 		}
-		v := make([]byte, len(rec.Value))
-		copy(v, rec.Value)
-		curValues = append(curValues, v)
+		start := len(arena)
+		arena = append(arena, rec.Value...)
+		curValues = append(curValues, arena[start:len(arena):len(arena)])
 		inRecords++
 		if inRecords%4096 == 0 && ctx.Err() != nil {
 			return abandon(ctx.Err())

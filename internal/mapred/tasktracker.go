@@ -150,11 +150,13 @@ func (tt *TaskTracker) MapOutputSize(jobID string, mapID, partition int) (int64,
 	return tt.store.Size(MapOutputKey(jobID, mapID, partition))
 }
 
-// storeMapOutput persists one sorted partition of a map's output.
-// Overwrite semantics allow recovery re-executions to replace a
-// partially lost output with the regenerated (identical) bytes.
+// storeMapOutput persists one sorted partition of a map's output,
+// taking ownership of run: the map task encoded it for this call and
+// must not touch it afterwards. Overwrite semantics allow recovery
+// re-executions to replace a partially lost output with the regenerated
+// (identical) bytes.
 func (tt *TaskTracker) storeMapOutput(jobID string, mapID, partition int, run []byte) error {
-	tt.store.Overwrite(MapOutputKey(jobID, mapID, partition), run)
+	tt.store.OverwriteOwned(MapOutputKey(jobID, mapID, partition), run)
 	tt.nMapoutBytes.Add(int64(len(run)))
 	return nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,14 +51,21 @@ func (s *LocalStore) Put(name string, data []byte) error {
 	return nil
 }
 
-// Overwrite stores data under name, replacing any existing object (used by
-// the Local FS Merger, which repeatedly folds spill files).
+// Overwrite stores a copy of data under name, replacing any existing
+// object (used by the Local FS Merger, which repeatedly folds spill files).
 func (s *LocalStore) Overwrite(name string, data []byte) {
+	s.OverwriteOwned(name, slices.Clone(data))
+}
+
+// OverwriteOwned is Overwrite by ownership transfer: the store keeps data
+// itself instead of a copy, so the caller must not read or write the
+// slice after the call. It is for producers that built the buffer for
+// this one purpose (a map task's freshly encoded output run); everything
+// else uses the copying Put and Overwrite.
+func (s *LocalStore) OverwriteOwned(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.objects[name] = cp
+	s.objects[name] = data
 	s.bytesWritten += int64(len(data))
 	s.writes++
 }

@@ -128,6 +128,32 @@ func TestStoreOverwrite(t *testing.T) {
 	}
 }
 
+// TestStoreOverwriteCopiesOwnedDoesNot pins the two contracts side by
+// side: Overwrite keeps a copy, OverwriteOwned keeps the caller's slice
+// (no allocation at all) and still serves reads as copies.
+func TestStoreOverwriteCopiesOwnedDoesNot(t *testing.T) {
+	s := NewLocalStore()
+	data := []byte("mutable")
+	s.Overwrite("copied", data)
+	data[0] = 'X'
+	if got, _ := s.Get("copied"); string(got) != "mutable" {
+		t.Fatal("Overwrite aliases the caller's buffer")
+	}
+
+	run := []byte("a freshly encoded run")
+	if allocs := testing.AllocsPerRun(10, func() { s.OverwriteOwned("owned", run) }); allocs != 0 {
+		t.Fatalf("OverwriteOwned allocated %.0f times, want 0", allocs)
+	}
+	got, _ := s.Get("owned")
+	got[0] = 'Y'
+	if again, _ := s.Get("owned"); string(again) != "a freshly encoded run" {
+		t.Fatal("Get hands out the stored buffer")
+	}
+	if _, written, _, writes := s.Counters(); writes != 12 || written != int64(len("mutable")+11*len(run)) {
+		t.Fatalf("write accounting: %d bytes in %d writes", written, writes)
+	}
+}
+
 func TestStoreDelete(t *testing.T) {
 	s := NewLocalStore()
 	_ = s.Put("k", nil)

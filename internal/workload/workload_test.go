@@ -161,6 +161,32 @@ func TestChecksumKeyValueBoundary(t *testing.T) {
 	}
 }
 
+// TestChecksumGolden pins the digest values: they were recorded from the
+// hash/fnv-based implementation (FNV-1a over key, a zero byte, value) and
+// the hand-written loop must keep producing them, for a seeded TeraGen and
+// for the empty-key / empty-value corners.
+func TestChecksumGolden(t *testing.T) {
+	fs := testFS(t)
+	paths, err := TeraGen(fs, "/in", 5000, 128<<10, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ChecksumInput(fs, paths, mapred.TeraInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Checksum{Count: 5000, Sum: 14454743632922896391, Bytes: 500000}); got != want {
+		t.Fatalf("TeraGen(seed 42) checksum = %+v, want %+v", got, want)
+	}
+	var c Checksum
+	c.add(kv.Record{})
+	c.add(kv.Record{Key: []byte("a")})
+	c.add(kv.Record{Value: []byte("a")})
+	if want := (Checksum{Count: 3, Sum: 13849138796059287965, Bytes: 2}); c != want {
+		t.Fatalf("corner-case checksum = %+v, want %+v", c, want)
+	}
+}
+
 func TestValidateAcceptsSortedOutput(t *testing.T) {
 	fs := testFS(t)
 	recs := []kv.Record{
