@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench bench-compare bench-harness fuzz-seeds bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
+.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
 
 verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke bench-harness fuzz-seeds
 
@@ -79,6 +79,14 @@ bench:
 bench-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
+# What a claimed gain is judged by: N alternating pairs of the parent
+# commit (unpacked under .bench_build/parent) and the working tree, per
+# workload; prints both medians, the parent's quartiles and the wins for
+# every end-to-end metric. About N × 80 s per workload.
+#   make bench-pairs PARENT=fb459b3 N=10 WORKLOAD="terasort_osu shuffle_small" SEED=7
+bench-pairs:
+	PARENT="$(PARENT)" N="$(N)" WORKLOAD="$(WORKLOAD)" SEED="$(SEED)" bash scripts/bench-pairs.sh
+
 # The benchmark harness's own tests (statistics, span accounting,
 # compare verdicts); under a second. `race` runs them too, but may be
 # served from the test cache; -count=1 makes this gate always execute.
@@ -86,8 +94,9 @@ bench-harness:
 	$(GO) test -count=1 ./benchmark
 
 # Every fuzz target's seed corpus as plain tests — the map-output
-# equivalence oracle (D14) and the wire codecs — without the fuzzing
-# engine and, like bench-harness, never from the cache.
+# equivalence oracle (D14), the stable-merge oracle (D15) and the wire
+# codecs — without the fuzzing engine and, like bench-harness, never from
+# the cache.
 fuzz-seeds:
 	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/
 
@@ -135,10 +144,12 @@ bench-depth:
 	$(GO) test -run=NONE -bench=AblationOutstandingDepth .
 	$(GO) test -run=NONE -bench=FetchChunkAllocs ./internal/core/
 
-# Short fuzz pass over the shuffle wire codecs and the map-side collect
-# buffer (kv.SortBuffer against the stable-sort reference, D14).
+# Short fuzz pass over the shuffle wire codecs, the map-side collect
+# buffer (kv.SortBuffer against the stable-sort reference, D14) and the
+# k-way merge (kv.Merger against a stable sort of its sources, D15).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSortBuffer -fuzztime=10s ./internal/kv/
+	$(GO) test -run=NONE -fuzz=FuzzMerger -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataRequest -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataResponse -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzTakeString -fuzztime=10s ./internal/shuffle/wire/

@@ -12,6 +12,7 @@ package core
 import (
 	"container/heap"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,13 +328,16 @@ func (c *PrefetchCache) Contains(key CacheKey) bool {
 // would require evicting strictly more valuable entries, is rejected.
 // When a registrar is wired the bytes are registered here, once, so every
 // subsequent request against this entry can be served zero-copy.
+//
+// The cache always keeps its own copy of data, never the slice itself,
+// so a caller may pass bytes it only borrowed (LocalStore.View).
 func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	size := int64(len(data))
-	body := &cacheBody{data: data}
+	body := &cacheBody{}
 	body.refs.Store(1) // the cache's own reference
 	if r := c.getRegistrar(); r != nil && len(data) > 0 {
 		// Carve a window-advertised block from the device's slab pool and
-		// move the bytes into it, so the entry serves zero-copy sends and
+		// copy the bytes into it, so the entry serves zero-copy sends and
 		// one-sided READs without its own registration. On budget rejection
 		// the entry caches unregistered (staging path) — degraded, not dead.
 		if blk, err := r.AllocRemote(len(data), "cache"); err == nil {
@@ -341,6 +345,9 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 			body.data = blk.Bytes()
 			copy(body.data, data)
 		}
+	}
+	if body.blk == nil {
+		body.data = slices.Clone(data)
 	}
 	s := c.shard(key)
 	s.mu.Lock()

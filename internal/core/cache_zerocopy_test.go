@@ -259,3 +259,46 @@ func TestCacheZeroCopyStress(t *testing.T) {
 		t.Fatalf("pool reports %d outstanding blocks, cache holds %d entries", outstanding, cache.Len())
 	}
 }
+
+// budgetRegistrar refuses every carve the way an exhausted slab budget
+// does.
+type budgetRegistrar struct{}
+
+func (budgetRegistrar) AllocRemote(n int, class string) (*mrpool.Block, error) {
+	return nil, fmt.Errorf("%w: test", mrpool.ErrBudget)
+}
+
+// TestCachePutNeverKeepsCallersSlice: Put is handed borrowed bytes by the
+// prefetcher (LocalStore.View), so whichever way it stores them — in a
+// registered block, or unregistered because there is no registrar or the
+// budget said no — the entry must be a copy the caller cannot reach.
+func TestCachePutNeverKeepsCallersSlice(t *testing.T) {
+	for name, reg := range map[string]Registrar{
+		"registered":   newTrackingRegistrar(t),
+		"no registrar": nil,
+		"ErrBudget":    budgetRegistrar{},
+	} {
+		cache := NewPrefetchCache(1000, "priority", nil)
+		if reg != nil {
+			cache.SetRegistrar(reg)
+		}
+		lent := []byte("bytes the store still owns")
+		if !cache.Put(key(0, 0), lent, PriorityPrefetch) {
+			t.Fatalf("%s: put rejected", name)
+		}
+		for i := range lent {
+			lent[i] = 'X' // the store's object is replaced and reused
+		}
+		v, ok := cache.Acquire(key(0, 0))
+		if !ok {
+			t.Fatalf("%s: acquire missed", name)
+		}
+		if string(v.Bytes()) != "bytes the store still owns" {
+			t.Fatalf("%s: cached entry aliases the caller's slice: %q", name, v.Bytes())
+		}
+		if registered := v.MR() != nil; registered != (name == "registered") {
+			t.Fatalf("%s: entry registered = %v", name, registered)
+		}
+		v.Release()
+	}
+}

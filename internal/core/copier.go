@@ -1,11 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +34,9 @@ type chunk struct {
 // segment is one map output partition being streamed chunk-by-chunk — the
 // refillable source the priority-queue merge draws from: "it needs to get
 // next set of key-value pairs from that particular map task to resume
-// extracting from Priority Queue" (§III-B.2).
+// extracting from Priority Queue" (§III-B.2). It is a kv.Iterator, so
+// the merge is kv.Merger's; blocking refills run under the fetcher's
+// lifetime context.
 type segment struct {
 	mapID int
 	peer  *hostPeer
@@ -43,7 +45,7 @@ type segment struct {
 	// Merge-goroutine-private state.
 	it       *kv.BufferIterator
 	curBuf   []byte // the pooled buffer the current iterator walks
-	cur      kv.Record
+	err      error
 	eof      bool
 	attempts int // recovery attempts consumed
 	f        *fetcher
@@ -153,17 +155,17 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 	}
 }
 
-// next advances to the segment's next record, refilling across chunk
-// boundaries. Returns false at end of the partition.
-func (seg *segment) next(ctx context.Context) (bool, error) {
+// Next implements kv.Iterator: it advances to the segment's next record,
+// refilling across chunk boundaries, and returns false at the end of the
+// partition or on the error Err then reports.
+func (seg *segment) Next() bool {
 	for {
 		if seg.it != nil {
 			if seg.it.Next() {
-				seg.cur = seg.it.Record()
-				return true, nil
+				return true
 			}
-			if err := seg.it.Err(); err != nil {
-				return false, err
+			if seg.err = seg.it.Err(); seg.err != nil {
+				return false
 			}
 			seg.it = nil
 			if seg.curBuf != nil {
@@ -176,17 +178,24 @@ func (seg *segment) next(ctx context.Context) (bool, error) {
 			}
 		}
 		if seg.eof {
-			return false, nil
+			return false
 		}
-		ok, err := seg.loadChunk(ctx)
+		ok, err := seg.loadChunk(seg.f.runCtx)
 		if err != nil {
-			return false, err
+			seg.err = err
+			return false
 		}
 		if !ok {
-			return false, nil
+			return false
 		}
 	}
 }
+
+// Record implements kv.Iterator: the current chunk iterator's record.
+func (seg *segment) Record() kv.Record { return seg.it.Record() }
+
+// Err implements kv.Iterator.
+func (seg *segment) Err() error { return seg.err }
 
 type chunkReq struct {
 	mapID  int
@@ -1298,7 +1307,12 @@ type fetcher struct {
 	mu    sync.Mutex
 	peers map[string]*hostPeer
 
-	out    chan batch
+	out chan batch
+	// free carries consumed batches' record slices back from the
+	// consumer to the merge goroutine. It holds as many as can be in
+	// flight at once: those queued in out, one being filled and one
+	// being consumed.
+	free   chan []kv.Record
 	cancel context.CancelFunc
 	runCtx context.Context // fetcher-lifetime ctx; deliveries use this
 	wg     sync.WaitGroup
@@ -1341,6 +1355,7 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 		prof:           prof,
 		peers:          make(map[string]*hostPeer),
 		out:            make(chan batch, 8),
+		free:           make(chan []kv.Record, 8+2),
 	}
 	f.cRetries = c.Handle("shuffle.rdma.retries")
 	f.cReconnects = c.Handle("shuffle.rdma.reconnects")
@@ -1452,7 +1467,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 
 	if f.overlap {
 		// Streaming iterator: reduce overlaps shuffle+merge.
-		return &queueIterator{ctx: ctx, ch: f.out}, nil
+		return &queueIterator{ctx: ctx, ch: f.out, free: f.free}, nil
 	}
 	// Ablation mode: barrier like the vanilla design — materialize the
 	// whole merged stream before the reduce function sees any of it. The
@@ -1535,58 +1550,56 @@ func (f *fetcher) run(ctx context.Context) {
 		}()
 	}
 
-	// Prime the priority queue: every live segment contributes its head
-	// record ("while receiving these key-value pairs from all map
-	// locations, a ReduceTask now merges all these data to build up a
-	// Priority Queue").
-	h := &segHeap{cmp: f.task.Job.Comparator}
-	for _, seg := range segments {
-		ok, err := seg.next(ctx)
-		if err != nil {
-			emitErr(err)
-			return
-		}
-		if ok {
-			h.segs = append(h.segs, seg)
-		}
+	// The priority queue is kv.Merger's, over the segments in map order,
+	// so records with equal keys come out by (map id, emission order).
+	// Its first Next primes every segment with its head record ("while
+	// receiving these key-value pairs from all map locations, a
+	// ReduceTask now merges all these data to build up a Priority
+	// Queue"); each later one refills the segment just drawn from.
+	slices.SortFunc(segments, func(a, b *segment) int { return a.mapID - b.mapID })
+	its := make([]kv.Iterator, len(segments))
+	for i, seg := range segments {
+		its[i] = seg
 	}
-	heap.Init(h)
+	m := kv.NewMerger(f.task.Job.Comparator, its...)
 
-	// Extract in sorted order, refilling segments as their chunks drain.
-	recs := make([]kv.Record, 0, batchSize)
+	// Extract in sorted order into batches for the DataToReduceQueue.
+	recs := f.newBatch()
 	flush := func() bool {
 		if len(recs) == 0 && len(f.spentBufs) == 0 {
 			return true
 		}
 		select {
 		case f.out <- batch{recs: recs, spent: f.spentBufs}:
-			recs = make([]kv.Record, 0, batchSize)
+			recs = f.newBatch()
 			f.spentBufs = nil
 			return true
 		case <-ctx.Done():
 			return false
 		}
 	}
-	for h.Len() > 0 {
-		seg := h.segs[0]
-		recs = append(recs, seg.cur)
-		if len(recs) >= batchSize {
-			if !flush() {
-				return
-			}
-		}
-		ok, err := seg.next(ctx)
-		if err != nil {
-			emitErr(err)
+	for m.Next() {
+		recs = append(recs, m.Record())
+		if len(recs) >= batchSize && !flush() {
 			return
 		}
-		if ok {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
+	}
+	if err := m.Err(); err != nil {
+		emitErr(err)
+		return
 	}
 	flush()
+}
+
+// newBatch returns an empty record slice for the merge to fill: one the
+// consumer has finished with when there is one, a fresh one otherwise.
+func (f *fetcher) newBatch() []kv.Record {
+	select {
+	case recs := <-f.free:
+		return recs[:0]
+	default:
+		return make([]kv.Record, 0, batchSize)
+	}
 }
 
 // Close implements mapred.ReduceFetcher. Cancellation unwinds each
@@ -1610,25 +1623,6 @@ func (f *fetcher) Close() error {
 	return nil
 }
 
-// segHeap orders segments by their current record's key.
-type segHeap struct {
-	segs []*segment
-	cmp  kv.Comparator
-}
-
-func (h *segHeap) Len() int           { return len(h.segs) }
-func (h *segHeap) Less(i, j int) bool { return h.cmp(h.segs[i].cur.Key, h.segs[j].cur.Key) < 0 }
-func (h *segHeap) Swap(i, j int)      { h.segs[i], h.segs[j] = h.segs[j], h.segs[i] }
-func (h *segHeap) Push(x any)         { h.segs = append(h.segs, x.(*segment)) }
-func (h *segHeap) Pop() any {
-	old := h.segs
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	h.segs = old[:n-1]
-	return s
-}
-
 // queueIterator adapts the DataToReduceQueue to kv.Iterator: "it then
 // keeps extracting the key-value pairs from the Priority Queue in sorted
 // order and puts these data in a first in first out structure, named as
@@ -1640,6 +1634,7 @@ func (h *segHeap) Pop() any {
 type queueIterator struct {
 	ctx  context.Context
 	ch   <-chan batch
+	free chan<- []kv.Record // takes back each consumed batch's slice
 	cur  []kv.Record
 	held [][]byte // spent buffers of the batch being consumed
 	idx  int
@@ -1647,11 +1642,21 @@ type queueIterator struct {
 	eos  bool
 }
 
-func (it *queueIterator) releaseHeld() {
+// release gives back what the batch just consumed was holding: its spent
+// chunk buffers rejoin the payload pool and its record slice goes to the
+// merge goroutine to refill.
+func (it *queueIterator) release() {
 	for _, buf := range it.held {
 		putPayload(buf)
 	}
 	it.held = nil
+	if it.cur != nil {
+		select {
+		case it.free <- it.cur:
+		default:
+		}
+		it.cur = nil
+	}
 }
 
 // Next implements kv.Iterator, blocking until merged data is available.
@@ -1661,11 +1666,12 @@ func (it *queueIterator) Next() bool {
 	}
 	it.idx++
 	for it.idx >= len(it.cur) {
+		// Every record of the current batch has been consumed and, by the
+		// Iterator contract, given up — before waiting for the next one,
+		// so the merge finds the slice and the buffers when it needs them.
+		it.release()
 		select {
 		case b, ok := <-it.ch:
-			// Everything before this batch has been consumed; its spent
-			// buffers can rejoin the payload pool.
-			it.releaseHeld()
 			if !ok {
 				it.eos = true
 				return false
@@ -1678,7 +1684,6 @@ func (it *queueIterator) Next() bool {
 			it.cur = b.recs
 			it.idx = 0
 		case <-it.ctx.Done():
-			it.releaseHeld()
 			it.err = it.ctx.Err()
 			return false
 		}

@@ -169,9 +169,14 @@ func TestRDMASortVariableRecords(t *testing.T) {
 
 func TestCachingReducesDiskReads(t *testing.T) {
 	// Figure 8's mechanism: with caching on, most responder lookups hit
-	// the PrefetchCache, so TaskTracker disk reads drop sharply.
+	// the PrefetchCache, so TaskTracker disk reads drop sharply. Packets
+	// of four records make a partition several chunks long: uncached,
+	// every chunk is a disk read; cached, a partition costs its prefetch
+	// read plus at most two more if a reducer asks before the prefetcher
+	// got there — fewer whichever side wins each of those races.
 	run := func(caching bool) map[string]int64 {
 		conf := rdmaConf()
+		conf.SetInt(config.KeyKVPairsPerPacket, 4)
 		conf.SetBool(config.KeyCachingEnabled, caching)
 		c := newRDMACluster(t, 3, conf)
 		res := runTeraSort(t, c, 1200, 6)

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,24 +119,37 @@ var runMagic = [4]byte{'R', 'M', 'R', '1'}
 // RunWriter writes a sorted run. The caller is responsible for feeding
 // records in sorted order; Write verifies ordering when a comparator is
 // installed via CheckOrder.
+//
+// Records are encoded straight into the writer's own buffer, which is
+// handed to the underlying io.Writer a block at a time and checksummed
+// once per block — never a record at a time.
 type RunWriter struct {
-	w       *bufio.Writer
+	w io.Writer
+	// buf holds encoded bytes not yet written: the magic at first, then
+	// whole records. body is where its not-yet-checksummed record bytes
+	// start (past the magic in the first block, 0 afterwards).
+	buf     []byte
+	body    int
 	crc     uint32
 	count   uint64
 	bytes   uint64
 	cmp     Comparator
 	prevKey []byte
-	scratch []byte
-	started bool
+	err     error // first error from w, latched
 	closed  bool
 }
 
-// NewRunWriter returns a RunWriter emitting to w. Records are buffered;
-// Close flushes the header rewrite-free format (count is written as a
-// trailer alongside the CRC, so the header needs no backpatching).
+// runWriterBlock is how much a RunWriter buffers before it writes. A
+// record that does not fit an empty block grows the buffer to its size.
+const runWriterBlock = 64 << 10
+
+// NewRunWriter returns a RunWriter emitting to w. The record count is
+// written as a trailer alongside the CRC at Close, so the header needs no
+// backpatching.
 func NewRunWriter(w io.Writer) *RunWriter {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	return &RunWriter{w: bw}
+	// Room for the 12-byte trailer too, so Close appends in place.
+	buf := make([]byte, 0, runWriterBlock+12)
+	return &RunWriter{w: w, buf: append(buf, runMagic[:]...), body: len(runMagic)}
 }
 
 // CheckOrder makes subsequent Writes verify non-decreasing key order under
@@ -145,16 +157,14 @@ func NewRunWriter(w io.Writer) *RunWriter {
 // spill boundary instead of deep inside a merge.
 func (rw *RunWriter) CheckOrder(cmp Comparator) { rw.cmp = cmp }
 
-// Write appends one record to the run.
+// Write appends one record to the run. After the underlying writer has
+// failed, every Write and Close returns that first error.
 func (rw *RunWriter) Write(r Record) error {
 	if rw.closed {
 		return errors.New("kv: write to closed RunWriter")
 	}
-	if !rw.started {
-		if _, err := rw.w.Write(runMagic[:]); err != nil {
-			return err
-		}
-		rw.started = true
+	if rw.err != nil {
+		return rw.err
 	}
 	if rw.cmp != nil {
 		if rw.count > 0 && rw.cmp(rw.prevKey, r.Key) > 0 {
@@ -162,14 +172,24 @@ func (rw *RunWriter) Write(r Record) error {
 		}
 		rw.prevKey = append(rw.prevKey[:0], r.Key...)
 	}
-	rw.scratch = AppendRecord(rw.scratch[:0], r)
-	rw.crc = crc32.Update(rw.crc, crc32.IEEETable, rw.scratch)
-	if _, err := rw.w.Write(rw.scratch); err != nil {
-		return err
+	n := r.EncodedLen()
+	if len(rw.buf)+n > runWriterBlock && len(rw.buf) > 0 {
+		if err := rw.flush(); err != nil {
+			return err
+		}
 	}
+	rw.buf = AppendRecord(rw.buf, r)
 	rw.count++
-	rw.bytes += uint64(len(rw.scratch))
+	rw.bytes += uint64(n)
 	return nil
+}
+
+// flush checksums the buffered record bytes and writes the buffer out.
+func (rw *RunWriter) flush() error {
+	rw.crc = crc32.Update(rw.crc, crc32.IEEETable, rw.buf[rw.body:])
+	_, rw.err = rw.w.Write(rw.buf)
+	rw.buf, rw.body = rw.buf[:0], 0
+	return rw.err
 }
 
 // Count returns the number of records written so far.
@@ -184,18 +204,15 @@ func (rw *RunWriter) Close() error {
 		return nil
 	}
 	rw.closed = true
-	if !rw.started {
-		if _, err := rw.w.Write(runMagic[:]); err != nil {
-			return err
-		}
+	if rw.err != nil {
+		return rw.err
 	}
-	var trailer [12]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], rw.count)
-	binary.LittleEndian.PutUint32(trailer[8:12], rw.crc)
-	if _, err := rw.w.Write(trailer[:]); err != nil {
-		return err
-	}
-	return rw.w.Flush()
+	rw.crc = crc32.Update(rw.crc, crc32.IEEETable, rw.buf[rw.body:])
+	rw.buf = binary.LittleEndian.AppendUint64(rw.buf, rw.count)
+	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, rw.crc)
+	_, rw.err = rw.w.Write(rw.buf)
+	rw.buf = nil
+	return rw.err
 }
 
 // RunReader reads a sorted run produced by RunWriter from an in-memory
@@ -312,13 +329,6 @@ func sealRun(buf []byte, count uint64) []byte {
 	crc := crc32.ChecksumIEEE(buf[len(runMagic):])
 	buf = binary.LittleEndian.AppendUint64(buf, count)
 	return binary.LittleEndian.AppendUint32(buf, crc)
-}
-
-type writerBuffer struct{ b []byte }
-
-func (wb *writerBuffer) Write(p []byte) (int, error) {
-	wb.b = append(wb.b, p...)
-	return len(p), nil
 }
 
 // RunBody returns the record-body region and record count of an encoded

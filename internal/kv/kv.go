@@ -14,6 +14,7 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 )
 
 // Record is a single key-value pair. Key and Value alias the buffers they
@@ -50,6 +51,20 @@ type Comparator func(a, b []byte) int
 // BytesComparator is the default lexicographic byte order used by both
 // TeraSort and Sort, matching Hadoop's BytesWritable ordering.
 func BytesComparator(a, b []byte) int { return bytes.Compare(a, b) }
+
+var bytesComparatorPC = reflect.ValueOf(BytesComparator).Pointer()
+
+// IsByteOrder reports whether cmp is known to be plain byte order — nil,
+// which every constructor here reads as the default, or BytesComparator
+// itself — the one order under which the sort and the merge may compare
+// 8-byte key prefixes before keys. It has to recognise the function, not
+// only nil, because callers that mean the default pass BytesComparator
+// by name. The test is identity of the code pointer, so a closure that
+// merely behaves like byte order answers false; that costs speed, never
+// correctness. Call it once per sort or merge, not per comparison.
+func IsByteOrder(cmp Comparator) bool {
+	return cmp == nil || reflect.ValueOf(cmp).Pointer() == bytesComparatorPC
+}
 
 // Iterator streams records in some producer-defined order. Next advances to
 // the next record and reports whether one is available; Record returns the

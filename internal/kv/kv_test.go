@@ -2,7 +2,9 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -176,7 +178,7 @@ func TestRunReaderRejectsShortBuffer(t *testing.T) {
 }
 
 func TestRunWriterCheckOrder(t *testing.T) {
-	var buf writerBuffer
+	var buf bytes.Buffer
 	rw := NewRunWriter(&buf)
 	rw.CheckOrder(BytesComparator)
 	if err := rw.Write(Record{Key: []byte("b")}); err != nil {
@@ -187,8 +189,108 @@ func TestRunWriterCheckOrder(t *testing.T) {
 	}
 }
 
+// TestRunWriterMatchesWriteRun holds the streaming writer to WriteRun's
+// bytes across its block boundary: runs of small records several blocks
+// long, records larger than a block (which grow the buffer), and an
+// oversize record arriving while a block is part full.
+func TestRunWriterMatchesWriteRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	big := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	var small []Record
+	for i := 0; i < 3000; i++ {
+		small = append(small, Record{Key: big(10), Value: big(rng.Intn(150))})
+	}
+	for name, recs := range map[string][]Record{
+		"empty":    nil,
+		"small":    small,
+		"oversize": {{Key: big(10), Value: big(200 << 10)}, {Key: big(70 << 10), Value: nil}},
+		"mixed":    append(append(small[:40:40], Record{Key: big(3), Value: big(65 << 10)}), small[40:900]...),
+		"exact":    {{Key: big(10), Value: big(64<<10 - 4 - 10 - 4)}, {Key: big(1), Value: big(1)}},
+	} {
+		var buf bytes.Buffer
+		rw := NewRunWriter(&buf)
+		for _, r := range recs {
+			if err := rw.Write(r); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := WriteRun(recs)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: RunWriter wrote %d bytes that differ from WriteRun's %d", name, buf.Len(), len(want))
+		}
+		if rw.Count() != uint64(len(recs)) || rw.Bytes() != uint64(len(want)-16) {
+			t.Fatalf("%s: Count=%d Bytes=%d, want %d and %d", name, rw.Count(), rw.Bytes(), len(recs), len(want)-16)
+		}
+	}
+}
+
+// failAfter accepts n bytes and then fails every write.
+type failAfter struct {
+	n      int
+	writes int
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.n -= len(p); w.n < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+func TestRunWriterLatchesWriterError(t *testing.T) {
+	w := &failAfter{n: 100 << 10}
+	rw := NewRunWriter(w)
+	rec := Record{Key: []byte("key"), Value: make([]byte, 1000)}
+	var first error
+	for i := 0; i < 1000 && first == nil; i++ {
+		first = rw.Write(rec)
+	}
+	if first == nil {
+		t.Fatal("1 MB written through a writer that fails after 100 KB")
+	}
+	writes := w.writes
+	if err := rw.Write(rec); err != first {
+		t.Fatalf("Write after the failure = %v, want the first error %v", err, first)
+	}
+	if err := rw.Close(); err != first {
+		t.Fatalf("Close after the failure = %v, want the first error %v", err, first)
+	}
+	if w.writes != writes {
+		t.Fatalf("the failed writer was written to %d more times", w.writes-writes)
+	}
+}
+
+// TestRunWriterAllocsPerRun: a run costs the writer and its one buffer,
+// however many records go through it.
+func TestRunWriterAllocsPerRun(t *testing.T) {
+	recs := teraShaped(rand.New(rand.NewSource(6)), 5000)
+	var buf bytes.Buffer
+	buf.Grow(600 << 10)
+	allocs := testing.AllocsPerRun(10, func() {
+		buf.Reset()
+		rw := NewRunWriter(&buf)
+		for _, r := range recs {
+			_ = rw.Write(r)
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("%.0f allocations to write a 5000-record run, want 2", allocs)
+	}
+}
+
 func TestRunWriterWriteAfterClose(t *testing.T) {
-	var buf writerBuffer
+	var buf bytes.Buffer
 	rw := NewRunWriter(&buf)
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
@@ -253,6 +355,85 @@ func TestHashPartitionerDistribution(t *testing.T) {
 	for i, c := range counts {
 		if c < n/parts/2 || c > n/parts*2 {
 			t.Errorf("partition %d badly skewed: %d of %d", i, c, n)
+		}
+	}
+}
+
+func TestIsByteOrder(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cmp  Comparator
+		want bool
+	}{
+		{"nil", nil, true},
+		{"BytesComparator", BytesComparator, true},
+		{"closure around it", func(a, b []byte) int { return BytesComparator(a, b) }, false},
+		{"bytes.Compare", bytes.Compare, false},
+		{"reversing", reverseComparator, false},
+	} {
+		if got := IsByteOrder(c.cmp); got != c.want {
+			t.Errorf("IsByteOrder(%s) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// searchPartition is TotalOrderPartitioner.Partition as it was before it
+// searched split prefixes: sort.Search with a full comparison per probe.
+func searchPartition(splits [][]byte, key []byte, n int) int {
+	i := sort.Search(len(splits), func(i int) bool {
+		return BytesComparator(key, splits[i]) < 0
+	})
+	if i >= n {
+		i = n - 1
+	}
+	return i
+}
+
+// TestTotalOrderPartitionerMatchesFullSearch: the prefix search must
+// route every key exactly as the full-key search does, including keys
+// and split points shorter than the prefix, equal to one another, or
+// alike for more than eight bytes.
+func TestTotalOrderPartitionerMatchesFullSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	randKey := func() []byte {
+		key := make([]byte, rng.Intn(13))
+		for i := range key {
+			key[i] = "\x00ab\xff"[rng.Intn(4)]
+		}
+		return key
+	}
+	for round := 0; round < 200; round++ {
+		sample := make([][]byte, 1+rng.Intn(60))
+		for i := range sample {
+			sample[i] = randKey()
+		}
+		n := 1 + rng.Intn(20)
+		splits := SampleSplits(sample, n)
+		p, err := NewTotalOrderPartitioner(splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = len(splits) + 1
+		keys := append([][]byte{nil}, splits...)
+		for i := 0; i < 200; i++ {
+			keys = append(keys, randKey())
+		}
+		for _, key := range keys {
+			if got, want := p.Partition(key, n), searchPartition(splits, key, n); got != want {
+				t.Fatalf("Partition(%q) over %q = %d, full search says %d", key, splits, got, want)
+			}
+		}
+	}
+	tera := teraShaped(rng, 4000)
+	sample := make([][]byte, 0, 400)
+	for _, r := range tera[:400] {
+		sample = append(sample, r.Key)
+	}
+	splits := SampleSplits(sample, 8)
+	p, _ := NewTotalOrderPartitioner(splits)
+	for _, r := range tera {
+		if got, want := p.Partition(r.Key, 8), searchPartition(splits, r.Key, 8); got != want {
+			t.Fatalf("Partition(%x) = %d, full search says %d", r.Key, got, want)
 		}
 	}
 }

@@ -182,3 +182,125 @@ func TestMergerRecordAliasing(t *testing.T) {
 		t.Fatal("cloned record mutated by Next")
 	}
 }
+
+// cutIterator yields the first cut of its records and then fails, as a
+// source whose stream breaks mid-way does.
+type cutIterator struct {
+	SliceIterator
+	cut int
+	err error
+}
+
+func (it *cutIterator) Next() bool { return it.idx+1 < it.cut && it.SliceIterator.Next() }
+func (it *cutIterator) Err() error {
+	if it.idx+1 >= it.cut {
+		return it.err
+	}
+	return nil
+}
+
+// fuzzSources deals fuzzRecords' records — small alphabet, so keys repeat
+// within and across sources, with empty keys, keys on both sides of the
+// 8-byte prefix, "a" next to "a\x00", long shared prefixes and 20 KB
+// values — out to k sources, tags each value with (source, position) so
+// that no two records are interchangeable, and sorts each source stably
+// under cmp. With few records some sources stay empty.
+func fuzzSources(data []byte, k int, cmp Comparator) [][]Record {
+	sources := make([][]Record, k)
+	for i, r := range fuzzRecords(data) {
+		s := (i*5 + len(r.Key) + len(r.Value)) % k
+		r.Value = append([]byte{byte(s), byte(i), byte(i >> 8)}, r.Value...)
+		sources[s] = append(sources[s], r)
+	}
+	for _, recs := range sources {
+		SortRecords(recs, cmp)
+	}
+	return sources
+}
+
+// checkMergerAgainstReference requires the merged record sequence — equal
+// keys included — to be what a stable sort of the sources concatenated in
+// source order gives, for the default order passed as nil and by name,
+// and for a custom order. With failAt >= 0 one source breaks half-way:
+// the merge must then stop with that source's error, having emitted a
+// prefix of the same sequence.
+func checkMergerAgainstReference(t *testing.T, data []byte, k int, failAt int) {
+	t.Helper()
+	for _, cc := range []struct {
+		name string
+		cmp  Comparator // handed to NewMerger
+		ref  Comparator // the order it must produce
+	}{
+		{"nil", nil, BytesComparator},
+		{"bytes", BytesComparator, BytesComparator},
+		{"reverse", reverseComparator, reverseComparator},
+	} {
+		sources := fuzzSources(data, k, cc.ref)
+		var want []Record
+		its := make([]Iterator, k)
+		for s, recs := range sources {
+			want = append(want, recs...)
+			its[s] = NewSliceIterator(recs)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return cc.ref(want[i].Key, want[j].Key) < 0 })
+
+		var failed error
+		if failAt >= 0 {
+			failed = errors.New("source failed")
+			recs := sources[failAt%k]
+			its[failAt%k] = &cutIterator{SliceIterator: *NewSliceIterator(recs), cut: len(recs) / 2, err: failed}
+		}
+		m := NewMerger(cc.cmp, its...)
+		n := 0
+		for m.Next() {
+			got := m.Record()
+			if n >= len(want) {
+				t.Fatalf("%s: merger yielded more than the %d records put in", cc.name, len(want))
+			}
+			if !bytes.Equal(got.Key, want[n].Key) || !bytes.Equal(got.Value, want[n].Value) {
+				t.Fatalf("%s: record %d of %d is %q=%x, want %q=%x (k=%d)",
+					cc.name, n, len(want), got.Key, got.Value[:3], want[n].Key, want[n].Value[:3], k)
+			}
+			n++
+		}
+		if m.Err() != failed {
+			t.Fatalf("%s: Err = %v, want %v", cc.name, m.Err(), failed)
+		}
+		if m.Next() {
+			t.Fatalf("%s: Next true after the end", cc.name)
+		}
+		if failed == nil && n != len(want) {
+			t.Fatalf("%s: merged %d records, want %d", cc.name, n, len(want))
+		}
+	}
+}
+
+func FuzzMerger(f *testing.F) {
+	f.Add([]byte{}, uint8(3), int8(-1))
+	// "a" and "a\x00" — one prefix, two keys — and an empty key.
+	f.Add([]byte{1, 1, 1, '1', 2, 1, 1, 0, '2', 1, 1, 1, '3', 0, 1, '4'}, uint8(2), int8(-1))
+	// One key many times over, spread across the sources.
+	f.Add([]byte{3, 1, 1, 2, 1, 'x', 3, 1, 1, 2, 1, 'y', 3, 1, 1, 2, 1, 'z', 3, 1, 1, 2, 1, 'w', 3, 1, 1, 2, 1, 'v'}, uint8(4), int8(-1))
+	// Keys past the prefix that differ only in byte 9, and a 20 KB value.
+	f.Add([]byte{10, 0xff, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 10, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 2, 'v'}, uint8(1), int8(-1))
+	// A source failing mid-stream.
+	f.Add([]byte{3, 1, 1, 2, 1, 'x', 2, 1, 2, 1, 'y', 3, 1, 1, 2, 0, 'z', 1, 1, 2, 'w'}, uint8(2), int8(1))
+	f.Fuzz(func(t *testing.T, data []byte, k uint8, failAt int8) {
+		checkMergerAgainstReference(t, data, 1+int(k%8), int(failAt))
+	})
+}
+
+// TestMergerMatchesReference runs FuzzMerger's property over seeded random
+// inputs on every `go test`, up to 64 sources.
+func TestMergerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 60; round++ {
+		data := make([]byte, rng.Intn(1500))
+		rng.Read(data)
+		failAt := -1
+		if round%5 == 4 {
+			failAt = rng.Intn(64)
+		}
+		checkMergerAgainstReference(t, data, 1+rng.Intn(64), failAt)
+	}
+}

@@ -29,7 +29,8 @@ func (HashPartitioner) Partition(key []byte, n int) int {
 // [split[i-1], split[i]). With this partitioner the concatenation of sorted
 // reduce outputs is globally sorted, which is what TeraValidate checks.
 type TotalOrderPartitioner struct {
-	splits [][]byte // len n-1, sorted ascending
+	splits   [][]byte // len n-1, sorted ascending
+	prefixes []uint64 // keyPrefix of each split
 }
 
 // NewTotalOrderPartitioner builds a partitioner from sorted split points.
@@ -40,7 +41,11 @@ func NewTotalOrderPartitioner(splits [][]byte) (*TotalOrderPartitioner, error) {
 			return nil, fmt.Errorf("kv: split points not sorted at %d", i)
 		}
 	}
-	return &TotalOrderPartitioner{splits: splits}, nil
+	prefixes := make([]uint64, len(splits))
+	for i, s := range splits {
+		prefixes[i] = keyPrefix(s)
+	}
+	return &TotalOrderPartitioner{splits: splits, prefixes: prefixes}, nil
 }
 
 // SampleSplits derives n-1 split points from a key sample, mirroring
@@ -63,17 +68,25 @@ func SampleSplits(sample [][]byte, n int) [][]byte {
 	return splits
 }
 
-// Partition implements Partitioner by binary search over the split points.
-// The n argument must equal len(splits)+1; it is accepted for interface
-// compatibility and validated in tests.
+// Partition implements Partitioner by binary search over the split points:
+// the first split the key sorts before. The search compares 8-byte
+// prefixes, which order like the keys wherever they differ, and reads a
+// split point only on a prefix tie. The n argument must equal
+// len(splits)+1; it is accepted for interface compatibility and validated
+// in tests.
 func (p *TotalOrderPartitioner) Partition(key []byte, n int) int {
-	i := sort.Search(len(p.splits), func(i int) bool {
-		return BytesComparator(key, p.splits[i]) < 0
-	})
-	if i >= n {
-		i = n - 1
+	kp := keyPrefix(key)
+	lo, hi := 0, len(p.splits)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		sp := p.prefixes[mid]
+		if kp < sp || (kp == sp && BytesComparator(key, p.splits[mid]) < 0) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return i
+	return min(lo, n-1)
 }
 
 // Splits returns the partitioner's split points (not copied).

@@ -14,16 +14,22 @@ import (
 // record bytes, and each run is encoded straight from the arena into one
 // exactly-sized buffer.
 //
-// The lifecycle is Add… → Sort → Run/Records per partition → Reset.
+// The lifecycle is Reset → Add… → Sort → Run/Records per partition; the
+// zero value is ready for its first Reset. A buffer keeps its arena,
+// index and sort scratch across Resets, so one buffer serves every spill
+// of a task and every task of a map slot.
 type SortBuffer struct {
-	part Partitioner
-	n    int
-	cmp  Comparator // nil: byte order, compared by key prefix first
+	part     Partitioner
+	n        int
+	cmp      Comparator
+	prefixed bool // byte order: entries carry their key prefix
 
 	arena     []byte
 	arenaHint int
 	index     []sortEntry
-	parts     []partStat // per partition, maintained at Add
+	scratch   []sortEntry // Sort's ping-pong twin of index
+	parts     []partStat  // per partition, maintained at Add
+	starts    []int       // Sort's per-partition scatter cursors
 	encoded   int64
 }
 
@@ -45,18 +51,34 @@ type partStat struct {
 }
 
 // NewSortBuffer returns a buffer that routes keys with part into n
-// partitions and orders each partition under cmp. A nil cmp means the
-// default byte order (BytesComparator) and enables the key-prefix fast
-// path; any other comparator is consulted for every comparison, because
-// a prefix says nothing about a custom order. arenaHint pre-sizes the
-// arena — the split length is the natural estimate for a map task.
+// partitions and orders each partition under cmp; see Reset for the
+// arguments.
 func NewSortBuffer(part Partitioner, n int, cmp Comparator, arenaHint int) *SortBuffer {
-	return &SortBuffer{
-		part: part, n: n, cmp: cmp,
-		arena:     make([]byte, 0, arenaHint),
-		arenaHint: arenaHint,
-		parts:     make([]partStat, n),
+	b := &SortBuffer{}
+	b.Reset(part, n, cmp, arenaHint)
+	return b
+}
+
+// Reset empties the buffer and sets it up for the next fill — the next
+// spill of the same task, or another task altogether — keeping whatever
+// arena, index and scratch capacity it has. Byte order (IsByteOrder(cmp))
+// sorts on key prefixes; any other comparator is consulted for every
+// comparison, because a prefix says nothing about a custom order.
+// arenaHint pre-sizes the arena — the split length is the natural
+// estimate for a map task.
+func (b *SortBuffer) Reset(part Partitioner, n int, cmp Comparator, arenaHint int) {
+	b.part, b.n = part, n
+	b.prefixed = IsByteOrder(cmp)
+	if cmp == nil {
+		cmp = BytesComparator
 	}
+	b.cmp = cmp
+	b.arena = slices.Grow(b.arena[:0], arenaHint)
+	b.arenaHint = arenaHint
+	b.index = b.index[:0]
+	b.parts = slices.Grow(b.parts[:0], n)[:n]
+	clear(b.parts)
+	b.encoded = 0
 }
 
 // Add copies one record into the arena and indexes it. key and value may
@@ -67,7 +89,7 @@ func (b *SortBuffer) Add(key, value []byte) {
 	}
 	p := b.part.Partition(key, b.n)
 	e := sortEntry{off: uint64(len(b.arena)), part: uint32(p), klen: uint32(len(key)), vlen: uint32(len(value))}
-	if b.cmp == nil {
+	if b.prefixed {
 		e.prefix = keyPrefix(key)
 	}
 	b.arena = append(append(b.arena, key...), value...)
@@ -97,6 +119,9 @@ func (b *SortBuffer) growIndex() {
 }
 
 // keyPrefix packs the first eight bytes of key big-endian, zero-padded.
+// Prefixes order like the keys they came from wherever they differ:
+// padding with zeros makes a key that is a proper prefix of another sort
+// first or tie, never after.
 func keyPrefix(key []byte) uint64 {
 	if len(key) >= 8 {
 		return binary.BigEndian.Uint64(key)
@@ -128,27 +153,92 @@ func (b *SortBuffer) record(e *sortEntry) Record {
 // Sort orders the index by partition, then key, then arena offset.
 // Arena offsets strictly increase in Add order, so the last tie-break
 // makes equal keys keep their emission order — exactly what a stable
-// sort of the records would produce — while leaving the order total,
-// which lets the faster unstable sort be used. Equal prefixes do not
-// imply equal keys ("a" and "a\x00" share one), so a prefix tie falls
-// through to the keys.
+// sort of the records would produce.
+//
+// It is a radix sort on the entries alone. The index starts in emission
+// order; a least-significant-digit pass per byte of the prefix that is
+// not the same in every entry, each a stable counting scatter between
+// the index and its scratch twin, leaves it ordered by prefix with equal
+// prefixes in emission order; one more stable scatter by partition,
+// whose bucket sizes Add already counted, makes that partition → prefix
+// → emission order. Only then are keys looked at: equal prefixes do not
+// imply equal keys ("a" and "a\x00" share one), so every stretch of two
+// or more entries with one (partition, prefix) is ordered by the
+// comparator, then the offset. Under a custom comparator every prefix is
+// zero, no digit pass runs, and the stretch is the whole partition.
 func (b *SortBuffer) Sort() {
-	order := b.cmp
-	if order == nil {
-		order = BytesComparator
+	n := len(b.index)
+	if n < 2 {
+		return
 	}
-	slices.SortFunc(b.index, func(x, y sortEntry) int {
-		if x.part != y.part {
-			return cmp.Compare(x.part, y.part)
+	if cap(b.scratch) < cap(b.index) {
+		b.scratch = make([]sortEntry, cap(b.index))
+	}
+	src, dst := b.index, b.scratch[:n]
+
+	var hist [8][256]int
+	for i := range src {
+		p := src[i].prefix
+		hist[0][byte(p)]++
+		hist[1][byte(p>>8)]++
+		hist[2][byte(p>>16)]++
+		hist[3][byte(p>>24)]++
+		hist[4][byte(p>>32)]++
+		hist[5][byte(p>>40)]++
+		hist[6][byte(p>>48)]++
+		hist[7][byte(p>>56)]++
+	}
+	for d := range hist {
+		h, shift := &hist[d], 8*d
+		if h[byte(src[0].prefix>>shift)] == n {
+			continue // every entry has the same digit here
 		}
-		if x.prefix != y.prefix { // all zero under a custom comparator
-			return cmp.Compare(x.prefix, y.prefix)
+		next := 0
+		for v, count := range h {
+			h[v], next = next, next+count
 		}
-		if c := order(b.key(&x), b.key(&y)); c != 0 {
-			return c
+		for i := range src {
+			v := byte(src[i].prefix >> shift)
+			dst[h[v]] = src[i]
+			h[v]++
 		}
-		return cmp.Compare(x.off, y.off)
-	})
+		src, dst = dst, src
+	}
+	if b.n > 1 {
+		b.starts = slices.Grow(b.starts[:0], b.n)[:b.n]
+		next := 0
+		for p, st := range b.parts {
+			b.starts[p], next = next, next+st.records
+		}
+		for i := range src {
+			p := src[i].part
+			dst[b.starts[p]] = src[i]
+			b.starts[p]++
+		}
+		src, dst = dst, src
+	}
+	b.index, b.scratch = src, dst
+
+	byKey := b.compareKeys
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && src[j].prefix == src[i].prefix && src[j].part == src[i].part {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], byKey)
+		}
+		i = j
+	}
+}
+
+// compareKeys orders two entries of one partition by key, then by arena
+// offset.
+func (b *SortBuffer) compareKeys(x, y sortEntry) int {
+	if c := b.cmp(b.key(&x), b.key(&y)); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.off, y.off)
 }
 
 // entries returns partition p's slice of the sorted index.
@@ -185,13 +275,4 @@ func (b *SortBuffer) Records(p int, dst []Record) []Record {
 		dst = append(dst, b.record(&ents[i]))
 	}
 	return dst
-}
-
-// Reset empties the buffer, keeping the arena and index for the next
-// fill.
-func (b *SortBuffer) Reset() {
-	b.arena = b.arena[:0]
-	b.index = b.index[:0]
-	clear(b.parts)
-	b.encoded = 0
 }

@@ -170,6 +170,41 @@ func teraShaped(rng *rand.Rand, n int) []Record {
 	return recs
 }
 
+// TestSortBufferRadixCorners aims the same oracle at what a radix sort of
+// prefixes can get wrong: most records sharing their first eight bytes
+// (every digit pass skipped or nearly so, long stretches left to the
+// comparator), prefixes that differ in one digit only, and more
+// partitions than a digit has values.
+func TestSortBufferRadixCorners(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var shared []Record
+	for i := 0; i < 2000; i++ {
+		key := []byte("prefix--")
+		switch rng.Intn(4) {
+		case 0: // the bare prefix, many times over
+		case 1:
+			key = append(key, byte(rng.Intn(3)), byte(rng.Intn(3)))
+		case 2:
+			key = append(key, make([]byte, rng.Intn(4))...) // "…", "…\x00", "…\x00\x00"
+		case 3:
+			key = []byte("prefix-!tail")[:8+rng.Intn(5)]
+		}
+		shared = append(shared, Record{Key: key, Value: []byte{byte(i), byte(i >> 8)}})
+	}
+	checkAgainstReference(t, shared, 3)
+
+	var oneDigit []Record
+	for i := 0; i < 3000; i++ {
+		key := []byte("abcdefghij")
+		key[rng.Intn(3)*3] = byte(rng.Intn(256)) // digit 7, 4 or 1 of the prefix
+		oneDigit = append(oneDigit, Record{Key: key, Value: []byte{byte(i), byte(i >> 8)}})
+	}
+	checkAgainstReference(t, oneDigit, 7)
+
+	checkAgainstReference(t, teraShaped(rng, 5000), 300)
+	checkAgainstReference(t, shared, 70)
+}
+
 func TestSortBufferPrefixTieIsNotKeyEquality(t *testing.T) {
 	// All of these share the zero-padded prefix of "a"; only the keys
 	// themselves order them, and the two "a"s must keep emission order.
@@ -196,7 +231,7 @@ func TestSortBufferResetReuses(t *testing.T) {
 		b.Add(r.Key, r.Value)
 	}
 	b.Sort()
-	b.Reset()
+	b.Reset(HashPartitioner{}, 4, nil, 0)
 	if b.Len() != 0 || b.EncodedBytes() != 0 {
 		t.Fatalf("after Reset: Len=%d EncodedBytes=%d", b.Len(), b.EncodedBytes())
 	}
@@ -211,6 +246,39 @@ func TestSortBufferResetReuses(t *testing.T) {
 	for p := range want {
 		if !bytes.Equal(b.Run(p), want[p]) {
 			t.Fatalf("partition %d after Reset differs from the reference", p)
+		}
+	}
+
+	// The next task on the slot is another job's: more partitions than
+	// the buffer has seen, another partitioner, another order — and then
+	// fewer partitions again, back in byte order.
+	keys := make([][]byte, len(first))
+	for i, r := range first {
+		keys[i] = r.Key
+	}
+	total, err := NewTotalOrderPartitioner(SampleSplits(keys, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []struct {
+		recs []Record
+		part Partitioner
+		n    int
+		cmp  Comparator
+	}{
+		{first, total, 9, reverseComparator},
+		{second, HashPartitioner{}, 2, BytesComparator},
+	} {
+		b.Reset(fill.part, fill.n, fill.cmp, 0)
+		for _, r := range fill.recs {
+			b.Add(r.Key, r.Value)
+		}
+		b.Sort()
+		want := referenceRuns(fill.recs, fill.part, fill.n, fill.cmp)
+		for p := range want {
+			if !bytes.Equal(b.Run(p), want[p]) {
+				t.Fatalf("reused for %d partitions: partition %d differs from the reference", fill.n, p)
+			}
 		}
 	}
 }
@@ -249,6 +317,24 @@ func TestSortBufferAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocations for %d records into %d partitions, budget 32", pc.name, allocs, n, parts)
 		}
 		t.Logf("%s: %.0f allocations", pc.name, allocs)
+
+		// A buffer that has been filled once is reused whole: the next
+		// task on the slot allocates its runs and nothing else.
+		b := NewSortBuffer(pc.part, parts, nil, n*100)
+		refill := func() {
+			b.Reset(pc.part, parts, nil, n*100)
+			for _, r := range recs {
+				b.Add(r.Key, r.Value)
+			}
+			b.Sort()
+			for p := range out {
+				out[p] = b.Run(p)
+			}
+		}
+		refill()
+		if allocs := testing.AllocsPerRun(5, refill); allocs != parts {
+			t.Errorf("%s: refilling a used buffer made %.0f allocations, want %d (one per run)", pc.name, allocs, parts)
+		}
 	}
 }
 

@@ -31,6 +31,11 @@ type Cluster struct {
 	counters *stats.Counters
 	phases   *stats.Phases
 
+	// sortBufs recycles map-side collect buffers (*kv.SortBuffer) across
+	// map tasks, whatever their job: arena, index and sort scratch are
+	// grown once per slot, not once per task.
+	sortBufs sync.Pool
+
 	// servers is index-aligned with trackers but mutable: ReviveTracker
 	// replaces a decommissioned node's shuffle server with a fresh one.
 	smu     sync.RWMutex

@@ -84,11 +84,6 @@ type Job struct {
 	// Conf overrides the cluster configuration for this job (nil = use
 	// the cluster's).
 	Conf *config.Config
-
-	// byteOrder records that Comparator was left nil, i.e. keys sort in
-	// plain byte order — the one order for which the map-side sort may
-	// compare 8-byte key prefixes before the keys themselves.
-	byteOrder bool
 }
 
 func (j *Job) withDefaults(clusterConf *config.Config) (*Job, error) {
@@ -116,7 +111,6 @@ func (j *Job) withDefaults(clusterConf *config.Config) (*Job, error) {
 	}
 	if out.Comparator == nil {
 		out.Comparator = kv.BytesComparator
-		out.byteOrder = true
 	}
 	if out.GroupComparator == nil {
 		out.GroupComparator = out.Comparator

@@ -69,6 +69,7 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 	// runs; task finish merges each partition's spill runs into the map
 	// output file — Hadoop's sort-and-spill pipeline.
 	spiller := newMapSpiller(c, tt, info, job, sp.id, len(data))
+	defer spiller.release()
 	inRecords := int64(0)
 	outRecords := int64(0)
 	emit := func(k, v []byte) {
@@ -124,23 +125,39 @@ type mapSpiller struct {
 	mapID int
 
 	bufLimit int64
-	buf      *kv.SortBuffer
-	views    []kv.Record // combiner input, reused across partitions
+	hint     int            // arena size estimate for each fill
+	buf      *kv.SortBuffer // on loan from the cluster's pool
+	views    []kv.Record    // combiner input, reused across partitions
 	spills   int
 	err      error
 }
 
 // newMapSpiller sizes the collect buffer for a split of splitLen bytes
-// (what an identity map emits), capped at io.sort.mb.
+// (what an identity map emits), capped at io.sort.mb. The buffer comes
+// from the cluster's pool, so a slot's next task sorts in the arena and
+// index its last one grew; release hands it back.
 func newMapSpiller(c *Cluster, tt *TaskTracker, info JobInfo, job *Job, mapID, splitLen int) *mapSpiller {
 	bufLimit := job.Conf.Int(config.KeyIOSortMB)
-	cmp := job.Comparator
-	if job.byteOrder {
-		cmp = nil // lets the sort compare key prefixes first
+	ms := &mapSpiller{c: c, tt: tt, info: info, job: job, mapID: mapID, bufLimit: bufLimit,
+		hint: int(max(0, min(int64(splitLen), bufLimit)))}
+	ms.buf, _ = c.sortBufs.Get().(*kv.SortBuffer)
+	if ms.buf == nil {
+		ms.buf = &kv.SortBuffer{}
 	}
-	hint := int(max(0, min(int64(splitLen), bufLimit)))
-	return &mapSpiller{c: c, tt: tt, info: info, job: job, mapID: mapID, bufLimit: bufLimit,
-		buf: kv.NewSortBuffer(job.Partitioner, info.NumReduces, cmp, hint)}
+	ms.resetBuf()
+	return ms
+}
+
+func (ms *mapSpiller) resetBuf() {
+	ms.buf.Reset(ms.job.Partitioner, ms.info.NumReduces, ms.job.Comparator, ms.hint)
+}
+
+// release returns the collect buffer to the pool. Nothing the task
+// stored aliases it: runs are encoded into their own buffers and the
+// combiner's output is cloned.
+func (ms *mapSpiller) release() {
+	ms.c.sortBufs.Put(ms.buf)
+	ms.buf = nil
 }
 
 func (ms *mapSpiller) spillKey(spill, partition int) string {
@@ -169,7 +186,7 @@ func (ms *mapSpiller) spill() error {
 	}
 	ms.spills++
 	ms.c.counters.Add("map.spills", 1)
-	ms.buf.Reset()
+	ms.resetBuf()
 	return nil
 }
 

@@ -144,6 +144,15 @@ func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, er
 	return tt.store.Get(MapOutputKey(jobID, mapID, partition))
 }
 
+// ViewMapOutput is MapOutput without the copy: fn reads the stored run in
+// place, under storage.LocalStore.View's contract — do not modify it, do
+// not keep it. It is accounted as the same disk read.
+func (tt *TaskTracker) ViewMapOutput(jobID string, mapID, partition int, fn func(run []byte)) error {
+	tt.counters.Add("tracker.mapoutput.disk.reads", 1)
+	tt.nDiskReads.Add(1)
+	return tt.store.View(MapOutputKey(jobID, mapID, partition), fn)
+}
+
 // MapOutputSize returns the stored size of a partition without a disk
 // read (namespace metadata, as a real TaskTracker has in memory).
 func (tt *TaskTracker) MapOutputSize(jobID string, mapID, partition int) (int64, error) {

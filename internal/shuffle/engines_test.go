@@ -221,3 +221,71 @@ func BenchmarkFunctionalEngines(b *testing.B) {
 		})
 	}
 }
+
+// TestStreamingEnginesOrderEqualKeysByMap pins the order of records whose
+// keys compare equal on the two engines that merge remote segments
+// directly: by map id, then by emission order within the map — the order
+// a stable merge of the segments in map order gives. Values therefore
+// reach a Reducer in the same order on every run, whichever map finished
+// first.
+func TestStreamingEnginesOrderEqualKeysByMap(t *testing.T) {
+	const maps, perMap = 6, 300
+	for _, name := range []string{"hadoop-a", "osu-ib-rdma"} {
+		t.Run(name, func(t *testing.T) {
+			c, err := mapred.NewCluster(3, engineConf(), engines()[name]())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			fs := c.FS()
+			var inputs []string
+			for m := 0; m < maps; m++ {
+				// RunInput is not splittable: file m is map m's whole input.
+				recs := make([]kv.Record, perMap)
+				for i := range recs {
+					key := fmt.Sprintf("k%02d", (i*7+m)%20) // shorter than a prefix
+					if i%2 == 1 {
+						key = fmt.Sprintf("a-long-shared-prefix-%02d", (i+m)%20)
+					}
+					recs[i] = kv.Record{Key: []byte(key), Value: []byte(fmt.Sprintf("m%d-%04d", m, i))}
+				}
+				path := fmt.Sprintf("/eq/in-%d", m)
+				if err := fs.WriteFile(path, "", kv.WriteRun(recs)); err != nil {
+					t.Fatal(err)
+				}
+				inputs = append(inputs, path)
+			}
+			if _, err := c.RunJob(ctxT(t), &mapred.Job{
+				Name: "eq", Input: inputs, Output: "/eq/out", NumReduces: 3,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, p := range fs.List("/eq/out/") {
+				data, err := fs.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rr, err := kv.NewRunReader(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := kv.Drain(rr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += len(recs)
+				for i := 1; i < len(recs); i++ {
+					prev, cur := recs[i-1], recs[i]
+					// "m<map>-<seq>" sorts as (map, seq).
+					if string(prev.Key) == string(cur.Key) && string(prev.Value) > string(cur.Value) {
+						t.Fatalf("%s: key %q: value %s before %s, want (map, emission) order", p, cur.Key, prev.Value, cur.Value)
+					}
+				}
+			}
+			if total != maps*perMap {
+				t.Fatalf("output has %d records, want %d", total, maps*perMap)
+			}
+		})
+	}
+}

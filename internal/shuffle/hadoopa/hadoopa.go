@@ -16,10 +16,10 @@
 package hadoopa
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rdmamr/internal/config"
@@ -201,6 +201,7 @@ func (e *Engine) NewReduceFetcher(task mapred.ReduceTaskInfo) (mapred.ReduceFetc
 		bounceSize:  int(conf.Int(config.KeyRDMAPacketBytes)) + 64<<10,
 		conns:       make(map[string]*hostConn),
 		out:         make(chan batch, 8),
+		free:        make(chan []kv.Record, 8+2),
 	}, nil
 }
 
@@ -226,7 +227,12 @@ type fetcher struct {
 	mu    sync.Mutex
 	conns map[string]*hostConn
 
-	out     chan batch
+	out chan batch
+	// free carries consumed batches' record slices back to the merge
+	// goroutine: up to those queued in out, one being filled and one
+	// being consumed.
+	free    chan []kv.Record
+	runCtx  context.Context // fetcher-lifetime ctx; segment refills use this
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	fetched bool
@@ -254,13 +260,15 @@ type chunk struct {
 	err  error
 }
 
+// segment is one remote-resident sorted map output partition, read a
+// packet at a time. It is a kv.Iterator, so the merge is kv.Merger's.
 type segment struct {
 	mapID int
 	conn  *hostConn
 	ready chan chunk
 
 	it       *kv.BufferIterator
-	cur      kv.Record
+	err      error
 	eof      bool
 	attempts int
 	f        *fetcher
@@ -275,11 +283,24 @@ func (seg *segment) request(ctx context.Context, offset int64) error {
 	}
 }
 
+// Next implements kv.Iterator, fetching the segment's next packet when
+// the buffered records run out.
+func (seg *segment) Next() bool {
+	ok, err := seg.next(seg.f.runCtx)
+	seg.err = err
+	return ok
+}
+
+// Record implements kv.Iterator: the current packet iterator's record.
+func (seg *segment) Record() kv.Record { return seg.it.Record() }
+
+// Err implements kv.Iterator.
+func (seg *segment) Err() error { return seg.err }
+
 func (seg *segment) next(ctx context.Context) (bool, error) {
 	for {
 		if seg.it != nil {
 			if seg.it.Next() {
-				seg.cur = seg.it.Record()
 				return true, nil
 			}
 			if err := seg.it.Err(); err != nil {
@@ -414,6 +435,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	f.fetched = true
 	ctx, cancel := context.WithCancel(ctx)
 	f.cancel = cancel
+	f.runCtx = ctx
 	for _, host := range f.task.Hosts {
 		hc, err := f.dial(ctx, host)
 		if err != nil {
@@ -426,7 +448,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	}
 	f.wg.Add(1)
 	go f.run(ctx)
-	return &queueIterator{ctx: ctx, ch: f.out}, nil
+	return &queueIterator{ctx: ctx, ch: f.out, free: f.free}, nil
 }
 
 func (f *fetcher) run(ctx context.Context) {
@@ -472,50 +494,50 @@ func (f *fetcher) run(ctx context.Context) {
 		return
 	}
 
-	h := &segHeap{cmp: f.task.Job.Comparator}
-	for _, seg := range segments {
-		ok, err := seg.next(ctx)
-		if err != nil {
-			emitErr(err)
-			return
-		}
-		if ok {
-			h.segs = append(h.segs, seg)
-		}
+	// Segments merge in map order, so records with equal keys come out by
+	// (map id, emission order).
+	slices.SortFunc(segments, func(a, b *segment) int { return a.mapID - b.mapID })
+	its := make([]kv.Iterator, len(segments))
+	for i, seg := range segments {
+		its[i] = seg
 	}
-	heap.Init(h)
+	m := kv.NewMerger(f.task.Job.Comparator, its...)
 
-	recs := make([]kv.Record, 0, batchSize)
+	recs := f.newBatch()
 	flush := func() bool {
 		if len(recs) == 0 {
 			return true
 		}
 		select {
 		case f.out <- batch{recs: recs}:
-			recs = make([]kv.Record, 0, batchSize)
+			recs = f.newBatch()
 			return true
 		case <-ctx.Done():
 			return false
 		}
 	}
-	for h.Len() > 0 {
-		seg := h.segs[0]
-		recs = append(recs, seg.cur)
+	for m.Next() {
+		recs = append(recs, m.Record())
 		if len(recs) >= batchSize && !flush() {
 			return
 		}
-		ok, err := seg.next(ctx)
-		if err != nil {
-			emitErr(err)
-			return
-		}
-		if ok {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
+	}
+	if err := m.Err(); err != nil {
+		emitErr(err)
+		return
 	}
 	flush()
+}
+
+// newBatch returns an empty record slice for the merge to fill: one the
+// consumer has finished with when there is one, a fresh one otherwise.
+func (f *fetcher) newBatch() []kv.Record {
+	select {
+	case recs := <-f.free:
+		return recs[:0]
+	default:
+		return make([]kv.Record, 0, batchSize)
+	}
 }
 
 // Close implements mapred.ReduceFetcher.
@@ -539,31 +561,14 @@ func (f *fetcher) Close() error {
 	return nil
 }
 
-type segHeap struct {
-	segs []*segment
-	cmp  kv.Comparator
-}
-
-func (h *segHeap) Len() int           { return len(h.segs) }
-func (h *segHeap) Less(i, j int) bool { return h.cmp(h.segs[i].cur.Key, h.segs[j].cur.Key) < 0 }
-func (h *segHeap) Swap(i, j int)      { h.segs[i], h.segs[j] = h.segs[j], h.segs[i] }
-func (h *segHeap) Push(x any)         { h.segs = append(h.segs, x.(*segment)) }
-func (h *segHeap) Pop() any {
-	old := h.segs
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	h.segs = old[:n-1]
-	return s
-}
-
 type queueIterator struct {
-	ctx context.Context
-	ch  <-chan batch
-	cur []kv.Record
-	idx int
-	err error
-	eos bool
+	ctx  context.Context
+	ch   <-chan batch
+	free chan<- []kv.Record // takes back each consumed batch's slice
+	cur  []kv.Record
+	idx  int
+	err  error
+	eos  bool
 }
 
 // Next implements kv.Iterator.
@@ -573,6 +578,15 @@ func (it *queueIterator) Next() bool {
 	}
 	it.idx++
 	for it.idx >= len(it.cur) {
+		if it.cur != nil {
+			// Consumed: its records are given up by the Iterator
+			// contract, so the merge may refill the slice.
+			select {
+			case it.free <- it.cur:
+			default:
+			}
+			it.cur = nil
+		}
 		select {
 		case b, ok := <-it.ch:
 			if !ok {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Store errors.
@@ -20,14 +21,18 @@ var (
 // blocks as byte slices. It tracks read/write byte counters so tests and
 // the caching experiments can observe disk traffic (PrefetchCache hits
 // must NOT touch the store).
+//
+// Stored slices are never modified in place — writers replace the map
+// entry — so readers share the read lock; the traffic counters are
+// atomics so that counting a read does not need the write lock.
 type LocalStore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
 
-	bytesRead    int64
-	bytesWritten int64
-	reads        int64
-	writes       int64
+	bytesRead    atomic.Int64
+	bytesWritten atomic.Int64
+	reads        atomic.Int64
+	writes       atomic.Int64
 }
 
 // NewLocalStore returns an empty store.
@@ -46,8 +51,8 @@ func (s *LocalStore) Put(name string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.objects[name] = cp
-	s.bytesWritten += int64(len(data))
-	s.writes++
+	s.bytesWritten.Add(int64(len(data)))
+	s.writes.Add(1)
 	return nil
 }
 
@@ -66,24 +71,40 @@ func (s *LocalStore) OverwriteOwned(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.objects[name] = data
-	s.bytesWritten += int64(len(data))
-	s.writes++
+	s.bytesWritten.Add(int64(len(data)))
+	s.writes.Add(1)
 }
 
 // Get returns a copy of the object. Every Get counts as disk traffic; the
 // PrefetchCache exists precisely to avoid calls into here.
 func (s *LocalStore) Get(name string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var cp []byte
+	err := s.View(name, func(data []byte) {
+		cp = make([]byte, len(data))
+		copy(cp, data)
+	})
+	return cp, err
+}
+
+// View lends the stored object to fn without copying it, and counts as a
+// read exactly as Get does. The slice is the store's own: fn must not
+// modify it and must not keep it, or any part of it, after returning —
+// the bytes are only guaranteed to stay this object's while fn runs,
+// which it does under the store's read lock, so it must not call back
+// into the store's writers either. It is for readers that copy the bytes
+// somewhere of their own choosing (a registered block) and would
+// otherwise pay for Get's copy first.
+func (s *LocalStore) View(name string, fn func(data []byte)) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	data, ok := s.objects[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.bytesRead += int64(len(data))
-	s.reads++
-	return cp, nil
+	s.bytesRead.Add(int64(len(data)))
+	s.reads.Add(1)
+	fn(data)
+	return nil
 }
 
 // Size returns the stored length of name without counting as a read.
@@ -145,14 +166,13 @@ func (s *LocalStore) TotalBytes() int64 {
 // Counters reports cumulative traffic: bytes read, bytes written, read
 // ops, write ops.
 func (s *LocalStore) Counters() (bytesRead, bytesWritten, reads, writes int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytesRead, s.bytesWritten, s.reads, s.writes
+	return s.bytesRead.Load(), s.bytesWritten.Load(), s.reads.Load(), s.writes.Load()
 }
 
 // ResetCounters zeroes the traffic counters (between experiment phases).
 func (s *LocalStore) ResetCounters() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bytesRead, s.bytesWritten, s.reads, s.writes = 0, 0, 0, 0
+	s.bytesRead.Store(0)
+	s.bytesWritten.Store(0)
+	s.reads.Store(0)
+	s.writes.Store(0)
 }

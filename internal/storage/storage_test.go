@@ -228,3 +228,86 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStoreViewLendsWithoutCopying: View hands fn the stored slice itself
+// (no allocation), counts as a read like Get, and reports a missing name
+// without calling fn.
+func TestStoreViewLendsWithoutCopying(t *testing.T) {
+	s := NewLocalStore()
+	run := []byte("a stored run")
+	s.OverwriteOwned("k", run)
+	var seen []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := s.View("k", func(data []byte) { seen = data }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("View allocated %.0f times, want 0", allocs)
+	}
+	if &seen[0] != &run[0] || len(seen) != len(run) {
+		t.Fatal("View handed fn a copy, not the stored slice")
+	}
+	if read, _, reads, _ := s.Counters(); reads != 11 || read != int64(11*len(run)) {
+		t.Fatalf("read accounting: %d bytes in %d reads, want 11 reads of %d", read, reads, len(run))
+	}
+	called := false
+	if err := s.View("missing", func([]byte) { called = true }); !errors.Is(err, ErrNotFound) || called {
+		t.Fatalf("View of a missing object: err=%v, fn called=%v", err, called)
+	}
+}
+
+// TestStoreViewAgainstWriters runs borrowers against OverwriteOwned and
+// Delete of the same names. Under -race this is the check that a lent
+// slice is never written while lent; in any mode fn must see one whole
+// version of the object, never a mixture.
+func TestStoreViewAgainstWriters(t *testing.T) {
+	s := NewLocalStore()
+	names := []string{"a", "b", "c"}
+	version := func(v byte) []byte {
+		data := make([]byte, 4096)
+		for i := range data {
+			data[i] = v
+		}
+		return data
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < 400; j++ {
+				name := names[(j+w)%len(names)]
+				if j%5 == 4 {
+					_ = s.Delete(name) // may already be gone
+				} else {
+					s.OverwriteOwned(name, version(byte(j)))
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for j := 0; j < 400; j++ {
+				name := names[(j+r)%len(names)]
+				err := s.View(name, func(data []byte) {
+					for _, c := range data {
+						if c != data[0] {
+							t.Errorf("View of %s saw bytes of two versions", name)
+							return
+						}
+					}
+				})
+				if err != nil && !errors.Is(err, ErrNotFound) {
+					t.Error(err)
+				}
+				_, _ = s.Get(name)
+				_, _ = s.Size(name)
+				s.Exists(name)
+			}
+		}(r)
+	}
+	wg.Wait()
+}

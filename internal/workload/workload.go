@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"rdmamr/internal/hdfs"
 	"rdmamr/internal/kv"
@@ -42,11 +43,18 @@ func TeraGen(fs *hdfs.FileSystem, dir string, rows int64, maxFileBytes int64, se
 			n = rowsPerFile
 		}
 		buf := make([]byte, n*TeraRecordLen)
+		var digits [20]byte
 		for i := int64(0); i < n; i++ {
 			rec := buf[i*TeraRecordLen : (i+1)*TeraRecordLen]
 			rng.Read(rec[:TeraKeyLen])
-			// Value: row id in ASCII plus filler, like teragen's layout.
-			copy(rec[TeraKeyLen:], fmt.Sprintf("%020d", written+i))
+			// Value: row id in ASCII, zero-padded to 20 digits ("%020d"),
+			// plus filler, like teragen's layout.
+			id := strconv.AppendInt(digits[:0], written+i, 10)
+			pad := TeraKeyLen + len(digits) - len(id)
+			for j := TeraKeyLen; j < pad; j++ {
+				rec[j] = '0'
+			}
+			copy(rec[pad:], id)
 			for j := TeraKeyLen + 20; j < TeraRecordLen; j++ {
 				rec[j] = byte('A' + (j % 26))
 			}
