@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
+.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
 
-verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke bench-harness fuzz-seeds
+verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke bench-harness fuzz-seeds alloc-budgets
 
 # Fail on any file gofmt would rewrite.
 fmt:
@@ -99,6 +99,27 @@ bench-harness:
 # the cache.
 fuzz-seeds:
 	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/
+
+# Every allocation-budget test, never from the cache: D14's (collect →
+# sort → encode, chunked HDFS writes, WriteRun, RunWriter, OverwriteOwned),
+# D16's (a store, block, map-output or responder read allocates nothing
+# object-sized; the http servlet exactly one copy) and D7's disabled-obs
+# zero. A copy that comes back on the job data path fails here, in
+# seconds, without a benchmark run.
+alloc-budgets:
+	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
+		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/hadoopa/ ./internal/shuffle/httpshuffle/
+
+# CPU and heap profiles of one engine's TeraSort at the benchmark's shape
+# (pkg/rdmamr BenchmarkTeraSort: what terasort_osu / terasort_http time),
+# written next to the benchmark's own build products.
+#   make profile ENGINE=http && go tool pprof -top .bench_build/cpu.pprof
+#   go tool pprof -sample_index=alloc_space -top .bench_build/mem.pprof
+ENGINE ?= osu
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkTeraSort/$(ENGINE)$$' -benchtime 10x -o .bench_build/rdmamr.test \
+		-outputdir .bench_build -cpuprofile cpu.pprof -memprofile mem.pprof ./pkg/rdmamr
 
 # D7 overhead proof: the disabled-observability copier hot path must not
 # allocate (0 B/op) or read the clock; the Enabled pair prices what a

@@ -330,7 +330,7 @@ func (c *PrefetchCache) Contains(key CacheKey) bool {
 // subsequent request against this entry can be served zero-copy.
 //
 // The cache always keeps its own copy of data, never the slice itself,
-// so a caller may pass bytes it only borrowed (LocalStore.View).
+// so a caller may pass bytes it only borrowed (LocalStore.Get).
 func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	size := int64(len(data))
 	body := &cacheBody{}

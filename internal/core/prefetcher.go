@@ -120,19 +120,16 @@ func (p *MapOutputPrefetcher) worker() {
 		if task.priority == PriorityPrefetch && p.cache.Contains(task.key) {
 			continue // already cached (e.g. by a demand re-cache)
 		}
-		// Put copies the run into the cache's own (registered) memory, so
-		// it can read the store's slice in place: one copy, not two.
-		cached := false
-		err := p.tt.ViewMapOutput(task.key.JobID, task.key.MapID, task.key.Partition, func(run []byte) {
-			cached = p.cache.Put(task.key, run, task.priority)
-		})
+		run, err := p.tt.MapOutput(task.key.JobID, task.key.MapID, task.key.Partition)
 		if err != nil {
 			// The output may have been cleaned up (job finished) — the
 			// cache simply stays cold for it.
 			p.tt.Counters().Add("cache.prefetch.failed", 1)
 			continue
 		}
-		if cached {
+		// Put copies the borrowed run into the cache's own (registered)
+		// memory: the one copy between the store and the wire.
+		if p.cache.Put(task.key, run, task.priority) {
 			p.tt.Counters().Add("cache.prefetched", 1)
 		}
 	}

@@ -3,9 +3,12 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"rdmamr/internal/alloctest"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
 	"rdmamr/internal/kv"
@@ -245,6 +248,47 @@ func TestProtocolCacheServesAfterAnnounce(t *testing.T) {
 	}
 	if h.cluster.Counters().Get("cache.hits") == 0 {
 		t.Fatal("no cache hit recorded")
+	}
+}
+
+// TestResponderMissAllocBudget: a request the cache cannot answer reads the
+// partition from the tracker's disk in place — the packet is staged from
+// the stored run, and the demand re-cache that follows copies it once,
+// into the cache's registered block. Neither puts a partition-sized
+// object on the heap.
+func TestResponderMissAllocBudget(t *testing.T) {
+	h := newProtoHarness(t, nil)
+	recs := make([]kv.Record, 10000)
+	for i := range recs {
+		recs[i] = kv.Record{Key: []byte(fmt.Sprintf("key-%06d", i)), Value: bytes.Repeat([]byte{byte(i)}, 90)}
+	}
+	counters := h.cluster.Counters()
+	// The first miss is the warm-up: it makes the pool carve its slab.
+	var allocated []uint64
+	for m := 0; m < 4; m++ {
+		h.seedOutput(m, 0, recs)
+		cached, reads := counters.Get("cache.prefetched"), counters.Get("tracker.mapoutput.disk.reads")
+		allocated = append(allocated, alloctest.Bytes(1, func() {
+			if resp := h.roundTrip(h.request(m, 0, 0, 1<<20)); resp.Err != "" || resp.Bytes == 0 {
+				t.Fatalf("resp: %+v", resp)
+			}
+			waitUntil(t, func() bool { return counters.Get("cache.prefetched") > cached })
+		}))
+		// One read served the request, one fed the re-cache.
+		if got := counters.Get("tracker.mapoutput.disk.reads") - reads; got != 2 {
+			t.Fatalf("map %d: %d disk reads for one miss and its re-cache, want 2", m, got)
+		}
+	}
+	size, err := h.cluster.Trackers()[0].MapOutputSize(h.jobID, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocated per miss: %v (partition %d bytes)", allocated, size)
+	if least := slices.Min(allocated[1:]); least > uint64(size)/4 {
+		t.Errorf("a miss on a %d-byte partition allocated %d bytes (runs: %v), budget %d", size, least, allocated, size/4)
+	}
+	if misses := counters.Get("cache.misses"); misses != 4 {
+		t.Fatalf("cache.misses = %d, want 4", misses)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,7 +51,9 @@ type FileInfo struct {
 // can be shared with the node's TaskTracker so HDFS and map-output traffic
 // contend for the same accounted device, as on a real slave node. Every
 // block carries a CRC32 recorded at write time; reads verify it, so a
-// silently corrupted replica is skipped in favour of a healthy one.
+// silently corrupted replica is skipped in favour of a healthy one. Reads
+// return the stored block itself (storage.LocalStore.Get), so the same
+// check catches a reader that wrote into what it was lent.
 type DataNode struct {
 	name  string
 	store *storage.LocalStore
@@ -380,26 +383,26 @@ func (fs *FileSystem) Rename(src, dst string) error {
 	return nil
 }
 
-// ReadBlock fetches one block, trying replicas in order. The returned host
-// is the replica that served the read (for locality accounting).
+// ReadBlock fetches one block, trying the preferred (local) replica first
+// and then the others in order. The returned host is the replica that
+// served the read (for locality accounting). The bytes are the DataNode's
+// stored block, CRC-verified: a read-only view; clone to mutate.
 func (fs *FileSystem) ReadBlock(bl BlockLocation, preferredHost string) ([]byte, string, error) {
+	// Resolve the replicas under one lock acquisition, then read unlocked.
+	dns := make([]*DataNode, 0, 4) // on the stack up to replication 4
 	fs.mu.RLock()
-	hosts := append([]string(nil), bl.Hosts...)
-	fs.mu.RUnlock()
-	// Try the preferred (local) replica first.
-	sort.SliceStable(hosts, func(i, j int) bool {
-		return hosts[i] == preferredHost && hosts[j] != preferredHost
-	})
-	for _, host := range hosts {
-		fs.mu.RLock()
-		dn, ok := fs.byName[host]
-		fs.mu.RUnlock()
-		if !ok {
-			continue
+	if dn, ok := fs.byName[preferredHost]; ok && slices.Contains(bl.Hosts, preferredHost) {
+		dns = append(dns, dn)
+	}
+	for _, host := range bl.Hosts {
+		if dn, ok := fs.byName[host]; ok && host != preferredHost {
+			dns = append(dns, dn)
 		}
-		data, err := dn.getBlock(bl.ID)
-		if err == nil {
-			return data, host, nil
+	}
+	fs.mu.RUnlock()
+	for _, dn := range dns {
+		if data, err := dn.getBlock(bl.ID); err == nil {
+			return data, dn.name, nil
 		}
 	}
 	return nil, "", fmt.Errorf("%w: block %d", ErrCorrupt, bl.ID)
@@ -502,9 +505,9 @@ func (fs *FileSystem) Fsck() FsckReport {
 }
 
 // ReadFile is a convenience returning the full contents of path: the one
-// block of a single-block file as ReadBlock returned it, otherwise a
-// buffer allocated once from the file's size. Open is the streaming
-// alternative.
+// block of a single-block file as ReadBlock returned it (a read-only
+// view; clone to mutate), otherwise a buffer allocated once from the
+// file's size. Open is the streaming alternative.
 func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
 	info, err := fs.Stat(path)
 	if err != nil {

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
+	"rdmamr/internal/alloctest"
 	"rdmamr/internal/storage"
 )
 
@@ -291,11 +291,13 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 	_ = fs.AddDataNode(NewDataNode("b", nil))
 	_ = fs.WriteFile("/f", "a", []byte("precious data"))
 	info, _ := fs.Stat("/f")
-	// Flip a bit in node a's replica behind HDFS's back.
+	// Flip a bit in node a's replica behind HDFS's back: in a clone, for
+	// what Get returns is the stored block itself.
 	key := info.Blocks[0].ID.storeKey()
 	data, _ := store.Get(key)
+	data = bytes.Clone(data)
 	data[0] ^= 0x01
-	store.Overwrite(key, data)
+	store.OverwriteOwned(key, data)
 	// Reads must skip the rotten replica and serve from b.
 	got, served, err := fs.ReadBlock(info.Blocks[0], "a")
 	if err != nil {
@@ -303,6 +305,33 @@ func TestChecksumDetectsBitRot(t *testing.T) {
 	}
 	if served != "b" || string(got) != "precious data" {
 		t.Fatalf("served=%s got=%q", served, got)
+	}
+}
+
+// TestChecksumCatchesScribblingBorrower: ReadBlock lends the stored block,
+// so a reader that breaks the read-only rule damages the replica itself —
+// and the CRC verified on every block read is what notices: the next read
+// skips that replica, and Fsck counts it corrupt.
+func TestChecksumCatchesScribblingBorrower(t *testing.T) {
+	fs := New(64, 2)
+	_ = fs.AddDataNode(NewDataNode("a", nil))
+	_ = fs.AddDataNode(NewDataNode("b", nil))
+	_ = fs.WriteFile("/f", "a", []byte("precious data"))
+	info, _ := fs.Stat("/f")
+	lent, served, err := fs.ReadBlock(info.Blocks[0], "a")
+	if err != nil || served != "a" {
+		t.Fatalf("served=%s err=%v", served, err)
+	}
+	lent[0] ^= 0x01 // what no reader may do
+	got, served, err := fs.ReadBlock(info.Blocks[0], "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served != "b" || string(got) != "precious data" {
+		t.Fatalf("served=%s got=%q", served, got)
+	}
+	if rep := fs.Fsck(); rep.CorruptReplicas != 1 || !rep.Healthy() {
+		t.Fatalf("fsck after a scribble: %+v", rep)
 	}
 }
 
@@ -416,16 +445,6 @@ func TestRenameFirstCommitterWins(t *testing.T) {
 	}
 }
 
-// allocatedBytes reports the heap bytes fn allocates. TotalAlloc only
-// grows, so a collection in the middle does not disturb it.
-func allocatedBytes(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // TestChunkedWritesMatchSingleWrite feeds a Writer the way a reduce task
 // does — 64 KiB flushes — and requires the blocks a single Write of the
 // same bytes produces, at no more than twice the payload in allocations
@@ -440,7 +459,7 @@ func TestChunkedWritesMatchSingleWrite(t *testing.T) {
 	if err := fs.WriteFile("/whole", "node1", data); err != nil {
 		t.Fatal(err)
 	}
-	allocated := allocatedBytes(func() {
+	allocated := alloctest.Bytes(1, func() {
 		w, err := fs.Create("/chunked", "node1")
 		if err != nil {
 			t.Fatal(err)
@@ -517,8 +536,9 @@ func TestWriteStraddlingBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestReadFileAllocatesOnce bounds ReadFile at the block copies plus one
-// result buffer; growing the result by doubling cost about twice that.
+// TestReadFileAllocatesOnce bounds ReadFile of a multi-block file at its
+// one result buffer: blocks are read in place, not copied first, and the
+// result does not grow by doubling.
 func TestReadFileAllocatesOnce(t *testing.T) {
 	const blockSize, fileSize = 1 << 20, 8<<20 + 999
 	fs := cluster(t, 2, blockSize, 1)
@@ -528,7 +548,7 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	allocated := allocatedBytes(func() {
+	allocated := alloctest.Bytes(1, func() {
 		var err error
 		if got, err = fs.ReadFile("/f"); err != nil {
 			t.Fatal(err)
@@ -537,7 +557,52 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("ReadFile mismatch")
 	}
-	if budget := uint64(2*fileSize + fileSize/4); allocated > budget {
+	if budget := uint64(fileSize + fileSize/4); allocated > budget {
 		t.Errorf("ReadFile of %d bytes allocated %d, budget %d", fileSize, allocated, budget)
+	}
+}
+
+// TestReadBlockAllocBudget: reading a 1 MiB block costs its store key and
+// nothing block-sized — local or remote replica, and through ReadFile when
+// the block is the whole file. The bytes are the DataNode's own.
+func TestReadBlockAllocBudget(t *testing.T) {
+	const blockSize = 1 << 20
+	fs := cluster(t, 3, blockSize, 2)
+	data := make([]byte, blockSize)
+	rand.New(rand.NewSource(9)).Read(data)
+	if err := fs.WriteFile("/f", "node1", data); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat("/f")
+	if err != nil || len(info.Blocks) != 1 {
+		t.Fatalf("stat: %+v %v", info, err)
+	}
+	bl := info.Blocks[0]
+	for _, preferred := range []string{bl.Hosts[0], bl.Hosts[1], "", "elsewhere"} {
+		var got []byte
+		allocated := alloctest.Bytes(3, func() {
+			if got, _, err = fs.ReadBlock(bl, preferred); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocated >= 1<<10 {
+			t.Errorf("ReadBlock(preferred %q) of a %d-byte block allocated %d bytes, budget 1 KiB", preferred, blockSize, allocated)
+		}
+		if !bytes.Equal(got, data) || cap(got) != len(got) {
+			t.Fatalf("ReadBlock(preferred %q): wrong bytes or cap %d != len %d", preferred, cap(got), len(got))
+		}
+	}
+	stored, err := fs.byName[bl.Hosts[0]].store.Get(bl.ID.storeKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := alloctest.Bytes(1, func() {
+		got, err := fs.ReadFile("/f")
+		if err != nil || &got[0] != &stored[0] {
+			t.Errorf("ReadFile of a one-block file: err=%v, same slice as the stored block: %v", err, err == nil && &got[0] == &stored[0])
+		}
+	})
+	if allocated >= 2<<10 {
+		t.Errorf("ReadFile of a one-block file allocated %d bytes, budget 2 KiB", allocated)
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // InputFormat parses raw input split bytes into records.
 type InputFormat interface {
-	// Records returns an iterator over the records in one split.
+	// Records returns an iterator over the records in one split. split
+	// may be a stored HDFS block: a read-only view; clone to mutate.
 	Records(split []byte) (kv.Iterator, error)
 	// Splittable reports whether files in this format may be split at
 	// block boundaries of the given size without tearing records. When

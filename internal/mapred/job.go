@@ -20,8 +20,9 @@ import (
 )
 
 // Mapper transforms one input record, emitting zero or more intermediate
-// records. The emitted slices are copied by the framework; the mapper may
-// reuse its buffers.
+// records. key and value may lie in the stored HDFS block the split was
+// read from: a read-only view; clone to mutate. The emitted slices are
+// copied by the framework; the mapper may reuse its buffers.
 type Mapper func(key, value []byte, emit func(k, v []byte)) error
 
 // Reducer folds all values for one key, emitting output records. values

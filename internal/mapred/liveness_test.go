@@ -321,14 +321,16 @@ func TestLivenessStartDetectsDeadTrackerWithRealClock(t *testing.T) {
 	// manual beat/sweep calls.
 	clk := time.Now
 	rec := &expiryRecorder{}
-	lv := newLivenessMonitor([]string{"node0", "node1"}, 20*time.Millisecond, clk, rec.record)
+	// 250 ms, as nodeDeathConf: a 20 ms window is below scheduler jitter
+	// when other packages' tests share the machine, and node0 expired too.
+	lv := newLivenessMonitor([]string{"node0", "node1"}, 250*time.Millisecond, clk, rec.record)
 	lv.start()
 	defer lv.stopAll()
 
 	if err := lv.suppress(1); err != nil {
 		t.Fatalf("suppress: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if got := rec.snapshot(); len(got) == 1 && got[0] == "node1" {
 			return

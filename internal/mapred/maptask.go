@@ -30,8 +30,9 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 			tr.Span(tt.Host(), lane, obs.CatMap, name, start, time.Now(), nil)
 		}(fmt.Sprintf("map m%d@%d", sp.id, attempt))
 	}
-	// Read the split's blocks. A single-block split is parsed where
-	// ReadBlock put it; a longer one is assembled in a buffer sized once.
+	// Read the split's blocks. A single-block split is parsed in the
+	// DataNode's stored block itself (read-only from here to the mapper);
+	// a longer one is assembled in a buffer sized once.
 	var data []byte
 	if len(sp.blocks) > 1 {
 		size := int64(0)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rdmamr/internal/alloctest"
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/stats"
@@ -93,5 +94,36 @@ func TestMultiSpillMapOutputEqualsNoSpill(t *testing.T) {
 			t.Fatalf("partition %d: %d-spill output differs from the no-spill output (%d vs %d bytes)",
 				r, spills, len(spilled[r]), len(whole[r]))
 		}
+	}
+}
+
+// TestMapOutputAllocBudget: serving a stored partition costs the store key
+// it is looked up by and not one byte of the partition — the run returned
+// is the stored run, every time, and the disk read is still counted.
+func TestMapOutputAllocBudget(t *testing.T) {
+	counters := &stats.Counters{}
+	tt := &TaskTracker{host: "node0", store: storage.NewLocalStore(), counters: counters}
+	run := kv.WriteRun([]kv.Record{{Key: []byte("k"), Value: make([]byte, 1<<20)}})
+	if err := tt.storeMapOutput("job_t", 3, 1, run); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	allocated := alloctest.Bytes(3, func() {
+		var err error
+		if got, err = tt.MapOutput("job_t", 3, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocated > 128 {
+		t.Errorf("MapOutput of a %d-byte partition allocated %d bytes, budget 128 (the key)", len(run), allocated)
+	}
+	if &got[0] != &run[0] || len(got) != len(run) || cap(got) != len(got) {
+		t.Fatal("MapOutput did not return the stored run, capacity clamped")
+	}
+	if reads := counters.Get("tracker.mapoutput.disk.reads"); reads != 3 {
+		t.Fatalf("tracker.mapoutput.disk.reads = %d after 3 reads", reads)
+	}
+	if read, _, n, _ := tt.Store().Counters(); n != 3 || read != int64(3*len(run)) {
+		t.Fatalf("store counted %d bytes in %d reads", read, n)
 	}
 }

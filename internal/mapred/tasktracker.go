@@ -132,25 +132,19 @@ func (tt *TaskTracker) Events() *obs.EventLog { return tt.events }
 
 // Store exposes the node's local disk. Engines read map outputs from here
 // (every Get is accounted disk traffic — the PrefetchCache's reason to
-// exist) and spill reduce-side runs into it.
+// exist) and spill reduce-side runs into it. What Get returns is the
+// stored object: a read-only view; clone to mutate.
 func (tt *TaskTracker) Store() *storage.LocalStore { return tt.store }
 
 // MapOutput reads one map output partition from local disk. This is the
-// accounted disk-read path the HTTP servlet, the Hadoop-A responder, and
-// the OSU responder's cache-miss path all go through.
+// accounted disk-read path the HTTP servlet, the Hadoop-A responder, the
+// OSU responder's cache-miss path and the prefetcher all go through. The
+// run is the stored object itself — a read-only view; clone to mutate —
+// and stays readable after the job's outputs are cleaned up.
 func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, error) {
 	tt.counters.Add("tracker.mapoutput.disk.reads", 1)
 	tt.nDiskReads.Add(1)
 	return tt.store.Get(MapOutputKey(jobID, mapID, partition))
-}
-
-// ViewMapOutput is MapOutput without the copy: fn reads the stored run in
-// place, under storage.LocalStore.View's contract — do not modify it, do
-// not keep it. It is accounted as the same disk read.
-func (tt *TaskTracker) ViewMapOutput(jobID string, mapID, partition int, fn func(run []byte)) error {
-	tt.counters.Add("tracker.mapoutput.disk.reads", 1)
-	tt.nDiskReads.Add(1)
-	return tt.store.View(MapOutputKey(jobID, mapID, partition), fn)
 }
 
 // MapOutputSize returns the stored size of a partition without a disk
@@ -161,7 +155,7 @@ func (tt *TaskTracker) MapOutputSize(jobID string, mapID, partition int) (int64,
 
 // storeMapOutput persists one sorted partition of a map's output,
 // taking ownership of run: the map task encoded it for this call and
-// must not touch it afterwards. Overwrite semantics allow recovery
+// must not write it afterwards. Overwrite semantics allow recovery
 // re-executions to replace a partially lost output with the regenerated
 // (identical) bytes.
 func (tt *TaskTracker) storeMapOutput(jobID string, mapID, partition int, run []byte) error {

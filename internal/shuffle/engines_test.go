@@ -43,8 +43,12 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
-// outputDigest runs TeraSort on a fresh cluster with the given engine and
-// returns the validated output checksum.
+// runEngineTeraSort runs TeraSort on a fresh cluster with the given engine
+// and returns the validated output checksum. It is also the
+// input-immutability check: map tasks parse their splits in the DataNodes'
+// stored blocks and every engine serves stored runs in place, so after the
+// job the input must digest exactly as before and no replica may fail its
+// CRC — a reader that wrote into a borrowed block would show in either.
 func runEngineTeraSort(t *testing.T, mk func() mapred.ShuffleEngine, rows int64) workload.Checksum {
 	t.Helper()
 	c, err := mapred.NewCluster(4, engineConf(), mk())
@@ -77,6 +81,12 @@ func runEngineTeraSort(t *testing.T, mk func() mapred.ShuffleEngine, rows int64)
 	}
 	if err := workload.Validate(fs, "/out", kv.BytesComparator, want, true); err != nil {
 		t.Fatal(err)
+	}
+	if after, err := workload.ChecksumInput(fs, paths, mapred.TeraInput); err != nil || !after.Equal(want) {
+		t.Fatalf("input changed under the job: %+v before, %+v after (err %v)", want, after, err)
+	}
+	if rep := fs.Fsck(); !rep.Healthy() || rep.CorruptReplicas != 0 {
+		t.Fatalf("fsck after the job: %+v", rep)
 	}
 	return want
 }

@@ -1,14 +1,18 @@
 package hadoopa_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"rdmamr/internal/alloctest"
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/shuffle/hadoopa"
+	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/workload"
 )
 
@@ -144,5 +148,55 @@ func TestHadoopAEmptyPartitions(t *testing.T) {
 		Name: "ha-empty", Input: []string{"/e/in"}, Output: "/e/out", NumReduces: 6,
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResponderAllocBudget: Hadoop-A has no cache, so every packet it
+// serves is a disk read of the whole partition — read in place. A request
+// stages one packet's bytes and puts nothing partition-sized on the heap,
+// however far into the partition it starts.
+func TestResponderAllocBudget(t *testing.T) {
+	c := newCluster(t, 1, nil)
+	tt := c.Trackers()[0]
+	recs := make([]kv.Record, 10000)
+	for i := range recs {
+		recs[i] = kv.Record{Key: []byte(fmt.Sprintf("key-%06d", i)), Value: bytes.Repeat([]byte{byte(i)}, 90)}
+	}
+	run := kv.WriteRun(recs)
+	tt.Store().OverwriteOwned(mapred.MapOutputKey("job_t", 0, 0), run)
+
+	dev, err := tt.Fabric().NewDevice("raw-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxT(t)
+	ep, err := tt.Fabric().Connect(ctx, dev, tt.Host(), hadoopa.ServiceName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ep.Close)
+	fetch := func(offset int64) *wire.DataResponse {
+		req := wire.DataRequest{JobID: "job_t", Offset: offset, MaxBytes: 64 << 10, MaxRecords: 1 << 20}
+		if err := ep.Send(ctx, req.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := ep.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeDataResponse(msg)
+		if err != nil || resp.Err != "" || resp.Bytes == 0 {
+			t.Fatalf("response at offset %d: %+v, %v", offset, resp, err)
+		}
+		return resp
+	}
+	offset := int64(fetch(0).Bytes) // the connection's staging region now exists
+	reads := c.Counters().Get("tracker.mapoutput.disk.reads")
+	allocated := alloctest.Bytes(5, func() { offset += int64(fetch(offset).Bytes) })
+	if allocated > uint64(len(run))/4 {
+		t.Errorf("a packet of a %d-byte partition allocated %d bytes, budget %d", len(run), allocated, len(run)/4)
+	}
+	if got := c.Counters().Get("tracker.mapoutput.disk.reads") - reads; got != 5 {
+		t.Fatalf("%d disk reads for 5 packets: every packet must read the partition", got)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -114,11 +115,10 @@ func (s *servlet) fetch(jobID string, mapID, reduceID int) ([]byte, error) {
 	c.Add("shuffle.http.requests", 1)
 	c.Add("shuffle.http.packets", int64(packets))
 	c.Add("shuffle.http.bytes", int64(len(data)))
-	// The socket path copies the payload (no zero-copy); emulate that
-	// faithfully so buffer aliasing bugs cannot hide.
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	// data is the tracker's stored run, borrowed. The socket path copies
+	// the payload into the reducer's buffer (no zero-copy wire for the
+	// baseline): this is that copy, and the only one.
+	return slices.Clone(data), nil
 }
 
 // NewReduceFetcher implements mapred.ShuffleEngine.
@@ -228,7 +228,7 @@ func (f *fetcher) copyOne(ctx context.Context, ev mapred.MapEvent) error {
 	} else {
 		// Copier spills directly.
 		key := f.diskKey()
-		f.task.Local.Store().Overwrite(key, data)
+		f.task.Local.Store().OverwriteOwned(key, data) // the fetched body is ours alone
 		f.diskRuns = append(f.diskRuns, key)
 		c.Add("shuffle.copier.disk.spills", 1)
 	}
@@ -270,7 +270,7 @@ func (f *fetcher) spillMemoryLocked() error {
 		return err
 	}
 	key := f.diskKey()
-	f.task.Local.Store().Overwrite(key, merged)
+	f.task.Local.Store().OverwriteOwned(key, merged) // built for this call
 	f.diskRuns = append(f.diskRuns, key)
 	f.memSegments = nil
 	f.memBytes = 0
@@ -323,7 +323,7 @@ func (f *fetcher) compactDiskLocked() error {
 			}
 		}
 		key := f.diskKey()
-		store.Overwrite(key, merged)
+		store.OverwriteOwned(key, merged)
 		f.diskRuns = append(next, key)
 		f.task.Local.Counters().Add("shuffle.localfs.merges", 1)
 	}
@@ -331,7 +331,9 @@ func (f *fetcher) compactDiskLocked() error {
 }
 
 // finalMerge merges the remaining memory segments and disk runs into the
-// stream handed to the reduce function.
+// stream handed to the reduce function. The disk runs are read in place
+// (borrowed, not copied); the stream does not depend on Close coming after
+// the reducer has drained it, because a borrowed run outlives its name.
 func (f *fetcher) finalMerge() (kv.Iterator, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -22,9 +22,15 @@ var (
 // the caching experiments can observe disk traffic (PrefetchCache hits
 // must NOT touch the store).
 //
-// Stored slices are never modified in place — writers replace the map
-// entry — so readers share the read lock; the traffic counters are
-// atomics so that counting a read does not need the write lock.
+// A stored object is immutable from the moment it is stored: nothing
+// writes a stored slice again, writers replace the map entry. Get
+// therefore returns the stored slice itself, a value any number of
+// readers may share and hold for as long as they like — after Overwrite
+// or Delete of the name it still reads the version it was, and the
+// garbage collector frees it with its last reader. Readers must treat it
+// as read-only and clone to mutate; the lock guards only the map, and the
+// traffic counters are atomics so that counting a read does not need the
+// write lock.
 type LocalStore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
@@ -63,10 +69,10 @@ func (s *LocalStore) Overwrite(name string, data []byte) {
 }
 
 // OverwriteOwned is Overwrite by ownership transfer: the store keeps data
-// itself instead of a copy, so the caller must not read or write the
-// slice after the call. It is for producers that built the buffer for
-// this one purpose (a map task's freshly encoded output run); everything
-// else uses the copying Put and Overwrite.
+// itself instead of a copy, and from then on it is a stored object, so
+// the caller must never write the slice again. It is for producers that
+// built the buffer for this one purpose (a freshly encoded or merged
+// run); everything else uses the copying Put and Overwrite.
 func (s *LocalStore) OverwriteOwned(name string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,36 +81,21 @@ func (s *LocalStore) OverwriteOwned(name string, data []byte) {
 	s.writes.Add(1)
 }
 
-// Get returns a copy of the object. Every Get counts as disk traffic; the
-// PrefetchCache exists precisely to avoid calls into here.
+// Get returns the stored object itself, not a copy: a read-only view
+// with its capacity clamped to its length, valid for as long as the
+// caller holds it whatever happens to the name afterwards. Every Get
+// counts as disk traffic; the PrefetchCache exists precisely to avoid
+// calls into here.
 func (s *LocalStore) Get(name string) ([]byte, error) {
-	var cp []byte
-	err := s.View(name, func(data []byte) {
-		cp = make([]byte, len(data))
-		copy(cp, data)
-	})
-	return cp, err
-}
-
-// View lends the stored object to fn without copying it, and counts as a
-// read exactly as Get does. The slice is the store's own: fn must not
-// modify it and must not keep it, or any part of it, after returning —
-// the bytes are only guaranteed to stay this object's while fn runs,
-// which it does under the store's read lock, so it must not call back
-// into the store's writers either. It is for readers that copy the bytes
-// somewhere of their own choosing (a registered block) and would
-// otherwise pay for Get's copy first.
-func (s *LocalStore) View(name string, fn func(data []byte)) error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	data, ok := s.objects[name]
+	s.mu.RUnlock()
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	s.bytesRead.Add(int64(len(data)))
 	s.reads.Add(1)
-	fn(data)
-	return nil
+	return data[:len(data):len(data)], nil
 }
 
 // Size returns the stored length of name without counting as a read.

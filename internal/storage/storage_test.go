@@ -102,6 +102,10 @@ func TestStoreGetMissing(t *testing.T) {
 	}
 }
 
+// TestStoreCopiesData pins where the one copy is: Put copies the caller's
+// buffer on the way in, and Get copies nothing on the way out — every
+// reader is handed the same stored slice, with no spare capacity to
+// append into.
 func TestStoreCopiesData(t *testing.T) {
 	s := NewLocalStore()
 	data := []byte("mutable")
@@ -111,10 +115,12 @@ func TestStoreCopiesData(t *testing.T) {
 	if string(got) != "mutable" {
 		t.Fatal("store aliases caller buffer")
 	}
-	got[0] = 'Y'
 	again, _ := s.Get("k")
-	if string(again) != "mutable" {
-		t.Fatal("store hands out aliased buffer")
+	if &again[0] != &got[0] || len(again) != len(got) {
+		t.Fatal("two Gets of one object returned different slices: Get copied")
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("cap %d != len %d: an append could write behind the stored object", cap(got), len(got))
 	}
 }
 
@@ -128,9 +134,10 @@ func TestStoreOverwrite(t *testing.T) {
 	}
 }
 
-// TestStoreOverwriteCopiesOwnedDoesNot pins the two contracts side by
-// side: Overwrite keeps a copy, OverwriteOwned keeps the caller's slice
-// (no allocation at all) and still serves reads as copies.
+// TestStoreOverwriteCopiesOwnedDoesNot pins the two write contracts side
+// by side: Overwrite keeps a copy, OverwriteOwned keeps the caller's slice
+// (no allocation at all), and Get lends that very slice, capacity clamped
+// even when the producer left some spare.
 func TestStoreOverwriteCopiesOwnedDoesNot(t *testing.T) {
 	s := NewLocalStore()
 	data := []byte("mutable")
@@ -140,14 +147,16 @@ func TestStoreOverwriteCopiesOwnedDoesNot(t *testing.T) {
 		t.Fatal("Overwrite aliases the caller's buffer")
 	}
 
-	run := []byte("a freshly encoded run")
+	run := append(make([]byte, 0, 64), "a freshly encoded run"...)
 	if allocs := testing.AllocsPerRun(10, func() { s.OverwriteOwned("owned", run) }); allocs != 0 {
 		t.Fatalf("OverwriteOwned allocated %.0f times, want 0", allocs)
 	}
 	got, _ := s.Get("owned")
-	got[0] = 'Y'
-	if again, _ := s.Get("owned"); string(again) != "a freshly encoded run" {
-		t.Fatal("Get hands out the stored buffer")
+	if &got[0] != &run[0] || len(got) != len(run) {
+		t.Fatal("Get of an owned object is not the slice that was handed over")
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("cap %d != len %d", cap(got), len(got))
 	}
 	if _, written, _, writes := s.Counters(); writes != 12 || written != int64(len("mutable")+11*len(run)) {
 		t.Fatalf("write accounting: %d bytes in %d writes", written, writes)
@@ -229,39 +238,51 @@ func TestStoreConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStoreViewLendsWithoutCopying: View hands fn the stored slice itself
-// (no allocation), counts as a read like Get, and reports a missing name
-// without calling fn.
-func TestStoreViewLendsWithoutCopying(t *testing.T) {
+// TestStoreGetBorrows: Get hands out the stored slice itself (no
+// allocation), counts as a read, and a slice once borrowed keeps reading
+// the version it was after its name is replaced and after it is deleted.
+func TestStoreGetBorrows(t *testing.T) {
 	s := NewLocalStore()
 	run := []byte("a stored run")
 	s.OverwriteOwned("k", run)
-	var seen []byte
+	var held []byte
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := s.View("k", func(data []byte) { seen = data }); err != nil {
+		var err error
+		if held, err = s.Get("k"); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("View allocated %.0f times, want 0", allocs)
+		t.Fatalf("Get allocated %.0f times, want 0", allocs)
 	}
-	if &seen[0] != &run[0] || len(seen) != len(run) {
-		t.Fatal("View handed fn a copy, not the stored slice")
+	if &held[0] != &run[0] || len(held) != len(run) {
+		t.Fatal("Get returned a copy, not the stored slice")
 	}
 	if read, _, reads, _ := s.Counters(); reads != 11 || read != int64(11*len(run)) {
 		t.Fatalf("read accounting: %d bytes in %d reads, want 11 reads of %d", read, reads, len(run))
 	}
-	called := false
-	if err := s.View("missing", func([]byte) { called = true }); !errors.Is(err, ErrNotFound) || called {
-		t.Fatalf("View of a missing object: err=%v, fn called=%v", err, called)
+	s.Overwrite("k", []byte("its replacement"))
+	if string(held) != "a stored run" {
+		t.Fatalf("held slice reads %q after its name was replaced", held)
+	}
+	if err := s.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if string(held) != "a stored run" {
+		t.Fatalf("held slice reads %q after its name was deleted", held)
+	}
+	if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a deleted object: %v", err)
 	}
 }
 
-// TestStoreViewAgainstWriters runs borrowers against OverwriteOwned and
-// Delete of the same names. Under -race this is the check that a lent
-// slice is never written while lent; in any mode fn must see one whole
-// version of the object, never a mixture.
-func TestStoreViewAgainstWriters(t *testing.T) {
+// TestStoreBorrowersAgainstWriters runs borrowers against OverwriteOwned
+// and Delete of the same names. Each borrower keeps its slice across its
+// next few reads — past the replacement and deletion of the name — and
+// then checks it: it must still be one whole version, never a mixture.
+// Under -race this is also the check that nothing in the store writes a
+// slice it has lent.
+func TestStoreBorrowersAgainstWriters(t *testing.T) {
 	s := NewLocalStore()
 	names := []string{"a", "b", "c"}
 	version := func(v byte) []byte {
@@ -270,6 +291,14 @@ func TestStoreViewAgainstWriters(t *testing.T) {
 			data[i] = v
 		}
 		return data
+	}
+	whole := func(data []byte) bool {
+		for _, c := range data {
+			if c != data[0] {
+				return false
+			}
+		}
+		return true
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -290,22 +319,28 @@ func TestStoreViewAgainstWriters(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			var held [8][]byte // a ring of borrowed slices, checked when overwritten
 			for j := 0; j < 400; j++ {
 				name := names[(j+r)%len(names)]
-				err := s.View(name, func(data []byte) {
-					for _, c := range data {
-						if c != data[0] {
-							t.Errorf("View of %s saw bytes of two versions", name)
-							return
-						}
-					}
-				})
+				data, err := s.Get(name)
 				if err != nil && !errors.Is(err, ErrNotFound) {
 					t.Error(err)
 				}
-				_, _ = s.Get(name)
+				if err == nil && cap(data) != len(data) {
+					t.Errorf("Get of %s: cap %d != len %d", name, cap(data), len(data))
+				}
+				if old := held[j%len(held)]; !whole(old) {
+					t.Errorf("a slice borrowed %d reads ago now holds bytes of two versions", len(held))
+					return
+				}
+				held[j%len(held)] = data
 				_, _ = s.Size(name)
 				s.Exists(name)
+			}
+			for _, old := range held {
+				if !whole(old) {
+					t.Error("a held slice holds bytes of two versions")
+				}
 			}
 		}(r)
 	}
