@@ -103,16 +103,21 @@ fuzz-seeds:
 # Every allocation-budget test, never from the cache: D14's (collect →
 # sort → encode, chunked HDFS writes, WriteRun, RunWriter, OverwriteOwned),
 # D16's (a store, block, map-output or responder read allocates nothing
-# object-sized; the http servlet exactly one copy) and D7's disabled-obs
-# zero. A copy that comes back on the job data path fails here, in
-# seconds, without a benchmark run.
+# object-sized; the http servlet exactly one copy), D17's (a reduce fetch
+# of 64 × 4 KiB partitions allocates at most half what it delivers; one of
+# 16 × 1 MiB cached partitions misses the payload pool never and stays
+# under two payloads — TestPullSmallFetchAllocBudget /
+# TestPullBulkFetchAllocBudget) and D7's disabled-obs zero. A copy, a
+# per-fetch slice or a leaked chunk buffer that comes back on the job data
+# path fails here, in seconds, without a benchmark run.
 alloc-budgets:
 	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
 		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/hadoopa/ ./internal/shuffle/httpshuffle/
 
 # CPU and heap profiles of one engine's TeraSort at the benchmark's shape
-# (pkg/rdmamr BenchmarkTeraSort: what terasort_osu / terasort_http time),
-# written next to the benchmark's own build products.
+# (pkg/rdmamr BenchmarkTeraSort: what terasort_osu / terasort_http time;
+# ENGINE is osu, http or hadoopa), written next to the benchmark's own
+# build products.
 #   make profile ENGINE=http && go tool pprof -top .bench_build/cpu.pprof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/mem.pprof
 ENGINE ?= osu

@@ -3,10 +3,12 @@
 // provides the RDMAListener, RDMAReceiver, DataRequestQueue, and the
 // RDMAResponder pool, plus the MapOutputPrefetcher daemon pool feeding the
 // PrefetchCache (§III-B.3). On the ReduceTask side it provides the
-// RDMACopier, the chunked priority-queue merge over refillable segments
-// (§III-B.2), the DataToReduceQueue, and the shuffle/merge/reduce overlap
-// (§III-B.4). Bulk data moves by RDMA writes into the copier's registered
-// buffers over the emulated verbs fabric.
+// RDMACopier and the chunked priority-queue merge over refillable segments
+// (§III-B.2), which the reduce function pulls directly — the paper's
+// DataToReduceQueue is a function call here (internal/shuffle/stream,
+// DESIGN.md D17) — so shuffle, merge and reduce overlap (§III-B.4). Bulk
+// data moves by RDMA writes into the copier's registered buffers over the
+// emulated verbs fabric.
 package core
 
 import (

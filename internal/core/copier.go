@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/obs"
+	"rdmamr/internal/shuffle/stream"
 	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
@@ -35,14 +35,16 @@ type chunk struct {
 // refillable source the priority-queue merge draws from: "it needs to get
 // next set of key-value pairs from that particular map task to resume
 // extracting from Priority Queue" (§III-B.2). It is a kv.Iterator, so
-// the merge is kv.Merger's; blocking refills run under the fetcher's
-// lifetime context.
+// the merge is kv.Merger's, pulled by the reduce goroutine through the
+// fetcher's stream.Iterator; blocking refills (and the map recovery a
+// failed one triggers) run on that goroutine under the fetcher's lifetime
+// context.
 type segment struct {
 	mapID int
 	peer  *hostPeer
 	ready chan chunk
 
-	// Merge-goroutine-private state.
+	// Private to the goroutine pulling the merge.
 	it       *kv.BufferIterator
 	curBuf   []byte // the pooled buffer the current iterator walks
 	err      error
@@ -54,7 +56,7 @@ type segment struct {
 // request asks the host peer for the chunk at offset.
 func (seg *segment) request(ctx context.Context, offset int64) error {
 	req := chunkReq{mapID: seg.mapID, offset: offset, seg: seg}
-	if seg.f != nil && seg.f.prof != nil {
+	if seg.f.prof != nil {
 		req.enq = time.Now()
 	}
 	return seg.peer.enqueue(ctx, req)
@@ -67,7 +69,7 @@ func (seg *segment) request(ctx context.Context, offset int64) error {
 // now serving the regenerated output — deterministic map functions make
 // the bytes identical, so mid-stream offsets stay valid.
 func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
-	prof := seg.f.profile()
+	prof := seg.f.prof
 	for {
 		var ck chunk
 		var waitStart time.Time
@@ -107,16 +109,12 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 		}
 		if ck.err != nil {
 			seg.attempts++
-			if seg.f == nil || seg.f.task.RecoverMap == nil {
+			if seg.f.task.RecoverMap == nil {
 				return false, ck.err
 			}
 			if seg.attempts > mapred.MaxMapRecoveries {
-				host := "?"
-				if seg.peer != nil {
-					host = seg.peer.host
-				}
 				return false, fmt.Errorf("core: map %d unrecoverable after %d fetch attempts (last host %s): %w",
-					seg.mapID, seg.attempts, host, ck.err)
+					seg.mapID, seg.attempts, seg.peer.host, ck.err)
 			}
 			seg.f.task.Local.Counters().Add("shuffle.fetch.failures", 1)
 			host, err := seg.f.task.RecoverMap(ctx, seg.mapID, seg.attempts)
@@ -169,11 +167,11 @@ func (seg *segment) Next() bool {
 			}
 			seg.it = nil
 			if seg.curBuf != nil {
-				// The chunk is drained, but its records may still sit in
-				// the batch being assembled (they alias this buffer), so
-				// the buffer is retired with the batch and pooled only
-				// after the consumer moves past it.
-				seg.f.retire(seg.curBuf)
+				// The chunk is drained, but the record the consumer holds
+				// until this Next returns may be its last one: the buffer
+				// is retired to the iterator, which pools it on the
+				// following call.
+				seg.f.it.Retire(seg.curBuf)
 				seg.curBuf = nil
 			}
 		}
@@ -196,6 +194,23 @@ func (seg *segment) Record() kv.Record { return seg.it.Record() }
 
 // Err implements kv.Iterator.
 func (seg *segment) Err() error { return seg.err }
+
+// drop pools what the segment still holds when the fetcher closes in
+// mid-stream: the chunk being walked and the one delivered ahead of it.
+// Only after the pumps have exited and the consumer has let go.
+func (seg *segment) drop() {
+	if seg.curBuf != nil {
+		putPayload(seg.curBuf)
+		seg.curBuf = nil
+	}
+	select {
+	case ck := <-seg.ready:
+		if ck.data != nil {
+			putPayload(ck.data)
+		}
+	default:
+	}
+}
 
 type chunkReq struct {
 	mapID  int
@@ -487,10 +502,16 @@ func (hc *hostConn) releaseLease(ctx context.Context, id uint64) {
 }
 
 // payloadPool recycles chunk payload buffers: the receive pump fills one
-// per packet, and the merge consumer returns it once every record of the
-// chunk has been consumed. This removes the per-chunk make+copy garbage
-// from the shuffle hot path.
+// per packet, and the reduce side returns it once every record of the
+// chunk has been consumed (stream.Iterator's spent-buffer rule) or the
+// fetcher closes. This removes the per-chunk make+copy garbage from the
+// shuffle hot path.
 var payloadPool sync.Pool // of *[]byte
+
+// payloadsOut counts buffers handed out by getPayload and not yet given
+// back: a fetcher that closes leaves it where it found it, which is what
+// the payload-accounting tests hold every exit path to.
+var payloadsOut atomic.Int64
 
 // poisonReleasedPayloads makes putPayload scribble over buffers on
 // release. Tests enable it to turn any record still aliasing a released
@@ -498,6 +519,7 @@ var payloadPool sync.Pool // of *[]byte
 var poisonReleasedPayloads atomic.Bool
 
 func getPayload(n int, c *stats.Counters) []byte {
+	payloadsOut.Add(1)
 	if v := payloadPool.Get(); v != nil {
 		buf := *(v.(*[]byte))
 		if cap(buf) >= n {
@@ -514,6 +536,7 @@ func getPayload(n int, c *stats.Counters) []byte {
 }
 
 func putPayload(buf []byte) {
+	payloadsOut.Add(-1)
 	buf = buf[:cap(buf)]
 	if poisonReleasedPayloads.Load() {
 		for i := range buf {
@@ -1232,30 +1255,21 @@ func (f *fetcher) watchdog(cctx context.Context, p *hostPeer, hc *hostConn) {
 	}
 }
 
-// deliver hands a chunk to its segment, giving up on cancellation.
+// deliver hands a chunk to its segment, giving up on cancellation (the
+// payload nobody will read goes back to the pool).
 func deliver(ctx context.Context, seg *segment, ck chunk) {
 	select {
 	case seg.ready <- ck:
 	case <-ctx.Done():
+		if ck.data != nil {
+			putPayload(ck.data)
+		}
 	}
 }
 
-// batch is one DataToReduceQueue entry: a slice of merged records in
-// sorted order, or a terminal error. spent carries the chunk buffers that
-// drained while the batch was assembled; their records ride in this batch
-// (or earlier ones), so the consumer releases them to the payload pool
-// once it has moved past the batch.
-type batch struct {
-	recs  []kv.Record
-	spent [][]byte
-	err   error
-}
-
-const batchSize = 512
-
-// fetcher is the ReduceTask-side pipeline: RDMACopier connections, the
-// streaming priority-queue merge, and the DataToReduceQueue feeding the
-// reduce function.
+// fetcher is the ReduceTask-side pipeline: RDMACopier connections and the
+// segments they fill, merged by the stream.Iterator the reduce function
+// pulls (the paper's DataToReduceQueue is that call; DESIGN.md D17).
 type fetcher struct {
 	task        mapred.ReduceTaskInfo
 	overlap     bool
@@ -1307,22 +1321,17 @@ type fetcher struct {
 	mu    sync.Mutex
 	peers map[string]*hostPeer
 
-	out chan batch
-	// free carries consumed batches' record slices back from the
-	// consumer to the merge goroutine. It holds as many as can be in
-	// flight at once: those queued in out, one being filled and one
-	// being consumed.
-	free   chan []kv.Record
-	cancel context.CancelFunc
-	runCtx context.Context // fetcher-lifetime ctx; deliveries use this
-	wg     sync.WaitGroup
-
-	// spentBufs is merge-goroutine-private: buffers drained since the
-	// last flush, waiting to ride out with the next batch.
-	spentBufs [][]byte
+	// it is the merged stream Fetch returns (nil until then); segments
+	// retire drained chunk buffers to it.
+	it *stream.Iterator
+	// segments is every segment opened so far, written by the event
+	// goroutine and read by Close once that goroutine has exited.
+	segments []*segment
+	cancel   context.CancelFunc
+	runCtx   context.Context // fetcher-lifetime ctx; deliveries use this
+	wg       sync.WaitGroup
 
 	closeOnce sync.Once
-	fetched   bool
 }
 
 func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
@@ -1354,8 +1363,6 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 		connCacheMax:   int(conf.Int(config.KeyRDMAConnCacheMax)),
 		prof:           prof,
 		peers:          make(map[string]*hostPeer),
-		out:            make(chan batch, 8),
-		free:           make(chan []kv.Record, 8+2),
 	}
 	f.cRetries = c.Handle("shuffle.rdma.retries")
 	f.cReconnects = c.Handle("shuffle.rdma.reconnects")
@@ -1375,30 +1382,25 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	return f
 }
 
-// profile returns the job profile (nil when profiling is off or the
-// segment was built without a fetcher, as some tests do).
-func (f *fetcher) profile() *obs.JobProfile {
-	if f == nil {
-		return nil
-	}
-	return f.prof
-}
-
-// retire queues a drained chunk buffer to ride out with the next batch.
-// Merge-goroutine only.
-func (f *fetcher) retire(buf []byte) {
-	f.spentBufs = append(f.spentBufs, buf)
-}
-
 // Fetch implements mapred.ReduceFetcher.
 func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
-	if f.fetched {
+	if f.it != nil {
 		return nil, errors.New("core: Fetch called twice")
 	}
-	f.fetched = true
 	ctx, cancel := context.WithCancel(ctx)
 	f.cancel = cancel
 	f.runCtx = ctx
+	// With overlap off the merged records are kept for the whole reduce,
+	// so their chunk buffers are never pooled.
+	recycle := putPayload
+	if !f.overlap {
+		recycle = nil
+	}
+	var window func() func()
+	if f.prof != nil || f.tr != nil {
+		window = f.mergeWindow
+	}
+	f.it = stream.New(ctx, f.task.Job.Comparator, recycle, window)
 
 	// Configure the device-wide connection plane and wire the slab
 	// accountant into this node's counters. Last writer wins, which is
@@ -1463,236 +1465,85 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	}
 
 	f.wg.Add(1)
-	go f.run(ctx)
+	go func() {
+		defer f.wg.Done()
+		f.it.Gather(f.task.Events, f.task.Job.NumMaps, f.openSegment)
+	}()
 
 	if f.overlap {
 		// Streaming iterator: reduce overlaps shuffle+merge.
-		return &queueIterator{ctx: ctx, ch: f.out, free: f.free}, nil
+		return f.it, nil
 	}
 	// Ablation mode: barrier like the vanilla design — materialize the
-	// whole merged stream before the reduce function sees any of it. The
-	// materialized records alias their chunk buffers for the rest of the
-	// reduce, so spent buffers are NOT pooled here.
+	// whole merged stream before the reduce function sees any of it.
 	var all []kv.Record
-	for b := range f.out {
-		if b.err != nil {
-			return nil, b.err
-		}
-		all = append(all, b.recs...)
+	for f.it.Next() {
+		all = append(all, f.it.Record())
+	}
+	if err := f.it.Err(); err != nil {
+		return nil, err
 	}
 	return kv.NewSliceIterator(all), nil
 }
 
-// run is the merge engine: build segments as map-completion events
-// arrive (issuing first-chunk requests immediately, overlapping shuffle
-// with the map phase), then run the k-way priority-queue merge, emitting
-// sorted batches into the DataToReduceQueue.
-func (f *fetcher) run(ctx context.Context) {
-	defer f.wg.Done()
-	defer close(f.out)
-	emitErr := func(err error) {
-		select {
-		case f.out <- batch{err: err}:
-		case <-ctx.Done():
-		}
+// openSegment starts streaming one completed map's partition: its
+// first-chunk request goes out as the event arrives.
+func (f *fetcher) openSegment(ev mapred.MapEvent) (kv.Iterator, error) {
+	f.mu.Lock()
+	p := f.peers[ev.Host]
+	f.mu.Unlock()
+	if p == nil {
+		return nil, fmt.Errorf("core: map event from unknown host %s", ev.Host)
 	}
+	seg := &segment{mapID: ev.MapID, peer: p, ready: make(chan chunk, 1), f: f}
+	f.segments = append(f.segments, seg)
+	return seg, seg.request(f.runCtx, 0)
+}
 
-	// Map Completion Fetcher: one segment per completed map.
-	var segments []*segment
-	for {
-		var (
-			ev mapred.MapEvent
-			ok bool
-		)
-		select {
-		case ev, ok = <-f.task.Events:
-		case <-ctx.Done():
-			emitErr(ctx.Err())
-			return
-		}
-		if !ok {
-			break
-		}
-		f.mu.Lock()
-		p := f.peers[ev.Host]
-		f.mu.Unlock()
-		if p == nil {
-			emitErr(fmt.Errorf("core: map event from unknown host %s", ev.Host))
-			return
-		}
-		seg := &segment{mapID: ev.MapID, peer: p, ready: make(chan chunk, 1), f: f}
-		if err := seg.request(ctx, 0); err != nil {
-			emitErr(err)
-			return
-		}
-		segments = append(segments, seg)
-	}
-	if len(segments) != f.task.Job.NumMaps {
-		emitErr(fmt.Errorf("core: saw %d map events, want %d", len(segments), f.task.Job.NumMaps))
-		return
-	}
-
-	// The merge window spans priority-queue priming through the last
-	// extracted batch; profiling it against the shuffle window is what
-	// measures the paper's shuffle/merge overlap.
+// mergeWindow opens this reduce's merge window and returns what closes
+// it. The window spans priority-queue priming (the first Next, once every
+// map is in: "while receiving these key-value pairs from all map
+// locations, a ReduceTask now merges all these data to build up a
+// Priority Queue") through the last extracted record; profiling it against
+// the shuffle window is what measures the paper's shuffle/merge overlap.
+// The merge runs inside the reduce slot's goroutine but keeps its own
+// trace lane, so the two spans read side by side.
+func (f *fetcher) mergeWindow() func() {
+	start := time.Now()
 	if f.prof != nil {
-		f.prof.Mark(obs.PhaseMerge, f.task.ReduceID, time.Now())
-		defer func() { f.prof.Mark(obs.PhaseMerge, f.task.ReduceID, time.Now()) }()
+		f.prof.Mark(obs.PhaseMerge, f.task.ReduceID, start)
 	}
-	if f.tr != nil {
-		// The merge runs concurrently with the reduce consuming it, so it
-		// gets its own lane rather than nesting under the reduce slot.
-		mergeStart := time.Now()
-		defer func() {
+	return func() {
+		end := time.Now()
+		if f.prof != nil {
+			f.prof.Mark(obs.PhaseMerge, f.task.ReduceID, end)
+		}
+		if f.tr != nil {
 			f.tr.Span(f.task.Local.Host(), fmt.Sprintf("merge r%d", f.task.ReduceID),
 				obs.CatMerge, fmt.Sprintf("merge r%d@%d", f.task.ReduceID, f.task.Attempt),
-				mergeStart, time.Now(), nil)
-		}()
-	}
-
-	// The priority queue is kv.Merger's, over the segments in map order,
-	// so records with equal keys come out by (map id, emission order).
-	// Its first Next primes every segment with its head record ("while
-	// receiving these key-value pairs from all map locations, a
-	// ReduceTask now merges all these data to build up a Priority
-	// Queue"); each later one refills the segment just drawn from.
-	slices.SortFunc(segments, func(a, b *segment) int { return a.mapID - b.mapID })
-	its := make([]kv.Iterator, len(segments))
-	for i, seg := range segments {
-		its[i] = seg
-	}
-	m := kv.NewMerger(f.task.Job.Comparator, its...)
-
-	// Extract in sorted order into batches for the DataToReduceQueue.
-	recs := f.newBatch()
-	flush := func() bool {
-		if len(recs) == 0 && len(f.spentBufs) == 0 {
-			return true
+				start, end, nil)
 		}
-		select {
-		case f.out <- batch{recs: recs, spent: f.spentBufs}:
-			recs = f.newBatch()
-			f.spentBufs = nil
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for m.Next() {
-		recs = append(recs, m.Record())
-		if len(recs) >= batchSize && !flush() {
-			return
-		}
-	}
-	if err := m.Err(); err != nil {
-		emitErr(err)
-		return
-	}
-	flush()
-}
-
-// newBatch returns an empty record slice for the merge to fill: one the
-// consumer has finished with when there is one, a fresh one otherwise.
-func (f *fetcher) newBatch() []kv.Record {
-	select {
-	case recs := <-f.free:
-		return recs[:0]
-	default:
-		return make([]kv.Record, 0, batchSize)
 	}
 }
 
-// Close implements mapred.ReduceFetcher. Cancellation unwinds each
-// peer's supervisor, which releases its endpoint lease and frees its
-// slab-carved ring before exiting; waiting on the group is what makes
-// slab reuse safe across fetcher lifetimes.
+// Close implements mapred.ReduceFetcher, after the consumer's last Next.
+// Cancellation unwinds each peer's supervisor, which releases its
+// endpoint lease and frees its slab-carved ring before exiting; waiting
+// on the group is what makes slab reuse safe across fetcher lifetimes,
+// and what lets the chunk buffers still out — retired, being walked or
+// delivered ahead — go back to the payload pool.
 func (f *fetcher) Close() error {
 	f.closeOnce.Do(func() {
 		if f.cancel != nil {
 			f.cancel()
 		}
 		f.wg.Wait()
-		// Drain any parked batch so the merge goroutine never leaks. Only
-		// a started Fetch closes f.out; without one there is nothing to
-		// drain (and no closer).
-		if f.fetched {
-			for range f.out {
-			}
+		if f.it != nil {
+			f.it.Close()
+		}
+		for _, seg := range f.segments {
+			seg.drop()
 		}
 	})
 	return nil
 }
-
-// queueIterator adapts the DataToReduceQueue to kv.Iterator: "it then
-// keeps extracting the key-value pairs from the Priority Queue in sorted
-// order and puts these data in a first in first out structure, named as
-// DataToReduceQueue" — this is the consumer end the reduce function pulls.
-//
-// Records obey the kv.Iterator contract (valid until the following Next),
-// which is what lets the iterator recycle a batch's spent chunk buffers
-// as soon as it advances past the batch.
-type queueIterator struct {
-	ctx  context.Context
-	ch   <-chan batch
-	free chan<- []kv.Record // takes back each consumed batch's slice
-	cur  []kv.Record
-	held [][]byte // spent buffers of the batch being consumed
-	idx  int
-	err  error
-	eos  bool
-}
-
-// release gives back what the batch just consumed was holding: its spent
-// chunk buffers rejoin the payload pool and its record slice goes to the
-// merge goroutine to refill.
-func (it *queueIterator) release() {
-	for _, buf := range it.held {
-		putPayload(buf)
-	}
-	it.held = nil
-	if it.cur != nil {
-		select {
-		case it.free <- it.cur:
-		default:
-		}
-		it.cur = nil
-	}
-}
-
-// Next implements kv.Iterator, blocking until merged data is available.
-func (it *queueIterator) Next() bool {
-	if it.err != nil || it.eos {
-		return false
-	}
-	it.idx++
-	for it.idx >= len(it.cur) {
-		// Every record of the current batch has been consumed and, by the
-		// Iterator contract, given up — before waiting for the next one,
-		// so the merge finds the slice and the buffers when it needs them.
-		it.release()
-		select {
-		case b, ok := <-it.ch:
-			if !ok {
-				it.eos = true
-				return false
-			}
-			if b.err != nil {
-				it.err = b.err
-				return false
-			}
-			it.held = b.spent
-			it.cur = b.recs
-			it.idx = 0
-		case <-it.ctx.Done():
-			it.err = it.ctx.Err()
-			return false
-		}
-	}
-	return true
-}
-
-// Record implements kv.Iterator.
-func (it *queueIterator) Record() kv.Record { return it.cur[it.idx] }
-
-// Err implements kv.Iterator.
-func (it *queueIterator) Err() error { return it.err }

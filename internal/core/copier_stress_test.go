@@ -42,20 +42,26 @@ func newRingHarness(t testing.TB, conf *config.Config, numMaps, recsPerMap int) 
 	}
 	h := &ringHarness{t: t, cluster: cluster, tt: tt, job: job, numMaps: numMaps}
 	for m := 0; m < numMaps; m++ {
-		recs := make([]kv.Record, 0, recsPerMap)
-		for i := 0; i < recsPerMap; i++ {
-			recs = append(recs, kv.Record{
-				Key:   []byte(fmt.Sprintf("k%05d-m%03d", i, m)),
-				Value: bytes.Repeat([]byte{byte(m), byte(i)}, 32),
-			})
-		}
-		tt.Store().Overwrite(mapred.MapOutputKey(job.ID, m, 0), kv.WriteRun(recs))
-		h.expected = append(h.expected, recs...)
+		h.plant(m, recsPerMap)
 	}
+	return h
+}
+
+// plant stores n records as map m's partition 0 and folds them into the
+// expected stream; keys are unique across maps, so one sort orders it.
+func (h *ringHarness) plant(m, n int) {
+	recs := make([]kv.Record, 0, n)
+	for i := 0; i < n; i++ {
+		recs = append(recs, kv.Record{
+			Key:   []byte(fmt.Sprintf("k%05d-m%03d", i, m)),
+			Value: bytes.Repeat([]byte{byte(m), byte(i)}, 32),
+		})
+	}
+	h.tt.Store().Overwrite(mapred.MapOutputKey(h.job.ID, m, 0), kv.WriteRun(recs))
+	h.expected = append(h.expected, recs...)
 	sort.Slice(h.expected, func(i, j int) bool {
 		return bytes.Compare(h.expected[i].Key, h.expected[j].Key) < 0
 	})
-	return h
 }
 
 // fetch runs one full fetcher lifetime and verifies the merged stream is

@@ -29,7 +29,7 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 	f.nFetchChunks.Add(1)
 	// loadChunk: profile lookup and the gated stall/span/trace
 	// bookkeeping.
-	if prof := f.profile(); prof != nil {
+	if prof := f.prof; prof != nil {
 		prof.MergeStall(0)
 		if sp := ck.span; sp != nil {
 			prof.AddSpan(sp)

@@ -1,0 +1,362 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"rdmamr/internal/alloctest"
+	"rdmamr/internal/chaos"
+	"rdmamr/internal/config"
+	"rdmamr/internal/kv"
+	"rdmamr/internal/mapred"
+	"rdmamr/internal/verbs"
+)
+
+// open starts a fetcher over the harness's first n maps (n beyond numMaps
+// names maps whose output was never stored) and returns it with the
+// iterator the reduce function would pull.
+func (h *ringHarness) open(ctx context.Context, n int) (*fetcher, kv.Iterator) {
+	h.t.Helper()
+	events := make(chan mapred.MapEvent, n)
+	for m := 0; m < n; m++ {
+		events <- mapred.MapEvent{MapID: m, Host: h.tt.Host()}
+	}
+	close(events)
+	job := h.job
+	job.NumMaps = n
+	f := newFetcher(mapred.ReduceTaskInfo{
+		Job: job, ReduceID: 0, Events: events,
+		Local: h.tt, Hosts: []string{h.tt.Host()},
+	})
+	it, err := f.Fetch(ctx)
+	if err != nil {
+		f.Close()
+		h.t.Fatal(err)
+	}
+	return f, it
+}
+
+// TestPullRecordsIntactUntilFollowingNext: with released payloads poisoned
+// and 2 KiB packets (a chunk boundary every ~20 records, segments of
+// different lengths ending at different times), every record Next returns
+// is whole when returned and still whole just before the following Next —
+// the iterator contract the spent-buffer rule exists to keep. The chunk
+// buffers out at any moment are bounded by one being walked and one
+// look-ahead per segment plus the one just retired, which is what "back
+// in the pool no later than the following call" means in numbers.
+func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
+	poisonReleasedPayloads.Store(true)
+	defer poisonReleasedPayloads.Store(false)
+
+	// Every third map is short, so segments run out mid-stream and their
+	// last records sit at the end of a partly filled final chunk.
+	const maps = 12
+	h := newRingHarness(t, stressConf(4), 0, 0)
+	for m := 0; m < maps; m++ {
+		n := 150
+		if m%3 == 0 {
+			n = 40 + m
+		}
+		h.plant(m, n)
+	}
+	expected := h.expected
+
+	base := payloadsOut.Load()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	f, it := h.open(ctx, maps)
+	defer f.Close()
+	same := func(n int, rec kv.Record, when string) {
+		t.Helper()
+		want := expected[n]
+		if !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
+			t.Fatalf("record %d %s = %q/%x, want %q/%x (released-buffer poison shows as 0xdb)",
+				n, when, rec.Key, rec.Value, want.Key, want.Value)
+		}
+	}
+	n := 0
+	var held kv.Record
+	for {
+		if n > 0 {
+			same(n-1, held, "just before the following Next")
+		}
+		if !it.Next() {
+			break
+		}
+		if n >= len(expected) {
+			t.Fatalf("more than %d records merged", len(expected))
+		}
+		held = it.Record()
+		same(n, held, "as returned")
+		if out := payloadsOut.Load() - base; out > 2*maps+1 {
+			t.Fatalf("%d chunk buffers out after record %d, want at most %d", out, n, 2*maps+1)
+		}
+		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(expected) {
+		t.Fatalf("merged %d records, want %d", n, len(expected))
+	}
+	if h.tt.Counters().Get("shuffle.rdma.payload.pool.hits") == 0 {
+		t.Fatal("payload pool never hit: chunks are not being recycled")
+	}
+}
+
+// TestPullPayloadAccounting: every chunk buffer getPayload hands out comes
+// back through putPayload on each way a fetch can end.
+func TestPullPayloadAccounting(t *testing.T) {
+	const maps = 8
+	h := newRingHarness(t, stressConf(4), maps, 120)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	base := payloadsOut.Load()
+	settled := func(when string) {
+		t.Helper()
+		if out := payloadsOut.Load() - base; out != 0 {
+			t.Fatalf("%s: %d chunk buffers never returned to the pool", when, out)
+		}
+	}
+
+	f, it := h.open(ctx, maps)
+	for it.Next() {
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// End of stream alone settles the books: the two buffers the last
+	// calls retired do not wait for Close.
+	settled("fully drained, before Close")
+	f.Close()
+	settled("fully drained")
+
+	f, it = h.open(ctx, maps)
+	for i := 0; i < 300; i++ {
+		if !it.Next() {
+			t.Fatalf("stream ended at record %d: %v", i, it.Err())
+		}
+	}
+	if payloadsOut.Load() == base {
+		t.Fatal("no chunk buffer out in mid-stream: the test is not exercising Close")
+	}
+	f.Close()
+	settled("Close in mid-stream")
+
+	f, _ = h.open(ctx, maps)
+	f.Close()
+	settled("Close before the first Next")
+
+	// Map 8 was never stored: its segment fails while priming, with the
+	// other eight segments' first chunks already delivered.
+	f, it = h.open(ctx, maps+1)
+	for it.Next() {
+	}
+	if it.Err() == nil {
+		t.Fatal("a missing map output did not fail the stream")
+	}
+	f.Close()
+	settled("segment error")
+}
+
+// settleGoroutines waits for the goroutine count to come down to want.
+func settleGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, baseline %d\n%s", when, runtime.NumGoroutine(), want,
+				buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPullCancelWhileBlockedOnRefill: the reduce goroutine is inside Next,
+// waiting for a chunk the fabric is sitting on, when the fetch context is
+// cancelled. Next returns, Err carries ctx.Err(), Close returns, no
+// goroutine and no chunk buffer is left behind. The same for a Close that
+// comes before the first Next.
+func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
+	h := newRingHarness(t, stressConf(2), 1, 200) // one segment, ~10 chunks
+	h.fetch(context.Background())                 // dial the plane's shared endpoint once
+	baseline := runtime.NumGoroutine()
+	basePayloads := payloadsOut.Load()
+
+	g := chaos.ParkNth(verbs.OpRDMAWrite, 3)
+	h.tt.Fabric().Network().SetFaultInjector(g)
+	defer h.tt.Fabric().Network().SetFaultInjector(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f, it := h.open(ctx, 1)
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		n := 0
+		for it.Next() {
+			n++
+		}
+		done <- result{n, it.Err()}
+	}()
+	<-g.Reached() // chunk 3's RDMA write is parked: the consumer runs dry after chunk 2
+	cancel()
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("Err = %v after %d records, want context.Canceled", r.err, r.n)
+		}
+		if r.n == 0 || r.n >= 200 {
+			t.Fatalf("%d records before the cancel; the stream was meant to stop mid-way", r.n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next still blocked 10 s after the fetch context was cancelled")
+	}
+	g.Release()
+	closed := make(chan struct{})
+	go func() { f.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hangs after a cancelled fetch")
+	}
+	settleGoroutines(t, baseline, "after cancel + Close")
+	if out := payloadsOut.Load() - basePayloads; out != 0 {
+		t.Fatalf("%d chunk buffers never returned after cancel + Close", out)
+	}
+
+	h.tt.Fabric().Network().SetFaultInjector(nil)
+	f, _ = h.open(context.Background(), 1)
+	f.Close()
+	settleGoroutines(t, baseline, "after Close before the first Next")
+}
+
+// TestPullOverlapOffSameSequence: mapred.rdma.overlap.reduce=false drains
+// the same iterator into a slice. The sequence is the streaming one
+// (both are checked against the harness's sorted union), and with
+// recycling off every record is still whole after the last one arrived —
+// released payloads are poisoned, so a pooled buffer would show.
+func TestPullOverlapOffSameSequence(t *testing.T) {
+	poisonReleasedPayloads.Store(true)
+	defer poisonReleasedPayloads.Store(false)
+	for _, overlap := range []bool{true, false} {
+		conf := stressConf(4)
+		conf.SetBool(config.KeyOverlapReduce, overlap)
+		h := newRingHarness(t, conf, 16, 100)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		h.fetch(ctx)
+		cancel()
+	}
+}
+
+// plantHarness is the benchmark's shuffle-only shape in one process: maps
+// partitions of partBytes planted in one tracker's store (and announced,
+// so the prefetcher caches them when caching is on), fetched by one
+// reducer.
+func plantHarness(t *testing.T, caching bool, maps, partBytes int) *ringHarness {
+	t.Helper()
+	conf := config.New()
+	conf.SetBool(config.KeyRDMAEnabled, true)
+	conf.SetBool(config.KeyCachingEnabled, caching)
+	cluster, err := mapred.NewCluster(1, conf, New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	tt := cluster.Trackers()[0]
+	h := &ringHarness{t: t, cluster: cluster, tt: tt, numMaps: maps, job: mapred.JobInfo{
+		ID: "job_plant", Conf: cluster.Conf(), Comparator: kv.BytesComparator,
+		NumMaps: maps, NumReduces: 1,
+	}}
+	value := bytes.Repeat([]byte{0xA5}, 88)
+	for m := 0; m < maps; m++ {
+		var recs []kv.Record
+		for i := 0; i < partBytes/100; i++ {
+			recs = append(recs, kv.Record{Key: []byte(fmt.Sprintf("%06d-%03d", i, m)), Value: value})
+		}
+		tt.Store().OverwriteOwned(mapred.MapOutputKey(h.job.ID, m, 0), kv.WriteRun(recs))
+		cluster.Servers()[0].MapOutputReady(h.job, m)
+	}
+	if caching {
+		deadline := time.Now().Add(time.Minute)
+		for cluster.Counters().Get("cache.prefetched") < int64(maps) {
+			if time.Now().After(deadline) {
+				t.Fatal("prefetcher did not cache the planted partitions")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return h
+}
+
+// drain is one reduce fetch with nothing kept: what the allocation
+// budgets price. It returns the bytes of key and value delivered.
+func (h *ringHarness) drain() int {
+	f, it := h.open(context.Background(), h.numMaps)
+	defer f.Close()
+	n := 0
+	for it.Next() {
+		rec := it.Record()
+		n += len(rec.Key) + len(rec.Value)
+	}
+	if err := it.Err(); err != nil {
+		h.t.Fatal(err)
+	}
+	return n
+}
+
+// TestPullSmallFetchAllocBudget guards the claim the pull iterator was
+// made for (shuffle_small's alloc_mb_per_gb): one reduce fetch of 64 ×
+// 4 KiB partitions on a warm plane, caching off, allocates at most half
+// the bytes it delivers — everything counted, tracker side included. A
+// per-fetch hand-off structure (the 512-record batch slices of the old
+// merge-to-reduce queue took it to ≈ 1.2× in the benchmark) fails here.
+func TestPullSmallFetchAllocBudget(t *testing.T) {
+	if alloctest.Race {
+		t.Skip("the payload pool is a sync.Pool, which drops buffers at random under the race detector")
+	}
+	h := plantHarness(t, false, 64, 4<<10)
+	delivered := h.drain() // warm: endpoint dialed, ring slab carved, payload pool filled
+	h.drain()
+	allocated := alloctest.Bytes(5, func() { h.drain() })
+	if budget := uint64(delivered) / 2; allocated > budget {
+		t.Errorf("a fetch delivering %d bytes allocated %d, budget %d", delivered, allocated, budget)
+	}
+}
+
+// TestPullBulkFetchAllocBudget: 16 × 1 MiB cache-resident partitions, 128
+// KiB packets. After warm-up every chunk buffer comes from the payload
+// pool — no miss, nothing payload-sized allocated — and the whole fetch
+// (≈ 140 KB of requests, headers and per-chunk iterators) stays under two
+// payloads, which is only true while end of stream, not the collector,
+// gets the last two buffers back.
+func TestPullBulkFetchAllocBudget(t *testing.T) {
+	if alloctest.Race {
+		t.Skip("the payload pool is a sync.Pool, which drops buffers at random under the race detector")
+	}
+	h := plantHarness(t, true, 16, 1<<20)
+	h.drain()
+	h.drain()
+	c := h.tt.Counters()
+	fewestMisses := int64(1 << 62)
+	allocated := alloctest.Bytes(5, func() {
+		before := c.Get("shuffle.rdma.payload.pool.misses")
+		h.drain()
+		fewestMisses = min(fewestMisses, c.Get("shuffle.rdma.payload.pool.misses")-before)
+	})
+	packet := uint64(h.job.Conf.Int(config.KeyRDMAPacketBytes))
+	if allocated >= 2*packet {
+		t.Errorf("a warm 16 MiB fetch allocated %d bytes, want less than two %d-byte payloads", allocated, packet)
+	}
+	if fewestMisses != 0 {
+		t.Errorf("every warm fetch missed the payload pool at least %d times, want 0", fewestMisses)
+	}
+}

@@ -264,6 +264,7 @@ func (s *trackerServer) serve(p *pendingRequest) {
 	// short pause so a fully-blocked queue does not spin hot) and the pool
 	// keeps serving.
 	if !p.mu.TryLock() {
+		s.tt.Counters().Add("shuffle.rdma.responder.requeues", 1)
 		time.Sleep(100 * time.Microsecond)
 		select {
 		case s.reqQ <- p:

@@ -19,13 +19,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
+	"rdmamr/internal/shuffle/stream"
 	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
@@ -200,25 +200,16 @@ func (e *Engine) NewReduceFetcher(task mapred.ReduceTaskInfo) (mapred.ReduceFetc
 		kvPerPacket: int(conf.Int(config.KeyKVPairsPerPacket)),
 		bounceSize:  int(conf.Int(config.KeyRDMAPacketBytes)) + 64<<10,
 		conns:       make(map[string]*hostConn),
-		out:         make(chan batch, 8),
-		free:        make(chan []kv.Record, 8+2),
 	}, nil
 }
 
-type batch struct {
-	recs []kv.Record
-	err  error
-}
-
-const batchSize = 512
-
 // fetcher is the reducer side of the levitated merge: remote-resident
 // sorted segments are merged through a priority queue, RDMA-READing the
-// next packet of a segment when its buffered records run out. Unlike the
-// OSU design there is no barrier either — Hadoop-A also overlaps merge
-// and reduce — so the performance gap against OSU-IB comes from the disk
-// reads per fetch and the size-oblivious packets, exactly as §III-C
-// argues.
+// next packet of a segment when its buffered records run out. Like the
+// OSU design there is no barrier — the reduce function pulls the merge
+// through the same stream.Iterator — so the performance gap against
+// OSU-IB comes from the disk reads per fetch and the size-oblivious
+// packets, exactly as §III-C argues.
 type fetcher struct {
 	task        mapred.ReduceTaskInfo
 	kvPerPacket int
@@ -227,16 +218,11 @@ type fetcher struct {
 	mu    sync.Mutex
 	conns map[string]*hostConn
 
-	out chan batch
-	// free carries consumed batches' record slices back to the merge
-	// goroutine: up to those queued in out, one being filled and one
-	// being consumed.
-	free    chan []kv.Record
-	runCtx  context.Context // fetcher-lifetime ctx; segment refills use this
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	fetched bool
-	once    sync.Once
+	it     *stream.Iterator // the merged stream Fetch returns; nil until then
+	runCtx context.Context  // fetcher-lifetime ctx; segment refills use this
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	once   sync.Once
 }
 
 type hostConn struct {
@@ -261,7 +247,8 @@ type chunk struct {
 }
 
 // segment is one remote-resident sorted map output partition, read a
-// packet at a time. It is a kv.Iterator, so the merge is kv.Merger's.
+// packet at a time. It is a kv.Iterator, so the merge is kv.Merger's,
+// pulled by the reduce goroutine; refills and map recovery block it.
 type segment struct {
 	mapID int
 	conn  *hostConn
@@ -319,7 +306,7 @@ func (seg *segment) next(ctx context.Context) (bool, error) {
 		}
 		if ck.err != nil {
 			seg.attempts++
-			if seg.f == nil || seg.f.task.RecoverMap == nil {
+			if seg.f.task.RecoverMap == nil {
 				return false, ck.err
 			}
 			if seg.attempts > mapred.MaxMapRecoveries {
@@ -418,7 +405,7 @@ func (f *fetcher) fetchChunk(ctx context.Context, hc *hostConn, req chunkReq) ch
 	if resp.Bytes > 0 {
 		sge := verbs.SGE{MR: hc.mr, Length: int(resp.Bytes)}
 		if err := hc.ep.RDMARead(ctx, sge, resp.RemoteAddr, resp.RKey); err != nil {
-			return chunk{err: fmt.Errorf("hadoopa: rdma read from %s: %w", hc.host, err)}
+			return chunk{off: req.offset, err: fmt.Errorf("hadoopa: rdma read from %s: %w", hc.host, err)}
 		}
 	}
 	payload := make([]byte, resp.Bytes)
@@ -429,13 +416,15 @@ func (f *fetcher) fetchChunk(ctx context.Context, hc *hostConn, req chunkReq) ch
 
 // Fetch implements mapred.ReduceFetcher.
 func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
-	if f.fetched {
+	if f.it != nil {
 		return nil, errors.New("hadoopa: Fetch called twice")
 	}
-	f.fetched = true
 	ctx, cancel := context.WithCancel(ctx)
 	f.cancel = cancel
 	f.runCtx = ctx
+	// Packets are plain heap buffers here (no payload pool), so the
+	// iterator has nothing to recycle.
+	f.it = stream.New(ctx, f.task.Job.Comparator, nil, nil)
 	for _, host := range f.task.Hosts {
 		hc, err := f.dial(ctx, host)
 		if err != nil {
@@ -447,100 +436,27 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 		f.mu.Unlock()
 	}
 	f.wg.Add(1)
-	go f.run(ctx)
-	return &queueIterator{ctx: ctx, ch: f.out, free: f.free}, nil
+	go func() {
+		defer f.wg.Done()
+		f.it.Gather(f.task.Events, f.task.Job.NumMaps, f.openSegment)
+	}()
+	return f.it, nil
 }
 
-func (f *fetcher) run(ctx context.Context) {
-	defer f.wg.Done()
-	defer close(f.out)
-	emitErr := func(err error) {
-		select {
-		case f.out <- batch{err: err}:
-		case <-ctx.Done():
-		}
+// openSegment starts reading one completed map's partition: its first
+// packet is requested as the event arrives.
+func (f *fetcher) openSegment(ev mapred.MapEvent) (kv.Iterator, error) {
+	f.mu.Lock()
+	hc := f.conns[ev.Host]
+	f.mu.Unlock()
+	if hc == nil {
+		return nil, fmt.Errorf("hadoopa: map event from unknown host %s", ev.Host)
 	}
-	var segments []*segment
-	for {
-		var (
-			ev mapred.MapEvent
-			ok bool
-		)
-		select {
-		case ev, ok = <-f.task.Events:
-		case <-ctx.Done():
-			emitErr(ctx.Err())
-			return
-		}
-		if !ok {
-			break
-		}
-		f.mu.Lock()
-		hc := f.conns[ev.Host]
-		f.mu.Unlock()
-		if hc == nil {
-			emitErr(fmt.Errorf("hadoopa: map event from unknown host %s", ev.Host))
-			return
-		}
-		seg := &segment{mapID: ev.MapID, conn: hc, ready: make(chan chunk, 1), f: f}
-		if err := seg.request(ctx, 0); err != nil {
-			emitErr(err)
-			return
-		}
-		segments = append(segments, seg)
-	}
-	if len(segments) != f.task.Job.NumMaps {
-		emitErr(fmt.Errorf("hadoopa: saw %d map events, want %d", len(segments), f.task.Job.NumMaps))
-		return
-	}
-
-	// Segments merge in map order, so records with equal keys come out by
-	// (map id, emission order).
-	slices.SortFunc(segments, func(a, b *segment) int { return a.mapID - b.mapID })
-	its := make([]kv.Iterator, len(segments))
-	for i, seg := range segments {
-		its[i] = seg
-	}
-	m := kv.NewMerger(f.task.Job.Comparator, its...)
-
-	recs := f.newBatch()
-	flush := func() bool {
-		if len(recs) == 0 {
-			return true
-		}
-		select {
-		case f.out <- batch{recs: recs}:
-			recs = f.newBatch()
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	for m.Next() {
-		recs = append(recs, m.Record())
-		if len(recs) >= batchSize && !flush() {
-			return
-		}
-	}
-	if err := m.Err(); err != nil {
-		emitErr(err)
-		return
-	}
-	flush()
+	seg := &segment{mapID: ev.MapID, conn: hc, ready: make(chan chunk, 1), f: f}
+	return seg, seg.request(f.runCtx, 0)
 }
 
-// newBatch returns an empty record slice for the merge to fill: one the
-// consumer has finished with when there is one, a fresh one otherwise.
-func (f *fetcher) newBatch() []kv.Record {
-	select {
-	case recs := <-f.free:
-		return recs[:0]
-	default:
-		return make([]kv.Record, 0, batchSize)
-	}
-}
-
-// Close implements mapred.ReduceFetcher.
+// Close implements mapred.ReduceFetcher, after the consumer's last Next.
 func (f *fetcher) Close() error {
 	f.once.Do(func() {
 		if f.cancel != nil {
@@ -555,60 +471,9 @@ func (f *fetcher) Close() error {
 			_ = hc.mr.Deregister()
 		}
 		f.wg.Wait()
-		for range f.out {
+		if f.it != nil {
+			f.it.Close()
 		}
 	})
 	return nil
 }
-
-type queueIterator struct {
-	ctx  context.Context
-	ch   <-chan batch
-	free chan<- []kv.Record // takes back each consumed batch's slice
-	cur  []kv.Record
-	idx  int
-	err  error
-	eos  bool
-}
-
-// Next implements kv.Iterator.
-func (it *queueIterator) Next() bool {
-	if it.err != nil || it.eos {
-		return false
-	}
-	it.idx++
-	for it.idx >= len(it.cur) {
-		if it.cur != nil {
-			// Consumed: its records are given up by the Iterator
-			// contract, so the merge may refill the slice.
-			select {
-			case it.free <- it.cur:
-			default:
-			}
-			it.cur = nil
-		}
-		select {
-		case b, ok := <-it.ch:
-			if !ok {
-				it.eos = true
-				return false
-			}
-			if b.err != nil {
-				it.err = b.err
-				return false
-			}
-			it.cur = b.recs
-			it.idx = 0
-		case <-it.ctx.Done():
-			it.err = it.ctx.Err()
-			return false
-		}
-	}
-	return true
-}
-
-// Record implements kv.Iterator.
-func (it *queueIterator) Record() kv.Record { return it.cur[it.idx] }
-
-// Err implements kv.Iterator.
-func (it *queueIterator) Err() error { return it.err }

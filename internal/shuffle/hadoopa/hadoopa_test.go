@@ -3,16 +3,20 @@ package hadoopa_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"rdmamr/internal/alloctest"
+	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/shuffle/hadoopa"
 	"rdmamr/internal/shuffle/wire"
+	"rdmamr/internal/verbs"
 	"rdmamr/internal/workload"
 )
 
@@ -199,4 +203,181 @@ func TestResponderAllocBudget(t *testing.T) {
 	if got := c.Counters().Get("tracker.mapoutput.disk.reads") - reads; got != 5 {
 		t.Fatalf("%d disk reads for 5 packets: every packet must read the partition", got)
 	}
+}
+
+// planted is one tracker holding maps sorted partitions of recs 100-byte
+// records each, fetched by driving the engine's ReduceFetcher directly.
+type planted struct {
+	t    *testing.T
+	c    *mapred.Cluster
+	tt   *mapred.TaskTracker
+	job  mapred.JobInfo
+	maps int
+}
+
+func plant(t *testing.T, maps, recs int) *planted {
+	conf := config.New()
+	conf.SetInt(config.KeyKVPairsPerPacket, 16) // many packets per partition
+	c := newCluster(t, 1, conf)
+	p := &planted{t: t, c: c, tt: c.Trackers()[0], maps: maps, job: mapred.JobInfo{
+		ID: "job_planted", Conf: c.Conf(), Comparator: kv.BytesComparator, NumMaps: maps, NumReduces: 1,
+	}}
+	for m := 0; m < maps; m++ {
+		run := make([]kv.Record, recs)
+		for i := range run {
+			run[i] = kv.Record{Key: []byte(fmt.Sprintf("k%05d-m%03d", i, m)), Value: bytes.Repeat([]byte{byte(m), byte(i)}, 44)}
+		}
+		p.tt.Store().OverwriteOwned(mapred.MapOutputKey(p.job.ID, m, 0), kv.WriteRun(run))
+	}
+	return p
+}
+
+// open starts one reduce fetch; recover, when not nil, is wired as the
+// task's RecoverMap.
+func (p *planted) open(ctx context.Context, recover func(context.Context, int, int) (string, error)) (mapred.ReduceFetcher, kv.Iterator) {
+	p.t.Helper()
+	events := make(chan mapred.MapEvent, p.maps)
+	for m := 0; m < p.maps; m++ {
+		events <- mapred.MapEvent{MapID: m, Host: p.tt.Host()}
+	}
+	close(events)
+	f, err := hadoopa.New().NewReduceFetcher(mapred.ReduceTaskInfo{
+		Job: p.job, Events: events, Local: p.tt, Hosts: []string{p.tt.Host()}, RecoverMap: recover,
+	})
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	it, err := f.Fetch(ctx)
+	if err != nil {
+		f.Close()
+		p.t.Fatal(err)
+	}
+	return f, it
+}
+
+func (p *planted) stream(ctx context.Context, recover func(context.Context, int, int) (string, error)) []kv.Record {
+	p.t.Helper()
+	f, it := p.open(ctx, recover)
+	defer f.Close()
+	var out []kv.Record
+	for it.Next() {
+		out = append(out, it.Record().Clone())
+	}
+	if err := it.Err(); err != nil {
+		p.t.Fatal(err)
+	}
+	return out
+}
+
+// TestReadFailureMidPartitionResumesAtOffset: an RDMA READ that fails on a
+// partition's third packet, with map recovery wired, re-requests that
+// packet's offset from the recovered host. (The error chunk used to leave
+// its offset unset, so the segment started over at 0 and the reduce saw
+// the first two packets' records twice.)
+func TestReadFailureMidPartitionResumesAtOffset(t *testing.T) {
+	p := plant(t, 1, 100) // one segment: packet n is READ n
+	ctx := ctxT(t)
+	want := p.stream(ctx, nil)
+	if len(want) != 100 {
+		t.Fatalf("fault-free stream has %d records, want 100", len(want))
+	}
+
+	fault := chaos.DropNth(verbs.OpRDMARead, 3)
+	p.tt.Fabric().Network().SetFaultInjector(fault)
+	defer p.tt.Fabric().Network().SetFaultInjector(nil)
+	recoveries := 0
+	got := p.stream(ctx, func(_ context.Context, mapID, attempt int) (string, error) {
+		recoveries++
+		return p.tt.Host(), nil // the output is intact; only the READ failed
+	})
+	select {
+	case <-fault.Reached():
+	default:
+		t.Fatal("the third READ never came: nothing was dropped")
+	}
+	if recoveries != 1 {
+		t.Fatalf("%d recoveries for one dropped READ", recoveries)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stream after a failed READ has %d records, fault-free has %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("record %d = %s, fault-free %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCancelWhileBlockedOnRefill: the reduce goroutine is inside Next,
+// waiting for a packet whose READ the fabric is sitting on, when the fetch
+// context is cancelled: Err carries ctx.Err(), Close returns, and no
+// goroutine of the reduce side is left. The same for Close before the
+// first Next.
+func TestCancelWhileBlockedOnRefill(t *testing.T) {
+	p := plant(t, 1, 100)
+	p.stream(ctxT(t), nil) // starts what a device starts once (its receive pump)
+	baseline := runtime.NumGoroutine()
+	// The tracker keeps an accepted endpoint's handler and QP processor
+	// until it closes itself — two goroutines for every fetch there has
+	// been, drained or not. Everything else a fetch starts must be gone.
+	fetches := 0
+	settle := func(when string) {
+		t.Helper()
+		fetches++
+		want := baseline + 2*fetches
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > want {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%s: %d goroutines, want at most %d\n%s", when, runtime.NumGoroutine(), want,
+					buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	p.stream(ctxT(t), nil)
+	settle("after a drained fetch")
+
+	fault := chaos.ParkNth(verbs.OpRDMARead, 3)
+	p.tt.Fabric().Network().SetFaultInjector(fault)
+	defer p.tt.Fabric().Network().SetFaultInjector(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f, it := p.open(ctx, nil)
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		n := 0
+		for it.Next() {
+			n++
+		}
+		done <- result{n, it.Err()}
+	}()
+	<-fault.Reached()
+	cancel()
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, context.Canceled) || r.n == 0 || r.n >= 100 {
+			t.Fatalf("Err = %v after %d records, want context.Canceled in mid-stream", r.err, r.n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next still blocked 10 s after the fetch context was cancelled")
+	}
+	fault.Release()
+	closed := make(chan struct{})
+	go func() { f.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hangs after a cancelled fetch")
+	}
+	settle("after cancel + Close")
+
+	p.tt.Fabric().Network().SetFaultInjector(nil)
+	f, _ = p.open(context.Background(), nil)
+	f.Close()
+	settle("after Close before the first Next")
 }
