@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile bench-depth bench-shuffle bench-conn bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
+.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile bench-depth bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
 
 verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke bench-harness fuzz-seeds alloc-budgets
 
@@ -29,13 +29,17 @@ race:
 # D6 + D10 self-healing gate: seeded fault injection (QP severs,
 # dropped and delayed sends, dead trackers, lost map outputs) plus
 # scripted whole-node death (kill mid-shuffle without revive, composed
-# with transport faults, and kill-then-revive), all under the race
-# detector. Seeds are fixed in the tests for reproducibility; set
+# with transport faults, and kill-then-revive) and, since cache-resident
+# partitions move by manifest + READ, what can happen to a published
+# manifest (lease expiry, eviction and job removal under it, the same
+# with seeded transport chaos on top), all under the race detector.
+# Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
 # gate always executes.
 chaos:
-	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
 
@@ -132,37 +136,11 @@ profile:
 bench-obs:
 	$(GO) test -run=NONE -bench='ObsOverheadDisabled|ObsOverheadEnabled' ./internal/core/
 
-# Shuffle benchmark sweep → BENCH_shuffle.json: copier chunk-fetch
-# allocation profile, copier pipeline depth, the D8 zero-copy responder
-# ablation (zerocopy vs staging arms), and the D9 three-arm fetch
-# ablation (read vs zerocopy vs staging, with responder busy-time and
-# send counts per fetch).
-bench-shuffle:
-	$(GO) test -run=NONE -bench='AblationZeroCopy|AblationFetchArm|FetchChunkAllocs' -benchtime=2000x ./internal/core/ > BENCH_shuffle.txt
-	$(GO) test -run=NONE -bench='ObsOverheadDisabled|ObsOverheadEnabled' ./internal/core/ >> BENCH_shuffle.txt
-	$(GO) test -run=NONE -bench='AblationOutstandingDepth' -benchtime=200x . >> BENCH_shuffle.txt
-	$(GO) test -run=NONE -bench='AblationConnScale' -benchtime=16x . >> BENCH_shuffle.txt
-	$(GO) run ./cmd/benchjson < BENCH_shuffle.txt > BENCH_shuffle.json
-	@rm -f BENCH_shuffle.txt
-	@echo "wrote BENCH_shuffle.json"
-
-# D13 connection & registered-memory scaling sweep: per-device endpoint
-# counts and pinned MR bytes for the legacy per-(fetcher, host)
-# transport vs the shared connection plane at {16, 64, 256, 1024} sim
-# nodes. Folds its rows into BENCH_shuffle.json in place (benchjson
-# -merge), leaving the other recorded benchmarks untouched.
-bench-conn:
-	$(GO) test -run=NONE -bench='AblationConnScale' -benchtime=16x . > BENCH_conn.txt
-	$(GO) run ./cmd/benchjson -merge BENCH_shuffle.json < BENCH_conn.txt > BENCH_conn.json
-	@mv BENCH_conn.json BENCH_shuffle.json
-	@rm -f BENCH_conn.txt
-	@echo "merged conn-scaling sweep into BENCH_shuffle.json"
-
-# One-iteration smoke pass over every shuffle benchmark: the gate is
-# that the harnesses build, run, and their internal assertions (e.g.
-# "the read arm actually issued READs") hold — not the numbers.
+# One-iteration smoke pass over the go-test benchmarks that are left
+# (chunk-path allocations, ring depth, the D13 connection-scaling
+# model): the gate is that the harnesses build and run, not the numbers.
 bench-smoke:
-	$(GO) test -run=NONE -bench='AblationFetchArm|AblationZeroCopy|FetchChunkAllocs' -benchtime=1x ./internal/core/
+	$(GO) test -run=NONE -bench='FetchChunkAllocs' -benchtime=1x ./internal/core/
 	$(GO) test -run=NONE -bench='AblationOutstandingDepth|AblationConnScale' -benchtime=1x .
 
 # D5 ablation: copier outstanding-request depth (bounce-buffer ring).

@@ -223,8 +223,8 @@ func BenchmarkAblationOutstandingDepth(b *testing.B) {
 // legacy per-(fetcher, host) transport versus the shared connection
 // plane (LRU-capped endpoints, SRQ receives, slab MR carves). The
 // plane's series goes flat once remote hosts exceed cap + active fetch
-// streams; the legacy series grows linearly without bound. Feeds the
-// conn-scaling rows of BENCH_shuffle.json via `make bench-conn`.
+// streams; the legacy series grows linearly without bound
+// (TestConnScalingSubLinear in internal/sim is the gate on the same model).
 func BenchmarkAblationConnScale(b *testing.B) {
 	for _, nodes := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {

@@ -61,30 +61,11 @@ const (
 	// connection (and re-issues through the retry budget), so a silent
 	// peer cannot stall a bounce-buffer slot forever. 0 disables.
 	KeyRDMARequestTimeout = "mapred.rdma.request.timeout"
-	// KeyRDMAZeroCopy selects the responder's zero-copy send path: cached
-	// map outputs are served by scatter-gather RDMA straight from the
-	// registered memory region they already live in, with only the small
-	// response header staged. false restores the legacy staging-copy
-	// responder (the ablation arm), which copies every chunk into a pooled
-	// registered bounce buffer before posting.
-	KeyRDMAZeroCopy = "mapred.rdma.zerocopy.enabled"
-	// KeyRDMAFetchArm names the shuffle fetch arm explicitly:
-	//   "read"     — one-sided arm: the responder publishes a descriptor
-	//                manifest over the pinned cache body and the copier
-	//                RDMA-READs payloads itself (falling back to the
-	//                zerocopy write path for anything not manifest-served);
-	//   "zerocopy" — responder-driven scatter-gather RDMA writes from the
-	//                pinned cache (the D8 path);
-	//   "staging"  — legacy staging-copy responder (the ablation arm).
-	// Unset (the default) derives the arm from KeyRDMAZeroCopy for
-	// backward compatibility: true → zerocopy, false → staging. When set,
-	// this key wins over KeyRDMAZeroCopy.
-	KeyRDMAFetchArm = "mapred.rdma.fetch.arm"
 	// KeyRDMAReadLeaseTimeout bounds, in milliseconds, how long a
 	// responder keeps a manifest's cache body pinned waiting for the
 	// copier to READ it. Expiry unpins the body; late READs then fail
-	// with a clean remote-access error and the copier falls back to the
-	// write path.
+	// with a clean remote-access error and the copier re-issues the chunk
+	// eagerly (staging copy + RDMA write).
 	KeyRDMAReadLeaseTimeout = "mapred.rdma.read.lease.timeout"
 	// KeyTrackerExpiry is the TaskTracker liveness window in
 	// milliseconds: a tracker whose last heartbeat is older than this is
@@ -190,8 +171,6 @@ var defaults = map[string]string{
 	KeyRDMABackoffBase:        "2",     // ms
 	KeyRDMABackoffMax:         "200",   // ms
 	KeyRDMARequestTimeout:     "30000", // ms; 0 disables the deadline
-	KeyRDMAZeroCopy:           "true",
-	KeyRDMAFetchArm:           "", // "" = follow KeyRDMAZeroCopy
 	KeyRDMAReadLeaseTimeout:   "30000",
 	KeyTrackerExpiry:          "10000", // ms
 	KeyMapMaxAttempts:         "4",
@@ -210,29 +189,6 @@ var defaults = map[string]string{
 	KeyRDMAConnIdleTimeout:    "1000", // ms; 0 = connections never idle out
 	KeyRDMAMRBudget:           "0",    // 0 = unlimited pinned slab bytes
 	KeyRDMAMRSlabBytes:        strconv.Itoa(8 << 20),
-}
-
-// Fetch arm values for KeyRDMAFetchArm.
-const (
-	FetchArmRead     = "read"
-	FetchArmZeroCopy = "zerocopy"
-	FetchArmStaging  = "staging"
-)
-
-// FetchArm resolves the effective shuffle fetch arm: the explicit
-// KeyRDMAFetchArm value when set, otherwise derived from KeyRDMAZeroCopy
-// (true → zerocopy, false → staging) so configurations predating the
-// read arm keep their behaviour. Unknown values resolve like unset;
-// Validate rejects them.
-func (c *Config) FetchArm() string {
-	switch v := strings.TrimSpace(c.Get(KeyRDMAFetchArm)); v {
-	case FetchArmRead, FetchArmZeroCopy, FetchArmStaging:
-		return v
-	}
-	if c.Bool(KeyRDMAZeroCopy) {
-		return FetchArmZeroCopy
-	}
-	return FetchArmStaging
 }
 
 // Config is a concurrency-safe key/value configuration. The zero value is
@@ -411,11 +367,6 @@ func (c *Config) Validate() error {
 	}
 	if mode := c.Get(KeyCachePriorityMode); mode != "priority" && mode != "fifo" {
 		return fmt.Errorf("config: %s must be priority or fifo, got %q", KeyCachePriorityMode, mode)
-	}
-	switch arm := strings.TrimSpace(c.Get(KeyRDMAFetchArm)); arm {
-	case "", FetchArmRead, FetchArmZeroCopy, FetchArmStaging:
-	default:
-		return fmt.Errorf("config: %s must be read, zerocopy, or staging, got %q", KeyRDMAFetchArm, arm)
 	}
 	if v := c.Int(KeyRDMAReadLeaseTimeout); v < 1 || v > 600000 {
 		return fmt.Errorf("config: %s = %d outside [1, 600000] ms", KeyRDMAReadLeaseTimeout, v)

@@ -19,9 +19,6 @@ func TestDefaults(t *testing.T) {
 	if c.Int(KeyHTTPPacketBytes) != 65536 {
 		t.Fatal("default HTTP packet must be 64KB per paper §III-B.2")
 	}
-	if !c.Bool(KeyRDMAZeroCopy) {
-		t.Fatal("zero-copy responder should default on")
-	}
 }
 
 func TestZeroValueConfigServesDefaults(t *testing.T) {
@@ -200,41 +197,8 @@ func TestValidateRobustnessKeys(t *testing.T) {
 	}
 }
 
-func TestFetchArmResolution(t *testing.T) {
+func TestValidateReadLeaseTimeout(t *testing.T) {
 	c := New()
-	if arm := c.FetchArm(); arm != FetchArmZeroCopy {
-		t.Fatalf("default arm = %q, want zerocopy (zerocopy.enabled defaults true)", arm)
-	}
-	c.SetBool(KeyRDMAZeroCopy, false)
-	if arm := c.FetchArm(); arm != FetchArmStaging {
-		t.Fatalf("zerocopy=false arm = %q, want staging", arm)
-	}
-	// The explicit key wins over the legacy boolean.
-	c.Set(KeyRDMAFetchArm, FetchArmRead)
-	if arm := c.FetchArm(); arm != FetchArmRead {
-		t.Fatalf("explicit read arm = %q", arm)
-	}
-	c.Set(KeyRDMAFetchArm, " zerocopy ")
-	if arm := c.FetchArm(); arm != FetchArmZeroCopy {
-		t.Fatalf("whitespace-padded arm = %q, want zerocopy", arm)
-	}
-	// Nil config resolves like defaults.
-	var nilConf *Config
-	if arm := nilConf.FetchArm(); arm != FetchArmZeroCopy {
-		t.Fatalf("nil config arm = %q", arm)
-	}
-}
-
-func TestValidateFetchArmAndLease(t *testing.T) {
-	c := New()
-	c.Set(KeyRDMAFetchArm, "pigeon")
-	if err := c.Validate(); err == nil {
-		t.Fatal("unknown fetch arm accepted")
-	}
-	c.Set(KeyRDMAFetchArm, FetchArmRead)
-	if err := c.Validate(); err != nil {
-		t.Fatalf("read arm rejected: %v", err)
-	}
 	c.SetInt(KeyRDMAReadLeaseTimeout, 0)
 	if err := c.Validate(); err == nil {
 		t.Fatal("zero lease timeout accepted")
@@ -247,11 +211,11 @@ func TestValidateFetchArmAndLease(t *testing.T) {
 
 func TestSnapshotCoversDefaultsAndOverrides(t *testing.T) {
 	c := New()
-	c.Set(KeyRDMAFetchArm, FetchArmRead)
+	c.Set(KeyCachePriorityMode, "fifo")
 	c.Set("x.custom.key", "7")
 	snap := c.Snapshot()
-	if snap[KeyRDMAFetchArm] != FetchArmRead {
-		t.Fatalf("snapshot missed override: %q", snap[KeyRDMAFetchArm])
+	if snap[KeyCachePriorityMode] != "fifo" {
+		t.Fatalf("snapshot missed override: %q", snap[KeyCachePriorityMode])
 	}
 	if snap[KeyRDMAPacketBytes] != "131072" {
 		t.Fatalf("snapshot missed default: %q", snap[KeyRDMAPacketBytes])
@@ -260,7 +224,7 @@ func TestSnapshotCoversDefaultsAndOverrides(t *testing.T) {
 		t.Fatal("snapshot missed unknown explicit key")
 	}
 	var nilConf *Config
-	if nilSnap := nilConf.Snapshot(); nilSnap[KeyRDMAZeroCopy] != "true" {
+	if nilSnap := nilConf.Snapshot(); nilSnap[KeyCachingEnabled] != "true" {
 		t.Fatal("nil snapshot missing defaults")
 	}
 }

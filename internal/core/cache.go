@@ -40,8 +40,8 @@ const (
 )
 
 // Registrar supplies registered backing store for cache entry bodies so
-// responders can serve them by scatter-gather RDMA without a staging
-// copy (D8). Since D13 it is satisfied by *mrpool.Pool: entries carve
+// a manifest can advertise them to copier READs with no staging copy
+// (D8). Since D13 it is satisfied by *mrpool.Pool: entries carve
 // window-advertised blocks out of the device's slab pool instead of
 // registering each body as its own region.
 type Registrar interface {
@@ -53,8 +53,7 @@ type Registrar interface {
 // slab budget rejected them), and a reference count. The cache itself
 // holds one reference for as long as the entry is in the map; every
 // pinned CacheView holds another. The block is freed only when the last
-// reference drops, so an in-flight zero-copy send or remote READ lease
-// keeps its source bytes pinned even if the entry is evicted mid-transfer
+// reference drops, so a remote READ lease keeps its source bytes pinned even if the entry is evicted mid-transfer
 // — and the block's window invalidates at that same instant, so a READ
 // arriving later faults instead of observing reused slab bytes.
 type cacheBody struct {
@@ -83,23 +82,14 @@ type CacheView struct {
 // Bytes returns the cached run. Treat as read-only.
 func (v *CacheView) Bytes() []byte { return v.body.data }
 
-// MR returns the slab region backing Bytes (pair with MROffset for local
-// SGEs), or nil when the entry was cached without registration (no
-// registrar, or the slab budget rejected it); callers must then fall
-// back to the staging path.
+// MR returns the slab region backing Bytes, or nil when the entry was
+// cached without registration (no registrar, or the slab budget rejected
+// it); the responder then serves it eagerly through the staging copy.
 func (v *CacheView) MR() *verbs.MemoryRegion {
 	if v.body.blk == nil {
 		return nil
 	}
 	return v.body.blk.MR()
-}
-
-// MROffset is Bytes' offset inside MR() for scatter-gather SGEs.
-func (v *CacheView) MROffset() int {
-	if v.body.blk == nil {
-		return 0
-	}
-	return v.body.blk.Offset()
 }
 
 // Addr is the remote virtual address of Bytes[0] — the base one-sided
@@ -277,7 +267,7 @@ func (c *PrefetchCache) shard(key CacheKey) *cacheShard {
 // Get returns the cached partition and whether it was present, recording
 // a hit or miss. The returned slice must be treated as read-only; its
 // bytes remain valid (bodies are immutable) but its registration may
-// lapse after eviction — use Acquire for the zero-copy path.
+// lapse after eviction — use Acquire to advertise it for READ.
 func (c *PrefetchCache) Get(key CacheKey) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -295,8 +285,8 @@ func (c *PrefetchCache) Get(key CacheKey) ([]byte, bool) {
 
 // Acquire is Get returning a pinned view: the entry's bytes stay
 // registered until the view is released, even across eviction or
-// RemoveJob. Responders serving zero-copy sends hold the view until the
-// RDMA write and header send have completed.
+// RemoveJob. The responder parks the view in a read lease for as long
+// as a published manifest may still be READ.
 func (c *PrefetchCache) Acquire(key CacheKey) (*CacheView, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -329,7 +319,7 @@ func (c *PrefetchCache) Contains(key CacheKey) bool {
 // admitted: an entry larger than the whole cache (shard), or one that
 // would require evicting strictly more valuable entries, is rejected.
 // When a registrar is wired the bytes are registered here, once, so every
-// subsequent request against this entry can be served zero-copy.
+// subsequent request against this entry can be answered by manifest.
 //
 // The cache always keeps its own copy of data, never the slice itself,
 // so a caller may pass bytes it only borrowed (LocalStore.Get).
@@ -339,9 +329,9 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	body.refs.Store(1) // the cache's own reference
 	if r := c.getRegistrar(); r != nil && len(data) > 0 {
 		// Carve a window-advertised block from the device's slab pool and
-		// copy the bytes into it, so the entry serves zero-copy sends and
-		// one-sided READs without its own registration. On budget rejection
-		// the entry caches unregistered (staging path) — degraded, not dead.
+		// copy the bytes into it, so the entry serves one-sided READs
+		// without its own registration. On budget rejection the entry
+		// caches unregistered (served eagerly) — degraded, not dead.
 		if blk, err := r.AllocRemote(len(data), "cache"); err == nil {
 			body.blk = blk
 			body.data = blk.Bytes()
@@ -502,7 +492,7 @@ func (s *cacheShard) evictLocked(c *PrefetchCache, protect *cacheEntry) {
 // returns the tenant's registered memory to the shared pool; the bytes
 // reclaimed are summed into cache.removejob.bytes so tests and the obs
 // plane can assert exact per-tenant reclamation. Entries pinned by
-// in-flight sends stay registered until released.
+// read leases stay registered until released.
 func (c *PrefetchCache) RemoveJob(jobID string) {
 	var reclaimed int64
 	for _, s := range c.shards {

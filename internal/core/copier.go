@@ -225,11 +225,12 @@ type chunkReq struct {
 	// re-issued request keeps its original enq, so the span covers the
 	// full latency the reducer observed, retries included.
 	enq time.Time
-	// noRead forces the two-sided path for this request. Set after a READ
-	// against this offset faulted (lease expired, entry evicted): the
-	// re-issue must not ask for another manifest, or an aggressively
-	// evicting tracker could bounce the same chunk between arms forever.
-	// Survives takePending re-issues by riding in the request itself.
+	// noRead makes this request ask for an eager response (no
+	// FlagFetchRead). Set after a READ against this offset faulted (lease
+	// expired, entry evicted): the re-issue must not ask for another
+	// manifest, or an aggressively evicting tracker could bounce the same
+	// chunk between manifest and fault forever. Survives takePending
+	// re-issues by riding in the request itself.
 	noRead bool
 }
 
@@ -366,8 +367,14 @@ type hostConn struct {
 	// delivery, or queued demand.
 	lastActive atomic.Int64
 
-	// readCh feeds the read pumps. Capacity is depth: a job owns a slot,
-	// so there can never be more queued jobs than slots.
+	// pumps is every goroutine runConn runs for this connection, the read
+	// pumps included: takePending is safe only after it has drained.
+	pumps sync.WaitGroup
+
+	// readCh feeds the read pumps; both exist from the connection's first
+	// manifest on (installPlan), so a connection that is only ever served
+	// eagerly pays for neither. Capacity is depth: a job owns a slot, so
+	// there can never be more queued jobs than slots. Written under mu.
 	readCh chan readJob
 
 	mu       sync.Mutex
@@ -414,8 +421,8 @@ func (hc *hostConn) stashUnsent(reqs ...chunkReq) {
 }
 
 // takePending drains every request the dead connection still owed a
-// response (in-flight and unsent). Called only after both pumps have
-// parked, so exactly one owner remains per request.
+// response (in-flight and unsent). Called only after hc.pumps has
+// drained, so exactly one owner remains per request.
 func (hc *hostConn) takePending() []chunkReq {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
@@ -428,6 +435,21 @@ func (hc *hostConn) takePending() []chunkReq {
 	hc.unsent = nil
 	hc.inFlight = 0
 	return reqs
+}
+
+// takeSlot claims the in-flight request that owns ring slot `slot`,
+// reporting false when a teardown (or a duplicate completion) already took
+// it. Whoever gets true owns the request: complete it, re-issue it, or put
+// it back.
+func (hc *hostConn) takeSlot(slot uint32) (pendingSlot, bool) {
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	ps, ok := hc.pending[slot]
+	if ok {
+		delete(hc.pending, slot)
+		hc.inFlight--
+	}
+	return ps, ok
 }
 
 // planTake matches a request against the host's live plan for its map:
@@ -571,7 +593,6 @@ func (f *fetcher) dialConn(ctx context.Context, host string) (*hostConn, uint64,
 		slotSize: f.slotSize, depth: f.depth,
 		free:    make(chan uint32, f.depth),
 		pending: make(map[uint32]pendingSlot, f.depth),
-		readCh:  make(chan readJob, f.depth),
 		plans:   make(map[int]*readPlan),
 		failed:  make(chan struct{}),
 	}
@@ -710,39 +731,29 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 }
 
 // runConn operates one connection until it fails or ctx ends: request
-// pump, completion pump, and (when a deadline is configured) the
-// watchdog. Returns nil on orderly shutdown, the first failure otherwise.
+// pump, completion pump (which starts the read pumps on the first
+// manifest), and when configured the deadline watchdog and idle monitor.
+// Returns nil on orderly shutdown, the first failure otherwise.
 func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphans []chunkReq) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); f.sendLoop(cctx, p, hc, orphans) }()
-	go func() { defer wg.Done(); f.recvLoop(cctx, p, hc) }()
-	if f.readArm {
-		// One pump per slot: every queued readJob owns a slot, so depth
-		// pumps drain the channel at full pipeline depth. They join the
-		// same group as the wire pumps — takePending runs only after every
-		// goroutine that could touch hc.pending has parked.
-		for i := 0; i < hc.depth; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); f.readPump(cctx, p, hc) }()
-		}
-	}
+	hc.pumps.Add(2)
+	go func() { defer hc.pumps.Done(); f.sendLoop(cctx, p, hc, orphans) }()
+	go func() { defer hc.pumps.Done(); f.recvLoop(cctx, p, hc) }()
 	if f.reqTimeout > 0 {
-		wg.Add(1)
-		go func() { defer wg.Done(); f.watchdog(cctx, p, hc) }()
+		hc.pumps.Add(1)
+		go func() { defer hc.pumps.Done(); f.watchdog(cctx, p, hc) }()
 	}
 	if f.connIdle > 0 {
-		wg.Add(1)
-		go func() { defer wg.Done(); f.idleMonitor(cctx, p, hc) }()
+		hc.pumps.Add(1)
+		go func() { defer hc.pumps.Done(); f.idleMonitor(cctx, p, hc) }()
 	}
 	select {
 	case <-hc.failed:
 	case <-ctx.Done():
 	}
 	cancel()
-	wg.Wait()
+	hc.pumps.Wait()
 	err := hc.failure()
 	// Idle retirement and orderly shutdown release the lease but leave the
 	// shared endpoint alive for other fetchers; real failures kill it so
@@ -898,13 +909,15 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 		hc.mu.Unlock()
 		f.cOutPeak.Max(int64(depthNow))
 		f.prof.SlotOccupancy(depthNow)
-		if f.readArm && !req.noRead {
+		if !req.noRead {
 			entry, plan, staleID, hit := hc.planTake(req.mapID, req.offset)
 			hc.releaseLease(cctx, staleID)
 			if hit {
 				// The live manifest already covers this offset: hand the
-				// slot to a read pump and send nothing. This is the arm's
-				// payoff — one responder message per plan, not per chunk.
+				// slot to a read pump and send nothing. This is the
+				// rendezvous payoff — one responder message per plan, not
+				// per chunk. (A plan implies a manifest arrived, so readCh
+				// exists; planTake's lock ordered the read after its write.)
 				select {
 				case hc.readCh <- readJob{slot: slot, req: req, entry: entry, plan: plan}:
 				case <-cctx.Done():
@@ -926,7 +939,9 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 			RKey:       hc.ring.RKey(),
 			Tag:        hc.lease.Tag(slot),
 		}
-		if f.readArm && !req.noRead {
+		if !req.noRead {
+			// Always read-capable: the responder decides per request
+			// whether to answer with a manifest or eagerly.
 			wreq.Flags = wire.FlagFetchRead
 		}
 		scratch = wreq.EncodeAppend(scratch[:0])
@@ -944,11 +959,10 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 	}
 }
 
-// recvLoop is the connection's completion pump: each response header is
-// matched to its slot by tag (the payload was RDMA-written into that slot
-// before the header was sent), copied out into a pooled payload buffer,
-// and delivered to the owning segment. Delivery never blocks: a segment
-// has at most one chunk in flight and a one-slot ready channel.
+// recvLoop is the connection's completion pump. An eager response's
+// header is matched to its slot by tag (the payload was RDMA-written into
+// that slot before the header was sent) and completed; a manifest hands
+// its slot to the read pumps instead.
 //
 // Serving errors marked Transient re-issue through the request's retry
 // budget without tearing the connection down; fatal serving errors (the
@@ -957,7 +971,6 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 // bookkeeping is unrecoverable, but the in-flight requests re-issue
 // idempotently on the next one.
 func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
-	counters := f.task.Local.Counters()
 	for {
 		lm, err := hc.lease.Recv(cctx)
 		if err != nil {
@@ -968,11 +981,7 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 		}
 		hc.touch()
 		if lm.man != nil {
-			if !f.readArm {
-				hc.abort(fmt.Errorf("core: %s: %w: unsolicited read manifest", p.host, errProtocol))
-				return
-			}
-			if err := f.installPlan(cctx, hc, lm.man); err != nil {
+			if err := f.installPlan(cctx, p, hc, lm.man); err != nil {
 				hc.abort(fmt.Errorf("core: %s: %w", p.host, err))
 				return
 			}
@@ -982,13 +991,7 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 		// The lease's sequence prefix routed the message here; the low
 		// half-word is the ring slot.
 		slot := resp.Tag & 0xffff
-		hc.mu.Lock()
-		ps, ok := hc.pending[slot]
-		if ok {
-			delete(hc.pending, slot)
-			hc.inFlight--
-		}
-		hc.mu.Unlock()
+		ps, ok := hc.takeSlot(slot)
 		if !ok {
 			hc.abort(fmt.Errorf("core: %s: %w: response with unknown slot tag %d", p.host, errProtocol, resp.Tag))
 			return
@@ -1026,43 +1029,59 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 			hc.abort(fmt.Errorf("core: %s: %w: response claims %d bytes in a %d-byte slot", p.host, errProtocol, resp.Bytes, hc.slotSize))
 			return
 		default:
-			var payload []byte
-			if resp.Bytes > 0 {
-				payload = getPayload(int(resp.Bytes), counters)
-				start := int(slot) * hc.slotSize
-				copy(payload, hc.ring.Bytes()[start:start+int(resp.Bytes)])
-			}
-			f.cRecvBytes.Add(int64(resp.Bytes))
-			f.nFetchBytes.Add(int64(resp.Bytes))
-			f.nFetchChunks.Add(1)
-			if !hc.progress.Swap(true) {
-				p.health.recordSuccessGen(hc.gen)
-			}
-			ck := chunk{data: payload, eof: resp.EOF, next: resp.Offset + int64(resp.Bytes), off: req.offset}
-			if f.prof != nil {
-				ck.span = &obs.FetchSpan{
-					Host: p.host, Reduce: f.task.ReduceID, MapID: req.mapID,
-					Offset: req.offset, Bytes: int(resp.Bytes), Retries: req.retries,
-					Enqueued: req.enq, Sent: ps.issued, Received: time.Now(),
-					SlotWait: ps.slotWait,
-				}
-			}
-			// The slot's bytes are copied out: recycle it before delivery
-			// so the send pump can refill it immediately.
-			hc.free <- slot
-			deliver(f.runCtx, req.seg, ck)
+			f.complete(p, hc, slot, ps, int(resp.Bytes), resp.EOF)
 		}
 	}
+}
+
+// complete finishes one fetched chunk however it arrived — RDMA-written
+// by the responder ahead of its header, or READ by a read pump — so a
+// chunk is accounted in exactly one place: the n payload bytes sitting in
+// ring slot `slot` are copied out into a pooled buffer, counted, spanned,
+// and delivered to the owning segment. ps is the pending entry the caller
+// took for the slot. Delivery never blocks: a segment has at most one
+// chunk in flight and a one-slot ready channel.
+func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlot, n int, eof bool) {
+	var payload []byte
+	if n > 0 {
+		payload = getPayload(n, f.task.Local.Counters())
+		start := int(slot) * hc.slotSize
+		copy(payload, hc.ring.Bytes()[start:start+n])
+	}
+	f.cBytes.Add(int64(n))
+	f.cPackets.Add(1)
+	f.cRecvBytes.Add(int64(n))
+	f.nFetchBytes.Add(int64(n))
+	f.nFetchChunks.Add(1)
+	if !hc.progress.Swap(true) {
+		p.health.recordSuccessGen(hc.gen)
+	}
+	req := ps.req
+	ck := chunk{data: payload, eof: eof, next: req.offset + int64(n), off: req.offset}
+	if f.prof != nil {
+		ck.span = &obs.FetchSpan{
+			Host: p.host, Reduce: f.task.ReduceID, MapID: req.mapID,
+			Offset: req.offset, Bytes: n, Retries: req.retries,
+			Enqueued: req.enq, Sent: ps.issued, Received: time.Now(),
+			SlotWait: ps.slotWait,
+		}
+	}
+	// The slot's bytes are copied out: recycle it before delivery so the
+	// send pump can refill it immediately.
+	hc.free <- slot
+	deliver(f.runCtx, req.seg, ck)
 }
 
 // installPlan accepts a descriptor manifest answering the request in
 // slot m.Tag: chunk 0 is dispatched to a read pump immediately and the
 // rest become the host's live plan for that map, consumed by planTake as
 // the segment walks forward. The pending entry stays registered — the
-// read pump, not a wire response, completes it. Returns an error (a
+// read pump, not a wire response, completes it. The connection's first
+// manifest starts the read pumps, from the completion pump and so inside
+// hc.pumps before runConn can finish waiting on it. Returns an error (a
 // protocol violation aborting the connection) when the manifest does not
 // match what the slot asked for.
-func (f *fetcher) installPlan(cctx context.Context, hc *hostConn, m *wire.ReadManifest) error {
+func (f *fetcher) installPlan(cctx context.Context, p *hostPeer, hc *hostConn, m *wire.ReadManifest) error {
 	slot := m.Tag & 0xffff
 	hc.mu.Lock()
 	ps, ok := hc.pending[slot]
@@ -1079,7 +1098,19 @@ func (f *fetcher) installPlan(cctx context.Context, hc *hostConn, m *wire.ReadMa
 	if len(plan.chunks) > 0 {
 		hc.plans[plan.mapID] = plan
 	}
+	first := hc.readCh == nil
+	if first {
+		hc.readCh = make(chan readJob, hc.depth)
+	}
 	hc.mu.Unlock()
+	if first {
+		// One pump per slot: every queued readJob owns a slot, so depth
+		// pumps drain the channel at full pipeline depth.
+		for i := 0; i < hc.depth; i++ {
+			hc.pumps.Add(1)
+			go func() { defer hc.pumps.Done(); f.readPump(cctx, p, hc) }()
+		}
+	}
 	if stale != nil {
 		hc.releaseLease(cctx, hc.detachPlan(stale))
 	}
@@ -1109,7 +1140,7 @@ func (f *fetcher) readPump(cctx context.Context, p *hostPeer, hc *hostConn) {
 // ranges are record-boundary descriptors over the pinned cache region;
 // contiguous ones coalesce into a single READ. The local destination is
 // the slot, filled front to back, so the payload lands exactly as an
-// RDMA-written response would have.
+// RDMA-written response would have and completes the same way.
 func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
 	entry := job.entry
 	n := int(entry.Bytes)
@@ -1143,50 +1174,23 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 		reads++
 	}
 	hc.touch()
-	hc.mu.Lock()
-	ps, ok := hc.pending[job.slot]
-	if ok {
-		delete(hc.pending, job.slot)
-		hc.inFlight--
-	}
-	hc.mu.Unlock()
+	ps, ok := hc.takeSlot(job.slot)
 	if !ok {
 		// Torn down underneath us; takePending owns the request now.
 		return
 	}
-	counters := f.task.Local.Counters()
-	var payload []byte
-	if n > 0 {
-		payload = getPayload(n, counters)
-		copy(payload, hc.ring.Bytes()[base:base+n])
-	}
 	f.cReadIssued.Add(int64(reads))
 	f.cReadBytes.Add(int64(n))
-	f.cRecvBytes.Add(int64(n))
+	f.cZeroCopyHits.Add(1)
 	f.nReadIssued.Add(int64(reads))
-	f.nFetchBytes.Add(int64(n))
-	f.nFetchChunks.Add(1)
-	if !hc.progress.Swap(true) {
-		p.health.recordSuccessGen(hc.gen)
-	}
-	ck := chunk{data: payload, eof: entry.EOF, next: entry.Offset + int64(n), off: job.req.offset}
-	if f.prof != nil {
-		ck.span = &obs.FetchSpan{
-			Host: p.host, Reduce: f.task.ReduceID, MapID: job.req.mapID,
-			Offset: job.req.offset, Bytes: n, Retries: job.req.retries,
-			Enqueued: job.req.enq, Sent: ps.issued, Received: time.Now(),
-			SlotWait: ps.slotWait,
-		}
-	}
-	hc.free <- job.slot
 	hc.releaseLease(cctx, hc.planDone(job.plan))
-	deliver(f.runCtx, job.req.seg, ck)
+	f.complete(p, hc, job.slot, ps, n, entry.EOF)
 }
 
 // readFailed handles a failed READ. A remote-access fault means the
 // lease expired or the entry was evicted and its region deregistered —
 // the bytes were never written, nothing is corrupt — so the request
-// falls back to the two-sided path (noRead) without consuming retry
+// is re-issued for an eager response (noRead) without consuming retry
 // budget. Anything else is a transport failure: abort the connection and
 // let the supervisor re-issue everything idempotently.
 func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) {
@@ -1200,14 +1204,7 @@ func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, jo
 		hc.abort(fmt.Errorf("core: read from %s: %w", p.host, err))
 		return
 	}
-	hc.mu.Lock()
-	_, ok := hc.pending[job.slot]
-	if ok {
-		delete(hc.pending, job.slot)
-		hc.inFlight--
-	}
-	hc.mu.Unlock()
-	if !ok {
+	if _, ok := hc.takeSlot(job.slot); !ok {
 		return
 	}
 	hc.free <- job.slot
@@ -1276,9 +1273,6 @@ type fetcher struct {
 	kvPerPacket int
 	slotSize    int
 	depth       int
-	// readArm: fetch requests advertise read-capability and cache-resident
-	// chunks are pulled by one-sided RDMA READ (D9).
-	readArm bool
 
 	// Robustness policy (see DESIGN.md D6).
 	connectRetries int
@@ -1306,11 +1300,14 @@ type fetcher struct {
 	cReconnects    *obs.Counter
 	cDeadline      *obs.Counter
 	cSlotStalls    *obs.Counter
+	cBytes         *obs.Counter // shuffle.rdma.bytes: delivered, either way
+	cPackets       *obs.Counter
 	cRecvBytes     *obs.Counter
 	cOutPeak       *obs.Counter
 	cReadIssued    *obs.Counter
 	cReadBytes     *obs.Counter
 	cReadFallbacks *obs.Counter
+	cZeroCopyHits  *obs.Counter // chunks READ: no responder copy
 	// Node-local handles (the reducer node's own registry, shipped on
 	// heartbeats); nil no-ops when cluster telemetry is off.
 	nFetchBytes  *obs.Counter
@@ -1350,7 +1347,6 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	c := task.Local.Counters()
 	f := &fetcher{
 		task:           task,
-		readArm:        conf.FetchArm() == config.FetchArmRead,
 		overlap:        conf.Bool(config.KeyOverlapReduce),
 		kvPerPacket:    int(conf.Int(config.KeyKVPairsPerPacket)),
 		slotSize:       packet + 64<<10,
@@ -1368,11 +1364,14 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cReconnects = c.Handle("shuffle.rdma.reconnects")
 	f.cDeadline = c.Handle("shuffle.rdma.deadline.exceeded")
 	f.cSlotStalls = c.Handle("shuffle.rdma.slot.stalls")
+	f.cBytes = c.Handle("shuffle.rdma.bytes")
+	f.cPackets = c.Handle("shuffle.rdma.packets")
 	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")
 	f.cOutPeak = c.Handle("shuffle.rdma.outstanding.peak")
 	f.cReadIssued = c.Handle("shuffle.rdma.read.issued")
 	f.cReadBytes = c.Handle("shuffle.rdma.read.bytes")
 	f.cReadFallbacks = c.Handle("shuffle.rdma.read.fallbacks")
+	f.cZeroCopyHits = c.Handle("shuffle.rdma.zerocopy.hits")
 	f.tr = task.Local.TraceFor(task.Job.ID)
 	nreg := task.Local.NodeRegistry()
 	f.nFetchBytes = nreg.Counter("node.fetch.bytes")

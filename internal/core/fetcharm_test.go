@@ -10,13 +10,6 @@ import (
 	"rdmamr/internal/fabric"
 )
 
-// readConf is stressConf with the D9 one-sided fetch arm selected.
-func readConf(depth int64) *config.Config {
-	conf := stressConf(depth)
-	conf.Set(config.KeyRDMAFetchArm, config.FetchArmRead)
-	return conf
-}
-
 func waitFor(t testing.TB, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -30,14 +23,14 @@ func waitFor(t testing.TB, cond func() bool) {
 }
 
 // TestRingReadArmServesFromCache: once every partition is cache-resident,
-// a full fetcher lifetime on the read arm moves the entire shuffle by
-// one-sided READs — zero two-sided data packets, zero fallbacks — and
-// releases every lease when done.
+// a full fetcher lifetime moves the entire shuffle by one-sided READs —
+// every delivered chunk was READ, the responder served nothing eagerly
+// and staged nothing, zero fallbacks — and releases every lease when done.
 func TestRingReadArmServesFromCache(t *testing.T) {
 	poisonReleasedPayloads.Store(true)
 	defer poisonReleasedPayloads.Store(false)
 
-	h := newRingHarness(t, readConf(4), 8, 100)
+	h := newRingHarness(t, stressConf(4), 8, 100)
 	srv, ok := h.cluster.Servers()[0].(*trackerServer)
 	if !ok {
 		t.Fatalf("server is %T, want *trackerServer", h.cluster.Servers()[0])
@@ -45,27 +38,40 @@ func TestRingReadArmServesFromCache(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	// Cold pass: demand misses re-cache every partition in the background.
+	// Cold pass: demand misses are served eagerly from disk and re-cache
+	// every partition in the background.
 	h.fetch(ctx)
 	c := h.tt.Counters()
 	waitFor(t, func() bool { return c.Get("cache.inserted") >= int64(h.numMaps) })
 
-	packets := c.Get("shuffle.rdma.packets")
-	issued := c.Get("shuffle.rdma.read.issued")
-	manifests := c.Get("shuffle.rdma.read.manifests")
+	before := c.Snapshot()
+	delta := func(name string) int64 { return c.Get(name) - before[name] }
 
 	// Warm pass: everything is cache-resident, so the responder publishes
 	// manifests and never touches a payload byte.
 	h.fetch(ctx)
 
-	if got := c.Get("shuffle.rdma.read.issued"); got <= issued {
-		t.Fatalf("read.issued = %d before, %d after: warm pass issued no READs", issued, got)
+	chunks := delta("shuffle.rdma.packets")
+	if chunks == 0 {
+		t.Fatal("warm pass counted no delivered chunks")
 	}
-	if got := c.Get("shuffle.rdma.read.manifests"); got < manifests+int64(h.numMaps) {
-		t.Fatalf("manifests %d → %d for %d cached maps", manifests, got, h.numMaps)
+	if got := delta("shuffle.rdma.zerocopy.hits"); got != chunks {
+		t.Fatalf("%d of %d warm chunks were READ", got, chunks)
 	}
-	if got := c.Get("shuffle.rdma.packets"); got != packets {
-		t.Fatalf("warm pass sent %d two-sided data packets", got-packets)
+	if got := delta("shuffle.rdma.read.issued"); got < chunks {
+		t.Fatalf("read.issued grew by %d for %d chunks: a chunk arrived without a READ", got, chunks)
+	}
+	if got, want := delta("shuffle.rdma.read.bytes"), delta("shuffle.rdma.bytes"); got != want || want == 0 {
+		t.Fatalf("read.bytes grew by %d, shuffle.rdma.bytes by %d", got, want)
+	}
+	if got := delta("shuffle.rdma.read.manifests"); got < int64(h.numMaps) {
+		t.Fatalf("%d manifests for %d cached maps", got, h.numMaps)
+	}
+	if got := delta("shuffle.rdma.zerocopy.fallbacks"); got != 0 {
+		t.Fatalf("warm pass was served %d eager responses", got)
+	}
+	if n := c.Get("shuffle.rdma.stage.outstanding"); n != 0 {
+		t.Fatalf("%d staging blocks outstanding after a READ-only pass", n)
 	}
 	if n := c.Get("shuffle.rdma.read.fallbacks"); n != 0 {
 		t.Fatalf("%d fallbacks on an undisturbed warm fetch", n)
@@ -81,15 +87,15 @@ func TestRingReadArmServesFromCache(t *testing.T) {
 // TestRingReadArmEvictionChurn races published manifests against cache
 // eviction and forced lease teardown (under -race): a 5ms lease TTL plus
 // a goroutine hammering JobComplete + lease drain guarantees READs land
-// on deregistered memory mid-plan. Every such fault must degrade to the
-// two-sided fallback — the merged stream stays byte-exact on every round
+// on deregistered memory mid-plan. Every such fault must degrade to an
+// eager re-issue — the merged stream stays byte-exact on every round
 // (released-buffer poison turns any stale read into visible corruption)
 // and nothing hangs or leaks.
 func TestRingReadArmEvictionChurn(t *testing.T) {
 	poisonReleasedPayloads.Store(true)
 	defer poisonReleasedPayloads.Store(false)
 
-	conf := readConf(4)
+	conf := stressConf(4)
 	conf.SetInt(config.KeyRDMAReadLeaseTimeout, 5)
 	h := newRingHarness(t, conf, 8, 400)
 	srv, ok := h.cluster.Servers()[0].(*trackerServer)
@@ -143,55 +149,7 @@ func TestRingReadArmEvictionChurn(t *testing.T) {
 		t.Fatalf("no READ fallback in %d churn rounds; eviction race never exercised", rounds)
 	}
 	if c.Get("shuffle.rdma.read.issued") == 0 {
-		t.Fatal("churn rounds never took the read arm at all")
+		t.Fatal("churn rounds never READ a chunk at all")
 	}
 	waitFor(t, func() bool { return srv.leases.live() == 0 })
-}
-
-// BenchmarkAblationFetchArm is the D9 ablation: identical warm-cache
-// shuffles on the staging, zerocopy, and read arms. Beyond ns/op the
-// interesting numbers are responder-side: resp-ns/MB (responder busy
-// time per megabyte delivered, from shuffle.rdma.responder.busy.ns) and
-// resp-sends/op (two-sided data packets plus manifests the responder had
-// to send per fetch) — the read arm's claim is one manifest per plan
-// instead of one send per chunk, with payload bytes moved entirely by
-// reducer-issued READs.
-func BenchmarkAblationFetchArm(b *testing.B) {
-	for _, arm := range []string{config.FetchArmStaging, config.FetchArmZeroCopy, config.FetchArmRead} {
-		b.Run(arm, func(b *testing.B) {
-			conf := stressConf(4)
-			conf.Set(config.KeyRDMAFetchArm, arm)
-			h := newRingHarness(b, conf, 8, 200)
-			ctx := context.Background()
-			h.fetch(ctx) // warm the pools and, on cached arms, the cache
-			if arm != config.FetchArmStaging {
-				waitFor(b, func() bool { return h.tt.Counters().Get("cache.inserted") >= int64(h.numMaps) })
-			}
-			c := h.tt.Counters()
-			busy := c.Get("shuffle.rdma.responder.busy.ns")
-			sends := c.Get("shuffle.rdma.packets") + c.Get("shuffle.rdma.read.manifests")
-			delivered := c.Get("shuffle.rdma.recv.bytes")
-			issued := c.Get("shuffle.rdma.read.issued")
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.fetch(ctx)
-			}
-			b.StopTimer()
-
-			dBusy := c.Get("shuffle.rdma.responder.busy.ns") - busy
-			dSends := c.Get("shuffle.rdma.packets") + c.Get("shuffle.rdma.read.manifests") - sends
-			dBytes := c.Get("shuffle.rdma.recv.bytes") - delivered
-			if arm == config.FetchArmRead && c.Get("shuffle.rdma.read.issued") == issued {
-				b.Fatal("read arm issued no READs; the ablation is not measuring the one-sided path")
-			}
-			if mb := float64(dBytes) / float64(1<<20); mb > 0 {
-				b.ReportMetric(float64(dBusy)/mb, "resp-ns/MB")
-			}
-			if b.N > 0 {
-				b.ReportMetric(float64(dSends)/float64(b.N), "resp-sends/op")
-			}
-		})
-	}
 }

@@ -93,26 +93,33 @@ func TestRDMATeraSortEndToEnd(t *testing.T) {
 	}
 }
 
-// TestZeroCopyAblationBitForBit is the D8 acceptance run: the same
-// seeded TeraSort executed with the zero-copy responder on and off must
-// produce byte-identical output files. The zerocopy=false arm is the
-// legacy staging responder, so any divergence means the scatter-gather
-// path changed what goes over the wire.
+// TestZeroCopyAblationBitForBit: the same seeded TeraSort executed with
+// the cache on (resident partitions move by manifest + READ, no responder
+// copy) and off (every chunk staged and RDMA-written) must produce
+// byte-identical output files and move the same number of shuffle bytes.
+// Caching is the only switch left that decides which half of the fetch
+// protocol a request takes, so any divergence means the two halves put
+// different bytes on the wire.
 func TestZeroCopyAblationBitForBit(t *testing.T) {
 	outputs := make(map[bool]map[string][]byte)
-	for _, zc := range []bool{true, false} {
+	moved := make(map[bool]int64)
+	for _, caching := range []bool{true, false} {
 		conf := rdmaConf()
-		conf.SetBool(config.KeyRDMAZeroCopy, zc)
+		conf.SetBool(config.KeyCachingEnabled, caching)
 		c := newRDMACluster(t, 3, conf)
 		res := runTeraSort(t, c, 1500, 6)
-		if zc && res.Counters["shuffle.rdma.zerocopy.hits"] == 0 {
-			t.Fatal("zero-copy arm never served from cache memory")
+		if caching && res.Counters["shuffle.rdma.zerocopy.hits"] == 0 {
+			t.Fatal("with the cache on no chunk was READ from cache memory")
 		}
-		if !zc && res.Counters["shuffle.rdma.zerocopy.hits"] != 0 {
-			t.Fatal("ablation arm took the zero-copy path")
+		if !caching && (res.Counters["shuffle.rdma.zerocopy.hits"] != 0 || res.Counters["shuffle.rdma.read.manifests"] != 0) {
+			t.Fatalf("with the cache off a manifest was served: %v", res.Counters)
 		}
 		if n := res.Counters["shuffle.rdma.stage.outstanding"]; n != 0 {
-			t.Fatalf("zc=%v: %d staging regions leaked", zc, n)
+			t.Fatalf("caching=%v: %d staging regions leaked", caching, n)
+		}
+		moved[caching] = res.Counters["shuffle.rdma.bytes"]
+		if got := res.Counters["shuffle.rdma.recv.bytes"]; got != moved[caching] {
+			t.Fatalf("caching=%v: shuffle.rdma.bytes = %d, reducers received %d", caching, moved[caching], got)
 		}
 		files := make(map[string][]byte)
 		fs := c.FS()
@@ -126,7 +133,10 @@ func TestZeroCopyAblationBitForBit(t *testing.T) {
 		if len(files) == 0 {
 			t.Fatal("no output files")
 		}
-		outputs[zc] = files
+		outputs[caching] = files
+	}
+	if moved[true] != moved[false] || moved[true] == 0 {
+		t.Fatalf("shuffle.rdma.bytes = %d with the cache on, %d off", moved[true], moved[false])
 	}
 	on, off := outputs[true], outputs[false]
 	if len(on) != len(off) {
@@ -135,10 +145,10 @@ func TestZeroCopyAblationBitForBit(t *testing.T) {
 	for path, want := range off {
 		got, ok := on[path]
 		if !ok {
-			t.Fatalf("zero-copy arm missing output file %s", path)
+			t.Fatalf("cache-on run missing output file %s", path)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("output %s differs between ablation arms", path)
+			t.Fatalf("output %s differs between cache on and off", path)
 		}
 	}
 }

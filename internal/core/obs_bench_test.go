@@ -18,12 +18,14 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 	// sendLoop: occupancy accounting.
 	f.cOutPeak.Max(int64(i & 7))
 	f.prof.SlotOccupancy(i & 7)
-	// recvLoop success path: byte accounting (cluster + node telemetry
-	// handles) plus the gated span.
+	// complete: byte accounting (cluster + node telemetry handles) plus
+	// the gated span.
 	ck := chunk{next: int64(i), off: int64(i)}
 	if f.prof != nil {
 		ck.span = &obs.FetchSpan{}
 	}
+	f.cBytes.Add(1024)
+	f.cPackets.Add(1)
 	f.cRecvBytes.Add(1024)
 	f.nFetchBytes.Add(1024)
 	f.nFetchChunks.Add(1)
@@ -44,6 +46,8 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 func disabledFetcher() *fetcher {
 	f := &fetcher{} // prof == nil IS the disabled profiler, tr == nil IS tracing off
 	var c stats.Counters
+	f.cBytes = c.Handle("shuffle.rdma.bytes")
+	f.cPackets = c.Handle("shuffle.rdma.packets")
 	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")
 	f.cOutPeak = c.Handle("shuffle.rdma.outstanding.peak")
 	// Node registry absent (telemetry off): nil handles must be free.
@@ -56,6 +60,8 @@ func disabledFetcher() *fetcher {
 func enabledFetcher() *fetcher {
 	f := &fetcher{}
 	var c stats.Counters
+	f.cBytes = c.Handle("shuffle.rdma.bytes")
+	f.cPackets = c.Handle("shuffle.rdma.packets")
 	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")
 	f.cOutPeak = c.Handle("shuffle.rdma.outstanding.peak")
 	nreg := obs.NewRegistry()
@@ -80,8 +86,7 @@ func BenchmarkObsOverheadDisabled(b *testing.B) {
 
 // BenchmarkObsOverheadEnabled is the paired datapoint: the same hot
 // path with a live profile and trace, so the enabled-vs-disabled delta
-// (ns/op and B/op) is the measured cost of turning telemetry on —
-// stamped into BENCH_shuffle.json by cmd/benchjson.
+// (ns/op and B/op) is the measured cost of turning telemetry on.
 func BenchmarkObsOverheadEnabled(b *testing.B) {
 	f := enabledFetcher()
 	now := time.Now()

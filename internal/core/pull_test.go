@@ -182,61 +182,85 @@ func settleGoroutines(t *testing.T, want int, when string) {
 // waiting for a chunk the fabric is sitting on, when the fetch context is
 // cancelled. Next returns, Err carries ctx.Err(), Close returns, no
 // goroutine and no chunk buffer is left behind. The same for a Close that
-// comes before the first Next.
+// comes before the first Next. Both halves of the protocol: the chunk held
+// back is a copier READ of a cache-resident partition (rendezvous), or
+// with caching off the responder's RDMA write (eager).
 func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
-	h := newRingHarness(t, stressConf(2), 1, 200) // one segment, ~10 chunks
-	h.fetch(context.Background())                 // dial the plane's shared endpoint once
-	baseline := runtime.NumGoroutine()
-	basePayloads := payloadsOut.Load()
+	for _, tc := range []struct {
+		name    string
+		caching bool
+		op      verbs.Opcode
+	}{
+		{"rendezvous", true, verbs.OpRDMARead},
+		{"eager", false, verbs.OpRDMAWrite},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conf := stressConf(2)
+			conf.SetBool(config.KeyCachingEnabled, tc.caching)
+			h := newRingHarness(t, conf, 1, 200) // one segment, ~10 chunks
+			h.fetch(context.Background())        // dial the plane's shared endpoint once
+			if tc.caching {
+				// The cold pass above was a demand miss; once its re-cache
+				// lands the partition is served by manifest.
+				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= 1 })
+			}
+			baseline := runtime.NumGoroutine()
+			basePayloads := payloadsOut.Load()
 
-	g := chaos.ParkNth(verbs.OpRDMAWrite, 3)
-	h.tt.Fabric().Network().SetFaultInjector(g)
-	defer h.tt.Fabric().Network().SetFaultInjector(nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	f, it := h.open(ctx, 1)
-	type result struct {
-		n   int
-		err error
-	}
-	done := make(chan result)
-	go func() {
-		n := 0
-		for it.Next() {
-			n++
-		}
-		done <- result{n, it.Err()}
-	}()
-	<-g.Reached() // chunk 3's RDMA write is parked: the consumer runs dry after chunk 2
-	cancel()
-	select {
-	case r := <-done:
-		if !errors.Is(r.err, context.Canceled) {
-			t.Fatalf("Err = %v after %d records, want context.Canceled", r.err, r.n)
-		}
-		if r.n == 0 || r.n >= 200 {
-			t.Fatalf("%d records before the cancel; the stream was meant to stop mid-way", r.n)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Next still blocked 10 s after the fetch context was cancelled")
-	}
-	g.Release()
-	closed := make(chan struct{})
-	go func() { f.Close(); close(closed) }()
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hangs after a cancelled fetch")
-	}
-	settleGoroutines(t, baseline, "after cancel + Close")
-	if out := payloadsOut.Load() - basePayloads; out != 0 {
-		t.Fatalf("%d chunk buffers never returned after cancel + Close", out)
-	}
+			g := chaos.ParkNth(tc.op, 3)
+			h.tt.Fabric().Network().SetFaultInjector(g)
+			defer h.tt.Fabric().Network().SetFaultInjector(nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			f, it := h.open(ctx, 1)
+			type result struct {
+				n   int
+				err error
+			}
+			done := make(chan result)
+			go func() {
+				n := 0
+				for it.Next() {
+					n++
+				}
+				done <- result{n, it.Err()}
+			}()
+			select {
+			case <-g.Reached(): // chunk 3 is parked: the consumer runs dry after chunk 2
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no third %v in 10 s: the fetch is not taking the %s path", tc.op, tc.name)
+			}
+			cancel()
+			select {
+			case r := <-done:
+				if !errors.Is(r.err, context.Canceled) {
+					t.Fatalf("Err = %v after %d records, want context.Canceled", r.err, r.n)
+				}
+				if r.n == 0 || r.n >= 200 {
+					t.Fatalf("%d records before the cancel; the stream was meant to stop mid-way", r.n)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Next still blocked 10 s after the fetch context was cancelled")
+			}
+			g.Release()
+			closed := make(chan struct{})
+			go func() { f.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hangs after a cancelled fetch")
+			}
+			settleGoroutines(t, baseline, "after cancel + Close")
+			if out := payloadsOut.Load() - basePayloads; out != 0 {
+				t.Fatalf("%d chunk buffers never returned after cancel + Close", out)
+			}
 
-	h.tt.Fabric().Network().SetFaultInjector(nil)
-	f, _ = h.open(context.Background(), 1)
-	f.Close()
-	settleGoroutines(t, baseline, "after Close before the first Next")
+			h.tt.Fabric().Network().SetFaultInjector(nil)
+			f, _ = h.open(context.Background(), 1)
+			f.Close()
+			settleGoroutines(t, baseline, "after Close before the first Next")
+		})
+	}
 }
 
 // TestPullOverlapOffSameSequence: mapred.rdma.overlap.reduce=false drains

@@ -31,15 +31,13 @@ type trackerServer struct {
 	prefetcher *MapOutputPrefetcher
 	cacheOn    bool
 	sizeAware  bool
-	zeroCopy   bool
 	packetSize int
 
-	// readArm enables the D9 one-sided fetch arm: read-capable requests
-	// against cache-resident runs are answered with a descriptor manifest
-	// and the copier pulls the payload by RDMA READ — no responder CPU
-	// touches the bytes. Leases bound how long published descriptors pin
-	// cache memory.
-	readArm  bool
+	// Rendezvous half of the fetch protocol (D9): a read-capable request
+	// against a cache-resident, registered run is answered with a
+	// descriptor manifest and the copier pulls the payload by RDMA READ —
+	// no responder CPU touches the bytes. Leases bound how long published
+	// descriptors pin cache memory.
 	leaseTTL time.Duration
 	leases   *leaseTable
 
@@ -58,8 +56,7 @@ type trackerServer struct {
 	// of scattered across per-subsystem sync.Pools of registrations.
 	mrp *mrpool.Pool
 
-	// descPool recycles descriptor scratch (pack ranges + SGE lists) across
-	// zero-copy responses.
+	// descPool recycles the packer's range scratch across manifests.
 	descPool sync.Pool // of *descScratch
 
 	// hdrBlocks recycles header-sized slab blocks across responses:
@@ -94,14 +91,12 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	arm := conf.FetchArm()
 	s := &trackerServer{
 		tt:         tt,
 		listener:   l,
 		cache:      NewPrefetchCache(conf.Int(config.KeyPrefetchCacheCap), conf.Get(config.KeyCachePriorityMode), tt.Counters()),
 		cacheOn:    conf.Bool(config.KeyCachingEnabled),
 		sizeAware:  conf.Bool(config.KeySizeAwarePacking),
-		zeroCopy:   arm != config.FetchArmStaging,
 		packetSize: int(conf.Int(config.KeyRDMAPacketBytes)),
 		leaseTTL:   time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
 		leases:     newLeaseTable(),
@@ -119,15 +114,10 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 	s.cache.SetJobQuota(conf.Int(config.KeyJTCacheJobQuota))
 	s.nServedReqs = tt.NodeRegistry().Counter("node.served.requests")
 	s.nServedBytes = tt.NodeRegistry().Counter("node.served.bytes")
-	// The READ arm serves only cache-resident, registered runs; without the
-	// cache there is nothing to publish descriptors against.
-	s.readArm = arm == config.FetchArmRead && s.cacheOn
 	s.prefetcher = NewMapOutputPrefetcher(tt, s.cache, int(conf.Int(config.KeyPrefetchThreads)))
-	if s.zeroCopy && s.cacheOn {
-		// D8: register cache entries at Put time so responders can serve
-		// them by scatter-gather RDMA straight from cache memory. The
-		// ablation arm (zerocopy=false) leaves entries unregistered and
-		// every response goes through the staging copy.
+	if s.cacheOn {
+		// Cache entries are registered at Put time so a manifest can
+		// advertise them to the copier's READs straight from cache memory.
 		s.cache.SetRegistrar(s.mrp)
 	}
 
@@ -136,7 +126,9 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 	s.wg.Add(1)
 	go s.acceptLoop()
 
-	if s.readArm {
+	if s.cacheOn {
+		// Without the cache there is nothing to publish descriptors
+		// against, so no lease is ever granted.
 		s.wg.Add(1)
 		go s.leaseJanitor()
 	}
@@ -283,74 +275,54 @@ func (s *trackerServer) serve(p *pendingRequest) {
 	defer func() {
 		s.tt.Counters().Add("shuffle.rdma.responder.busy.ns", time.Since(t0).Nanoseconds())
 	}()
-	if s.readArm && p.req.Flags&wire.FlagFetchRead != 0 {
-		// D9 one-sided arm: answer with a descriptor manifest when the run
-		// is cache-resident and registered; anything else falls through to
-		// the two-sided paths, which own all error reporting.
-		if s.serveManifest(p) {
-			return
-		}
+	// The fetch protocol's one decision (D8): a read-capable request for a
+	// run that is cache-resident and registered is answered with a
+	// descriptor manifest (rendezvous — the copier READs the payload);
+	// everything else is served eagerly below, which also owns all error
+	// reporting.
+	if s.cacheOn && p.req.Flags&wire.FlagFetchRead != 0 && s.serveManifest(p) {
+		return
 	}
-	resp := s.buildResponse(p)
-	// release on every exit: returns the staging region to its pool, drops
-	// the zero-copy pin, and recycles descriptor scratch. Centralizing it
-	// here (rather than per-branch) is what keeps the staging pool
-	// leak-free across RDMA-write failures and header-send failures alike.
-	defer resp.release(s)
-	if resp.payload != nil || len(resp.sges) > 0 {
-		var err error
-		if len(resp.sges) > 0 {
-			// Zero-copy arm: gather the chunk straight out of the pinned
-			// cache region — no staging copy ever happens for these bytes.
-			err = p.ep.WriteSG(s.ctx, resp.sges, p.req.RemoteAddr, p.req.RKey)
-		} else {
-			err = p.ep.RDMAWrite(s.ctx, resp.payload.sge(), p.req.RemoteAddr, p.req.RKey)
-		}
-		if err != nil {
+	header, payload := s.buildResponse(p)
+	if payload != nil {
+		// release on every exit returns the staging block to the slab:
+		// centralizing it here (rather than per-branch) is what keeps the
+		// pool leak-free across RDMA-write and header-send failures alike.
+		defer payload.release()
+		if err := p.ep.RDMAWrite(s.ctx, payload.sge(), p.req.RemoteAddr, p.req.RKey); err != nil {
 			// The data exists — only the delivery failed. Transient tells
 			// the copier to re-issue instead of re-running the map.
-			resp.header.Err = fmt.Sprintf("rdma write: %v", err)
-			resp.header.Transient = true
-			resp.header.Bytes, resp.header.Records = 0, 0
+			header.Err = fmt.Sprintf("rdma write: %v", err)
+			header.Transient = true
+			header.Bytes, header.Records = 0, 0
 		} else {
-			c := s.tt.Counters()
-			c.Add("shuffle.rdma.bytes", int64(resp.header.Bytes))
-			c.Add("shuffle.rdma.packets", 1)
-			s.nServedBytes.Add(int64(resp.header.Bytes))
-			if len(resp.sges) > 0 {
-				c.Add("shuffle.rdma.zerocopy.pinned.bytes", int64(resp.header.Bytes))
-			}
+			s.nServedBytes.Add(int64(header.Bytes))
 		}
 	}
-	s.sendHeader(p.ep, &resp.header)
+	s.sendHeader(p.ep, &header)
 }
 
-// sendHeader delivers the response header. With zero-copy enabled it is
-// encoded into a slab-carved header block and gather-sent from there;
-// otherwise (or when an oversized error string overflows the block, or
-// the slab budget is exhausted) it falls back to the allocating encode +
-// staged send.
+// sendHeader delivers the response header, encoded into a slab-carved
+// header block and gather-sent from there; when an oversized error string
+// overflows the block, or the slab budget is exhausted, it falls back to
+// the allocating encode + staged send.
 func (s *trackerServer) sendHeader(ep *ucr.EndPoint, h *wire.DataResponse) {
-	if s.zeroCopy {
-		if blk, err := s.getHeaderBlock(); err == nil {
-			buf := h.EncodeAppend(blk.Bytes()[:0])
-			if len(buf) <= blk.Len() {
-				_ = ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
-				s.putHeaderBlock(blk)
-				return
-			}
+	if blk, err := s.getHeaderBlock(); err == nil {
+		buf := h.EncodeAppend(blk.Bytes()[:0])
+		if len(buf) <= blk.Len() {
+			_ = ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
 			s.putHeaderBlock(blk)
+			return
 		}
+		s.putHeaderBlock(blk)
 	}
 	_ = ep.Send(s.ctx, h.Encode())
 }
 
-// descScratch is the reusable per-response descriptor state of the
-// zero-copy path: the packer's range list and the SGE list posted to the
-// fabric.
+// descScratch is the reusable per-manifest descriptor state: the packer's
+// range list.
 type descScratch struct {
 	ranges []Range
-	sges   []verbs.SGE
 }
 
 func (s *trackerServer) getScratch() *descScratch {
@@ -358,34 +330,6 @@ func (s *trackerServer) getScratch() *descScratch {
 		return v.(*descScratch)
 	}
 	return &descScratch{}
-}
-
-type builtResponse struct {
-	header  wire.DataResponse
-	payload *stagedPayload // staging arm
-	view    *CacheView     // zero-copy arm: pin on the cache region
-	sges    []verbs.SGE    // zero-copy arm: gather list (aliases scratch)
-	scratch *descScratch
-}
-
-// release frees whatever the response holds: staging region back to the
-// pool, cache pin dropped (deregistration deferred to the last pin),
-// descriptor scratch recycled. Safe to call once per response on every
-// path out of serve.
-func (r *builtResponse) release(s *trackerServer) {
-	if r.payload != nil {
-		r.payload.release()
-		r.payload = nil
-	}
-	if r.view != nil {
-		r.view.Release()
-		r.view = nil
-	}
-	if r.scratch != nil {
-		r.sges = nil
-		s.descPool.Put(r.scratch)
-		r.scratch = nil
-	}
 }
 
 // stagedPayload is a registered staging buffer holding the packed chunk.
@@ -416,7 +360,7 @@ func (s *trackerServer) stage(data []byte) (*stagedPayload, error) {
 }
 
 // release returns the staging block to the slab. Every stage() is paired
-// with exactly one release via builtResponse.release; the
+// with exactly one release, deferred in serve; the
 // shuffle.rdma.stage.outstanding counter must therefore read zero
 // whenever the responder pool is idle (asserted by the server tests).
 func (sp *stagedPayload) release() {
@@ -424,37 +368,29 @@ func (sp *stagedPayload) release() {
 	sp.blk.Free()
 }
 
-func (s *trackerServer) buildResponse(p *pendingRequest) builtResponse {
+// buildResponse is the eager half of the protocol: locate the run (cache
+// memory on a hit, disk plus a priority re-cache on a miss), pack one
+// chunk, and copy it into a registered staging block for the RDMA write.
+// A nil payload means the header alone is the answer (empty chunk or an
+// error).
+func (s *trackerServer) buildResponse(p *pendingRequest) (header wire.DataResponse, payload *stagedPayload) {
 	req := p.req
-	header := wire.DataResponse{
+	header = wire.DataResponse{
 		MapID: req.MapID, ReduceID: req.ReduceID, Offset: req.Offset,
 		// Echo the copier's slot tag so it can match this response to
 		// the bounce-buffer slot the payload was written into.
 		Tag: req.Tag,
 	}
-	// fail reports a serving error the requester cannot fix by retrying
-	// (missing or corrupt map output — the RecoverMap path);
-	// failTransient reports an environmental one worth re-issuing.
-	fail := func(err error) builtResponse {
-		header.Err = err.Error()
-		return builtResponse{header: header}
-	}
-	failTransient := func(err error) builtResponse {
-		header.Err = err.Error()
-		header.Transient = true
-		return builtResponse{header: header}
-	}
-
-	if s.zeroCopy && s.cacheOn {
-		if resp, ok := s.buildZeroCopy(p, header); ok {
-			s.tt.Counters().Add("shuffle.rdma.zerocopy.hits", 1)
-			return resp
-		}
-		// Cache miss, unregistered body, or corrupt framing: serve this
-		// request through the staging copy below.
+	if s.cacheOn {
+		// The share of cache-on requests that paid the responder copy.
 		s.tt.Counters().Add("shuffle.rdma.zerocopy.fallbacks", 1)
 	}
-
+	// fail reports a serving error the requester cannot fix by retrying
+	// (missing or corrupt map output — the RecoverMap path).
+	fail := func(err error) (wire.DataResponse, *stagedPayload) {
+		header.Err = err.Error()
+		return header, nil
+	}
 	run, err := s.lookup(CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)})
 	if err != nil {
 		return fail(err)
@@ -471,73 +407,16 @@ func (s *trackerServer) buildResponse(p *pendingRequest) builtResponse {
 	header.Records = int32(res.Records)
 	header.EOF = res.EOF
 	if res.Bytes == 0 {
-		return builtResponse{header: header}
+		return header, nil
 	}
-	payload, err := s.stage(body[req.Offset : req.Offset+int64(res.Bytes)])
+	payload, err = s.stage(body[req.Offset : req.Offset+int64(res.Bytes)])
 	if err != nil {
 		// Registration pressure, not data loss: the same request can
 		// succeed once staging regions free up.
-		return failTransient(err)
+		header.Transient = true
+		return fail(err)
 	}
-	return builtResponse{header: header, payload: payload}
-}
-
-// buildZeroCopy attempts the D8 zero-copy response: pin the cached run,
-// pack the chunk in descriptor mode, and point scatter-gather entries at
-// record-boundary ranges of the region registered over the run at Put
-// time. No payload byte is copied server-side. Returns ok=false when the
-// request cannot be served this way (cache miss, entry cached without a
-// region, corrupt framing, bad offset) — the caller falls back to the
-// staging path, which owns error reporting.
-func (s *trackerServer) buildZeroCopy(p *pendingRequest, header wire.DataResponse) (builtResponse, bool) {
-	req := p.req
-	key := CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)}
-	// Contains first so a cold partition does not count a cache miss here
-	// and a second one in the fallback lookup.
-	if !s.cache.Contains(key) {
-		return builtResponse{}, false
-	}
-	view, ok := s.cache.Acquire(key)
-	if !ok {
-		return builtResponse{}, false
-	}
-	mr := view.MR()
-	if mr == nil {
-		view.Release()
-		return builtResponse{}, false
-	}
-	run := view.Bytes()
-	start, end, _, err := kv.RunBodySpan(run)
-	if err != nil {
-		view.Release()
-		return builtResponse{}, false
-	}
-	sc := s.getScratch()
-	res, ranges, err := PackDescriptors(run[start:end], req.Offset, s.packetSize,
-		int(req.MaxBytes), int(req.MaxRecords), s.sizeAware, verbs.MaxSGE, sc.ranges)
-	sc.ranges = ranges
-	if err != nil {
-		view.Release()
-		s.descPool.Put(sc)
-		return builtResponse{}, false
-	}
-	header.Bytes = int32(res.Bytes)
-	header.Records = int32(res.Records)
-	header.EOF = res.EOF
-	if res.Bytes == 0 {
-		view.Release()
-		s.descPool.Put(sc)
-		return builtResponse{header: header}, true
-	}
-	sges := sc.sges[:0]
-	mrOff := view.MROffset()
-	for _, r := range ranges {
-		// Range offsets are relative to the record body; the SGE addresses
-		// the slab region backing the run, hence the +MROffset+start rebase.
-		sges = append(sges, verbs.SGE{MR: mr, Offset: mrOff + start + r.Off, Length: r.Len})
-	}
-	sc.sges = sges
-	return builtResponse{header: header, view: view, sges: sges, scratch: sc}, true
+	return header, payload
 }
 
 // maxManifestChunks caps one manifest's descriptor plan. The encoded-size
@@ -546,14 +425,15 @@ func (s *trackerServer) buildZeroCopy(p *pendingRequest, header wire.DataRespons
 // chunks so a lease never covers an unbounded amount of future work.
 const maxManifestChunks = 64
 
-// serveManifest attempts the D9 one-sided response: pin the cached run,
-// walk it with the descriptor packer from the requested offset, and send
-// the copier a manifest of (rkey, addr, len) ranges it READs directly —
-// the responder never touches a payload byte and sends exactly one
+// serveManifest is the rendezvous half of the protocol: pin the cached
+// run, walk it with the descriptor packer from the requested offset, and
+// send the copier a manifest of (rkey, addr, len) ranges it READs directly
+// — the responder never touches a payload byte and sends exactly one
 // message for the whole plan. The pin is held by a deadline-bounded lease
 // until the copier releases it (or the janitor expires it). Returns false
 // when the request cannot be served this way — cache miss, unregistered
-// body, corrupt framing — and the two-sided paths take over.
+// body (slab budget exhausted at Put), corrupt framing — and the eager
+// path takes over.
 func (s *trackerServer) serveManifest(p *pendingRequest) bool {
 	req := p.req
 	key := CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)}
@@ -564,8 +444,7 @@ func (s *trackerServer) serveManifest(p *pendingRequest) bool {
 	if !ok {
 		return false
 	}
-	mr := view.MR()
-	if mr == nil {
+	if view.MR() == nil {
 		view.Release()
 		return false
 	}
@@ -593,7 +472,7 @@ func (s *trackerServer) serveManifest(p *pendingRequest) bool {
 		if err != nil {
 			if len(m.Chunks) == 0 {
 				// Bad offset or corrupt framing on the very first chunk:
-				// let the two-sided path report it.
+				// let the eager path report it.
 				view.Release()
 				return false
 			}

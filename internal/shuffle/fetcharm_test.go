@@ -1,6 +1,7 @@
 package shuffle_test
 
 import (
+	"bytes"
 	"os"
 	"strconv"
 	"sync"
@@ -10,31 +11,11 @@ import (
 	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
+	"rdmamr/internal/fabric"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/workload"
 )
-
-// armConf selects one OSU-IB fetch arm on top of the standard engine
-// test configuration.
-func armConf(arm string) *config.Config {
-	c := engineConf()
-	c.Set(config.KeyRDMAFetchArm, arm)
-	return c
-}
-
-// runTeraSortConf is runEngineTeraSort with an injectable configuration
-// and engine instance, returning the job result alongside the validated
-// checksum so arm-specific counters can be asserted.
-func runTeraSortConf(t *testing.T, conf *config.Config, eng mapred.ShuffleEngine, nodes int, rows int64) (workload.Checksum, *mapred.JobResult) {
-	t.Helper()
-	c, err := mapred.NewCluster(nodes, conf, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	return runTeraSortOn(t, c, rows)
-}
 
 // runTeraSortOn runs and validates TeraSort on an already-built cluster.
 func runTeraSortOn(t *testing.T, c *mapred.Cluster, rows int64) (workload.Checksum, *mapred.JobResult) {
@@ -69,52 +50,117 @@ func runTeraSortOn(t *testing.T, c *mapred.Cluster, rows int64) (workload.Checks
 	return want, res
 }
 
-// TestFetchArmBitForBit is the D9 acceptance check: TeraSort output is
-// byte-identical across the read, zerocopy, and staging arms (every arm
-// validates against the same input checksum), and each arm demonstrably
-// took its own data path.
+// TestFetchArmBitForBit is the fetch protocol's acceptance check: the same
+// TeraSort run three ways through the one protocol writes byte-identical
+// output files, and each way demonstrably took the path it names — "read":
+// caching on, every cache-resident partition served by manifest + READ
+// (rendezvous), eager responses only for cache misses; "staging": caching
+// off, every chunk staged and RDMA-written (eager); "mixed": caching on
+// with a 1 ms lease and a cache far too small for the job, so published
+// manifests lose their memory mid-plan and faulted READs are re-issued
+// eagerly.
 func TestFetchArmBitForBit(t *testing.T) {
-	arms := []string{config.FetchArmStaging, config.FetchArmZeroCopy, config.FetchArmRead}
-	sums := map[string]workload.Checksum{}
+	ways := []struct {
+		name    string
+		conf    func(*config.Config)
+		cluster func(*mapred.Cluster)
+	}{
+		{name: "read"},
+		{name: "staging", conf: func(c *config.Config) { c.SetBool(config.KeyCachingEnabled, false) }},
+		{name: "mixed",
+			conf: func(c *config.Config) {
+				c.SetInt(config.KeyRDMAReadLeaseTimeout, 1)
+				c.SetInt(config.KeyPrefetchCacheCap, 24<<10)
+			},
+			// Amplify modeled verbs latency into real sleeps so plans
+			// stretch over many janitor ticks and lose their leases.
+			cluster: func(c *mapred.Cluster) {
+				c.Trackers()[0].Fabric().Network().SetLatencyModel(fabric.Models(fabric.IBVerbs), 0.05)
+			}},
+	}
+	outputs := map[string]map[string][]byte{}
 	results := map[string]*mapred.JobResult{}
-	for _, arm := range arms {
-		t.Run(arm, func(t *testing.T) {
-			sum, res := runTeraSortConf(t, armConf(arm), core.New(), 4, 1500)
-			sums[arm] = sum
-			results[arm] = res
+	for _, way := range ways {
+		t.Run(way.name, func(t *testing.T) {
+			conf := engineConf()
+			conf.SetBool(config.KeyRDMAEnabled, true) // lifts the cache-size floor
+			// Small packets: a partition is several chunks, so a manifest
+			// is a plan that outlives its first READ.
+			conf.SetInt(config.KeyKVPairsPerPacket, 4)
+			if way.conf != nil {
+				way.conf(conf)
+			}
+			c, err := mapred.NewCluster(4, conf, core.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if way.cluster != nil {
+				way.cluster(c)
+			}
+			_, res := runTeraSortOn(t, c, 1500)
+			files := map[string][]byte{}
+			for _, path := range c.FS().List("/out") {
+				data, err := c.FS().ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[path] = data
+			}
+			outputs[way.name], results[way.name] = files, res
+			n := res.Counters
+			t.Logf("bytes=%d packets=%d manifests=%d read.issued=%d zerocopy.hits=%d zerocopy.fallbacks=%d read.fallbacks=%d cache.misses=%d",
+				n["shuffle.rdma.bytes"], n["shuffle.rdma.packets"], n["shuffle.rdma.read.manifests"], n["shuffle.rdma.read.issued"],
+				n["shuffle.rdma.zerocopy.hits"], n["shuffle.rdma.zerocopy.fallbacks"], n["shuffle.rdma.read.fallbacks"], n["cache.misses"])
 		})
 	}
-	if len(sums) != len(arms) {
-		t.Fatal("an arm run did not complete")
+	if len(outputs) != len(ways) {
+		t.Fatal("a run did not complete")
 	}
-	for _, arm := range arms[1:] {
-		if !sums[arm].Equal(sums[arms[0]]) {
-			t.Fatalf("arm %s output checksum diverges from %s", arm, arms[0])
+	first := outputs[ways[0].name]
+	if len(first) == 0 {
+		t.Fatal("no output files")
+	}
+	for _, way := range ways[1:] {
+		got := outputs[way.name]
+		if len(got) != len(first) {
+			t.Fatalf("%s wrote %d output files, %s %d", way.name, len(got), ways[0].name, len(first))
+		}
+		for path, want := range first {
+			if !bytes.Equal(got[path], want) {
+				t.Fatalf("output %s differs between %s and %s", path, ways[0].name, way.name)
+			}
+		}
+		if got, want := results[way.name].Counters["shuffle.rdma.bytes"], results[ways[0].name].Counters["shuffle.rdma.bytes"]; got != want {
+			t.Fatalf("%s moved %d shuffle bytes, %s %d", way.name, got, ways[0].name, want)
 		}
 	}
-	// Mechanism assertions: the selected arm is the one that moved bytes.
-	if n := results[config.FetchArmRead].Counters["shuffle.rdma.read.issued"]; n == 0 {
-		t.Fatalf("read arm issued no one-sided READs: %v", results[config.FetchArmRead].Counters)
+	// Mechanism assertions: each way moved its bytes the way it names.
+	for name, res := range results {
+		if got, want := res.Counters["shuffle.rdma.bytes"], res.Counters["shuffle.rdma.recv.bytes"]; got != want || got == 0 {
+			t.Fatalf("%s: shuffle.rdma.bytes = %d, reducers received %d", name, got, want)
+		}
 	}
-	if n := results[config.FetchArmRead].Counters["shuffle.rdma.read.manifests"]; n == 0 {
-		t.Fatal("read arm published no manifests")
+	read, staging, mixed := results["read"].Counters, results["staging"].Counters, results["mixed"].Counters
+	if read["shuffle.rdma.read.manifests"] == 0 || read["shuffle.rdma.read.issued"] == 0 {
+		t.Fatalf("caching on, undisturbed: no manifest, no READ: %v", read)
 	}
-	if n := results[config.FetchArmZeroCopy].Counters["shuffle.rdma.read.issued"]; n != 0 {
-		t.Fatalf("zerocopy arm issued %d READs", n)
+	if read["shuffle.rdma.read.fallbacks"] != 0 {
+		t.Fatalf("caching on, undisturbed: %d READs faulted", read["shuffle.rdma.read.fallbacks"])
 	}
-	if n := results[config.FetchArmZeroCopy].Counters["shuffle.rdma.zerocopy.hits"]; n == 0 {
-		t.Fatal("zerocopy arm never served zero-copy")
+	if got, want := read["shuffle.rdma.zerocopy.fallbacks"], read["cache.misses"]; got != want {
+		t.Fatalf("caching on, undisturbed: %d eager responses for %d cache misses", got, want)
 	}
-	if n := results[config.FetchArmStaging].Counters["shuffle.rdma.zerocopy.hits"]; n != 0 {
-		t.Fatalf("staging arm recorded %d zero-copy hits", n)
+	if got, want := read["shuffle.rdma.zerocopy.hits"]+read["shuffle.rdma.zerocopy.fallbacks"], read["shuffle.rdma.packets"]; got != want {
+		t.Fatalf("caching on, undisturbed: %d chunks READ or staged, %d delivered", got, want)
 	}
-	if n := results[config.FetchArmStaging].Counters["shuffle.rdma.read.issued"]; n != 0 {
-		t.Fatalf("staging arm issued %d READs", n)
+	for _, name := range []string{"shuffle.rdma.read.manifests", "shuffle.rdma.read.issued", "shuffle.rdma.zerocopy.hits", "shuffle.rdma.zerocopy.fallbacks", "cache.hits"} {
+		if staging[name] != 0 {
+			t.Fatalf("caching off: %s = %d, want 0", name, staging[name])
+		}
 	}
-	for _, arm := range arms {
-		t.Logf("%s: bytes=%d packets=%d read.issued=%d zerocopy.hits=%d", arm,
-			results[arm].Counters["shuffle.rdma.bytes"], results[arm].Counters["shuffle.rdma.packets"],
-			results[arm].Counters["shuffle.rdma.read.issued"], results[arm].Counters["shuffle.rdma.zerocopy.hits"])
+	if mixed["shuffle.rdma.read.fallbacks"] == 0 || mixed["shuffle.rdma.read.issued"] == 0 || mixed["shuffle.rdma.zerocopy.fallbacks"] == 0 {
+		t.Fatalf("1 ms lease over a 24 KiB cache: the run never mixed rendezvous, faulted READs and eager responses: %v", mixed)
 	}
 }
 
@@ -136,7 +182,7 @@ func fetchArmChaosSeed(t *testing.T) int64 {
 
 // reviveKillOnFirstOutput kills the serving side of the first host to
 // announce a map output — by construction a host some reducer needs —
-// and revives it shortly after, so the read arm must ride out a dead
+// and revives it shortly after, so plans under lease must ride out a dead
 // peer without corrupting or hanging (and without needing RecoverMap).
 type reviveKillOnFirstOutput struct {
 	mapred.ShuffleEngine
@@ -166,15 +212,15 @@ func (s *reviveKillServer) MapOutputReady(job mapred.JobInfo, mapID int) {
 	s.TrackerServer.MapOutputReady(job, mapID)
 }
 
-// TestFetchArmReadSeededChaos runs TeraSort on the read arm under the
-// full degradation matrix at once: seeded transport chaos (severs, drops,
+// TestFetchArmReadSeededChaos runs TeraSort, served by manifest + READ
+// wherever the cache allows, under the full degradation matrix at once: seeded transport chaos (severs, drops,
 // delays), a killed-then-revived peer, cache capacity at its floor, and a
 // 50ms lease so janitor expiry races live plans. The invariant is the
 // acceptance contract: output validates byte-for-bit against the input
-// checksum and the job completes — READ failures degrade down the
-// fallback ladder instead of corrupting or hanging.
+// checksum and the job completes — READ failures degrade to eager
+// re-issues instead of corrupting or hanging.
 func TestFetchArmReadSeededChaos(t *testing.T) {
-	conf := armConf(config.FetchArmRead)
+	conf := engineConf()
 	// Budget headroom above the fault caps, as in the copier chaos runs.
 	conf.SetInt(config.KeyRDMAConnectRetries, 12)
 	conf.SetInt(config.KeyRDMARequestTimeout, 5000)
@@ -205,11 +251,11 @@ func TestFetchArmReadSeededChaos(t *testing.T) {
 		t.Fatal("chaos injector never fired; the run proved nothing")
 	}
 	if res.Counters["shuffle.rdma.read.issued"] == 0 {
-		t.Fatalf("read arm never engaged under chaos: %v", res.Counters)
+		t.Fatalf("no chunk was READ under chaos: %v", res.Counters)
 	}
 	drops, fails, severs, delays, refusals := inj.Stats()
 	t.Logf("chaos: drops=%d fails=%d severs=%d delays=%d refusals=%d", drops, fails, severs, delays, refusals)
-	t.Logf("read arm: issued=%d bytes=%d manifests=%d fallbacks=%d lease.expired=%d evictions=%d reconnects=%d",
+	t.Logf("read: issued=%d bytes=%d manifests=%d fallbacks=%d lease.expired=%d evictions=%d reconnects=%d",
 		res.Counters["shuffle.rdma.read.issued"], res.Counters["shuffle.rdma.read.bytes"],
 		res.Counters["shuffle.rdma.read.manifests"], res.Counters["shuffle.rdma.read.fallbacks"],
 		res.Counters["shuffle.rdma.read.lease.expired"], res.Counters["cache.evictions"],

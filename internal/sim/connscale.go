@@ -132,7 +132,7 @@ func ConnScale(p ConnScaleParams) ConnScalePoint {
 
 // ConnScaleSweep evaluates the model at each cluster size with the
 // default (paper-tuned) per-node configuration — the series behind
-// `make bench-conn` and the README scaling table.
+// BenchmarkAblationConnScale and the README scaling table.
 func ConnScaleSweep(nodes []int) []ConnScalePoint {
 	out := make([]ConnScalePoint, 0, len(nodes))
 	for _, n := range nodes {

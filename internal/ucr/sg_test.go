@@ -52,33 +52,6 @@ func TestSendSGRejectsOversizedTotal(t *testing.T) {
 	}
 }
 
-func TestWriteSGGathersIntoRemote(t *testing.T) {
-	cep, sep := connected(t)
-	ctx := ctxT(t)
-	dst, err := sep.RegisterMemory(make([]byte, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := cep.RegisterMemory([]byte("zero"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cep.RegisterMemory([]byte("##copy##"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cep.WriteSG(ctx, []verbs.SGE{
-		{MR: a, Length: 4},
-		{MR: b, Offset: 2, Length: 4},
-	}, dst.Addr()+1, dst.RKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dst.Bytes()[1:9], []byte("zerocopy"); !bytes.Equal(got, want) {
-		t.Fatalf("remote buffer = %q, want %q", got, want)
-	}
-}
-
 func TestReadSGScattersFromRemote(t *testing.T) {
 	cep, sep := connected(t)
 	ctx := ctxT(t)
@@ -130,23 +103,6 @@ func TestReadSGDeadRegionIsRemoteAccess(t *testing.T) {
 	}
 	if !errors.Is(err, ErrTransport) {
 		t.Fatalf("error %v does not match ErrTransport (classifier contract)", err)
-	}
-}
-
-func TestWriteSGBadRKeyFails(t *testing.T) {
-	cep, sep := connected(t)
-	ctx := ctxT(t)
-	dst, err := sep.RegisterMemory(make([]byte, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := cep.RegisterMemory(make([]byte, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cep.WriteSG(ctx, []verbs.SGE{{MR: src, Length: 8}}, dst.Addr(), dst.RKey()+1)
-	if err == nil {
-		t.Fatal("bad rkey write succeeded")
 	}
 }
 

@@ -648,15 +648,6 @@ func (ep *EndPoint) RDMAWrite(ctx context.Context, sge verbs.SGE, raddr uint64, 
 	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMAWrite, SGE: sge, RemoteAddr: raddr, RKey: rkey})
 }
 
-// WriteSG gathers the scatter-gather list into one RDMA write against the
-// remote region addressed by (raddr, rkey) — the zero-copy responder path:
-// payload SGEs point straight into pinned cache regions and no staging
-// copy is made on either side. The SGL's regions must stay valid until
-// WriteSG returns.
-func (ep *EndPoint) WriteSG(ctx context.Context, sgl []verbs.SGE, raddr uint64, rkey uint32) error {
-	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMAWrite, SGL: sgl, RemoteAddr: raddr, RKey: rkey})
-}
-
 // RDMARead fetches remote bytes into the local SGE, blocking until done.
 func (ep *EndPoint) RDMARead(ctx context.Context, sge verbs.SGE, raddr uint64, rkey uint32) error {
 	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMARead, SGE: sge, RemoteAddr: raddr, RKey: rkey})
