@@ -107,8 +107,9 @@ fuzz-seeds:
 # Every allocation-budget test, never from the cache: D14's (collect →
 # sort → encode, chunked HDFS writes, WriteRun, RunWriter, OverwriteOwned),
 # D16's (a store, block, map-output or responder read allocates nothing
-# object-sized; the http servlet exactly one copy), D17's (a reduce fetch
-# of 64 × 4 KiB partitions allocates at most half what it delivers; one of
+# object-sized — the responder's row for each RDMA engine policy; the
+# http servlet exactly one copy), D17's (a reduce fetch of 64 × 4 KiB
+# partitions allocates at most half what it delivers; one of
 # 16 × 1 MiB cached partitions misses the payload pool never and stays
 # under two payloads — TestPullSmallFetchAllocBudget /
 # TestPullBulkFetchAllocBudget) and D7's disabled-obs zero. A copy, a
@@ -116,7 +117,7 @@ fuzz-seeds:
 # path fails here, in seconds, without a benchmark run.
 alloc-budgets:
 	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
-		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/hadoopa/ ./internal/shuffle/httpshuffle/
+		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/httpshuffle/
 
 # CPU and heap profiles of one engine's TeraSort at the benchmark's shape
 # (pkg/rdmamr BenchmarkTeraSort: what terasort_osu / terasort_http time;

@@ -18,7 +18,6 @@ import (
 	"rdmamr/internal/fabric"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
-	"rdmamr/internal/shuffle/hadoopa"
 	"rdmamr/internal/shuffle/httpshuffle"
 	"rdmamr/internal/sim"
 	"rdmamr/internal/storage"
@@ -136,7 +135,7 @@ func BenchmarkFunctionalEngines(b *testing.B) {
 		runFunctionalTeraSort(b, httpshuffle.New(), functionalConf(), 3000, "v")
 	})
 	b.Run("hadoop-a", func(b *testing.B) {
-		runFunctionalTeraSort(b, hadoopa.New(), functionalConf(), 3000, "h")
+		runFunctionalTeraSort(b, core.NewHadoopA(), functionalConf(), 3000, "h")
 	})
 	b.Run("osu-ib-rdma", func(b *testing.B) {
 		runFunctionalTeraSort(b, core.New(), functionalConf(), 3000, "o")

@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("Sort (%s): %d records (%.1f MiB) in %v — validation PASSED\n",
 		engine.Name(), checksum.Count, float64(checksum.Bytes)/(1<<20), elapsed.Round(time.Millisecond))
 	fmt.Printf("  maps=%d reduces=%d\n", res.NumMaps, res.NumReduces)
-	for _, k := range []string{"shuffle.http.packets", "shuffle.hadoopa.packets", "shuffle.rdma.packets",
+	for _, k := range []string{"shuffle.http.packets", "shuffle.rdma.packets",
 		"tracker.mapoutput.disk.reads", "cache.hits", "cache.misses"} {
 		if v := res.Counters[k]; v != 0 {
 			fmt.Printf("  %-30s %d\n", k, v)

@@ -64,7 +64,7 @@ func main() {
 	}
 	fmt.Printf("TeraSort (%s): %d records in %v — TeraValidate PASSED\n", engine.Name(), checksum.Count, elapsed.Round(time.Millisecond))
 	fmt.Printf("  maps=%d reduces=%d output files=%d\n", res.NumMaps, res.NumReduces, len(res.OutputFiles))
-	for _, k := range []string{"shuffle.http.bytes", "shuffle.hadoopa.bytes", "shuffle.rdma.bytes",
+	for _, k := range []string{"shuffle.http.bytes", "shuffle.rdma.bytes",
 		"shuffle.rdma.packets", "tracker.mapoutput.disk.reads", "cache.hits", "cache.misses", "cache.prefetched"} {
 		if v := res.Counters[k]; v != 0 {
 			fmt.Printf("  %-30s %d\n", k, v)

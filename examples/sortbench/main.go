@@ -56,8 +56,8 @@ func main() {
 		}
 		fmt.Printf("%-14s sorted %6d variable-size records (%.1f MiB) in %v\n",
 			engineName, checksum.Count, float64(checksum.Bytes)/(1<<20), time.Since(start).Round(time.Millisecond))
-		packets := res.Counters["shuffle.hadoopa.packets"] + res.Counters["shuffle.rdma.packets"]
-		bytes := res.Counters["shuffle.hadoopa.bytes"] + res.Counters["shuffle.rdma.bytes"]
+		packets := res.Counters["shuffle.rdma.packets"]
+		bytes := res.Counters["shuffle.rdma.bytes"]
 		if packets > 0 {
 			fmt.Printf("  %d shuffle packets, mean packet %0.1f KiB\n", packets, float64(bytes)/float64(packets)/1024)
 		}

@@ -60,7 +60,7 @@ func runOne(engineName string, nodes int, rows int64) {
 	fmt.Printf("%-14s sorted %8d records in %8v  (maps=%d reduces=%d)\n",
 		engineName, checksum.Count, time.Since(start).Round(time.Millisecond), res.NumMaps, res.NumReduces)
 	for _, k := range []string{
-		"shuffle.http.bytes", "shuffle.hadoopa.bytes", "shuffle.rdma.bytes",
+		"shuffle.http.bytes", "shuffle.rdma.bytes",
 		"tracker.mapoutput.disk.reads", "cache.hits", "cache.misses",
 	} {
 		if v := res.Counters[k]; v != 0 {

@@ -19,7 +19,6 @@ const (
 	KeyCachingEnabled   = "mapred.local.caching.enabled"
 	KeyRDMAPacketBytes  = "mapred.rdma.packet.size"
 	KeyKVPairsPerPacket = "mapred.rdma.kvpairs.per.packet"
-	KeySizeAwarePacking = "mapred.rdma.sizeaware.packing"
 	KeyResponderThreads = "mapred.rdma.responder.threads"
 	KeyPrefetchThreads  = "mapred.rdma.prefetch.threads"
 	KeyPrefetchCacheCap = "mapred.rdma.prefetch.cache.bytes"
@@ -43,7 +42,6 @@ const (
 	KeyRDMAOutstandingPerConn = "mapred.rdma.outstanding.per.conn"
 	KeyOverlapReduce          = "mapred.rdma.overlap.reduce"
 	KeyHTTPPacketBytes        = "mapred.shuffle.http.packet.size"
-	KeyReduceTasks            = "mapred.reduce.tasks"
 	KeyCachePriorityMode      = "mapred.rdma.prefetch.cache.policy"
 	KeySpeculativeMaps        = "mapred.map.tasks.speculative.execution"
 	// KeyRDMAConnectRetries is the copier's transient-failure retry
@@ -98,24 +96,9 @@ const (
 	// JobResult.Trace). Off by default — a nil trace costs the hot paths
 	// one pointer check.
 	KeyObsTrace = "mapred.obs.trace.enabled"
-	// KeyObsEventsCap bounds the scheduler's structured event log (a
-	// ring: oldest events are dropped, counted, past the cap).
-	KeyObsEventsCap = "mapred.obs.events.capacity"
-	// KeyObsClusterWindow is how many heartbeat-shipped metric deltas the
-	// scheduler's cluster view retains per node for rate computation.
-	KeyObsClusterWindow = "mapred.obs.cluster.window"
 	// KeyJTMaxRunning bounds how many jobs the JobTracker runs
 	// concurrently; later submissions queue FIFO for admission.
 	KeyJTMaxRunning = "mapred.jobtracker.max.running"
-	// KeyJTStragglerPercent is the speculative-execution threshold: a
-	// running attempt whose elapsed time exceeds this percentage of the
-	// job's median completed attempt duration is a straggler eligible for
-	// a backup attempt (150 = 1.5× the median).
-	KeyJTStragglerPercent = "mapred.jobtracker.straggler.percent"
-	// KeyJTStragglerMinFinished is how many attempts must have completed
-	// before the median is trusted and speculation may fire (capped at
-	// numTasks-1 so small jobs can still speculate their last task).
-	KeyJTStragglerMinFinished = "mapred.jobtracker.straggler.min.finished"
 	// KeyJTCacheJobQuota is the per-job PrefetchCache budget in bytes:
 	// one tenant's pinned registered memory may not exceed it (its own
 	// least valuable entries are evicted first, and capacity eviction
@@ -149,7 +132,6 @@ var defaults = map[string]string{
 	KeyCachingEnabled:         "true",
 	KeyRDMAPacketBytes:        "131072", // 128 KB RDMA packet
 	KeyKVPairsPerPacket:       "1024",
-	KeySizeAwarePacking:       "true",
 	KeyResponderThreads:       "8",
 	KeyPrefetchThreads:        "4",
 	KeyPrefetchCacheCap:       strconv.Itoa(256 << 20),
@@ -164,7 +146,6 @@ var defaults = map[string]string{
 	KeyRDMAOutstandingPerConn: "0", // 0 = follow KeyParallelCopies
 	KeyOverlapReduce:          "true",
 	KeyHTTPPacketBytes:        "65536", // 64 KB, the default packet the paper cites
-	KeyReduceTasks:            "0",     // 0 = framework picks nodes*reduceSlots
 	KeyCachePriorityMode:      "priority",
 	KeySpeculativeMaps:        "false",
 	KeyRDMAConnectRetries:     "4",
@@ -179,11 +160,7 @@ var defaults = map[string]string{
 	KeyObsProfile:             "false",
 	KeyObsHTTPAddr:            "",
 	KeyObsTrace:               "false",
-	KeyObsEventsCap:           "256",
-	KeyObsClusterWindow:       "64",
 	KeyJTMaxRunning:           "4",
-	KeyJTStragglerPercent:     "150",
-	KeyJTStragglerMinFinished: "3",
 	KeyJTCacheJobQuota:        "0", // 0 = no per-job cache isolation
 	KeyRDMAConnCacheMax:       "16",
 	KeyRDMAConnIdleTimeout:    "1000", // ms; 0 = connections never idle out
@@ -374,12 +351,6 @@ func (c *Config) Validate() error {
 	if v := c.Int(KeyTrackerExpiry); v < 1 || v > 3600000 {
 		return fmt.Errorf("config: %s = %d outside [1, 3600000] ms", KeyTrackerExpiry, v)
 	}
-	if v := c.Int(KeyObsEventsCap); v < 16 || v > 65536 {
-		return fmt.Errorf("config: %s = %d outside [16, 65536]", KeyObsEventsCap, v)
-	}
-	if v := c.Int(KeyObsClusterWindow); v < 2 || v > 4096 {
-		return fmt.Errorf("config: %s = %d outside [2, 4096]", KeyObsClusterWindow, v)
-	}
 	for _, key := range []string{KeyMapMaxAttempts, KeyReduceMaxAttempts} {
 		if v := c.Int(key); v < 1 || v > 100 {
 			return fmt.Errorf("config: %s = %d outside [1, 100]", key, v)
@@ -387,13 +358,6 @@ func (c *Config) Validate() error {
 	}
 	if v := c.Int(KeyJTMaxRunning); v < 1 || v > 256 {
 		return fmt.Errorf("config: %s = %d outside [1, 256]", KeyJTMaxRunning, v)
-	}
-	if v := c.Int(KeyJTStragglerPercent); v < 100 || v > 10000 {
-		return fmt.Errorf("config: %s = %d outside [100, 10000] (percent of median)",
-			KeyJTStragglerPercent, v)
-	}
-	if v := c.Int(KeyJTStragglerMinFinished); v < 1 || v > 10000 {
-		return fmt.Errorf("config: %s = %d outside [1, 10000]", KeyJTStragglerMinFinished, v)
 	}
 	if v := c.Int(KeyJTCacheJobQuota); v < 0 {
 		return fmt.Errorf("config: %s = %d must be >= 0 (0 disables per-job isolation)",

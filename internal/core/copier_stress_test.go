@@ -26,11 +26,20 @@ type ringHarness struct {
 	job      mapred.JobInfo
 	numMaps  int
 	expected []kv.Record // sorted union of every partition-0 record
+	// recoverMap, when set, is fetch's RecoverMap.
+	recoverMap func(ctx context.Context, mapID, attempt int) (string, error)
 }
 
 func newRingHarness(t testing.TB, conf *config.Config, numMaps, recsPerMap int) *ringHarness {
 	t.Helper()
-	cluster, err := mapred.NewCluster(1, conf, New())
+	return newRingHarnessOn(t, New(), conf, numMaps, recsPerMap)
+}
+
+// newRingHarnessOn is newRingHarness with the tracker serving under e's
+// policy.
+func newRingHarnessOn(t testing.TB, e *Engine, conf *config.Config, numMaps, recsPerMap int) *ringHarness {
+	t.Helper()
+	cluster, err := mapred.NewCluster(1, conf, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,7 @@ func (h *ringHarness) fetch(ctx context.Context) {
 	close(events)
 	f := newFetcher(mapred.ReduceTaskInfo{
 		Job: h.job, ReduceID: 0, Events: events,
-		Local: h.tt, Hosts: []string{h.tt.Host()},
+		Local: h.tt, Hosts: []string{h.tt.Host()}, RecoverMap: h.recoverMap,
 	})
 	defer f.Close()
 	it, err := f.Fetch(ctx)

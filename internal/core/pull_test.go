@@ -184,22 +184,26 @@ func settleGoroutines(t *testing.T, want int, when string) {
 // goroutine and no chunk buffer is left behind. The same for a Close that
 // comes before the first Next. Both halves of the protocol: the chunk held
 // back is a copier READ of a cache-resident partition (rendezvous), or
-// with caching off the responder's RDMA write (eager).
+// with caching off the responder's RDMA write (eager). Hadoop-A, asked
+// to cache, has no cache and serves eagerly — and settles to the same
+// baseline: the tracker keeps no goroutine per fetch.
 func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		engine  *Engine
 		caching bool
 		op      verbs.Opcode
 	}{
-		{"rendezvous", true, verbs.OpRDMARead},
-		{"eager", false, verbs.OpRDMAWrite},
+		{"rendezvous", New(), true, verbs.OpRDMARead},
+		{"eager", New(), false, verbs.OpRDMAWrite},
+		{"hadoop-a", NewHadoopA(), true, verbs.OpRDMAWrite},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conf := stressConf(2)
 			conf.SetBool(config.KeyCachingEnabled, tc.caching)
-			h := newRingHarness(t, conf, 1, 200) // one segment, ~10 chunks
-			h.fetch(context.Background())        // dial the plane's shared endpoint once
-			if tc.caching {
+			h := newRingHarnessOn(t, tc.engine, conf, 1, 200) // one segment, ~10 chunks
+			h.fetch(context.Background())                     // dial the plane's shared endpoint once
+			if tc.op == verbs.OpRDMARead {
 				// The cold pass above was a demand miss; once its re-cache
 				// lands the partition is served by manifest.
 				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= 1 })
@@ -261,6 +265,40 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			settleGoroutines(t, baseline, "after Close before the first Next")
 		})
 	}
+}
+
+// TestPullResumesAtOffsetAfterDroppedWrite: the responder's RDMA write of
+// a partition's third chunk fails, and the stream still equals the
+// fault-free one record for record, whether the copier's retry or
+// RecoverMap heals it: either way the chunk is re-requested at its own
+// offset, on Hadoop-A's fetches too. (Its old fetch loop restarted the
+// partition at 0, so the reduce saw the first two packets' records twice.)
+func TestPullResumesAtOffsetAfterDroppedWrite(t *testing.T) {
+	h := newRingHarnessOn(t, NewHadoopA(), stressConf(2), 1, 100)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	h.fetch(ctx) // fault-free: the stream is the sorted union
+	recoveries := 0
+	h.recoverMap = func(context.Context, int, int) (string, error) {
+		recoveries++
+		return h.tt.Host(), nil // the output is intact; only the write failed
+	}
+	retries := h.tt.Counters().Get("shuffle.rdma.retries")
+
+	fault := chaos.DropNth(verbs.OpRDMAWrite, 3)
+	h.tt.Fabric().Network().SetFaultInjector(fault)
+	defer h.tt.Fabric().Network().SetFaultInjector(nil)
+	h.fetch(ctx) // the same stream, record for record
+	select {
+	case <-fault.Reached():
+	default:
+		t.Fatal("the third write never came: nothing was dropped")
+	}
+	retries = h.tt.Counters().Get("shuffle.rdma.retries") - retries
+	if recoveries == 0 && retries == 0 {
+		t.Fatal("the dropped write healed by neither a retry nor RecoverMap")
+	}
+	t.Logf("healed by %d retries, %d recoveries", retries, recoveries)
 }
 
 // TestPullOverlapOffSameSequence: mapred.rdma.overlap.reduce=false drains

@@ -84,7 +84,7 @@ type pendingRequest struct {
 	mu  *sync.Mutex
 }
 
-func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
+func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, error) {
 	conf := tt.Conf()
 	l, err := tt.Fabric().Listen(tt.Device(), ServiceName)
 	if err != nil {
@@ -95,8 +95,8 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 		tt:         tt,
 		listener:   l,
 		cache:      NewPrefetchCache(conf.Int(config.KeyPrefetchCacheCap), conf.Get(config.KeyCachePriorityMode), tt.Counters()),
-		cacheOn:    conf.Bool(config.KeyCachingEnabled),
-		sizeAware:  conf.Bool(config.KeySizeAwarePacking),
+		cacheOn:    e.cache && conf.Bool(config.KeyCachingEnabled),
+		sizeAware:  e.sizeAware,
 		packetSize: int(conf.Int(config.KeyRDMAPacketBytes)),
 		leaseTTL:   time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
 		leases:     newLeaseTable(),

@@ -31,11 +31,18 @@ type protoHarness struct {
 
 func newProtoHarness(t testing.TB, conf *config.Config) *protoHarness {
 	t.Helper()
+	return newProtoHarnessOn(t, core.New(), conf)
+}
+
+// newProtoHarnessOn is newProtoHarness with the trackers serving under e's
+// policy.
+func newProtoHarnessOn(t testing.TB, e *core.Engine, conf *config.Config) *protoHarness {
+	t.Helper()
 	if conf == nil {
 		conf = config.New()
 		conf.SetInt(config.KeyBlockSize, 64<<10)
 	}
-	cluster, err := mapred.NewCluster(2, conf, core.New())
+	cluster, err := mapred.NewCluster(2, conf, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,43 +259,69 @@ func TestProtocolCacheServesAfterAnnounce(t *testing.T) {
 }
 
 // TestResponderMissAllocBudget: a request the cache cannot answer reads the
-// partition from the tracker's disk in place — the packet is staged from
-// the stored run, and the demand re-cache that follows copies it once,
-// into the cache's registered block. Neither puts a partition-sized
-// object on the heap.
+// partition from the tracker's disk in place, however far into it the
+// packet starts — the packet is staged from the stored run. On OSU-IB the
+// demand re-cache that follows copies the run once, into the cache's
+// registered block; Hadoop-A has no cache and reads the partition again
+// for every packet. Neither puts a partition-sized object on the heap.
 func TestResponderMissAllocBudget(t *testing.T) {
-	h := newProtoHarness(t, nil)
 	recs := make([]kv.Record, 10000)
 	for i := range recs {
 		recs[i] = kv.Record{Key: []byte(fmt.Sprintf("key-%06d", i)), Value: bytes.Repeat([]byte{byte(i)}, 90)}
 	}
-	counters := h.cluster.Counters()
-	// The first miss is the warm-up: it makes the pool carve its slab.
-	var allocated []uint64
-	for m := 0; m < 4; m++ {
-		h.seedOutput(m, 0, recs)
-		cached, reads := counters.Get("cache.prefetched"), counters.Get("tracker.mapoutput.disk.reads")
-		allocated = append(allocated, alloctest.Bytes(1, func() {
-			if resp := h.roundTrip(h.request(m, 0, 0, 1<<20)); resp.Err != "" || resp.Bytes == 0 {
-				t.Fatalf("resp: %+v", resp)
-			}
-			waitUntil(t, func() bool { return counters.Get("cache.prefetched") > cached })
-		}))
-		// One read served the request, one fed the re-cache.
-		if got := counters.Get("tracker.mapoutput.disk.reads") - reads; got != 2 {
-			t.Fatalf("map %d: %d disk reads for one miss and its re-cache, want 2", m, got)
-		}
-	}
-	size, err := h.cluster.Trackers()[0].MapOutputSize(h.jobID, 0, 0)
+	body, _, err := kv.RunBody(kv.WriteRun(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("allocated per miss: %v (partition %d bytes)", allocated, size)
-	if least := slices.Min(allocated[1:]); least > uint64(size)/4 {
-		t.Errorf("a miss on a %d-byte partition allocated %d bytes (runs: %v), budget %d", size, least, allocated, size/4)
+	recBytes, err := kv.NextRecordSize(body) // every record encodes to the same size
+	if err != nil {
+		t.Fatal(err)
 	}
-	if misses := counters.Get("cache.misses"); misses != 4 {
-		t.Fatalf("cache.misses = %d, want 4", misses)
+	for _, tc := range []struct {
+		name    string
+		engine  *core.Engine
+		recache bool // a miss queues a demand re-cache: one more disk read
+	}{
+		{"osu-ib-rdma", core.New(), true},
+		{"hadoop-a", core.NewHadoopA(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newProtoHarnessOn(t, tc.engine, nil)
+			counters := h.cluster.Counters()
+			wantReads, wantMisses := int64(1), int64(0)
+			if tc.recache {
+				wantReads, wantMisses = 2, 4
+			}
+			// The first miss is the warm-up: it makes the pool carve its slab.
+			var allocated []uint64
+			for m := 0; m < 4; m++ {
+				h.seedOutput(m, 0, recs)
+				offset := int64(m * 2500 * recBytes)
+				cached, reads := counters.Get("cache.prefetched"), counters.Get("tracker.mapoutput.disk.reads")
+				allocated = append(allocated, alloctest.Bytes(1, func() {
+					if resp := h.roundTrip(h.request(m, 0, offset, 1<<20)); resp.Err != "" || resp.Bytes == 0 {
+						t.Fatalf("resp: %+v", resp)
+					}
+					if tc.recache {
+						waitUntil(t, func() bool { return counters.Get("cache.prefetched") > cached })
+					}
+				}))
+				if got := counters.Get("tracker.mapoutput.disk.reads") - reads; got != wantReads {
+					t.Fatalf("map %d: %d disk reads for one packet, want %d", m, got, wantReads)
+				}
+			}
+			size, err := h.cluster.Trackers()[0].MapOutputSize(h.jobID, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("allocated per miss: %v (partition %d bytes)", allocated, size)
+			if least := slices.Min(allocated[1:]); least > uint64(size)/4 {
+				t.Errorf("a miss on a %d-byte partition allocated %d bytes (runs: %v), budget %d", size, least, allocated, size/4)
+			}
+			if misses := counters.Get("cache.misses"); misses != wantMisses {
+				t.Fatalf("cache.misses = %d, want %d", misses, wantMisses)
+			}
+		})
 	}
 }
 

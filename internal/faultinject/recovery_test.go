@@ -11,7 +11,6 @@ import (
 	"rdmamr/internal/faultinject"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
-	"rdmamr/internal/shuffle/hadoopa"
 	"rdmamr/internal/shuffle/httpshuffle"
 	"rdmamr/internal/workload"
 )
@@ -19,7 +18,7 @@ import (
 func engines() map[string]func() mapred.ShuffleEngine {
 	return map[string]func() mapred.ShuffleEngine{
 		"vanilla-http": func() mapred.ShuffleEngine { return httpshuffle.New() },
-		"hadoop-a":     func() mapred.ShuffleEngine { return hadoopa.New() },
+		"hadoop-a":     func() mapred.ShuffleEngine { return core.NewHadoopA() },
 		"osu-ib-rdma":  func() mapred.ShuffleEngine { return core.New() },
 	}
 }

@@ -105,7 +105,7 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		jobObs:   newJobObsRegistry(),
 	}
 	c.jobStatus = make(map[string]*jobStatus)
-	c.events = obs.NewEventLog(int(conf.Int(config.KeyObsEventsCap)))
+	c.events = obs.NewEventLog(256) // the scheduler's last 256 control-plane events
 	// Attach the fabric to the registry — and stand up the per-node
 	// telemetry plane (node registries, delta shippers, cluster view) —
 	// only when someone will look at the numbers: profiling, tracing, or
@@ -115,7 +115,7 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		conf.Get(config.KeyObsHTTPAddr) != ""
 	if telemetry {
 		c.fabric.SetRegistry(c.counters.Registry())
-		c.view = obs.NewClusterView(int(conf.Int(config.KeyObsClusterWindow)))
+		c.view = obs.NewClusterView(64) // heartbeat deltas kept per node for rates
 	}
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("node%d", i)

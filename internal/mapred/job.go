@@ -5,9 +5,10 @@
 //
 // The shuffle engine abstraction is the seam the paper's Figure 2
 // describes: the vanilla HTTP-servlet path
-// (internal/shuffle/httpshuffle), the Hadoop-A network-levitated merge
-// (internal/shuffle/hadoopa), and the OSU-IB RDMA design with
-// pre-fetching and caching (internal/core) all plug in behind the same
+// (internal/shuffle/httpshuffle), the OSU-IB RDMA design with
+// pre-fetching and caching (internal/core), and the Hadoop-A
+// network-levitated merge (the same RDMA engine without the cache and
+// with count-driven packets, core.NewHadoopA) all plug in behind the same
 // interfaces, selected per job by mapred.rdma.enabled-style configuration.
 package mapred
 

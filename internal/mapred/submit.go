@@ -27,11 +27,10 @@ const specPollInterval = 10 * time.Millisecond
 // round-robin arbiter, so every running job gets its fair share of each
 // slot kind and a data-local placement is preferred across ALL jobs
 // before any job settles for a remote split. Admission beyond
-// mapred.jobtracker.max.running queues FIFO. Straggler detection
-// (mapred.jobtracker.straggler.percent of the job's median completed
-// attempt, after mapred.jobtracker.straggler.min.finished completions)
-// gates speculative map execution; per-job cache isolation is wired
-// separately through mapred.jobtracker.cache.job.quota.bytes.
+// mapred.jobtracker.max.running queues FIFO. Straggler detection (150 %
+// of the job's median completed attempt, after 3 completions) gates
+// speculative map execution; per-job cache isolation is wired separately
+// through mapred.jobtracker.cache.job.quota.bytes.
 type jobTracker struct {
 	c            *Cluster
 	adm          *jobtracker.Admission
@@ -63,15 +62,14 @@ func newJobTracker(c *Cluster) *jobTracker {
 		reduceSched: jobtracker.NewDWRR(),
 		mapSlots:    int(conf.Int(config.KeyMapSlots)),
 		reduceSlots: int(conf.Int(config.KeyReduceSlots)),
-		stragglerCfg: jobtracker.StragglerConfig{
-			RatioPercent: conf.Int(config.KeyJTStragglerPercent),
-			MinFinished:  int(conf.Int(config.KeyJTStragglerMinFinished)),
-		},
-		jobs:        make(map[string]*runningJob),
-		wake:        make(chan struct{}),
-		busyMaps:    make(map[string]int),
-		busyReduces: make(map[string]int),
-		stop:        make(chan struct{}),
+		// An attempt past 1.5× the job's median completed attempt is a
+		// straggler, once three attempts have completed.
+		stragglerCfg: jobtracker.StragglerConfig{RatioPercent: 150, MinFinished: 3},
+		jobs:         make(map[string]*runningJob),
+		wake:         make(chan struct{}),
+		busyMaps:     make(map[string]int),
+		busyReduces:  make(map[string]int),
+		stop:         make(chan struct{}),
 	}
 }
 

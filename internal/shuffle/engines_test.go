@@ -1,7 +1,9 @@
 // Package shuffle_test runs the same jobs across all three shuffle
 // engines — vanilla HTTP, Hadoop-A, OSU-IB RDMA — and verifies they
 // produce identical, valid results. This is the functional half of
-// experiment E8: the engines differ in mechanism, never in outcome.
+// experiment E8: the engines differ in mechanism, never in outcome. The
+// Hadoop-A tests at the end pin the two properties that engine is: no
+// cache, count-driven packets.
 package shuffle_test
 
 import (
@@ -14,7 +16,6 @@ import (
 	"rdmamr/internal/core"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
-	"rdmamr/internal/shuffle/hadoopa"
 	"rdmamr/internal/shuffle/httpshuffle"
 	"rdmamr/internal/workload"
 )
@@ -22,7 +23,7 @@ import (
 func engines() map[string]func() mapred.ShuffleEngine {
 	return map[string]func() mapred.ShuffleEngine{
 		"vanilla-http": func() mapred.ShuffleEngine { return httpshuffle.New() },
-		"hadoop-a":     func() mapred.ShuffleEngine { return hadoopa.New() },
+		"hadoop-a":     func() mapred.ShuffleEngine { return core.NewHadoopA() },
 		"osu-ib-rdma":  func() mapred.ShuffleEngine { return core.New() },
 	}
 }
@@ -142,8 +143,7 @@ func TestEngineCharacteristics(t *testing.T) {
 	conf := engineConf()
 	conf.SetInt(config.KeyKVPairsPerPacket, 8)
 	conf.SetInt(config.KeyRDMAPacketBytes, 1024)
-	type result struct{ counters map[string]int64 }
-	results := map[string]result{}
+	results := map[string]*mapred.JobResult{}
 	for name, mk := range engines() {
 		c, err := mapred.NewCluster(3, conf, mk())
 		if err != nil {
@@ -161,31 +161,43 @@ func TestEngineCharacteristics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		results[name] = result{res.Counters}
+		results[name] = res
 		c.Close()
 	}
-	if results["vanilla-http"].counters["shuffle.http.bytes"] == 0 {
+	http, ha, osu := results["vanilla-http"].Counters, results["hadoop-a"].Counters, results["osu-ib-rdma"].Counters
+	if http["shuffle.http.bytes"] == 0 {
 		t.Error("vanilla engine moved no HTTP bytes")
 	}
-	if results["hadoop-a"].counters["shuffle.hadoopa.bytes"] == 0 {
+	if ha["shuffle.rdma.bytes"] == 0 {
 		t.Error("hadoop-a moved no verbs bytes")
 	}
-	if results["osu-ib-rdma"].counters["shuffle.rdma.bytes"] == 0 {
+	if osu["shuffle.rdma.bytes"] == 0 {
 		t.Error("osu engine moved no RDMA bytes")
 	}
-	// Hadoop-A has no cache, ever.
-	if results["hadoop-a"].counters["cache.hits"] != 0 {
-		t.Error("hadoop-a recorded cache hits")
+	// Hadoop-A has no cache, so nothing is ever served by manifest: every
+	// packet is an eager response its responder read from disk.
+	if ha["cache.hits"] != 0 || ha["shuffle.rdma.read.manifests"] != 0 {
+		t.Errorf("hadoop-a served from a cache: cache.hits=%d read.manifests=%d",
+			ha["cache.hits"], ha["shuffle.rdma.read.manifests"])
 	}
-	// OSU caching cuts tracker disk reads below Hadoop-A's per-request
+	if reads, packets := ha["tracker.mapoutput.disk.reads"], ha["shuffle.rdma.packets"]; reads < packets {
+		t.Errorf("hadoop-a: %d disk reads for %d packets, want one per packet at least", reads, packets)
+	}
+	// OSU's prefetcher reads a partition from disk once into the cache; a
+	// request that misses it pays its own read plus the demand re-cache's.
+	res := results["osu-ib-rdma"]
+	partitions, misses := int64(res.NumMaps*res.NumReduces), osu["cache.misses"]
+	if reads := osu["tracker.mapoutput.disk.reads"]; reads > partitions+2*misses {
+		t.Errorf("OSU: %d disk reads, want at most %d partitions + 2 × %d misses", reads, partitions, misses)
+	}
+	// So OSU caching cuts tracker disk reads below Hadoop-A's per-request
 	// reads for the same job shape.
-	osuReads := results["osu-ib-rdma"].counters["tracker.mapoutput.disk.reads"]
-	hadoopAReads := results["hadoop-a"].counters["tracker.mapoutput.disk.reads"]
-	if osuReads >= hadoopAReads {
-		t.Errorf("OSU disk reads (%d) not below Hadoop-A (%d)", osuReads, hadoopAReads)
+	if osu["tracker.mapoutput.disk.reads"] >= ha["tracker.mapoutput.disk.reads"] {
+		t.Errorf("OSU disk reads (%d) not below Hadoop-A (%d)", osu["tracker.mapoutput.disk.reads"], ha["tracker.mapoutput.disk.reads"])
 	}
 	for name, r := range results {
-		t.Logf("%s: disk reads=%d", name, r.counters["tracker.mapoutput.disk.reads"])
+		t.Logf("%s: disk reads=%d packets=%d cache.misses=%d", name, r.Counters["tracker.mapoutput.disk.reads"],
+			r.Counters["shuffle.rdma.packets"], r.Counters["cache.misses"])
 	}
 }
 
@@ -297,5 +309,130 @@ func TestStreamingEnginesOrderEqualKeysByMap(t *testing.T) {
 				t.Fatalf("output has %d records, want %d", total, maps*perMap)
 			}
 		})
+	}
+}
+
+// newHadoopACluster is a small cluster on the Hadoop-A engine.
+func newHadoopACluster(t *testing.T, nodes int, conf *config.Config) *mapred.Cluster {
+	t.Helper()
+	if conf == nil {
+		conf = config.New()
+	}
+	conf.SetInt(config.KeyBlockSize, 64<<10)
+	conf.SetInt(config.KeyMapSlots, 2)
+	conf.SetInt(config.KeyReduceSlots, 2)
+	c, err := mapred.NewCluster(nodes, conf, core.NewHadoopA())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+func TestHadoopATeraSort(t *testing.T) {
+	c := newHadoopACluster(t, 3, nil)
+	fs := c.FS()
+	paths, err := workload.TeraGen(fs, "/in", 1500, 16<<10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample, _ := workload.SampleKeys(fs, paths, mapred.TeraInput, 100)
+	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := workload.ChecksumInput(fs, paths, mapred.TeraInput)
+	res, err := c.RunJob(ctxT(t), &mapred.Job{
+		Name: "ha-ts", Input: paths, Output: "/out",
+		InputFormat: mapred.TeraInput, Partitioner: part, NumReduces: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.Validate(fs, "/out", kv.BytesComparator, want, true); err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters["shuffle.rdma.bytes"] == 0 {
+		t.Fatal("no levitated-merge traffic")
+	}
+	// No cache, ever — caching is on by default, and still: every serve is
+	// a disk read.
+	if res.Counters["cache.hits"] != 0 || res.Counters["cache.prefetched"] != 0 {
+		t.Fatalf("Hadoop-A must not cache: %v", res.Counters)
+	}
+}
+
+func TestHadoopACountDrivenPacking(t *testing.T) {
+	// With kvpairs.per.packet = 8 and 100-byte records, packets carry
+	// ~8 records regardless of the RDMA packet size setting — the
+	// size-oblivious fill §III-C.3 contrasts with the OSU design.
+	conf := config.New()
+	conf.SetInt(config.KeyKVPairsPerPacket, 8)
+	conf.SetInt(config.KeyRDMAPacketBytes, 1<<20)
+	c := newHadoopACluster(t, 2, conf)
+	fs := c.FS()
+	paths, err := workload.TeraGen(fs, "/in", 800, 16<<10, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunJob(ctxT(t), &mapred.Job{
+		Name: "ha-pack", Input: paths, Output: "/out",
+		InputFormat: mapred.TeraInput, NumReduces: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packets := res.Counters["shuffle.rdma.packets"]
+	bytes := res.Counters["shuffle.rdma.bytes"]
+	if packets == 0 {
+		t.Fatal("no packets")
+	}
+	meanPacket := float64(bytes) / float64(packets)
+	// 8 records ≈ 8×103 encoded bytes; a size-aware packer would have
+	// filled toward the 1 MB limit instead.
+	if meanPacket > 2000 {
+		t.Fatalf("mean packet %.0f bytes; count-driven packing should cap near 8 records", meanPacket)
+	}
+	// Count-driven packing needs many more packets: at least one per 8
+	// records.
+	if packets < 800/8 {
+		t.Fatalf("packets = %d", packets)
+	}
+}
+
+func TestHadoopAPerChunkDiskReads(t *testing.T) {
+	// The defining deficiency (§III-C.1): every packet request reads the
+	// map output from disk — tracker disk reads scale with packet count,
+	// not partition count.
+	conf := config.New()
+	conf.SetInt(config.KeyKVPairsPerPacket, 16)
+	c := newHadoopACluster(t, 2, conf)
+	fs := c.FS()
+	paths, err := workload.TeraGen(fs, "/in", 2000, 32<<10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunJob(ctxT(t), &mapred.Job{
+		Name: "ha-disk", Input: paths, Output: "/out",
+		InputFormat: mapred.TeraInput, NumReduces: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := res.Counters["tracker.mapoutput.disk.reads"]
+	partitions := int64(res.NumMaps * res.NumReduces)
+	if reads < partitions*3 {
+		t.Fatalf("disk reads %d for %d partitions; expected per-chunk disk access", reads, partitions)
+	}
+}
+
+func TestHadoopAEmptyPartitions(t *testing.T) {
+	c := newHadoopACluster(t, 2, nil)
+	fs := c.FS()
+	_ = fs.WriteFile("/e/in", "", kv.WriteRun([]kv.Record{{Key: []byte("k"), Value: []byte("v")}}))
+	if _, err := c.RunJob(ctxT(t), &mapred.Job{
+		Name: "ha-empty", Input: []string{"/e/in"}, Output: "/e/out", NumReduces: 6,
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,11 +1,11 @@
-// Package stream is the reduce side both streaming engines (internal/core
-// and internal/shuffle/hadoopa) return from Fetch: the priority-queue
-// merge over their refillable segments, run by whoever calls Next — the
-// reduce function's own goroutine.
+// Package stream is the reduce side the RDMA engine (internal/core, under
+// both its OSU-IB and Hadoop-A policies) returns from Fetch: the
+// priority-queue merge over its refillable segments, run by whoever calls
+// Next — the reduce function's own goroutine.
 //
 // The paper puts a FIFO, the DataToReduceQueue, between the merge and the
 // reduce function so that shuffle, merge and reduce overlap (§III-B.4).
-// Here the shuffle overlaps through the engines' pumps and each segment's
+// Here the shuffle overlaps through the engine's pumps and each segment's
 // one-chunk look-ahead, and merge and reduce compete for the same cores,
 // so the queue is a function call (DESIGN.md D17).
 package stream

@@ -25,7 +25,6 @@ import (
 	"rdmamr/internal/core"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
-	"rdmamr/internal/shuffle/hadoopa"
 	"rdmamr/internal/shuffle/httpshuffle"
 	"rdmamr/internal/sim"
 	"rdmamr/internal/workload"
@@ -106,7 +105,7 @@ func EngineByName(name string) (ShuffleEngine, error) {
 	case "vanilla-http":
 		return httpshuffle.New(), nil
 	case "hadoop-a":
-		return hadoopa.New(), nil
+		return core.NewHadoopA(), nil
 	case "osu-ib-rdma":
 		return core.New(), nil
 	default:
