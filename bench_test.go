@@ -174,17 +174,6 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationResponderPool sweeps the RDMAResponder pool size.
-func BenchmarkAblationResponderPool(b *testing.B) {
-	for _, n := range []int64{1, 4, 16} {
-		b.Run(fmt.Sprintf("responders-%d", n), func(b *testing.B) {
-			conf := functionalConf()
-			conf.SetInt(config.KeyResponderThreads, n)
-			runFunctionalTeraSort(b, core.New(), conf, 3000, fmt.Sprintf("r%d", n))
-		})
-	}
-}
-
 // BenchmarkAblationOutstandingDepth sweeps the RDMA copier's
 // per-connection pipeline depth (mapred.rdma.outstanding.per.conn, the
 // bounce-buffer ring size). Depth 1 reproduces the old lockstep

@@ -1,14 +1,16 @@
 // Package core implements the paper's primary contribution: the OSU-IB
 // RDMA-based MapReduce shuffle engine (§III-B). On the TaskTracker side it
-// provides the RDMAListener, RDMAReceiver, DataRequestQueue, and the
-// RDMAResponder pool, plus the MapOutputPrefetcher daemon pool feeding the
-// PrefetchCache (§III-B.3). On the ReduceTask side it provides the
-// RDMACopier and the chunked priority-queue merge over refillable segments
-// (§III-B.2), which the reduce function pulls directly — the paper's
-// DataToReduceQueue is a function call here (internal/shuffle/stream,
-// DESIGN.md D17) — so shuffle, merge and reduce overlap (§III-B.4). Bulk
-// data moves by RDMA writes into the copier's registered buffers over the
-// emulated verbs fabric.
+// provides the RDMAListener and one RDMAReceiver per connection that
+// serves its own requests in order — the DataRequestQueue is that
+// connection's receive queue and the RDMAResponder pool a bound on
+// requests in service (DESIGN.md D19) — plus the MapOutputPrefetcher
+// daemon pool feeding the PrefetchCache (§III-B.3). On the ReduceTask
+// side it provides the RDMACopier and the chunked priority-queue merge
+// over refillable segments (§III-B.2), which the reduce function pulls
+// directly — the paper's DataToReduceQueue is a function call here
+// (internal/shuffle/stream, DESIGN.md D17) — so shuffle, merge and reduce
+// overlap (§III-B.4). Bulk data moves by RDMA writes into the copier's
+// registered buffers over the emulated verbs fabric.
 package core
 
 import (

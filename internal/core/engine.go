@@ -4,17 +4,19 @@ import (
 	"rdmamr/internal/mapred"
 )
 
-// Engine is one RDMA shuffle — RDMAListener, responder pool, RDMACopier
-// and streaming merge — under a fixed serving policy. New gives the OSU-IB
-// design (the paper's figures label it "OSU-IB (32Gbps)"); NewHadoopA gives
-// the Hadoop-A baseline on the same transport. Within that policy its
-// behaviour follows the configuration keys the paper exposes (§III-C.3):
+// Engine is one RDMA shuffle — RDMAListener, per-connection
+// receiver/responders, RDMACopier and streaming merge — under a fixed
+// serving policy. New gives the OSU-IB design (the paper's figures label
+// it "OSU-IB (32Gbps)"); NewHadoopA gives the Hadoop-A baseline on the
+// same transport. Within that policy its behaviour follows the
+// configuration keys the paper exposes (§III-C.3):
 //
 //   - mapred.local.caching.enabled — PrefetchCache on/off (Figure 8)
 //   - mapred.rdma.packet.size — RDMA packet size
 //   - mapred.rdma.kvpairs.per.packet — records per packet
 //   - mapred.rdma.overlap.reduce — streaming vs barrier hand-off (D3)
-//   - mapred.rdma.responder.threads / prefetch.threads — pool sizes
+//   - mapred.rdma.responder.threads — requests in service at once per tracker
+//   - mapred.rdma.prefetch.threads — prefetcher pool size
 type Engine struct {
 	name      string
 	cache     bool // PrefetchCache, when mapred.local.caching.enabled agrees
@@ -51,8 +53,9 @@ func NewHadoopA() *Engine { return &Engine{name: "hadoop-a"} }
 func (e *Engine) Name() string { return e.name }
 
 // StartTracker implements mapred.ShuffleEngine: it brings up the
-// RDMAListener, RDMAReceiver/Responder pools, and the MapOutputPrefetcher
-// on one TaskTracker.
+// RDMAListener (each accepted connection gets a receiver that serves its
+// requests under the tracker's in-service bound) and the
+// MapOutputPrefetcher on one TaskTracker.
 func (e *Engine) StartTracker(tt *mapred.TaskTracker) (mapred.TrackerServer, error) {
 	return startTrackerServer(tt, e)
 }

@@ -21,8 +21,10 @@ import (
 const ServiceName = "mr-shuffle"
 
 // trackerServer is the TaskTracker-side assembly of Figure 2's new
-// components: RDMAListener (accept loop) → RDMAReceiver (per-connection
-// request pump) → DataRequestQueue → RDMAResponder pool, backed by the
+// components: RDMAListener (accept loop) → one RDMAReceiver per
+// connection, which also responds: it serves its end-point's requests in
+// arrival order, at most mapred.rdma.responder.threads of them in service
+// tracker-wide (the RDMAResponder pool, D19), backed by the
 // MapOutputPrefetcher + PrefetchCache.
 type trackerServer struct {
 	tt         *mapred.TaskTracker
@@ -41,9 +43,9 @@ type trackerServer struct {
 	leaseTTL time.Duration
 	leases   *leaseTable
 
-	// reqQ is the DataRequestQueue: "used to hold all the requests from
-	// ReduceTasks ... until one of the RDMAResponders take it".
-	reqQ chan *pendingRequest
+	// inService holds one token per request being served: its capacity is
+	// the RDMAResponder pool size (D19).
+	inService chan struct{}
 
 	// Node-local serving counters (heartbeat-shipped telemetry); nil
 	// no-op handles when the plane is off.
@@ -62,7 +64,7 @@ type trackerServer struct {
 	// hdrBlocks recycles header-sized slab blocks across responses:
 	// every mrpool Free re-coalesces the slab free list under the pool
 	// mutex, too heavy (and too contended with stage/cache allocs) for
-	// the per-response hot path. Sized to the responder pool; drained
+	// the per-response hot path. Sized to the requests in service; drained
 	// back to the slab on Close.
 	hdrBlocks chan *mrpool.Block
 
@@ -75,15 +77,6 @@ type trackerServer struct {
 	closed    bool
 }
 
-// pendingRequest pairs a decoded request with the end-point to respond
-// on. Per-endpoint mutexes serialize the RDMA-write + header-send pair so
-// a response never lands in a peer buffer another response still owns.
-type pendingRequest struct {
-	req *wire.DataRequest
-	ep  *ucr.EndPoint
-	mu  *sync.Mutex
-}
-
 func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, error) {
 	conf := tt.Conf()
 	l, err := tt.Fabric().Listen(tt.Device(), ServiceName)
@@ -91,6 +84,7 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	responders := int(conf.Int(config.KeyResponderThreads))
 	s := &trackerServer{
 		tt:         tt,
 		listener:   l,
@@ -100,9 +94,12 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 		packetSize: int(conf.Int(config.KeyRDMAPacketBytes)),
 		leaseTTL:   time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
 		leases:     newLeaseTable(),
-		reqQ:       make(chan *pendingRequest, 1024),
-		ctx:        ctx,
-		cancel:     cancel,
+		inService:  make(chan struct{}, responders),
+		// At most one header block is live per request in service, so a
+		// free list that deep never blocks a put.
+		hdrBlocks: make(chan *mrpool.Block, responders+1),
+		ctx:       ctx,
+		cancel:    cancel,
 	}
 	// D13: every registration on this tracker goes through the device's
 	// slab pool, under one budget and one set of gauges.
@@ -131,17 +128,6 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 		// against, so no lease is ever granted.
 		s.wg.Add(1)
 		go s.leaseJanitor()
-	}
-
-	// RDMAResponder pool: "a pool of threads that wait on
-	// DataRequestQueue for incoming requests".
-	responders := int(conf.Int(config.KeyResponderThreads))
-	// At most one header block is live per responder at a time, so a
-	// free list that deep never blocks a put.
-	s.hdrBlocks = make(chan *mrpool.Block, responders+1)
-	for i := 0; i < responders; i++ {
-		s.wg.Add(1)
-		go s.responder()
 	}
 	return s, nil
 }
@@ -191,16 +177,26 @@ func (s *trackerServer) acceptLoop() {
 	}
 }
 
-// receiver is one RDMAReceiver: it pulls requests off its end-point and
-// places them in the DataRequestQueue. When the connection dies — the
-// copier closed it, reconnected elsewhere, or the fabric severed it —
-// the end-point is released immediately; reconnect churn from
-// self-healing copiers must not accumulate dead endpoints (and their
-// registered rings) until server shutdown.
+// receiver is one RDMAReceiver and its end-point's RDMAResponder: it
+// pulls requests off its end-point and serves each in turn, holding one
+// in-service token while it does (D19). Requests on one end-point are
+// therefore answered one at a time, in arrival order, so one response's
+// write-then-header pair never interleaves with another's on the same
+// peer. A stalled end-point holds only this goroutine and one token.
+//
+// Serving here never blocks the device's receive pump, which feeds every
+// end-point on the device: ep.msgs holds 1024 messages, and an end-point
+// never has more requests in flight than ring depth × fetchers sharing
+// it (plus one lease release per manifest), far below that.
+//
+// When the connection dies — the copier closed it, reconnected
+// elsewhere, or the fabric severed it — the end-point is released
+// immediately; reconnect churn from self-healing copiers must not
+// accumulate dead endpoints (and their registered rings) until server
+// shutdown.
 func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 	defer s.wg.Done()
 	defer s.dropEndpoint(ep)
-	epMu := &sync.Mutex{}
 	for {
 		msg, err := ep.Recv(s.ctx)
 		if err != nil {
@@ -223,50 +219,19 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 			continue
 		}
 		select {
-		case s.reqQ <- &pendingRequest{req: req, ep: ep, mu: epMu}:
+		case s.inService <- struct{}{}:
 		case <-s.ctx.Done():
 			return
 		}
+		s.serve(ep, req)
+		<-s.inService
 	}
 }
 
-// responder is one RDMAResponder: take a request, locate the data
-// (PrefetchCache first), pack a chunk, RDMA-write it into the copier's
-// buffer, and send the response header. "It is a very light-weight thread
-// and after sending the response, it immediately goes to wait state."
-func (s *trackerServer) responder() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case p := <-s.reqQ:
-			s.serve(p)
-		}
-	}
-}
-
-func (s *trackerServer) serve(p *pendingRequest) {
-	// TryLock, not Lock: a slow or dying connection (say, a delayed QP
-	// processor mid-response) holds its endpoint mutex for the full fault
-	// duration, and that connection's other queued requests would convoy
-	// the entire responder pool behind it — starving every healthy
-	// connection, including the reconnect the failing copier is deadlining
-	// on. Contended requests go back to the DataRequestQueue (after a
-	// short pause so a fully-blocked queue does not spin hot) and the pool
-	// keeps serving.
-	if !p.mu.TryLock() {
-		s.tt.Counters().Add("shuffle.rdma.responder.requeues", 1)
-		time.Sleep(100 * time.Microsecond)
-		select {
-		case s.reqQ <- p:
-			return
-		default:
-			// Queue full: blocking one responder beats dropping a request.
-			p.mu.Lock()
-		}
-	}
-	defer p.mu.Unlock()
+// serve is one RDMAResponder turn: locate the data (PrefetchCache
+// first), pack a chunk, RDMA-write it into the copier's buffer, and send
+// the response header — or answer with a manifest the copier READs.
+func (s *trackerServer) serve(ep *ucr.EndPoint, req *wire.DataRequest) {
 	// Responder occupancy: wall time a responder spends on this request,
 	// the denominator of the READ arm's "responder CPU per byte" claim.
 	// Two clock reads per request, always on.
@@ -280,16 +245,18 @@ func (s *trackerServer) serve(p *pendingRequest) {
 	// descriptor manifest (rendezvous — the copier READs the payload);
 	// everything else is served eagerly below, which also owns all error
 	// reporting.
-	if s.cacheOn && p.req.Flags&wire.FlagFetchRead != 0 && s.serveManifest(p) {
+	if s.cacheOn && req.Flags&wire.FlagFetchRead != 0 && s.serveManifest(ep, req) {
 		return
 	}
-	header, payload := s.buildResponse(p)
+	header, payload := s.buildResponse(req)
 	if payload != nil {
-		// release on every exit returns the staging block to the slab:
-		// centralizing it here (rather than per-branch) is what keeps the
-		// pool leak-free across RDMA-write and header-send failures alike.
-		defer payload.release()
-		if err := p.ep.RDMAWrite(s.ctx, payload.sge(), p.req.RemoteAddr, p.req.RKey); err != nil {
+		// RDMAWrite returns only once the fabric is done with the staging
+		// block (completed, or its QP destroyed), so the block goes back
+		// to the slab before the header is sent: by the time the copier
+		// sees the answer, nothing of it is still staged.
+		err := ep.RDMAWrite(s.ctx, payload.sge(), req.RemoteAddr, req.RKey)
+		payload.release()
+		if err != nil {
 			// The data exists — only the delivery failed. Transient tells
 			// the copier to re-issue instead of re-running the map.
 			header.Err = fmt.Sprintf("rdma write: %v", err)
@@ -299,7 +266,7 @@ func (s *trackerServer) serve(p *pendingRequest) {
 			s.nServedBytes.Add(int64(header.Bytes))
 		}
 	}
-	s.sendHeader(p.ep, &header)
+	s.sendHeader(ep, &header)
 }
 
 // sendHeader delivers the response header, encoded into a slab-carved
@@ -360,9 +327,9 @@ func (s *trackerServer) stage(data []byte) (*stagedPayload, error) {
 }
 
 // release returns the staging block to the slab. Every stage() is paired
-// with exactly one release, deferred in serve; the
-// shuffle.rdma.stage.outstanding counter must therefore read zero
-// whenever the responder pool is idle (asserted by the server tests).
+// with exactly one release, in serve as soon as the RDMA write returns;
+// the shuffle.rdma.stage.outstanding counter must therefore read zero
+// once a request's header is out (asserted by the server tests).
 func (sp *stagedPayload) release() {
 	sp.srv.tt.Counters().Add("shuffle.rdma.stage.outstanding", -1)
 	sp.blk.Free()
@@ -373,8 +340,7 @@ func (sp *stagedPayload) release() {
 // chunk, and copy it into a registered staging block for the RDMA write.
 // A nil payload means the header alone is the answer (empty chunk or an
 // error).
-func (s *trackerServer) buildResponse(p *pendingRequest) (header wire.DataResponse, payload *stagedPayload) {
-	req := p.req
+func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataResponse, payload *stagedPayload) {
 	header = wire.DataResponse{
 		MapID: req.MapID, ReduceID: req.ReduceID, Offset: req.Offset,
 		// Echo the copier's slot tag so it can match this response to
@@ -434,8 +400,7 @@ const maxManifestChunks = 64
 // when the request cannot be served this way — cache miss, unregistered
 // body (slab budget exhausted at Put), corrupt framing — and the eager
 // path takes over.
-func (s *trackerServer) serveManifest(p *pendingRequest) bool {
-	req := p.req
+func (s *trackerServer) serveManifest(ep *ucr.EndPoint, req *wire.DataRequest) bool {
 	key := CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)}
 	if !s.cache.Contains(key) {
 		return false
@@ -500,13 +465,14 @@ func (s *trackerServer) serveManifest(p *pendingRequest) bool {
 		}
 	}
 	m.LeaseID = s.leases.grant(view, s.leaseTTL)
-	if err := s.sendManifest(p.ep, &m); err != nil {
+	// Counted before the send, as the staging block is freed before the
+	// header: the copier may act on the manifest before SendSG returns.
+	s.tt.Counters().Add("shuffle.rdma.read.manifests", 1)
+	if err := s.sendManifest(ep, &m); err != nil {
 		// The connection is dying; drop the pin now rather than waiting
 		// out the lease deadline. The copier re-issues after reconnect.
 		s.leases.release(m.LeaseID)
-		return true
 	}
-	s.tt.Counters().Add("shuffle.rdma.read.manifests", 1)
 	return true
 }
 
@@ -619,8 +585,9 @@ func (s *trackerServer) Close() error {
 	}
 	s.prefetcher.Close()
 	s.wg.Wait()
-	// Responders are stopped: return the recycled header blocks to the
-	// slab so the MR accountant's leak assertion sees a drained server.
+	// Receivers are stopped, so nothing is in service: return the recycled
+	// header blocks to the slab so the MR accountant's leak assertion sees
+	// a drained server.
 	close(s.hdrBlocks)
 	for blk := range s.hdrBlocks {
 		blk.Free()

@@ -389,7 +389,7 @@ func TestResponderDecidesPerRequest(t *testing.T) {
 					t.Fatal("cache consulted with caching off")
 				}
 			}
-			waitStagesDrained(t, c.Get)
+			assertStagesReleased(t, c.Get)
 		})
 	}
 }

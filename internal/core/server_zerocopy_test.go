@@ -48,19 +48,14 @@ func prefetchInto(t testing.TB, h *protoHarness, info mapred.JobInfo, mapID int)
 	_ = tt.Store().Delete(mapred.MapOutputKey(info.ID, mapID, 0))
 }
 
-// waitStagesDrained waits for the responder to return its staging
-// regions: releases ride the send-completion path, so the counter can
-// lag the round trip briefly. A region that never comes back is a leak.
-func waitStagesDrained(t testing.TB, get func(string) int64) {
+// assertStagesReleased fails if any staging region is alive: the
+// responder frees one as soon as its RDMA write returns, before the
+// header that ends the round trip is sent, so none outlives an answer.
+func assertStagesReleased(t testing.TB, get func(string) int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if get("shuffle.rdma.stage.outstanding") == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := get("shuffle.rdma.stage.outstanding"); n != 0 {
+		t.Fatalf("%d staging regions leaked", n)
 	}
-	t.Fatalf("%d staging regions leaked", get("shuffle.rdma.stage.outstanding"))
 }
 
 // TestZeroCopyServesCacheHitWithoutStaging: a cache-resident partition is
@@ -112,7 +107,7 @@ func TestZeroCopyColdPartitionFallsBackToStaging(t *testing.T) {
 	if c.Get("shuffle.rdma.zerocopy.fallbacks") == 0 {
 		t.Fatal("cold-partition fallback not counted")
 	}
-	waitStagesDrained(t, c.Get)
+	assertStagesReleased(t, c.Get)
 }
 
 // TestZeroCopyDisabledNeverTakesZeroCopyPath: with caching off nothing is
@@ -135,7 +130,7 @@ func TestZeroCopyDisabledNeverTakesZeroCopyPath(t *testing.T) {
 	if c.Get("shuffle.rdma.zerocopy.fallbacks") != 0 {
 		t.Fatal("an eager response with caching off counted as a zero-copy fallback")
 	}
-	waitStagesDrained(t, c.Get)
+	assertStagesReleased(t, c.Get)
 }
 
 // chunkWalk fetches a whole partition with the given per-packet record
@@ -291,5 +286,5 @@ func TestZeroCopyJobRemovalDuringWalk(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	waitStagesDrained(t, h.cluster.Counters().Get)
+	assertStagesReleased(t, h.cluster.Counters().Get)
 }
