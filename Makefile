@@ -32,15 +32,19 @@ race:
 # with transport faults, and kill-then-revive) and, since cache-resident
 # partitions move by manifest + READ, what can happen to a published
 # manifest (lease expiry, eviction and job removal under it, the same
-# with seeded transport chaos on top), and the serving-side convoy case
+# with seeded transport chaos on top), the serving-side convoy case
 # (every write to one reducer device parked while another device fetches
-# from the same tracker), all under the race detector.
+# from the same tracker), and the copier's own clocks and shape (the
+# request deadline under every idle setting, clean idle retirement and
+# lazy redial, a loss notice ending a blacklist wait, and a host
+# connection that runs exactly two goroutines while a chunk is parked on
+# either half of the protocol), all under the race detector.
 # Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
 # gate always executes.
 chaos:
-	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/

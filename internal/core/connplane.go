@@ -463,7 +463,7 @@ func (l *connLease) Recv(ctx context.Context) (leaseMsg, error) {
 }
 
 // Close detaches the lease. killConn tears the whole shared connection
-// down first (connection-level failure: protocol violation, watchdog
+// down first (connection-level failure: protocol violation, request
 // deadline, tracker death) — every sharer observes the cause and
 // redials through its own retry budget. A clean close (shutdown, idle)
 // leaves the connection cached for the next fetcher; the closing lease's

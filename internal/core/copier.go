@@ -250,9 +250,9 @@ type readPlan struct {
 	released bool
 }
 
-// readJob is one chunk the read pump pulls one-sided: the slot it owns
-// (already registered in hc.pending), the owning request, the manifest
-// chunk describing the remote ranges, and the plan it came from.
+// readJob is one chunk to pull one-sided: the slot it owns (already
+// registered in hc.pending), the owning request, the manifest chunk
+// describing the remote ranges, and the plan it came from.
 type readJob struct {
 	slot  uint32
 	req   chunkReq
@@ -332,8 +332,8 @@ func (p *hostPeer) enqueue(ctx context.Context, req chunkReq) error {
 }
 
 // pendingSlot is one in-flight request: which request owns the slot,
-// when it was issued (for the per-request deadline watchdog), and how
-// long it waited for a free bounce-buffer slot (span accounting).
+// when it was issued (for the supervisor's per-request deadline check),
+// and how long it waited for a free bounce-buffer slot (span accounting).
 type pendingSlot struct {
 	req      chunkReq
 	issued   time.Time
@@ -347,8 +347,11 @@ type pendingSlot struct {
 // and responses carry the lease-scoped slot tag, so chunk fetches for
 // different segments on the same host complete out of order while each
 // segment's own byte stream stays ordered (a segment never has more than
-// one chunk in flight). A hostConn is single-use: on any failure it is
-// abandoned and the peer's supervisor acquires a fresh lease.
+// one chunk in flight). Two pumps run it — sendLoop and recvLoop — and
+// whichever finds a chunk to READ issues the READ itself (D20); the
+// supervisor keeps its deadline and idle clocks. A hostConn is
+// single-use: on any failure it is abandoned and the peer's supervisor
+// acquires a fresh lease.
 type hostConn struct {
 	host     string
 	lease    *connLease
@@ -363,19 +366,13 @@ type hostConn struct {
 	// failures start a fresh streak.
 	progress atomic.Bool
 
-	// lastActive is the idle monitor's clock: UnixNano of the last send,
-	// delivery, or queued demand.
+	// lastActive is the idle clock: UnixNano of the last send, delivery,
+	// READ, or queued demand.
 	lastActive atomic.Int64
 
-	// pumps is every goroutine runConn runs for this connection, the read
-	// pumps included: takePending is safe only after it has drained.
+	// pumps tracks the two goroutines runConn runs for this connection:
+	// takePending is safe only after it has drained.
 	pumps sync.WaitGroup
-
-	// readCh feeds the read pumps; both exist from the connection's first
-	// manifest on (installPlan), so a connection that is only ever served
-	// eagerly pays for neither. Capacity is depth: a job owns a slot, so
-	// there can never be more queued jobs than slots. Written under mu.
-	readCh chan readJob
 
 	mu       sync.Mutex
 	pending  map[uint32]pendingSlot // ring slot → in-flight request
@@ -398,10 +395,10 @@ func (hc *hostConn) abort(err error) {
 	hc.mu.Unlock()
 }
 
-// touch stamps connection activity for the idle monitor.
+// touch stamps connection activity for the idle check.
 func (hc *hostConn) touch() { hc.lastActive.Store(time.Now().UnixNano()) }
 
-// errConnIdle is the clean cause the idle monitor aborts with: not a
+// errConnIdle is the clean cause the idle check aborts with: not a
 // failure — no health hit, no retry budget, no backoff. The supervisor
 // parks until the next demand and redials lazily.
 var errConnIdle = errors.New("core: connection idle")
@@ -642,11 +639,13 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 			}
 		}
 		// Blacklist admission: another fetcher on this node may already
-		// have established that the host is dying.
+		// have established that the host is dying. A loss notice ends
+		// the wait; the loop top then kills the peer.
 		if d := p.health.admissionDelay(); d > 0 {
-			if !sleepCtx(ctx, d) {
+			if !p.wait(ctx, d) {
 				return
 			}
+			continue
 		}
 		hc, gen, err := f.dialConn(ctx, p.host)
 		if err != nil {
@@ -730,27 +729,37 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 	}
 }
 
-// runConn operates one connection until it fails or ctx ends: request
-// pump, completion pump (which starts the read pumps on the first
-// manifest), and when configured the deadline watchdog and idle monitor.
-// Returns nil on orderly shutdown, the first failure otherwise.
+// runConn operates one connection until it fails or ctx ends: the request
+// pump and the completion pump, each issuing the READs it finds. The
+// supervisor, idle here otherwise, keeps the request-deadline and idle
+// clocks on one ticker: a quarter of the shorter enabled window, at most
+// once per millisecond, none when both are off. Returns nil on orderly
+// shutdown, the first failure otherwise.
 func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphans []chunkReq) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hc.pumps.Add(2)
 	go func() { defer hc.pumps.Done(); f.sendLoop(cctx, p, hc, orphans) }()
 	go func() { defer hc.pumps.Done(); f.recvLoop(cctx, p, hc) }()
-	if f.reqTimeout > 0 {
-		hc.pumps.Add(1)
-		go func() { defer hc.pumps.Done(); f.watchdog(cctx, p, hc) }()
+	var tick <-chan time.Time
+	window := f.reqTimeout
+	if window <= 0 || (f.connIdle > 0 && f.connIdle < window) {
+		window = f.connIdle
 	}
-	if f.connIdle > 0 {
-		hc.pumps.Add(1)
-		go func() { defer hc.pumps.Done(); f.idleMonitor(cctx, p, hc) }()
+	if window > 0 {
+		t := time.NewTicker(max(window/4, time.Millisecond))
+		defer t.Stop()
+		tick = t.C
 	}
-	select {
-	case <-hc.failed:
-	case <-ctx.Done():
+	for live := true; live; {
+		select {
+		case <-hc.failed:
+			live = false
+		case <-ctx.Done():
+			live = false
+		case now := <-tick:
+			live = f.checkConn(p, hc, now)
+		}
 	}
 	cancel()
 	hc.pumps.Wait()
@@ -763,35 +772,44 @@ func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphan
 	return err
 }
 
-// idleMonitor retires a connection that has carried no traffic for the
-// configured idle timeout. Retirement is clean (errConnIdle): the lease
+// checkConn is the supervisor's tick, reporting false once it has aborted
+// the connection. First the request deadline: any pending request older
+// than mapred.rdma.request.timeout fails the connection, so a silent peer
+// cannot pin a bounce-buffer slot (and its segment) forever. Then the idle
+// clock: a connection that has carried no traffic for
+// mapred.rdma.conn.idle.timeout retires cleanly (errConnIdle) — the lease
 // releases, the ring unpins, and the supervisor parks until the next
-// demand — the lazy-dial arm of D13's connection cache.
-func (f *fetcher) idleMonitor(cctx context.Context, p *hostPeer, hc *hostConn) {
-	tick := f.connIdle / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-cctx.Done():
-			return
-		case <-t.C:
-			hc.mu.Lock()
-			busy := hc.inFlight > 0 || len(hc.unsent) > 0
-			hc.mu.Unlock()
-			if busy || len(p.reqCh) > 0 {
-				hc.touch()
-				continue
-			}
-			if time.Duration(time.Now().UnixNano()-hc.lastActive.Load()) >= f.connIdle {
-				hc.abort(errConnIdle)
-				return
+// demand, the lazy-dial arm of D13's connection cache. 0 turns either off.
+func (f *fetcher) checkConn(p *hostPeer, hc *hostConn, now time.Time) bool {
+	hc.mu.Lock()
+	overdue := false
+	if f.reqTimeout > 0 {
+		for _, ps := range hc.pending {
+			if now.Sub(ps.issued) > f.reqTimeout {
+				overdue = true
+				break
 			}
 		}
 	}
+	busy := hc.inFlight > 0 || len(hc.unsent) > 0
+	hc.mu.Unlock()
+	if overdue {
+		f.cDeadline.Add(1)
+		hc.abort(fmt.Errorf("core: %s: %w (%v)", p.host, errRequestDeadline, f.reqTimeout))
+		return false
+	}
+	if f.connIdle <= 0 {
+		return true
+	}
+	if busy || len(p.reqCh) > 0 {
+		hc.touch()
+		return true
+	}
+	if time.Duration(now.UnixNano()-hc.lastActive.Load()) >= f.connIdle {
+		hc.abort(errConnIdle)
+		return false
+	}
+	return true
 }
 
 // killPeer marks the host permanently dead for this fetcher and answers
@@ -822,8 +840,7 @@ func (f *fetcher) killPeer(ctx context.Context, p *hostPeer, cause error, orphan
 // sleepBackoff sleeps the exponential-backoff delay for the given
 // attempt: min(base << (attempt-1), max) with jitter in [d/2, d), so a
 // fleet of fetchers re-dialing a restarted tracker does not stampede.
-// A liveness loss-notice for the peer ends the sleep early (the loop top
-// then kills the peer). Returns false if ctx ended during the sleep.
+// Returns false if ctx ended during the sleep.
 func (f *fetcher) sleepBackoff(ctx context.Context, p *hostPeer, attempt int) bool {
 	d := f.backoffBase
 	for i := 1; i < attempt && d < f.backoffMax; i++ {
@@ -836,24 +853,20 @@ func (f *fetcher) sleepBackoff(ctx context.Context, p *hostPeer, attempt int) bo
 		return ctx.Err() == nil
 	}
 	half := d / 2
-	jittered := half + time.Duration(rand.Int63n(int64(half)+1))
-	t := time.NewTimer(jittered)
+	return p.wait(ctx, half+time.Duration(rand.Int63n(int64(half)+1)))
+}
+
+// wait is the supervisor's one sleep, for blacklist admission and for
+// backoff alike: it lasts d, or until a liveness loss-notice for the
+// peer, after which the loop top kills the peer. Returns false if ctx
+// ended first.
+func (p *hostPeer) wait(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
 	case <-p.lostCh:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
 		return true
 	case <-ctx.Done():
 		return false
@@ -913,18 +926,12 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 			entry, plan, staleID, hit := hc.planTake(req.mapID, req.offset)
 			hc.releaseLease(cctx, staleID)
 			if hit {
-				// The live manifest already covers this offset: hand the
-				// slot to a read pump and send nothing. This is the
+				// The live manifest already covers this offset: READ it
+				// into the slot here and send nothing. This is the
 				// rendezvous payoff — one responder message per plan, not
-				// per chunk. (A plan implies a manifest arrived, so readCh
-				// exists; planTake's lock ordered the read after its write.)
-				select {
-				case hc.readCh <- readJob{slot: slot, req: req, entry: entry, plan: plan}:
-				case <-cctx.Done():
-					// The request is in hc.pending; takePending re-issues it.
-					hc.stashUnsent(orphans...)
-					return
-				}
+				// per chunk. Doing it inline costs no depth: the endpoint
+				// serialises every work request on its sendMu anyway (D20).
+				f.executeRead(cctx, p, hc, readJob{slot: slot, req: req, entry: entry, plan: plan})
 				continue
 			}
 		}
@@ -961,8 +968,11 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 
 // recvLoop is the connection's completion pump. An eager response's
 // header is matched to its slot by tag (the payload was RDMA-written into
-// that slot before the header was sent) and completed; a manifest hands
-// its slot to the read pumps instead.
+// that slot before the header was sent) and completed; for a manifest the
+// pump READs chunk 0 into the slot itself. That READ cannot stall the
+// device's receive pump, which feeds every lease on the endpoint: this
+// lease's msgs channel holds 2·depth+8 messages, and at most depth
+// requests — one per slot — are ever awaiting an answer.
 //
 // Serving errors marked Transient re-issue through the request's retry
 // budget without tearing the connection down; fatal serving errors (the
@@ -981,10 +991,12 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 		}
 		hc.touch()
 		if lm.man != nil {
-			if err := f.installPlan(cctx, p, hc, lm.man); err != nil {
+			job, err := hc.installPlan(cctx, lm.man)
+			if err != nil {
 				hc.abort(fmt.Errorf("core: %s: %w", p.host, err))
 				return
 			}
+			f.executeRead(cctx, p, hc, job)
 			continue
 		}
 		resp := lm.resp
@@ -1035,7 +1047,7 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 }
 
 // complete finishes one fetched chunk however it arrived — RDMA-written
-// by the responder ahead of its header, or READ by a read pump — so a
+// by the responder ahead of its header, or READ by one of the pumps — so a
 // chunk is accounted in exactly one place: the n payload bytes sitting in
 // ring slot `slot` are copied out into a pooled buffer, counted, spanned,
 // and delivered to the owning segment. ps is the pending entry the caller
@@ -1073,74 +1085,42 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 }
 
 // installPlan accepts a descriptor manifest answering the request in
-// slot m.Tag: chunk 0 is dispatched to a read pump immediately and the
-// rest become the host's live plan for that map, consumed by planTake as
-// the segment walks forward. The pending entry stays registered — the
-// read pump, not a wire response, completes it. The connection's first
-// manifest starts the read pumps, from the completion pump and so inside
-// hc.pumps before runConn can finish waiting on it. Returns an error (a
-// protocol violation aborting the connection) when the manifest does not
-// match what the slot asked for.
-func (f *fetcher) installPlan(cctx context.Context, p *hostPeer, hc *hostConn, m *wire.ReadManifest) error {
+// slot m.Tag and returns chunk 0's READ for the completion pump to issue;
+// the rest become the host's live plan for that map, consumed by planTake
+// as the segment walks forward. The pending entry stays registered — the
+// READ, not a wire response, completes it. Returns an error (a protocol
+// violation aborting the connection) when the manifest does not match
+// what the slot asked for.
+func (hc *hostConn) installPlan(cctx context.Context, m *wire.ReadManifest) (readJob, error) {
 	slot := m.Tag & 0xffff
 	hc.mu.Lock()
 	ps, ok := hc.pending[slot]
 	if !ok {
 		hc.mu.Unlock()
-		return fmt.Errorf("%w: manifest for unknown slot tag %d", errProtocol, m.Tag)
+		return readJob{}, fmt.Errorf("%w: manifest for unknown slot tag %d", errProtocol, m.Tag)
 	}
 	if len(m.Chunks) == 0 || m.Chunks[0].Offset != ps.req.offset || int(m.MapID) != ps.req.mapID {
 		hc.mu.Unlock()
-		return fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, ps.req.mapID, ps.req.offset)
+		return readJob{}, fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, ps.req.mapID, ps.req.offset)
 	}
 	plan := &readPlan{mapID: ps.req.mapID, leaseID: m.LeaseID, rkey: m.RKey, chunks: m.Chunks[1:], pending: 1}
 	stale := hc.plans[plan.mapID]
 	if len(plan.chunks) > 0 {
 		hc.plans[plan.mapID] = plan
 	}
-	first := hc.readCh == nil
-	if first {
-		hc.readCh = make(chan readJob, hc.depth)
-	}
 	hc.mu.Unlock()
-	if first {
-		// One pump per slot: every queued readJob owns a slot, so depth
-		// pumps drain the channel at full pipeline depth.
-		for i := 0; i < hc.depth; i++ {
-			hc.pumps.Add(1)
-			go func() { defer hc.pumps.Done(); f.readPump(cctx, p, hc) }()
-		}
-	}
 	if stale != nil {
 		hc.releaseLease(cctx, hc.detachPlan(stale))
 	}
-	select {
-	case hc.readCh <- readJob{slot: slot, req: ps.req, entry: m.Chunks[0], plan: plan}:
-	case <-cctx.Done():
-	}
-	return nil
+	return readJob{slot: slot, req: ps.req, entry: m.Chunks[0], plan: plan}, nil
 }
 
-// readPump executes one-sided fetches: each job READs its manifest
-// chunk's remote ranges straight into the job's ring slot — the
-// responder is not involved at all — then completes the slot exactly
-// like a wire response would have.
-func (f *fetcher) readPump(cctx context.Context, p *hostPeer, hc *hostConn) {
-	for {
-		select {
-		case <-cctx.Done():
-			return
-		case job := <-hc.readCh:
-			f.executeRead(cctx, p, hc, job)
-		}
-	}
-}
-
-// executeRead issues the RDMA READs for one manifest chunk. Remote
-// ranges are record-boundary descriptors over the pinned cache region;
-// contiguous ones coalesce into a single READ. The local destination is
-// the slot, filled front to back, so the payload lands exactly as an
-// RDMA-written response would have and completes the same way.
+// executeRead issues the RDMA READs for one manifest chunk, on the pump
+// that found it — the responder is not involved at all. Remote ranges are
+// record-boundary descriptors over the pinned cache region; contiguous
+// ones coalesce into a single READ. The local destination is the slot,
+// filled front to back, so the payload lands exactly as an RDMA-written
+// response would have and completes the same way.
 func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
 	entry := job.entry
 	n := int(entry.Bytes)
@@ -1176,7 +1156,7 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 	hc.touch()
 	ps, ok := hc.takeSlot(job.slot)
 	if !ok {
-		// Torn down underneath us; takePending owns the request now.
+		// Someone else took the slot, and with it the request.
 		return
 	}
 	f.cReadIssued.Add(int64(reads))
@@ -1195,7 +1175,11 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 // let the supervisor re-issue everything idempotently.
 func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) {
 	if cctx.Err() != nil {
-		return // teardown: takePending re-issues the pending request
+		// A READ cut short by teardown leaves its request in hc.pending.
+		// takePending runs once, after both pumps have exited, and
+		// removes what it returns, so the supervisor re-issues the
+		// request exactly once.
+		return
 	}
 	f.cReadFallbacks.Add(1)
 	hc.releaseLease(cctx, hc.detachPlan(job.plan))
@@ -1213,42 +1197,11 @@ func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, jo
 	select {
 	case p.reqCh <- req:
 	default:
-		// Queue sized for one request per segment; unreachable in
-		// practice, but never block a read pump.
+		// The queue is sized for one request per segment, so this is
+		// unreachable in practice. It must still never block: this may
+		// be sendLoop, the only reader of p.reqCh while the connection
+		// lives, and it would wait on itself.
 		go func(r chunkReq) { _ = p.enqueue(f.runCtx, r) }(req)
-	}
-}
-
-// watchdog enforces the per-request deadline: any pending request older
-// than mapred.rdma.request.timeout fails the connection, so a silent
-// peer cannot pin a bounce-buffer slot (and its segment) forever.
-func (f *fetcher) watchdog(cctx context.Context, p *hostPeer, hc *hostConn) {
-	tick := f.reqTimeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-cctx.Done():
-			return
-		case now := <-t.C:
-			hc.mu.Lock()
-			overdue := false
-			for _, ps := range hc.pending {
-				if now.Sub(ps.issued) > f.reqTimeout {
-					overdue = true
-					break
-				}
-			}
-			hc.mu.Unlock()
-			if overdue {
-				f.cDeadline.Add(1)
-				hc.abort(fmt.Errorf("core: %s: %w (%v)", p.host, errRequestDeadline, f.reqTimeout))
-				return
-			}
-		}
 	}
 }
 

@@ -76,30 +76,174 @@ func TestCopierHealsFromSeveredQP(t *testing.T) {
 }
 
 // TestCopierRequestDeadlineReissues stalls one operation far past
-// mapred.rdma.request.timeout: the watchdog must fail the connection,
-// bump shuffle.rdma.deadline.exceeded, and the re-issued request must
-// complete the merge byte-exact.
+// mapred.rdma.request.timeout: the supervisor's deadline check must fail
+// the connection, bump shuffle.rdma.deadline.exceeded, and the re-issued
+// request must complete the merge byte-exact. The deadline and idle clocks
+// share one ticker, paced by the shorter window, so the deadline must fire
+// whether the idle clock is off, slower, or much faster.
 func TestCopierRequestDeadlineReissues(t *testing.T) {
-	conf := stressConf(8)
-	conf.SetInt(config.KeyRDMARequestTimeout, 40) // ms; watchdog ticks at 10ms
-	h := newRingHarness(t, conf, 8, 60)
-	net := h.tt.Fabric().Network()
-	net.SetFaultInjector(&oneShot{
-		verdict: verbs.FaultVerdict{Action: verbs.FaultDelay, Delay: 600 * time.Millisecond},
-		skip:    2,
-	})
-	defer net.SetFaultInjector(nil)
+	for _, tc := range []struct {
+		name string
+		idle int64 // ms; -1 keeps the default
+	}{
+		{"idle-default", -1},
+		{"idle-off", 0},
+		{"idle-5ms", 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conf := stressConf(8)
+			conf.SetInt(config.KeyRDMARequestTimeout, 40) // ms
+			if tc.idle >= 0 {
+				conf.SetInt(config.KeyRDMAConnIdleTimeout, tc.idle)
+			}
+			h := newRingHarness(t, conf, 8, 60)
+			net := h.tt.Fabric().Network()
+			net.SetFaultInjector(&oneShot{
+				verdict: verbs.FaultVerdict{Action: verbs.FaultDelay, Delay: 600 * time.Millisecond},
+				skip:    2,
+			})
+			defer net.SetFaultInjector(nil)
 
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			h.fetch(ctx)
+
+			c := h.tt.Counters()
+			if c.Get("shuffle.rdma.deadline.exceeded") < 1 {
+				t.Fatalf("deadline.exceeded = %d, want >= 1", c.Get("shuffle.rdma.deadline.exceeded"))
+			}
+			if c.Get("shuffle.rdma.reconnects") < 1 {
+				t.Fatalf("reconnects = %d, want >= 1 after a deadline abort", c.Get("shuffle.rdma.reconnects"))
+			}
+		})
+	}
+}
+
+// TestCopierIdleRetirementRedialsLazily: a host connection that carries
+// nothing for mapred.rdma.conn.idle.timeout retires cleanly, and the next
+// demand for that host dials again. Neither step is a failure: the fetch
+// completes with no reconnect and no retry counted.
+func TestCopierIdleRetirementRedialsLazily(t *testing.T) {
+	conf := stressConf(2)
+	conf.SetInt(config.KeyRDMAConnIdleTimeout, 20) // ms
+	h := newRingHarness(t, conf, 2, 40)
+	events := make(chan mapred.MapEvent, h.numMaps)
+	f := newFetcher(mapred.ReduceTaskInfo{
+		Job: h.job, ReduceID: 0, Events: events,
+		Local: h.tt, Hosts: []string{h.tt.Host()},
+	})
+	defer f.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	h.fetch(ctx)
-
-	c := h.tt.Counters()
-	if c.Get("shuffle.rdma.deadline.exceeded") < 1 {
-		t.Fatalf("deadline.exceeded = %d, want >= 1", c.Get("shuffle.rdma.deadline.exceeded"))
+	it, err := f.Fetch(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Get("shuffle.rdma.reconnects") < 1 {
-		t.Fatalf("reconnects = %d, want >= 1 after a deadline abort", c.Get("shuffle.rdma.reconnects"))
+	// The first Next waits for every map, so the consumer runs beside the
+	// events. Until then nothing asks for map 0's second chunk, and its
+	// connection goes quiet once the first has arrived.
+	var n int
+	var fetchErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for it.Next() {
+			n++
+		}
+		fetchErr = it.Err()
+	}()
+	defer func() { cancel(); <-done }()
+	p := f.peers[h.tt.Host()]
+	c := h.tt.Counters()
+	events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
+	waitFor(t, func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return c.Get("shuffle.rdma.packets") >= 1 && p.cur == nil
+	})
+	events <- mapred.MapEvent{MapID: 1, Host: h.tt.Host()}
+	close(events)
+
+	<-done
+	if fetchErr != nil {
+		t.Fatal(fetchErr)
+	}
+	if n != len(h.expected) {
+		t.Fatalf("merged %d records, want %d", n, len(h.expected))
+	}
+	if got := c.Get("shuffle.rdma.reconnects"); got != 0 {
+		t.Fatalf("reconnects = %d, want 0: idle retirement is not a failure", got)
+	}
+	if got := c.Get("shuffle.rdma.retries"); got != 0 {
+		t.Fatalf("retries = %d, want 0", got)
+	}
+}
+
+// TestCopierLossNoticeEndsAdmissionWait: a host the node's blacklist has
+// embargoed for a minute is declared dead by the cluster while the
+// supervisor waits out its admission delay. The notice ends the wait, and
+// the segment reaches RecoverMap at once instead of after the embargo.
+func TestCopierLossNoticeEndsAdmissionWait(t *testing.T) {
+	h := newRingHarness(t, stressConf(2), 1, 10)
+	ph := healthFor(h.tt.Device(), h.tt.Host())
+	// The supervisor reads the health clock to size its admission wait:
+	// that read is the signal that the wait is about to begin.
+	asked := make(chan struct{})
+	var once sync.Once
+	ph.mu.Lock()
+	ph.blackUntil = time.Now().Add(time.Minute)
+	ph.now = func() time.Time {
+		once.Do(func() { close(asked) })
+		return time.Now()
+	}
+	ph.mu.Unlock()
+	t.Cleanup(func() {
+		ph.mu.Lock()
+		ph.blackUntil, ph.now = time.Time{}, nil
+		ph.mu.Unlock()
+	})
+
+	recovered := make(chan int, 1)
+	losses := mapred.NewTrackerLossFeed()
+	events := make(chan mapred.MapEvent, 1)
+	events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
+	close(events)
+	f := newFetcher(mapred.ReduceTaskInfo{
+		Job: h.job, ReduceID: 0, Events: events,
+		Local: h.tt, Hosts: []string{h.tt.Host()}, Losses: losses,
+		RecoverMap: func(_ context.Context, mapID, _ int) (string, error) {
+			recovered <- mapID
+			return "", fmt.Errorf("map %d: no host to re-run it on", mapID)
+		},
+	})
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	it, err := f.Fetch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled := make(chan struct{})
+	go func() {
+		defer close(pulled)
+		for it.Next() {
+		}
+	}()
+	defer func() { cancel(); <-pulled }()
+	// The notice must end the wait, not precede it.
+	select {
+	case <-asked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the supervisor never consulted the blacklist")
+	}
+	losses.Announce(h.tt.Host())
+	select {
+	case m := <-recovered:
+		if m != 0 {
+			t.Fatalf("RecoverMap(%d), want map 0", m)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("segment did not reach RecoverMap within 10 s of the loss notice")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,6 +179,26 @@ func settleGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
+// connGoroutines counts the live goroutines that host connections run:
+// every goroutine a fetcher method started, except the per-host
+// supervisors and the event goroutine Fetch starts.
+func connGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	const by = "\ncreated by rdmamr/internal/core.(*fetcher)."
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if i := strings.Index(g, by); i >= 0 && !strings.HasPrefix(g[i+len(by):], "Fetch") {
+			count++
+		}
+	}
+	return count
+}
+
 // TestPullCancelWhileBlockedOnRefill: the reduce goroutine is inside Next,
 // waiting for a chunk the fabric is sitting on, when the fetch context is
 // cancelled. Next returns, Err carries ctx.Err(), Close returns, no
@@ -186,7 +207,8 @@ func settleGoroutines(t *testing.T, want int, when string) {
 // back is a copier READ of a cache-resident partition (rendezvous), or
 // with caching off the responder's RDMA write (eager). Hadoop-A, asked
 // to cache, has no cache and serves eagerly — and settles to the same
-// baseline: the tracker keeps no goroutine per fetch.
+// baseline: the tracker keeps no goroutine per fetch. While the chunk is
+// parked, the host connection runs exactly two goroutines on every row.
 func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -233,6 +255,13 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			case <-g.Reached(): // chunk 3 is parked: the consumer runs dry after chunk 2
 			case <-time.After(10 * time.Second):
 				t.Fatalf("no third %v in 10 s: the fetch is not taking the %s path", tc.op, tc.name)
+			}
+			// A live host connection is its two pumps, whichever half of the
+			// protocol is moving the bytes: the pump that finds a READ issues
+			// it, and the supervisor keeps the clocks.
+			// (Errorf, not Fatalf: the parked request must still be released.)
+			if n := connGoroutines(); n != 2 {
+				t.Errorf("host connection runs %d goroutines while the chunk is parked, want 2", n)
 			}
 			cancel()
 			select {
