@@ -38,13 +38,16 @@ race:
 # request deadline under every idle setting, clean idle retirement and
 # lazy redial, a loss notice ending a blacklist wait, and a host
 # connection that runs exactly two goroutines while a chunk is parked on
-# either half of the protocol), all under the race detector.
+# either half of the protocol), and running out of registered memory (a
+# budget that refuses payload blocks partway through a cache-resident
+# fetch: READs fall back to their ring slots, output intact, nothing
+# pinned left behind), all under the race detector.
 # Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
 # gate always executes.
 chaos:
-	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
@@ -116,9 +119,10 @@ fuzz-seeds:
 # object-sized — the responder's row for each RDMA engine policy; the
 # http servlet exactly one copy), D17's (a reduce fetch of 64 × 4 KiB
 # partitions allocates at most half what it delivers; one of
-# 16 × 1 MiB cached partitions misses the payload pool never and stays
-# under two payloads — TestPullSmallFetchAllocBudget /
-# TestPullBulkFetchAllocBudget) and D7's disabled-obs zero. A copy, a
+# 16 × 1 MiB cached partitions takes no heap payload, carves at most
+# 2 × maps + 1 payload blocks (D21) and stays under two payloads —
+# TestPullSmallFetchAllocBudget / TestPullBulkFetchAllocBudget) and D7's
+# disabled-obs zero. A copy, a
 # per-fetch slice or a leaked chunk buffer that comes back on the job data
 # path fails here, in seconds, without a benchmark run.
 alloc-budgets:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,14 +17,13 @@ import (
 	"rdmamr/internal/obs"
 	"rdmamr/internal/shuffle/stream"
 	"rdmamr/internal/shuffle/wire"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
 
 // chunk is one delivered shuffle packet for a segment.
 type chunk struct {
-	data []byte
+	pl   payload
 	eof  bool
 	next int64 // byte offset of the following chunk
 	off  int64 // the offset this chunk was requested at (for retries)
@@ -45,11 +45,13 @@ type segment struct {
 	ready chan chunk
 
 	// Private to the goroutine pulling the merge.
-	it       *kv.BufferIterator
-	curBuf   []byte // the pooled buffer the current iterator walks
-	err      error
-	eof      bool
-	attempts int // recovery attempts consumed
+	it  *kv.BufferIterator
+	cur payload // the chunk buffer the current iterator walks
+	err error
+	eof bool
+	// attempts is recovery attempts consumed; an int32 beside eof keeps a
+	// segment (one per map per reduce) in the 96-byte size class.
+	attempts int32
 	f        *fetcher
 }
 
@@ -117,7 +119,7 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 					seg.mapID, seg.attempts, seg.peer.host, ck.err)
 			}
 			seg.f.task.Local.Counters().Add("shuffle.fetch.failures", 1)
-			host, err := seg.f.task.RecoverMap(ctx, seg.mapID, seg.attempts)
+			host, err := seg.f.task.RecoverMap(ctx, seg.mapID, int(seg.attempts))
 			if err != nil {
 				return false, fmt.Errorf("recovering map %d: %w (after %w)", seg.mapID, err, ck.err)
 			}
@@ -142,9 +144,9 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 				return false, err
 			}
 		}
-		if len(ck.data) > 0 {
-			seg.it = kv.NewBufferIterator(ck.data)
-			seg.curBuf = ck.data
+		if len(ck.pl.buf) > 0 {
+			seg.it = kv.NewBufferIterator(ck.pl.buf)
+			seg.cur = ck.pl
 			return true, nil
 		}
 		if seg.eof {
@@ -166,13 +168,13 @@ func (seg *segment) Next() bool {
 				return false
 			}
 			seg.it = nil
-			if seg.curBuf != nil {
+			if seg.cur.buf != nil {
 				// The chunk is drained, but the record the consumer holds
 				// until this Next returns may be its last one: the buffer
-				// is retired to the iterator, which pools it on the
+				// is retired to the iterator, which gives it back on the
 				// following call.
-				seg.f.it.Retire(seg.curBuf)
-				seg.curBuf = nil
+				seg.f.it.Retire(seg.cur)
+				seg.cur = payload{}
 			}
 		}
 		if seg.eof {
@@ -195,19 +197,15 @@ func (seg *segment) Record() kv.Record { return seg.it.Record() }
 // Err implements kv.Iterator.
 func (seg *segment) Err() error { return seg.err }
 
-// drop pools what the segment still holds when the fetcher closes in
+// drop gives back what the segment still holds when the fetcher closes in
 // mid-stream: the chunk being walked and the one delivered ahead of it.
 // Only after the pumps have exited and the consumer has let go.
 func (seg *segment) drop() {
-	if seg.curBuf != nil {
-		putPayload(seg.curBuf)
-		seg.curBuf = nil
-	}
+	seg.f.release(seg.cur)
+	seg.cur = payload{}
 	select {
 	case ck := <-seg.ready:
-		if ck.data != nil {
-			putPayload(ck.data)
-		}
+		seg.f.release(ck.pl)
 	default:
 	}
 }
@@ -342,7 +340,9 @@ type pendingSlot struct {
 
 // hostConn is ONE connection attempt to a TaskTracker: a lease on the
 // device's shared endpoint to that host (D13) plus a slab-carved ring of
-// registered bounce-buffer slots the responder RDMA-writes packets into.
+// registered bounce-buffer slots the responder RDMA-writes eager packets
+// into. A READ lands in a payload block instead (D21), and in its slot
+// only when the registered-memory budget refused the block.
 // Up to depth requests are outstanding per connection — one per slot —
 // and responses carry the lease-scoped slot tag, so chunk fetches for
 // different segments on the same host complete out of order while each
@@ -353,10 +353,13 @@ type pendingSlot struct {
 // single-use: on any failure it is abandoned and the peer's supervisor
 // acquires a fresh lease.
 type hostConn struct {
-	host     string
-	lease    *connLease
-	gen      uint64        // shared-connection incarnation (health dedupe)
-	ring     *mrpool.Block // depth × slotSize bytes, window-advertised
+	host  string
+	lease *connLease
+	gen   uint64 // shared-connection incarnation (health dedupe)
+	// ring is depth × slotSize bytes, window-advertised. Slot i holds the
+	// eager answer to the request tagged i, or its READ when the budget
+	// refused a payload block; a READ chunk otherwise never touches it.
+	ring     *mrpool.Block
 	slotSize int
 	depth    int
 	free     chan uint32 // free slot indices
@@ -520,49 +523,151 @@ func (hc *hostConn) releaseLease(ctx context.Context, id uint64) {
 	_ = hc.lease.Send(ctx, (&wire.LeaseRelease{LeaseID: id}).Encode())
 }
 
-// payloadPool recycles chunk payload buffers: the receive pump fills one
-// per packet, and the reduce side returns it once every record of the
-// chunk has been consumed (stream.Iterator's spent-buffer rule) or the
-// fetcher closes. This removes the per-chunk make+copy garbage from the
-// shuffle hot path.
-var payloadPool sync.Pool // of *[]byte
-
-// payloadsOut counts buffers handed out by getPayload and not yet given
-// back: a fetcher that closes leaves it where it found it, which is what
-// the payload-accounting tests hold every exit path to.
-var payloadsOut atomic.Int64
-
-// poisonReleasedPayloads makes putPayload scribble over buffers on
-// release. Tests enable it to turn any record still aliasing a released
-// chunk into visible corruption instead of a silent heisenbug.
-var poisonReleasedPayloads atomic.Bool
-
-func getPayload(n int, c *stats.Counters) []byte {
-	payloadsOut.Add(1)
-	if v := payloadPool.Get(); v != nil {
-		buf := *(v.(*[]byte))
-		if cap(buf) >= n {
-			c.Add("shuffle.rdma.payload.pool.hits", 1)
-			return buf[:n]
-		}
-	}
-	c.Add("shuffle.rdma.payload.pool.misses", 1)
-	capacity := 4 << 10
-	for capacity < n {
-		capacity <<= 1
-	}
-	return make([]byte, n, capacity)
+// payload is one delivered chunk's bytes: the registered block a READ
+// landed in (blk set; the merge decodes it in place), or a heap buffer
+// from payloadPool that an eager chunk — or a READ the budget kept in its
+// ring slot — was copied into. The chunk carries its own kind, so giving
+// it back looks nothing up.
+type payload struct {
+	buf []byte
+	blk *mrpool.Block
 }
 
-func putPayload(buf []byte) {
-	payloadsOut.Add(-1)
-	buf = buf[:cap(buf)]
+// release gives a chunk's buffer back once nothing reads it: the merge
+// retired it, the fetcher closed, or nobody was left to deliver it to.
+func (f *fetcher) release(pl payload) {
+	switch {
+	case pl.blk != nil:
+		f.blocks.put(pl.blk)
+	case pl.buf != nil:
+		putPayload(pl.buf)
+	}
+}
+
+// payloadPool recycles heap chunk buffers: a pump copies an eager packet
+// out of its ring slot into one, and the reduce side returns it once every
+// record of the chunk has been consumed (stream.Iterator's spent-buffer
+// rule) or the fetcher closes. READ chunks need none (payloadBlocks).
+var payloadPool sync.Pool // of *[]byte
+
+// payloadsOut counts chunk buffers — heap buffers and payload blocks —
+// handed out and not yet given back: a fetcher that closes leaves it
+// where it found it, which is what the payload-accounting tests hold
+// every exit path to.
+var payloadsOut atomic.Int64
+
+// poisonReleasedPayloads makes putPayload and payloadBlocks.put scribble
+// over buffers on release. Tests enable it to turn any record still
+// aliasing a released chunk into visible corruption instead of a silent
+// heisenbug.
+var poisonReleasedPayloads atomic.Bool
+
+func poison(buf []byte) {
 	if poisonReleasedPayloads.Load() {
 		for i := range buf {
 			buf[i] = 0xDB
 		}
 	}
+}
+
+// payloadCap is the capacity a chunk of n bytes is held in, heap buffer
+// or registered block alike: a power of two from 4 KiB.
+func payloadCap(n int) int {
+	c := 4 << 10
+	for c < n {
+		c <<= 1
+	}
+	return c
+}
+
+// sizeClass numbers payloadCap's sizes from 0 (4 KiB).
+func sizeClass(size int) int { return bits.TrailingZeros(uint(size)) - 12 }
+
+func (f *fetcher) getPayload(n int) []byte {
+	payloadsOut.Add(1)
+	if v := payloadPool.Get(); v != nil {
+		buf := *(v.(*[]byte))
+		if cap(buf) >= n {
+			f.cPoolHits.Add(1)
+			return buf[:n]
+		}
+	}
+	f.cPoolMisses.Add(1)
+	return make([]byte, n, payloadCap(n))
+}
+
+func putPayload(buf []byte) {
+	payloadsOut.Add(-1)
+	buf = buf[:cap(buf)]
+	poison(buf)
 	payloadPool.Put(&buf)
+}
+
+// payloadBlocks is a fetcher's registered payload blocks (D21): a READ
+// chunk lands in one, and the block is the chunk the merge decodes, so
+// nothing copies it out of a ring slot. A released block goes on its
+// size's LIFO list; a chunk takes the smallest free block that holds it,
+// and only when none does is a block of the chunk's payloadCap carved, so
+// a block pins about what its chunk needs. Carves are local-only, with no
+// memory window: only the fetcher's own READs write into them.
+type payloadBlocks struct {
+	pool   *mrpool.Pool
+	mu     sync.Mutex
+	free   [][]*mrpool.Block // by sizeClass
+	carved []*mrpool.Block   // every block carved; close frees them
+}
+
+// get returns a block of at least n > 0 bytes, or the carve's error:
+// mrpool.ErrBudget once the device's registered-memory budget is spent.
+func (l *payloadBlocks) get(n int) (*mrpool.Block, error) {
+	size := payloadCap(n)
+	var b *mrpool.Block
+	l.mu.Lock()
+	for c := sizeClass(size); c < len(l.free) && b == nil; c++ {
+		if k := len(l.free[c]); k > 0 {
+			b = l.free[c][k-1]
+			l.free[c] = l.free[c][:k-1]
+		}
+	}
+	l.mu.Unlock()
+	if b == nil {
+		var err error
+		if b, err = l.pool.Alloc(size, "payload"); err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		l.carved = append(l.carved, b)
+		l.mu.Unlock()
+	}
+	payloadsOut.Add(1)
+	return b, nil
+}
+
+// put takes a block back once nothing can still write into it or read
+// it: a READ's block after ReadSG has returned, a delivered one after the
+// merge is done with it.
+func (l *payloadBlocks) put(b *mrpool.Block) {
+	payloadsOut.Add(-1)
+	poison(b.Bytes())
+	c := sizeClass(b.Len())
+	l.mu.Lock()
+	for len(l.free) <= c {
+		l.free = append(l.free, nil)
+	}
+	l.free[c] = append(l.free[c], b)
+	l.mu.Unlock()
+}
+
+// close frees every block carved back to the slab: the free lists and, with
+// mapred.rdma.overlap.reduce=false, the blocks the kept records alias,
+// which die with the fetcher.
+func (l *payloadBlocks) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, b := range l.carved {
+		b.Free()
+	}
+	l.carved, l.free = nil, nil
 }
 
 // dialConn establishes one connection attempt: a lease on the device's
@@ -1041,24 +1146,29 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 			hc.abort(fmt.Errorf("core: %s: %w: response claims %d bytes in a %d-byte slot", p.host, errProtocol, resp.Bytes, hc.slotSize))
 			return
 		default:
-			f.complete(p, hc, slot, ps, int(resp.Bytes), resp.EOF)
+			f.complete(p, hc, slot, ps, int(resp.Bytes), resp.EOF, nil)
 		}
 	}
 }
 
 // complete finishes one fetched chunk however it arrived — RDMA-written
 // by the responder ahead of its header, or READ by one of the pumps — so a
-// chunk is accounted in exactly one place: the n payload bytes sitting in
-// ring slot `slot` are copied out into a pooled buffer, counted, spanned,
-// and delivered to the owning segment. ps is the pending entry the caller
-// took for the slot. Delivery never blocks: a segment has at most one
-// chunk in flight and a one-slot ready channel.
-func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlot, n int, eof bool) {
-	var payload []byte
-	if n > 0 {
-		payload = getPayload(n, f.task.Local.Counters())
+// chunk is accounted in exactly one place. A READ that landed in payload
+// block blk is delivered as that block, uncopied: its bytes are the bytes
+// the merge decodes. Otherwise the n payload bytes sitting in ring slot
+// `slot` are copied out into a pooled heap buffer. Either way the chunk is
+// counted, spanned, and delivered to the owning segment. ps is the pending
+// entry the caller took for the slot. Delivery never blocks: a segment has
+// at most one chunk in flight and a one-slot ready channel.
+func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlot, n int, eof bool, blk *mrpool.Block) {
+	var pl payload
+	switch {
+	case blk != nil:
+		pl = payload{buf: blk.Bytes()[:n], blk: blk}
+	case n > 0:
+		pl.buf = f.getPayload(n)
 		start := int(slot) * hc.slotSize
-		copy(payload, hc.ring.Bytes()[start:start+n])
+		copy(pl.buf, hc.ring.Bytes()[start:start+n])
 	}
 	f.cBytes.Add(int64(n))
 	f.cPackets.Add(1)
@@ -1069,7 +1179,7 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 		p.health.recordSuccessGen(hc.gen)
 	}
 	req := ps.req
-	ck := chunk{data: payload, eof: eof, next: req.offset + int64(n), off: req.offset}
+	ck := chunk{pl: pl, eof: eof, next: req.offset + int64(n), off: req.offset}
 	if f.prof != nil {
 		ck.span = &obs.FetchSpan{
 			Host: p.host, Reduce: f.task.ReduceID, MapID: req.mapID,
@@ -1078,8 +1188,8 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 			SlotWait: ps.slotWait,
 		}
 	}
-	// The slot's bytes are copied out: recycle it before delivery so the
-	// send pump can refill it immediately.
+	// Nothing is left in the slot: recycle it before delivery so the send
+	// pump can refill it immediately.
 	hc.free <- slot
 	deliver(f.runCtx, req.seg, ck)
 }
@@ -1118,9 +1228,13 @@ func (hc *hostConn) installPlan(cctx context.Context, m *wire.ReadManifest) (rea
 // executeRead issues the RDMA READs for one manifest chunk, on the pump
 // that found it — the responder is not involved at all. Remote ranges are
 // record-boundary descriptors over the pinned cache region; contiguous
-// ones coalesce into a single READ. The local destination is the slot,
-// filled front to back, so the payload lands exactly as an RDMA-written
-// response would have and completes the same way.
+// ones coalesce into a single READ. The local destination, filled front to
+// back, is a payload block from the fetcher's free list, which complete
+// delivers as the chunk itself (D21). When the device's registered-memory
+// budget refuses the block, it is the slot, and the chunk completes the
+// way an RDMA-written response does, copied out. Waiting for a block
+// instead could deadlock: the merge may hold 2 × maps + 1 chunk buffers
+// before it can retire one.
 func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
 	entry := job.entry
 	n := int(entry.Bytes)
@@ -1133,7 +1247,14 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 			p.host, errProtocol, n, total, hc.slotSize))
 		return
 	}
-	base := int(job.slot) * hc.slotSize
+	dst, base := hc.ring.MR(), hc.ring.Offset()+int(job.slot)*hc.slotSize
+	var blk *mrpool.Block
+	if n > 0 {
+		if b, err := f.blocks.get(n); err == nil {
+			blk = b
+			dst, base = b.MR(), b.Offset()
+		}
+	}
 	reads := 0
 	var sgl [1]verbs.SGE
 	for i, local := 0, 0; i < len(entry.Ranges); {
@@ -1145,8 +1266,15 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 			span += int(entry.Ranges[i].Len)
 			i++
 		}
-		sgl[0] = verbs.SGE{MR: hc.ring.MR(), Offset: hc.ring.Offset() + base + local, Length: span}
+		sgl[0] = verbs.SGE{MR: dst, Offset: base + local, Length: span}
 		if err := hc.lease.ReadSG(cctx, sgl[:], addr, job.plan.rkey); err != nil {
+			// ReadSG has returned, so the fabric is done with the block:
+			// on an abandoned wait (teardown) ucr destroys the QP, which
+			// flushes the READ and waits out its processor, before it
+			// returns. Only from here may the block be reused.
+			if blk != nil {
+				f.blocks.put(blk)
+			}
 			f.readFailed(cctx, p, hc, job, err)
 			return
 		}
@@ -1157,6 +1285,9 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 	ps, ok := hc.takeSlot(job.slot)
 	if !ok {
 		// Someone else took the slot, and with it the request.
+		if blk != nil {
+			f.blocks.put(blk)
+		}
 		return
 	}
 	f.cReadIssued.Add(int64(reads))
@@ -1164,7 +1295,7 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 	f.cZeroCopyHits.Add(1)
 	f.nReadIssued.Add(int64(reads))
 	hc.releaseLease(cctx, hc.planDone(job.plan))
-	f.complete(p, hc, job.slot, ps, n, entry.EOF)
+	f.complete(p, hc, job.slot, ps, n, entry.EOF, blk)
 }
 
 // readFailed handles a failed READ. A remote-access fault means the
@@ -1206,14 +1337,12 @@ func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, jo
 }
 
 // deliver hands a chunk to its segment, giving up on cancellation (the
-// payload nobody will read goes back to the pool).
+// payload nobody will read is given back).
 func deliver(ctx context.Context, seg *segment, ck chunk) {
 	select {
 	case seg.ready <- ck:
 	case <-ctx.Done():
-		if ck.data != nil {
-			putPayload(ck.data)
-		}
+		seg.f.release(ck.pl)
 	}
 }
 
@@ -1261,6 +1390,8 @@ type fetcher struct {
 	cReadBytes     *obs.Counter
 	cReadFallbacks *obs.Counter
 	cZeroCopyHits  *obs.Counter // chunks READ: no responder copy
+	cPoolHits      *obs.Counter
+	cPoolMisses    *obs.Counter
 	// Node-local handles (the reducer node's own registry, shipped on
 	// heartbeats); nil no-ops when cluster telemetry is off.
 	nFetchBytes  *obs.Counter
@@ -1273,7 +1404,9 @@ type fetcher struct {
 
 	// it is the merged stream Fetch returns (nil until then); segments
 	// retire drained chunk buffers to it.
-	it *stream.Iterator
+	it *stream.Iterator[payload]
+	// blocks is where READ chunks land; Close frees it.
+	blocks payloadBlocks
 	// segments is every segment opened so far, written by the event
 	// goroutine and read by Close once that goroutine has exited.
 	segments []*segment
@@ -1325,6 +1458,9 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cReadBytes = c.Handle("shuffle.rdma.read.bytes")
 	f.cReadFallbacks = c.Handle("shuffle.rdma.read.fallbacks")
 	f.cZeroCopyHits = c.Handle("shuffle.rdma.zerocopy.hits")
+	f.cPoolHits = c.Handle("shuffle.rdma.payload.pool.hits")
+	f.cPoolMisses = c.Handle("shuffle.rdma.payload.pool.misses")
+	f.blocks.pool = mrpool.For(task.Local.Device())
 	f.tr = task.Local.TraceFor(task.Job.ID)
 	nreg := task.Local.NodeRegistry()
 	f.nFetchBytes = nreg.Counter("node.fetch.bytes")
@@ -1343,10 +1479,10 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	f.cancel = cancel
 	f.runCtx = ctx
 	// With overlap off the merged records are kept for the whole reduce,
-	// so their chunk buffers are never pooled.
-	recycle := putPayload
-	if !f.overlap {
-		recycle = nil
+	// so their chunk buffers are never given back before Close.
+	var recycle func(payload)
+	if f.overlap {
+		recycle = f.release
 	}
 	var window func() func()
 	if f.prof != nil || f.tr != nil {
@@ -1483,7 +1619,8 @@ func (f *fetcher) mergeWindow() func() {
 // endpoint lease and frees its slab-carved ring before exiting; waiting
 // on the group is what makes slab reuse safe across fetcher lifetimes,
 // and what lets the chunk buffers still out — retired, being walked or
-// delivered ahead — go back to the payload pool.
+// delivered ahead — be given back, and every payload block then be freed
+// to the slab.
 func (f *fetcher) Close() error {
 	f.closeOnce.Do(func() {
 		if f.cancel != nil {
@@ -1496,6 +1633,7 @@ func (f *fetcher) Close() error {
 		for _, seg := range f.segments {
 			seg.drop()
 		}
+		f.blocks.close()
 	})
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,8 @@ import (
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
+	"rdmamr/internal/mrpool"
+	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
 
@@ -49,120 +52,236 @@ func (h *ringHarness) open(ctx context.Context, n int) (*fetcher, kv.Iterator) {
 // the iterator contract the spent-buffer rule exists to keep. The chunk
 // buffers out at any moment are bounded by one being walked and one
 // look-ahead per segment plus the one just retired, which is what "back
-// in the pool no later than the following call" means in numbers.
+// in the pool no later than the following call" means in numbers. Both
+// halves of the protocol: every chunk READ into a registered payload
+// block the merge decodes in place (rendezvous, after a cold pass has
+// cached every partition), or copied into a heap buffer (eager, caching
+// off). Each half must reuse its buffers: the eager one hits the heap
+// pool, the rendezvous one carves no more blocks than the bound.
 func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
-	poisonReleasedPayloads.Store(true)
-	defer poisonReleasedPayloads.Store(false)
+	for _, tc := range []struct {
+		name    string
+		caching bool
+	}{
+		{"rendezvous", true},
+		{"eager", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			poisonReleasedPayloads.Store(true)
+			defer poisonReleasedPayloads.Store(false)
 
-	// Every third map is short, so segments run out mid-stream and their
-	// last records sit at the end of a partly filled final chunk.
-	const maps = 12
-	h := newRingHarness(t, stressConf(4), 0, 0)
-	for m := 0; m < maps; m++ {
-		n := 150
-		if m%3 == 0 {
-			n = 40 + m
-		}
-		h.plant(m, n)
-	}
-	expected := h.expected
+			// Every third map is short, so segments run out mid-stream and
+			// their last records sit at the end of a partly filled final
+			// chunk.
+			const maps = 12
+			conf := stressConf(4)
+			conf.SetBool(config.KeyCachingEnabled, tc.caching)
+			h := newRingHarness(t, conf, 0, 0)
+			for m := 0; m < maps; m++ {
+				n := 150
+				if m%3 == 0 {
+					n = 40 + m
+				}
+				h.plant(m, n)
+			}
+			h.numMaps, h.job.NumMaps = maps, maps
+			expected := h.expected
 
-	base := payloadsOut.Load()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	f, it := h.open(ctx, maps)
-	defer f.Close()
-	same := func(n int, rec kv.Record, when string) {
-		t.Helper()
-		want := expected[n]
-		if !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
-			t.Fatalf("record %d %s = %q/%x, want %q/%x (released-buffer poison shows as 0xdb)",
-				n, when, rec.Key, rec.Value, want.Key, want.Value)
-		}
-	}
-	n := 0
-	var held kv.Record
-	for {
-		if n > 0 {
-			same(n-1, held, "just before the following Next")
-		}
-		if !it.Next() {
-			break
-		}
-		if n >= len(expected) {
-			t.Fatalf("more than %d records merged", len(expected))
-		}
-		held = it.Record()
-		same(n, held, "as returned")
-		if out := payloadsOut.Load() - base; out > 2*maps+1 {
-			t.Fatalf("%d chunk buffers out after record %d, want at most %d", out, n, 2*maps+1)
-		}
-		n++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(expected) {
-		t.Fatalf("merged %d records, want %d", n, len(expected))
-	}
-	if h.tt.Counters().Get("shuffle.rdma.payload.pool.hits") == 0 {
-		t.Fatal("payload pool never hit: chunks are not being recycled")
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			c := h.tt.Counters()
+			if tc.caching {
+				h.fetch(ctx) // cold: demand misses re-cache every partition
+				waitFor(t, func() bool { return c.Get("cache.inserted") >= maps })
+			}
+			before := c.Snapshot()
+			delta := func(name string) int64 { return c.Get(name) - before[name] }
+			base := payloadsOut.Load()
+			f, it := h.open(ctx, maps)
+			defer f.Close()
+			same := func(n int, rec kv.Record, when string) {
+				t.Helper()
+				want := expected[n]
+				if !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
+					t.Fatalf("record %d %s = %q/%x, want %q/%x (released-buffer poison shows as 0xdb)",
+						n, when, rec.Key, rec.Value, want.Key, want.Value)
+				}
+			}
+			n := 0
+			var held kv.Record
+			for {
+				if n > 0 {
+					same(n-1, held, "just before the following Next")
+				}
+				if !it.Next() {
+					break
+				}
+				if n >= len(expected) {
+					t.Fatalf("more than %d records merged", len(expected))
+				}
+				held = it.Record()
+				same(n, held, "as returned")
+				if out := payloadsOut.Load() - base; out > 2*maps+1 {
+					t.Fatalf("%d chunk buffers out after record %d, want at most %d", out, n, 2*maps+1)
+				}
+				n++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if n != len(expected) {
+				t.Fatalf("merged %d records, want %d", n, len(expected))
+			}
+			heapGets := delta("shuffle.rdma.payload.pool.hits") + delta("shuffle.rdma.payload.pool.misses")
+			if !tc.caching {
+				if delta("shuffle.rdma.payload.pool.hits") == 0 {
+					t.Fatal("payload pool never hit: chunks are not being recycled")
+				}
+				return
+			}
+			if delta("shuffle.rdma.read.issued") == 0 {
+				t.Fatal("no chunk was READ: the fetch did not take the rendezvous path")
+			}
+			if heapGets != 0 {
+				t.Fatalf("%d chunks were copied into heap buffers, want every chunk READ into a payload block", heapGets)
+			}
+			f.blocks.mu.Lock()
+			carves := len(f.blocks.carved)
+			f.blocks.mu.Unlock()
+			if carves > 2*maps+1 {
+				t.Fatalf("%d payload blocks carved, want at most %d: blocks are not being reused", carves, 2*maps+1)
+			}
+		})
 	}
 }
 
-// TestPullPayloadAccounting: every chunk buffer getPayload hands out comes
-// back through putPayload on each way a fetch can end.
+// slabBlocks counts the device's outstanding slab blocks other than the
+// endpoints' send carves (ucr.MaxMessage each). Those are the connection
+// plane's: a fetcher cancelled with a work request posted destroys the
+// shared QP, the next fetch redials, and the tracker keeps its end of the
+// dead connection until it shuts down.
+func slabBlocks(pool *mrpool.Pool) int64 {
+	return pool.OutstandingBlocks() - pool.Attribution()["ucr.send"]/ucr.MaxMessage
+}
+
+// settleBlocks requires the fetcher's payload blocks to be back at their
+// baseline — Close frees them before it returns — and waits for the
+// device's other slab blocks to come back to theirs: the tracker may
+// still be answering a request the closed fetcher abandoned.
+func settleBlocks(t *testing.T, pool *mrpool.Pool, blocks, payloadBytes int64, when string) {
+	t.Helper()
+	if got := pool.Attribution()["payload"]; got != payloadBytes {
+		t.Fatalf("%s: %d payload block bytes in use, baseline %d", when, got, payloadBytes)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for slabBlocks(pool) != blocks {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d slab blocks outstanding, baseline %d (%v)", when, slabBlocks(pool), blocks, pool.Attribution())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPullPayloadAccounting: every chunk buffer handed out — a heap buffer
+// from getPayload or a registered payload block — comes back on each way
+// a fetch can end, and the device's slab books with it. With
+// mapred.rdma.overlap.reduce=false the records keep their chunks until
+// Close, which then frees the blocks they alias.
 func TestPullPayloadAccounting(t *testing.T) {
-	const maps = 8
-	h := newRingHarness(t, stressConf(4), maps, 120)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	base := payloadsOut.Load()
-	settled := func(when string) {
-		t.Helper()
-		if out := payloadsOut.Load() - base; out != 0 {
-			t.Fatalf("%s: %d chunk buffers never returned to the pool", when, out)
-		}
-	}
+	for _, tc := range []struct {
+		name    string
+		caching bool
+	}{
+		{"rendezvous", true},
+		{"eager", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const maps = 8
+			conf := stressConf(4)
+			conf.SetBool(config.KeyCachingEnabled, tc.caching)
+			h := newRingHarness(t, conf, maps, 120)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			// Warm: the plane's endpoint is dialed and, with caching on,
+			// every partition re-cached, so later fetches READ them.
+			h.fetch(ctx)
+			if tc.caching {
+				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= maps })
+			}
+			pool := mrpool.For(h.tt.Device())
+			base := payloadsOut.Load()
+			baseBlocks, basePayload := slabBlocks(pool), pool.Attribution()["payload"]
+			settled := func(when string) {
+				t.Helper()
+				if out := payloadsOut.Load() - base; out != 0 {
+					t.Fatalf("%s: %d chunk buffers never given back", when, out)
+				}
+				settleBlocks(t, pool, baseBlocks, basePayload, when)
+			}
 
-	f, it := h.open(ctx, maps)
-	for it.Next() {
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// End of stream alone settles the books: the two buffers the last
-	// calls retired do not wait for Close.
-	settled("fully drained, before Close")
-	f.Close()
-	settled("fully drained")
+			f, it := h.open(ctx, maps)
+			for it.Next() {
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			// End of stream alone settles the buffers: the two the last
+			// calls retired do not wait for Close.
+			if out := payloadsOut.Load() - base; out != 0 {
+				t.Fatalf("fully drained, before Close: %d chunk buffers never given back", out)
+			}
+			f.Close()
+			settled("fully drained")
 
-	f, it = h.open(ctx, maps)
-	for i := 0; i < 300; i++ {
-		if !it.Next() {
-			t.Fatalf("stream ended at record %d: %v", i, it.Err())
-		}
-	}
-	if payloadsOut.Load() == base {
-		t.Fatal("no chunk buffer out in mid-stream: the test is not exercising Close")
-	}
-	f.Close()
-	settled("Close in mid-stream")
+			f, it = h.open(ctx, maps)
+			for i := 0; i < 300; i++ {
+				if !it.Next() {
+					t.Fatalf("stream ended at record %d: %v", i, it.Err())
+				}
+			}
+			if payloadsOut.Load() == base {
+				t.Fatal("no chunk buffer out in mid-stream: the test is not exercising Close")
+			}
+			f.Close()
+			settled("Close in mid-stream")
 
-	f, _ = h.open(ctx, maps)
-	f.Close()
-	settled("Close before the first Next")
+			f, _ = h.open(ctx, maps)
+			f.Close()
+			settled("Close before the first Next")
 
-	// Map 8 was never stored: its segment fails while priming, with the
-	// other eight segments' first chunks already delivered.
-	f, it = h.open(ctx, maps+1)
-	for it.Next() {
+			// Map 8 was never stored: its segment fails while priming, with
+			// the other eight segments' first chunks already delivered.
+			f, it = h.open(ctx, maps+1)
+			for it.Next() {
+			}
+			if it.Err() == nil {
+				t.Fatal("a missing map output did not fail the stream")
+			}
+			f.Close()
+			settled("segment error")
+
+			// Barrier mode: Fetch drains the stream into the records the
+			// reduce keeps, so no chunk goes back before Close. Heap
+			// buffers are left to the collector; blocks must be freed.
+			job := h.job
+			h.job.Conf = job.Conf.Clone()
+			h.job.Conf.SetBool(config.KeyOverlapReduce, false)
+			f, it = h.open(ctx, maps)
+			h.job = job
+			n := 0
+			for it.Next() {
+				n++
+			}
+			if err := it.Err(); err != nil || n != len(h.expected) {
+				t.Fatalf("barrier mode: %d of %d records, err %v", n, len(h.expected), err)
+			}
+			if tc.caching && pool.Attribution()["payload"] == basePayload {
+				t.Fatal("barrier mode holds no payload block before Close: the fetch did not READ")
+			}
+			f.Close()
+			settleBlocks(t, pool, baseBlocks, basePayload, "barrier mode")
+		})
 	}
-	if it.Err() == nil {
-		t.Fatal("a missing map output did not fail the stream")
-	}
-	f.Close()
-	settled("segment error")
 }
 
 // settleGoroutines waits for the goroutine count to come down to want.
@@ -232,6 +351,8 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			}
 			baseline := runtime.NumGoroutine()
 			basePayloads := payloadsOut.Load()
+			pool := mrpool.For(h.tt.Device())
+			baseBlocks, basePayload := slabBlocks(pool), pool.Attribution()["payload"]
 
 			g := chaos.ParkNth(tc.op, 3)
 			h.tt.Fabric().Network().SetFaultInjector(g)
@@ -287,11 +408,15 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			if out := payloadsOut.Load() - basePayloads; out != 0 {
 				t.Fatalf("%d chunk buffers never returned after cancel + Close", out)
 			}
+			// On the rendezvous row the parked READ held a payload block:
+			// it went back only once ReadSG returned, and Close freed it.
+			settleBlocks(t, pool, baseBlocks, basePayload, "after cancel + Close")
 
 			h.tt.Fabric().Network().SetFaultInjector(nil)
 			f, _ = h.open(context.Background(), 1)
 			f.Close()
 			settleGoroutines(t, baseline, "after Close before the first Next")
+			settleBlocks(t, pool, baseBlocks, basePayload, "after Close before the first Next")
 		})
 	}
 }
@@ -348,15 +473,21 @@ func TestPullOverlapOffSameSequence(t *testing.T) {
 	}
 }
 
+// plantConf is the benchmark's shuffle-only configuration: the RDMA
+// engine's defaults, caching as given.
+func plantConf(caching bool) *config.Config {
+	conf := config.New()
+	conf.SetBool(config.KeyRDMAEnabled, true)
+	conf.SetBool(config.KeyCachingEnabled, caching)
+	return conf
+}
+
 // plantHarness is the benchmark's shuffle-only shape in one process: maps
 // partitions of partBytes planted in one tracker's store (and announced,
 // so the prefetcher caches them when caching is on), fetched by one
 // reducer.
-func plantHarness(t *testing.T, caching bool, maps, partBytes int) *ringHarness {
+func plantHarness(t *testing.T, conf *config.Config, maps, partBytes int) *ringHarness {
 	t.Helper()
-	conf := config.New()
-	conf.SetBool(config.KeyRDMAEnabled, true)
-	conf.SetBool(config.KeyCachingEnabled, caching)
 	cluster, err := mapred.NewCluster(1, conf, New())
 	if err != nil {
 		t.Fatal(err)
@@ -375,8 +506,12 @@ func plantHarness(t *testing.T, caching bool, maps, partBytes int) *ringHarness 
 		}
 		tt.Store().OverwriteOwned(mapred.MapOutputKey(h.job.ID, m, 0), kv.WriteRun(recs))
 		cluster.Servers()[0].MapOutputReady(h.job, m)
+		h.expected = append(h.expected, recs...)
 	}
-	if caching {
+	sort.Slice(h.expected, func(i, j int) bool {
+		return bytes.Compare(h.expected[i].Key, h.expected[j].Key) < 0
+	})
+	if conf.Bool(config.KeyCachingEnabled) {
 		deadline := time.Now().Add(time.Minute)
 		for cluster.Counters().Get("cache.prefetched") < int64(maps) {
 			if time.Now().After(deadline) {
@@ -414,7 +549,7 @@ func TestPullSmallFetchAllocBudget(t *testing.T) {
 	if alloctest.Race {
 		t.Skip("the payload pool is a sync.Pool, which drops buffers at random under the race detector")
 	}
-	h := plantHarness(t, false, 64, 4<<10)
+	h := plantHarness(t, plantConf(false), 64, 4<<10)
 	delivered := h.drain() // warm: endpoint dialed, ring slab carved, payload pool filled
 	h.drain()
 	allocated := alloctest.Bytes(5, func() { h.drain() })
@@ -424,30 +559,94 @@ func TestPullSmallFetchAllocBudget(t *testing.T) {
 }
 
 // TestPullBulkFetchAllocBudget: 16 × 1 MiB cache-resident partitions, 128
-// KiB packets. After warm-up every chunk buffer comes from the payload
-// pool — no miss, nothing payload-sized allocated — and the whole fetch
-// (≈ 140 KB of requests, headers and per-chunk iterators) stays under two
-// payloads, which is only true while end of stream, not the collector,
-// gets the last two buffers back.
+// KiB packets. Every chunk is READ into a registered payload block, so a
+// warm fetch gets no heap payload at all and carves no more blocks than
+// the merge can hold at once (2 × maps + 1, beside the ring). The whole
+// fetch (≈ 140 KB of requests, headers, per-chunk iterators and block
+// headers) stays under two payloads.
 func TestPullBulkFetchAllocBudget(t *testing.T) {
 	if alloctest.Race {
-		t.Skip("the payload pool is a sync.Pool, which drops buffers at random under the race detector")
+		t.Skip("allocation budgets are measured without the race detector")
 	}
-	h := plantHarness(t, true, 16, 1<<20)
+	const maps = 16
+	h := plantHarness(t, plantConf(true), maps, 1<<20)
 	h.drain()
 	h.drain()
 	c := h.tt.Counters()
-	fewestMisses := int64(1 << 62)
+	heapGets := func() int64 {
+		return c.Get("shuffle.rdma.payload.pool.hits") + c.Get("shuffle.rdma.payload.pool.misses")
+	}
+	var gets, carves int64
 	allocated := alloctest.Bytes(5, func() {
-		before := c.Get("shuffle.rdma.payload.pool.misses")
+		g, a := heapGets(), c.Get("mr.slab.allocs")
 		h.drain()
-		fewestMisses = min(fewestMisses, c.Get("shuffle.rdma.payload.pool.misses")-before)
+		gets = max(gets, heapGets()-g)
+		carves = max(carves, c.Get("mr.slab.allocs")-a)
 	})
+	t.Logf("a warm fetch allocated %d bytes and carved %d slab blocks", allocated, carves)
 	packet := uint64(h.job.Conf.Int(config.KeyRDMAPacketBytes))
 	if allocated >= 2*packet {
 		t.Errorf("a warm 16 MiB fetch allocated %d bytes, want less than two %d-byte payloads", allocated, packet)
 	}
-	if fewestMisses != 0 {
-		t.Errorf("every warm fetch missed the payload pool at least %d times, want 0", fewestMisses)
+	if gets != 0 {
+		t.Errorf("a warm fetch took %d heap payloads, want 0: every chunk is READ into a payload block", gets)
+	}
+	if carves > 2*maps+2 {
+		t.Errorf("a warm fetch carved %d slab blocks, want at most its ring and %d payload blocks", carves, 2*maps+1)
+	}
+}
+
+// TestPayloadBudgetExhaustedFallsBackIntact: the device's registered-memory
+// budget (mapred.rdma.mr.budget.bytes, one slab of exactly that size)
+// holds the cached bodies, the endpoints, the response header and the
+// copier's ring, and three payload blocks. A cache-resident fetch of eight
+// partitions wants more blocks than that at once, so carves fail partway
+// (ErrBudget): those READs land in their ring slots and are copied out into
+// heap buffers, the existing eager landing. The stream stays
+// byte-identical, no map is re-run, and nothing is left pinned.
+func TestPayloadBudgetExhaustedFallsBackIntact(t *testing.T) {
+	const maps, partBytes, blocks = 8, 64 << 10, 3
+	conf := plantConf(true)
+	conf.SetInt(config.KeyRDMAPacketBytes, 16<<10) // four chunks a partition
+	// What the fetch pins besides payload blocks, on an unbudgeted twin:
+	// everything a drained fetch leaves carved, plus the ring it freed.
+	probe := plantHarness(t, conf, maps, partBytes)
+	probe.drain()
+	f := newFetcher(mapred.ReduceTaskInfo{Job: probe.job, Local: probe.tt})
+	budget := mrpool.For(probe.tt.Device()).InUseBytes() + int64(f.depth*f.slotSize) +
+		blocks*int64(payloadCap(16<<10))
+
+	conf = conf.Clone()
+	conf.SetInt(config.KeyRDMAMRBudget, budget)
+	conf.SetInt(config.KeyRDMAMRSlabBytes, budget)
+	h := plantHarness(t, conf, maps, partBytes)
+	pool := mrpool.For(h.tt.Device())
+	c := h.tt.Counters()
+	before := c.Snapshot()
+	delta := func(name string) int64 { return c.Get(name) - before[name] }
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	h.fetch(ctx) // the merged stream, record for record
+	if delta("mr.slab.failures") == 0 {
+		t.Fatalf("no carve failed under a %d-byte budget: the test is not exhausting it (%v)", budget, pool.Attribution())
+	}
+	packets := delta("shuffle.rdma.packets")
+	heapGets := delta("shuffle.rdma.payload.pool.hits") + delta("shuffle.rdma.payload.pool.misses")
+	if delta("shuffle.rdma.read.issued") == 0 || delta("shuffle.rdma.zerocopy.hits") != packets {
+		t.Fatalf("%d of %d chunks READ: the fetch was meant to be all rendezvous", delta("shuffle.rdma.zerocopy.hits"), packets)
+	}
+	if heapGets == 0 || heapGets == packets {
+		t.Fatalf("%d of %d chunks fell back to a ring slot, want some but not all", heapGets, packets)
+	}
+	if n := delta("shuffle.fetch.failures"); n != 0 {
+		t.Fatalf("%d fetch failures sent maps to re-execution", n)
+	}
+	t.Logf("%d of %d chunks landed in a ring slot after %d refused carves", heapGets, packets, delta("mr.slab.failures"))
+	// The books: a second exhausted fetch leaves the slab as the first did.
+	base, basePayload := slabBlocks(pool), pool.Attribution()["payload"]
+	h.fetch(ctx)
+	settleBlocks(t, pool, base, basePayload, "after a second exhausted fetch")
+	if basePayload != 0 {
+		t.Fatalf("%d payload block bytes still carved after Close", basePayload)
 	}
 }

@@ -47,6 +47,12 @@ type trackerServer struct {
 	// the RDMAResponder pool size (D19).
 	inService chan struct{}
 
+	// Pre-resolved handles for the counters every request moves, so serving
+	// skips the registry's lock and name lookup.
+	cBusyNS    *obs.Counter // shuffle.rdma.responder.busy.ns
+	cFallbacks *obs.Counter // shuffle.rdma.zerocopy.fallbacks
+	cStageOut  *obs.Counter // shuffle.rdma.stage.outstanding
+	cManifests *obs.Counter // shuffle.rdma.read.manifests
 	// Node-local serving counters (heartbeat-shipped telemetry); nil
 	// no-op handles when the plane is off.
 	nServedReqs  *obs.Counter
@@ -109,6 +115,11 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	// D12: per-job registered-memory quota — one tenant's churn cannot
 	// evict the whole cluster cache (0 keeps the shared free-for-all).
 	s.cache.SetJobQuota(conf.Int(config.KeyJTCacheJobQuota))
+	c := tt.Counters()
+	s.cBusyNS = c.Handle("shuffle.rdma.responder.busy.ns")
+	s.cFallbacks = c.Handle("shuffle.rdma.zerocopy.fallbacks")
+	s.cStageOut = c.Handle("shuffle.rdma.stage.outstanding")
+	s.cManifests = c.Handle("shuffle.rdma.read.manifests")
 	s.nServedReqs = tt.NodeRegistry().Counter("node.served.requests")
 	s.nServedBytes = tt.NodeRegistry().Counter("node.served.bytes")
 	s.prefetcher = NewMapOutputPrefetcher(tt, s.cache, int(conf.Int(config.KeyPrefetchThreads)))
@@ -237,9 +248,7 @@ func (s *trackerServer) serve(ep *ucr.EndPoint, req *wire.DataRequest) {
 	// Two clock reads per request, always on.
 	t0 := time.Now()
 	s.nServedReqs.Add(1)
-	defer func() {
-		s.tt.Counters().Add("shuffle.rdma.responder.busy.ns", time.Since(t0).Nanoseconds())
-	}()
+	defer func() { s.cBusyNS.Add(time.Since(t0).Nanoseconds()) }()
 	// The fetch protocol's one decision (D8): a read-capable request for a
 	// run that is cache-resident and registered is answered with a
 	// descriptor manifest (rendezvous — the copier READs the payload);
@@ -322,7 +331,7 @@ func (s *trackerServer) stage(data []byte) (*stagedPayload, error) {
 		return nil, err
 	}
 	copy(blk.Bytes(), data)
-	s.tt.Counters().Add("shuffle.rdma.stage.outstanding", 1)
+	s.cStageOut.Add(1)
 	return &stagedPayload{blk: blk, n: len(data), srv: s}, nil
 }
 
@@ -331,7 +340,7 @@ func (s *trackerServer) stage(data []byte) (*stagedPayload, error) {
 // the shuffle.rdma.stage.outstanding counter must therefore read zero
 // once a request's header is out (asserted by the server tests).
 func (sp *stagedPayload) release() {
-	sp.srv.tt.Counters().Add("shuffle.rdma.stage.outstanding", -1)
+	sp.srv.cStageOut.Add(-1)
 	sp.blk.Free()
 }
 
@@ -349,7 +358,7 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 	}
 	if s.cacheOn {
 		// The share of cache-on requests that paid the responder copy.
-		s.tt.Counters().Add("shuffle.rdma.zerocopy.fallbacks", 1)
+		s.cFallbacks.Add(1)
 	}
 	// fail reports a serving error the requester cannot fix by retrying
 	// (missing or corrupt map output — the RecoverMap path).
@@ -467,7 +476,7 @@ func (s *trackerServer) serveManifest(ep *ucr.EndPoint, req *wire.DataRequest) b
 	m.LeaseID = s.leases.grant(view, s.leaseTTL)
 	// Counted before the send, as the staging block is freed before the
 	// header: the copier may act on the manifest before SendSG returns.
-	s.tt.Counters().Add("shuffle.rdma.read.manifests", 1)
+	s.cManifests.Add(1)
 	if err := s.sendManifest(ep, &m); err != nil {
 		// The connection is dying; drop the pin now rather than waiting
 		// out the lease deadline. The copier re-issues after reconnect.

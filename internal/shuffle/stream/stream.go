@@ -23,11 +23,12 @@ import (
 // partition. The engine's event goroutine runs Gather, which assembles the
 // sources while maps finish; the first Next waits for that hand-off, and
 // every Next after it is kv.Merger.Next. Next, Record, Err, Retire and
-// Close belong to one goroutine at a time.
-type Iterator struct {
+// Close belong to one goroutine at a time. B is the engine's handle on one
+// chunk buffer — what a source retires and recycle takes back.
+type Iterator[B any] struct {
 	ctx     context.Context
 	cmp     kv.Comparator
-	recycle func([]byte)
+	recycle func(B)
 	window  func() func()
 	set     chan sourceSet // capacity 1, one send: Gather never blocks on it
 
@@ -36,7 +37,7 @@ type Iterator struct {
 	// spent holds the chunk buffers the sources retired during the current
 	// Next. Their records were all returned by earlier calls, so the
 	// following call gives them back.
-	spent [][]byte
+	spent []B
 	err   error
 	done  bool
 }
@@ -53,8 +54,8 @@ type sourceSet struct {
 // following Next). window, when not nil, is called as the merge starts —
 // sources in hand, priority queue about to be primed — and returns what to
 // call when the stream ends for any reason.
-func New(ctx context.Context, cmp kv.Comparator, recycle func([]byte), window func() func()) *Iterator {
-	return &Iterator{ctx: ctx, cmp: cmp, recycle: recycle, window: window, set: make(chan sourceSet, 1)}
+func New[B any](ctx context.Context, cmp kv.Comparator, recycle func(B), window func() func()) *Iterator[B] {
+	return &Iterator[B]{ctx: ctx, cmp: cmp, recycle: recycle, window: window, set: make(chan sourceSet, 1)}
 }
 
 // Gather is the body of the engine's event goroutine — the paper's Map
@@ -64,12 +65,12 @@ func New(ctx context.Context, cmp kv.Comparator, recycle func([]byte), window fu
 // it hands the sources over in map order, so that records with equal keys
 // come out by (map id, emission order) — or the error that kept the set
 // from being assembled. Call it once.
-func (it *Iterator) Gather(events <-chan mapred.MapEvent, maps int, open func(mapred.MapEvent) (kv.Iterator, error)) {
+func (it *Iterator[B]) Gather(events <-chan mapred.MapEvent, maps int, open func(mapred.MapEvent) (kv.Iterator, error)) {
 	srcs, err := it.gather(events, maps, open)
 	it.set <- sourceSet{srcs: srcs, err: err}
 }
 
-func (it *Iterator) gather(events <-chan mapred.MapEvent, maps int, open func(mapred.MapEvent) (kv.Iterator, error)) ([]kv.Iterator, error) {
+func (it *Iterator[B]) gather(events <-chan mapred.MapEvent, maps int, open func(mapred.MapEvent) (kv.Iterator, error)) ([]kv.Iterator, error) {
 	type opened struct {
 		mapID int
 		src   kv.Iterator
@@ -106,23 +107,24 @@ collect:
 // source's Next, which is inside this iterator's: the buffer goes back to
 // the pool on the next call, at end of stream, on error or on Close,
 // whichever comes first.
-func (it *Iterator) Retire(buf []byte) {
+func (it *Iterator[B]) Retire(buf B) {
 	if it.recycle != nil {
 		it.spent = append(it.spent, buf)
 	}
 }
 
-func (it *Iterator) release() {
+func (it *Iterator[B]) release() {
+	var none B
 	for i, buf := range it.spent {
 		it.recycle(buf)
-		it.spent[i] = nil
+		it.spent[i] = none
 	}
 	it.spent = it.spent[:0]
 }
 
 // finish ends the stream: nothing returned so far is still owed to the
 // consumer, so the retired buffers go back and the merge window closes.
-func (it *Iterator) finish(err error) {
+func (it *Iterator[B]) finish(err error) {
 	it.done, it.err = true, err
 	it.release()
 	if it.end != nil {
@@ -132,7 +134,7 @@ func (it *Iterator) finish(err error) {
 }
 
 // start waits for the sources and builds the priority queue over them.
-func (it *Iterator) start() bool {
+func (it *Iterator[B]) start() bool {
 	select {
 	case s := <-it.set:
 		if s.err != nil {
@@ -152,7 +154,7 @@ func (it *Iterator) start() bool {
 
 // Next implements kv.Iterator. It blocks while maps are still running and
 // whenever the segment it draws from is waiting for its next chunk.
-func (it *Iterator) Next() bool {
+func (it *Iterator[B]) Next() bool {
 	if it.done {
 		return false
 	}
@@ -170,11 +172,11 @@ func (it *Iterator) Next() bool {
 }
 
 // Record implements kv.Iterator: valid until the following Next or Close.
-func (it *Iterator) Record() kv.Record { return it.m.Record() }
+func (it *Iterator[B]) Record() kv.Record { return it.m.Record() }
 
 // Err implements kv.Iterator.
-func (it *Iterator) Err() error { return it.err }
+func (it *Iterator[B]) Err() error { return it.err }
 
 // Close ends the stream wherever it stands. The engine's Close calls it
 // after the consumer's last Next.
-func (it *Iterator) Close() { it.finish(it.err) }
+func (it *Iterator[B]) Close() { it.finish(it.err) }

@@ -17,7 +17,7 @@ import (
 // never arrives; fail (when set) is reported at the end of the chunks.
 type chunked struct {
 	ctx     context.Context
-	it      *Iterator
+	it      *Iterator[[]byte]
 	chunks  [][]kv.Record
 	bufs    [][]byte
 	fail    error
@@ -56,7 +56,7 @@ func (s *chunked) Err() error        { return s.err }
 // harness wires sources whose buffers are tagged "s<source>c<chunk>" and
 // records every recycle in order.
 type harness struct {
-	it       *Iterator
+	it       *Iterator[[]byte]
 	recycled []string
 	srcs     []*chunked
 }
@@ -209,13 +209,13 @@ func TestGatherErrorsSurface(t *testing.T) {
 	}
 	empty := func(mapred.MapEvent) (kv.Iterator, error) { return kv.NewSliceIterator(nil), nil }
 
-	it := New(context.Background(), nil, nil, nil)
+	it := New[[]byte](context.Background(), nil, nil, nil)
 	it.Gather(events(2), 2, func(ev mapred.MapEvent) (kv.Iterator, error) { return nil, boom })
 	if it.Next() || !errors.Is(it.Err(), boom) {
 		t.Fatalf("open failed: err %v, want %v", it.Err(), boom)
 	}
 
-	it = New(context.Background(), nil, nil, nil)
+	it = New[[]byte](context.Background(), nil, nil, nil)
 	short := events(2)
 	close(short)
 	it.Gather(short, 3, empty)
@@ -224,7 +224,7 @@ func TestGatherErrorsSurface(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	it = New(ctx, nil, nil, nil)
+	it = New[[]byte](ctx, nil, nil, nil)
 	cancel()
 	it.Gather(make(chan mapred.MapEvent), 1, empty) // the events never come
 	if it.Next() || !errors.Is(it.Err(), context.Canceled) {
@@ -237,7 +237,7 @@ func TestGatherErrorsSurface(t *testing.T) {
 func TestCancel(t *testing.T) {
 	t.Run("waiting for sources", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
-		it := New(ctx, nil, nil, nil)
+		it := New[[]byte](ctx, nil, nil, nil)
 		done := make(chan bool)
 		go func() { done <- it.Next() }()
 		cancel()
@@ -269,7 +269,7 @@ func TestCancel(t *testing.T) {
 	})
 	t.Run("Close before the first Next", func(t *testing.T) {
 		opened := false
-		it := New(context.Background(), nil, nil, func() func() { opened = true; return func() {} })
+		it := New[[]byte](context.Background(), nil, nil, func() func() { opened = true; return func() {} })
 		none := make(chan mapred.MapEvent)
 		close(none)
 		it.Gather(none, 0, nil)
