@@ -41,7 +41,9 @@ race:
 # either half of the protocol), and running out of registered memory (a
 # budget that refuses payload blocks partway through a cache-resident
 # fetch: READs fall back to their ring slots, output intact, nothing
-# pinned left behind), all under the race detector.
+# pinned left behind), and the verbs posting contract D22 rests on (a
+# work request parked inside PostSend holds Destroy until it is let go),
+# all under the race detector.
 # Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
@@ -51,6 +53,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
+	$(GO) test -race -count=1 -run 'TestDestroyWaitsForInFlightPost' ./internal/verbs/
 
 # D7 observability gate: run a real profiled Sort on the OSU-IB engine,
 # emit the shuffle report as JSON, re-parse it, and fail unless fetch

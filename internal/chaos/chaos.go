@@ -1,7 +1,8 @@
 // Package chaos is a deterministic, seedable fault injector for the
 // emulated fabric. It implements verbs.FaultInjector with per-operation
 // probabilities drawn from a seeded PRNG, so a chaos run is exactly
-// reproducible: same seed, same faults, same order (per QP processor).
+// reproducible: same seed, same faults, same order (per QP: posts on
+// one QP execute one at a time, in post order).
 //
 // Two modes compose:
 //
@@ -44,7 +45,7 @@ type Config struct {
 	FailCompProb float64
 	// SeverProb transitions both QPs of the connection into Error state.
 	SeverProb float64
-	// DelayProb stalls the QP processor for Delay before proceeding.
+	// DelayProb stalls the posting goroutine for Delay before proceeding.
 	DelayProb float64
 	Delay     time.Duration
 	// RefuseDialProb rejects QueuePair.Connect attempts.
@@ -56,7 +57,7 @@ type Config struct {
 }
 
 // Injector is a seeded probabilistic verbs.FaultInjector. Safe for
-// concurrent use from every QP processor goroutine.
+// concurrent use from every goroutine that posts a work request.
 type Injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand

@@ -1268,10 +1268,9 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 		}
 		sgl[0] = verbs.SGE{MR: dst, Offset: base + local, Length: span}
 		if err := hc.lease.ReadSG(cctx, sgl[:], addr, job.plan.rkey); err != nil {
-			// ReadSG has returned, so the fabric is done with the block:
-			// on an abandoned wait (teardown) ucr destroys the QP, which
-			// flushes the READ and waits out its processor, before it
-			// returns. Only from here may the block be reused.
+			// ReadSG returns only after the READ has executed, so the
+			// fabric is done with the block. Only from here may the block
+			// be reused.
 			if blk != nil {
 				f.blocks.put(blk)
 			}

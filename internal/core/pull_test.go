@@ -17,7 +17,6 @@ import (
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/mrpool"
-	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
 
@@ -155,15 +154,6 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 	}
 }
 
-// slabBlocks counts the device's outstanding slab blocks other than the
-// endpoints' send carves (ucr.MaxMessage each). Those are the connection
-// plane's: a fetcher cancelled with a work request posted destroys the
-// shared QP, the next fetch redials, and the tracker keeps its end of the
-// dead connection until it shuts down.
-func slabBlocks(pool *mrpool.Pool) int64 {
-	return pool.OutstandingBlocks() - pool.Attribution()["ucr.send"]/ucr.MaxMessage
-}
-
 // settleBlocks requires the fetcher's payload blocks to be back at their
 // baseline — Close frees them before it returns — and waits for the
 // device's other slab blocks to come back to theirs: the tracker may
@@ -174,9 +164,9 @@ func settleBlocks(t *testing.T, pool *mrpool.Pool, blocks, payloadBytes int64, w
 		t.Fatalf("%s: %d payload block bytes in use, baseline %d", when, got, payloadBytes)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for slabBlocks(pool) != blocks {
+	for pool.OutstandingBlocks() != blocks {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d slab blocks outstanding, baseline %d (%v)", when, slabBlocks(pool), blocks, pool.Attribution())
+			t.Fatalf("%s: %d slab blocks outstanding, baseline %d (%v)", when, pool.OutstandingBlocks(), blocks, pool.Attribution())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -210,7 +200,7 @@ func TestPullPayloadAccounting(t *testing.T) {
 			}
 			pool := mrpool.For(h.tt.Device())
 			base := payloadsOut.Load()
-			baseBlocks, basePayload := slabBlocks(pool), pool.Attribution()["payload"]
+			baseBlocks, basePayload := pool.OutstandingBlocks(), pool.Attribution()["payload"]
 			settled := func(when string) {
 				t.Helper()
 				if out := payloadsOut.Load() - base; out != 0 {
@@ -349,10 +339,13 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 				// lands the partition is served by manifest.
 				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= 1 })
 			}
+			// Closed fetchers' pumps (this test's warm pass, earlier tests')
+			// may still be winding down: count from none.
+			waitFor(t, func() bool { return connGoroutines() == 0 })
 			baseline := runtime.NumGoroutine()
 			basePayloads := payloadsOut.Load()
 			pool := mrpool.For(h.tt.Device())
-			baseBlocks, basePayload := slabBlocks(pool), pool.Attribution()["payload"]
+			baseBlocks, basePayload := pool.OutstandingBlocks(), pool.Attribution()["payload"]
 
 			g := chaos.ParkNth(tc.op, 3)
 			h.tt.Fabric().Network().SetFaultInjector(g)
@@ -643,7 +636,7 @@ func TestPayloadBudgetExhaustedFallsBackIntact(t *testing.T) {
 	}
 	t.Logf("%d of %d chunks landed in a ring slot after %d refused carves", heapGets, packets, delta("mr.slab.failures"))
 	// The books: a second exhausted fetch leaves the slab as the first did.
-	base, basePayload := slabBlocks(pool), pool.Attribution()["payload"]
+	base, basePayload := pool.OutstandingBlocks(), pool.Attribution()["payload"]
 	h.fetch(ctx)
 	settleBlocks(t, pool, base, basePayload, "after a second exhausted fetch")
 	if basePayload != 0 {

@@ -15,9 +15,9 @@ import (
 )
 
 // parkWritesTo holds every byte-carrying RDMA write from one device to
-// another inside its verdict until release is closed: that one
-// connection's QP processor stops, and the request being served on it
-// stays in service, blocked in RDMAWrite. It matches on device names,
+// another inside its verdict until release is closed: the responder
+// posting on that one connection stops inside PostSend, and the request
+// being served on it stays in service, blocked in RDMAWrite. It matches on device names,
 // which chaos.NthOp ignores.
 type parkWritesTo struct {
 	from, to string

@@ -549,9 +549,27 @@ func (ep *EndPoint) SendSG(ctx context.Context, sgl []verbs.SGE) error {
 	return ep.sendLocked(ctx, verbs.SendWR{Opcode: verbs.OpSend, SGL: sgl})
 }
 
+// post executes one work request and reaps its completion. The WR runs
+// inside PostSend, which returns with the completion already on the send
+// CQ, so the reap never blocks and a posted WR is never abandoned: when
+// post returns, the fabric no longer references the WR's buffers. Caller
+// holds sendMu, which makes it the send CQ's only consumer.
+func (ep *EndPoint) post(wr verbs.SendWR) (verbs.WC, error) {
+	if err := ep.qp.PostSend(wr); err != nil {
+		// Posting fails only on a dead QP: ours after Close, or one the
+		// fabric severed.
+		return verbs.WC{}, ep.classify(err)
+	}
+	var wc [1]verbs.WC
+	if ep.sendCQ.Poll(wc[:]) == 0 {
+		return verbs.WC{}, ep.classify(fmt.Errorf("%v left no completion", wr.Opcode))
+	}
+	return wc[0], nil
+}
+
 // sendLocked runs the post→completion→RNR-retry loop for one SEND work
 // request. Caller holds sendMu; the WR's buffers must remain stable
-// across retries.
+// across retries. ctx bounds only the RNR backoff.
 func (ep *EndPoint) sendLocked(ctx context.Context, wr verbs.SendWR) error {
 	m := ep.metrics
 	var t0 time.Time
@@ -565,20 +583,8 @@ func (ep *EndPoint) sendLocked(ctx context.Context, wr verbs.SendWR) error {
 			return ErrClosed
 		default:
 		}
-		err := ep.qp.PostSend(wr)
+		wc, err := ep.post(wr)
 		if err != nil {
-			// Posting fails only on a dead QP: ours after Close, or one
-			// the fabric severed.
-			return ep.classify(err)
-		}
-		wc, err := ep.sendCQ.Wait(ctx)
-		if err != nil {
-			// Abandoning a posted WR: the QP still references the WR's
-			// buffers until it completes, so destroy the QP — flushing the
-			// WR and waiting out the processor — before the caller can
-			// legally reuse them. The end-point is dead afterwards, exactly
-			// like a real RC QP whose send could not be reaped.
-			ep.qp.Destroy()
 			return err
 		}
 		switch wc.Status {
@@ -644,13 +650,15 @@ func (ep *EndPoint) RegisterMemory(buf []byte) (*verbs.MemoryRegion, error) {
 // RDMAWrite places the local SGE's bytes into the remote region addressed
 // by (raddr, rkey), blocking until the completion. This is the shuffle
 // bulk data path: no receive is consumed and no copy crosses a kernel.
-func (ep *EndPoint) RDMAWrite(ctx context.Context, sge verbs.SGE, raddr uint64, rkey uint32) error {
-	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMAWrite, SGE: sge, RemoteAddr: raddr, RKey: rkey})
+// The RDMA calls do not consult ctx: the work request executes, whole,
+// inside the call, and is never abandoned half-way.
+func (ep *EndPoint) RDMAWrite(_ context.Context, sge verbs.SGE, raddr uint64, rkey uint32) error {
+	return ep.rdma(verbs.SendWR{Opcode: verbs.OpRDMAWrite, SGE: sge, RemoteAddr: raddr, RKey: rkey})
 }
 
 // RDMARead fetches remote bytes into the local SGE, blocking until done.
-func (ep *EndPoint) RDMARead(ctx context.Context, sge verbs.SGE, raddr uint64, rkey uint32) error {
-	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMARead, SGE: sge, RemoteAddr: raddr, RKey: rkey})
+func (ep *EndPoint) RDMARead(_ context.Context, sge verbs.SGE, raddr uint64, rkey uint32) error {
+	return ep.rdma(verbs.SendWR{Opcode: verbs.OpRDMARead, SGE: sge, RemoteAddr: raddr, RKey: rkey})
 }
 
 // ReadSG fetches the remote bytes at (raddr, rkey) by one RDMA READ,
@@ -660,11 +668,13 @@ func (ep *EndPoint) RDMARead(ctx context.Context, sge verbs.SGE, raddr uint64, r
 // with no responder involvement. A READ whose completion reports a
 // remote protection fault (expired lease, evicted body, bad rkey)
 // returns an error matching both ErrRemoteAccess and ErrTransport.
-func (ep *EndPoint) ReadSG(ctx context.Context, sgl []verbs.SGE, raddr uint64, rkey uint32) error {
-	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMARead, SGL: sgl, RemoteAddr: raddr, RKey: rkey})
+// ReadSG returns only after the READ has executed, whatever the outcome,
+// so the local SGL is the caller's again from then on.
+func (ep *EndPoint) ReadSG(_ context.Context, sgl []verbs.SGE, raddr uint64, rkey uint32) error {
+	return ep.rdma(verbs.SendWR{Opcode: verbs.OpRDMARead, SGL: sgl, RemoteAddr: raddr, RKey: rkey})
 }
 
-func (ep *EndPoint) rdma(ctx context.Context, wr verbs.SendWR) error {
+func (ep *EndPoint) rdma(wr verbs.SendWR) error {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
 	select {
@@ -677,15 +687,8 @@ func (ep *EndPoint) rdma(ctx context.Context, wr verbs.SendWR) error {
 	if m != nil {
 		t0 = time.Now()
 	}
-	err := ep.qp.PostSend(wr)
+	wc, err := ep.post(wr)
 	if err != nil {
-		return ep.classify(err)
-	}
-	wc, err := ep.sendCQ.Wait(ctx)
-	if err != nil {
-		// Same discipline as sendLocked: an abandoned WR pins its buffers
-		// (and for READs, the remote region) until the QP is done with it.
-		ep.qp.Destroy()
 		return err
 	}
 	if wc.Status != verbs.WCSuccess {
@@ -724,8 +727,8 @@ func (ep *EndPoint) Close() {
 		// end-point again.
 		ep.dr.drop(ep.qp.QPN())
 		ep.failRecv(ErrClosed)
-		// Destroy waited for the QP processor, so nothing references the
-		// send carve through the fabric anymore. sendMu excludes a Send
+		// Destroy waited out any post in progress, so nothing references
+		// the send carve through the fabric anymore. sendMu excludes a Send
 		// that is still staging its payload into the carve: once the pool
 		// hands this memory to a new owner, a straggling copy would be a
 		// cross-owner data race. (That Send's post then fails on the

@@ -70,7 +70,8 @@ func TestFaultDropSend(t *testing.T) {
 		t.Fatalf("dropped send completed %v, want WCRetryExceeded", wc.Status)
 	}
 	// Nothing was delivered: the posted receive is still pending.
-	if got := cqB.Poll(1); len(got) != 0 {
+	var got [1]WC
+	if cqB.Poll(got[:]) != 0 {
 		t.Fatalf("receiver got a completion for a dropped send: %+v", got[0])
 	}
 }

@@ -126,8 +126,8 @@ type ReadWR struct {
 }
 
 // PostRead posts an RDMA READ work request. The QP must be RTS; the
-// completion (status, total byte length) arrives on the send CQ like any
-// other send-queue work request.
+// completion (status, total byte length) is on the send CQ when PostRead
+// returns, like any other send-queue work request's.
 func (qp *QueuePair) PostRead(wr ReadWR) error {
 	return qp.PostSend(SendWR{WRID: wr.WRID, Opcode: OpRDMARead, SGL: wr.SGL, RemoteAddr: wr.RemoteAddr, RKey: wr.RKey})
 }
@@ -135,9 +135,7 @@ func (qp *QueuePair) PostRead(wr ReadWR) error {
 // CQ is a completion queue. Completions are delivered in generation order
 // and retrieved by Poll (non-blocking) or Wait (blocking).
 type CQ struct {
-	ch     chan WC
-	mu     sync.Mutex
-	closed bool
+	ch chan WC
 	// net/dev route each completion through the network's observer (if
 	// one is installed) before delivery.
 	net *Network
@@ -145,9 +143,11 @@ type CQ struct {
 }
 
 // CreateCQ returns a completion queue with the given depth. A full CQ
-// applies backpressure to the QP processor, which is the emulator's
-// equivalent of a CQ overrun (real HCAs would error the QP; blocking is
-// kinder to tests and still surfaces stalls).
+// blocks the goroutine generating the next completion — the poster of a
+// send-queue work request, which executes it — until a consumer makes
+// room. That is the emulator's equivalent of a CQ overrun (real HCAs
+// would error the QP; blocking is kinder to tests and still surfaces
+// stalls).
 func (d *Device) CreateCQ(depth int) *CQ {
 	if depth <= 0 {
 		depth = 64
@@ -155,30 +155,23 @@ func (d *Device) CreateCQ(depth int) *CQ {
 	return &CQ{ch: make(chan WC, depth), net: d.net, dev: d.name}
 }
 
-// Poll retrieves up to max completions without blocking.
-func (c *CQ) Poll(max int) []WC {
-	var out []WC
-	for len(out) < max {
+// Poll moves up to len(wcs) completions into wcs without blocking and
+// returns how many it moved, in the shape of ibv_poll_cq.
+func (c *CQ) Poll(wcs []WC) int {
+	for n := range wcs {
 		select {
-		case wc, ok := <-c.ch:
-			if !ok {
-				return out
-			}
-			out = append(out, wc)
+		case wcs[n] = <-c.ch:
 		default:
-			return out
+			return n
 		}
 	}
-	return out
+	return len(wcs)
 }
 
 // Wait blocks for one completion or context cancellation.
 func (c *CQ) Wait(ctx context.Context) (WC, error) {
 	select {
-	case wc, ok := <-c.ch:
-		if !ok {
-			return WC{}, ErrClosed
-		}
+	case wc := <-c.ch:
 		return wc, nil
 	case <-ctx.Done():
 		return WC{}, ctx.Err()
@@ -186,12 +179,6 @@ func (c *CQ) Wait(ctx context.Context) (WC, error) {
 }
 
 func (c *CQ) push(wc WC) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return
-	}
 	if c.net != nil {
 		c.net.observeWC(c.dev, wc)
 	}
@@ -212,12 +199,11 @@ type QueuePair struct {
 	peerDev   string
 	peerQPN   uint32
 
-	// sendQueue is consumed by a per-QP processor goroutine, preserving
-	// the IB ordering guarantee: work requests on one QP execute in post
-	// order.
-	sendCh chan SendWR
-	done   chan struct{}
-	wg     sync.WaitGroup
+	// postMu is held while a work request executes in the goroutine that
+	// posted it, preserving the IB ordering guarantee: work requests on
+	// one QP execute one at a time, in post order. Destroy takes it after
+	// setting the state, so it returns only once no post is in progress.
+	postMu sync.Mutex
 }
 
 // CreateQP creates a queue pair in the RESET state using the given
@@ -238,12 +224,8 @@ func (d *Device) CreateQP(sendCQ, recvCQ *CQ) (*QueuePair, error) {
 		sendCQ: sendCQ,
 		recvCQ: recvCQ,
 		state:  QPReset,
-		sendCh: make(chan SendWR, 256),
-		done:   make(chan struct{}),
 	}
 	d.qps[qp.qpn] = qp
-	qp.wg.Add(1)
-	go qp.process()
 	return qp, nil
 }
 
@@ -294,25 +276,30 @@ func (qp *QueuePair) PostRecv(wr RecvWR) error {
 	return nil
 }
 
-// PostSend posts a send-queue work request. The QP must be RTS.
+// PostSend posts a send-queue work request and executes it in the calling
+// goroutine, as a light-weight end-point library does: it returns with
+// the request's completion already on the send CQ, so a non-blocking Poll
+// reaps it. The QP must be RTS. Posts on one QP run one at a time, in
+// post order, and the call lasts as long as its work request: a delayed
+// or parked fault verdict, injected latency or a full CQ stalls the
+// poster.
 func (qp *QueuePair) PostSend(wr SendWR) error {
 	var one [1]SGE
-	if _, err := checkSGL(wr.sgl(&one)); err != nil {
+	sgl := wr.sgl(&one)
+	total, err := checkSGL(sgl)
+	if err != nil {
 		return err
 	}
+	qp.postMu.Lock()
+	defer qp.postMu.Unlock()
 	qp.mu.Lock()
-	if qp.state != QPReadyToSend {
-		st := qp.state
-		qp.mu.Unlock()
-		return fmt.Errorf("%w: state %v, want RTS", ErrQPState, st)
-	}
+	state, peerName, peerQPN := qp.state, qp.peerDev, qp.peerQPN
 	qp.mu.Unlock()
-	select {
-	case qp.sendCh <- wr:
-		return nil
-	case <-qp.done:
-		return fmt.Errorf("%w: destroyed", ErrQPState)
+	if state != QPReadyToSend {
+		return fmt.Errorf("%w: state %v, want RTS", ErrQPState, state)
 	}
+	qp.execute(wr, sgl, total, peerName, peerQPN)
+	return nil
 }
 
 // enterError forces the QP into the Error state — the transition a real
@@ -342,21 +329,23 @@ func (qp *QueuePair) enterError() {
 	}
 }
 
-// Destroy tears down the QP; queued-but-unprocessed sends flush with
-// WCFlushErr completions. Destroy does not return until the processor
-// goroutine has exited — for EVERY caller, not just the one that wins
-// the destroy race: callers rely on "after Destroy, no WR buffer is
+// Destroy tears down the QP: later posts fail with ErrQPState. It sets
+// the state and then takes the post mutex, so it does not return while a
+// post is executing — for EVERY caller, not just the one that wins the
+// destroy race: callers rely on "after Destroy, no WR buffer is
 // referenced", and a loser returning early while the winner still waits
-// out a processor mid-transfer would break that contract.
+// out a post mid-transfer would break that contract. A parked or delayed
+// fault verdict therefore holds Destroy until it lets its post go, and a
+// verdict or completion observer running for this QP's own post must not
+// call Destroy: it would wait on itself.
 func (qp *QueuePair) Destroy() {
 	qp.mu.Lock()
 	already := qp.state == QPDestroyed
 	qp.state = QPDestroyed
 	qp.mu.Unlock()
-	if !already {
-		close(qp.done)
-	}
-	qp.wg.Wait()
+	qp.postMu.Lock()
+	// Empty on purpose: any post that passed the state check has finished.
+	qp.postMu.Unlock()
 	if !already {
 		qp.dev.mu.Lock()
 		delete(qp.dev.qps, qp.qpn)
@@ -364,51 +353,20 @@ func (qp *QueuePair) Destroy() {
 	}
 }
 
-// process executes send work requests in post order.
-func (qp *QueuePair) process() {
-	defer qp.wg.Done()
-	for {
-		select {
-		case <-qp.done:
-			// Flush remaining queued work.
-			for {
-				select {
-				case wr := <-qp.sendCh:
-					qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCFlushErr, Opcode: wr.Opcode, QPN: qp.qpn})
-				default:
-					return
-				}
-			}
-		case wr := <-qp.sendCh:
-			qp.execute(wr)
-		}
-	}
+// complete delivers wr's completion to the send CQ.
+func (qp *QueuePair) complete(wr *SendWR, status WCStatus, n int) {
+	qp.sendCQ.push(WC{WRID: wr.WRID, Status: status, Opcode: wr.Opcode, ByteLen: n, QPN: qp.qpn})
 }
 
-func (qp *QueuePair) execute(wr SendWR) {
-	// Gather list resolution: the fabric executes the work request as ONE
-	// wire message of the summed length — fault verdicts, injected latency,
-	// and the receiver's completion all see the total, never per-SGE
-	// fragments, mirroring how an HCA's DMA engine gathers before the wire.
-	var one [1]SGE
-	sgl := wr.sgl(&one)
-	total, err := checkSGL(sgl)
-	if err != nil {
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCLocalProtErr, Opcode: wr.Opcode, QPN: qp.qpn})
-		return
-	}
-	qp.mu.Lock()
-	peerName, peerQPN := qp.peerDev, qp.peerQPN
-	state := qp.state
-	qp.mu.Unlock()
-	if state == QPError {
-		// A severed QP flushes everything still reaching its processor.
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCFlushErr, Opcode: wr.Opcode, QPN: qp.qpn})
-		return
-	}
+// execute runs one validated work request; the caller holds postMu.
+// Gather list resolution: the fabric executes the work request as ONE
+// wire message of the summed length — fault verdicts, injected latency,
+// and the receiver's completion all see the total, never per-SGE
+// fragments, mirroring how an HCA's DMA engine gathers before the wire.
+func (qp *QueuePair) execute(wr SendWR, sgl []SGE, total int, peerName string, peerQPN uint32) {
 	peer, err := qp.dev.net.lookup(peerName)
 	if err != nil {
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRemoteAccessErr, Opcode: wr.Opcode, QPN: qp.qpn})
+		qp.complete(&wr, WCRemoteAccessErr, 0)
 		return
 	}
 
@@ -420,7 +378,7 @@ func (qp *QueuePair) execute(wr SendWR) {
 		case FaultDelay:
 			time.Sleep(v.Delay)
 		case FaultDropSend:
-			qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRetryExceeded, Opcode: wr.Opcode, QPN: qp.qpn})
+			qp.complete(&wr, WCRetryExceeded, 0)
 			return
 		case FaultFailCompletion:
 			okStatus = WCRetryExceeded
@@ -432,7 +390,7 @@ func (qp *QueuePair) execute(wr SendWR) {
 			if rqp != nil {
 				rqp.enterError()
 			}
-			qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCFlushErr, Opcode: wr.Opcode, QPN: qp.qpn})
+			qp.complete(&wr, WCFlushErr, 0)
 			return
 		}
 	}
@@ -440,33 +398,24 @@ func (qp *QueuePair) execute(wr SendWR) {
 
 	switch wr.Opcode {
 	case OpSend:
-		qp.executeSend(wr, sgl, total, peer, peerQPN, okStatus)
-	case OpRDMAWrite:
+		qp.executeSend(&wr, sgl, total, peer, peerQPN, okStatus)
+	case OpRDMAWrite, OpRDMARead:
 		peer.mu.Lock()
-		dst, ok := peer.resolve(wr.RKey, wr.RemoteAddr, total)
-		if ok {
-			gatherInto(dst, sgl)
+		remote, ok := peer.resolve(wr.RKey, wr.RemoteAddr, total)
+		switch {
+		case ok && wr.Opcode == OpRDMAWrite:
+			gatherInto(remote, sgl)
+		case ok:
+			scatterFrom(remote, sgl)
 		}
 		peer.mu.Unlock()
 		if !ok {
-			qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRemoteAccessErr, Opcode: wr.Opcode, QPN: qp.qpn})
+			qp.complete(&wr, WCRemoteAccessErr, 0)
 			return
 		}
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: okStatus, Opcode: wr.Opcode, ByteLen: total, QPN: qp.qpn})
-	case OpRDMARead:
-		peer.mu.Lock()
-		src, ok := peer.resolve(wr.RKey, wr.RemoteAddr, total)
-		if ok {
-			scatterFrom(src, sgl)
-		}
-		peer.mu.Unlock()
-		if !ok {
-			qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRemoteAccessErr, Opcode: wr.Opcode, QPN: qp.qpn})
-			return
-		}
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: okStatus, Opcode: wr.Opcode, ByteLen: total, QPN: qp.qpn})
+		qp.complete(&wr, okStatus, total)
 	default:
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCLocalProtErr, Opcode: wr.Opcode, QPN: qp.qpn})
+		qp.complete(&wr, WCLocalProtErr, 0)
 	}
 }
 
@@ -490,14 +439,14 @@ func scatterFrom(src []byte, sgl []SGE) {
 	}
 }
 
-func (qp *QueuePair) executeSend(wr SendWR, sgl []SGE, total int, peer *Device, peerQPN uint32, okStatus WCStatus) {
+func (qp *QueuePair) executeSend(wr *SendWR, sgl []SGE, total int, peer *Device, peerQPN uint32, okStatus WCStatus) {
 	peer.mu.Lock()
 	rqp, ok := peer.qps[peerQPN]
 	peer.mu.Unlock()
 	if !ok {
 		// The remote QP no longer exists (destroyed): no ACK ever comes
 		// back, so the transport retry counter exhausts.
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRetryExceeded, Opcode: wr.Opcode, QPN: qp.qpn})
+		qp.complete(wr, WCRetryExceeded, 0)
 		return
 	}
 	rqp.mu.Lock()
@@ -506,7 +455,7 @@ func (qp *QueuePair) executeSend(wr SendWR, sgl []SGE, total int, peer *Device, 
 		// The remote QP is gone: the transport retry counter exhausts
 		// without an ACK. Distinct from RNR (alive but no posted RECV),
 		// which is worth retrying at the sender.
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRetryExceeded, Opcode: wr.Opcode, QPN: qp.qpn})
+		qp.complete(wr, WCRetryExceeded, 0)
 		return
 	}
 	var recv RecvWR
@@ -517,7 +466,7 @@ func (qp *QueuePair) executeSend(wr SendWR, sgl []SGE, total int, peer *Device, 
 		rqp.mu.Unlock()
 		var ok bool
 		if recv, ok = srq.pop(); !ok {
-			qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRNRRetryExceeded, Opcode: wr.Opcode, QPN: qp.qpn})
+			qp.complete(wr, WCRNRRetryExceeded, 0)
 			return
 		}
 	} else {
@@ -525,7 +474,7 @@ func (qp *QueuePair) executeSend(wr SendWR, sgl []SGE, total int, peer *Device, 
 			rqp.mu.Unlock()
 			// Receiver not ready: on real RC QPs, RNR NAK then retry; with
 			// retries exceeded the sender completes in error.
-			qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRNRRetryExceeded, Opcode: wr.Opcode, QPN: qp.qpn})
+			qp.complete(wr, WCRNRRetryExceeded, 0)
 			return
 		}
 		recv = rqp.recvQueue[0]
@@ -538,12 +487,12 @@ func (qp *QueuePair) executeSend(wr SendWR, sgl []SGE, total int, peer *Device, 
 		// Receive buffer too small: local length error on the responder,
 		// remote op error on the requester.
 		rqp.recvCQ.push(WC{WRID: recv.WRID, Status: WCLocalProtErr, QPN: rqp.qpn})
-		qp.sendCQ.push(WC{WRID: wr.WRID, Status: WCRemoteAccessErr, Opcode: wr.Opcode, QPN: qp.qpn})
+		qp.complete(wr, WCRemoteAccessErr, 0)
 		return
 	}
 	gatherInto(dst, sgl)
 	rqp.recvCQ.push(WC{WRID: recv.WRID, Status: WCSuccess, ByteLen: total, QPN: rqp.qpn, Imm: wr.Imm})
-	qp.sendCQ.push(WC{WRID: wr.WRID, Status: okStatus, Opcode: wr.Opcode, ByteLen: total, QPN: qp.qpn})
+	qp.complete(wr, okStatus, total)
 }
 
 // Close shuts the device down, destroying its QPs.

@@ -110,8 +110,8 @@ type FaultAction int
 const (
 	// FaultNone lets the operation proceed untouched.
 	FaultNone FaultAction = iota
-	// FaultDelay stalls the QP processor for the verdict's Delay before
-	// executing normally — a congested or flapping link. Composes with
+	// FaultDelay stalls the posting goroutine for the verdict's Delay
+	// before executing normally — a congested or flapping link. Composes with
 	// the fabric latency model, which still applies afterwards.
 	FaultDelay
 	// FaultDropSend discards the work request without delivering
@@ -138,8 +138,9 @@ type FaultVerdict struct {
 }
 
 // FaultInjector decides the fate of fabric operations. Implementations
-// must be safe for concurrent use; they are consulted from every QP
-// processor goroutine. Install with Network.SetFaultInjector.
+// must be safe for concurrent use; they are consulted from every
+// goroutine that posts a send-queue work request, inside PostSend.
+// Install with Network.SetFaultInjector.
 type FaultInjector interface {
 	// SendVerdict rules on one send-queue work request from localDev to
 	// remoteDev before it executes.
@@ -175,8 +176,9 @@ type Network struct {
 // WCObserver is notified of every work completion generated on the
 // network — send side and receive side, success or failure — before it
 // is delivered to its CQ. Implementations must be safe for concurrent
-// use from every QP processor goroutine and must not block: a slow
-// observer stalls completion delivery exactly like a full CQ.
+// use from every posting goroutine, which runs them inside PostSend, and
+// must not block: a slow observer stalls the poster exactly like a full
+// CQ.
 type WCObserver func(dev string, wc WC)
 
 // SetCompletionObserver installs (or, with nil, removes) the network's
