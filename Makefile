@@ -41,15 +41,18 @@ race:
 # either half of the protocol), and running out of registered memory (a
 # budget that refuses payload blocks partway through a cache-resident
 # fetch: READs fall back to their ring slots, output intact, nothing
-# pinned left behind), and the verbs posting contract D22 rests on (a
+# pinned left behind), the verbs posting contract D22 rests on (a
 # work request parked inside PostSend holds Destroy until it is let go),
-# all under the race detector.
+# and a batch of requests (D23) whose connection is severed on the
+# first or the last of its payload writes (every request re-issued and
+# answered exactly once, no staging block left), all under the race
+# detector.
 # Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
 # gate always executes.
 chaos:
-	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact|TestBatchSeveredMidWriteReissuesOnce' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
@@ -110,11 +113,12 @@ bench-harness:
 	$(GO) test -count=1 ./benchmark
 
 # Every fuzz target's seed corpus as plain tests — the map-output
-# equivalence oracle (D14), the stable-merge oracle (D15) and the wire
-# codecs — without the fuzzing engine and, like bench-harness, never from
-# the cache.
+# equivalence oracle (D14), the stable-merge oracle (D15), the wire
+# codecs and batch framing (D23) and the descriptor packer's equivalence
+# with the eager packer — without the fuzzing engine and, like
+# bench-harness, never from the cache.
 fuzz-seeds:
-	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/
+	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/ ./internal/core/
 
 # Every allocation-budget test, never from the cache: D14's (collect →
 # sort → encode, chunked HDFS writes, WriteRun, RunWriter, OverwriteOwned),
@@ -127,10 +131,12 @@ fuzz-seeds:
 # TestPullSmallFetchAllocBudget / TestPullBulkFetchAllocBudget) and D7's
 # disabled-obs zero. A copy, a
 # per-fetch slice or a leaked chunk buffer that comes back on the job data
-# path fails here, in seconds, without a benchmark run.
+# path fails here, in seconds, without a benchmark run. So does a
+# receive repost that allocates: the SRQ and a QP's receive queue are
+# rings, and reposting a consumed receive allocates nothing.
 alloc-budgets:
 	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
-		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/httpshuffle/
+		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/httpshuffle/ ./internal/verbs/
 
 # CPU and heap profiles of one engine's TeraSort at the benchmark's shape
 # (pkg/rdmamr BenchmarkTeraSort: what terasort_osu / terasort_http time;
@@ -162,12 +168,18 @@ bench-depth:
 	$(GO) test -run=NONE -bench=AblationOutstandingDepth .
 	$(GO) test -run=NONE -bench=FetchChunkAllocs ./internal/core/
 
-# Short fuzz pass over the shuffle wire codecs, the map-side collect
-# buffer (kv.SortBuffer against the stable-sort reference, D14) and the
-# k-way merge (kv.Merger against a stable sort of its sources, D15).
+# Short fuzz pass over every fuzz target: the shuffle wire codecs and
+# batch framing (D23), the map-side collect buffer (kv.SortBuffer against
+# the stable-sort reference, D14), the k-way merge (kv.Merger against a
+# stable sort of its sources, D15) and the descriptor packer against the
+# eager one.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSortBuffer -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzMerger -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataRequest -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataResponse -fuzztime=10s ./internal/shuffle/wire/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeReadManifest -fuzztime=10s ./internal/shuffle/wire/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeLeaseRelease -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzTakeString -fuzztime=10s ./internal/shuffle/wire/
+	$(GO) test -run=NONE -fuzz=FuzzSplitBatch -fuzztime=10s ./internal/shuffle/wire/
+	$(GO) test -run=NONE -fuzz=FuzzPackDescriptorsEquivalence -fuzztime=10s ./internal/core/

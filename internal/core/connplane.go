@@ -358,56 +358,91 @@ func (sc *sharedConn) connErr() error {
 	return ucr.ErrClosed
 }
 
-// pump is the connection's single receive loop: it fully decodes every
-// frame (the lease tag is not at a fixed offset in a DataResponse) and
-// routes it to the owning lease by the tag's high 16 bits. A frame for a
-// departed lease is a stray — counted and dropped, exactly what a late
-// responder write against a closed hostConn produces. Decode or
-// transport errors kill the connection; every lease then observes the
-// same cause once.
+// pump is the connection's single receive loop: it splits every frame
+// into its answers (a responder sends a batch of them in one SEND, D23),
+// fully decodes each (the lease tag is not at a fixed offset in a
+// DataResponse) and routes it to the owning lease by its own tag's high
+// 16 bits, marking each answer that another one of the same frame
+// follows on its lease. An answer for a departed lease is a stray —
+// counted and dropped, exactly what a late responder write against a
+// closed hostConn produces. Framing, decode or transport errors kill the
+// connection, before any answer of the frame is routed; every lease then
+// observes the same cause once.
 func (sc *sharedConn) pump() {
+	var msgs [][]byte
+	var lms []leaseMsg
 	for {
-		msg, err := sc.ep.Recv(context.Background())
+		frame, err := sc.ep.Recv(context.Background())
 		if err != nil {
 			sc.kill(err)
 			return
 		}
-		var tag uint32
-		var lm leaseMsg
-		if len(msg) > 0 && msg[0] == wire.TypeReadManifest {
-			m, err := wire.DecodeReadManifest(msg)
+		if msgs, err = wire.SplitBatch(frame, msgs[:0]); err != nil {
+			sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
+			return
+		}
+		lms = lms[:0]
+		for _, msg := range msgs {
+			lm, err := decodeAnswer(msg)
 			if err != nil {
 				sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
 				return
 			}
-			tag, lm = m.Tag, leaseMsg{man: m}
-		} else {
-			r, err := wire.DecodeDataResponse(msg)
-			if err != nil {
-				sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
-				return
+			lms = append(lms, lm)
+		}
+		for i := range lms {
+			for _, later := range lms[i+1:] {
+				if later.tag()>>16 == lms[i].tag()>>16 {
+					lms[i].more = true
+					break
+				}
 			}
-			tag, lm = r.Tag, leaseMsg{resp: r}
+			sc.route(lms[i])
 		}
-		sc.mu.Lock()
-		l := sc.leases[tag>>16]
-		sc.lastUse = sc.plane.now()
-		sc.mu.Unlock()
-		if l == nil {
-			sc.plane.count("shuffle.rdma.conn.strays", 1)
-			continue
-		}
-		select {
-		case l.msgs <- lm:
-		case <-l.done:
-		}
+		clear(lms) // drop the decoded answers: their leases own them now
 	}
 }
 
-// leaseMsg is one routed frame: exactly one field is non-nil.
+// decodeAnswer decodes one answer: a manifest or a response header.
+func decodeAnswer(msg []byte) (leaseMsg, error) {
+	if len(msg) > 0 && msg[0] == wire.TypeReadManifest {
+		m, err := wire.DecodeReadManifest(msg)
+		return leaseMsg{man: m}, err
+	}
+	r, err := wire.DecodeDataResponse(msg)
+	return leaseMsg{resp: r}, err
+}
+
+// route delivers one answer to the lease its tag names.
+func (sc *sharedConn) route(lm leaseMsg) {
+	sc.mu.Lock()
+	l := sc.leases[lm.tag()>>16]
+	sc.lastUse = sc.plane.now()
+	sc.mu.Unlock()
+	if l == nil {
+		sc.plane.count("shuffle.rdma.conn.strays", 1)
+		return
+	}
+	select {
+	case l.msgs <- lm:
+	case <-l.done:
+	}
+}
+
+// leaseMsg is one routed answer: exactly one of resp and man is non-nil.
+// more marks an answer that another answer of the same frame follows on
+// the same lease.
 type leaseMsg struct {
 	resp *wire.DataResponse
 	man  *wire.ReadManifest
+	more bool
+}
+
+func (lm *leaseMsg) tag() uint32 {
+	if lm.man != nil {
+		return lm.man.Tag
+	}
+	return lm.resp.Tag
 }
 
 // connLease is one fetcher's handle on a shared connection: a private

@@ -186,6 +186,63 @@ func TestConnPlaneSharesEndpoint(t *testing.T) {
 	}
 }
 
+// TestConnPlaneSplitsBatchByTag: a batch of answers is routed answer by
+// answer, each to the lease its own tag names, and every answer but a
+// lease's last in the frame is marked as followed. A nested batch is a
+// protocol violation that kills the connection under every lease.
+func TestConnPlaneSplitsBatchByTag(t *testing.T) {
+	h := newPlaneHarness(t)
+	h.plane.configure(4, time.Hour, h.c)
+	h.serve("tt1")
+	l1 := h.acquire("tt1")
+	l2 := h.acquire("tt1")
+	defer l1.Close(false, nil)
+	defer l2.Close(false, nil)
+
+	var b wire.Batch
+	b.Reset(nil)
+	for _, tag := range []uint32{l1.Tag(1), l2.Tag(2), l1.Tag(3)} {
+		b.AddResponse(&wire.DataResponse{MapID: int32(tag & 0xffff), Tag: tag})
+	}
+	frame, _ := b.Frame()
+	if err := l1.Send(h.ctx, frame); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(h.ctx, 5*time.Second)
+	defer cancel()
+	for _, want := range []struct {
+		on   *connLease
+		tag  uint32
+		more bool
+	}{
+		{l1, l1.Tag(1), true},
+		{l1, l1.Tag(3), false},
+		{l2, l2.Tag(2), false},
+	} {
+		lm, err := want.on.Recv(ctx)
+		if err != nil {
+			t.Fatalf("recv tag %#x: %v", want.tag, err)
+		}
+		if lm.resp == nil || lm.resp.Tag != want.tag || lm.more != want.more {
+			t.Fatalf("got %+v (more %v), want tag %#x more %v", lm.resp, lm.more, want.tag, want.more)
+		}
+	}
+
+	one := (&wire.DataResponse{Tag: l1.Tag(4)}).Encode()
+	nested := []byte{wire.TypeBatch, byte(len(one)), 0}
+	nested = append(nested, one...)
+	nested = append(nested, byte(len(frame)), byte(len(frame)>>8))
+	nested = append(nested, frame...)
+	if err := l1.Send(h.ctx, nested); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*connLease{l1, l2} {
+		if _, err := l.Recv(ctx); !errors.Is(err, errProtocol) {
+			t.Fatalf("recv after a nested batch: %v, want a protocol violation", err)
+		}
+	}
+}
+
 // TestConnPlaneSingleflightDial: concurrent acquirers to an undailed host
 // share exactly one dial; the losers wait on ready and count as reuses.
 func TestConnPlaneSingleflightDial(t *testing.T) {

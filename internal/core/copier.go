@@ -980,13 +980,20 @@ func (p *hostPeer) wait(ctx context.Context, d time.Duration) bool {
 
 // sendLoop is the connection's request pump: it claims a free slot,
 // stamps the request with the slot tag and the slot's RDMA address, and
-// sends it. With all slots busy the pump stalls — the fabric is saturated
-// at the configured depth — which the slot-stall counter records.
-// Orphans (re-issues from a previous connection) go out before new
-// requests. A request the pump claimed but could not put on the wire is
-// stashed for takePending, so no request is ever dropped.
+// sends it. While another request is already queued and another slot is
+// free it claims that one too, and sends every claimed request in one
+// SEND (D23): a wire.Batch, bare when it holds one. With all slots busy
+// the pump stalls — the fabric is saturated at the configured depth —
+// which the slot-stall counter records. Orphans (re-issues from a
+// previous connection) go out before new requests. A request the pump
+// claimed but could not put on the wire is stashed for takePending, so no
+// request is ever dropped.
 func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orphans []chunkReq) {
-	var scratch []byte
+	var batch wire.Batch
+	reqSize := (&wire.DataRequest{JobID: f.task.Job.ID}).EncodedSize()
+	// Room for a request per slot, each behind its two-byte length: the
+	// one allocation the pump makes.
+	batch.Reset(make([]byte, 0, min(1+hc.depth*(2+reqSize), ucr.MaxMessage)))
 	for {
 		var req chunkReq
 		if len(orphans) > 0 {
@@ -1020,47 +1027,26 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 				return
 			}
 		}
-		hc.mu.Lock()
-		hc.pending[slot] = pendingSlot{req: req, issued: time.Now(), slotWait: slotWait}
-		hc.inFlight++
-		depthNow := hc.inFlight
-		hc.mu.Unlock()
-		f.cOutPeak.Max(int64(depthNow))
-		f.prof.SlotOccupancy(depthNow)
-		if !req.noRead {
-			entry, plan, staleID, hit := hc.planTake(req.mapID, req.offset)
-			hc.releaseLease(cctx, staleID)
-			if hit {
-				// The live manifest already covers this offset: READ it
-				// into the slot here and send nothing. This is the
-				// rendezvous payoff — one responder message per plan, not
-				// per chunk. Doing it inline costs no depth: the endpoint
-				// serialises every work request on its sendMu anyway (D20).
-				f.executeRead(cctx, p, hc, readJob{slot: slot, req: req, entry: entry, plan: plan})
-				continue
+		batch.Reset(nil)
+		f.issue(cctx, p, hc, &batch, req, slot, slotWait)
+		for batch.Fits(reqSize, ucr.MaxMessage) {
+			req, slot, ok := hc.claimQueued(p, &orphans)
+			if !ok {
+				break
 			}
+			f.issue(cctx, p, hc, &batch, req, slot, 0)
 		}
-		wreq := wire.DataRequest{
-			JobID:      f.task.Job.ID,
-			MapID:      int32(req.mapID),
-			ReduceID:   int32(f.task.ReduceID),
-			Offset:     req.offset,
-			MaxBytes:   int32(hc.slotSize),
-			MaxRecords: int32(f.kvPerPacket),
-			RemoteAddr: hc.ring.Addr() + uint64(slot)*uint64(hc.slotSize),
-			RKey:       hc.ring.RKey(),
-			Tag:        hc.lease.Tag(slot),
+		frame, _ := batch.Frame()
+		if frame == nil {
+			continue // every request claimed was READ inline
 		}
-		if !req.noRead {
-			// Always read-capable: the responder decides per request
-			// whether to answer with a manifest or eagerly.
-			wreq.Flags = wire.FlagFetchRead
-		}
-		scratch = wreq.EncodeAppend(scratch[:0])
-		if err := hc.lease.Send(cctx, scratch); err != nil {
-			// The request stays pending: takePending re-issues it on the
-			// next connection. (On shutdown nobody re-issues, which is
-			// fine — the merge is going away too.)
+		// Counted before the send: the answers may be back, and the fetch
+		// over, before Send returns.
+		f.cReqMsgs.Add(1)
+		if err := hc.lease.Send(cctx, frame); err != nil {
+			// The batch's requests stay pending: takePending re-issues them
+			// on the next connection. (On shutdown nobody re-issues, which
+			// is fine — the merge is going away too.)
 			hc.stashUnsent(orphans...)
 			if cctx.Err() == nil {
 				hc.abort(fmt.Errorf("core: request to %s: %w", p.host, err))
@@ -1069,6 +1055,72 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 		}
 		hc.touch()
 	}
+}
+
+// claimQueued claims, without blocking, a free slot and a request already
+// waiting for one: an orphan first, then the peer's queue. It reports false
+// when either is missing; a slot claimed for no request goes back.
+func (hc *hostConn) claimQueued(p *hostPeer, orphans *[]chunkReq) (req chunkReq, slot uint32, ok bool) {
+	select {
+	case slot = <-hc.free:
+	default:
+		return req, 0, false
+	}
+	if len(*orphans) > 0 {
+		req, *orphans = (*orphans)[0], (*orphans)[1:]
+		return req, slot, true
+	}
+	select {
+	case req = <-p.reqCh:
+		return req, slot, true
+	default:
+		hc.free <- slot // cannot block: the slot came out of free just now
+		return req, 0, false
+	}
+}
+
+// issue books req in the slot the send pump claimed for it. A request the
+// host's live manifest already covers is READ into place here and sends
+// nothing — the rendezvous payoff, one responder message per plan, not
+// per chunk; doing it inline costs no depth, since the endpoint serialises
+// every work request on its sendMu anyway (D20), and it never joins a
+// batch. Any other request is stamped with the slot's tag and RDMA address
+// and appended to the batch.
+func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *wire.Batch, req chunkReq, slot uint32, slotWait time.Duration) {
+	hc.mu.Lock()
+	hc.pending[slot] = pendingSlot{req: req, issued: time.Now(), slotWait: slotWait}
+	hc.inFlight++
+	depthNow := hc.inFlight
+	hc.mu.Unlock()
+	f.cOutPeak.Max(int64(depthNow))
+	f.prof.SlotOccupancy(depthNow)
+	if !req.noRead {
+		entry, plan, staleID, hit := hc.planTake(req.mapID, req.offset)
+		hc.releaseLease(cctx, staleID)
+		if hit {
+			if f.executeRead(cctx, p, hc, readJob{slot: slot, req: req, entry: entry, plan: plan}) {
+				hc.free <- slot
+			}
+			return
+		}
+	}
+	wreq := wire.DataRequest{
+		JobID:      f.task.Job.ID,
+		MapID:      int32(req.mapID),
+		ReduceID:   int32(f.task.ReduceID),
+		Offset:     req.offset,
+		MaxBytes:   int32(hc.slotSize),
+		MaxRecords: int32(f.kvPerPacket),
+		RemoteAddr: hc.ring.Addr() + uint64(slot)*uint64(hc.slotSize),
+		RKey:       hc.ring.RKey(),
+		Tag:        hc.lease.Tag(slot),
+	}
+	if !req.noRead {
+		// Always read-capable: the responder decides per request
+		// whether to answer with a manifest or eagerly.
+		wreq.Flags = wire.FlagFetchRead
+	}
+	batch.AddRequest(&wreq)
 }
 
 // recvLoop is the connection's completion pump. An eager response's
@@ -1085,7 +1137,13 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 // RecoverMap. Protocol violations abort the connection — the slot
 // bookkeeping is unrecoverable, but the in-flight requests re-issue
 // idempotently on the next one.
+//
+// The slots of the answers one frame brought back go back to the send
+// pump together, once the last of them is handled (D23): a pump woken by
+// the first would send its refill alone, and the batch would shrink to
+// one request a SEND as the fetch goes on.
 func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
+	held := make([]uint32, 0, hc.depth) // slots finished earlier in the frame being handled
 	for {
 		lm, err := hc.lease.Recv(cctx)
 		if err != nil {
@@ -1095,59 +1153,82 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 			return
 		}
 		hc.touch()
-		if lm.man != nil {
-			job, err := hc.installPlan(cctx, lm.man)
-			if err != nil {
-				hc.abort(fmt.Errorf("core: %s: %w", p.host, err))
-				return
-			}
-			f.executeRead(cctx, p, hc, job)
-			continue
-		}
-		resp := lm.resp
-		// The lease's sequence prefix routed the message here; the low
-		// half-word is the ring slot.
-		slot := resp.Tag & 0xffff
-		ps, ok := hc.takeSlot(slot)
+		slot, finished, ok := f.answer(cctx, p, hc, lm)
 		if !ok {
-			hc.abort(fmt.Errorf("core: %s: %w: response with unknown slot tag %d", p.host, errProtocol, resp.Tag))
 			return
 		}
-		req := ps.req
-		switch {
-		case resp.Err != "" && resp.Transient:
-			// The tracker could not serve this request right now but the
-			// data exists; retry within budget instead of escalating.
-			hc.free <- slot
-			req.retries++
-			if req.retries > f.connectRetries {
-				deliver(f.runCtx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s (retry budget exhausted)", p.host, resp.Err)})
-				continue
-			}
-			f.cRetries.Add(1)
-			select {
-			case p.reqCh <- req:
-			default:
-				// The queue is sized for one request per segment, so this
-				// is unreachable in practice; spill without blocking the
-				// completion pump regardless.
-				go func(r chunkReq) { _ = p.enqueue(f.runCtx, r) }(req)
-			}
-		case resp.Err != "":
-			hc.free <- slot
-			deliver(f.runCtx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s", p.host, resp.Err)})
-		case resp.Bytes < 0 || int(resp.Bytes) > hc.slotSize:
-			// Put the request back so takePending re-issues it on the
-			// next connection.
-			hc.mu.Lock()
-			hc.pending[slot] = ps
-			hc.inFlight++
-			hc.mu.Unlock()
-			hc.abort(fmt.Errorf("core: %s: %w: response claims %d bytes in a %d-byte slot", p.host, errProtocol, resp.Bytes, hc.slotSize))
-			return
-		default:
-			f.complete(p, hc, slot, ps, int(resp.Bytes), resp.EOF, nil)
+		if finished {
+			held = append(held, slot)
 		}
+		if !lm.more {
+			for _, s := range held {
+				hc.free <- s
+			}
+			held = held[:0]
+		}
+	}
+}
+
+// answer handles one answer on the completion pump and reports the ring
+// slot it finished with, which the caller gives back, or false once it
+// has aborted the connection.
+func (f *fetcher) answer(cctx context.Context, p *hostPeer, hc *hostConn, lm leaseMsg) (slot uint32, finished, ok bool) {
+	if lm.man != nil {
+		job, err := hc.installPlan(cctx, lm.man)
+		if err != nil {
+			hc.abort(fmt.Errorf("core: %s: %w", p.host, err))
+			return 0, false, false
+		}
+		return job.slot, f.executeRead(cctx, p, hc, job), true
+	}
+	resp := lm.resp
+	// The lease's sequence prefix routed the message here; the low
+	// half-word is the ring slot.
+	slot = resp.Tag & 0xffff
+	ps, ok := hc.takeSlot(slot)
+	if !ok {
+		hc.abort(fmt.Errorf("core: %s: %w: response with unknown slot tag %d", p.host, errProtocol, resp.Tag))
+		return 0, false, false
+	}
+	req := ps.req
+	switch {
+	case resp.Err != "" && resp.Transient:
+		// The tracker could not serve this request right now but the
+		// data exists; retry within budget instead of escalating.
+		req.retries++
+		if req.retries > f.connectRetries {
+			deliver(f.runCtx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s (retry budget exhausted)", p.host, resp.Err)})
+			break
+		}
+		f.cRetries.Add(1)
+		p.requeue(req)
+	case resp.Err != "":
+		deliver(f.runCtx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s", p.host, resp.Err)})
+	case resp.Bytes < 0 || int(resp.Bytes) > hc.slotSize:
+		// Put the request back so takePending re-issues it on the
+		// next connection.
+		hc.mu.Lock()
+		hc.pending[slot] = ps
+		hc.inFlight++
+		hc.mu.Unlock()
+		hc.abort(fmt.Errorf("core: %s: %w: response claims %d bytes in a %d-byte slot", p.host, errProtocol, resp.Bytes, hc.slotSize))
+		return 0, false, false
+	default:
+		f.complete(p, hc, slot, ps, int(resp.Bytes), resp.EOF, nil)
+	}
+	return slot, true, true
+}
+
+// requeue puts a request a pump could not finish back on the peer's
+// queue. It never blocks: the send pump, the queue's only reader while
+// the connection lives, may be the caller, and it would wait on itself.
+func (p *hostPeer) requeue(req chunkReq) {
+	select {
+	case p.reqCh <- req:
+	default:
+		// The queue is sized for one request per segment, so this is
+		// unreachable in practice; spill without blocking regardless.
+		go func(r chunkReq) { _ = p.enqueue(p.f.runCtx, r) }(req)
 	}
 }
 
@@ -1157,9 +1238,10 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 // block blk is delivered as that block, uncopied: its bytes are the bytes
 // the merge decodes. Otherwise the n payload bytes sitting in ring slot
 // `slot` are copied out into a pooled heap buffer. Either way the chunk is
-// counted, spanned, and delivered to the owning segment. ps is the pending
-// entry the caller took for the slot. Delivery never blocks: a segment has
-// at most one chunk in flight and a one-slot ready channel.
+// counted, spanned, and delivered to the owning segment; nothing is left
+// in the slot, which the caller gives back. ps is the pending entry the
+// caller took for the slot. Delivery never blocks: a segment has at most
+// one chunk in flight and a one-slot ready channel.
 func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlot, n int, eof bool, blk *mrpool.Block) {
 	var pl payload
 	switch {
@@ -1188,9 +1270,6 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 			SlotWait: ps.slotWait,
 		}
 	}
-	// Nothing is left in the slot: recycle it before delivery so the send
-	// pump can refill it immediately.
-	hc.free <- slot
 	deliver(f.runCtx, req.seg, ck)
 }
 
@@ -1234,8 +1313,9 @@ func (hc *hostConn) installPlan(cctx context.Context, m *wire.ReadManifest) (rea
 // budget refuses the block, it is the slot, and the chunk completes the
 // way an RDMA-written response does, copied out. Waiting for a block
 // instead could deadlock: the merge may hold 2 × maps + 1 chunk buffers
-// before it can retire one.
-func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
+// before it can retire one. It reports whether it finished with the job's
+// slot, which the caller then gives back.
+func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) bool {
 	entry := job.entry
 	n := int(entry.Bytes)
 	total := 0
@@ -1245,7 +1325,7 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 	if n < 0 || n > hc.slotSize || total != n {
 		hc.abort(fmt.Errorf("core: %s: %w: manifest chunk claims %d bytes, ranges sum %d (slot %d)",
 			p.host, errProtocol, n, total, hc.slotSize))
-		return
+		return false
 	}
 	dst, base := hc.ring.MR(), hc.ring.Offset()+int(job.slot)*hc.slotSize
 	var blk *mrpool.Block
@@ -1274,8 +1354,7 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 			if blk != nil {
 				f.blocks.put(blk)
 			}
-			f.readFailed(cctx, p, hc, job, err)
-			return
+			return f.readFailed(cctx, p, hc, job, err)
 		}
 		local += span
 		reads++
@@ -1287,7 +1366,7 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 		if blk != nil {
 			f.blocks.put(blk)
 		}
-		return
+		return false
 	}
 	f.cReadIssued.Add(int64(reads))
 	f.cReadBytes.Add(int64(n))
@@ -1295,44 +1374,38 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 	f.nReadIssued.Add(int64(reads))
 	hc.releaseLease(cctx, hc.planDone(job.plan))
 	f.complete(p, hc, job.slot, ps, n, entry.EOF, blk)
+	return true
 }
 
 // readFailed handles a failed READ. A remote-access fault means the
 // lease expired or the entry was evicted and its region deregistered —
 // the bytes were never written, nothing is corrupt — so the request
 // is re-issued for an eager response (noRead) without consuming retry
-// budget. Anything else is a transport failure: abort the connection and
-// let the supervisor re-issue everything idempotently.
-func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) {
+// budget, and the slot is finished. Anything else is a transport failure:
+// abort the connection and let the supervisor re-issue everything
+// idempotently.
+func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) bool {
 	if cctx.Err() != nil {
 		// A READ cut short by teardown leaves its request in hc.pending.
 		// takePending runs once, after both pumps have exited, and
 		// removes what it returns, so the supervisor re-issues the
 		// request exactly once.
-		return
+		return false
 	}
 	f.cReadFallbacks.Add(1)
 	hc.releaseLease(cctx, hc.detachPlan(job.plan))
 	hc.releaseLease(cctx, hc.planDone(job.plan))
 	if !errors.Is(err, ucr.ErrRemoteAccess) {
 		hc.abort(fmt.Errorf("core: read from %s: %w", p.host, err))
-		return
+		return false
 	}
 	if _, ok := hc.takeSlot(job.slot); !ok {
-		return
+		return false
 	}
-	hc.free <- job.slot
 	req := job.req
 	req.noRead = true
-	select {
-	case p.reqCh <- req:
-	default:
-		// The queue is sized for one request per segment, so this is
-		// unreachable in practice. It must still never block: this may
-		// be sendLoop, the only reader of p.reqCh while the connection
-		// lives, and it would wait on itself.
-		go func(r chunkReq) { _ = p.enqueue(f.runCtx, r) }(req)
-	}
+	p.requeue(req)
+	return true
 }
 
 // deliver hands a chunk to its segment, giving up on cancellation (the
@@ -1381,6 +1454,7 @@ type fetcher struct {
 	cReconnects    *obs.Counter
 	cDeadline      *obs.Counter
 	cSlotStalls    *obs.Counter
+	cReqMsgs       *obs.Counter // request SENDs: one per batch
 	cBytes         *obs.Counter // shuffle.rdma.bytes: delivered, either way
 	cPackets       *obs.Counter
 	cRecvBytes     *obs.Counter
@@ -1449,6 +1523,7 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cReconnects = c.Handle("shuffle.rdma.reconnects")
 	f.cDeadline = c.Handle("shuffle.rdma.deadline.exceeded")
 	f.cSlotStalls = c.Handle("shuffle.rdma.slot.stalls")
+	f.cReqMsgs = c.Handle("shuffle.rdma.request.msgs")
 	f.cBytes = c.Handle("shuffle.rdma.bytes")
 	f.cPackets = c.Handle("shuffle.rdma.packets")
 	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")

@@ -76,7 +76,11 @@ func (h *ringHarness) plant(m, n int) {
 // fetch runs one full fetcher lifetime and verifies the merged stream is
 // exactly the sorted union, comparing records in place (the iterator
 // contract: a record is valid only until the following Next).
-func (h *ringHarness) fetch(ctx context.Context) {
+func (h *ringHarness) fetch(ctx context.Context) { h.fetchThen(ctx, nil) }
+
+// fetchThen is fetch calling started, when set, between Fetch and the
+// first Next.
+func (h *ringHarness) fetchThen(ctx context.Context, started func(*fetcher)) {
 	events := make(chan mapred.MapEvent, h.numMaps)
 	for m := 0; m < h.numMaps; m++ {
 		events <- mapred.MapEvent{MapID: m, Host: h.tt.Host()}
@@ -90,6 +94,9 @@ func (h *ringHarness) fetch(ctx context.Context) {
 	it, err := f.Fetch(ctx)
 	if err != nil {
 		h.t.Fatal(err)
+	}
+	if started != nil {
+		started(f)
 	}
 	n := 0
 	for it.Next() {

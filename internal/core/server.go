@@ -53,6 +53,8 @@ type trackerServer struct {
 	cFallbacks *obs.Counter // shuffle.rdma.zerocopy.fallbacks
 	cStageOut  *obs.Counter // shuffle.rdma.stage.outstanding
 	cManifests *obs.Counter // shuffle.rdma.read.manifests
+	// cAnswerMsgs is shuffle.rdma.answer.msgs: answer SENDs, one per frame.
+	cAnswerMsgs *obs.Counter
 	// Node-local serving counters (heartbeat-shipped telemetry); nil
 	// no-op handles when the plane is off.
 	nServedReqs  *obs.Counter
@@ -120,6 +122,7 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	s.cFallbacks = c.Handle("shuffle.rdma.zerocopy.fallbacks")
 	s.cStageOut = c.Handle("shuffle.rdma.stage.outstanding")
 	s.cManifests = c.Handle("shuffle.rdma.read.manifests")
+	s.cAnswerMsgs = c.Handle("shuffle.rdma.answer.msgs")
 	s.nServedReqs = tt.NodeRegistry().Counter("node.served.requests")
 	s.nServedBytes = tt.NodeRegistry().Counter("node.served.bytes")
 	s.prefetcher = NewMapOutputPrefetcher(tt, s.cache, int(conf.Int(config.KeyPrefetchThreads)))
@@ -143,9 +146,9 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	return s, nil
 }
 
-// headerBlockBytes sizes the slab carve used to encode response headers
-// and manifests; encodes that overflow it fall back to the heap path.
-const headerBlockBytes = 4096
+// headerBlockBytes sizes the slab carve a receiver encodes its answer
+// frame into: the largest message one SEND carries.
+const headerBlockBytes = ucr.MaxMessage
 
 // getHeaderBlock returns a recycled header block, carving a fresh one
 // only when the free list is empty.
@@ -189,11 +192,13 @@ func (s *trackerServer) acceptLoop() {
 }
 
 // receiver is one RDMAReceiver and its end-point's RDMAResponder: it
-// pulls requests off its end-point and serves each in turn, holding one
-// in-service token while it does (D19). Requests on one end-point are
-// therefore answered one at a time, in arrival order, so one response's
-// write-then-header pair never interleaves with another's on the same
-// peer. A stalled end-point holds only this goroutine and one token.
+// pulls frames off its end-point — a copier sends every request it has a
+// slot for in one SEND (D23) — and serves each frame's requests in turn,
+// holding one in-service token while it does (D19). Requests on one
+// end-point are therefore served one at a time, in arrival order, so one
+// frame's payload writes and answers never interleave with another's on
+// the same peer. A stalled end-point holds only this goroutine and one
+// token.
 //
 // Serving here never blocks the device's receive pump, which feeds every
 // end-point on the device: ep.msgs holds 1024 messages, and an end-point
@@ -204,15 +209,36 @@ func (s *trackerServer) acceptLoop() {
 // elsewhere, or the fabric severed it — the end-point is released
 // immediately; reconnect churn from self-healing copiers must not
 // accumulate dead endpoints (and their registered rings) until server
-// shutdown.
+// shutdown. A malformed batch ends the connection too: none of its
+// requests can be answered, and the copier re-issues them on a fresh one.
 func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 	defer s.wg.Done()
 	defer s.dropEndpoint(ep)
+	a := &answers{s: s, ep: ep}
+	var msgs [][]byte
 	for {
-		msg, err := ep.Recv(s.ctx)
+		frame, err := ep.Recv(s.ctx)
 		if err != nil {
 			return // connection closed by copier or server shutdown
 		}
+		if msgs, err = wire.SplitBatch(frame, msgs[:0]); err != nil {
+			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
+			return
+		}
+		if !s.serveFrame(a, msgs) {
+			return
+		}
+	}
+}
+
+// serveFrame serves one frame's messages in arrival order under one
+// in-service token, and answers every request among them in one SEND:
+// each eager payload is RDMA-written as its request is served, so all of
+// them are in place before the answers go out. It returns false on
+// server shutdown.
+func (s *trackerServer) serveFrame(a *answers, msgs [][]byte) bool {
+	var t0 time.Time // set once the token is held, from the frame's first request on
+	for _, msg := range msgs {
 		if len(msg) > 0 && msg[0] == wire.TypeLeaseRelease {
 			// Copiers retire drained or abandoned read plans eagerly so the
 			// pin drops before the deadline; a release for an
@@ -229,32 +255,40 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
 			continue
 		}
-		select {
-		case s.inService <- struct{}{}:
-		case <-s.ctx.Done():
-			return
+		if t0.IsZero() {
+			select {
+			case s.inService <- struct{}{}:
+			case <-s.ctx.Done():
+				return false
+			}
+			// Responder occupancy: wall time in service, answer SEND
+			// included, the denominator of the READ arm's "responder CPU
+			// per byte" claim. Two clock reads per frame, always on.
+			t0 = time.Now()
+			a.begin()
 		}
-		s.serve(ep, req)
+		s.serve(a, req)
+	}
+	if !t0.IsZero() {
+		a.end()
+		s.cBusyNS.Add(time.Since(t0).Nanoseconds())
 		<-s.inService
 	}
+	return true
 }
 
 // serve is one RDMAResponder turn: locate the data (PrefetchCache
-// first), pack a chunk, RDMA-write it into the copier's buffer, and send
-// the response header — or answer with a manifest the copier READs.
-func (s *trackerServer) serve(ep *ucr.EndPoint, req *wire.DataRequest) {
-	// Responder occupancy: wall time a responder spends on this request,
-	// the denominator of the READ arm's "responder CPU per byte" claim.
-	// Two clock reads per request, always on.
-	t0 := time.Now()
+// first), pack a chunk, RDMA-write it into the copier's buffer, and add
+// the response header to the answers — or answer with a manifest the
+// copier READs.
+func (s *trackerServer) serve(a *answers, req *wire.DataRequest) {
 	s.nServedReqs.Add(1)
-	defer func() { s.cBusyNS.Add(time.Since(t0).Nanoseconds()) }()
 	// The fetch protocol's one decision (D8): a read-capable request for a
 	// run that is cache-resident and registered is answered with a
 	// descriptor manifest (rendezvous — the copier READs the payload);
 	// everything else is served eagerly below, which also owns all error
 	// reporting.
-	if s.cacheOn && req.Flags&wire.FlagFetchRead != 0 && s.serveManifest(ep, req) {
+	if s.cacheOn && req.Flags&wire.FlagFetchRead != 0 && s.serveManifest(a, req) {
 		return
 	}
 	header, payload := s.buildResponse(req)
@@ -263,7 +297,7 @@ func (s *trackerServer) serve(ep *ucr.EndPoint, req *wire.DataRequest) {
 		// block (completed, or its QP destroyed), so the block goes back
 		// to the slab before the header is sent: by the time the copier
 		// sees the answer, nothing of it is still staged.
-		err := ep.RDMAWrite(s.ctx, payload.sge(), req.RemoteAddr, req.RKey)
+		err := a.ep.RDMAWrite(s.ctx, payload.sge(), req.RemoteAddr, req.RKey)
 		payload.release()
 		if err != nil {
 			// The data exists — only the delivery failed. Transient tells
@@ -275,24 +309,96 @@ func (s *trackerServer) serve(ep *ucr.EndPoint, req *wire.DataRequest) {
 			s.nServedBytes.Add(int64(header.Bytes))
 		}
 	}
-	s.sendHeader(ep, &header)
+	a.header(&header)
 }
 
-// sendHeader delivers the response header, encoded into a slab-carved
-// header block and gather-sent from there; when an oversized error string
-// overflows the block, or the slab budget is exhausted, it falls back to
-// the allocating encode + staged send.
-func (s *trackerServer) sendHeader(ep *ucr.EndPoint, h *wire.DataResponse) {
-	if blk, err := s.getHeaderBlock(); err == nil {
-		buf := h.EncodeAppend(blk.Bytes()[:0])
-		if len(buf) <= blk.Len() {
-			_ = ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
-			s.putHeaderBlock(blk)
-			return
-		}
-		s.putHeaderBlock(blk)
+// answers is the frame a receiver answers its requests in: the headers
+// and manifests of the requests served since the last SEND, encoded in
+// place into a registered header block — on the heap when the slab
+// budget refuses one — and sent as one wire.Batch.
+type answers struct {
+	s      *trackerServer
+	ep     *ucr.EndPoint
+	blk    *mrpool.Block
+	batch  wire.Batch
+	sgl    [1]verbs.SGE
+	leases []uint64 // granted to the frame's manifests
+}
+
+// begin starts a frame in a header block.
+func (a *answers) begin() {
+	if blk, err := a.s.getHeaderBlock(); err == nil {
+		a.blk = blk
+		a.batch.Reset(blk.Bytes())
+		return
 	}
-	_ = ep.Send(s.ctx, h.Encode())
+	// Not the batch's own storage: that may be a block given back since.
+	a.batch.Reset(make([]byte, 0, 512))
+}
+
+// end sends the frame and gives its header block back.
+func (a *answers) end() {
+	a.flush()
+	if a.blk != nil {
+		a.s.putHeaderBlock(a.blk)
+		a.blk = nil
+	}
+}
+
+// header adds an eager answer to the frame.
+func (a *answers) header(h *wire.DataResponse) {
+	a.room(h.EncodedSize())
+	a.batch.AddResponse(h)
+}
+
+// manifest adds a rendezvous answer to the frame.
+func (a *answers) manifest(m *wire.ReadManifest) {
+	a.room(m.EncodedSize())
+	a.batch.AddManifest(m)
+	a.leases = append(a.leases, m.LeaseID)
+}
+
+// room sends the frame so far when an answer of n bytes would take it past
+// the largest message a SEND carries. Every answer in it had its payload
+// written before it was added, so an early SEND keeps that order.
+func (a *answers) room(n int) {
+	if a.batch.Count() > 0 && !a.batch.Fits(n, ucr.MaxMessage) {
+		a.flush()
+	}
+}
+
+// flush sends the frame, gather-sent from the header block when it is
+// there, and starts the next one in the same storage. A failed SEND means
+// the connection is dying: every lease the frame's manifests carried is
+// dropped now rather than at its deadline, and the copier re-issues the
+// requests after it reconnects.
+func (a *answers) flush() {
+	frame, start := a.batch.Frame()
+	if frame == nil {
+		return
+	}
+	// Counted before the send, as manifests are: the copier may act on
+	// the answers before the SEND returns.
+	a.s.cAnswerMsgs.Add(1)
+	var err error
+	if a.blk != nil && start+len(frame) <= a.blk.Len() {
+		a.sgl[0] = verbs.SGE{MR: a.blk.MR(), Offset: a.blk.Offset() + start, Length: len(frame)}
+		err = a.ep.SendSG(a.s.ctx, a.sgl[:])
+	} else {
+		// On the heap: no block, or one answer alone outgrew it.
+		err = a.ep.Send(a.s.ctx, frame)
+	}
+	if err != nil {
+		for _, id := range a.leases {
+			a.s.leases.release(id)
+		}
+	}
+	a.leases = a.leases[:0]
+	if a.blk != nil {
+		a.batch.Reset(a.blk.Bytes())
+	} else {
+		a.batch.Reset(nil)
+	}
 }
 
 // descScratch is the reusable per-manifest descriptor state: the packer's
@@ -395,21 +501,26 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 }
 
 // maxManifestChunks caps one manifest's descriptor plan. The encoded-size
-// budget (the pooled 4096-byte header region) is the binding limit for
-// range-dense runs; the count cap bounds plan length for trivially small
-// chunks so a lease never covers an unbounded amount of future work.
+// budget (maxManifestBytes) is the binding limit for range-dense runs; the
+// count cap bounds plan length for trivially small chunks so a lease never
+// covers an unbounded amount of future work.
 const maxManifestChunks = 64
+
+// maxManifestBytes caps one manifest's encoding, so that a manifest always
+// fits an answer frame beside the frame's framing, however full the frame
+// it is added to: room sends the frame first when it would not.
+const maxManifestBytes = 4096
 
 // serveManifest is the rendezvous half of the protocol: pin the cached
 // run, walk it with the descriptor packer from the requested offset, and
-// send the copier a manifest of (rkey, addr, len) ranges it READs directly
-// — the responder never touches a payload byte and sends exactly one
-// message for the whole plan. The pin is held by a deadline-bounded lease
-// until the copier releases it (or the janitor expires it). Returns false
-// when the request cannot be served this way — cache miss, unregistered
-// body (slab budget exhausted at Put), corrupt framing — and the eager
-// path takes over.
-func (s *trackerServer) serveManifest(ep *ucr.EndPoint, req *wire.DataRequest) bool {
+// answer the copier with a manifest of (rkey, addr, len) ranges it READs
+// directly — the responder never touches a payload byte and sends exactly
+// one message for the whole plan. The pin is held by a deadline-bounded
+// lease until the copier releases it (or the janitor expires it). Returns
+// false when the request cannot be served this way — cache miss,
+// unregistered body (slab budget exhausted at Put), corrupt framing — and
+// the eager path takes over.
+func (s *trackerServer) serveManifest(a *answers, req *wire.DataRequest) bool {
 	key := CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)}
 	if !s.cache.Contains(key) {
 		return false
@@ -462,9 +573,9 @@ func (s *trackerServer) serveManifest(ep *ucr.EndPoint, req *wire.DataRequest) b
 			ch.Ranges = append(ch.Ranges, wire.ReadRange{Addr: view.Addr() + uint64(start+r.Off), Len: int32(r.Len)})
 		}
 		m.Chunks = append(m.Chunks, ch)
-		if m.EncodedSize() > 4096 && len(m.Chunks) > 1 {
-			// Over the header-region budget: the copier re-requests from
-			// the first uncovered offset and gets a fresh manifest.
+		if m.EncodedSize() > maxManifestBytes && len(m.Chunks) > 1 {
+			// Over budget: the copier re-requests from the first uncovered
+			// offset and gets a fresh manifest.
 			m.Chunks = m.Chunks[:len(m.Chunks)-1]
 			break
 		}
@@ -477,27 +588,8 @@ func (s *trackerServer) serveManifest(ep *ucr.EndPoint, req *wire.DataRequest) b
 	// Counted before the send, as the staging block is freed before the
 	// header: the copier may act on the manifest before SendSG returns.
 	s.cManifests.Add(1)
-	if err := s.sendManifest(ep, &m); err != nil {
-		// The connection is dying; drop the pin now rather than waiting
-		// out the lease deadline. The copier re-issues after reconnect.
-		s.leases.release(m.LeaseID)
-	}
+	a.manifest(&m)
 	return true
-}
-
-// sendManifest delivers a descriptor manifest, gather-sent from a
-// slab-carved header block when the budget allows one.
-func (s *trackerServer) sendManifest(ep *ucr.EndPoint, m *wire.ReadManifest) error {
-	if blk, err := s.getHeaderBlock(); err == nil {
-		buf := m.EncodeAppend(blk.Bytes()[:0])
-		if len(buf) <= blk.Len() {
-			err := ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
-			s.putHeaderBlock(blk)
-			return err
-		}
-		s.putHeaderBlock(blk)
-	}
-	return ep.Send(s.ctx, m.Encode())
 }
 
 // leaseJanitor expires read leases whose copiers went quiet: a dead or

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"rdmamr/internal/kv"
@@ -108,10 +109,23 @@ func TestLineInputEmpty(t *testing.T) {
 	}
 }
 
+// TestMapOutputKeyStable: the key names persisted map outputs, so it stays
+// byte-identical to the fmt form it was first written in, zero padding
+// and widths past five digits included.
 func TestMapOutputKeyStable(t *testing.T) {
-	k := MapOutputKey("job_1", 3, 7)
-	if k != "mapout/job_1/m00003/p00007" {
+	if k := MapOutputKey("job_1", 3, 7); k != "mapout/job_1/m00003/p00007" {
 		t.Fatalf("key format changed: %s", k)
+	}
+	for _, id := range []int{0, 7, 99_999, 100_000, 1_234_567, -7, -123_456} {
+		for _, job := range []string{"job_bench", ""} {
+			want := fmt.Sprintf("mapout/%s/m%05d/p%05d", job, id, 12_345-id)
+			if got := MapOutputKey(job, id, 12_345-id); got != want {
+				t.Errorf("MapOutputKey(%q, %d, %d) = %q, want %q", job, id, 12_345-id, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = MapOutputKey("job_bench", 17, 3) }); allocs > 1 {
+		t.Errorf("a key costs %v allocations, want the string alone", allocs)
 	}
 }
 

@@ -15,6 +15,8 @@ package mapred
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
@@ -138,6 +140,32 @@ type JobInfo struct {
 // MapOutputKey is the local-store key for one map output partition. All
 // components (map spill, servlets, responders, prefetcher) address map
 // outputs through this single naming scheme.
+// Every responder lookup that misses the cache builds one, so it is
+// appended by hand: the string is its one allocation.
 func MapOutputKey(jobID string, mapID, partition int) string {
-	return fmt.Sprintf("mapout/%s/m%05d/p%05d", jobID, mapID, partition)
+	var b strings.Builder
+	b.Grow(len("mapout/") + len(jobID) + len("/m00000/p00000"))
+	b.WriteString("mapout/")
+	b.WriteString(jobID)
+	b.WriteString("/m")
+	writeID(&b, mapID)
+	b.WriteString("/p")
+	writeID(&b, partition)
+	return b.String()
+}
+
+// writeID writes v as fmt's %05d does: zero-padded to five characters,
+// a minus sign counted among them.
+func writeID(b *strings.Builder, v int) {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(v), 10)
+	width := 5
+	if v < 0 {
+		b.WriteByte('-')
+		digits, width = digits[1:], width-1
+	}
+	for n := len(digits); n < width; n++ {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
 }

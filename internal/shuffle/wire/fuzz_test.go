@@ -162,3 +162,43 @@ func FuzzTakeString(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSplitBatch: any frame either splits into messages that frame back
+// to exactly the input, none of them a batch, or is an error that yields
+// no message.
+func FuzzSplitBatch(f *testing.F) {
+	req := (&DataRequest{JobID: "job_202608", Tag: 5}).Encode()
+	resp := (&DataResponse{Tag: 3, Bytes: 7}).Encode()
+	two := frameOf(req, resp)
+	for _, s := range [][]byte{
+		two,
+		frameOf(resp, sampleManifest().Encode(), req),
+		req,                  // bare
+		two[:len(two)-3],     // truncated message
+		frameOf(req, two),    // nested
+		{TypeBatch, 1, 0, 1}, // batch of one
+		{TypeBatch},
+		{},
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		msgs, err := SplitBatch(b, nil)
+		if err != nil {
+			if len(msgs) != 0 {
+				t.Fatalf("error %v returned with %d messages", err, len(msgs))
+			}
+			return
+		}
+		if len(msgs) > 1 || (len(b) > 0 && b[0] == TypeBatch) {
+			for i, m := range msgs {
+				if len(m) == 0 || m[0] == TypeBatch {
+					t.Fatalf("message %d of %d is empty or a nested batch: %x", i, len(msgs), m)
+				}
+			}
+		}
+		if again := frameOf(msgs...); !bytes.Equal(again, b) {
+			t.Fatalf("re-framed %d messages = %x, input %x", len(msgs), again, b)
+		}
+	})
+}

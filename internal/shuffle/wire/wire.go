@@ -24,6 +24,10 @@ const (
 	// TypeLeaseRelease returns a manifest's lease early, letting the
 	// responder unpin the cache body before the deadline expires.
 	TypeLeaseRelease = 0x04
+	// TypeBatch frames several messages as one SEND: the type byte, then
+	// (uint16 length, message) pairs. A batch holds at least two
+	// messages — a single one travels bare — and never another batch.
+	TypeBatch = 0x05
 )
 
 // DataRequest flag bits (the Flags tail extension).
@@ -39,6 +43,7 @@ const (
 var (
 	ErrTruncated = errors.New("wire: truncated message")
 	ErrBadType   = errors.New("wire: unexpected message type")
+	ErrBadBatch  = errors.New("wire: malformed batch")
 )
 
 // DataRequest asks a TaskTracker for the next packet of one map output
@@ -70,7 +75,12 @@ type DataRequest struct {
 
 // Encode serializes the request.
 func (r *DataRequest) Encode() []byte {
-	return r.EncodeAppend(make([]byte, 0, 64+len(r.JobID)))
+	return r.EncodeAppend(make([]byte, 0, r.EncodedSize()))
+}
+
+// EncodedSize returns the exact encoded length.
+func (r *DataRequest) EncodedSize() int {
+	return 1 + 2 + len(r.JobID) + 4 + 4 + 8 + 4 + 4 + 8 + 4 + 4 + 4
 }
 
 // EncodeAppend serializes the request into buf (reusing its capacity) and
@@ -155,7 +165,12 @@ type DataResponse struct {
 
 // Encode serializes the response.
 func (r *DataResponse) Encode() []byte {
-	return r.EncodeAppend(make([]byte, 0, 40+len(r.Err)))
+	return r.EncodeAppend(make([]byte, 0, r.EncodedSize()))
+}
+
+// EncodedSize returns the exact encoded length.
+func (r *DataResponse) EncodedSize() int {
+	return 1 + 4 + 4 + 8 + 4 + 4 + 1 + 2 + len(r.Err) + 8 + 4 + 4 + 1
 }
 
 // EncodeAppend serializes the response into buf (reusing its capacity)
@@ -393,6 +408,99 @@ func DecodeLeaseRelease(b []byte) (*LeaseRelease, error) {
 		return nil, ErrTruncated
 	}
 	return &LeaseRelease{LeaseID: binary.LittleEndian.Uint64(b[1:9])}, nil
+}
+
+// Batch builds one TypeBatch frame in place: each message is encoded
+// straight into the frame behind its length prefix, so a sender that
+// builds in a registered region sends the frame without a copy. Frame
+// returns a batch of one bare, byte-identical to sending the message
+// alone. The zero Batch is ready after Reset.
+type Batch struct {
+	buf   []byte
+	count int
+}
+
+// batchPrefix is the framing cost of one message inside a batch.
+const batchPrefix = 2
+
+// Reset empties the batch and builds the next frame in buf's storage; a
+// nil buf keeps the batch's own, which grows as messages are added.
+func (b *Batch) Reset(buf []byte) {
+	if buf == nil {
+		buf = b.buf
+	}
+	b.buf = append(buf[:0], TypeBatch)
+	b.count = 0
+}
+
+// Count is the number of messages in the frame.
+func (b *Batch) Count() int { return b.count }
+
+// Fits reports whether a message of n encoded bytes can join the frame
+// without the frame outgrowing limit bytes.
+func (b *Batch) Fits(n, limit int) bool { return len(b.buf)+batchPrefix+n <= limit }
+
+// AddRequest appends a request to the frame.
+func (b *Batch) AddRequest(r *DataRequest) { b.add(r.EncodeAppend(b.open())) }
+
+// AddResponse appends a response header to the frame.
+func (b *Batch) AddResponse(r *DataResponse) { b.add(r.EncodeAppend(b.open())) }
+
+// AddManifest appends a manifest to the frame.
+func (b *Batch) AddManifest(m *ReadManifest) { b.add(m.EncodeAppend(b.open())) }
+
+// open reserves the next message's length prefix.
+func (b *Batch) open() []byte { return append(b.buf, 0, 0) }
+
+// add records the message just encoded behind the prefix open reserved.
+func (b *Batch) add(buf []byte) {
+	start := len(b.buf)
+	binary.LittleEndian.PutUint16(buf[start:], uint16(len(buf)-start-batchPrefix))
+	b.buf = buf
+	b.count++
+}
+
+// Frame returns the bytes to send and their offset in the buffer the
+// frame was built in: the whole frame, the bare message of a batch of
+// one, or nil for an empty batch.
+func (b *Batch) Frame() (frame []byte, start int) {
+	switch b.count {
+	case 0:
+		return nil, 0
+	case 1:
+		start = 1 + batchPrefix
+	}
+	return b.buf[start:], start
+}
+
+// SplitBatch appends the messages frame carries to dst and returns it:
+// frame itself when it is a bare message, otherwise each message of the
+// batch, aliasing frame. A truncated batch, a batch of fewer than two
+// messages, an empty message or a nested batch is ErrBadBatch.
+func SplitBatch(frame []byte, dst [][]byte) ([][]byte, error) {
+	if len(frame) == 0 || frame[0] != TypeBatch {
+		return append(dst, frame), nil
+	}
+	first := len(dst)
+	for rest := frame[1:]; len(rest) > 0; {
+		if len(rest) < batchPrefix {
+			return dst[:first], fmt.Errorf("%w: %d bytes left for a length prefix", ErrBadBatch, len(rest))
+		}
+		n := int(binary.LittleEndian.Uint16(rest))
+		rest = rest[batchPrefix:]
+		switch {
+		case n == 0 || n > len(rest):
+			return dst[:first], fmt.Errorf("%w: message of %d in %d bytes", ErrBadBatch, n, len(rest))
+		case rest[0] == TypeBatch:
+			return dst[:first], fmt.Errorf("%w: nested batch", ErrBadBatch)
+		}
+		dst = append(dst, rest[:n])
+		rest = rest[n:]
+	}
+	if n := len(dst) - first; n < 2 {
+		return dst[:first], fmt.Errorf("%w: batch of %d", ErrBadBatch, n)
+	}
+	return dst, nil
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -252,5 +253,129 @@ func TestLeaseReleaseRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeLeaseRelease(l.Encode()[:8]); err == nil {
 		t.Fatal("truncated release accepted")
+	}
+}
+
+// frameOf is the batch framing written out by hand: the oracle the
+// builder and SplitBatch are held to.
+func frameOf(msgs ...[]byte) []byte {
+	if len(msgs) == 1 {
+		return msgs[0]
+	}
+	out := []byte{TypeBatch}
+	for _, m := range msgs {
+		out = append(out, byte(len(m)), byte(len(m)>>8))
+		out = append(out, m...)
+	}
+	return out
+}
+
+// TestBatchOfOneIsBare: one message framed as a batch goes out exactly as
+// it would alone, so peers and codecs that know no batches never see one.
+func TestBatchOfOneIsBare(t *testing.T) {
+	req := &DataRequest{JobID: "job_1", MapID: 3, Offset: 4096, RKey: 7, Tag: 9, Flags: FlagFetchRead}
+	resp := &DataResponse{MapID: 3, Bytes: 100, Records: 2, EOF: true, Err: "x", Tag: 9}
+	man := sampleManifest()
+	for _, tc := range []struct {
+		name string
+		add  func(*Batch)
+		bare []byte
+	}{
+		{"request", func(b *Batch) { b.AddRequest(req) }, req.Encode()},
+		{"response", func(b *Batch) { b.AddResponse(resp) }, resp.Encode()},
+		{"manifest", func(b *Batch) { b.AddManifest(man) }, man.Encode()},
+	} {
+		var b Batch
+		b.Reset(nil)
+		tc.add(&b)
+		frame, start := b.Frame()
+		if !bytes.Equal(frame, tc.bare) {
+			t.Fatalf("%s: batch of one = %x, bare message %x", tc.name, frame, tc.bare)
+		}
+		if start != 3 {
+			t.Fatalf("%s: bare message starts at %d, want 3 (type byte and prefix skipped)", tc.name, start)
+		}
+		msgs, err := SplitBatch(frame, nil)
+		if err != nil || len(msgs) != 1 || !bytes.Equal(msgs[0], frame) {
+			t.Fatalf("%s: split of a bare message = %x, %v", tc.name, msgs, err)
+		}
+	}
+	if req.EncodedSize() != len(req.Encode()) || resp.EncodedSize() != len(resp.Encode()) {
+		t.Fatalf("EncodedSize: request %d/%d, response %d/%d",
+			req.EncodedSize(), len(req.Encode()), resp.EncodedSize(), len(resp.Encode()))
+	}
+}
+
+// TestBatchBuildsInPlace: a batch built in a buffer with room for it is
+// encoded into that buffer, frames its messages as the oracle does, and
+// splits back into them; a batch that would outgrow its limit says so.
+func TestBatchBuildsInPlace(t *testing.T) {
+	req := &DataRequest{JobID: "job_1", MapID: 1, Tag: 1}
+	resp := &DataResponse{MapID: 2, Bytes: 10, Tag: 2}
+	man := sampleManifest()
+	buf := make([]byte, 0, 1024)
+	var b Batch
+	b.Reset(buf)
+	b.AddRequest(req)
+	b.AddResponse(resp)
+	if !b.Fits(man.EncodedSize(), 1024) {
+		t.Fatal("a manifest that fits was refused")
+	}
+	b.AddManifest(man)
+	frame, start := b.Frame()
+	if start != 0 || b.Count() != 3 || &frame[0] != &buf[:1][0] {
+		t.Fatalf("frame of %d built at %d, in place %v", b.Count(), start, &frame[0] == &buf[:1][0])
+	}
+	want := frameOf(req.Encode(), resp.Encode(), man.Encode())
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("frame = %x, want %x", frame, want)
+	}
+	if b.Fits(1024-len(frame)-1, 1024) {
+		t.Fatal("a message that overflows the limit was said to fit")
+	}
+	msgs, err := SplitBatch(frame, nil)
+	if err != nil || len(msgs) != 3 {
+		t.Fatalf("split = %d messages, %v", len(msgs), err)
+	}
+	if got, err := DecodeDataRequest(msgs[0]); err != nil || *got != *req {
+		t.Fatalf("request: %+v %v", got, err)
+	}
+	if got, err := DecodeDataResponse(msgs[1]); err != nil || *got != *resp {
+		t.Fatalf("response: %+v %v", got, err)
+	}
+	if got, err := DecodeReadManifest(msgs[2]); err != nil || !manifestsEqual(got, man) {
+		t.Fatalf("manifest: %+v %v", got, err)
+	}
+	b.Reset(buf)
+	if frame, _ := b.Frame(); frame != nil || b.Count() != 0 {
+		t.Fatalf("reset batch frames %x", frame)
+	}
+}
+
+// TestSplitBatchRejects: every malformed batch is an error and yields no
+// message, whatever dst already held.
+func TestSplitBatchRejects(t *testing.T) {
+	msg := (&DataResponse{Tag: 1}).Encode()
+	two := frameOf(msg, msg)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"empty batch", []byte{TypeBatch}},
+		{"batch of one", append([]byte{TypeBatch, byte(len(msg)), 0}, msg...)},
+		{"truncated prefix", append(append([]byte{}, two...), 1)},
+		{"truncated message", two[:len(two)-1]},
+		{"length past the end", append([]byte{TypeBatch, 0xff, 0xff}, msg...)},
+		{"empty message", append(append([]byte{}, two...), 0, 0)},
+		{"nested batch", frameOf(msg, two)},
+	} {
+		dst := [][]byte{[]byte("kept")}
+		got, err := SplitBatch(tc.frame, dst)
+		if !errors.Is(err, ErrBadBatch) {
+			t.Fatalf("%s: err = %v, want ErrBadBatch", tc.name, err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("%s: %d messages returned with the error", tc.name, len(got)-1)
+		}
 	}
 }

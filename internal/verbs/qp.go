@@ -194,7 +194,7 @@ type QueuePair struct {
 
 	mu        sync.Mutex
 	state     QPState
-	recvQueue []RecvWR
+	recvQueue recvRing
 	srq       *SRQ // non-nil: receive side draws from the shared queue
 	peerDev   string
 	peerQPN   uint32
@@ -272,7 +272,7 @@ func (qp *QueuePair) PostRecv(wr RecvWR) error {
 	if qp.state == QPDestroyed || qp.state == QPError {
 		return fmt.Errorf("%w: state %v", ErrQPState, qp.state)
 	}
-	qp.recvQueue = append(qp.recvQueue, wr)
+	qp.recvQueue.push(wr)
 	return nil
 }
 
@@ -313,8 +313,7 @@ func (qp *QueuePair) enterError() {
 		return
 	}
 	qp.state = QPError
-	flushed := qp.recvQueue
-	qp.recvQueue = nil
+	flushed := qp.recvQueue.drain()
 	srq := qp.srq
 	qp.mu.Unlock()
 	for _, wr := range flushed {
@@ -470,16 +469,15 @@ func (qp *QueuePair) executeSend(wr *SendWR, sgl []SGE, total int, peer *Device,
 			return
 		}
 	} else {
-		if len(rqp.recvQueue) == 0 {
-			rqp.mu.Unlock()
+		var ok bool
+		recv, ok = rqp.recvQueue.pop()
+		rqp.mu.Unlock()
+		if !ok {
 			// Receiver not ready: on real RC QPs, RNR NAK then retry; with
 			// retries exceeded the sender completes in error.
 			qp.complete(wr, WCRNRRetryExceeded, 0)
 			return
 		}
-		recv = rqp.recvQueue[0]
-		rqp.recvQueue = rqp.recvQueue[1:]
-		rqp.mu.Unlock()
 	}
 
 	dst, err := recv.SGE.slice()

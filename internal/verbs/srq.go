@@ -18,8 +18,50 @@ import (
 type SRQ struct {
 	dev    *Device
 	mu     sync.Mutex
-	queue  []RecvWR
+	queue  recvRing
 	closed bool
+}
+
+// recvRing is a FIFO of posted receives: a ring that grows only when every
+// entry is posted, so the steady state of one pop per repost never
+// allocates. (A slice popped by reslicing its head and refilled by append
+// reallocates its backing array every few hundred reposts.)
+type recvRing struct {
+	buf        []RecvWR
+	head, size int
+}
+
+func (r *recvRing) len() int { return r.size }
+
+func (r *recvRing) push(wr RecvWR) {
+	if r.size == len(r.buf) {
+		grown := make([]RecvWR, max(16, 2*len(r.buf)))
+		n := copy(grown, r.buf[r.head:])
+		copy(grown[n:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.size)%len(r.buf)] = wr
+	r.size++
+}
+
+func (r *recvRing) pop() (RecvWR, bool) {
+	if r.size == 0 {
+		return RecvWR{}, false
+	}
+	wr := r.buf[r.head]
+	r.buf[r.head] = RecvWR{} // drop the region reference
+	r.head = (r.head + 1) % len(r.buf)
+	r.size--
+	return wr, true
+}
+
+// drain empties the ring, returning its receives in post order.
+func (r *recvRing) drain() []RecvWR {
+	out := make([]RecvWR, 0, r.size)
+	for wr, ok := r.pop(); ok; wr, ok = r.pop() {
+		out = append(out, wr)
+	}
+	return out
 }
 
 // LastWQEWRID is the WRID of the synthetic completion a QP attached to
@@ -48,7 +90,7 @@ func (s *SRQ) PostRecv(wr RecvWR) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.queue = append(s.queue, wr)
+	s.queue.push(wr)
 	return nil
 }
 
@@ -56,7 +98,7 @@ func (s *SRQ) PostRecv(wr RecvWR) error {
 func (s *SRQ) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	return s.queue.len()
 }
 
 // Close marks the SRQ closed; further posts fail. Buffers still queued
@@ -64,7 +106,7 @@ func (s *SRQ) Len() int {
 func (s *SRQ) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.queue = nil
+	s.queue = recvRing{}
 	s.mu.Unlock()
 }
 
@@ -74,12 +116,10 @@ func (s *SRQ) Close() {
 func (s *SRQ) pop() (RecvWR, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(s.queue) == 0 {
+	if s.closed {
 		return RecvWR{}, false
 	}
-	wr := s.queue[0]
-	s.queue = s.queue[1:]
-	return wr, true
+	return s.queue.pop()
 }
 
 // CreateQPWithSRQ creates a queue pair whose receive side draws buffers

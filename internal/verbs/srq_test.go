@@ -148,3 +148,48 @@ func TestSRQDeviceMismatch(t *testing.T) {
 		t.Fatal("cross-device SRQ attach succeeded")
 	}
 }
+
+// TestReceiveRepostZeroAllocs: the receive side's steady state — a SEND
+// consumes the head receive and its consumer reposts the buffer — turns
+// the shared queue (and a QP's private one) over several times without
+// allocating. Popping by reslicing the head and reposting by append
+// reallocated the backing array every few hundred reposts.
+func TestReceiveRepostZeroAllocs(t *testing.T) {
+	const posted = 512
+	_, _, srq, mr := srqPair(t, posted)
+	qp, err := mr.dev.CreateQP(mr.dev.CreateCQ(4), mr.dev.CreateCQ(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < posted; i++ {
+		if err := qp.PostRecv(RecvWR{WRID: uint64(i), SGE: SGE{MR: mr, Offset: i * 1024, Length: 1024}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 4*posted; i++ {
+			wr, ok := srq.pop()
+			if !ok {
+				t.Fatal("shared queue ran dry")
+			}
+			if err := srq.PostRecv(wr); err != nil {
+				t.Fatal(err)
+			}
+			qp.mu.Lock()
+			wr, ok = qp.recvQueue.pop()
+			qp.mu.Unlock()
+			if !ok {
+				t.Fatal("private queue ran dry")
+			}
+			if err := qp.PostRecv(wr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d reposts, want 0", allocs, 4*posted)
+	}
+	if srq.Len() != posted {
+		t.Fatalf("SRQ len = %d after the reposts, want %d", srq.Len(), posted)
+	}
+}
