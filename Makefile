@@ -43,16 +43,21 @@ race:
 # fetch: READs fall back to their ring slots, output intact, nothing
 # pinned left behind), the verbs posting contract D22 rests on (a
 # work request parked inside PostSend holds Destroy until it is let go),
-# and a batch of requests (D23) whose connection is severed on the
+# a batch of requests (D23) whose connection is severed on the
 # first or the last of its payload writes (every request re-issued and
-# answered exactly once, no staging block left), all under the race
-# detector.
+# answered exactly once, no staging block left), and registered map
+# output (D24): an eager serve whose cached run is evicted and its slab
+# span carved again between lookup and staging copy still stages the
+# run's own bytes, and store borrowers racing writers that pin, demote
+# and delete objects whose release scribbles over the bytes never see a
+# mixed version, all under the race detector.
 # Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
 # gate always executes.
 chaos:
-	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact|TestBatchSeveredMidWriteReissuesOnce' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact|TestBatchSeveredMidWriteReissuesOnce|TestEagerServePinsEvictedRun' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestStoreBorrowersAgainstWriters' ./internal/storage/
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
@@ -122,6 +127,8 @@ fuzz-seeds:
 
 # Every allocation-budget test, never from the cache: D14's (collect →
 # sort → encode, chunked HDFS writes, WriteRun, RunWriter, OverwriteOwned),
+# D24's (SortBuffer.RunInto into a caller's buffer — the registered block
+# a map output run is encoded into — allocates nothing),
 # D16's (a store, block, map-output or responder read allocates nothing
 # object-sized — the responder's row for each RDMA engine policy; the
 # http servlet exactly one copy), D17's (a reduce fetch of 64 × 4 KiB

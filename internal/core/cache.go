@@ -23,6 +23,7 @@ import (
 
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/stats"
+	"rdmamr/internal/storage"
 	"rdmamr/internal/verbs"
 )
 
@@ -54,23 +55,48 @@ type Registrar interface {
 // the slab block carved for them (nil when no registrar is wired or the
 // slab budget rejected them), and a reference count. The cache itself
 // holds one reference for as long as the entry is in the map; every
-// pinned CacheView holds another. The block is freed only when the last
-// reference drops, so a remote READ lease keeps its source bytes pinned even if the entry is evicted mid-transfer
-// — and the block's window invalidates at that same instant, so a READ
-// arriving later faults instead of observing reused slab bytes.
+// pinned CacheView, read lease and eager serve holds another. The block
+// is freed only when the last reference drops, so a remote READ lease
+// keeps its source bytes pinned even if the entry is evicted
+// mid-transfer — and the block's window invalidates at that same
+// instant, so a READ arriving later faults instead of observing reused
+// slab bytes.
+//
+// An adopted body (D24) is a map output run encoded straight into its
+// block: the store holds it pinned under name and owns one more
+// reference, dropped through Release when the store lets go of it.
 type cacheBody struct {
 	data []byte
 	blk  *mrpool.Block
 	refs atomic.Int32
+
+	store *storage.LocalStore // the store holding an adopted body; nil for a Put copy
+	name  string              // its name there
 }
 
-func (b *cacheBody) release() {
+// Release drops one reference. It is also the storage.Pinned hook the
+// store calls when it lets go of an adopted run.
+func (b *cacheBody) Release() {
 	if n := b.refs.Add(-1); n == 0 {
 		if b.blk != nil {
 			b.blk.Free()
 		}
 	} else if n < 0 {
 		panic("core: cacheBody over-released")
+	}
+}
+
+// retain takes a reference on a body whose other holders may be letting
+// go of it concurrently, and reports false once the last one has.
+func (b *cacheBody) retain() bool {
+	for {
+		n := b.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if b.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
@@ -117,7 +143,7 @@ func (v *CacheView) Release() {
 	if v.body == nil {
 		return
 	}
-	v.body.release()
+	v.body.Release()
 	v.body = nil
 }
 
@@ -267,9 +293,11 @@ func (c *PrefetchCache) shard(key CacheKey) *cacheShard {
 }
 
 // Get returns the cached partition and whether it was present, recording
-// a hit or miss. The returned slice must be treated as read-only; its
-// bytes remain valid (bodies are immutable) but its registration may
-// lapse after eviction — use Acquire to advertise it for READ.
+// a hit or miss. The returned slice is read-only and unpinned: once the
+// entry is evicted or its job removed, a slab-backed body's block may be
+// freed and its span carved for another writer, so the bytes are only
+// good while the entry stays cached. Anything that reads them past that
+// point pins the body first (Acquire, or the responder's eager lookup).
 func (c *PrefetchCache) Get(key CacheKey) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -290,6 +318,16 @@ func (c *PrefetchCache) Get(key CacheKey) ([]byte, bool) {
 // RemoveJob. The responder parks the view in a read lease for as long
 // as a published manifest may still be READ.
 func (c *PrefetchCache) Acquire(key CacheKey) (*CacheView, bool) {
+	body, ok := c.pin(key)
+	if !ok {
+		return nil, false
+	}
+	return &CacheView{body: body}, true
+}
+
+// pin is Acquire without the view: it returns the entry's body holding a
+// reference the caller drops with Release, recording a hit or miss.
+func (c *PrefetchCache) pin(key CacheKey) (*cacheBody, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -302,7 +340,7 @@ func (c *PrefetchCache) Acquire(key CacheKey) (*CacheView, bool) {
 	e.lastUse = s.seq
 	e.body.refs.Add(1) // safe: map presence implies the cache's own ref
 	c.counters.Add("cache.hits", 1)
-	return &CacheView{body: e.body}, true
+	return e.body, true
 }
 
 // Contains reports presence without counting a hit or miss (used by the
@@ -326,7 +364,6 @@ func (c *PrefetchCache) Contains(key CacheKey) bool {
 // The cache always keeps its own copy of data, never the slice itself,
 // so a caller may pass bytes it only borrowed (LocalStore.Get).
 func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
-	size := int64(len(data))
 	body := &cacheBody{}
 	body.refs.Store(1) // the cache's own reference
 	if r := c.getRegistrar(); r != nil && len(data) > 0 {
@@ -343,20 +380,42 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	if body.blk == nil {
 		body.data = slices.Clone(data)
 	}
+	return c.insert(key, body, priority)
+}
+
+// adopt is Put by ownership transfer (D24): body is a map output run
+// encoded straight into its registered block and held pinned by the
+// store, and the entry takes over the caller's reference to it — no copy.
+// A run the cache refuses is demoted at once, so registered map output
+// never outgrows the cache's capacity plus the pins in flight.
+func (c *PrefetchCache) adopt(key CacheKey, body *cacheBody) bool {
+	if !c.insert(key, body, PriorityPrefetch) {
+		return false
+	}
+	c.counters.Add("cache.adopted", 1)
+	return true
+}
+
+// insert admits body under key at priority, holding the caller's
+// reference to it; a body it refuses is dropped.
+func (c *PrefetchCache) insert(key CacheKey, body *cacheBody, priority int) bool {
+	size := int64(len(body.data))
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if size > s.capacity {
-		c.counters.Add("cache.rejected", 1)
-		body.release()
-		return false
+		return c.reject(body)
 	}
 	if old, ok := s.entries[key]; ok {
+		if old.body == body {
+			body.Release() // adopted twice: the entry already holds a reference
+			return true
+		}
 		// Refresh by body swap; keep the higher priority. The old body
-		// is released (pinned readers keep it alive) rather than mutated.
+		// is dropped (pinned readers keep it alive) rather than mutated.
 		s.used += size - int64(len(old.body.data))
 		c.tenantAdd(key.JobID, size-int64(len(old.body.data)))
-		old.body.release()
+		c.drop(old.body)
 		old.body = body
 		if priority > old.priority {
 			old.priority = priority
@@ -371,9 +430,7 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	// job's — noisy neighbors pay for their churn themselves.
 	if quota := c.jobQuota(); quota > 0 {
 		if size > quota {
-			c.counters.Add("cache.rejected", 1)
-			body.release()
-			return false
+			return c.reject(body)
 		}
 		for c.JobBytes(key.JobID)+size > quota {
 			victim := s.tenantVictimLocked(c, key.JobID)
@@ -381,11 +438,9 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 				// The tenant's remaining bytes live in other shards;
 				// reject rather than breach the budget or reach across
 				// shard locks.
-				c.counters.Add("cache.rejected", 1)
-				body.release()
-				return false
+				return c.reject(body)
 			}
-			s.removeLocked(c, victim)
+			c.drop(s.removeLocked(c, victim))
 			c.counters.Add("cache.quota.evictions", 1)
 		}
 	}
@@ -397,11 +452,9 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	for s.used+size > s.capacity {
 		victim, victimOver := s.victimLocked(c)
 		if victim == nil || (!victimOver && c.less(e, victim)) {
-			c.counters.Add("cache.rejected", 1)
-			body.release()
-			return false
+			return c.reject(body)
 		}
-		s.removeLocked(c, victim)
+		c.drop(s.removeLocked(c, victim))
 		c.counters.Add("cache.evictions", 1)
 	}
 	s.entries[key] = e
@@ -409,6 +462,27 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	c.tenantAdd(key.JobID, size)
 	c.counters.Add("cache.inserted", 1)
 	return true
+}
+
+// reject refuses admission to body and drops it.
+func (c *PrefetchCache) reject(body *cacheBody) bool {
+	c.counters.Add("cache.rejected", 1)
+	c.drop(body)
+	return false
+}
+
+// drop releases the cache's reference to a body it is giving up under
+// pressure — evicted, refused or refreshed away. An adopted body is
+// demoted first: the store swaps in a heap copy, if its name still holds
+// this run, and lets go of the block. RemoveJob releases without
+// demoting, because the job's outputs are deleted next. Lock order is
+// shard.mu -> the store's lock; the store never calls back into the
+// cache under its own.
+func (c *PrefetchCache) drop(body *cacheBody) {
+	if body.store != nil && body.store.Demote(body.name, body) {
+		c.counters.Add("cache.demoted", 1)
+	}
+	body.Release()
 }
 
 // Promote raises an entry's priority (after a demand miss on a sibling
@@ -470,11 +544,13 @@ func (s *cacheShard) tenantVictimLocked(c *PrefetchCache, jobID string) *cacheEn
 	return victim
 }
 
-func (s *cacheShard) removeLocked(c *PrefetchCache, e *cacheEntry) {
+// removeLocked takes e out of the shard and returns its body, whose cache
+// reference the caller then drops or releases.
+func (s *cacheShard) removeLocked(c *PrefetchCache, e *cacheEntry) *cacheBody {
 	delete(s.entries, e.key)
 	s.used -= int64(len(e.body.data))
 	c.tenantAdd(e.key.JobID, -int64(len(e.body.data)))
-	e.body.release()
+	return e.body
 }
 
 // evictLocked trims the shard to capacity (after in-place refresh
@@ -485,7 +561,7 @@ func (s *cacheShard) evictLocked(c *PrefetchCache, protect *cacheEntry) {
 		if victim == nil || victim == protect {
 			return
 		}
-		s.removeLocked(c, victim)
+		c.drop(s.removeLocked(c, victim))
 		c.counters.Add("cache.evictions", 1)
 	}
 }
@@ -494,7 +570,9 @@ func (s *cacheShard) evictLocked(c *PrefetchCache, protect *cacheEntry) {
 // returns the tenant's registered memory to the shared pool; the bytes
 // reclaimed are summed into cache.removejob.bytes so tests and the obs
 // plane can assert exact per-tenant reclamation. Entries pinned by
-// read leases stay registered until released.
+// read leases stay registered until released. Adopted runs are released,
+// not demoted: the job's outputs are deleted next, and the store's
+// reference goes with them.
 func (c *PrefetchCache) RemoveJob(jobID string) {
 	var reclaimed int64
 	for _, s := range c.shards {
@@ -502,7 +580,7 @@ func (c *PrefetchCache) RemoveJob(jobID string) {
 		for k, e := range s.entries {
 			if k.JobID == jobID {
 				reclaimed += int64(len(e.body.data))
-				s.removeLocked(c, e)
+				s.removeLocked(c, e).Release()
 			}
 		}
 		s.mu.Unlock()
@@ -546,8 +624,10 @@ type prefetchTask struct {
 	key      CacheKey
 	priority int
 	seq      uint64
-	// partitions is the partition count of the job, used when the task
-	// fans out (mapID-level tasks enqueue partition-level ones).
+	// run is the partition a demand miss already read from the store
+	// (stored objects are immutable, D16), so caching it reads no more;
+	// nil for a background prefetch, which reads it itself.
+	run []byte
 }
 
 func (h taskHeap) Len() int { return len(h) }

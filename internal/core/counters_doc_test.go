@@ -18,6 +18,11 @@ var counterNameRe = regexp.MustCompile(`shuffle\.rdma\.[a-z][a-z0-9._]*[a-z0-9]`
 // first capture group.
 var mrCounterNameRe = regexp.MustCompile(`(?:^|[^.a-z0-9])(mr\.slab\.[a-z][a-z0-9._]*[a-z0-9])`)
 
+// cacheCounterNameRe covers the PrefetchCache's `cache.*` counters. Only a
+// quoted (code) or backticked (README) name counts, which keeps method
+// calls on a field named cache and the `...cache.bytes` config keys out.
+var cacheCounterNameRe = regexp.MustCompile("[\"`](cache\\.[a-z][a-z0-9._]*[a-z0-9])[\"`]")
+
 // scanDir collects counter names matched by res in a directory's non-test
 // Go sources.
 func scanDir(t *testing.T, dir string, into map[string]bool, res ...*regexp.Regexp) {
@@ -54,15 +59,15 @@ func collect(re *regexp.Regexp, s string, into map[string]bool) {
 }
 
 // TestCounterNamesMatchDocs pins the counter namespace to the README's
-// "Shuffle counter reference" table: every `shuffle.rdma.*` name used by
-// this package's non-test sources — and every `mr.slab.*` name used by
-// internal/mrpool — must be documented, and every name the README
-// mentions must exist in the sources. Rename a counter — or add one —
-// and this fails until the table is updated, so dashboards built on the
-// documented names never silently break.
+// "Shuffle counter reference" table: every `shuffle.rdma.*` and `cache.*`
+// name used by this package's non-test sources — and every `mr.slab.*`
+// name used by internal/mrpool — must be documented, and every name the
+// README mentions must exist in the sources. Rename a counter — or add
+// one — and this fails until the table is updated, so dashboards built
+// on the documented names never silently break.
 func TestCounterNamesMatchDocs(t *testing.T) {
 	inCode := map[string]bool{}
-	scanDir(t, ".", inCode, counterNameRe, mrCounterNameRe)
+	scanDir(t, ".", inCode, counterNameRe, mrCounterNameRe, cacheCounterNameRe)
 	scanDir(t, filepath.Join("..", "mrpool"), inCode, mrCounterNameRe)
 	if len(inCode) == 0 {
 		t.Fatal("no shuffle.rdma.* counters found in package sources")
@@ -75,6 +80,7 @@ func TestCounterNamesMatchDocs(t *testing.T) {
 	inDocs := map[string]bool{}
 	collect(counterNameRe, string(readme), inDocs)
 	collect(mrCounterNameRe, string(readme), inDocs)
+	collect(cacheCounterNameRe, string(readme), inDocs)
 
 	var undocumented, phantom []string
 	for name := range inCode {

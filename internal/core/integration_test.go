@@ -11,6 +11,7 @@ import (
 	"rdmamr/internal/core"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
+	"rdmamr/internal/mrpool"
 	"rdmamr/internal/workload"
 )
 
@@ -46,8 +47,14 @@ func ctxT(t *testing.T) context.Context {
 
 func runTeraSort(t *testing.T, c *mapred.Cluster, rows int64, reduces int) *mapred.JobResult {
 	t.Helper()
+	return runTeraSortNamed(t, c, fmt.Sprintf("terasort-%d-%d", rows, reduces), rows, reduces)
+}
+
+// runTeraSortNamed is runTeraSort under a job name of the caller's, so one
+// cluster can run the same shape twice.
+func runTeraSortNamed(t *testing.T, c *mapred.Cluster, name string, rows int64, reduces int) *mapred.JobResult {
+	t.Helper()
 	fs := c.FS()
-	name := fmt.Sprintf("terasort-%d-%d", rows, reduces)
 	paths, err := workload.TeraGen(fs, "/"+name+"/in", rows, 16<<10, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +185,12 @@ func TestRDMASortVariableRecords(t *testing.T) {
 }
 
 func TestCachingReducesDiskReads(t *testing.T) {
-	// Figure 8's mechanism: with caching on, most responder lookups hit
-	// the PrefetchCache, so TaskTracker disk reads drop sharply. Packets
-	// of four records make a partition several chunks long: uncached,
-	// every chunk is a disk read; cached, a partition costs its prefetch
-	// read plus at most two more if a reducer asks before the prefetcher
-	// got there — fewer whichever side wins each of those races.
+	// Figure 8's mechanism: with caching on, responder lookups hit the
+	// PrefetchCache, so TaskTracker disk reads drop sharply. Packets of
+	// four records make a partition several chunks long: uncached, every
+	// chunk is a disk read; cached, every partition was adopted into the
+	// cache as its map committed (D24), before any reducer could ask, so
+	// none is read at all.
 	run := func(caching bool) map[string]int64 {
 		conf := rdmaConf()
 		conf.SetInt(config.KeyKVPairsPerPacket, 4)
@@ -204,6 +211,72 @@ func TestCachingReducesDiskReads(t *testing.T) {
 		t.Fatalf("caching did not reduce disk reads: with=%d without=%d",
 			with["tracker.mapoutput.disk.reads"], without["tracker.mapoutput.disk.reads"])
 	}
+	if with["tracker.mapoutput.disk.reads"] != 0 || with["cache.misses"] != 0 {
+		t.Fatalf("every partition adopted at commit, yet %d disk reads and %d misses",
+			with["tracker.mapoutput.disk.reads"], with["cache.misses"])
+	}
+}
+
+// TestAdoptedMapOutputReadsNoDiskAndLeaksNoBlock: on a 3-node TeraSort
+// with the cache large enough for the job, every map output partition is
+// encoded into a registered block and adopted by the cache at commit
+// (D24): no prefetch copy, no disk read, every request a hit. Once the
+// job is over — RemoveJob, then CleanupJob deleting the stored runs —
+// every device pool is back to the blocks it had before the job.
+func TestAdoptedMapOutputReadsNoDiskAndLeaksNoBlock(t *testing.T) {
+	conf := rdmaConf()
+	// What outlives a job is held steady: the plane's endpoints never idle
+	// out, and one request in service per tracker needs one header block.
+	conf.SetInt(config.KeyRDMAConnIdleTimeout, 0)
+	conf.SetInt(config.KeyResponderThreads, 1)
+	c := newRDMACluster(t, 3, conf)
+	pools := make([]*mrpool.Pool, 0, 3)
+	for _, tt := range c.Trackers() {
+		pools = append(pools, mrpool.For(tt.Device()))
+	}
+	// A first job of the same shape dials every endpoint and carves the
+	// blocks that outlive a job; the second is measured against it.
+	runTeraSort(t, c, 1200, 6)
+	settle := func(want []int64) []int64 {
+		t.Helper()
+		got := make([]int64, len(pools))
+		deadline := time.Now().Add(10 * time.Second)
+		for i, pool := range pools {
+			// A lease the copier releases after the job ends still pins its
+			// run until the release arrives.
+			for got[i] = pool.OutstandingBlocks(); want != nil && got[i] != want[i]; got[i] = pool.OutstandingBlocks() {
+				if time.Now().After(deadline) {
+					t.Fatalf("node%d: %d slab blocks outstanding after the job, %d before (%v)", i, got[i], want[i], pool.Attribution())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return got
+	}
+	before := settle(nil)
+	res := runTeraSortNamed(t, c, "second", 1200, 6)
+	settle(before)
+	for i, pool := range pools {
+		if n := pool.Attribution()["cache"]; n != 0 {
+			t.Fatalf("node%d: %d bytes of cache blocks outlived the job", i, n)
+		}
+	}
+	partitions := int64(res.NumMaps * res.NumReduces)
+	if got := res.Counters["cache.adopted"]; got != partitions {
+		t.Fatalf("cache.adopted = %d, want every one of %d partitions", got, partitions)
+	}
+	if got := res.Counters["cache.prefetched"]; got != partitions {
+		t.Fatalf("cache.prefetched = %d, want %d: adopted partitions count as prefetched", got, partitions)
+	}
+	if reads := res.Counters["tracker.mapoutput.disk.reads"]; reads != 0 {
+		t.Fatalf("tracker.mapoutput.disk.reads = %d, want 0", reads)
+	}
+	if misses, demoted := res.Counters["cache.misses"], res.Counters["cache.demoted"]; misses != 0 || demoted != 0 {
+		t.Fatalf("cache.misses = %d, cache.demoted = %d, want 0 and 0", misses, demoted)
+	}
+	if res.Counters["cache.hits"] == 0 {
+		t.Fatal("no cache hits")
+	}
 }
 
 func TestOverlapAblation(t *testing.T) {
@@ -223,15 +296,20 @@ func TestFIFOCachePolicy(t *testing.T) {
 }
 
 func TestTinyCacheStillCorrect(t *testing.T) {
-	// A cache too small to hold anything forces the demand-miss disk path
-	// on every request; results must still be correct.
+	// A cache far smaller than the job's map output evicts adopted runs as
+	// later maps commit: each is demoted — the store keeps a heap copy and
+	// lets go of the registered block — and served from disk on a miss.
+	// Results must still be correct.
 	conf := rdmaConf()
 	conf.SetInt(config.KeyPrefetchCacheCap, 1<<20)
 	conf.SetInt(config.KeyBlockSize, 64<<10)
 	c := newRDMACluster(t, 2, conf)
-	res := runTeraSort(t, c, 800, 4)
+	res := runTeraSort(t, c, 40000, 4) // 4 MB of map output, 2 MB a node
+	if res.Counters["cache.demoted"] == 0 {
+		t.Fatalf("no adopted run was demoted: %v", res.Counters)
+	}
 	if res.Counters["cache.misses"] == 0 {
-		t.Log("no misses observed (cache large enough after all)")
+		t.Log("no misses observed (every evicted run was fetched before its eviction)")
 	}
 }
 

@@ -11,7 +11,10 @@ import (
 // finishing a map task, one of the daemons starts to fetch the data from
 // this map output and caches it in PrefetchCache". Tasks are ordered by
 // priority so demand-missed partitions are re-cached ahead of background
-// prefetches.
+// prefetches. Since D24 a run the map encoded into registered memory is
+// adopted by the cache at commit and never comes here: the daemons cache
+// heap runs (no run allocator, or one that refused the run) and re-cache
+// demand misses.
 type MapOutputPrefetcher struct {
 	tt    *mapred.TaskTracker
 	cache *PrefetchCache
@@ -39,37 +42,43 @@ func NewMapOutputPrefetcher(tt *mapred.TaskTracker, cache *PrefetchCache, worker
 	return p
 }
 
-// MapCompleted enqueues background caching of every partition of a
-// freshly completed map output.
-func (p *MapOutputPrefetcher) MapCompleted(job mapred.JobInfo, mapID int) {
+// Prefetch enqueues background caching of freshly completed map output
+// partitions the cache did not adopt.
+func (p *MapOutputPrefetcher) Prefetch(keys []CacheKey) {
+	if len(keys) == 0 {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stopped {
 		return
 	}
-	for r := 0; r < job.NumReduces; r++ {
-		p.seq++
-		heap.Push(&p.tasks, &prefetchTask{
-			key:      CacheKey{JobID: job.ID, MapID: mapID, Partition: r},
-			priority: PriorityPrefetch,
-			seq:      p.seq,
-		})
+	for _, key := range keys {
+		p.push(&prefetchTask{key: key, priority: PriorityPrefetch})
 	}
 	p.cond.Broadcast()
 }
 
 // Demand enqueues high-priority re-caching of a partition that just
 // missed: "after disk fetch, it requests MapOutputPrefetcher to cache
-// this particular map output data with more priority" (§III-B.3).
-func (p *MapOutputPrefetcher) Demand(key CacheKey) {
+// this particular map output data with more priority" (§III-B.3). run is
+// the partition as the miss read it from disk; the re-cache copies it
+// rather than reading the disk a second time.
+func (p *MapOutputPrefetcher) Demand(key CacheKey, run []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stopped {
 		return
 	}
-	p.seq++
-	heap.Push(&p.tasks, &prefetchTask{key: key, priority: PriorityDemand, seq: p.seq})
+	p.push(&prefetchTask{key: key, priority: PriorityDemand, run: run})
 	p.cond.Broadcast()
+}
+
+// push queues t in arrival order within its priority. Caller holds p.mu.
+func (p *MapOutputPrefetcher) push(t *prefetchTask) {
+	p.seq++
+	t.seq = p.seq
+	heap.Push(&p.tasks, t)
 }
 
 // CancelJob drops queued tasks for a finished job.
@@ -120,12 +129,15 @@ func (p *MapOutputPrefetcher) worker() {
 		if task.priority == PriorityPrefetch && p.cache.Contains(task.key) {
 			continue // already cached (e.g. by a demand re-cache)
 		}
-		run, err := p.tt.MapOutput(task.key.JobID, task.key.MapID, task.key.Partition)
-		if err != nil {
-			// The output may have been cleaned up (job finished) — the
-			// cache simply stays cold for it.
-			p.tt.Counters().Add("cache.prefetch.failed", 1)
-			continue
+		run := task.run
+		if run == nil {
+			var err error
+			if run, err = p.tt.MapOutput(task.key.JobID, task.key.MapID, task.key.Partition); err != nil {
+				// The output may have been cleaned up (job finished) — the
+				// cache simply stays cold for it.
+				p.tt.Counters().Add("cache.prefetch.failed", 1)
+				continue
+			}
 		}
 		// Put copies the borrowed run into the cache's own (registered)
 		// memory: the one copy between the store and the wire.

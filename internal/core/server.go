@@ -12,6 +12,7 @@ import (
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/obs"
 	"rdmamr/internal/shuffle/wire"
+	"rdmamr/internal/storage"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
@@ -128,8 +129,11 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	s.prefetcher = NewMapOutputPrefetcher(tt, s.cache, int(conf.Int(config.KeyPrefetchThreads)))
 	if s.cacheOn {
 		// Cache entries are registered at Put time so a manifest can
-		// advertise them to the copier's READs straight from cache memory.
+		// advertise them to the copier's READs straight from cache memory,
+		// and map output is encoded into registered memory to begin with,
+		// for the cache to adopt at commit (D24).
 		s.cache.SetRegistrar(s.mrp)
+		tt.SetRunAllocator(s.allocRun)
 	}
 
 	// RDMAListener: accept incoming copier connections, "adds the
@@ -472,9 +476,12 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 		header.Err = err.Error()
 		return header, nil
 	}
-	run, err := s.lookup(CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)})
+	run, pin, err := s.lookup(CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)})
 	if err != nil {
 		return fail(err)
+	}
+	if pin != nil {
+		defer pin.Release()
 	}
 	body, _, err := kv.RunBody(run)
 	if err != nil {
@@ -619,24 +626,26 @@ func (s *trackerServer) leaseJanitor() {
 	}
 }
 
-// lookup resolves a partition: PrefetchCache when enabled (demand-missing
-// partitions are fetched from disk and queued for priority re-caching),
-// or directly from disk.
-func (s *trackerServer) lookup(key CacheKey) ([]byte, error) {
+// lookup resolves a partition for an eager response: PrefetchCache when
+// enabled, or directly from disk. A hit comes back pinned — the caller
+// releases pin once it has staged its chunk, since an eviction in between
+// could otherwise free the block and let the slab carve its span for
+// another writer. A miss is read from disk and handed, as read, to a
+// priority re-cache.
+func (s *trackerServer) lookup(key CacheKey) (run []byte, pin *cacheBody, err error) {
 	if s.cacheOn {
-		if data, ok := s.cache.Get(key); ok {
-			return data, nil
+		var ok bool
+		if pin, ok = s.cache.pin(key); ok {
+			return pin.data, pin, nil
 		}
+	}
+	run, err = s.tt.MapOutput(key.JobID, key.MapID, key.Partition)
+	if err == nil && s.cacheOn {
 		// Miss: "TaskTracker fetches data directly from disk itself
 		// without waiting for caching", then re-caches with priority.
-		data, err := s.tt.MapOutput(key.JobID, key.MapID, key.Partition)
-		if err != nil {
-			return nil, err
-		}
-		s.prefetcher.Demand(key)
-		return data, nil
+		s.prefetcher.Demand(key, run)
 	}
-	return s.tt.MapOutput(key.JobID, key.MapID, key.Partition)
+	return run, nil, err
 }
 
 // dropEndpoint closes a dead connection's end-point and forgets it, so
@@ -653,11 +662,43 @@ func (s *trackerServer) dropEndpoint(ep *ucr.EndPoint) {
 	s.mu.Unlock()
 }
 
-// MapOutputReady implements mapred.TrackerServer: kick the prefetcher.
-func (s *trackerServer) MapOutputReady(job mapred.JobInfo, mapID int) {
-	if s.cacheOn {
-		s.prefetcher.MapCompleted(job, mapID)
+// allocRun is the tracker's mapred.RunAllocator with caching on (D24): a
+// map task encodes a final output run straight into a window-advertised
+// slab block, which the store holds pinned — its reference is the body's
+// first — until MapOutputReady hands it to the cache.
+func (s *trackerServer) allocRun(name string, n int) ([]byte, storage.Pinned, error) {
+	blk, err := s.mrp.AllocRemote(n, "cache")
+	if err != nil {
+		return nil, nil, err
 	}
+	body := &cacheBody{data: blk.Bytes(), blk: blk, store: s.tt.Store(), name: name}
+	body.refs.Store(1)
+	return body.data, body, nil
+}
+
+// MapOutputReady implements mapred.TrackerServer. It runs before the map
+// is announced to reducers, so every partition the map encoded into
+// registered memory is adopted by the cache — by reference, no copy —
+// before anyone can ask for it (D24). The prefetcher reads and caches the
+// rest. A closed server caches nothing more, as its stopped prefetcher
+// would not.
+func (s *trackerServer) MapOutputReady(job mapred.JobInfo, mapID int) {
+	if !s.cacheOn || s.ctx.Err() != nil {
+		return
+	}
+	var heapRuns []CacheKey
+	for r := 0; r < job.NumReduces; r++ {
+		key := CacheKey{JobID: job.ID, MapID: mapID, Partition: r}
+		body, ok := s.tt.Store().Owner(mapred.MapOutputKey(job.ID, mapID, r)).(*cacheBody)
+		if !ok || !body.retain() {
+			heapRuns = append(heapRuns, key)
+			continue
+		}
+		if s.cache.adopt(key, body) {
+			s.tt.Counters().Add("cache.prefetched", 1)
+		}
+	}
+	s.prefetcher.Prefetch(heapRuns)
 }
 
 // JobComplete implements mapred.TrackerServer: release cached data and

@@ -258,12 +258,37 @@ func TestProtocolCacheServesAfterAnnounce(t *testing.T) {
 	}
 }
 
+// TestDemandMissReadsStoreOnce: a request that misses the cache reads the
+// partition from disk once, and the demand re-cache caches that same run
+// instead of reading the disk a second time — so the next request hits,
+// and the partition has cost exactly one tracker.mapoutput.disk.reads.
+func TestDemandMissReadsStoreOnce(t *testing.T) {
+	h := newProtoHarness(t, nil)
+	h.seedOutput(0, 0, []kv.Record{{Key: []byte("k"), Value: []byte("v")}})
+	c := h.cluster.Counters()
+	for i := 0; i < 2; i++ {
+		if resp := h.roundTrip(h.request(0, 0, 0, 16)); resp.Err != "" || resp.Records != 1 {
+			t.Fatalf("request %d: %+v", i, resp)
+		}
+		if i == 0 {
+			waitUntil(t, func() bool { return c.Get("cache.prefetched") == 1 })
+		}
+	}
+	if reads := c.Get("tracker.mapoutput.disk.reads"); reads != 1 {
+		t.Fatalf("tracker.mapoutput.disk.reads = %d for a miss, its re-cache and a hit, want 1", reads)
+	}
+	if hits, misses := c.Get("cache.hits"), c.Get("cache.misses"); hits != 1 || misses != 1 {
+		t.Fatalf("cache.hits = %d, cache.misses = %d, want 1 and 1", hits, misses)
+	}
+}
+
 // TestResponderMissAllocBudget: a request the cache cannot answer reads the
 // partition from the tracker's disk in place, however far into it the
 // packet starts — the packet is staged from the stored run. On OSU-IB the
-// demand re-cache that follows copies the run once, into the cache's
-// registered block; Hadoop-A has no cache and reads the partition again
-// for every packet. Neither puts a partition-sized object on the heap.
+// demand re-cache that follows copies that same run once, into the
+// cache's registered block, without reading the disk again; Hadoop-A has
+// no cache and reads the partition again for every packet. Neither puts
+// a partition-sized object on the heap.
 func TestResponderMissAllocBudget(t *testing.T) {
 	recs := make([]kv.Record, 10000)
 	for i := range recs {
@@ -280,7 +305,7 @@ func TestResponderMissAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		engine  *core.Engine
-		recache bool // a miss queues a demand re-cache: one more disk read
+		recache bool // a miss queues a demand re-cache of the run it read
 	}{
 		{"osu-ib-rdma", core.New(), true},
 		{"hadoop-a", core.NewHadoopA(), false},
@@ -290,7 +315,7 @@ func TestResponderMissAllocBudget(t *testing.T) {
 			counters := h.cluster.Counters()
 			wantReads, wantMisses := int64(1), int64(0)
 			if tc.recache {
-				wantReads, wantMisses = 2, 4
+				wantMisses = 4
 			}
 			// The first miss is the warm-up: it makes the pool carve its slab.
 			var allocated []uint64

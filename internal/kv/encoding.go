@@ -324,7 +324,8 @@ func newRunBuffer(bodyLen int) []byte {
 }
 
 // sealRun appends the trailer (record count + CRC of the body) to a run
-// built on newRunBuffer.
+// that starts with the magic and has room for the trailer, as one built on
+// newRunBuffer does.
 func sealRun(buf []byte, count uint64) []byte {
 	crc := crc32.ChecksumIEEE(buf[len(runMagic):])
 	buf = binary.LittleEndian.AppendUint64(buf, count)

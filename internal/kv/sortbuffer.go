@@ -254,7 +254,22 @@ func (b *SortBuffer) entries(p int) []sortEntry {
 // in a fresh buffer of exactly the run's size. Call after Sort. The
 // caller owns the result.
 func (b *SortBuffer) Run(p int) []byte {
-	buf := newRunBuffer(b.parts[p].body)
+	run := make([]byte, b.RunLen(p))
+	b.RunInto(p, run)
+	return run
+}
+
+// RunLen returns the encoded length of partition p's run.
+func (b *SortBuffer) RunLen(p int) int { return len(runMagic) + b.parts[p].body + 12 }
+
+// RunInto encodes partition p's run into dst, which must be exactly
+// RunLen(p) bytes long: byte for byte what Run returns, in memory the
+// caller chose. Call after Sort.
+func (b *SortBuffer) RunInto(p int, dst []byte) {
+	if len(dst) != b.RunLen(p) {
+		panic("kv: RunInto buffer is not the run's length")
+	}
+	buf := append(dst[:0], runMagic[:]...)
 	ents := b.entries(p)
 	for i := range ents {
 		e := &ents[i]
@@ -262,7 +277,7 @@ func (b *SortBuffer) Run(p int) []byte {
 		buf = binary.AppendUvarint(buf, uint64(e.vlen))
 		buf = append(buf, b.arena[e.off:e.off+uint64(e.klen)+uint64(e.vlen)]...)
 	}
-	return sealRun(buf, uint64(len(ents)))
+	sealRun(buf, uint64(len(ents)))
 }
 
 // Records appends partition p's records, in sorted order, to dst and

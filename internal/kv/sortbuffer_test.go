@@ -36,7 +36,10 @@ func referenceRuns(recs []Record, part Partitioner, n int, cmp Comparator) [][]b
 	return runs
 }
 
-func sortBufferRuns(recs []Record, part Partitioner, n int, cmp Comparator) [][]byte {
+// sortBufferRuns returns SortBuffer's run of every partition, after
+// requiring that RunInto encodes each one byte for byte as Run does.
+func sortBufferRuns(t *testing.T, recs []Record, part Partitioner, n int, cmp Comparator) [][]byte {
+	t.Helper()
 	b := NewSortBuffer(part, n, cmp, 0)
 	for _, r := range recs {
 		b.Add(r.Key, r.Value)
@@ -45,6 +48,11 @@ func sortBufferRuns(recs []Record, part Partitioner, n int, cmp Comparator) [][]
 	runs := make([][]byte, n)
 	for p := range runs {
 		runs[p] = b.Run(p)
+		into := make([]byte, b.RunLen(p))
+		b.RunInto(p, into)
+		if !bytes.Equal(into, runs[p]) {
+			t.Fatalf("partition %d of %d: RunInto differs from Run (%d vs %d bytes)", p, n, len(into), len(runs[p]))
+		}
 	}
 	return runs
 }
@@ -79,7 +87,7 @@ func checkAgainstReference(t *testing.T, recs []Record, n int) {
 			{"reverse", reverseComparator, reverseComparator},
 		} {
 			want := referenceRuns(recs, pc.part, n, cc.ref)
-			got := sortBufferRuns(recs, pc.part, n, cc.cmp)
+			got := sortBufferRuns(t, recs, pc.part, n, cc.cmp)
 			for p := range want {
 				if !bytes.Equal(got[p], want[p]) {
 					t.Fatalf("%s/%s: partition %d of %d differs from the reference (%d vs %d bytes, %d records in)",
@@ -334,6 +342,35 @@ func TestSortBufferAllocBudget(t *testing.T) {
 		refill()
 		if allocs := testing.AllocsPerRun(5, refill); allocs != parts {
 			t.Errorf("%s: refilling a used buffer made %.0f allocations, want %d (one per run)", pc.name, allocs, parts)
+		}
+	}
+}
+
+// TestSortBufferRunIntoZeroAllocs: encoding a run into a buffer the caller
+// already has — a registered slab block, on the RDMA engine — allocates
+// nothing, so the map output's one copy is the encode itself.
+func TestSortBufferRunIntoZeroAllocs(t *testing.T) {
+	const parts = 4
+	b := NewSortBuffer(HashPartitioner{}, parts, nil, 0)
+	for _, r := range teraShaped(rand.New(rand.NewSource(5)), 2000) {
+		b.Add(r.Key, r.Value)
+	}
+	b.Sort()
+	dst := make([][]byte, parts)
+	for p := range dst {
+		dst[p] = make([]byte, b.RunLen(p))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for p := range dst {
+			b.RunInto(p, dst[p])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("RunInto into a caller buffer allocated %.0f times, want 0", allocs)
+	}
+	for p := range dst {
+		if err := VerifyChecksum(dst[p]); err != nil {
+			t.Fatalf("partition %d: %v", p, err)
 		}
 	}
 }

@@ -228,10 +228,20 @@ func (ms *mapSpiller) storeOutput(r int, run []byte) error {
 }
 
 // finish produces the final map output: straight from the collect buffer
-// when nothing spilled, otherwise a per-partition merge of all spill runs.
+// when nothing spilled — encoded into the engine's run allocator's memory
+// when there is no combiner (storeSortedRun) — otherwise a per-partition
+// merge of all spill runs.
 func (ms *mapSpiller) finish() error {
 	if ms.err != nil {
 		return ms.err
+	}
+	if ms.spills == 0 && ms.job.Combiner == nil {
+		ms.buf.Sort()
+		for r := 0; r < ms.info.NumReduces; r++ {
+			n := ms.tt.storeSortedRun(ms.info.ID, ms.mapID, r, ms.buf)
+			ms.c.counters.Add("map.output.bytes", int64(n))
+		}
+		return nil
 	}
 	if ms.spills == 0 {
 		return ms.sortedRuns(ms.storeOutput)

@@ -2,9 +2,11 @@ package mapred
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"rdmamr/internal/config"
+	"rdmamr/internal/kv"
 	"rdmamr/internal/obs"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/storage"
@@ -45,7 +47,20 @@ type TaskTracker struct {
 	// (nil handles when telemetry is off — free no-ops).
 	nDiskReads   *obs.Counter
 	nMapoutBytes *obs.Counter
+	// runAlloc is the shuffle engine's RunAllocator, nil when it has none.
+	runAlloc atomic.Pointer[RunAllocator]
 }
+
+// RunAllocator places one final map output run of n bytes, to be stored
+// under name, in memory a shuffle engine owns: it returns a buffer of
+// exactly n bytes and the owner the store releases it through. An error
+// (the engine's registered-memory budget, say) leaves the run on the heap.
+type RunAllocator func(name string, n int) ([]byte, storage.Pinned, error)
+
+// SetRunAllocator installs the allocator final map output runs are
+// encoded into; nil, the default, keeps them on the heap. The RDMA engine
+// installs one with caching on (DESIGN.md D24).
+func (tt *TaskTracker) SetRunAllocator(a RunAllocator) { tt.runAlloc.Store(&a) }
 
 // initNodeTelemetry attaches the per-node registry, its delta shipper,
 // and the shared event log, pre-resolving the tracker's own counter
@@ -140,7 +155,8 @@ func (tt *TaskTracker) Store() *storage.LocalStore { return tt.store }
 // accounted disk-read path the HTTP servlet, the Hadoop-A responder, the
 // OSU responder's cache-miss path and the prefetcher all go through. The
 // run is the stored object itself — a read-only view; clone to mutate —
-// and stays readable after the job's outputs are cleaned up.
+// and stays readable after the job's outputs are cleaned up; a run the
+// store holds pinned comes back as a private copy.
 func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, error) {
 	tt.counters.Add("tracker.mapoutput.disk.reads", 1)
 	tt.nDiskReads.Add(1)
@@ -162,6 +178,25 @@ func (tt *TaskTracker) storeMapOutput(jobID string, mapID, partition int, run []
 	tt.store.OverwriteOwned(MapOutputKey(jobID, mapID, partition), run)
 	tt.nMapoutBytes.Add(int64(len(run)))
 	return nil
+}
+
+// storeSortedRun persists partition p of a map's output straight from
+// the sorted collect buffer and returns the run's length. The run is
+// encoded once: into memory the engine's RunAllocator places, stored
+// pinned, or, with no allocator or when it cannot place the run, into a
+// heap buffer the store takes over.
+func (tt *TaskTracker) storeSortedRun(jobID string, mapID, p int, buf *kv.SortBuffer) int {
+	name, n := MapOutputKey(jobID, mapID, p), buf.RunLen(p)
+	tt.nMapoutBytes.Add(int64(n))
+	if alloc := tt.runAlloc.Load(); alloc != nil && *alloc != nil {
+		if dst, owner, err := (*alloc)(name, n); err == nil {
+			buf.RunInto(p, dst)
+			tt.store.OverwritePinned(name, dst, owner)
+			return n
+		}
+	}
+	tt.store.OverwriteOwned(name, buf.Run(p))
+	return n
 }
 
 // CleanupJob removes a finished job's map outputs and any leftover

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -276,12 +277,29 @@ func TestStoreGetBorrows(t *testing.T) {
 	}
 }
 
-// TestStoreBorrowersAgainstWriters runs borrowers against OverwriteOwned
-// and Delete of the same names. Each borrower keeps its slice across its
-// next few reads — past the replacement and deletion of the name — and
-// then checks it: it must still be one whole version, never a mixture.
-// Under -race this is also the check that nothing in the store writes a
-// slice it has lent.
+// scribbler is a Pinned owner standing in for a registered slab block:
+// on release its span goes back to be carved for another writer, which
+// overwrites it at once. It counts its releases.
+type scribbler struct {
+	data     []byte
+	released atomic.Int32
+}
+
+func (p *scribbler) Release() {
+	p.released.Add(1)
+	for i := range p.data {
+		p.data[i] = byte(i) // the next owner's bytes: never one whole version
+	}
+}
+
+// TestStoreBorrowersAgainstWriters runs borrowers against OverwriteOwned,
+// OverwritePinned, Demote and Delete of the same names. Each borrower
+// keeps its slice across its next few reads — past the replacement and
+// deletion of the name — and then checks it: it must still be one whole
+// version, never a mixture, even when the version was pinned and its
+// owner has scribbled over the bytes since. Under -race this is also the
+// check that nothing in the store writes a slice it has lent, and that no
+// Get reads pinned bytes after the store let go of them.
 func TestStoreBorrowersAgainstWriters(t *testing.T) {
 	s := NewLocalStore()
 	names := []string{"a", "b", "c"}
@@ -292,6 +310,8 @@ func TestStoreBorrowersAgainstWriters(t *testing.T) {
 		}
 		return data
 	}
+	var mu sync.Mutex
+	var owners []*scribbler
 	whole := func(data []byte) bool {
 		for _, c := range data {
 			if c != data[0] {
@@ -307,9 +327,19 @@ func TestStoreBorrowersAgainstWriters(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 400; j++ {
 				name := names[(j+w)%len(names)]
-				if j%5 == 4 {
+				switch j % 5 {
+				case 4:
 					_ = s.Delete(name) // may already be gone
-				} else {
+				case 1, 2:
+					p := &scribbler{data: version(byte(j))}
+					mu.Lock()
+					owners = append(owners, p)
+					mu.Unlock()
+					s.OverwritePinned(name, p.data, p)
+					if j%5 == 2 {
+						s.Demote(name, p) // may already be replaced
+					}
+				default:
 					s.OverwriteOwned(name, version(byte(j)))
 				}
 			}
@@ -345,4 +375,70 @@ func TestStoreBorrowersAgainstWriters(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	for _, name := range names {
+		_ = s.Delete(name)
+	}
+	for _, p := range owners {
+		if n := p.released.Load(); n != 1 {
+			t.Fatalf("a pinned owner was released %d times, want exactly once", n)
+		}
+	}
+}
+
+// TestStorePinnedReleasedOnce: the store drops its reference to a pinned
+// object exactly once, whichever way it lets go of it — Delete, an
+// overwrite of any kind, or Demote — and never for a Demote naming an
+// owner the name no longer holds. A demoted object keeps its bytes, now
+// the store's own.
+func TestStorePinnedReleasedOnce(t *testing.T) {
+	s := NewLocalStore()
+	pin := func(name, text string) *scribbler {
+		p := &scribbler{data: []byte(text)}
+		s.OverwritePinned(name, p.data, p)
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		letGo  func(p *scribbler)
+		stored string // what the name holds afterwards ("" when gone)
+	}{
+		{"Delete", func(*scribbler) { _ = s.Delete("k") }, ""},
+		{"Overwrite", func(*scribbler) { s.Overwrite("k", []byte("heap")) }, "heap"},
+		{"OverwriteOwned", func(*scribbler) { s.OverwriteOwned("k", []byte("owned")) }, "owned"},
+		{"OverwritePinned", func(*scribbler) { pin("k", "re-run") }, "re-run"},
+		{"Demote", func(p *scribbler) {
+			if !s.Demote("k", p) {
+				t.Fatal("Demote of the object the name holds refused")
+			}
+		}, "pinned run"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := pin("k", "pinned run")
+			if s.Owner("k") != p {
+				t.Fatal("Owner does not name the pinned object's owner")
+			}
+			if got, _ := s.Get("k"); string(got) != "pinned run" || &got[0] == &p.data[0] {
+				t.Fatalf("Get of a pinned object = %q, aliasing its bytes = %v", got, &got[0] == &p.data[0])
+			}
+			tc.letGo(p)
+			if n := p.released.Load(); n != 1 {
+				t.Fatalf("released %d times, want 1", n)
+			}
+			if s.Demote("k", p) {
+				t.Fatal("Demote of an owner the name no longer holds succeeded")
+			}
+			got, err := s.Get("k")
+			if tc.stored == "" {
+				if !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get after Delete: %q, %v", got, err)
+				}
+			} else if string(got) != tc.stored {
+				t.Fatalf("name holds %q, want %q", got, tc.stored)
+			}
+			_ = s.Delete("k")
+			if n := p.released.Load(); n != 1 {
+				t.Fatalf("released %d times after the name was deleted, want 1", n)
+			}
+		})
+	}
 }
