@@ -1,7 +1,7 @@
-// Package alloctest measures heap allocation in bytes for the tests that
-// hold a code path to an allocation budget (`make alloc-budgets`):
-// testing.AllocsPerRun counts allocations, but a re-introduced copy is one
-// allocation like any other and only shows in the bytes.
+// Package alloctest measures heap allocation for the tests that hold a
+// code path to an allocation budget (`make alloc-budgets`), in bytes —
+// a re-introduced copy is one allocation like any other and only shows in
+// the bytes — and, for paths whose budget is a count, in allocations.
 package alloctest
 
 import "runtime"
@@ -18,6 +18,20 @@ func Bytes(runs int, fn func()) uint64 {
 		fn()
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// Allocs is Bytes counting heap allocations instead of bytes: the fewest
+// one run of fn made, process-wide.
+func Allocs(runs int, fn func()) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
 	}
 	return least
 }

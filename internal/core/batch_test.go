@@ -29,7 +29,7 @@ func (h *ringHarness) fetchAllQueued(ctx context.Context) {
 	}()
 	h.fetchThen(ctx, func(f *fetcher) {
 		p := f.peers[h.tt.Host()]
-		waitFor(h.t, func() bool { return len(p.reqCh) >= h.numMaps-1 })
+		waitFor(h.t, func() bool { return p.queued() >= h.numMaps })
 		ph.mu.Unlock()
 		held = false
 	})

@@ -102,7 +102,8 @@ func (p *connPlane) open() int {
 
 // acquire returns a lease on the shared connection to host, dialing it
 // if absent (singleflight: concurrent acquirers share one dial). buf
-// sizes the lease's delivery queue. The returned generation identifies
+// sizes the lease's delivery queue: every answer it can have outstanding
+// (Frame never waits for room). The returned generation identifies
 // the connection incarnation even when acquire fails — health accounting
 // dedupes on it so one sever is charged once, not once per sharer.
 func (p *connPlane) acquire(ctx context.Context, host string, buf int, dial func(context.Context) (*ucr.EndPoint, error)) (*connLease, uint64, error) {
@@ -135,10 +136,12 @@ func (p *connPlane) acquire(ctx context.Context, host string, buf int, dial func
 				p.mu.Unlock()
 				return nil, sc.gen, err
 			}
+			// The handler is in place before any lease can send a request,
+			// so every answer is routed on the device pump.
 			sc.ep = ep
+			ep.SetHandler(sc)
 			close(sc.ready)
 			p.count("shuffle.rdma.conn.opened", 1)
-			go sc.pump()
 		} else {
 			select {
 			case <-sc.ready:
@@ -282,8 +285,7 @@ func (sc *sharedConn) claimEvict() bool {
 
 // finishEvict closes the endpoints of claimed victims. Claiming
 // guaranteed refs==0, so there are no leases to wake — only the
-// endpoint to release (which parks its pump; the pump's subsequent
-// kill() finds the conn already dead and out of the map, a no-op).
+// endpoint to release.
 func (p *connPlane) finishEvict(victims []*sharedConn) {
 	for _, sc := range victims {
 		if sc.ep != nil {
@@ -294,7 +296,9 @@ func (p *connPlane) finishEvict(victims []*sharedConn) {
 }
 
 // sharedConn is one live endpoint to a remote host, shared by every
-// lease-holding fetcher on the device.
+// lease-holding fetcher on the device. It is the endpoint's ucr.Handler:
+// answers are routed on the device's receive pump, by no goroutine of
+// the connection's own.
 type sharedConn struct {
 	plane *connPlane
 	host  string
@@ -303,6 +307,10 @@ type sharedConn struct {
 	ready   chan struct{} // closed once the dial settles
 	ep      *ucr.EndPoint // nil iff dialErr is set
 	dialErr error
+
+	// Frame's scratch: only the device pump touches it.
+	split   [][]byte
+	answers []leaseMsg
 
 	mu      sync.Mutex
 	refs    int
@@ -313,39 +321,42 @@ type sharedConn struct {
 	err     error
 }
 
-// kill removes the connection from the plane and tears it down. Safe to
-// call multiple times and from the pump.
+// kill removes the connection from the plane, wakes every lease (their
+// Recv returns the cause) and closes the endpoint. Safe to call multiple
+// times.
 func (sc *sharedConn) kill(cause error) {
+	if sc.drop(cause) {
+		sc.ep.Close()
+	}
+}
+
+// fail is kill on the device pump, which must not wait: Close waits out
+// any work request in progress on the QP (a READ parked in the fabric).
+func (sc *sharedConn) fail(cause error) {
+	if sc.drop(cause) {
+		go sc.ep.Close()
+	}
+}
+
+// drop removes the connection from the plane, marks it dead and wakes
+// every lease, reporting whether this call did so.
+func (sc *sharedConn) drop(cause error) bool {
 	p := sc.plane
 	p.mu.Lock()
 	if p.conns[sc.host] == sc {
 		delete(p.conns, sc.host)
 	}
 	p.mu.Unlock()
-	sc.teardown(cause)
-}
-
-// teardown marks the connection dead, wakes every lease (their Recv
-// returns the cause), and closes the endpoint (which parks the pump).
-func (sc *sharedConn) teardown(cause error) {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	if sc.dead {
-		sc.mu.Unlock()
-		return
+		return false
 	}
-	sc.dead = true
-	sc.err = cause
-	ls := make([]*connLease, 0, len(sc.leases))
+	sc.dead, sc.err = true, cause
 	for _, l := range sc.leases {
-		ls = append(ls, l)
-	}
-	sc.mu.Unlock()
-	for _, l := range ls {
 		l.closeOnce.Do(func() { close(l.done) })
 	}
-	if sc.ep != nil {
-		sc.ep.Close()
-	}
+	return true
 }
 
 // connErr reports why the connection died (for leases woken by done).
@@ -358,96 +369,88 @@ func (sc *sharedConn) connErr() error {
 	return ucr.ErrClosed
 }
 
-// pump is the connection's single receive loop: it splits every frame
-// into its answers (a responder sends a batch of them in one SEND, D23),
-// fully decodes each (the lease tag is not at a fixed offset in a
-// DataResponse) and routes it to the owning lease by its own tag's high
-// 16 bits, marking each answer that another one of the same frame
-// follows on its lease. An answer for a departed lease is a stray —
-// counted and dropped, exactly what a late responder write against a
-// closed hostConn produces. Framing, decode or transport errors kill the
-// connection, before any answer of the frame is routed; every lease then
-// observes the same cause once.
-func (sc *sharedConn) pump() {
-	var msgs [][]byte
-	var lms []leaseMsg
-	for {
-		frame, err := sc.ep.Recv(context.Background())
-		if err != nil {
-			sc.kill(err)
-			return
-		}
-		if msgs, err = wire.SplitBatch(frame, msgs[:0]); err != nil {
-			sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
-			return
-		}
-		lms = lms[:0]
-		for _, msg := range msgs {
-			lm, err := decodeAnswer(msg)
-			if err != nil {
-				sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
-				return
-			}
-			lms = append(lms, lm)
-		}
-		for i := range lms {
-			for _, later := range lms[i+1:] {
-				if later.tag()>>16 == lms[i].tag()>>16 {
-					lms[i].more = true
-					break
-				}
-			}
-			sc.route(lms[i])
-		}
-		clear(lms) // drop the decoded answers: their leases own them now
-	}
-}
-
-// decodeAnswer decodes one answer: a manifest or a response header.
-func decodeAnswer(msg []byte) (leaseMsg, error) {
-	if len(msg) > 0 && msg[0] == wire.TypeReadManifest {
-		m, err := wire.DecodeReadManifest(msg)
-		return leaseMsg{man: m}, err
-	}
-	r, err := wire.DecodeDataResponse(msg)
-	return leaseMsg{resp: r}, err
-}
-
-// route delivers one answer to the lease its tag names.
-func (sc *sharedConn) route(lm leaseMsg) {
-	sc.mu.Lock()
-	l := sc.leases[lm.tag()>>16]
-	sc.lastUse = sc.plane.now()
-	sc.mu.Unlock()
-	if l == nil {
-		sc.plane.count("shuffle.rdma.conn.strays", 1)
+// Frame implements ucr.Handler on the device's receive pump (D25): it
+// splits the frame into its answers (D23), decodes each — a header by
+// value, a manifest into a fresh one, so nothing routed aliases the
+// receive buffer reposted after — and routes it to the lease its own
+// tag's high 16 bits name, marking each answer that another of the same
+// frame follows on its lease. An answer for a departed lease is a stray,
+// counted and dropped: what a late responder write against a closed
+// hostConn produces. A framing or decode error kills the connection before
+// any answer of the frame is routed; every lease observes the cause once.
+// Routing never waits: a lease's queue holds as many answers as it can
+// have outstanding, so a full one was sent an answer it never asked for —
+// a protocol violation that kills the connection — unless it is closing.
+func (sc *sharedConn) Frame(frame []byte) {
+	var err error
+	if sc.split, err = wire.SplitBatch(frame, sc.split[:0]); err != nil {
+		sc.fail(fmt.Errorf("%w: %v", errProtocol, err))
 		return
 	}
-	select {
-	case l.msgs <- lm:
-	case <-l.done:
+	lms := sc.answers[:0]
+	for _, msg := range sc.split {
+		var lm leaseMsg
+		if len(msg) > 0 && msg[0] == wire.TypeReadManifest {
+			if lm.man, err = wire.DecodeReadManifest(msg); err == nil {
+				lm.tag = lm.man.Tag
+			}
+		} else if err = lm.resp.Decode(msg); err == nil {
+			lm.tag = lm.resp.Tag
+		}
+		if err != nil {
+			sc.fail(fmt.Errorf("%w: %v", errProtocol, err))
+			return
+		}
+		lms = append(lms, lm)
 	}
+	now := sc.plane.now()
+	for i := range lms {
+		for _, later := range lms[i+1:] {
+			if later.tag>>16 == lms[i].tag>>16 {
+				lms[i].more = true
+				break
+			}
+		}
+		sc.mu.Lock()
+		l := sc.leases[lms[i].tag>>16]
+		sc.lastUse = now
+		dead := sc.dead
+		sc.mu.Unlock()
+		if dead {
+			break
+		}
+		if l == nil {
+			sc.plane.count("shuffle.rdma.conn.strays", 1)
+			continue
+		}
+		select {
+		case l.msgs <- lms[i]:
+		case <-l.done:
+		default:
+			sc.fail(fmt.Errorf("%w: answer tagged %#x overflows its lease's %d", errProtocol, lms[i].tag, cap(l.msgs)))
+		}
+	}
+	clear(lms) // drop the manifests: their leases own them now
+	sc.answers = lms
 }
 
-// leaseMsg is one routed answer: exactly one of resp and man is non-nil.
-// more marks an answer that another answer of the same frame follows on
-// the same lease.
+// Failed implements ucr.Handler: the endpoint's receive side died, and
+// with it the connection.
+func (sc *sharedConn) Failed(err error) { sc.fail(err) }
+
+// leaseMsg is one routed answer, tagged tag: a manifest when man is
+// non-nil, else the response header resp. more marks an answer that
+// another answer of the same frame follows on the same lease.
 type leaseMsg struct {
-	resp *wire.DataResponse
+	resp wire.DataResponse
 	man  *wire.ReadManifest
+	tag  uint32
 	more bool
-}
-
-func (lm *leaseMsg) tag() uint32 {
-	if lm.man != nil {
-		return lm.man.Tag
-	}
-	return lm.resp.Tag
 }
 
 // connLease is one fetcher's handle on a shared connection: a private
 // 16-bit slot tag space and a private delivery queue. Sends go straight
-// to the shared endpoint; receives come through the pump.
+// to the shared endpoint; receives are routed by Frame.
 type connLease struct {
 	sc        *sharedConn
 	seq       uint32
@@ -457,7 +460,7 @@ type connLease struct {
 }
 
 // Tag maps a ring slot into this lease's slice of the connection's tag
-// space. The responder echoes it verbatim; the pump routes on the high
+// space. The responder echoes it verbatim; Frame routes on the high
 // half, the hostConn books slots on the low half.
 func (l *connLease) Tag(slot uint32) uint32 { return l.seq<<16 | slot&0xffff }
 
@@ -477,11 +480,6 @@ func (l *connLease) ReadSG(ctx context.Context, sgl []verbs.SGE, raddr uint64, r
 // surfaces (a transport-classified error, so the copier's retry
 // machinery treats a shared-conn death exactly like a private one).
 func (l *connLease) Recv(ctx context.Context) (leaseMsg, error) {
-	select {
-	case m := <-l.msgs:
-		return m, nil
-	default:
-	}
 	select {
 	case m := <-l.msgs:
 		return m, nil

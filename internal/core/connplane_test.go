@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,10 +138,10 @@ func (h *planeHarness) echo(via, on *connLease, tag uint32) *wire.DataResponse {
 	if err != nil {
 		h.t.Fatalf("recv tag %#x: %v", tag, err)
 	}
-	if lm.resp == nil {
+	if lm.man != nil {
 		h.t.Fatalf("recv tag %#x: got manifest, want response", tag)
 	}
-	return lm.resp
+	return &lm.resp
 }
 
 // TestConnPlaneSharesEndpoint: two leases to the same host share one
@@ -223,7 +225,7 @@ func TestConnPlaneSplitsBatchByTag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recv tag %#x: %v", want.tag, err)
 		}
-		if lm.resp == nil || lm.resp.Tag != want.tag || lm.more != want.more {
+		if lm.man != nil || lm.resp.Tag != want.tag || lm.more != want.more {
 			t.Fatalf("got %+v (more %v), want tag %#x more %v", lm.resp, lm.more, want.tag, want.more)
 		}
 	}
@@ -536,4 +538,112 @@ func TestConnPlaneEvictionNeverFailsAttachedLease(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestConnPlaneStalledLeaseDoesNotStallOthers: answers are routed on the
+// device's receive pump, which never waits for a lease (D25). A lease that
+// never reads holds its whole depth of answers while another lease on the
+// same connection keeps receiving. One answer past that depth was never
+// asked for: it kills that connection as a protocol violation, and nothing
+// else — a lease on another host's connection, fed by the same device
+// pump, still receives.
+func TestConnPlaneStalledLeaseDoesNotStallOthers(t *testing.T) {
+	h := newPlaneHarness(t)
+	h.plane.configure(4, time.Hour, h.c)
+	h.serve("tt1")
+	h.serve("tt2")
+	stalled := h.acquire("tt1")
+	busy := h.acquire("tt1")
+	other := h.acquire("tt2")
+	defer stalled.Close(false, nil)
+	defer busy.Close(false, nil)
+	defer other.Close(false, nil)
+
+	depth := cap(stalled.msgs)
+	for slot := 0; slot < depth; slot++ {
+		if err := stalled.Send(h.ctx, (&wire.DataResponse{Tag: stalled.Tag(uint32(slot))}).Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for slot := uint32(0); slot < 3; slot++ {
+		if resp := h.echo(busy, busy, busy.Tag(slot)); resp.Tag != busy.Tag(slot) {
+			t.Fatalf("busy lease got tag %#x, want %#x", resp.Tag, busy.Tag(slot))
+		}
+	}
+	if got := len(stalled.msgs); got != depth {
+		t.Fatalf("the stalled lease holds %d answers, want its whole depth %d", got, depth)
+	}
+
+	if err := stalled.Send(h.ctx, (&wire.DataResponse{Tag: stalled.Tag(0)}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(h.ctx, 5*time.Second)
+	defer cancel()
+	if _, err := busy.Recv(ctx); !errors.Is(err, errProtocol) {
+		t.Fatalf("busy lease after an answer overflowed its sharer: %v, want a protocol violation", err)
+	}
+	if resp := h.echo(other, other, other.Tag(1)); resp.Tag != other.Tag(1) {
+		t.Fatalf("lease on another connection got tag %#x, want %#x", resp.Tag, other.Tag(1))
+	}
+}
+
+// TestConnPlaneRoutedAnswerOutlivesReceiveBuffer: the plane decodes
+// answers straight from the device's SRQ buffer, which is reposted once
+// the frame is routed. A header and a manifest routed to a lease are the
+// lease's own: after every receive buffer on the device has been reposted
+// and overwritten by later frames, both read exactly as they were sent.
+func TestConnPlaneRoutedAnswerOutlivesReceiveBuffer(t *testing.T) {
+	h := newPlaneHarness(t)
+	h.plane.configure(4, time.Hour, h.c)
+	h.serve("tt1")
+	l := h.acquire("tt1")
+	defer l.Close(false, nil)
+	gone := h.acquire("tt1")
+	goneTag := gone.Tag(0)
+	gone.Close(false, nil)
+
+	resp := wire.DataResponse{MapID: 3, ReduceID: 1, Offset: 4096, Bytes: 100, Records: 2,
+		Err: "kept after the buffer is reused", Tag: l.Tag(1), Transient: true}
+	man := wire.ReadManifest{MapID: 4, ReduceID: 1, Tag: l.Tag(2), LeaseID: 9, RKey: 7,
+		Chunks: []wire.ReadChunk{
+			{Offset: 0, Bytes: 64, Records: 1, Ranges: []wire.ReadRange{{Addr: 0x1000, Len: 64}}},
+			{Offset: 64, Bytes: 96, Records: 2, EOF: true,
+				Ranges: []wire.ReadRange{{Addr: 0x2000, Len: 32}, {Addr: 0x3000, Len: 64}}},
+		}}
+	var b wire.Batch
+	b.Reset(nil)
+	b.AddResponse(&resp)
+	b.AddManifest(&man)
+	frame, _ := b.Frame()
+	if err := l.Send(h.ctx, frame); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(h.ctx, 5*time.Second)
+	defer cancel()
+	first, err := l.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := l.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Strays for the departed lease, each as long as the first frame and
+	// of other bytes, through every receive buffer on the device.
+	filler := (&wire.DataResponse{Tag: goneTag, Err: strings.Repeat("\xa5", len(frame))}).Encode()
+	strays := h.c.Get("shuffle.rdma.conn.strays")
+	for i := 0; i < ucr.SRQDepth+1; i++ {
+		if err := l.Send(h.ctx, filler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return h.c.Get("shuffle.rdma.conn.strays")-strays == ucr.SRQDepth+1 })
+
+	if first.man != nil || first.resp != resp || !first.more {
+		t.Fatalf("routed header now reads %+v (more %v), sent %+v followed by a manifest", first.resp, first.more, resp)
+	}
+	if second.man == nil || !reflect.DeepEqual(*second.man, man) || second.more {
+		t.Fatalf("routed manifest now reads %+v, sent %+v", second.man, man)
+	}
 }

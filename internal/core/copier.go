@@ -24,11 +24,10 @@ import (
 // chunk is one delivered shuffle packet for a segment.
 type chunk struct {
 	pl   payload
-	eof  bool
-	next int64 // byte offset of the following chunk
 	off  int64 // the offset this chunk was requested at (for retries)
 	err  error
 	span *obs.FetchSpan // set only when profiling is enabled
+	eof  bool
 }
 
 // segment is one map output partition being streamed chunk-by-chunk — the
@@ -38,30 +37,76 @@ type chunk struct {
 // the merge is kv.Merger's, pulled by the reduce goroutine through the
 // fetcher's stream.Iterator; blocking refills (and the map recovery a
 // failed one triggers) run on that goroutine under the fetcher's lifetime
-// context.
+// context. A fetcher allocates its segments together, one per map.
 type segment struct {
-	mapID int
-	peer  *hostPeer
-	ready chan chunk
+	mapID int32
+	// attempts is recovery attempts consumed.
+	attempts int32
+	peer     *hostPeer
+	f        *fetcher
+
+	// next is the chunk delivered ahead of the merge, under f.dmu: a
+	// segment has at most one chunk in flight, so one place holds it.
+	next    chunk
+	arrived bool
 
 	// Private to the goroutine pulling the merge.
-	it  *kv.BufferIterator
-	cur payload // the chunk buffer the current iterator walks
-	err error
-	eof bool
-	// attempts is recovery attempts consumed; an int32 beside eof keeps a
-	// segment (one per map per reduce) in the 96-byte size class.
-	attempts int32
-	f        *fetcher
+	walking bool              // it walks cur
+	eof     bool              // the partition's last chunk is in
+	it      kv.BufferIterator // reset for every chunk
+	cur     payload           // the chunk buffer the iterator walks
+	err     error
 }
 
 // request asks the host peer for the chunk at offset.
-func (seg *segment) request(ctx context.Context, offset int64) error {
-	req := chunkReq{mapID: seg.mapID, offset: offset, seg: seg}
+func (seg *segment) request(offset int64) {
+	req := chunkReq{offset: offset, seg: seg}
 	if seg.f.prof != nil {
 		req.enq = time.Now()
 	}
-	return seg.peer.enqueue(ctx, req)
+	seg.peer.enqueue(req)
+}
+
+// deliver hands the segment its next chunk. It never blocks: the segment
+// has no other chunk in flight, and the merge is woken only if it waits on
+// this segment. After the fetcher's pumps have exited nothing delivers, so
+// Close finds a chunk nobody took in next.
+func (seg *segment) deliver(ck chunk) {
+	f := seg.f
+	f.dmu.Lock()
+	seg.next, seg.arrived = ck, true
+	waiting := f.waiting == seg
+	if waiting {
+		f.waiting = nil
+	}
+	f.dmu.Unlock()
+	if waiting {
+		select {
+		case f.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// await blocks the merge until the segment's next chunk has arrived.
+func (seg *segment) await(ctx context.Context) (chunk, error) {
+	f := seg.f
+	for {
+		f.dmu.Lock()
+		if seg.arrived {
+			ck := seg.next
+			seg.next, seg.arrived = chunk{}, false
+			f.dmu.Unlock()
+			return ck, nil
+		}
+		f.waiting = seg
+		f.dmu.Unlock()
+		select {
+		case <-f.wake:
+		case <-ctx.Done():
+			return chunk{}, ctx.Err()
+		}
+	}
 }
 
 // loadChunk blocks for the next chunk, installs its iterator, and
@@ -73,15 +118,13 @@ func (seg *segment) request(ctx context.Context, offset int64) error {
 func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 	prof := seg.f.prof
 	for {
-		var ck chunk
 		var waitStart time.Time
 		if prof != nil {
 			waitStart = time.Now()
 		}
-		select {
-		case ck = <-seg.ready:
-		case <-ctx.Done():
-			return false, ctx.Err()
+		ck, err := seg.await(ctx)
+		if err != nil {
+			return false, err
 		}
 		if prof != nil {
 			// Time the merge spent parked on this select is exactly the
@@ -119,7 +162,7 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 					seg.mapID, seg.attempts, seg.peer.host, ck.err)
 			}
 			seg.f.task.Local.Counters().Add("shuffle.fetch.failures", 1)
-			host, err := seg.f.task.RecoverMap(ctx, seg.mapID, int(seg.attempts))
+			host, err := seg.f.task.RecoverMap(ctx, int(seg.mapID), int(seg.attempts))
 			if err != nil {
 				return false, fmt.Errorf("recovering map %d: %w (after %w)", seg.mapID, err, ck.err)
 			}
@@ -130,9 +173,7 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 				return false, fmt.Errorf("core: recovered map %d on unknown host %s", seg.mapID, host)
 			}
 			seg.peer = p
-			if err := seg.request(ctx, ck.off); err != nil {
-				return false, err
-			}
+			seg.request(ck.off)
 			continue
 		}
 		seg.eof = ck.eof
@@ -140,12 +181,11 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 			// Depth-1 lookahead within the segment: fetch the next chunk
 			// while the merge consumes this one. Cross-segment depth comes
 			// from the connection's slot ring.
-			if err := seg.request(ctx, ck.next); err != nil {
-				return false, err
-			}
+			seg.request(ck.off + int64(len(ck.pl.buf)))
 		}
 		if len(ck.pl.buf) > 0 {
-			seg.it = kv.NewBufferIterator(ck.pl.buf)
+			seg.it.Reset(ck.pl.buf)
+			seg.walking = true
 			seg.cur = ck.pl
 			return true, nil
 		}
@@ -160,14 +200,14 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 // partition or on the error Err then reports.
 func (seg *segment) Next() bool {
 	for {
-		if seg.it != nil {
+		if seg.walking {
 			if seg.it.Next() {
 				return true
 			}
 			if seg.err = seg.it.Err(); seg.err != nil {
 				return false
 			}
-			seg.it = nil
+			seg.walking = false
 			if seg.cur.buf != nil {
 				// The chunk is drained, but the record the consumer holds
 				// until this Next returns may be its last one: the buffer
@@ -203,26 +243,24 @@ func (seg *segment) Err() error { return seg.err }
 func (seg *segment) drop() {
 	seg.f.release(seg.cur)
 	seg.cur = payload{}
-	select {
-	case ck := <-seg.ready:
-		seg.f.release(ck.pl)
-	default:
+	if seg.arrived {
+		seg.f.release(seg.next.pl)
+		seg.next, seg.arrived = chunk{}, false
 	}
 }
 
 type chunkReq struct {
-	mapID  int
+	seg    *segment // asks for a chunk of its map's partition
 	offset int64
-	seg    *segment
-	// retries counts how many times THIS request has been re-issued after
-	// a transient failure. Offsets make re-fetch idempotent; the budget
-	// (mapred.rdma.connect.retries) bounds how long one stubborn chunk can
-	// stall before its segment escalates to map re-execution.
-	retries int
 	// enq is the span origin (zero unless profiling is enabled). A
 	// re-issued request keeps its original enq, so the span covers the
 	// full latency the reducer observed, retries included.
 	enq time.Time
+	// retries counts how many times THIS request has been re-issued after
+	// a transient failure. Offsets make re-fetch idempotent; the budget
+	// (mapred.rdma.connect.retries) bounds how long one stubborn chunk can
+	// stall before its segment escalates to map re-execution.
+	retries int32
 	// noRead makes this request ask for an eager response (no
 	// FlagFetchRead). Set after a READ against this offset faulted (lease
 	// expired, entry evicted): the re-issue must not ask for another
@@ -268,8 +306,12 @@ type readJob struct {
 type hostPeer struct {
 	f      *fetcher
 	host   string
-	reqCh  chan chunkReq // stable across reconnects
 	health *peerHealth
+
+	// wake holds a token once a request has been queued since the queue's
+	// one reader last looked: the send pump while a connection runs, the
+	// supervisor otherwise.
+	wake chan struct{}
 
 	// lostCh closes when the cluster's liveness detector declares the
 	// host dead (ReduceTaskInfo.Losses): the supervisor then skips its
@@ -282,6 +324,11 @@ type hostPeer struct {
 	mu   sync.Mutex
 	dead error     // set once, when the retry budget is exhausted
 	cur  *hostConn // connection currently running (aborted on loss)
+	// reqs[head:] is the request queue, stable across reconnects. It grows
+	// to the host's demand — at most one request per segment — and never
+	// blocks a producer.
+	reqs []chunkReq
+	head int
 }
 
 // errTrackerLost is the non-transient cause killPeer reports when the
@@ -319,24 +366,71 @@ func (p *hostPeer) setCur(hc *hostConn) {
 	p.mu.Unlock()
 }
 
-// enqueue hands a request to the peer's supervisor.
-func (p *hostPeer) enqueue(ctx context.Context, req chunkReq) error {
+// enqueue queues a request for the host. It never blocks, so a pump may
+// put back a request it could not finish.
+func (p *hostPeer) enqueue(req chunkReq) {
+	p.mu.Lock()
+	if len(p.reqs) == cap(p.reqs) && p.head > 0 {
+		p.reqs = p.reqs[:copy(p.reqs, p.reqs[p.head:])]
+		p.head = 0
+	}
+	p.reqs = append(p.reqs, req)
+	p.mu.Unlock()
 	select {
-	case p.reqCh <- req:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	case p.wake <- struct{}{}:
+	default:
 	}
 }
 
-// pendingSlot is one in-flight request: which request owns the slot,
-// when it was issued (for the supervisor's per-request deadline check),
-// and how long it waited for a free bounce-buffer slot (span accounting).
+// pop takes the oldest queued request, if there is one.
+func (p *hostPeer) pop() (chunkReq, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.head == len(p.reqs) {
+		return chunkReq{}, false
+	}
+	req := p.reqs[p.head]
+	p.reqs[p.head] = chunkReq{}
+	if p.head++; p.head == len(p.reqs) {
+		p.reqs, p.head = p.reqs[:0], 0
+	}
+	return req, true
+}
+
+// next takes the oldest queued request, waiting for one until ctx ends.
+func (p *hostPeer) next(ctx context.Context) (chunkReq, bool) {
+	for {
+		if req, ok := p.pop(); ok {
+			return req, true
+		}
+		select {
+		case <-p.wake:
+		case <-ctx.Done():
+			return chunkReq{}, false
+		}
+	}
+}
+
+// queued is the number of requests waiting in the queue.
+func (p *hostPeer) queued() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.reqs) - p.head
+}
+
+// pendingSlot is one ring slot's in-flight request, if it has one (busy):
+// which request owns the slot, when it was issued (for the supervisor's
+// per-request deadline check), and how long it waited for a free
+// bounce-buffer slot (span accounting).
 type pendingSlot struct {
 	req      chunkReq
 	issued   time.Time
 	slotWait time.Duration
 }
+
+// busy reports whether the slot has a request in flight: every request
+// belongs to a segment.
+func (ps *pendingSlot) busy() bool { return ps.req.seg != nil }
 
 // hostConn is ONE connection attempt to a TaskTracker: a lease on the
 // device's shared endpoint to that host (D13) plus a slab-carved ring of
@@ -378,9 +472,9 @@ type hostConn struct {
 	pumps sync.WaitGroup
 
 	mu       sync.Mutex
-	pending  map[uint32]pendingSlot // ring slot → in-flight request
-	unsent   []chunkReq             // claimed by sendLoop but never sent
-	plans    map[int]*readPlan      // mapID → live manifest plan
+	pending  []pendingSlot     // by ring slot: its in-flight request
+	unsent   []chunkReq        // claimed by sendLoop but never sent
+	plans    map[int]*readPlan // mapID → live manifest plan (nil until one is)
 	inFlight int
 	failErr  error
 	failed   chan struct{} // closed by the first abort
@@ -426,11 +520,13 @@ func (hc *hostConn) stashUnsent(reqs ...chunkReq) {
 func (hc *hostConn) takePending() []chunkReq {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
-	reqs := make([]chunkReq, 0, len(hc.pending)+len(hc.unsent))
-	for _, ps := range hc.pending {
-		reqs = append(reqs, ps.req)
+	reqs := make([]chunkReq, 0, hc.inFlight+len(hc.unsent))
+	for i := range hc.pending {
+		if hc.pending[i].busy() {
+			reqs = append(reqs, hc.pending[i].req)
+		}
 	}
-	hc.pending = make(map[uint32]pendingSlot)
+	clear(hc.pending)
 	reqs = append(reqs, hc.unsent...)
 	hc.unsent = nil
 	hc.inFlight = 0
@@ -439,17 +535,18 @@ func (hc *hostConn) takePending() []chunkReq {
 
 // takeSlot claims the in-flight request that owns ring slot `slot`,
 // reporting false when a teardown (or a duplicate completion) already took
-// it. Whoever gets true owns the request: complete it, re-issue it, or put
-// it back.
+// it, or the slot is not one of the ring's. Whoever gets true owns the
+// request: complete it, re-issue it, or put it back.
 func (hc *hostConn) takeSlot(slot uint32) (pendingSlot, bool) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
-	ps, ok := hc.pending[slot]
-	if ok {
-		delete(hc.pending, slot)
-		hc.inFlight--
+	if int(slot) >= len(hc.pending) || !hc.pending[slot].busy() {
+		return pendingSlot{}, false
 	}
-	return ps, ok
+	ps := hc.pending[slot]
+	hc.pending[slot] = pendingSlot{}
+	hc.inFlight--
+	return ps, true
 }
 
 // planTake matches a request against the host's live plan for its map:
@@ -679,7 +776,8 @@ func (l *payloadBlocks) close() {
 func (f *fetcher) dialConn(ctx context.Context, host string) (*hostConn, uint64, error) {
 	local := f.task.Local
 	dev := local.Device()
-	lease, gen, err := planeFor(dev).acquire(ctx, host, 2*f.depth+8, func(ctx context.Context) (*ucr.EndPoint, error) {
+	// A lease never has more than depth answers outstanding, one per slot.
+	lease, gen, err := planeFor(dev).acquire(ctx, host, f.depth, func(ctx context.Context) (*ucr.EndPoint, error) {
 		return local.Fabric().Connect(ctx, dev, host, ServiceName)
 	})
 	if err != nil {
@@ -694,8 +792,7 @@ func (f *fetcher) dialConn(ctx context.Context, host string) (*hostConn, uint64,
 		host: host, lease: lease, gen: gen, ring: ring,
 		slotSize: f.slotSize, depth: f.depth,
 		free:    make(chan uint32, f.depth),
-		pending: make(map[uint32]pendingSlot, f.depth),
-		plans:   make(map[int]*readPlan),
+		pending: make([]pendingSlot, f.depth),
 		failed:  make(chan struct{}),
 	}
 	hc.touch()
@@ -731,17 +828,16 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 			return
 		}
 		// Lazy dialing (D13): no connection exists until a segment
-		// actually wants bytes from this host. The first demand becomes
-		// the head of the orphan queue so nothing is lost across the wait.
-		if len(orphans) == 0 {
+		// actually wants bytes from this host. The demand stays queued for
+		// the connection's send pump.
+		if len(orphans) == 0 && p.queued() == 0 {
 			select {
-			case req := <-p.reqCh:
-				orphans = append(orphans, req)
+			case <-p.wake:
 			case <-p.lostCh:
-				continue
 			case <-ctx.Done():
 				return
 			}
+			continue
 		}
 		// Blacklist admission: another fetcher on this node may already
 		// have established that the host is dying. A loss notice ends
@@ -817,8 +913,8 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 		orphans = orphans[:0]
 		for _, req := range reqs {
 			req.retries++
-			if req.retries > f.connectRetries {
-				deliver(ctx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: %s: retry budget exhausted: %w", p.host, err)})
+			if int(req.retries) > f.connectRetries {
+				req.seg.deliver(chunk{off: req.offset, err: fmt.Errorf("core: %s: retry budget exhausted: %w", p.host, err)})
 				continue
 			}
 			f.cRetries.Add(1)
@@ -889,8 +985,8 @@ func (f *fetcher) checkConn(p *hostPeer, hc *hostConn, now time.Time) bool {
 	hc.mu.Lock()
 	overdue := false
 	if f.reqTimeout > 0 {
-		for _, ps := range hc.pending {
-			if now.Sub(ps.issued) > f.reqTimeout {
+		for i := range hc.pending {
+			if hc.pending[i].busy() && now.Sub(hc.pending[i].issued) > f.reqTimeout {
 				overdue = true
 				break
 			}
@@ -906,7 +1002,7 @@ func (f *fetcher) checkConn(p *hostPeer, hc *hostConn, now time.Time) bool {
 	if f.connIdle <= 0 {
 		return true
 	}
-	if busy || len(p.reqCh) > 0 {
+	if busy || p.queued() > 0 {
 		hc.touch()
 		return true
 	}
@@ -930,15 +1026,14 @@ func (f *fetcher) killPeer(ctx context.Context, p *hostPeer, cause error, orphan
 	p.mu.Unlock()
 	err := fmt.Errorf("core: host %s declared dead: %w", p.host, cause)
 	for _, req := range orphans {
-		deliver(ctx, req.seg, chunk{off: req.offset, err: err})
+		req.seg.deliver(chunk{off: req.offset, err: err})
 	}
 	for {
-		select {
-		case req := <-p.reqCh:
-			deliver(ctx, req.seg, chunk{off: req.offset, err: err})
-		case <-ctx.Done():
+		req, ok := p.next(ctx)
+		if !ok {
 			return
 		}
+		req.seg.deliver(chunk{off: req.offset, err: err})
 	}
 }
 
@@ -994,17 +1089,14 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 	// Room for a request per slot, each behind its two-byte length: the
 	// one allocation the pump makes.
 	batch.Reset(make([]byte, 0, min(1+hc.depth*(2+reqSize), ucr.MaxMessage)))
+	var ok bool
 	for {
 		var req chunkReq
 		if len(orphans) > 0 {
 			req = orphans[0]
 			orphans = orphans[1:]
-		} else {
-			select {
-			case req = <-p.reqCh:
-			case <-cctx.Done():
-				return
-			}
+		} else if req, ok = p.next(cctx); !ok {
+			return
 		}
 		var slot uint32
 		var slotWait time.Duration
@@ -1030,8 +1122,7 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 		batch.Reset(nil)
 		f.issue(cctx, p, hc, &batch, req, slot, slotWait)
 		for batch.Fits(reqSize, ucr.MaxMessage) {
-			req, slot, ok := hc.claimQueued(p, &orphans)
-			if !ok {
+			if req, slot, ok = hc.claimQueued(p, &orphans); !ok {
 				break
 			}
 			f.issue(cctx, p, hc, &batch, req, slot, 0)
@@ -1070,13 +1161,10 @@ func (hc *hostConn) claimQueued(p *hostPeer, orphans *[]chunkReq) (req chunkReq,
 		req, *orphans = (*orphans)[0], (*orphans)[1:]
 		return req, slot, true
 	}
-	select {
-	case req = <-p.reqCh:
-		return req, slot, true
-	default:
+	if req, ok = p.pop(); !ok {
 		hc.free <- slot // cannot block: the slot came out of free just now
-		return req, 0, false
 	}
+	return req, slot, ok
 }
 
 // issue books req in the slot the send pump claimed for it. A request the
@@ -1095,7 +1183,7 @@ func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *
 	f.cOutPeak.Max(int64(depthNow))
 	f.prof.SlotOccupancy(depthNow)
 	if !req.noRead {
-		entry, plan, staleID, hit := hc.planTake(req.mapID, req.offset)
+		entry, plan, staleID, hit := hc.planTake(int(req.seg.mapID), req.offset)
 		hc.releaseLease(cctx, staleID)
 		if hit {
 			if f.executeRead(cctx, p, hc, readJob{slot: slot, req: req, entry: entry, plan: plan}) {
@@ -1106,7 +1194,7 @@ func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *
 	}
 	wreq := wire.DataRequest{
 		JobID:      f.task.Job.ID,
-		MapID:      int32(req.mapID),
+		MapID:      req.seg.mapID,
 		ReduceID:   int32(f.task.ReduceID),
 		Offset:     req.offset,
 		MaxBytes:   int32(hc.slotSize),
@@ -1127,9 +1215,10 @@ func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *
 // header is matched to its slot by tag (the payload was RDMA-written into
 // that slot before the header was sent) and completed; for a manifest the
 // pump READs chunk 0 into the slot itself. That READ cannot stall the
-// device's receive pump, which feeds every lease on the endpoint: this
-// lease's msgs channel holds 2·depth+8 messages, and at most depth
-// requests — one per slot — are ever awaiting an answer.
+// device's receive pump, which routes answers for every lease on the
+// device without waiting (D25): this lease's msgs channel holds depth
+// answers, and at most depth requests — one per slot — are ever awaiting
+// an answer.
 //
 // Serving errors marked Transient re-issue through the request's retry
 // budget without tearing the connection down; fatal serving errors (the
@@ -1196,14 +1285,14 @@ func (f *fetcher) answer(cctx context.Context, p *hostPeer, hc *hostConn, lm lea
 		// The tracker could not serve this request right now but the
 		// data exists; retry within budget instead of escalating.
 		req.retries++
-		if req.retries > f.connectRetries {
-			deliver(f.runCtx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s (retry budget exhausted)", p.host, resp.Err)})
+		if int(req.retries) > f.connectRetries {
+			req.seg.deliver(chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s (retry budget exhausted)", p.host, resp.Err)})
 			break
 		}
 		f.cRetries.Add(1)
-		p.requeue(req)
+		p.enqueue(req)
 	case resp.Err != "":
-		deliver(f.runCtx, req.seg, chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s", p.host, resp.Err)})
+		req.seg.deliver(chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s", p.host, resp.Err)})
 	case resp.Bytes < 0 || int(resp.Bytes) > hc.slotSize:
 		// Put the request back so takePending re-issues it on the
 		// next connection.
@@ -1219,19 +1308,6 @@ func (f *fetcher) answer(cctx context.Context, p *hostPeer, hc *hostConn, lm lea
 	return slot, true, true
 }
 
-// requeue puts a request a pump could not finish back on the peer's
-// queue. It never blocks: the send pump, the queue's only reader while
-// the connection lives, may be the caller, and it would wait on itself.
-func (p *hostPeer) requeue(req chunkReq) {
-	select {
-	case p.reqCh <- req:
-	default:
-		// The queue is sized for one request per segment, so this is
-		// unreachable in practice; spill without blocking regardless.
-		go func(r chunkReq) { _ = p.enqueue(p.f.runCtx, r) }(req)
-	}
-}
-
 // complete finishes one fetched chunk however it arrived — RDMA-written
 // by the responder ahead of its header, or READ by one of the pumps — so a
 // chunk is accounted in exactly one place. A READ that landed in payload
@@ -1241,7 +1317,7 @@ func (p *hostPeer) requeue(req chunkReq) {
 // counted, spanned, and delivered to the owning segment; nothing is left
 // in the slot, which the caller gives back. ps is the pending entry the
 // caller took for the slot. Delivery never blocks: a segment has at most
-// one chunk in flight and a one-slot ready channel.
+// one chunk in flight and a place for it.
 func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlot, n int, eof bool, blk *mrpool.Block) {
 	var pl payload
 	switch {
@@ -1261,16 +1337,16 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 		p.health.recordSuccessGen(hc.gen)
 	}
 	req := ps.req
-	ck := chunk{pl: pl, eof: eof, next: req.offset + int64(n), off: req.offset}
+	ck := chunk{pl: pl, eof: eof, off: req.offset}
 	if f.prof != nil {
 		ck.span = &obs.FetchSpan{
-			Host: p.host, Reduce: f.task.ReduceID, MapID: req.mapID,
-			Offset: req.offset, Bytes: n, Retries: req.retries,
+			Host: p.host, Reduce: f.task.ReduceID, MapID: int(req.seg.mapID),
+			Offset: req.offset, Bytes: n, Retries: int(req.retries),
 			Enqueued: req.enq, Sent: ps.issued, Received: time.Now(),
 			SlotWait: ps.slotWait,
 		}
 	}
-	deliver(f.runCtx, req.seg, ck)
+	req.seg.deliver(ck)
 }
 
 // installPlan accepts a descriptor manifest answering the request in
@@ -1283,18 +1359,22 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 func (hc *hostConn) installPlan(cctx context.Context, m *wire.ReadManifest) (readJob, error) {
 	slot := m.Tag & 0xffff
 	hc.mu.Lock()
-	ps, ok := hc.pending[slot]
-	if !ok {
+	if int(slot) >= len(hc.pending) || !hc.pending[slot].busy() {
 		hc.mu.Unlock()
 		return readJob{}, fmt.Errorf("%w: manifest for unknown slot tag %d", errProtocol, m.Tag)
 	}
-	if len(m.Chunks) == 0 || m.Chunks[0].Offset != ps.req.offset || int(m.MapID) != ps.req.mapID {
+	ps := hc.pending[slot]
+	mapID := ps.req.seg.mapID
+	if len(m.Chunks) == 0 || m.Chunks[0].Offset != ps.req.offset || m.MapID != mapID {
 		hc.mu.Unlock()
-		return readJob{}, fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, ps.req.mapID, ps.req.offset)
+		return readJob{}, fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, mapID, ps.req.offset)
 	}
-	plan := &readPlan{mapID: ps.req.mapID, leaseID: m.LeaseID, rkey: m.RKey, chunks: m.Chunks[1:], pending: 1}
+	plan := &readPlan{mapID: int(mapID), leaseID: m.LeaseID, rkey: m.RKey, chunks: m.Chunks[1:], pending: 1}
 	stale := hc.plans[plan.mapID]
 	if len(plan.chunks) > 0 {
+		if hc.plans == nil {
+			hc.plans = make(map[int]*readPlan)
+		}
 		hc.plans[plan.mapID] = plan
 	}
 	hc.mu.Unlock()
@@ -1404,18 +1484,8 @@ func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, jo
 	}
 	req := job.req
 	req.noRead = true
-	p.requeue(req)
+	p.enqueue(req)
 	return true
-}
-
-// deliver hands a chunk to its segment, giving up on cancellation (the
-// payload nobody will read is given back).
-func deliver(ctx context.Context, seg *segment, ck chunk) {
-	select {
-	case seg.ready <- ck:
-	case <-ctx.Done():
-		seg.f.release(ck.pl)
-	}
 }
 
 // fetcher is the ReduceTask-side pipeline: RDMACopier connections and the
@@ -1480,12 +1550,19 @@ type fetcher struct {
 	it *stream.Iterator[payload]
 	// blocks is where READ chunks land; Close frees it.
 	blocks payloadBlocks
-	// segments is every segment opened so far, written by the event
-	// goroutine and read by Close once that goroutine has exited.
-	segments []*segment
-	cancel   context.CancelFunc
-	runCtx   context.Context // fetcher-lifetime ctx; deliveries use this
-	wg       sync.WaitGroup
+	// segs holds every segment, one per map, allocated at Fetch: the event
+	// goroutine opens them in order, and Close reads them once that
+	// goroutine has exited.
+	segs []segment
+	// Chunk delivery (segment.deliver / await): dmu guards each segment's
+	// next chunk and waiting, the segment the merge is parked on, which
+	// wake wakes.
+	dmu     sync.Mutex
+	waiting *segment
+	wake    chan struct{}
+	cancel  context.CancelFunc
+	runCtx  context.Context // fetcher-lifetime ctx; refills wait under it
+	wg      sync.WaitGroup
 
 	closeOnce sync.Once
 }
@@ -1518,6 +1595,7 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 		connCacheMax:   int(conf.Int(config.KeyRDMAConnCacheMax)),
 		prof:           prof,
 		peers:          make(map[string]*hostPeer),
+		wake:           make(chan struct{}, 1),
 	}
 	f.cRetries = c.Handle("shuffle.rdma.retries")
 	f.cReconnects = c.Handle("shuffle.rdma.reconnects")
@@ -1582,12 +1660,18 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	// TaskTrackers." Dialing is asynchronous — a tracker that is down at
 	// fetch start is retried with backoff by its supervisor instead of
 	// failing the whole reduce up front.
-	for _, host := range f.task.Hosts {
+	f.segs = make([]segment, 0, f.task.Job.NumMaps)
+	// Every host's request queue starts in one allocation, room for an
+	// even share of the maps each; a host that serves more grows its own.
+	share := f.task.Job.NumMaps/max(len(f.task.Hosts), 1) + 1
+	queues := make([]chunkReq, share*len(f.task.Hosts))
+	for i, host := range f.task.Hosts {
 		p := &hostPeer{
 			f: f, host: host,
-			reqCh:  make(chan chunkReq, f.task.Job.NumMaps+8),
 			health: healthFor(f.task.Local.Device(), host),
+			wake:   make(chan struct{}, 1),
 			lostCh: make(chan struct{}),
+			reqs:   queues[i*share : i*share : (i+1)*share],
 		}
 		f.mu.Lock()
 		f.peers[host] = p
@@ -1657,9 +1741,14 @@ func (f *fetcher) openSegment(ev mapred.MapEvent) (kv.Iterator, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: map event from unknown host %s", ev.Host)
 	}
-	seg := &segment{mapID: ev.MapID, peer: p, ready: make(chan chunk, 1), f: f}
-	f.segments = append(f.segments, seg)
-	return seg, seg.request(f.runCtx, 0)
+	if len(f.segs) == cap(f.segs) {
+		// Growing segs would move the segments the pumps deliver into.
+		return nil, fmt.Errorf("core: map event %d past the job's %d maps", ev.MapID, cap(f.segs))
+	}
+	f.segs = append(f.segs, segment{mapID: int32(ev.MapID), peer: p, f: f})
+	seg := &f.segs[len(f.segs)-1]
+	seg.request(0)
+	return seg, nil
 }
 
 // mergeWindow opens this reduce's merge window and returns what closes
@@ -1704,8 +1793,8 @@ func (f *fetcher) Close() error {
 		if f.it != nil {
 			f.it.Close()
 		}
-		for _, seg := range f.segments {
-			seg.drop()
+		for i := range f.segs {
+			f.segs[i].drop()
 		}
 		f.blocks.close()
 	})

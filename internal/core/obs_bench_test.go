@@ -20,7 +20,7 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 	f.prof.SlotOccupancy(i & 7)
 	// complete: byte accounting (cluster + node telemetry handles) plus
 	// the gated span.
-	ck := chunk{next: int64(i), off: int64(i)}
+	ck := chunk{off: int64(i)}
 	if f.prof != nil {
 		ck.span = &obs.FetchSpan{}
 	}

@@ -534,20 +534,30 @@ func (h *ringHarness) drain() int {
 
 // TestPullSmallFetchAllocBudget guards the claim the pull iterator was
 // made for (shuffle_small's alloc_mb_per_gb): one reduce fetch of 64 ×
-// 4 KiB partitions on a warm plane, caching off, allocates at most half
-// the bytes it delivers — everything counted, tracker side included. A
-// per-fetch hand-off structure (the 512-record batch slices of the old
-// merge-to-reduce queue took it to ≈ 1.2× in the benchmark) fails here.
+// 4 KiB partitions on a warm plane, caching off, everything counted,
+// tracker side included. It allocates 0.18 of the bytes it delivers
+// (D25); the budget is a quarter, which leaves room for four pooled chunk
+// buffers lost to a collection. In count it makes 3.0 allocations a
+// partition: per chunk one staging block header on the responder and one
+// pooled-buffer box, the rest per fetch. The budget of 3.5 fails on
+// anything that comes back per partition — a per-segment channel, a
+// per-chunk iterator, a per-answer decode.
 func TestPullSmallFetchAllocBudget(t *testing.T) {
 	if alloctest.Race {
 		t.Skip("the payload pool is a sync.Pool, which drops buffers at random under the race detector")
 	}
-	h := plantHarness(t, plantConf(false), 64, 4<<10)
+	const maps = 64
+	h := plantHarness(t, plantConf(false), maps, 4<<10)
 	delivered := h.drain() // warm: endpoint dialed, ring slab carved, payload pool filled
 	h.drain()
 	allocated := alloctest.Bytes(5, func() { h.drain() })
-	if budget := uint64(delivered) / 2; allocated > budget {
+	allocs := alloctest.Allocs(5, func() { h.drain() })
+	t.Logf("a fetch delivering %d bytes allocated %d bytes in %d allocations", delivered, allocated, allocs)
+	if budget := uint64(delivered) / 4; allocated > budget {
 		t.Errorf("a fetch delivering %d bytes allocated %d, budget %d", delivered, allocated, budget)
+	}
+	if budget := uint64(maps) * 7 / 2; allocs > budget {
+		t.Errorf("a fetch of %d partitions made %d allocations, budget %d (3.5 a partition)", maps, allocs, budget)
 	}
 }
 

@@ -205,9 +205,11 @@ func (s *trackerServer) acceptLoop() {
 // token.
 //
 // Serving here never blocks the device's receive pump, which feeds every
-// end-point on the device: ep.msgs holds 1024 messages, and an end-point
-// never has more requests in flight than ring depth × fetchers sharing
-// it (plus one lease release per manifest), far below that.
+// end-point on the device: the receiver reads with ep.Recv instead of
+// installing a ucr.Handler, because serving waits on RDMA writes and on
+// its token (D25). ep.msgs holds 1024 messages, and an end-point never
+// has more requests in flight than ring depth × fetchers sharing it
+// (plus one lease release per manifest), far below that.
 //
 // When the connection dies — the copier closed it, reconnected
 // elsewhere, or the fabric severed it — the end-point is released
@@ -220,6 +222,7 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 	defer s.dropEndpoint(ep)
 	a := &answers{s: s, ep: ep}
 	var msgs [][]byte
+	var req wire.DataRequest // every request of the connection decodes into it
 	for {
 		frame, err := ep.Recv(s.ctx)
 		if err != nil {
@@ -229,7 +232,7 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
 			return
 		}
-		if !s.serveFrame(a, msgs) {
+		if !s.serveFrame(a, &req, msgs) {
 			return
 		}
 	}
@@ -238,9 +241,10 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 // serveFrame serves one frame's messages in arrival order under one
 // in-service token, and answers every request among them in one SEND:
 // each eager payload is RDMA-written as its request is served, so all of
-// them are in place before the answers go out. It returns false on
-// server shutdown.
-func (s *trackerServer) serveFrame(a *answers, msgs [][]byte) bool {
+// them are in place before the answers go out. Each request is decoded
+// into req, which keeps its job ID string while the connection's requests
+// carry the same one. It returns false on server shutdown.
+func (s *trackerServer) serveFrame(a *answers, req *wire.DataRequest, msgs [][]byte) bool {
 	var t0 time.Time // set once the token is held, from the frame's first request on
 	for _, msg := range msgs {
 		if len(msg) > 0 && msg[0] == wire.TypeLeaseRelease {
@@ -254,8 +258,7 @@ func (s *trackerServer) serveFrame(a *answers, msgs [][]byte) bool {
 			}
 			continue
 		}
-		req, err := wire.DecodeDataRequest(msg)
-		if err != nil {
+		if err := req.Decode(msg); err != nil {
 			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
 			continue
 		}
@@ -296,7 +299,7 @@ func (s *trackerServer) serve(a *answers, req *wire.DataRequest) {
 		return
 	}
 	header, payload := s.buildResponse(req)
-	if payload != nil {
+	if payload.blk != nil {
 		// RDMAWrite returns only once the fabric is done with the staging
 		// block (completed, or its QP destroyed), so the block goes back
 		// to the slab before the header is sent: by the time the copier
@@ -418,7 +421,8 @@ func (s *trackerServer) getScratch() *descScratch {
 	return &descScratch{}
 }
 
-// stagedPayload is a registered staging buffer holding the packed chunk.
+// stagedPayload is a registered staging buffer holding the packed chunk,
+// or none when blk is nil.
 // Responders copy the chunk from the (unregistered) cache entry into a
 // slab-carved block and RDMA-write from there — the staging-buffer
 // scheme RDMA middlewares use for data that is not pinned. Carving from
@@ -435,14 +439,14 @@ func (sp *stagedPayload) sge() verbs.SGE {
 	return verbs.SGE{MR: sp.blk.MR(), Offset: sp.blk.Offset(), Length: sp.n}
 }
 
-func (s *trackerServer) stage(data []byte) (*stagedPayload, error) {
+func (s *trackerServer) stage(data []byte) (stagedPayload, error) {
 	blk, err := s.mrp.Alloc(len(data), "stage")
 	if err != nil {
-		return nil, err
+		return stagedPayload{}, err
 	}
 	copy(blk.Bytes(), data)
 	s.cStageOut.Add(1)
-	return &stagedPayload{blk: blk, n: len(data), srv: s}, nil
+	return stagedPayload{blk: blk, n: len(data), srv: s}, nil
 }
 
 // release returns the staging block to the slab. Every stage() is paired
@@ -457,9 +461,9 @@ func (sp *stagedPayload) release() {
 // buildResponse is the eager half of the protocol: locate the run (cache
 // memory on a hit, disk plus a priority re-cache on a miss), pack one
 // chunk, and copy it into a registered staging block for the RDMA write.
-// A nil payload means the header alone is the answer (empty chunk or an
-// error).
-func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataResponse, payload *stagedPayload) {
+// A payload without a block means the header alone is the answer (empty
+// chunk or an error).
+func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataResponse, payload stagedPayload) {
 	header = wire.DataResponse{
 		MapID: req.MapID, ReduceID: req.ReduceID, Offset: req.Offset,
 		// Echo the copier's slot tag so it can match this response to
@@ -472,9 +476,9 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 	}
 	// fail reports a serving error the requester cannot fix by retrying
 	// (missing or corrupt map output — the RecoverMap path).
-	fail := func(err error) (wire.DataResponse, *stagedPayload) {
+	fail := func(err error) (wire.DataResponse, stagedPayload) {
 		header.Err = err.Error()
-		return header, nil
+		return header, stagedPayload{}
 	}
 	run, pin, err := s.lookup(CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)})
 	if err != nil {
@@ -495,7 +499,7 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 	header.Records = int32(res.Records)
 	header.EOF = res.EOF
 	if res.Bytes == 0 {
-		return header, nil
+		return header, stagedPayload{}
 	}
 	payload, err = s.stage(body[req.Offset : req.Offset+int64(res.Bytes)])
 	if err != nil {

@@ -86,6 +86,10 @@ type BufferIterator struct {
 // NewBufferIterator returns an iterator over the records encoded in buf.
 func NewBufferIterator(buf []byte) *BufferIterator { return &BufferIterator{buf: buf} }
 
+// Reset starts the iterator over buf, as NewBufferIterator(buf) would, so
+// that a consumer walking one buffer after another keeps one iterator.
+func (it *BufferIterator) Reset(buf []byte) { *it = BufferIterator{buf: buf} }
+
 // Next decodes the next record.
 func (it *BufferIterator) Next() bool {
 	if it.err != nil || len(it.buf) == 0 {
@@ -348,12 +352,14 @@ func RunBody(run []byte) (body []byte, count uint64, err error) {
 // need the positions — not just the subslice — because their
 // scatter-gather entries address offsets into the memory region that
 // was registered over the whole run.
+// It checks the framing NewRunReader checks, reading the trailer in
+// place: a responder calls it once per request.
 func RunBodySpan(run []byte) (start, end int, count uint64, err error) {
-	rr, err := NewRunReader(run)
-	if err != nil {
-		return 0, 0, 0, err
+	if len(run) < len(runMagic)+12 || !equal4(run[:4], runMagic) {
+		return 0, 0, 0, ErrCorrupt
 	}
-	return 4, len(run) - 12, rr.count, nil
+	end = len(run) - 12
+	return len(runMagic), end, binary.LittleEndian.Uint64(run[end:]), nil
 }
 
 // NextRecordSize returns the encoded size of the record starting at the

@@ -348,7 +348,10 @@ func (c *Cluster) decommission(ti int, host string) {
 	_ = c.server(ti).Close()
 }
 
-// Close shuts down the liveness monitor and the shuffle servers.
+// Close shuts down the liveness monitor, the shuffle servers and then the
+// fabric's device receive pumps, failing whatever end-points are still
+// open on them (the copier side's cached connections): a closed cluster
+// leaves no goroutine behind.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -369,6 +372,7 @@ func (c *Cluster) Close() {
 	for _, s := range c.Servers() {
 		_ = s.Close()
 	}
+	c.fabric.Close()
 }
 
 // JobResult summarizes a completed job.

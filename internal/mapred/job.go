@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
@@ -139,33 +138,37 @@ type JobInfo struct {
 
 // MapOutputKey is the local-store key for one map output partition. All
 // components (map spill, servlets, responders, prefetcher) address map
-// outputs through this single naming scheme.
-// Every responder lookup that misses the cache builds one, so it is
-// appended by hand: the string is its one allocation.
+// outputs through this single naming scheme; the string is its one
+// allocation.
 func MapOutputKey(jobID string, mapID, partition int) string {
-	var b strings.Builder
-	b.Grow(len("mapout/") + len(jobID) + len("/m00000/p00000"))
-	b.WriteString("mapout/")
-	b.WriteString(jobID)
-	b.WriteString("/m")
-	writeID(&b, mapID)
-	b.WriteString("/p")
-	writeID(&b, partition)
-	return b.String()
+	var buf [64]byte
+	return string(AppendMapOutputKey(buf[:0], jobID, mapID, partition))
 }
 
-// writeID writes v as fmt's %05d does: zero-padded to five characters,
+// AppendMapOutputKey appends MapOutputKey's bytes to dst. Every map output
+// read builds one, so a reader that looks the key up in place
+// (LocalStore.GetKey) builds it in a stack buffer and allocates nothing.
+func AppendMapOutputKey(dst []byte, jobID string, mapID, partition int) []byte {
+	dst = append(dst, "mapout/"...)
+	dst = append(dst, jobID...)
+	dst = append(dst, "/m"...)
+	dst = appendID(dst, mapID)
+	dst = append(dst, "/p"...)
+	return appendID(dst, partition)
+}
+
+// appendID appends v as fmt's %05d does: zero-padded to five characters,
 // a minus sign counted among them.
-func writeID(b *strings.Builder, v int) {
+func appendID(dst []byte, v int) []byte {
 	var buf [20]byte
 	digits := strconv.AppendInt(buf[:0], int64(v), 10)
 	width := 5
 	if v < 0 {
-		b.WriteByte('-')
+		dst = append(dst, '-')
 		digits, width = digits[1:], width-1
 	}
 	for n := len(digits); n < width; n++ {
-		b.WriteByte('0')
+		dst = append(dst, '0')
 	}
-	b.Write(digits)
+	return append(dst, digits...)
 }

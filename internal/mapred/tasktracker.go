@@ -160,7 +160,8 @@ func (tt *TaskTracker) Store() *storage.LocalStore { return tt.store }
 func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, error) {
 	tt.counters.Add("tracker.mapoutput.disk.reads", 1)
 	tt.nDiskReads.Add(1)
-	return tt.store.Get(MapOutputKey(jobID, mapID, partition))
+	var key [64]byte
+	return tt.store.GetKey(AppendMapOutputKey(key[:0], jobID, mapID, partition))
 }
 
 // MapOutputSize returns the stored size of a partition without a disk

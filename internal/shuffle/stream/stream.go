@@ -75,7 +75,7 @@ func (it *Iterator[B]) gather(events <-chan mapred.MapEvent, maps int, open func
 		mapID int
 		src   kv.Iterator
 	}
-	var got []opened
+	got := make([]opened, 0, maps)
 collect:
 	for {
 		select {

@@ -44,6 +44,12 @@ func FuzzDecodeDataRequest(f *testing.F) {
 		if *again != *r {
 			t.Fatalf("request not a fixpoint: %+v vs %+v", r, again)
 		}
+		// Decoding into a value that held another request (a responder
+		// reuses one per connection) gives the same request.
+		reused := DataRequest{JobID: "job_other", Tag: 9, Flags: FlagFetchRead}
+		if err := reused.Decode(b); err != nil || reused != *r {
+			t.Fatalf("decode into a reused value = %+v (%v), want %+v", reused, err, r)
+		}
 	})
 }
 
@@ -80,6 +86,10 @@ func FuzzDecodeDataResponse(f *testing.F) {
 		}
 		if *again != *r {
 			t.Fatalf("response not a fixpoint: %+v vs %+v", r, again)
+		}
+		reused := DataResponse{Err: "stale", Tag: 9, Transient: true}
+		if err := reused.Decode(b); err != nil || reused != *r {
+			t.Fatalf("decode into a reused value = %+v (%v), want %+v", reused, err, r)
 		}
 	})
 }

@@ -103,18 +103,31 @@ func (r *DataRequest) EncodeAppend(buf []byte) []byte {
 
 // DecodeDataRequest parses a request message.
 func DecodeDataRequest(b []byte) (*DataRequest, error) {
-	if len(b) < 1 || b[0] != TypeDataRequest {
-		return nil, ErrBadType
-	}
-	b = b[1:]
-	jobID, b, err := takeString(b)
-	if err != nil {
+	r := &DataRequest{}
+	if err := r.Decode(b); err != nil {
 		return nil, err
 	}
-	if len(b) < 4+4+8+4+4+8+4 {
-		return nil, ErrTruncated
+	return r, nil
+}
+
+// Decode parses a request message into r, overwriting every field. A
+// responder decodes each request of a connection into one value: while
+// the job ID on the wire equals r.JobID the string is kept, not copied
+// again. On error r is left in an unspecified state.
+func (r *DataRequest) Decode(b []byte) error {
+	if len(b) < 1 || b[0] != TypeDataRequest {
+		return ErrBadType
 	}
-	r := &DataRequest{JobID: jobID}
+	jobID, b, err := takeBytes(b[1:])
+	if err != nil {
+		return err
+	}
+	if len(b) < 4+4+8+4+4+8+4 {
+		return ErrTruncated
+	}
+	if string(jobID) != r.JobID {
+		r.JobID = string(jobID)
+	}
 	r.MapID = int32(binary.LittleEndian.Uint32(b[0:4]))
 	r.ReduceID = int32(binary.LittleEndian.Uint32(b[4:8]))
 	r.Offset = int64(binary.LittleEndian.Uint64(b[8:16]))
@@ -124,13 +137,14 @@ func DecodeDataRequest(b []byte) (*DataRequest, error) {
 	r.RKey = binary.LittleEndian.Uint32(b[32:36])
 	// Tag and Flags are tail extensions: absent in messages from older
 	// peers (Tag 0, Flags 0).
+	r.Tag, r.Flags = 0, 0
 	if len(b) >= 40 {
 		r.Tag = binary.LittleEndian.Uint32(b[36:40])
 	}
 	if len(b) >= 44 {
 		r.Flags = binary.LittleEndian.Uint32(b[40:44])
 	}
-	return r, nil
+	return nil
 }
 
 // DataResponse acknowledges one packet: Bytes of payload holding Records
@@ -203,30 +217,42 @@ func (r *DataResponse) EncodeAppend(buf []byte) []byte {
 
 // DecodeDataResponse parses a response message.
 func DecodeDataResponse(b []byte) (*DataResponse, error) {
+	r := &DataResponse{}
+	if err := r.Decode(b); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Decode parses a response message into r, overwriting every field, so a
+// receiver can decode into a value it keeps. Nothing in r aliases b. On
+// error r is left in an unspecified state.
+func (r *DataResponse) Decode(b []byte) error {
 	if len(b) < 1 || b[0] != TypeDataResponse {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	b = b[1:]
 	if len(b) < 4+4+8+4+4+1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	r := &DataResponse{}
-	r.MapID = int32(binary.LittleEndian.Uint32(b[0:4]))
-	r.ReduceID = int32(binary.LittleEndian.Uint32(b[4:8]))
-	r.Offset = int64(binary.LittleEndian.Uint64(b[8:16]))
-	r.Bytes = int32(binary.LittleEndian.Uint32(b[16:20]))
-	r.Records = int32(binary.LittleEndian.Uint32(b[20:24]))
-	r.EOF = b[24] == 1
 	errStr, rest, err := takeString(b[25:])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.Err = errStr
 	if len(rest) < 12 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	r.RemoteAddr = binary.LittleEndian.Uint64(rest[0:8])
-	r.RKey = binary.LittleEndian.Uint32(rest[8:12])
+	*r = DataResponse{
+		MapID:      int32(binary.LittleEndian.Uint32(b[0:4])),
+		ReduceID:   int32(binary.LittleEndian.Uint32(b[4:8])),
+		Offset:     int64(binary.LittleEndian.Uint64(b[8:16])),
+		Bytes:      int32(binary.LittleEndian.Uint32(b[16:20])),
+		Records:    int32(binary.LittleEndian.Uint32(b[20:24])),
+		EOF:        b[24] == 1,
+		Err:        errStr,
+		RemoteAddr: binary.LittleEndian.Uint64(rest[0:8]),
+		RKey:       binary.LittleEndian.Uint32(rest[8:12]),
+	}
 	// Tag and Transient are tail extensions: absent in messages from
 	// older peers (Tag 0, Transient false).
 	if len(rest) >= 16 {
@@ -235,7 +261,7 @@ func DecodeDataResponse(b []byte) (*DataResponse, error) {
 	if len(rest) >= 17 {
 		r.Transient = rest[16] == 1
 	}
-	return r, nil
+	return nil
 }
 
 // ReadRange is one remote descriptor of a manifest chunk: Len bytes at
@@ -509,13 +535,19 @@ func appendString(buf []byte, s string) []byte {
 }
 
 func takeString(b []byte) (string, []byte, error) {
+	s, rest, err := takeBytes(b)
+	return string(s), rest, err
+}
+
+// takeBytes is takeString without the copy: the string's bytes alias b.
+func takeBytes(b []byte) ([]byte, []byte, error) {
 	if len(b) < 2 {
-		return "", nil, ErrTruncated
+		return nil, nil, ErrTruncated
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	b = b[2:]
 	if len(b) < n {
-		return "", nil, fmt.Errorf("%w: string of %d in %d bytes", ErrTruncated, n, len(b))
+		return nil, nil, fmt.Errorf("%w: string of %d in %d bytes", ErrTruncated, n, len(b))
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
 }

@@ -47,7 +47,7 @@ type ConnScaleParams struct {
 // are exported.
 const (
 	csMaxMessage  = 8 << 10 // ucr.MaxMessage: send block / recv slot size
-	csSRQDepth    = 512     // ucr srqDepth: per-device pre-posted receives
+	csSRQDepth    = 512     // ucr.SRQDepth: per-device pre-posted receives
 	csLegacyRecvs = 128     // pre-SRQ per-endpoint receive ring (ringDepth in the old ucr.go)
 	csSlabBytes   = 8 << 20 // mrpool.DefaultSlabBytes: pinning granularity
 	csRingDepth   = 4       // default outstanding.per.conn

@@ -133,16 +133,40 @@ func (s *LocalStore) OverwritePinned(name string, data []byte, owner Pinned) {
 func (s *LocalStore) Get(name string) ([]byte, error) {
 	s.mu.RLock()
 	obj, ok := s.objects[name]
-	if obj.owner != nil {
-		obj.data = slices.Clone(obj.data)
-	}
+	data := s.lend(obj, ok)
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	s.bytesRead.Add(int64(len(obj.data)))
+	return data, nil
+}
+
+// GetKey is Get for a name built in a byte slice, such as a caller's
+// scratch buffer: the lookup neither copies nor keeps it.
+func (s *LocalStore) GetKey(name []byte) ([]byte, error) {
+	s.mu.RLock()
+	obj, ok := s.objects[string(name)]
+	data := s.lend(obj, ok)
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, string(name))
+	}
+	return data, nil
+}
+
+// lend counts a read of obj and returns the bytes Get hands out for it.
+// Caller holds s.mu, read-locked.
+func (s *LocalStore) lend(obj object, ok bool) []byte {
+	if !ok {
+		return nil
+	}
+	data := obj.data
+	if obj.owner != nil {
+		data = slices.Clone(data)
+	}
+	s.bytesRead.Add(int64(len(data)))
 	s.reads.Add(1)
-	return obj.data[:len(obj.data):len(obj.data)], nil
+	return data[:len(data):len(data)]
 }
 
 // Owner returns the owner of name's bytes if it is a pinned object, nil

@@ -30,12 +30,12 @@ const (
 	// MaxMessage is the largest Send payload; control messages in the
 	// shuffle protocol are far smaller.
 	MaxMessage = 8 << 10
-	// srqDepth is the pre-posted receive count per DEVICE (DESIGN.md
+	// SRQDepth is the pre-posted receive count per DEVICE (DESIGN.md
 	// D13): end-points share one verbs.SRQ and one slab-carved buffer
 	// pool per device, so receive memory is sized for the device's
 	// aggregate inflow instead of ringDepth buffers per connection —
 	// the receive-side half of the QP-explosion fix.
-	srqDepth = 512
+	SRQDepth = 512
 )
 
 // Errors.
@@ -72,9 +72,11 @@ type Fabric struct {
 
 	// devRecvs holds the per-device shared receive plane (SRQ + buffer
 	// pool + demux pump), created lazily at the first end-point on each
-	// device. drMu serializes creation.
+	// device. drMu serializes creation and Close; closed refuses planes
+	// after Close.
 	devRecvs sync.Map // *verbs.Device → *devRecv
 	drMu     sync.Mutex
+	closed   bool
 
 	// metrics is the pre-resolved instrument set end-points inherit at
 	// Connect; nil (the default) means the data path never reads the
@@ -132,6 +134,27 @@ func (f *Fabric) SetRegistry(reg *obs.Registry) {
 // NewFabric returns a Fabric over a fresh in-process verbs network.
 func NewFabric() *Fabric {
 	return &Fabric{net: verbs.NewNetwork(), services: make(map[string]*Listener)}
+}
+
+// Close stops every device's receive pump and fails the end-points still
+// registered with them, as a dead receive plane does: a locally closed
+// end-point reports ErrClosed, a live one ErrTransport. Afterwards no
+// end-point can be created on the fabric. Close returns once every pump
+// has exited.
+func (f *Fabric) Close() {
+	f.drMu.Lock()
+	f.closed = true
+	var drs []*devRecv
+	f.devRecvs.Range(func(dev, v any) bool {
+		drs = append(drs, v.(*devRecv))
+		f.devRecvs.Delete(dev)
+		return true
+	})
+	f.drMu.Unlock()
+	for _, dr := range drs {
+		dr.stop()
+		<-dr.done
+	}
 }
 
 // Network exposes the underlying verbs network (for latency injection).
@@ -274,7 +297,11 @@ type EndPoint struct {
 	sendBlk *mrpool.Block
 	sendMu  sync.Mutex
 
-	msgs chan []byte
+	// Receive path: frames queue on msgs for Recv, unless a Handler is
+	// installed (guarded by dr.mu), which takes them on the device pump.
+	msgs     chan []byte
+	handler  Handler
+	notified atomic.Bool // the handler has been told of the failure
 
 	// metrics is inherited from the fabric at Connect; nil means every
 	// instrumentation site below is a dead branch (no clock reads).
@@ -293,14 +320,31 @@ type EndPoint struct {
 // end-point on the device. A single pump goroutine demultiplexes
 // completions to end-points by the QPN the WC carries — receive memory
 // and receive-side goroutines now scale with devices, not connections.
+// It runs until the fabric closes: stop ends it, done closes after.
 type devRecv struct {
 	dev    *verbs.Device
 	srq    *verbs.SRQ
 	recvCQ *verbs.CQ
-	buf    *mrpool.Block // srqDepth × MaxMessage
+	buf    *mrpool.Block // SRQDepth × MaxMessage
+	stop   context.CancelFunc
+	done   chan struct{}
 
 	mu  sync.Mutex
 	eps map[uint32]*EndPoint // QPN → end-point
+}
+
+// Handler takes an end-point's frames on the device's receive pump instead
+// of Recv (SetHandler). Frame runs once per message, before the receive
+// buffer is reposted: msg is that buffer, the handler's to read until Frame
+// returns and overwritten by a later SEND after, so whatever outlives the
+// call is copied out. Frame runs on the goroutine that feeds every
+// end-point on the device, and must not block: one handler that waits
+// stalls all of them. Failed runs once, with the error Recv would report,
+// when the end-point's receive side fails or closes — on the pump, or in
+// whoever closed it.
+type Handler interface {
+	Frame(msg []byte)
+	Failed(err error)
 }
 
 // devRecvFor returns the device's shared receive plane, creating it (and
@@ -314,27 +358,34 @@ func (f *Fabric) devRecvFor(dev *verbs.Device) (*devRecv, error) {
 	if v, ok := f.devRecvs.Load(dev); ok {
 		return v.(*devRecv), nil
 	}
+	if f.closed {
+		return nil, fmt.Errorf("%w: fabric closed", ErrClosed)
+	}
 	srq, err := dev.CreateSRQ()
 	if err != nil {
 		return nil, err
 	}
-	buf, err := mrpool.For(dev).Alloc(srqDepth*MaxMessage, "ucr.recv")
+	buf, err := mrpool.For(dev).Alloc(SRQDepth*MaxMessage, "ucr.recv")
 	if err != nil {
 		return nil, err
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	dr := &devRecv{
 		dev: dev, srq: srq,
-		recvCQ: dev.CreateCQ(srqDepth + 64),
+		recvCQ: dev.CreateCQ(SRQDepth + 64),
 		buf:    buf,
+		stop:   stop,
+		done:   make(chan struct{}),
 		eps:    make(map[uint32]*EndPoint),
 	}
-	for i := 0; i < srqDepth; i++ {
+	for i := 0; i < SRQDepth; i++ {
 		if err := srq.PostRecv(dr.recvWR(uint64(i))); err != nil {
+			stop()
 			buf.Free()
 			return nil, err
 		}
 	}
-	go dr.pump()
+	go dr.pump(ctx)
 	f.devRecvs.Store(dev, dr)
 	return dr, nil
 }
@@ -358,31 +409,36 @@ func (dr *devRecv) drop(qpn uint32) {
 	dr.mu.Unlock()
 }
 
-func (dr *devRecv) lookup(qpn uint32) *EndPoint {
+func (dr *devRecv) lookup(qpn uint32) (*EndPoint, Handler) {
 	dr.mu.Lock()
 	defer dr.mu.Unlock()
-	return dr.eps[qpn]
+	ep := dr.eps[qpn]
+	if ep == nil {
+		return nil, nil
+	}
+	return ep, ep.handler
 }
 
-// pump drains the shared receive CQ for the life of the device: copies
-// payloads out, immediately re-posts the SRQ buffer so peers rarely see
-// receiver-not-ready, and routes each message to the end-point whose
-// QPN the completion carries. Completions for QPs that already closed
-// are dropped (their buffer is still recycled). Error completions carry
-// the failing QP's number too — including the synthetic last-WQE flush
-// a severed SRQ-attached QP delivers — and fail only that end-point.
-// When the plane itself dies (CQ torn down, SRQ refusing reposts) every
-// registered end-point is failed so Recv callers unwind immediately
-// instead of blocking until their contexts expire.
-func (dr *devRecv) pump() {
-	ctx := context.Background()
+// pump drains the shared receive CQ until the fabric closes, routing
+// each message to the end-point whose QPN the completion carries: to its
+// handler straight from the SRQ buffer, which is reposted once the handler
+// returns, or else copied out — the buffer reposted at once so peers
+// rarely see receiver-not-ready — and queued for Recv. Completions for QPs
+// that already closed are dropped (their buffer is still recycled). Error
+// completions carry the failing QP's number too — including the synthetic
+// last-WQE flush a severed SRQ-attached QP delivers — and fail only that
+// end-point. When the plane itself dies (fabric closed, SRQ refusing
+// reposts) every registered end-point is failed so Recv callers unwind
+// immediately instead of blocking until their contexts expire.
+func (dr *devRecv) pump(ctx context.Context) {
+	defer close(dr.done)
 	for {
 		wc, err := dr.recvCQ.Wait(ctx)
 		if err != nil {
 			dr.failAll(err)
 			return
 		}
-		ep := dr.lookup(wc.QPN)
+		ep, h := dr.lookup(wc.QPN)
 		if wc.Status != verbs.WCSuccess {
 			// The last-WQE notification consumed no SRQ buffer; anything
 			// else (flushed private recv, length error) did, so recycle it.
@@ -399,18 +455,26 @@ func (dr *devRecv) pump() {
 			continue
 		}
 		off := dr.buf.Offset() + int(wc.WRID)*MaxMessage
-		payload := make([]byte, wc.ByteLen)
-		copy(payload, dr.buf.MR().Bytes()[off:off+wc.ByteLen])
+		msg := dr.buf.MR().Bytes()[off : off+wc.ByteLen]
+		if ep != nil {
+			if m := ep.metrics; m != nil {
+				m.cMsgs.Add(1)
+				m.cBytes.Add(int64(wc.ByteLen))
+			}
+		}
+		var payload []byte
+		if h != nil {
+			h.Frame(msg)
+		} else if ep != nil {
+			payload = make([]byte, len(msg))
+			copy(payload, msg)
+		}
 		if err := dr.srq.PostRecv(dr.recvWR(wc.WRID)); err != nil {
 			dr.failAll(err)
 			return
 		}
-		if ep == nil {
-			continue // message for a QP that closed mid-flight
-		}
-		if m := ep.metrics; m != nil {
-			m.cMsgs.Add(1)
-			m.cBytes.Add(int64(wc.ByteLen))
+		if h != nil || ep == nil {
+			continue // handled, or for a QP that closed mid-flight
 		}
 		select {
 		case ep.msgs <- payload:
@@ -462,18 +526,45 @@ func newEndPoint(f *Fabric, dev *verbs.Device) (*EndPoint, error) {
 	return ep, nil
 }
 
-// failRecv records the end-point's receive error and wakes blocked Recv
-// callers. It deliberately does NOT close msgs: the shared pump may be
-// delivering concurrently, and only a single owner may close a channel —
-// recvFailed carries the signal instead, and Recv drains buffered
-// messages before surfacing the error.
+// failRecv records the end-point's receive error, wakes blocked Recv
+// callers and tells the handler, if one is installed. It deliberately
+// does NOT close msgs: the shared pump may be delivering concurrently,
+// and only a single owner may close a channel — recvFailed carries the
+// signal instead, and Recv drains buffered messages before surfacing the
+// error.
 func (ep *EndPoint) failRecv(err error) {
 	ep.errMu.Lock()
 	if ep.recvErr == nil {
 		ep.recvErr = err
 	}
+	err = ep.recvErr
 	ep.errMu.Unlock()
 	ep.failOnce.Do(func() { close(ep.recvFailed) })
+	ep.dr.mu.Lock()
+	h := ep.handler
+	ep.dr.mu.Unlock()
+	ep.notify(h, err)
+}
+
+// notify tells h of the receive failure err, the first time only.
+func (ep *EndPoint) notify(h Handler, err error) {
+	if h != nil && err != nil && ep.notified.CompareAndSwap(false, true) {
+		h.Failed(err)
+	}
+}
+
+// SetHandler routes the end-point's incoming frames to h on the device's
+// receive pump, in place of Recv. Install it before the peer can send: a
+// frame that arrived earlier stays queued for Recv. An end-point whose
+// receive side has already failed reports that to h at once.
+func (ep *EndPoint) SetHandler(h Handler) {
+	ep.dr.mu.Lock()
+	ep.handler = h
+	ep.dr.mu.Unlock()
+	ep.errMu.Lock()
+	err := ep.recvErr
+	ep.errMu.Unlock()
+	ep.notify(h, err)
 }
 
 // isClosed reports whether Close has begun on this end-point.

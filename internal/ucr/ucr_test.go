@@ -94,7 +94,7 @@ func TestManyMessagesExceedRing(t *testing.T) {
 	// pump re-posts shared buffers.
 	cep, sep := connected(t)
 	ctx := ctxT(t)
-	const n = srqDepth * 3
+	const n = SRQDepth * 3
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
