@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"rdmamr/internal/mrpool"
+	"rdmamr/internal/obs"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/storage"
 	"rdmamr/internal/verbs"
@@ -165,6 +166,10 @@ type PrefetchCache struct {
 	regMu     sync.Mutex
 	registrar Registrar
 
+	// cHits and cMisses are cache.hits and cache.misses, which every
+	// lookup moves, resolved once.
+	cHits, cMisses *obs.Counter
+
 	// Multi-tenant accounting (D12): tenants tracks cached bytes per job
 	// across every shard; quota, when >0, caps any one job's share of the
 	// registered-memory budget. Lock order is shard.mu -> tmu; tmu is a
@@ -216,6 +221,7 @@ func NewPrefetchCache(capacity int64, policy string, counters *stats.Counters) *
 	}
 	n := shardsFor(capacity)
 	c := &PrefetchCache{policy: policy, counters: counters, shards: make([]*cacheShard, n), tenants: make(map[string]int64)}
+	c.cHits, c.cMisses = counters.Handle("cache.hits"), counters.Handle("cache.misses")
 	per := capacity / int64(n)
 	for i := range c.shards {
 		cap := per
@@ -304,12 +310,12 @@ func (c *PrefetchCache) Get(key CacheKey) ([]byte, bool) {
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if !ok {
-		c.counters.Add("cache.misses", 1)
+		c.cMisses.Add(1)
 		return nil, false
 	}
 	s.seq++
 	e.lastUse = s.seq
-	c.counters.Add("cache.hits", 1)
+	c.cHits.Add(1)
 	return e.body.data, true
 }
 
@@ -333,13 +339,13 @@ func (c *PrefetchCache) pin(key CacheKey) (*cacheBody, bool) {
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if !ok {
-		c.counters.Add("cache.misses", 1)
+		c.cMisses.Add(1)
 		return nil, false
 	}
 	s.seq++
 	e.lastUse = s.seq
 	e.body.refs.Add(1) // safe: map presence implies the cache's own ref
-	c.counters.Add("cache.hits", 1)
+	c.cHits.Add(1)
 	return e.body, true
 }
 

@@ -124,6 +124,52 @@ type FileSystem struct {
 	nextPlace   int // round-robin cursor for placement
 	blockSize   int64
 	replication int
+
+	// spare holds closed writers' block buffers for the writers after
+	// them, within maxSpareBuffers and maxSpareBytes.
+	spareMu    sync.Mutex
+	spare      [][]byte
+	spareBytes int
+}
+
+// A FileSystem keeps at most maxSpareBuffers closed writers' buffers, of
+// at most maxSpareBytes together, so a buffer of the default 256 MiB
+// block size is never kept.
+const (
+	maxSpareBuffers = 8
+	maxSpareBytes   = 32 << 20
+)
+
+// takeBuffer returns the largest spare buffer, emptied, or nil.
+func (fs *FileSystem) takeBuffer() []byte {
+	fs.spareMu.Lock()
+	defer fs.spareMu.Unlock()
+	if len(fs.spare) == 0 {
+		return nil
+	}
+	best := 0
+	for i, b := range fs.spare {
+		if cap(b) > cap(fs.spare[best]) {
+			best = i
+		}
+	}
+	b, last := fs.spare[best], len(fs.spare)-1
+	fs.spare[best], fs.spare[last] = fs.spare[last], nil
+	fs.spare = fs.spare[:last]
+	fs.spareBytes -= cap(b)
+	return b[:0]
+}
+
+// putBuffer keeps a closed writer's buffer if the bounds allow. Every
+// block cut from it was copied into its DataNodes' stores.
+func (fs *FileSystem) putBuffer(b []byte) {
+	fs.spareMu.Lock()
+	defer fs.spareMu.Unlock()
+	if cap(b) == 0 || len(fs.spare) == maxSpareBuffers || fs.spareBytes+cap(b) > maxSpareBytes {
+		return
+	}
+	fs.spare = append(fs.spare, b[:0])
+	fs.spareBytes += cap(b)
 }
 
 type fileMeta struct {
@@ -224,11 +270,12 @@ func (fs *FileSystem) Create(path, preferredHost string) (*Writer, error) {
 }
 
 // Write fills the current block from p, cutting it when it reaches the
-// block size. One buffer serves every block of the file: it doubles toward
-// the block size, so a small file never pays for a whole block and a large
+// block size. One buffer serves every block of the file: it starts as the
+// largest buffer a closed writer left, if any, and doubles toward the
+// block size, so a small file never pays for a whole block and a large
 // one copies less than a block's worth while growing, and after a cut it
-// is rewound, not dropped. A whole block arriving while the buffer is
-// empty is cut from p directly.
+// is rewound, not dropped. Close passes it on to the next writer. A whole
+// block arriving while the buffer is empty is cut from p directly.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("hdfs: write to closed writer")
@@ -245,6 +292,9 @@ func (w *Writer) Write(p []byte) (int, error) {
 			continue
 		}
 		k := min(blockSize-len(w.buf), len(p))
+		if cap(w.buf) == 0 {
+			w.buf = w.fs.takeBuffer()
+		}
 		if need := len(w.buf) + k; need > cap(w.buf) {
 			w.buf = append(make([]byte, 0, min(blockSize, max(2*cap(w.buf), need))), w.buf...)
 		}
@@ -295,8 +345,9 @@ func (w *Writer) Close() error {
 		if err := w.cutBlock(w.buf); err != nil {
 			return err
 		}
-		w.buf = nil
 	}
+	w.fs.putBuffer(w.buf)
+	w.buf = nil
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
 	w.fs.files[w.path] = &fileMeta{size: w.size, blocks: w.blocks}

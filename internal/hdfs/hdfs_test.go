@@ -504,6 +504,49 @@ func TestChunkedWritesMatchSingleWrite(t *testing.T) {
 	}
 }
 
+// TestWriterBuffersAllocBudget: a writer starts from the buffer a closed
+// one left, so once one file has been written, writing several more
+// multi-block files in 8 KiB pieces allocates the bytes stored — each
+// block copied once into its DataNode — and a sixteenth more for names,
+// metadata and the growth of the namespace's maps (6 KB a file measured).
+// Growing a fresh buffer by doubling for every file cost another 124 KiB
+// a file here.
+func TestWriterBuffersAllocBudget(t *testing.T) {
+	const blockSize, fileSize, chunk, files = 64 << 10, 300 << 10, 8 << 10, 4
+	fs := cluster(t, 2, blockSize, 1)
+	data := make([]byte, fileSize)
+	rand.New(rand.NewSource(12)).Read(data)
+	n := 0
+	write := func() {
+		n++
+		w, err := fs.Create(fmt.Sprintf("/f%d", n), "node1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); off += chunk {
+			if _, err := w.Write(data[off:min(off+chunk, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm: leaves a block-sized buffer behind
+	allocated := alloctest.Bytes(3, func() {
+		for i := 0; i < files; i++ {
+			write()
+		}
+	})
+	if budget := uint64(files * (fileSize + fileSize/16)); allocated > budget {
+		t.Errorf("%d files of %d bytes allocated %d, budget %d (the bytes stored and a sixteenth)", files, fileSize, allocated, budget)
+	}
+	got, err := fs.ReadFile(fmt.Sprintf("/f%d", n))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("last file read back wrong (err=%v)", err)
+	}
+}
+
 // TestWriteStraddlingBlockBoundaries covers the writer's three ways in: a
 // tail that completes a buffered block, whole blocks taken straight from
 // the caller's slice, and a remainder left buffered for Close.

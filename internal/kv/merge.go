@@ -1,5 +1,7 @@
 package kv
 
+import "slices"
+
 // Merger performs a streaming k-way merge of sorted iterators, yielding
 // records in global sorted order; records whose keys compare equal come
 // out in source order, so the merge is stable. It is the one merge on the
@@ -39,14 +41,25 @@ type mergeSource struct {
 // NewMerger returns a merger over its (each individually sorted under
 // cmp; nil means byte order).
 func NewMerger(cmp Comparator, its ...Iterator) *Merger {
-	m := &Merger{srcs: make([]mergeSource, len(its)), prefixed: IsByteOrder(cmp), cmp: cmp}
+	m := &Merger{}
+	m.Reset(cmp, its...)
+	return m
+}
+
+// Reset starts the merger over its, as NewMerger(cmp, its...) would,
+// keeping the source and heap slices of the merge before it. Nothing else
+// of that merge survives: its iterators and records are cleared first, so
+// Reset(nil) drops every reference a finished merge holds.
+func (m *Merger) Reset(cmp Comparator, its ...Iterator) {
+	clear(m.srcs)
+	srcs := slices.Grow(m.srcs[:0], len(its))[:len(its)]
+	for i, it := range its {
+		srcs[i].it = it
+	}
+	*m = Merger{heap: m.heap[:0], srcs: srcs, prefixed: IsByteOrder(cmp), cmp: cmp}
 	if cmp == nil {
 		m.cmp = BytesComparator
 	}
-	for i, it := range its {
-		m.srcs[i].it = it
-	}
-	return m
 }
 
 // less orders heap nodes by prefix, then key, then source index. The last
@@ -106,7 +119,7 @@ func (m *Merger) Next() bool {
 	if !m.init {
 		m.init = true
 		// Prime each source; drop exhausted ones.
-		m.heap = make([]mergeNode, 0, len(m.srcs))
+		m.heap = slices.Grow(m.heap[:0], len(m.srcs))
 		for i := range m.srcs {
 			node := mergeNode{src: int32(i)}
 			if m.advance(&node) {

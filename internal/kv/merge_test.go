@@ -37,6 +37,47 @@ func TestMergerBasic(t *testing.T) {
 	}
 }
 
+// TestMergerResetReusesSlices: a merger Reset over new sources merges them
+// as a new one would, under the new comparator, without allocating when
+// its slices already fit; Reset(nil) leaves no source or record behind.
+func TestMergerResetReusesSlices(t *testing.T) {
+	m := NewMerger(BytesComparator, NewSliceIterator(sortedRecs("b", "d")), NewSliceIterator(sortedRecs("a", "c")))
+	for m.Next() {
+	}
+	var keys [8]byte
+	merged := func(want string) bool {
+		got := keys[:0]
+		for m.Next() {
+			got = append(got, m.Record().Key...)
+		}
+		return string(got) == want
+	}
+	a, b := NewSliceIterator(sortedRecs("e", "g")), NewSliceIterator(sortedRecs("f"))
+	if allocs := testing.AllocsPerRun(10, func() {
+		a.idx, b.idx = -1, -1
+		m.Reset(BytesComparator, a, b)
+		if !merged("efg") {
+			t.Fatal("a merger Reset over new sources did not merge them")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reset and a merge over two sources allocated %.0f times, want 0", allocs)
+	}
+	reverse := func(x, y []byte) int { return bytes.Compare(y, x) }
+	m.Reset(reverse, NewSliceIterator([]Record{{Key: []byte("z")}, {Key: []byte("x")}}), NewSliceIterator([]Record{{Key: []byte("y")}}))
+	if !merged("zyx") {
+		t.Fatal("a merger Reset under a new comparator did not merge under it")
+	}
+	m.Reset(nil)
+	for _, s := range m.srcs[:cap(m.srcs)] {
+		if s.it != nil || s.rec.Key != nil {
+			t.Fatal("Reset(nil) kept a source or its record")
+		}
+	}
+	if m.Next() || m.Record().Key != nil {
+		t.Fatal("a merger Reset over nothing yielded a record")
+	}
+}
+
 func TestMergerEmptySources(t *testing.T) {
 	m := NewMerger(BytesComparator)
 	if m.Next() {

@@ -47,6 +47,9 @@ type TaskTracker struct {
 	// (nil handles when telemetry is off — free no-ops).
 	nDiskReads   *obs.Counter
 	nMapoutBytes *obs.Counter
+	// cDiskReads is the cluster counter tracker.mapoutput.disk.reads,
+	// resolved on first use so that MapOutput looks no name up.
+	cDiskReads atomic.Pointer[obs.Counter]
 	// runAlloc is the shuffle engine's RunAllocator, nil when it has none.
 	runAlloc atomic.Pointer[RunAllocator]
 }
@@ -158,10 +161,19 @@ func (tt *TaskTracker) Store() *storage.LocalStore { return tt.store }
 // and stays readable after the job's outputs are cleaned up; a run the
 // store holds pinned comes back as a private copy.
 func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, error) {
-	tt.counters.Add("tracker.mapoutput.disk.reads", 1)
+	tt.diskReads().Add(1)
 	tt.nDiskReads.Add(1)
 	var key [64]byte
 	return tt.store.GetKey(AppendMapOutputKey(key[:0], jobID, mapID, partition))
+}
+
+func (tt *TaskTracker) diskReads() *obs.Counter {
+	c := tt.cDiskReads.Load()
+	if c == nil {
+		c = tt.counters.Handle("tracker.mapoutput.disk.reads")
+		tt.cDiskReads.Store(c)
+	}
+	return c
 }
 
 // MapOutputSize returns the stored size of a partition without a disk

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"sync"
 
+	"rdmamr/internal/obs"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/verbs"
 )
@@ -64,6 +65,9 @@ type Pool struct {
 
 	counters *stats.Counters
 	cPinned  int64 // pinned bytes already mirrored into counters
+	// Handles into counters, resolved by SetCounters: a carve moves one,
+	// and looks no name up. Nil until then, which counts nothing.
+	hPinned, hAllocs, hFailures *obs.Counter
 }
 
 type span struct{ off, n int }
@@ -96,9 +100,10 @@ func (p *Pool) SetCounters(c *stats.Counters) {
 		return
 	}
 	p.counters = c
-	if d := p.pinned - p.cPinned; d != 0 {
-		c.Add("mr.slab.bytes.pinned", d)
-	}
+	p.hPinned = c.Handle("mr.slab.bytes.pinned")
+	p.hAllocs = c.Handle("mr.slab.allocs")
+	p.hFailures = c.Handle("mr.slab.failures")
+	p.hPinned.Add(p.pinned - p.cPinned)
 	p.cPinned = p.pinned
 }
 
@@ -123,7 +128,7 @@ func (p *Pool) alloc(n int, class string, remote bool) (*Block, error) {
 	p.mu.Lock()
 	s, off, err := p.carve(rounded)
 	if err != nil {
-		p.count("mr.slab.failures", 1)
+		p.hFailures.Add(1)
 		p.mu.Unlock()
 		return nil, err
 	}
@@ -133,7 +138,7 @@ func (p *Pool) alloc(n int, class string, remote bool) (*Block, error) {
 		p.byClass = make(map[string]int64)
 	}
 	p.byClass[class] += int64(rounded)
-	p.count("mr.slab.allocs", 1)
+	p.hAllocs.Add(1)
 	p.mu.Unlock()
 
 	blk := &Block{pool: p, slab: s, off: off, n: n, rounded: rounded, class: class}
@@ -187,17 +192,10 @@ func (p *Pool) carve(rounded int) (*slab, int, error) {
 	p.slabs = append(p.slabs, s)
 	p.pinned += size
 	if p.counters != nil {
-		p.counters.Add("mr.slab.bytes.pinned", size)
+		p.hPinned.Add(size)
 		p.cPinned = p.pinned
 	}
 	return s, 0, nil
-}
-
-// count mirrors a delta into the wired counter set. Caller holds p.mu.
-func (p *Pool) count(name string, delta int64) {
-	if p.counters != nil {
-		p.counters.Add(name, delta)
-	}
 }
 
 func (p *Pool) release(b *Block) {

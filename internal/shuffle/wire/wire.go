@@ -462,6 +462,9 @@ func (b *Batch) Reset(buf []byte) {
 // Count is the number of messages in the frame.
 func (b *Batch) Count() int { return b.count }
 
+// Cap is the capacity of the buffer the frame is built in.
+func (b *Batch) Cap() int { return cap(b.buf) }
+
 // Fits reports whether a message of n encoded bytes can join the frame
 // without the frame outgrowing limit bytes.
 func (b *Batch) Fits(n, limit int) bool { return len(b.buf)+batchPrefix+n <= limit }
