@@ -56,8 +56,10 @@ race:
 # leaves no goroutine behind, and the reused fetch arena (D26): a
 # fetcher closed in mid-stream or cancelled on refill with a chunk parked
 # in the fabric gives back a cleared arena the next fetcher takes, whose
-# stream is byte-identical while the late answers end as strays, all
-# under the race detector.
+# stream is byte-identical while the late answers end as strays, and the
+# reduce task's grouping (D27): fed a stream that poisons every record as
+# the Next after the following one starts, each Reducer call still sees
+# exactly the reference grouping, all under the race detector.
 # Seeds are fixed in the tests for reproducibility; set
 # RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
 # multi-host acceptance run. -count=1 defeats the test cache so the
@@ -65,6 +67,7 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact|TestBatchSeveredMidWriteReissuesOnce|TestEagerServePinsEvictedRun|TestConnPlaneStalledLeaseDoesNotStallOthers|TestClusterCloseLeavesNoGoroutines|TestArenaReuseAfterAbandonedFetch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestStoreBorrowersAgainstWriters' ./internal/storage/
+	$(GO) test -race -count=1 -run 'TestReduceGroupingReadsRecordsOnlyInTheirWindow' ./internal/mapred/
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
@@ -160,8 +163,16 @@ alloc-budgets:
 # CPU and heap profiles of one engine's TeraSort at the benchmark's shape
 # (pkg/rdmamr BenchmarkTeraSort: what terasort_osu / terasort_http time;
 # ENGINE is osu, http or hadoopa), written next to the benchmark's own
-# build products.
+# build products. The CPU profile also samples TeraValidate, which runs
+# with the benchmark timer stopped (its checksum is a fifth of the
+# samples on osu); focus on the job trackers' task workers for the job
+# alone, the view the reduce-side copies of D27 were sized with. A
+# memmove's samples there include the first touch of lines no one read
+# before it: dropping that copy moves those samples, it does not remove
+# them (D27), so price a copy by an A/B run, not by its samples.
 #   make profile ENGINE=http && go tool pprof -top .bench_build/cpu.pprof
+#   go tool pprof -focus 'jobTracker..worker' -top .bench_build/rdmamr.test .bench_build/cpu.pprof
+#   go tool pprof -focus 'jobTracker..worker' -peek 'runtime.memmove$' .bench_build/rdmamr.test .bench_build/cpu.pprof
 #   go tool pprof -sample_index=alloc_space -top .bench_build/mem.pprof
 ENGINE ?= osu
 profile:

@@ -74,8 +74,10 @@ func (h *ringHarness) plant(m, n int) {
 }
 
 // fetch runs one full fetcher lifetime and verifies the merged stream is
-// exactly the sorted union, comparing records in place (the iterator
-// contract: a record is valid only until the following Next).
+// exactly the sorted union, comparing records in place, each when returned
+// and again one behind — after the following Next, the one that ends the
+// stream included (the iterator contract: a record is valid until the Next
+// after the following one starts).
 func (h *ringHarness) fetch(ctx context.Context) { h.fetchThen(ctx, nil) }
 
 // fetchThen is fetch calling started, when set, between Fetch and the
@@ -98,21 +100,32 @@ func (h *ringHarness) fetchThen(ctx context.Context, started func(*fetcher)) {
 	if started != nil {
 		started(f)
 	}
+	same := func(n int, rec kv.Record, when string) {
+		h.t.Helper()
+		want := h.expected[n]
+		if !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
+			h.t.Fatalf("record %d %s = %q/%x, want %q/%x (released-buffer poison shows as 0xdb)",
+				n, when, rec.Key, rec.Value, want.Key, want.Value)
+		}
+	}
 	n := 0
+	var prev kv.Record
 	for it.Next() {
-		rec := it.Record()
+		if n > 0 {
+			same(n-1, prev, "one behind")
+		}
 		if n >= len(h.expected) {
 			h.t.Fatalf("more than %d records merged", len(h.expected))
 		}
-		want := h.expected[n]
-		if !bytes.Equal(rec.Key, want.Key) || !bytes.Equal(rec.Value, want.Value) {
-			h.t.Fatalf("record %d = %q/%x, want %q/%x (released-buffer poison shows as 0xdb)",
-				n, rec.Key, rec.Value, want.Key, want.Value)
-		}
+		prev = it.Record()
+		same(n, prev, "as returned")
 		n++
 	}
 	if err := it.Err(); err != nil {
 		h.t.Fatal(err)
+	}
+	if n > 0 {
+		same(n-1, prev, "after the Next that ended the stream")
 	}
 	if n != len(h.expected) {
 		h.t.Fatalf("merged %d records, want %d", n, len(h.expected))

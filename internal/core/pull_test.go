@@ -47,8 +47,10 @@ func (h *ringHarness) open(ctx context.Context, n int) (*fetcher, kv.Iterator) {
 // TestPullRecordsIntactUntilFollowingNext: with released payloads poisoned
 // and 2 KiB packets (a chunk boundary every ~20 records, segments of
 // different lengths ending at different times), every record Next returns
-// is whole when returned and still whole just before the following Next —
-// the iterator contract the spent-buffer rule exists to keep. The chunk
+// is whole when returned, still whole just before the following Next and
+// still whole just after it returned, the call that ends the stream
+// included — the one-behind contract the spent-buffer rule exists to keep
+// and the reduce task's grouping reads records by. The chunk
 // buffers out at any moment are bounded by one being walked and one
 // look-ahead per segment plus the one just retired, which is what "back
 // in the pool no later than the following call" means in numbers. Both
@@ -112,7 +114,14 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 				if n > 0 {
 					same(n-1, held, "just before the following Next")
 				}
-				if !it.Next() {
+				more := it.Next()
+				if n > 0 {
+					// One behind: the record the consumer gave up by making
+					// this call is still whole when it returns, also when it
+					// ends the stream.
+					same(n-1, held, "just after the following Next returned")
+				}
+				if !more {
 					break
 				}
 				if n >= len(expected) {
@@ -215,10 +224,11 @@ func TestPullPayloadAccounting(t *testing.T) {
 			if err := it.Err(); err != nil {
 				t.Fatal(err)
 			}
-			// End of stream alone settles the buffers: the two the last
-			// calls retired do not wait for Close.
-			if out := payloadsOut.Load() - base; out != 0 {
-				t.Fatalf("fully drained, before Close: %d chunk buffers never given back", out)
+			// End of stream gives back all but the chunk the call that
+			// ended it retired: it holds the last record, which is still
+			// the consumer's until Close.
+			if out := payloadsOut.Load() - base; out != 1 {
+				t.Fatalf("fully drained, before Close: %d chunk buffers out, want 1 (the last record's)", out)
 			}
 			f.Close()
 			settled("fully drained")
@@ -450,9 +460,10 @@ func TestPullResumesAtOffsetAfterDroppedWrite(t *testing.T) {
 
 // TestPullOverlapOffSameSequence: mapred.rdma.overlap.reduce=false drains
 // the same iterator into a slice. The sequence is the streaming one
-// (both are checked against the harness's sorted union), and with
-// recycling off every record is still whole after the last one arrived —
-// released payloads are poisoned, so a pooled buffer would show.
+// (both are checked against the harness's sorted union, each record again
+// one behind, after the following Next), and with recycling off every
+// record is still whole after the last one arrived — released payloads are
+// poisoned, so a pooled buffer would show.
 func TestPullOverlapOffSameSequence(t *testing.T) {
 	poisonReleasedPayloads.Store(true)
 	defer poisonReleasedPayloads.Store(false)

@@ -81,10 +81,22 @@ func (dn *DataNode) putBlock(id BlockID, data []byte) error {
 	if err := dn.store.Put(id.storeKey(), data); err != nil {
 		return err
 	}
-	dn.mu.Lock()
-	dn.crcs[id] = crc32.ChecksumIEEE(data)
-	dn.mu.Unlock()
+	dn.recordCRC(id, data)
 	return nil
+}
+
+// adoptBlock is putBlock by ownership transfer: the store keeps data
+// itself. Block IDs are never reused, so the name is new, as Put requires.
+func (dn *DataNode) adoptBlock(id BlockID, data []byte) {
+	dn.store.OverwriteOwned(id.storeKey(), data)
+	dn.recordCRC(id, data)
+}
+
+func (dn *DataNode) recordCRC(id BlockID, data []byte) {
+	sum := crc32.ChecksumIEEE(data)
+	dn.mu.Lock()
+	dn.crcs[id] = sum
+	dn.mu.Unlock()
 }
 
 // ErrChecksum reports a block whose stored bytes no longer match the
@@ -160,8 +172,9 @@ func (fs *FileSystem) takeBuffer() []byte {
 	return b[:0]
 }
 
-// putBuffer keeps a closed writer's buffer if the bounds allow. Every
-// block cut from it was copied into its DataNodes' stores.
+// putBuffer keeps a closed writer's buffer if the bounds allow. It holds
+// at most a partial block, which was copied into its DataNodes' stores: a
+// full one went to the store itself.
 func (fs *FileSystem) putBuffer(b []byte) {
 	fs.spareMu.Lock()
 	defer fs.spareMu.Unlock()
@@ -246,7 +259,7 @@ type Writer struct {
 	fs        *FileSystem
 	path      string
 	preferred string
-	buf       []byte // the block being filled; its capacity is kept across blocks
+	buf       []byte // the block being filled; a full one goes to the store
 	blocks    []BlockLocation
 	size      int64
 	closed    bool
@@ -270,12 +283,14 @@ func (fs *FileSystem) Create(path, preferredHost string) (*Writer, error) {
 }
 
 // Write fills the current block from p, cutting it when it reaches the
-// block size. One buffer serves every block of the file: it starts as the
-// largest buffer a closed writer left, if any, and doubles toward the
-// block size, so a small file never pays for a whole block and a large
-// one copies less than a block's worth while growing, and after a cut it
-// is rewound, not dropped. Close passes it on to the next writer. A whole
-// block arriving while the buffer is empty is cut from p directly.
+// block size. The first buffer is the largest one a closed writer left,
+// if any, and doubles toward the block size, so a small file never pays
+// for a whole block and a large one copies less than a block's worth
+// while growing. A buffer the writer fills is the block: the first
+// replica stores it by ownership, and the next block starts in a fresh
+// block-sized buffer — the allocation a copy into the store would have
+// made. Close passes the last buffer on to the next writer. A whole block
+// arriving while the buffer is empty is cut from p directly, and copied.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("hdfs: write to closed writer")
@@ -287,7 +302,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	blockSize := int(w.fs.blockSize)
 	for len(p) > 0 && w.err == nil {
 		if len(w.buf) == 0 && len(p) >= blockSize {
-			w.err = w.cutBlock(p[:blockSize])
+			w.err = w.cutBlock(p[:blockSize], false)
 			p = p[blockSize:]
 			continue
 		}
@@ -301,8 +316,9 @@ func (w *Writer) Write(p []byte) (int, error) {
 		w.buf = append(w.buf, p[:k]...)
 		p = p[k:]
 		if len(w.buf) == blockSize {
-			w.err = w.cutBlock(w.buf)
-			w.buf = w.buf[:0]
+			full := w.buf
+			w.buf = make([]byte, 0, blockSize)
+			w.err = w.cutBlock(full, true)
 		}
 	}
 	if w.err != nil {
@@ -311,7 +327,11 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-func (w *Writer) cutBlock(data []byte) error {
+// cutBlock stores data as the file's next block on every replica. owned
+// hands data itself to the first replica, whose store then holds it: the
+// caller never writes it again. Other replicas, and every replica when
+// not owned, store a copy.
+func (w *Writer) cutBlock(data []byte, owned bool) error {
 	w.fs.mu.Lock()
 	w.fs.nextBlock++
 	id := w.fs.nextBlock
@@ -321,8 +341,10 @@ func (w *Writer) cutBlock(data []byte) error {
 		return ErrNoDataNodes
 	}
 	hosts := make([]string, 0, len(targets))
-	for _, dn := range targets {
-		if err := dn.putBlock(id, data); err != nil {
+	for i, dn := range targets {
+		if i == 0 && owned {
+			dn.adoptBlock(id, data)
+		} else if err := dn.putBlock(id, data); err != nil {
 			return err
 		}
 		hosts = append(hosts, dn.Name())
@@ -342,7 +364,7 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	if len(w.buf) > 0 {
-		if err := w.cutBlock(w.buf); err != nil {
+		if err := w.cutBlock(w.buf, false); err != nil {
 			return err
 		}
 	}

@@ -547,6 +547,88 @@ func TestWriterBuffersAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWriterHandsFullBlocksToStore: a block the writer fills in its own
+// buffer is that buffer in the first replica's store — no copy — while the
+// tail block, the second replica and every block of a later file are
+// copies or fresh buffers, so nothing the writer or its successor writes
+// reaches a stored block. Every block's CRC still verifies.
+func TestWriterHandsFullBlocksToStore(t *testing.T) {
+	const blockSize, piece = 256 << 10, 64 << 10
+	const fileSize = 3*blockSize + blockSize/2
+	for _, repl := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replication %d", repl), func(t *testing.T) {
+			fs := cluster(t, 3, blockSize, repl)
+			data := make([]byte, fileSize)
+			rand.New(rand.NewSource(13)).Read(data)
+			stored := func(bl BlockLocation, replica int) []byte {
+				t.Helper()
+				b, err := fs.byName[bl.Hosts[replica]].store.Get(bl.ID.storeKey())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+
+			w, err := fs.Create("/f", "node1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var filled [][]byte // the writer's buffer as each full block was cut
+			for off := 0; off < len(data); off += piece {
+				before, cut := w.buf, len(w.blocks)
+				if _, err := w.Write(data[off : off+piece]); err != nil {
+					t.Fatal(err)
+				}
+				if len(w.blocks) > cut {
+					filled = append(filled, before)
+				}
+			}
+			tail := w.buf
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A second file starts in the buffer the first one left.
+			if err := fs.WriteFile("/g", "node1", bytes.Repeat([]byte{0xee}, fileSize)); err != nil {
+				t.Fatal(err)
+			}
+
+			info, err := fs.Stat("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(info.Blocks) != 4 || len(filled) != 3 {
+				t.Fatalf("%d blocks, %d cut from a full buffer; want 4 and 3", len(info.Blocks), len(filled))
+			}
+			for i, bl := range info.Blocks {
+				first := stored(bl, 0)
+				if want := data[i*blockSize : min((i+1)*blockSize, fileSize)]; !bytes.Equal(first, want) {
+					t.Fatalf("block %d changed after it was stored", i)
+				}
+				handed := i < len(filled)
+				if handed && &first[0] != &filled[i][0] {
+					t.Errorf("block %d: the first replica stores a copy, not the writer's full buffer", i)
+				}
+				if !handed && &first[0] == &tail[0] {
+					t.Errorf("tail block %d: the store holds the writer's buffer, which the next writer reuses", i)
+				}
+				if repl == 2 {
+					second := stored(bl, 1)
+					if !bytes.Equal(second, first) || &second[0] == &first[0] {
+						t.Errorf("block %d: the second replica is not a copy of the first", i)
+					}
+				}
+			}
+			got, err := fs.ReadFile("/f")
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("round trip mismatch (err=%v)", err)
+			}
+			if rep := fs.Fsck(); !rep.Healthy() || rep.CorruptReplicas != 0 || rep.Replicas != 2*4*repl {
+				t.Fatalf("fsck: %+v", rep)
+			}
+		})
+	}
+}
+
 // TestWriteStraddlingBlockBoundaries covers the writer's three ways in: a
 // tail that completes a buffered block, whole blocks taken straight from
 // the caller's slice, and a remainder left buffered for Close.

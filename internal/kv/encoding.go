@@ -48,6 +48,21 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return r, off + int(kl) + int(vl), nil
 }
 
+// prefetchNext starts loading the first two 64-byte cache lines of b,
+// where the record after the one just decoded begins, without waiting for
+// them. A merge comes back to a source only after every other source had
+// a turn, so by then that record — header, key and, for short records, its
+// value — is in cache, and neither the merge's decode nor the record's
+// consumer waits for memory (DESIGN.md D27).
+func prefetchNext(b []byte) {
+	if len(b) > 0 {
+		prefetch(&b[0])
+		if len(b) > 64 {
+			prefetch(&b[64])
+		}
+	}
+}
+
 // EncodeAll encodes recs back to back into a fresh buffer.
 func EncodeAll(recs []Record) []byte {
 	n := 0
@@ -102,6 +117,7 @@ func (it *BufferIterator) Next() bool {
 	}
 	it.cur = r
 	it.buf = it.buf[n:]
+	prefetchNext(it.buf)
 	return true
 }
 
@@ -273,6 +289,7 @@ func (rr *RunReader) Next() bool {
 	}
 	rr.cur = r
 	rr.body = rr.body[n:]
+	prefetchNext(rr.body)
 	rr.read++
 	if rr.read == rr.count && !rr.checked {
 		rr.checked = true

@@ -85,6 +85,13 @@ type ReduceTaskInfo struct {
 // iterator whose Next blocks until data arrives, so the reduce function
 // overlaps shuffle and merge; a barrier engine (vanilla) returns only
 // after all merges complete.
+//
+// The one-behind rule: the record call n of the iterator's Next returns
+// stays intact until call n + 2 starts — through call n + 1, also when
+// that call ends the stream — or until Close, whichever comes first. The
+// reduce task groups records by holding the newest one where the stream
+// has it (reduceGroups). An engine may give a record's buffer back only
+// after that window, or when the stream has ended in an error.
 type ReduceFetcher interface {
 	Fetch(ctx context.Context) (kv.Iterator, error)
 	// Close releases connections and buffers after the reduce finishes.

@@ -29,9 +29,9 @@ type Mapper func(key, value []byte, emit func(k, v []byte)) error
 
 // Reducer folds all values for one key, emitting output records. values
 // arrive in map-emission order within each map, merged across maps. key
-// and values belong to the framework and are reused after the call
-// returns; a reducer that keeps any of them must copy it. The emitted
-// slices are copied by the framework.
+// and values are read-only views — into the merged shuffle stream or a
+// framework arena — valid only during the call: clone to mutate or to
+// keep. The emitted slices are copied by the framework.
 type Reducer func(key []byte, values [][]byte, emit func(k, v []byte)) error
 
 // IdentityMapper emits its input unchanged — the map function of both

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rdmamr/internal/hdfs"
@@ -78,62 +79,14 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 		return false, e
 	}
 
-	var (
-		outRecords int64
-		inRecords  int64
-	)
+	var outRecords int64
 	emit := func(k, v []byte) {
 		// Errors surface at Close; RunWriter latches the first failure.
 		_ = rw.Write(kv.Record{Key: k, Value: v})
 		outRecords++
 	}
-
-	// Group consecutive equal keys from the merged sorted stream. The
-	// group's values are copied back to back into one arena that is
-	// rewound at each flush, so the reduce function's values are valid
-	// only during its call. Growing the arena leaves earlier values in
-	// the array they were written to, which they keep alive.
-	var (
-		curKey    []byte
-		curValues [][]byte
-		arena     []byte
-		haveGroup bool
-	)
-	flush := func() error {
-		if !haveGroup {
-			return nil
-		}
-		if err := job.Reducer(curKey, curValues, emit); err != nil {
-			return fmt.Errorf("reduce function: %w", err)
-		}
-		curValues = curValues[:0]
-		arena = arena[:0]
-		haveGroup = false
-		return nil
-	}
-	for it.Next() {
-		rec := it.Record()
-		if haveGroup && job.GroupComparator(rec.Key, curKey) != 0 {
-			if err := flush(); err != nil {
-				return abandon(err)
-			}
-		}
-		if !haveGroup {
-			curKey = append(curKey[:0], rec.Key...)
-			haveGroup = true
-		}
-		start := len(arena)
-		arena = append(arena, rec.Value...)
-		curValues = append(curValues, arena[start:len(arena):len(arena)])
-		inRecords++
-		if inRecords%4096 == 0 && ctx.Err() != nil {
-			return abandon(ctx.Err())
-		}
-	}
-	if err := it.Err(); err != nil {
-		return abandon(fmt.Errorf("merged stream: %w", err))
-	}
-	if err := flush(); err != nil {
+	inRecords, err := reduceGroups(ctx, it, job.GroupComparator, job.Reducer, emit)
+	if err != nil {
 		return abandon(err)
 	}
 
@@ -165,4 +118,65 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 	c.counters.Add("reduce.records.out", outRecords)
 	c.counters.Add("reduce.tasks.completed", 1)
 	return true, nil
+}
+
+// reduceGroups hands reduce each run of consecutive records of the merged
+// sorted stream it whose keys compare equal under group — the first
+// record's key and every value in stream order — and returns how many
+// records it read.
+//
+// It reads it by the one-behind rule of ReduceFetcher: the record one Next
+// returned is intact until the Next after the following one starts. So the
+// group's key and its newest value are held where the stream has them, and
+// a group that grows copies what is about to leave that window — the value
+// before the new one and, at the group's second value, its key — into one
+// arena rewound at each call. A group of k values costs k − 1 copies, a
+// unique key none. Growing the arena leaves earlier copies in the array
+// they were written to, which they keep alive.
+func reduceGroups(ctx context.Context, it kv.Iterator, group kv.Comparator, reduce Reducer, emit func(k, v []byte)) (int64, error) {
+	var (
+		key    []byte
+		values [][]byte
+		arena  []byte
+		n      int64
+	)
+	keep := func(b []byte) []byte {
+		start := len(arena)
+		arena = append(arena, b...)
+		return arena[start:len(arena):len(arena)]
+	}
+	flush := func() error {
+		if len(values) == 0 {
+			return nil
+		}
+		err := reduce(key, values, emit)
+		values, arena = values[:0], arena[:0]
+		if err != nil {
+			return fmt.Errorf("reduce function: %w", err)
+		}
+		return nil
+	}
+	for it.Next() {
+		rec := it.Record()
+		if len(values) > 0 && group(rec.Key, key) == 0 {
+			if len(values) == 1 {
+				key = keep(key)
+			}
+			values[len(values)-1] = keep(values[len(values)-1])
+		} else {
+			if err := flush(); err != nil {
+				return n, err
+			}
+			key = slices.Clip(rec.Key)
+		}
+		values = append(values, slices.Clip(rec.Value))
+		n++
+		if n%4096 == 0 && ctx.Err() != nil {
+			return n, ctx.Err()
+		}
+	}
+	if err := it.Err(); err != nil {
+		return n, fmt.Errorf("merged stream: %w", err)
+	}
+	return n, flush()
 }

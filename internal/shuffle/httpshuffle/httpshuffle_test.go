@@ -1,7 +1,9 @@
 package httpshuffle_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -121,6 +123,92 @@ func TestReduceSpillsCleanedUp(t *testing.T) {
 		if got := tt.Store().List("reduce/"); len(got) != 0 {
 			t.Fatalf("%s kept reduce spills: %v", tt.Host(), got)
 		}
+	}
+}
+
+// TestMergedStreamKeepsRecordsOneBehind: the barrier engine's merged
+// stream is views of runs held until Close — fetched bodies in memory, or
+// spilled and compacted runs read in place from the store — so every
+// record is whole when returned, again after the following Next (the one
+// that ends the stream included), and still at the end of the stream: the
+// one-behind rule the reduce task's grouping reads by, and more.
+func TestMergedStreamKeepsRecordsOneBehind(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		memLimit int64
+	}{
+		{"in memory", 0},
+		{"spilled", 2 << 10}, // every body spills; factor 3 compacts them
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conf := config.New()
+			conf.SetInt(config.KeyIOSortFactor, 3)
+			if tc.memLimit > 0 {
+				conf.SetInt(config.KeyShuffleMemLimit, tc.memLimit)
+			}
+			e := httpshuffle.New()
+			c, err := mapred.NewCluster(1, conf, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			tt := c.Trackers()[0]
+			const maps = 8
+			job := mapred.JobInfo{ID: "job_onebehind", Conf: c.Conf(), Comparator: kv.BytesComparator, NumMaps: maps, NumReduces: 1}
+			var want []kv.Record
+			events := make(chan mapred.MapEvent, maps)
+			for m := 0; m < maps; m++ {
+				var recs []kv.Record
+				for i := 0; i < 50+10*m; i++ {
+					recs = append(recs, kv.Record{Key: []byte(fmt.Sprintf("k%04d-m%d", i, m)), Value: []byte(fmt.Sprintf("value %d of map %d", i, m))})
+				}
+				tt.Store().OverwriteOwned(mapred.MapOutputKey(job.ID, m, 0), kv.WriteRun(recs))
+				want = append(want, recs...)
+				events <- mapred.MapEvent{MapID: m, Host: tt.Host()}
+			}
+			close(events)
+			kv.SortRecords(want, kv.BytesComparator)
+
+			f, err := e.NewReduceFetcher(mapred.ReduceTaskInfo{Job: job, Events: events, Local: tt, Hosts: []string{tt.Host()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			it, err := f.Fetch(ctxT(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(n int, rec kv.Record, when string) {
+				t.Helper()
+				if !bytes.Equal(rec.Key, want[n].Key) || !bytes.Equal(rec.Value, want[n].Value) {
+					t.Fatalf("record %d %s = %q/%q, want %q/%q", n, when, rec.Key, rec.Value, want[n].Key, want[n].Value)
+				}
+			}
+			var held []kv.Record
+			for it.Next() {
+				n := len(held)
+				if n > 0 {
+					same(n-1, held[n-1], "one behind")
+				}
+				if n == len(want) {
+					t.Fatalf("more than %d records merged", len(want))
+				}
+				held = append(held, it.Record())
+				same(n, held[n], "as returned")
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(held) != len(want) {
+				t.Fatalf("merged %d records, want %d", len(held), len(want))
+			}
+			for n, rec := range held {
+				same(n, rec, "at end of stream")
+			}
+			if tc.memLimit > 0 && c.Counters().Get("shuffle.copier.disk.spills") == 0 {
+				t.Fatal("no body spilled: the stream was not read from the store")
+			}
+		})
 	}
 }
 

@@ -26,6 +26,14 @@ import (
 // Close belong to one goroutine at a time. B is the engine's handle on one
 // chunk buffer — what a source retires and recycle takes back.
 //
+// Records stay one behind: the record call n of Next returns is intact
+// until call n + 2 starts, or until Close — call n + 1 may return false
+// at end of stream, and the record before it is still whole. A drained
+// chunk is retired during the call after its last record's and given back
+// at the start of the call after that; the buffers the last call retired
+// wait for Close. Only a stream that ends in an error gives back at once,
+// for its consumer reads nothing more.
+//
 // An iterator can be used again after Close: Reset starts it over,
 // keeping its gather arrays, its merger's heap and its spent list, so an
 // engine that keeps one per fetch allocates none of them a second time.
@@ -46,7 +54,7 @@ type Iterator[B any] struct {
 	end     func() // closes the merge window; nil before it opens and after
 	// spent holds the chunk buffers the sources retired during the current
 	// Next. Their records were all returned by earlier calls, so the
-	// following call gives them back.
+	// following call gives them back, or Close after the last one.
 	spent []B
 	err   error
 	done  bool
@@ -67,7 +75,7 @@ type sourceSet struct {
 // must have returned. The wait and every refill the sources make are
 // expected to end when ctx does. recycle takes back retired chunk buffers
 // (nil: they are left to the collector, for a consumer that keeps records
-// past the following Next). window, when not nil, is called as the merge
+// longer than one behind). window, when not nil, is called as the merge
 // starts — sources in hand, priority queue about to be primed — and
 // returns what to call when the stream ends for any reason.
 func (it *Iterator[B]) Reset(ctx context.Context, cmp kv.Comparator, recycle func(B), window func() func()) {
@@ -126,8 +134,7 @@ collect:
 
 // Retire takes a chunk buffer a source has drained. Called from inside the
 // source's Next, which is inside this iterator's: the buffer goes back to
-// the pool on the next call, at end of stream, on error or on Close,
-// whichever comes first.
+// the pool on the next call, on error or on Close, whichever comes first.
 func (it *Iterator[B]) Retire(buf B) {
 	if it.recycle != nil {
 		it.spent = append(it.spent, buf)
@@ -143,11 +150,15 @@ func (it *Iterator[B]) release() {
 	it.spent = it.spent[:0]
 }
 
-// finish ends the stream: nothing returned so far is still owed to the
-// consumer, so the retired buffers go back and the merge window closes.
+// finish ends the stream and closes the merge window. At a clean end the
+// record before the last call is still the consumer's, so what that call
+// retired waits for Close; after an error nothing is owed, and it goes
+// back now.
 func (it *Iterator[B]) finish(err error) {
 	it.done, it.err = true, err
-	it.release()
+	if err != nil {
+		it.release()
+	}
 	if it.end != nil {
 		it.end()
 		it.end = nil
@@ -194,7 +205,8 @@ func (it *Iterator[B]) Next() bool {
 	return false
 }
 
-// Record implements kv.Iterator: valid until the following Next or Close.
+// Record implements kv.Iterator: valid until the Next after the following
+// one starts, or until Close.
 func (it *Iterator[B]) Record() kv.Record { return it.m.Record() }
 
 // Err implements kv.Iterator.
@@ -206,6 +218,7 @@ func (it *Iterator[B]) Err() error { return it.err }
 // and after Gather has returned.
 func (it *Iterator[B]) Close() {
 	it.finish(it.err)
+	it.release()
 	select {
 	case s := <-it.set: // gathered, never started on
 		clear(s.srcs)

@@ -127,9 +127,10 @@ func TestMergesInSourceOrder(t *testing.T) {
 }
 
 // TestSpentBufferRule pins when a retired buffer goes back: not while the
-// call that retired it is returning (the record the consumer just gave up
-// may be in it, and so may nothing else), by the end of the following
-// call, and at end of stream without a further call.
+// call that retired it is returning (the record before that call's may be
+// in it, and it is still the consumer's), by the end of the following
+// call, and — for what the call that ends the stream retired, which holds
+// the last record — at Close.
 func TestSpentBufferRule(t *testing.T) {
 	h := newHarness(context.Background(), true, nil, [][]string{{"a", "b"}, {"c"}})
 	h.deliver()
@@ -149,14 +150,21 @@ func TestSpentBufferRule(t *testing.T) {
 	}
 	step("a")
 	step("b")
-	step("c")                // call 3 retires s0c0 while refilling: still out
-	step("", "s0c0", "s0c1") // call 4 gives it back, and s0c1 at end of stream
+	step("c")        // call 3 retires s0c0 while refilling: still out
+	step("", "s0c0") // call 4 gives it back and retires s0c1, which holds "c"
 	if h.it.Next() {
 		t.Fatal("Next after end of stream")
 	}
+	if len(h.recycled) != 1 {
+		t.Fatalf("Next after end of stream recycled %v", h.recycled)
+	}
+	h.it.Close()
+	if fmt.Sprint(h.recycled) != "[s0c0 s0c1]" {
+		t.Fatalf("Close after end of stream: recycled %v, want [s0c0 s0c1]", h.recycled)
+	}
 	h.it.Close()
 	if len(h.recycled) != 2 {
-		t.Fatalf("Close after end of stream recycled again: %v", h.recycled)
+		t.Fatalf("second Close recycled again: %v", h.recycled)
 	}
 }
 
