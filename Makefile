@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile bench-depth bench-smoke fuzz profile-smoke trace-smoke sched-smoke bench-obs
+.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile fuzz profile-smoke trace-smoke sched-smoke
 
-verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-smoke bench-harness fuzz-seeds alloc-budgets
+verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-harness fuzz-seeds alloc-budgets
 
 # Fail on any file gofmt would rewrite.
 fmt:
@@ -79,14 +79,14 @@ chaos:
 # came out the other side. The JSON goes to /dev/null; the check verdict
 # prints on stderr.
 profile-smoke:
-	$(GO) run ./cmd/mrsim -profile -profile-nodes 3 -profile-mb 2 -profile-reduces 3 -profile-json -profile-check >/dev/null
+	$(GO) run ./cmd/rdmamr profile -nodes 3 -mb 2 -reduces 3 -json -check >/dev/null
 
 # D11 telemetry gate: run a real traced TeraSort, emit the Chrome
 # trace-event JSON, and fail unless it is well-formed (balanced B/E
 # lanes), spans at least two nodes, and shows every lifecycle phase
 # (dispatch, map, fetch, merge, reduce) through the reduce commit.
 trace-smoke:
-	$(GO) run ./cmd/mrsim -trace -trace-nodes 3 -trace-rows 10000 -trace-reduces 3 -trace-check >/dev/null
+	$(GO) run ./cmd/rdmamr trace -nodes 3 -rows 10000 -reduces 3 -check >/dev/null
 
 # D12 multi-tenant gate: two concurrent TeraSorts on one real cluster —
 # shared slot pool, fair-share dispatch, speculative maps, admission at
@@ -95,7 +95,7 @@ trace-smoke:
 # node died, and the JobTracker's admission counters add up. Runs under
 # the race detector: the scheduler is the most concurrent code we have.
 sched-smoke:
-	$(GO) run -race ./cmd/mrsim -sched -sched-check >/dev/null
+	$(GO) run -race ./cmd/rdmamr sched -check >/dev/null
 
 # The repository's benchmark (benchmark/README.md): every workload
 # untraced, the per-layer ladder, then every workload traced, built by
@@ -179,24 +179,6 @@ profile:
 	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkTeraSort/$(ENGINE)$$' -benchtime 10x -o .bench_build/rdmamr.test \
 		-outputdir .bench_build -cpuprofile cpu.pprof -memprofile mem.pprof ./pkg/rdmamr
-
-# D7 overhead proof: the disabled-observability copier hot path must not
-# allocate (0 B/op) or read the clock; the Enabled pair prices what a
-# live profile + trace costs per chunk.
-bench-obs:
-	$(GO) test -run=NONE -bench='ObsOverheadDisabled|ObsOverheadEnabled' ./internal/core/
-
-# One-iteration smoke pass over the go-test benchmarks that are left
-# (chunk-path allocations, ring depth, the D13 connection-scaling
-# model): the gate is that the harnesses build and run, not the numbers.
-bench-smoke:
-	$(GO) test -run=NONE -bench='FetchChunkAllocs' -benchtime=1x ./internal/core/
-	$(GO) test -run=NONE -bench='AblationOutstandingDepth|AblationConnScale' -benchtime=1x .
-
-# D5 ablation: copier outstanding-request depth (bounce-buffer ring).
-bench-depth:
-	$(GO) test -run=NONE -bench=AblationOutstandingDepth .
-	$(GO) test -run=NONE -bench=FetchChunkAllocs ./internal/core/
 
 # Short fuzz pass over every fuzz target: the shuffle wire codecs and
 # batch framing (D23), the map-side collect buffer (kv.SortBuffer against

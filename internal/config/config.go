@@ -30,20 +30,16 @@ const (
 	KeyIOSortMB         = "io.sort.mb"
 	KeyShuffleMemLimit  = "mapred.job.shuffle.input.buffer.bytes"
 	// KeyParallelCopies is the reducer's fetch parallelism. The HTTP
-	// shuffle uses it as its copier-pool size; the RDMA path uses it as
-	// the default bounce-buffer ring depth per host connection when
-	// KeyRDMAOutstandingPerConn is left at 0.
-	KeyParallelCopies = "mapred.reduce.parallel.copies"
-	// KeyRDMAOutstandingPerConn is the RDMA copier's per-host-connection
-	// pipeline depth: the number of registered bounce-buffer slots and
-	// therefore the maximum outstanding DataRequests per TaskTracker
-	// connection. 0 (the default) derives the depth from
-	// KeyParallelCopies; 1 reproduces the old request→wait→copy lockstep.
-	KeyRDMAOutstandingPerConn = "mapred.rdma.outstanding.per.conn"
-	KeyOverlapReduce          = "mapred.rdma.overlap.reduce"
-	KeyHTTPPacketBytes        = "mapred.shuffle.http.packet.size"
-	KeyCachePriorityMode      = "mapred.rdma.prefetch.cache.policy"
-	KeySpeculativeMaps        = "mapred.map.tasks.speculative.execution"
+	// shuffle uses it as its copier-pool size; the RDMA copier uses it as
+	// its pipeline depth per host connection: the number of registered
+	// bounce-buffer slots, hence the maximum outstanding DataRequests per
+	// TaskTracker connection. 1 reproduces the old request→wait→copy
+	// lockstep.
+	KeyParallelCopies    = "mapred.reduce.parallel.copies"
+	KeyOverlapReduce     = "mapred.rdma.overlap.reduce"
+	KeyHTTPPacketBytes   = "mapred.shuffle.http.packet.size"
+	KeyCachePriorityMode = "mapred.rdma.prefetch.cache.policy"
+	KeySpeculativeMaps   = "mapred.map.tasks.speculative.execution"
 	// KeyRDMAConnectRetries is the copier's transient-failure retry
 	// budget per host: how many reconnect attempts (and re-issues of the
 	// failed connection's in-flight requests) before the host is declared
@@ -128,44 +124,43 @@ const (
 // TaskTracker (§IV), 64 KB default HTTP packet (§III-B.2), 256 MB blocks
 // for TeraSort on OSU-IB (§IV-B), io.sort.factor 10 (Hadoop 0.20 default).
 var defaults = map[string]string{
-	KeyRDMAEnabled:            "false",
-	KeyCachingEnabled:         "true",
-	KeyRDMAPacketBytes:        "131072", // 128 KB RDMA packet
-	KeyKVPairsPerPacket:       "1024",
-	KeyResponderThreads:       "8",
-	KeyPrefetchThreads:        "4",
-	KeyPrefetchCacheCap:       strconv.Itoa(256 << 20),
-	KeyBlockSize:              strconv.Itoa(256 << 20),
-	KeyReplication:            "1",
-	KeyMapSlots:               "4",
-	KeyReduceSlots:            "4",
-	KeyIOSortFactor:           "10",
-	KeyIOSortMB:               strconv.Itoa(100 << 20),
-	KeyShuffleMemLimit:        strconv.Itoa(140 << 20),
-	KeyParallelCopies:         "5",
-	KeyRDMAOutstandingPerConn: "0", // 0 = follow KeyParallelCopies
-	KeyOverlapReduce:          "true",
-	KeyHTTPPacketBytes:        "65536", // 64 KB, the default packet the paper cites
-	KeyCachePriorityMode:      "priority",
-	KeySpeculativeMaps:        "false",
-	KeyRDMAConnectRetries:     "4",
-	KeyRDMABackoffBase:        "2",     // ms
-	KeyRDMABackoffMax:         "200",   // ms
-	KeyRDMARequestTimeout:     "30000", // ms; 0 disables the deadline
-	KeyRDMAReadLeaseTimeout:   "30000",
-	KeyTrackerExpiry:          "10000", // ms
-	KeyMapMaxAttempts:         "4",
-	KeyReduceMaxAttempts:      "4",
-	KeySpeculativeReduces:     "false",
-	KeyObsProfile:             "false",
-	KeyObsHTTPAddr:            "",
-	KeyObsTrace:               "false",
-	KeyJTMaxRunning:           "4",
-	KeyJTCacheJobQuota:        "0", // 0 = no per-job cache isolation
-	KeyRDMAConnCacheMax:       "16",
-	KeyRDMAConnIdleTimeout:    "1000", // ms; 0 = connections never idle out
-	KeyRDMAMRBudget:           "0",    // 0 = unlimited pinned slab bytes
-	KeyRDMAMRSlabBytes:        strconv.Itoa(8 << 20),
+	KeyRDMAEnabled:          "false",
+	KeyCachingEnabled:       "true",
+	KeyRDMAPacketBytes:      "131072", // 128 KB RDMA packet
+	KeyKVPairsPerPacket:     "1024",
+	KeyResponderThreads:     "8",
+	KeyPrefetchThreads:      "4",
+	KeyPrefetchCacheCap:     strconv.Itoa(256 << 20),
+	KeyBlockSize:            strconv.Itoa(256 << 20),
+	KeyReplication:          "1",
+	KeyMapSlots:             "4",
+	KeyReduceSlots:          "4",
+	KeyIOSortFactor:         "10",
+	KeyIOSortMB:             strconv.Itoa(100 << 20),
+	KeyShuffleMemLimit:      strconv.Itoa(140 << 20),
+	KeyParallelCopies:       "5",
+	KeyOverlapReduce:        "true",
+	KeyHTTPPacketBytes:      "65536", // 64 KB, the default packet the paper cites
+	KeyCachePriorityMode:    "priority",
+	KeySpeculativeMaps:      "false",
+	KeyRDMAConnectRetries:   "4",
+	KeyRDMABackoffBase:      "2",     // ms
+	KeyRDMABackoffMax:       "200",   // ms
+	KeyRDMARequestTimeout:   "30000", // ms; 0 disables the deadline
+	KeyRDMAReadLeaseTimeout: "30000",
+	KeyTrackerExpiry:        "10000", // ms
+	KeyMapMaxAttempts:       "4",
+	KeyReduceMaxAttempts:    "4",
+	KeySpeculativeReduces:   "false",
+	KeyObsProfile:           "false",
+	KeyObsHTTPAddr:          "",
+	KeyObsTrace:             "false",
+	KeyJTMaxRunning:         "4",
+	KeyJTCacheJobQuota:      "0", // 0 = no per-job cache isolation
+	KeyRDMAConnCacheMax:     "16",
+	KeyRDMAConnIdleTimeout:  "1000", // ms; 0 = connections never idle out
+	KeyRDMAMRBudget:         "0",    // 0 = unlimited pinned slab bytes
+	KeyRDMAMRSlabBytes:      strconv.Itoa(8 << 20),
 }
 
 // Config is a concurrency-safe key/value configuration. The zero value is
@@ -316,16 +311,16 @@ func (c *Config) Validate() error {
 		{KeyMapSlots, 1},
 		{KeyReduceSlots, 1},
 		{KeyIOSortFactor, 2},
-		{KeyParallelCopies, 1},
 		{KeyHTTPPacketBytes, 1024},
 	} {
 		if v := c.Int(ck.key); v < ck.min {
 			return fmt.Errorf("config: %s = %d below minimum %d", ck.key, v, ck.min)
 		}
 	}
-	if v := c.Int(KeyRDMAOutstandingPerConn); v < 0 || v > 4096 {
-		return fmt.Errorf("config: %s = %d outside [0, 4096] (0 follows %s)",
-			KeyRDMAOutstandingPerConn, v, KeyParallelCopies)
+	// The RDMA copier sizes a ring of this many packet-sized slots per
+	// host connection, and a slot's tag keeps its low 16 bits.
+	if v := c.Int(KeyParallelCopies); v < 1 || v > 4096 {
+		return fmt.Errorf("config: %s = %d outside [1, 4096]", KeyParallelCopies, v)
 	}
 	if v := c.Int(KeyRDMAConnectRetries); v < 0 || v > 1000 {
 		return fmt.Errorf("config: %s = %d outside [0, 1000] (0 = no retries, escalate immediately)",

@@ -100,21 +100,22 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestValidateOutstandingPerConn(t *testing.T) {
+// TestValidateParallelCopies bounds the reducer's fetch parallelism: the
+// RDMA copier sizes a ring of that many packet-sized slots per host
+// connection, and a slot's tag keeps only its low 16 bits, so 70 000
+// would ask for a 13 GiB ring whose tags alias.
+func TestValidateParallelCopies(t *testing.T) {
 	c := New()
-	if c.Int(KeyRDMAOutstandingPerConn) != 0 {
-		t.Fatal("outstanding.per.conn must default to 0 (follow parallel.copies)")
-	}
-	for _, ok := range []int64{0, 1, 8, 4096} {
-		c.SetInt(KeyRDMAOutstandingPerConn, ok)
+	for _, ok := range []int64{1, 8, 4096} {
+		c.SetInt(KeyParallelCopies, ok)
 		if err := c.Validate(); err != nil {
-			t.Fatalf("depth %d rejected: %v", ok, err)
+			t.Fatalf("parallel copies %d rejected: %v", ok, err)
 		}
 	}
-	for _, bad := range []int64{-1, 4097} {
-		c.SetInt(KeyRDMAOutstandingPerConn, bad)
+	for _, bad := range []int64{0, -1, 4097, 70000} {
+		c.SetInt(KeyParallelCopies, bad)
 		if err := c.Validate(); err == nil {
-			t.Fatalf("depth %d accepted", bad)
+			t.Fatalf("parallel copies %d accepted", bad)
 		}
 	}
 }

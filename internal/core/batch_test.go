@@ -43,7 +43,7 @@ func (h *ringHarness) fetchAllQueued(ctx context.Context) {
 func TestBatchedRequestsWarmEagerFetch(t *testing.T) {
 	const maps, depth = 16, 5
 	conf := plantConf(false)
-	conf.SetInt(config.KeyRDMAOutstandingPerConn, depth)
+	conf.SetInt(config.KeyParallelCopies, depth)
 	h := plantHarness(t, conf, maps, 4<<10)
 	h.drain() // warm: the plane's endpoint is dialed
 	c := h.tt.Counters()
@@ -102,7 +102,7 @@ func TestBatchSeveredMidWriteReissuesOnce(t *testing.T) {
 	for _, k := range []int{1, depth} {
 		t.Run(fmt.Sprintf("write-%d-of-%d", k, depth), func(t *testing.T) {
 			conf := plantConf(false)
-			conf.SetInt(config.KeyRDMAOutstandingPerConn, depth)
+			conf.SetInt(config.KeyParallelCopies, depth)
 			h := plantHarness(t, conf, maps, 4<<10)
 			h.drain()
 			c := h.tt.Counters()

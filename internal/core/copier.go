@@ -483,7 +483,7 @@ func (ps *pendingSlot) busy() bool { return ps.req.seg != nil }
 // registered bounce-buffer slots the responder RDMA-writes eager packets
 // into. A READ lands in a payload block instead (D21), and in its slot
 // only when the registered-memory budget refused the block.
-// Up to depth requests are outstanding per connection — one per slot —
+// Up to depth requests are in flight per connection — one per slot —
 // and responses carry the lease-scoped slot tag, so chunk fetches for
 // different segments on the same host complete out of order while each
 // segment's own byte stream stays ordered (a segment never has more than
@@ -1622,15 +1622,9 @@ type fetcher struct {
 func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	conf := task.Job.Conf
 	packet := int(conf.Int(config.KeyRDMAPacketBytes))
-	depth := int(conf.Int(config.KeyRDMAOutstandingPerConn))
-	if depth <= 0 {
-		// The paper's mapred.reduce.parallel.copies governs reducer fetch
-		// parallelism; on the RDMA path it sets the default ring depth.
-		depth = int(conf.Int(config.KeyParallelCopies))
-	}
-	if depth < 1 {
-		depth = 1
-	}
+	// The paper's mapred.reduce.parallel.copies governs reducer fetch
+	// parallelism; on the RDMA path it is the ring depth.
+	depth := max(int(conf.Int(config.KeyParallelCopies)), 1)
 	prof := task.Local.ProfileFor(task.Job.ID)
 	c := task.Local.Counters()
 	f := &fetcher{

@@ -138,7 +138,7 @@ func stressConf(depth int64) *config.Config {
 	conf.SetBool(config.KeyRDMAEnabled, true)
 	conf.SetInt(config.KeyRDMAPacketBytes, 2048) // many chunks per segment
 	conf.SetInt(config.KeyKVPairsPerPacket, 16)
-	conf.SetInt(config.KeyRDMAOutstandingPerConn, depth)
+	conf.SetInt(config.KeyParallelCopies, depth)
 	return conf
 }
 
@@ -201,13 +201,11 @@ func TestRingDepthOneLockstep(t *testing.T) {
 	}
 }
 
-// TestRingDefaultDepthFollowsParallelCopies: with the depth key at its 0
-// default, the ring sizes itself from mapred.reduce.parallel.copies —
-// the knob that was dead on the RDMA path before.
+// TestRingDefaultDepthFollowsParallelCopies: the ring sizes itself from
+// mapred.reduce.parallel.copies — the knob that was dead on the RDMA path
+// before.
 func TestRingDefaultDepthFollowsParallelCopies(t *testing.T) {
-	conf := stressConf(0)
-	conf.SetInt(config.KeyParallelCopies, 3)
-	h := newRingHarness(t, conf, 4, 20)
+	h := newRingHarness(t, stressConf(3), 4, 20)
 	events := make(chan mapred.MapEvent)
 	close(events)
 	f := newFetcher(mapred.ReduceTaskInfo{
@@ -217,33 +215,5 @@ func TestRingDefaultDepthFollowsParallelCopies(t *testing.T) {
 	defer f.Close()
 	if f.depth != 3 {
 		t.Fatalf("depth = %d, want 3 (from %s)", f.depth, config.KeyParallelCopies)
-	}
-}
-
-// BenchmarkFetchChunkAllocs measures the steady-state allocation cost of
-// the chunk path. The payload pool plus the registered-ring pool should
-// amortize per-chunk allocations to ~0 once warm: allocs/op is dominated
-// by fixed per-fetcher setup, and the reported allocs/chunk metric stays
-// well below one allocation per delivered packet.
-func BenchmarkFetchChunkAllocs(b *testing.B) {
-	h := newRingHarness(b, stressConf(4), 8, 200)
-	ctx := context.Background()
-	h.fetch(ctx) // warm the payload and ring pools
-	chunks := h.tt.Counters().Get("shuffle.rdma.packets")
-	misses := h.tt.Counters().Get("shuffle.rdma.payload.pool.misses")
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.fetch(ctx)
-	}
-	b.StopTimer()
-	totalChunks := h.tt.Counters().Get("shuffle.rdma.packets") - chunks
-	totalMisses := h.tt.Counters().Get("shuffle.rdma.payload.pool.misses") - misses
-	if b.N > 0 && totalChunks > 0 {
-		b.ReportMetric(float64(totalChunks)/float64(b.N), "chunks/op")
-		// The headline claim: once warm, chunk payloads come from the
-		// pool, not the allocator.
-		b.ReportMetric(float64(totalMisses)/float64(totalChunks), "payload-allocs/chunk")
 	}
 }

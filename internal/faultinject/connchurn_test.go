@@ -30,7 +30,7 @@ import (
 // Run under -race by the `make chaos` gate.
 func TestConnCacheChurnChaos(t *testing.T) {
 	conf := testConf()
-	conf.SetInt(config.KeyRDMAOutstandingPerConn, 4)
+	conf.SetInt(config.KeyParallelCopies, 4)
 	conf.SetInt(config.KeyRDMAConnectRetries, 8)
 	conf.SetInt(config.KeyRDMARequestTimeout, 5000)
 	// The churn screws: cache capped below the remote-host count, idle

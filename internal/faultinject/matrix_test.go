@@ -21,7 +21,7 @@ import (
 func matrixRun(t *testing.T, depth int64, opts faultinject.Options, wrap func(mapred.ShuffleEngine) mapred.ShuffleEngine) (*mapred.JobResult, *faultinject.Engine) {
 	t.Helper()
 	conf := testConf()
-	conf.SetInt(config.KeyRDMAOutstandingPerConn, depth)
+	conf.SetInt(config.KeyParallelCopies, depth)
 	// Headroom above the chaos fault caps below, so a run that should
 	// self-heal never exhausts a request's budget by bad luck.
 	conf.SetInt(config.KeyRDMAConnectRetries, 8)

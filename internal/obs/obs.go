@@ -8,8 +8,8 @@
 // handle and recorder in this package is nil-tolerant: a nil *Registry
 // hands out nil *Counter/*Gauge/*Histogram, and every method on a nil
 // receiver is a no-op that performs zero allocations — the disabled
-// fast path the shuffle hot loops rely on (see
-// BenchmarkObsOverheadDisabled in internal/core).
+// fast path the shuffle hot loops rely on (see TestObsDisabledZeroAllocs
+// in internal/core).
 package obs
 
 import (

@@ -215,38 +215,6 @@ func TestEngineNamesDistinct(t *testing.T) {
 	}
 }
 
-func BenchmarkFunctionalEngines(b *testing.B) {
-	// Functional-plane wall-clock comparison (E8): not the paper's
-	// figure-scale numbers (those come from internal/sim), but the
-	// relative ordering of real record movement through the three shuffle
-	// paths on identical jobs.
-	for name, mk := range engines() {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c, err := mapred.NewCluster(3, engineConf(), mk())
-				if err != nil {
-					b.Fatal(err)
-				}
-				fs := c.FS()
-				paths, err := workload.TeraGen(fs, "/in", 3000, 32<<10, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := c.RunJob(context.Background(), &mapred.Job{
-					Name: fmt.Sprintf("bench%d", i), Input: paths, Output: fmt.Sprintf("/out%d", i),
-					InputFormat: mapred.TeraInput, NumReduces: 6,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				c.Close()
-			}
-		})
-	}
-}
-
 // TestStreamingEnginesOrderEqualKeysByMap pins the order of records whose
 // keys compare equal on the two engines that merge remote segments
 // directly: by map id, then by emission order within the map — the order

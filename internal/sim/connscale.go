@@ -37,7 +37,7 @@ type ConnScaleParams struct {
 	Nodes          int
 	ReducesPerNode int // concurrent reduce tasks per node (reduce slots)
 	FetchWindow    int // mapred.reduce.parallel.copies
-	RingDepth      int // mapred.rdma.outstanding.per.conn
+	RingDepth      int // ring slots per host connection (mapred.reduce.parallel.copies)
 	PacketBytes    int // mapred.rdma.packet.size (ring slot size)
 	CacheMax       int // mapred.rdma.conn.cache.max
 }
@@ -50,7 +50,7 @@ const (
 	csSRQDepth    = 512     // ucr.SRQDepth: per-device pre-posted receives
 	csLegacyRecvs = 128     // pre-SRQ per-endpoint receive ring (ringDepth in the old ucr.go)
 	csSlabBytes   = 8 << 20 // mrpool.DefaultSlabBytes: pinning granularity
-	csRingDepth   = 4       // default outstanding.per.conn
+	csRingDepth   = 4       // ring depth at the paper-tuned parallel copies
 	csPacketBytes = 128 << 10
 	csCacheMax    = 16 // default conn.cache.max
 	csFetchWindow = 4  // paper-tuned parallel copies
@@ -132,7 +132,7 @@ func ConnScale(p ConnScaleParams) ConnScalePoint {
 
 // ConnScaleSweep evaluates the model at each cluster size with the
 // default (paper-tuned) per-node configuration — the series behind
-// BenchmarkAblationConnScale and the README scaling table.
+// TestConnScalingSubLinear and the README scaling table.
 func ConnScaleSweep(nodes []int) []ConnScalePoint {
 	out := make([]ConnScalePoint, 0, len(nodes))
 	for _, n := range nodes {

@@ -114,9 +114,9 @@ type Params struct {
 	FetchWindow int
 
 	// FetchDepth is the OSU copier's per-host-connection pipeline depth
-	// (mapred.rdma.outstanding.per.conn): the number of bounce-buffer
-	// ring slots, hence the maximum outstanding requests per TaskTracker
-	// connection. It scales the residual per-chunk stall the no-cache
+	// (mapred.reduce.parallel.copies on the RDMA path): the number of
+	// bounce-buffer ring slots, hence the maximum outstanding requests per
+	// TaskTracker connection. It scales the residual per-chunk stall the no-cache
 	// merge path exposes — deeper rings hide more of the round trip.
 	// 0 means Calib.FetchDepthRef (the calibrated default), keeping
 	// hand-built Params and all published figures unchanged.

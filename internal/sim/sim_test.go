@@ -211,6 +211,23 @@ func TestFetchDepthAblation(t *testing.T) {
 	}
 }
 
+// TestBlockSizeInteriorOptimum backs the paper's §IV tuning claim ("we
+// have identified the optimal values of HDFS block-size"). Block size
+// sets the map count; for the OSU design on an 8-node, 100 GB TeraSort
+// the optimum is interior: 128 MiB blocks beat both 64 and 256 MiB.
+func TestBlockSizeInteriorOptimum(t *testing.T) {
+	at := func(mib float64) float64 {
+		p := DefaultParams(OSUIB, fabric.IBVerbs, storage.HDD1, TeraSort, 8, 100e9)
+		p.BlockSize = mib * (1 << 20)
+		return run(t, p).JobSeconds
+	}
+	s64, s128, s256 := at(64), at(128), at(256)
+	t.Logf("job seconds at 64/128/256 MiB blocks: %.0f / %.0f / %.0f", s64, s128, s256)
+	if s128 >= s64 || s128 >= s256 {
+		t.Fatalf("128 MiB blocks (%.0fs) not faster than 64 MiB (%.0fs) and 256 MiB (%.0fs)", s128, s64, s256)
+	}
+}
+
 func TestDeterministic(t *testing.T) {
 	p := DefaultParams(OSUIB, fabric.IBVerbs, storage.HDD1, TeraSort, 4, 20e9)
 	a, b := run(t, p), run(t, p)

@@ -29,7 +29,7 @@ const (
 // ProfiledSort runs an in-process Sort benchmark on the OSU-IB RDMA
 // engine with shuffle profiling enabled, validates the output, and
 // returns the result; JobResult.Profile carries the report. This is the
-// one-call "show me the overlap" entry point behind `mrsim -profile`
+// one-call "show me the overlap" entry point behind `rdmamr profile`
 // and `make profile-smoke`.
 func ProfiledSort(ctx context.Context, nodes int, totalBytes int64, reduces int) (*JobResult, error) {
 	if nodes < 2 {

@@ -63,10 +63,9 @@ const (
 	KeyBlockSize        = config.KeyBlockSize
 	KeyMapSlots         = config.KeyMapSlots
 	KeyReduceSlots      = config.KeyReduceSlots
-	// KeyRDMAOutstandingPerConn sets the RDMA copier's bounce-buffer ring
-	// depth per host connection (0 = follow KeyParallelCopies).
-	KeyRDMAOutstandingPerConn = config.KeyRDMAOutstandingPerConn
-	KeyParallelCopies         = config.KeyParallelCopies
+	// KeyParallelCopies sets the reducer's fetch parallelism: the RDMA
+	// copier's bounce-buffer ring depth per host connection.
+	KeyParallelCopies = config.KeyParallelCopies
 	// Multi-tenant JobTracker keys (README "Multi-tenant scheduling").
 	KeyJTMaxRunning    = config.KeyJTMaxRunning
 	KeyJTCacheJobQuota = config.KeyJTCacheJobQuota

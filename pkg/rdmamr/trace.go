@@ -18,7 +18,7 @@ type JobTrace = obs.JobTrace
 
 // TraceStats summarizes a validated Chrome trace (event counts per
 // phase/category, distinct nodes) — the assertion surface behind
-// `mrsim -trace-check` and `make trace-smoke`.
+// `rdmamr trace -check` and `make trace-smoke`.
 type TraceStats = obs.TraceStats
 
 // KeyObsTrace enables job-lifecycle tracing; off by default and nearly
@@ -35,7 +35,7 @@ func ValidateChromeTrace(raw []byte) (*TraceStats, error) {
 // TracedTeraSort runs an in-process TeraSort on the OSU-IB RDMA engine
 // with job-lifecycle tracing enabled, validates the output, and returns
 // the result; JobResult.Trace carries the trace. This is the one-call
-// "show me the timeline" entry point behind `mrsim -trace` and
+// "show me the timeline" entry point behind `rdmamr trace` and
 // `make trace-smoke`.
 func TracedTeraSort(ctx context.Context, nodes int, rows int64, reduces int) (*JobResult, error) {
 	if nodes < 2 {
