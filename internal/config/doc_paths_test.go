@@ -17,13 +17,17 @@ var repoPathRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(?:\./)?((?:cmd|inter
 // goFileRe matches a backticked bare Go file name, optionally with a line.
 var goFileRe = regexp.MustCompile("`([A-Za-z0-9_]+\\.go)(?::[0-9]+)?`")
 
+// roadmapItemRe matches a ROADMAP item named by its number.
+var roadmapItemRe = regexp.MustCompile(`ROADMAP item [0-9]`)
+
 // TestDocPathsExist keeps the prose honest about the tree, the way
 // TestConfigKeysMatchDocs keeps it honest about the keys: every repository
 // path README, DESIGN, EXPERIMENTS and the verify skill mention exists (a
 // trailing :line or Go selector such as pkg/rdmamr.EngineByName is
-// dropped; a glob must match something), and every backticked bare *.go
-// name is some file's name. Delete or move code and this fails until the
-// docs follow.
+// dropped; a glob must match something), every backticked bare *.go
+// name is some file's name, and no ROADMAP item is named by its number,
+// which every re-anchor of ROADMAP.md renumbers. Delete or move code and
+// this fails until the docs follow.
 func TestDocPathsExist(t *testing.T) {
 	root := filepath.Join("..", "..")
 	goFiles := map[string]bool{}
@@ -68,6 +72,9 @@ func TestDocPathsExist(t *testing.T) {
 					continue
 				}
 				t.Errorf("%s:%d names %s, which does not exist", doc, n+1, p)
+			}
+			if roadmapItemRe.MatchString(line) {
+				t.Errorf("%s:%d names a ROADMAP item by number; name it by its subject", doc, n+1)
 			}
 			for _, m := range goFileRe.FindAllStringSubmatch(line, -1) {
 				if !goFiles[m[1]] {

@@ -12,10 +12,10 @@ import (
 // batch, held slots); the host index; and the merged stream with its
 // gather arrays and merge heap. Fetchers share arenas (DESIGN.md D26):
 // Close gives the arena back to the process's free list once every pump
-// has exited, cleared, and the next Fetch takes it. Nothing in an arena
-// is bound to a device — hostPeers sets each peer's fetcher and health
-// again on every Fetch — and live connection state (leases, rings, pumps)
-// is never in it.
+// has exited, cleared, and the next Fetch takes it. A given-back arena
+// holds no fetcher and nothing bound to a device — hostPeers sets each
+// peer's fetcher and health again on every Fetch, and the closed stream
+// drops its recycle func — and live connection state is never in it.
 type fetchArena struct {
 	segs   []segment
 	peers  []hostPeer
@@ -89,10 +89,10 @@ func (a *fetchArena) hostPeers(f *fetcher, hosts []string) map[string]*hostPeer 
 	if a.byHost == nil {
 		a.byHost = make(map[string]*hostPeer, len(hosts))
 	}
-	dev := f.task.Local.Device()
+	plane := planeOf(f.task.Local)
 	for i, host := range hosts {
 		p := &a.peers[i]
-		p.f, p.host, p.health = f, host, healthFor(dev, host)
+		p.f, p.host, p.health = f, host, plane.healthOf(host)
 		if p.wake == nil {
 			p.wake = make(chan struct{}, 1)
 		}

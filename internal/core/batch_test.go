@@ -19,7 +19,7 @@ import (
 // the queue is full.
 func (h *ringHarness) fetchAllQueued(ctx context.Context) {
 	h.t.Helper()
-	ph := healthFor(h.tt.Device(), h.tt.Host())
+	ph := planeOf(h.tt).healthOf(h.tt.Host())
 	ph.mu.Lock()
 	held := true
 	defer func() {

@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
+	"rdmamr/internal/config"
+	"rdmamr/internal/mapred"
+	"rdmamr/internal/obs"
 	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
@@ -27,77 +32,79 @@ import (
 // leases attached is never evicted — in-flight RDMA (including D9 READ
 // leases) always finishes or fails on transport terms, not cache terms.
 
-// defaultConnCacheMax and defaultConnIdle mirror the config defaults for
-// planes used before any fetcher configures them.
-const (
-	defaultConnCacheMax = 16
-	defaultConnIdle     = time.Second
-)
-
 // errConnEvicted is the cause recorded when the plane reclaims an idle
 // connection. Never observed by a lease: only refs==0 conns are evicted.
 var errConnEvicted = errors.New("core: connection evicted from cache")
 
-var connPlanes sync.Map // map[*verbs.Device]*connPlane
+type planeKey struct{}
 
-// planeFor returns the device's connection plane, creating it on first
-// use. One plane per device for the life of the process.
-func planeFor(dev *verbs.Device) *connPlane {
-	if p, ok := connPlanes.Load(dev); ok {
-		return p.(*connPlane)
-	}
-	p, _ := connPlanes.LoadOrStore(dev, &connPlane{
-		conns:  make(map[string]*sharedConn),
-		maxFor: defaultConnCacheMax,
-		idle:   defaultConnIdle,
-		now:    time.Now,
-	})
-	return p.(*connPlane)
+// planeOf returns the connection plane of tt's device, made from the
+// tracker's conf and counters the first time a fetcher on the node asks.
+// The device keeps it, and its Close closes it before the slab pool.
+func planeOf(tt *mapred.TaskTracker) *connPlane {
+	return tt.Device().Value(planeKey{}, func() any {
+		conf := tt.Conf()
+		return newConnPlane(int(conf.Int(config.KeyRDMAConnCacheMax)),
+			time.Duration(conf.Int(config.KeyRDMAConnIdleTimeout))*time.Millisecond, tt.Counters())
+	}).(*connPlane)
 }
 
-// connPlane is the per-device endpoint multiplexer and LRU cache.
+// connPlane is the per-device endpoint multiplexer and LRU cache, and
+// the node's record of every remote host's health.
 type connPlane struct {
 	mu     sync.Mutex
 	conns  map[string]*sharedConn
+	health map[string]*peerHealth
 	genSeq uint64
-	maxFor int // LRU cap on cached connections
-	idle   time.Duration
+	maxFor int           // LRU cap on cached connections
+	idle   time.Duration // 0: connections never idle out
 	now    func() time.Time
 
-	counters *stats.Counters
+	cOpened, cReused, cEvicted, cStrays *obs.Counter
 }
 
-// configure applies fetcher policy (last writer wins — fetchers on one
-// node share one config in practice). Zero values leave settings as-is.
-func (p *connPlane) configure(maxConns int, idle time.Duration, c *stats.Counters) {
-	p.mu.Lock()
-	if maxConns > 0 {
-		p.maxFor = maxConns
-	}
-	if idle > 0 {
-		p.idle = idle
-	}
-	if c != nil {
-		p.counters = c
-	}
-	p.mu.Unlock()
-}
-
-func (p *connPlane) count(name string, d int64) {
-	p.mu.Lock()
-	c := p.counters
-	p.mu.Unlock()
-	if c != nil {
-		c.Add(name, d)
+func newConnPlane(maxConns int, idle time.Duration, c *stats.Counters) *connPlane {
+	return &connPlane{
+		conns:    make(map[string]*sharedConn),
+		health:   make(map[string]*peerHealth),
+		maxFor:   maxConns,
+		idle:     idle,
+		now:      time.Now,
+		cOpened:  c.Handle("shuffle.rdma.conn.opened"),
+		cReused:  c.Handle("shuffle.rdma.conn.reused"),
+		cEvicted: c.Handle("shuffle.rdma.conn.evicted"),
+		cStrays:  c.Handle("shuffle.rdma.conn.strays"),
 	}
 }
 
-// open reports live (cached) connections — the sub-linear-scaling gauge
-// the sim sweep and the plane tests assert on.
-func (p *connPlane) open() int {
+// healthOf returns the node's health record for host, which every
+// fetcher on the node shares (D6).
+func (p *connPlane) healthOf(host string) *peerHealth {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.conns)
+	ph := p.health[host]
+	if ph == nil {
+		ph = &peerHealth{}
+		p.health[host] = ph
+	}
+	return ph
+}
+
+// Close closes every cached connection whose dial has settled, failing
+// any lease still on it, so its endpoint gives back its send block.
+func (p *connPlane) Close() {
+	p.mu.Lock()
+	conns := slices.Collect(maps.Values(p.conns))
+	p.mu.Unlock()
+	for _, sc := range conns {
+		select {
+		case <-sc.ready:
+			if sc.ep != nil {
+				sc.kill(ucr.ErrClosed)
+			}
+		default: // still dialing, on a closed fabric
+		}
+	}
 }
 
 // acquire returns a lease on the shared connection to host, dialing it
@@ -141,7 +148,7 @@ func (p *connPlane) acquire(ctx context.Context, host string, buf int, dial func
 			sc.ep = ep
 			ep.SetHandler(sc)
 			close(sc.ready)
-			p.count("shuffle.rdma.conn.opened", 1)
+			p.cOpened.Add(1)
 		} else {
 			select {
 			case <-sc.ready:
@@ -179,7 +186,7 @@ func (p *connPlane) acquire(ctx context.Context, host string, buf int, dial func
 		sc.lastUse = p.now()
 		sc.mu.Unlock()
 		if !created {
-			p.count("shuffle.rdma.conn.reused", 1)
+			p.cReused.Add(1)
 		}
 		p.enforceCap()
 		return l, sc.gen, nil
@@ -291,7 +298,7 @@ func (p *connPlane) finishEvict(victims []*sharedConn) {
 		if sc.ep != nil {
 			sc.ep.Close()
 		}
-		p.count("shuffle.rdma.conn.evicted", 1)
+		p.cEvicted.Add(1)
 	}
 }
 
@@ -420,7 +427,7 @@ func (sc *sharedConn) Frame(frame []byte) {
 			break
 		}
 		if l == nil {
-			sc.plane.count("shuffle.rdma.conn.strays", 1)
+			sc.plane.cStrays.Add(1)
 			continue
 		}
 		select {
@@ -463,9 +470,6 @@ type connLease struct {
 // space. The responder echoes it verbatim; Frame routes on the high
 // half, the hostConn books slots on the low half.
 func (l *connLease) Tag(slot uint32) uint32 { return l.seq<<16 | slot&0xffff }
-
-// Gen identifies the underlying connection incarnation (health dedupe).
-func (l *connLease) Gen() uint64 { return l.sc.gen }
 
 // Send delivers a message on the shared endpoint.
 func (l *connLease) Send(ctx context.Context, b []byte) error { return l.sc.ep.Send(ctx, b) }

@@ -20,8 +20,8 @@ import (
 // planeHarness stands up a real ucr fabric with one client device and an
 // echo responder per "host": whatever bytes a lease sends come straight
 // back, so a test can inject any tagged frame it likes and watch the
-// pump route it. Each harness gets fresh devices, hence a fresh plane —
-// planeFor is process-global, keyed by device.
+// pump route it. Each harness has its own plane, with the given cap and
+// idle timeout.
 type planeHarness struct {
 	t      *testing.T
 	fab    *ucr.Fabric
@@ -35,7 +35,7 @@ type planeHarness struct {
 	dials map[string]int
 }
 
-func newPlaneHarness(t *testing.T) *planeHarness {
+func newPlaneHarness(t *testing.T, maxConns int, idle time.Duration) *planeHarness {
 	t.Helper()
 	fab := ucr.NewFabric()
 	dev, err := fab.NewDevice(t.Name() + "-client")
@@ -44,12 +44,20 @@ func newPlaneHarness(t *testing.T) *planeHarness {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	c := &stats.Counters{}
 	h := &planeHarness{
-		t: t, fab: fab, dev: dev, plane: planeFor(dev),
-		c: &stats.Counters{}, ctx: ctx, cancel: cancel,
+		t: t, fab: fab, dev: dev, plane: newConnPlane(maxConns, idle, c),
+		c: c, ctx: ctx, cancel: cancel,
 		dials: make(map[string]int),
 	}
 	return h
+}
+
+// open reports live (cached) connections.
+func (p *connPlane) open() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns)
 }
 
 // serve registers an echo responder for host and returns once it accepts.
@@ -149,8 +157,7 @@ func (h *planeHarness) echo(via, on *connLease, tag uint32) *wire.DataResponse {
 // frame to the lease owning its high 16 bits — even when the frame was
 // sent through the other lease's handle (same endpoint underneath).
 func TestConnPlaneSharesEndpoint(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 
 	l1 := h.acquire("tt1")
@@ -168,7 +175,7 @@ func TestConnPlaneSharesEndpoint(t *testing.T) {
 		t.Fatalf("opened=%d reused=%d, want 1/1",
 			h.c.Get("shuffle.rdma.conn.opened"), h.c.Get("shuffle.rdma.conn.reused"))
 	}
-	if l1.Gen() != l2.Gen() {
+	if l1.sc.gen != l2.sc.gen {
 		t.Fatal("leases on one connection report different generations")
 	}
 	if l1.Tag(3)>>16 == l2.Tag(3)>>16 {
@@ -193,8 +200,7 @@ func TestConnPlaneSharesEndpoint(t *testing.T) {
 // lease's last in the frame is marked as followed. A nested batch is a
 // protocol violation that kills the connection under every lease.
 func TestConnPlaneSplitsBatchByTag(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 	l1 := h.acquire("tt1")
 	l2 := h.acquire("tt1")
@@ -248,8 +254,7 @@ func TestConnPlaneSplitsBatchByTag(t *testing.T) {
 // TestConnPlaneSingleflightDial: concurrent acquirers to an undailed host
 // share exactly one dial; the losers wait on ready and count as reuses.
 func TestConnPlaneSingleflightDial(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 
 	const n = 8
@@ -291,8 +296,7 @@ func TestConnPlaneSingleflightDial(t *testing.T) {
 // acquirer with a non-zero generation (so health dedupe can charge the
 // failure once) and leaves nothing cached — the next acquire redials.
 func TestConnPlaneDialFailureSharedOnce(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 
 	boom := errors.New("no route to tt9")
 	var dials atomic.Int64
@@ -325,8 +329,7 @@ func TestConnPlaneDialFailureSharedOnce(t *testing.T) {
 // TestConnPlaneLRUCapEvictsOldestIdle: over the cap, the plane retires
 // the least-recently-used connection among those with no leases.
 func TestConnPlaneLRUCapEvictsOldestIdle(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(2, time.Hour, h.c)
+	h := newPlaneHarness(t, 2, time.Hour)
 	clock := time.Unix(1000, 0)
 	h.plane.now = func() time.Time { return clock }
 	for _, host := range []string{"ttA", "ttB", "ttC"} {
@@ -358,8 +361,7 @@ func TestConnPlaneLRUCapEvictsOldestIdle(t *testing.T) {
 // its ring MR teardown. The plane trims back down only once the lease
 // closes.
 func TestConnPlaneBusyConnSurvivesCap(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(1, time.Hour, h.c)
+	h := newPlaneHarness(t, 1, time.Hour)
 	clock := time.Unix(2000, 0)
 	h.plane.now = func() time.Time { return clock }
 	for _, host := range []string{"ttA", "ttB", "ttC"} {
@@ -403,8 +405,7 @@ func TestConnPlaneBusyConnSurvivesCap(t *testing.T) {
 // TestConnPlaneIdleSweep: a connection nobody has leased for the idle
 // timeout is retired by the opportunistic sweep at the next lease close.
 func TestConnPlaneIdleSweep(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(8, 50*time.Millisecond, h.c)
+	h := newPlaneHarness(t, 8, 50*time.Millisecond)
 	clock := time.Unix(3000, 0)
 	h.plane.now = func() time.Time { return clock }
 	h.serve("ttA")
@@ -430,8 +431,7 @@ func TestConnPlaneIdleSweep(t *testing.T) {
 // counted and dropped, not delivered to anyone — the late-responder-write
 // case the D13 design note calls out.
 func TestConnPlaneStrayFrames(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 
 	dead := h.acquire("tt1")
@@ -460,8 +460,7 @@ func TestConnPlaneStrayFrames(t *testing.T) {
 // are delivered before the connection's cause of death surfaces, so no
 // acknowledged payload is lost to a later failure.
 func TestConnLeaseDrainsBufferedOnDeath(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 
 	l := h.acquire("tt1")
@@ -507,10 +506,9 @@ func TestConnLeaseDrainsBufferedOnDeath(t *testing.T) {
 // sweep (1ns idle, cap 1, two hosts) against hammering acquirers drives
 // exactly that interleaving.
 func TestConnPlaneEvictionNeverFailsAttachedLease(t *testing.T) {
-	h := newPlaneHarness(t)
+	h := newPlaneHarness(t, 1, time.Nanosecond)
 	h.serve("evict-a")
 	h.serve("evict-b")
-	h.plane.configure(1, time.Nanosecond, h.c)
 	hosts := []string{"evict-a", "evict-b"}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -548,8 +546,7 @@ func TestConnPlaneEvictionNeverFailsAttachedLease(t *testing.T) {
 // else — a lease on another host's connection, fed by the same device
 // pump, still receives.
 func TestConnPlaneStalledLeaseDoesNotStallOthers(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 	h.serve("tt2")
 	stalled := h.acquire("tt1")
@@ -593,8 +590,7 @@ func TestConnPlaneStalledLeaseDoesNotStallOthers(t *testing.T) {
 // lease's own: after every receive buffer on the device has been reposted
 // and overwritten by later frames, both read exactly as they were sent.
 func TestConnPlaneRoutedAnswerOutlivesReceiveBuffer(t *testing.T) {
-	h := newPlaneHarness(t)
-	h.plane.configure(4, time.Hour, h.c)
+	h := newPlaneHarness(t, 4, time.Hour)
 	h.serve("tt1")
 	l := h.acquire("tt1")
 	defer l.Close(false, nil)

@@ -828,7 +828,7 @@ func (f *fetcher) dialConn(ctx context.Context, p *hostPeer) (*hostConn, uint64,
 	local := f.task.Local
 	dev := local.Device()
 	// A lease never has more than depth answers outstanding, one per slot.
-	lease, gen, err := planeFor(dev).acquire(ctx, host, f.depth, func(ctx context.Context) (*ucr.EndPoint, error) {
+	lease, gen, err := planeOf(local).acquire(ctx, host, f.depth, func(ctx context.Context) (*ucr.EndPoint, error) {
 		return local.Fabric().Connect(ctx, dev, host, ServiceName)
 	})
 	if err != nil {
@@ -1553,11 +1553,8 @@ type fetcher struct {
 	backoffMax     time.Duration
 	reqTimeout     time.Duration
 
-	// Connection-plane policy (D13): quiet connections retire after
-	// connIdle (0 = never), and the device's shared-endpoint cache holds
-	// at most connCacheMax dialed hosts.
-	connIdle     time.Duration
-	connCacheMax int
+	// Quiet connections retire after connIdle (0 = never, D13).
+	connIdle time.Duration
 
 	// prof is the job's shuffle profile, or nil when profiling is off —
 	// the nil is the disabled fast path: every time.Now() and span
@@ -1638,7 +1635,6 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 		backoffMax:     time.Duration(conf.Int(config.KeyRDMABackoffMax)) * time.Millisecond,
 		reqTimeout:     time.Duration(conf.Int(config.KeyRDMARequestTimeout)) * time.Millisecond,
 		connIdle:       time.Duration(conf.Int(config.KeyRDMAConnIdleTimeout)) * time.Millisecond,
-		connCacheMax:   int(conf.Int(config.KeyRDMAConnCacheMax)),
 		prof:           prof,
 		wake:           make(chan struct{}, 1),
 	}
@@ -1685,16 +1681,9 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	if f.prof != nil || f.tr != nil {
 		window = f.mergeWindow
 	}
-	dev := f.task.Local.Device()
 	f.arena = arenas.get()
 	f.it = &f.arena.it
 	f.it.Reset(ctx, f.task.Job.Comparator, recycle, window)
-
-	// Configure the device-wide connection plane and wire the slab
-	// accountant into this node's counters. Last writer wins, which is
-	// fine: every fetcher on a node reads the same job conf keys.
-	planeFor(dev).configure(f.connCacheMax, f.connIdle, f.task.Local.Counters())
-	mrpool.For(dev).SetCounters(f.task.Local.Counters())
 
 	// The shuffle window for this reduce opens now; deliveries extend it.
 	// Its open edge is also the TTFB origin.

@@ -185,7 +185,7 @@ func TestCopierIdleRetirementRedialsLazily(t *testing.T) {
 // the segment reaches RecoverMap at once instead of after the embargo.
 func TestCopierLossNoticeEndsAdmissionWait(t *testing.T) {
 	h := newRingHarness(t, stressConf(2), 1, 10)
-	ph := healthFor(h.tt.Device(), h.tt.Host())
+	ph := planeOf(h.tt).healthOf(h.tt.Host())
 	// The supervisor reads the health clock to size its admission wait:
 	// that read is the signal that the wait is about to begin.
 	asked := make(chan struct{})
@@ -445,9 +445,8 @@ func TestCopierSeededChaosMultiHost(t *testing.T) {
 // same device observes a non-zero admission delay before its first dial.
 func TestCopierBlacklistSharedAcrossFetchers(t *testing.T) {
 	h := newRingHarness(t, stressConf(2), 2, 10)
-	dev := h.tt.Device()
 	c := h.tt.Counters()
-	ph := healthFor(dev, h.tt.Host())
+	ph := planeOf(h.tt).healthOf(h.tt.Host())
 	for i := 0; i < blacklistAfter; i++ {
 		ph.recordFailure(c)
 	}
@@ -455,7 +454,7 @@ func TestCopierBlacklistSharedAcrossFetchers(t *testing.T) {
 		t.Fatalf("blacklist.trips = %d after %d consecutive failures", c.Get("shuffle.rdma.blacklist.trips"), blacklistAfter)
 	}
 	// Another fetcher on the same device sees the embargo...
-	if d := healthFor(dev, h.tt.Host()).admissionDelay(); d <= 0 {
+	if d := planeOf(h.tt).healthOf(h.tt.Host()).admissionDelay(); d <= 0 {
 		t.Fatal("second fetcher saw no admission delay from the shared blacklist")
 	}
 	// ...and successes decay the penalty back down.

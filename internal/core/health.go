@@ -37,32 +37,6 @@ func transientErr(err error) bool {
 		errors.Is(err, errProtocol)
 }
 
-// nodeHealth shares per-remote-host health across every fetcher on a
-// local device: when a tracker starts dying, the first fetcher to trip
-// its blacklist makes every other reduce task on this node back off too,
-// instead of each rediscovering the failure serially. Keyed by device
-// pointer so entries can never leak across emulated nodes.
-var nodeHealth sync.Map // map[*verbs.Device]*healthTracker
-
-type healthTracker struct {
-	mu    sync.Mutex
-	peers map[string]*peerHealth
-}
-
-// healthFor returns the shared health record for host as seen from dev.
-func healthFor(dev *verbs.Device, host string) *peerHealth {
-	v, _ := nodeHealth.LoadOrStore(dev, &healthTracker{peers: make(map[string]*peerHealth)})
-	ht := v.(*healthTracker)
-	ht.mu.Lock()
-	defer ht.mu.Unlock()
-	ph := ht.peers[host]
-	if ph == nil {
-		ph = &peerHealth{}
-		ht.peers[host] = ph
-	}
-	return ph
-}
-
 // Blacklist policy: after blacklistAfter consecutive failures the host
 // is embargoed for a penalty that doubles per trip (capped) and halves
 // per subsequent success — a decaying memory of flakiness.
@@ -97,18 +71,13 @@ func (ph *peerHealth) clock() time.Time {
 	return time.Now()
 }
 
-// recordFailure notes a connection-level failure and returns the new
+// recordFailureGen notes a connection-level failure and returns the new
 // consecutive-failure count. Crossing the blacklist threshold embargoes
-// the host and bumps the shuffle.rdma.blacklist.trips counter.
-func (ph *peerHealth) recordFailure(c *stats.Counters) int {
-	return ph.recordFailureGen(0, c)
-}
-
-// recordFailureGen is recordFailure deduplicated by shared-connection
-// generation: the first fetcher to report a given incarnation's death
-// scores it, later sharers are no-ops (gen 0 = not shared, always
-// scores). Without this, one severed endpoint would multiply blacklist
-// penalties by the number of fetchers leasing it.
+// the host and bumps the shuffle.rdma.blacklist.trips counter. It is
+// deduplicated by shared-connection generation: the first fetcher to
+// report a given incarnation's death scores it, later sharers are no-ops
+// (gen 0 = not shared, always scores). Without this, one severed endpoint
+// would multiply blacklist penalties by the number of fetchers leasing it.
 func (ph *peerHealth) recordFailureGen(gen uint64, c *stats.Counters) int {
 	ph.mu.Lock()
 	defer ph.mu.Unlock()
@@ -131,15 +100,10 @@ func (ph *peerHealth) recordFailureGen(gen uint64, c *stats.Counters) int {
 	return ph.consecFails
 }
 
-// recordSuccess clears the consecutive-failure streak and decays the
-// accumulated penalty.
-func (ph *peerHealth) recordSuccess() {
-	ph.recordSuccessGen(0)
-}
-
-// recordSuccessGen is recordSuccess deduplicated by shared-connection
-// generation, mirroring recordFailureGen: one working incarnation decays
-// the penalty once, not once per fetcher sharing it.
+// recordSuccessGen clears the consecutive-failure streak and decays the
+// accumulated penalty, deduplicated by shared-connection generation like
+// recordFailureGen: one working incarnation decays the penalty once, not
+// once per fetcher sharing it.
 func (ph *peerHealth) recordSuccessGen(gen uint64) {
 	ph.mu.Lock()
 	defer ph.mu.Unlock()
@@ -151,13 +115,6 @@ func (ph *peerHealth) recordSuccessGen(gen uint64) {
 	}
 	ph.consecFails = 0
 	ph.penalty /= 2
-}
-
-// penaltyNow reports the accumulated blacklist penalty (test hook).
-func (ph *peerHealth) penaltyNow() time.Duration {
-	ph.mu.Lock()
-	defer ph.mu.Unlock()
-	return ph.penalty
 }
 
 // admissionDelay returns how long a fetcher should wait before dialing

@@ -7,6 +7,19 @@ import (
 	"rdmamr/internal/stats"
 )
 
+// recordFailure is recordFailureGen outside any shared connection.
+func (ph *peerHealth) recordFailure(c *stats.Counters) int { return ph.recordFailureGen(0, c) }
+
+// recordSuccess is recordSuccessGen outside any shared connection.
+func (ph *peerHealth) recordSuccess() { ph.recordSuccessGen(0) }
+
+// penaltyNow reports the accumulated blacklist penalty.
+func (ph *peerHealth) penaltyNow() time.Duration {
+	ph.mu.Lock()
+	defer ph.mu.Unlock()
+	return ph.penalty
+}
+
 // fakeClock drives peerHealth deterministically — no sleeps anywhere.
 type fakeClock struct{ t time.Time }
 
@@ -129,14 +142,16 @@ func TestHealthAdmissionDelayEdges(t *testing.T) {
 	}
 }
 
+// TestHealthForSharesPerDeviceAndHost: a node keeps one health record per
+// remote host, on its device's connection plane, and different hosts
+// never share one.
 func TestHealthForSharesPerDeviceAndHost(t *testing.T) {
 	h := newRingHarness(t, stressConf(2), 1, 4)
-	dev := h.tt.Device()
-	a := healthFor(dev, "nodeA")
-	if healthFor(dev, "nodeA") != a {
+	a := planeOf(h.tt).healthOf("nodeA")
+	if planeOf(h.tt).healthOf("nodeA") != a {
 		t.Fatal("same device+host must share one record")
 	}
-	if healthFor(dev, "nodeB") == a {
+	if planeOf(h.tt).healthOf("nodeB") == a {
 		t.Fatal("different hosts must not share a record")
 	}
 }

@@ -31,9 +31,6 @@ func New() *Sim { return &Sim{} }
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Processed returns the number of events executed so far.
-func (s *Sim) Processed() uint64 { return s.processed }
-
 // SetEventLimit makes Run panic after n events, catching accidental
 // infinite event loops in models. Zero disables the limit.
 func (s *Sim) SetEventLimit(n uint64) { s.limit = n }

@@ -89,9 +89,6 @@ func (p *TotalOrderPartitioner) Partition(key []byte, n int) int {
 	return min(lo, n-1)
 }
 
-// Splits returns the partitioner's split points (not copied).
-func (p *TotalOrderPartitioner) Splits() [][]byte { return p.splits }
-
 // SortRecords sorts recs in place by key under cmp, with a stable order so
 // equal keys preserve input (map emission) order as Hadoop's sort does.
 func SortRecords(recs []Record, cmp Comparator) {

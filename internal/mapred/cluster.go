@@ -348,10 +348,10 @@ func (c *Cluster) decommission(ti int, host string) {
 	_ = c.server(ti).Close()
 }
 
-// Close shuts down the liveness monitor, the shuffle servers and then the
-// fabric's device receive pumps, failing whatever end-points are still
-// open on them (the copier side's cached connections): a closed cluster
-// leaves no goroutine behind.
+// Close shuts down the liveness monitor, the shuffle servers, the fabric's
+// device receive pumps (failing the copier side's cached end-points) and
+// last each tracker's device with what is kept on it: a closed cluster
+// leaves no goroutine and no registered memory behind.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -373,6 +373,9 @@ func (c *Cluster) Close() {
 		_ = s.Close()
 	}
 	c.fabric.Close()
+	for _, tt := range c.trackers {
+		tt.Device().Close()
+	}
 }
 
 // JobResult summarizes a completed job.

@@ -37,17 +37,15 @@ const DefaultSlabBytes = 8 << 20
 // blockAlign keeps carves cache-line aligned; tiny allocations round up.
 const blockAlign = 64
 
-var pools sync.Map // *verbs.Device → *Pool
+type poolKey struct{}
 
 // For returns the device's pool, creating it on first use. One pool per
-// device for the life of the process: every subsystem on the device
-// allocates (and is accounted) here.
+// device, kept on the device and closed by its Close: every subsystem on
+// the device allocates (and is accounted) here.
 func For(dev *verbs.Device) *Pool {
-	if p, ok := pools.Load(dev); ok {
-		return p.(*Pool)
-	}
-	p, _ := pools.LoadOrStore(dev, &Pool{dev: dev, slabBytes: DefaultSlabBytes})
-	return p.(*Pool)
+	return dev.Value(poolKey{}, func() any {
+		return &Pool{dev: dev, slabBytes: DefaultSlabBytes}
+	}).(*Pool)
 }
 
 // Pool is a per-device slab allocator over registered memory.
@@ -62,9 +60,8 @@ type Pool struct {
 	inUse     int64 // bytes currently allocated out
 	blocks    int64 // blocks currently allocated out
 	byClass   map[string]int64
+	closed    bool
 
-	counters *stats.Counters
-	cPinned  int64 // pinned bytes already mirrored into counters
 	// Handles into counters, resolved by SetCounters: a carve moves one,
 	// and looks no name up. Nil until then, which counts nothing.
 	hPinned, hAllocs, hFailures *obs.Counter
@@ -90,21 +87,19 @@ func (p *Pool) Configure(budgetBytes, slabBytes int64) {
 }
 
 // SetCounters mirrors the accountant into a counter set
-// (mr.slab.bytes.pinned, mr.slab.allocs, mr.slab.failures). Pinned
-// bytes registered before the call are replayed so the gauge is
-// absolute, not a partial delta.
+// (mr.slab.bytes.pinned, mr.slab.allocs, mr.slab.failures), once: a later
+// call changes nothing. Pinned bytes registered before the first call are
+// replayed so the gauge is absolute, not a partial delta.
 func (p *Pool) SetCounters(c *stats.Counters) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c == nil || p.counters == c {
+	if p.hPinned != nil {
 		return
 	}
-	p.counters = c
 	p.hPinned = c.Handle("mr.slab.bytes.pinned")
 	p.hAllocs = c.Handle("mr.slab.allocs")
 	p.hFailures = c.Handle("mr.slab.failures")
-	p.hPinned.Add(p.pinned - p.cPinned)
-	p.cPinned = p.pinned
+	p.hPinned.Add(p.pinned)
 }
 
 // Alloc carves an n-byte block attributed to class. The block is backed
@@ -153,24 +148,36 @@ func (p *Pool) alloc(n int, class string, remote bool) (*Block, error) {
 	return blk, nil
 }
 
-// carve finds (or registers) a slab with a free span of rounded bytes.
-// Caller holds p.mu.
+// carve, under p.mu, takes rounded bytes from the end of the highest free
+// span if small, from the start of the lowest if large (a ring), so small
+// blocks never split a ring's hole; with no span, it registers a slab.
 func (p *Pool) carve(rounded int) (*slab, int, error) {
-	for _, s := range p.slabs {
-		for i, sp := range s.free {
-			if sp.n >= rounded {
+	small := int64(rounded)*16 < p.slabBytes
+	for i := range p.slabs {
+		if small {
+			i = len(p.slabs) - 1 - i
+		}
+		s := p.slabs[i]
+		for j := range s.free {
+			if small {
+				j = len(s.free) - 1 - j
+			}
+			if sp := &s.free[j]; sp.n >= rounded {
 				off := sp.off
-				if sp.n == rounded {
-					s.free = append(s.free[:i], s.free[i+1:]...)
+				if sp.n -= rounded; small {
+					off += sp.n
 				} else {
-					s.free[i] = span{off: sp.off + rounded, n: sp.n - rounded}
+					sp.off += rounded
+				}
+				if sp.n == 0 {
+					s.free = append(s.free[:j], s.free[j+1:]...)
 				}
 				return s, off, nil
 			}
 		}
 	}
 	size := p.slabBytes
-	if int64(rounded) > size {
+	if 2*int64(rounded) >= size { // half a slab or more: a slab of its own
 		size = int64(rounded)
 	}
 	if p.budget > 0 && p.pinned+size > p.budget {
@@ -185,22 +192,36 @@ func (p *Pool) carve(rounded int) (*slab, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &slab{mr: mr}
-	if int(size) > rounded {
-		s.free = []span{{off: rounded, n: int(size) - rounded}}
-	}
-	p.slabs = append(p.slabs, s)
+	p.slabs = append(p.slabs, &slab{mr: mr, free: []span{{n: int(size)}}})
 	p.pinned += size
-	if p.counters != nil {
-		p.hPinned.Add(size)
-		p.cPinned = p.pinned
+	p.hPinned.Add(size)
+	return p.carve(rounded)
+}
+
+// Close deregisters every slab and empties the books: the device is
+// closing, and the blocks still out go with it. A Free after Close
+// changes nothing, and an Alloc fails on the closed device.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
 	}
-	return s, 0, nil
+	p.closed = true
+	for _, s := range p.slabs {
+		_ = s.mr.Deregister()
+	}
+	p.hPinned.Add(-p.pinned)
+	p.slabs, p.byClass = nil, nil
+	p.pinned, p.inUse, p.blocks = 0, 0, 0
 }
 
 func (p *Pool) release(b *Block) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
 	// The free list stays sorted and coalesced, so a release only needs
 	// a binary search for the insertion point and a merge with at most
 	// the two adjacent spans — not a full re-sort (release runs under

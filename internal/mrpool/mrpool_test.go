@@ -101,7 +101,15 @@ func TestBudgetEnforced(t *testing.T) {
 	c := &stats.Counters{}
 	p.SetCounters(c)
 	p.Configure(1<<16, 1<<16)
-	a, err := p.Alloc(1<<15, "q")
+	a, err := p.Alloc(1<<14, "q") // under half a slab: it shares one
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Get("mr.slab.bytes.pinned"); got != 1<<16 {
+		t.Fatalf("bytes.pinned = %d after a small carve, want one slab %d", got, 1<<16)
+	}
+	a.Free()
+	a, err = p.Alloc(1<<14, "q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +143,74 @@ func TestOversizeAllocGetsDedicatedSlab(t *testing.T) {
 		t.Fatalf("len = %d", len(blk.Bytes()))
 	}
 	blk.Free()
+}
+
+// TestHalfSlabCarveGetsOwnSlab: a carve of half a slab or more is
+// registered on its own, sized to it, and the carves after it share a
+// full slab instead of the half it would have left.
+func TestHalfSlabCarveGetsOwnSlab(t *testing.T) {
+	p := testPool(t, 1<<16)
+	big, err := p.Alloc(1<<15, "ucr.recv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.PinnedBytes() != 1<<15 {
+		t.Fatalf("pinned = %d after a half-slab carve, want %d", p.PinnedBytes(), 1<<15)
+	}
+	var rings []*Block
+	for range 4 {
+		r, err := p.Alloc(15<<10, "ring")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings = append(rings, r)
+	}
+	if want := int64(1<<15 + 1<<16); p.PinnedBytes() != want {
+		t.Fatalf("pinned = %d, want the half-slab carve plus one slab, %d", p.PinnedBytes(), want)
+	}
+	for _, r := range rings {
+		r.Free()
+	}
+	big.Free()
+}
+
+// TestSmallCarvesLeaveRingHolesWhole: small blocks carved while rings
+// come and go take the top of the slab, so a freed ring's hole stays a
+// ring's size and the next rings fit without a second slab. First fit
+// put the small block at the start of the hole and registered a slab.
+func TestSmallCarvesLeaveRingHolesWhole(t *testing.T) {
+	p := testPool(t, 1<<16)
+	const ring = 15 << 10 // large: a sixteenth of a slab or more
+	s1, _ := p.Alloc(512, "send")
+	var rings []*Block
+	for range 4 {
+		r, err := p.Alloc(ring, "ring")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings = append(rings, r)
+	}
+	rings[0].Free()
+	rings[1].Free()
+	s2, _ := p.Alloc(512, "stage")
+	for i := range 2 {
+		r, err := p.Alloc(ring, "ring")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings[i] = r
+	}
+	if p.PinnedBytes() != 1<<16 {
+		t.Fatalf("pinned = %d, want one slab: a small carve split a ring's hole", p.PinnedBytes())
+	}
+	for _, r := range rings {
+		r.Free()
+	}
+	s1.Free()
+	s2.Free()
+	if p.OutstandingBlocks() != 0 || p.InUseBytes() != 0 {
+		t.Fatalf("blocks %d, in use %d after every free", p.OutstandingBlocks(), p.InUseBytes())
+	}
 }
 
 // TestAttributionByClass tracks per-subsystem in-use bytes.
@@ -263,5 +339,44 @@ func TestFreeCoalescesOutOfOrder(t *testing.T) {
 	big.Free()
 	if p.InUseBytes() != 0 || p.OutstandingBlocks() != 0 {
 		t.Fatalf("leak: inUse=%d blocks=%d", p.InUseBytes(), p.OutstandingBlocks())
+	}
+}
+
+// TestCloseDeregistersAndForgets: closing the device closes its pool, which
+// deregisters every slab and empties its books and gauge. A block freed
+// after that changes nothing and does not panic, and nothing more can be
+// carved.
+func TestCloseDeregistersAndForgets(t *testing.T) {
+	dev, err := verbs.NewNetwork().NewDevice("mrpool-close")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := For(dev)
+	if For(dev) != p {
+		t.Fatal("For returned a second pool for the device")
+	}
+	c := &stats.Counters{}
+	p.SetCounters(c)
+	kept, err := p.AllocRemote(4096, "kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Alloc(64, "leaked"); err != nil {
+		t.Fatal(err)
+	}
+	dev.Close()
+	if !kept.MR().Dead() {
+		t.Fatal("slab still registered after the device closed")
+	}
+	kept.Free()
+	if p.PinnedBytes() != 0 || p.InUseBytes() != 0 || p.OutstandingBlocks() != 0 || len(p.Attribution()) != 0 {
+		t.Fatalf("closed pool: pinned %d, in use %d, %d blocks (%v), want nothing",
+			p.PinnedBytes(), p.InUseBytes(), p.OutstandingBlocks(), p.Attribution())
+	}
+	if got := c.Get("mr.slab.bytes.pinned"); got != 0 {
+		t.Fatalf("mr.slab.bytes.pinned = %d after Close, want 0", got)
+	}
+	if _, err := p.Alloc(64, "late"); !errors.Is(err, verbs.ErrClosed) {
+		t.Fatalf("Alloc after Close = %v, want verbs.ErrClosed", err)
 	}
 }

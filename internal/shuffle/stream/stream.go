@@ -213,9 +213,10 @@ func (it *Iterator[B]) Record() kv.Record { return it.m.Record() }
 func (it *Iterator[B]) Err() error { return it.err }
 
 // Close ends the stream wherever it stands and drops every reference the
-// iterator holds to sources and chunk buffers: only its arrays are left,
-// for Reset. The engine's Close calls it after the consumer's last Next
-// and after Gather has returned.
+// iterator holds to sources, chunk buffers and the engine (its context,
+// comparator, recycle and window funcs): only its arrays are left, for
+// Reset. The engine's Close calls it after the consumer's last Next and
+// after Gather has returned.
 func (it *Iterator[B]) Close() {
 	it.finish(it.err)
 	it.release()
@@ -225,4 +226,5 @@ func (it *Iterator[B]) Close() {
 	default:
 	}
 	it.m.Reset(nil)
+	it.ctx, it.cmp, it.recycle, it.window = nil, nil, nil, nil
 }

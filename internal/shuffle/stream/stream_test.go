@@ -328,7 +328,8 @@ func TestWindowSpansTheMerge(t *testing.T) {
 // TestResetAfterClose: an iterator closed at any point — drained, or
 // gathered and never started — starts over after Reset and merges new
 // sources as a new one would, holding no source of its previous use in its
-// gather arrays or its set.
+// gather arrays or its set, and nothing of the engine that used it: no
+// context, comparator, recycle or window func.
 func TestResetAfterClose(t *testing.T) {
 	h := newHarness(context.Background(), true, nil, [][]string{{"a", "c"}}, [][]string{{"b"}})
 	h.deliver()
@@ -350,6 +351,9 @@ func TestResetAfterClose(t *testing.T) {
 		if len(h.it.set) != 0 {
 			t.Fatalf("%s: a gathered set survived", when)
 		}
+		if h.it.ctx != nil || h.it.cmp != nil || h.it.recycle != nil || h.it.window != nil {
+			t.Fatalf("%s: the closed iterator still holds its engine's context, comparator, recycle or window", when)
+		}
 	}
 	cleared("drained")
 
@@ -357,7 +361,7 @@ func TestResetAfterClose(t *testing.T) {
 	// takes a new harness's sources.
 	it := h.it
 	h = newHarness(context.Background(), false, nil, [][]string{{"x"}}, [][]string{{"w", "y"}})
-	it.Reset(context.Background(), nil, nil, nil)
+	it.Reset(context.Background(), kv.BytesComparator, func([]byte) {}, func() func() { return func() {} })
 	h.it = it
 	for _, src := range h.srcs {
 		src.it = it

@@ -103,9 +103,11 @@ func TestPeerDeathClassifiedAsTransport(t *testing.T) {
 // TestCloseReleasesRegions: endpoint churn (connect/close in a loop, as
 // the self-healing copier does on reconnect) must not leak registered
 // memory — every end-point's send carve goes back to the device's slab
-// pool at Close, and only the device-lifetime SRQ buffer stays.
+// pool at Close, and only the SRQ buffer stays, until the fabric's Close
+// gives that back too.
 func TestCloseReleasesRegions(t *testing.T) {
-	cep, sep := connected(t)
+	f := NewFabric()
+	cep, sep := connectedOn(t, f)
 	pool := mrpool.For(cep.dev)
 	baseline := pool.InUseBytes()
 	cep.Close()
@@ -118,6 +120,13 @@ func TestCloseReleasesRegions(t *testing.T) {
 	}
 	if attr := pool.Attribution()["ucr.send"]; attr != 0 {
 		t.Fatalf("ucr.send attribution = %d bytes after Close, want 0", attr)
+	}
+	f.Close()
+	for _, dev := range []*verbs.Device{cep.dev, sep.dev} {
+		p := mrpool.For(dev)
+		if attr := p.Attribution(); len(attr) != 0 || p.OutstandingBlocks() != 0 {
+			t.Fatalf("%s: %d blocks (%v) still out after Fabric.Close, want none", dev.Name(), p.OutstandingBlocks(), attr)
+		}
 	}
 }
 

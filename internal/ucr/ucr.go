@@ -140,7 +140,7 @@ func NewFabric() *Fabric {
 // registered with them, as a dead receive plane does: a locally closed
 // end-point reports ErrClosed, a live one ErrTransport. Afterwards no
 // end-point can be created on the fabric. Close returns once every pump
-// has exited.
+// has exited and its receive buffer is back in the device's pool.
 func (f *Fabric) Close() {
 	f.drMu.Lock()
 	f.closed = true
@@ -154,6 +154,8 @@ func (f *Fabric) Close() {
 	for _, dr := range drs {
 		dr.stop()
 		<-dr.done
+		dr.srq.Close()
+		dr.buf.Free()
 	}
 }
 

@@ -24,7 +24,12 @@ func ctxT(t *testing.T) context.Context {
 // "svc" on "server", plus the accepted server endpoint.
 func connected(t *testing.T) (*EndPoint, *EndPoint) {
 	t.Helper()
-	f := NewFabric()
+	return connectedOn(t, NewFabric())
+}
+
+// connectedOn is connected on the fabric f.
+func connectedOn(t *testing.T, f *Fabric) (*EndPoint, *EndPoint) {
+	t.Helper()
 	sdev, err := f.NewDevice("server")
 	if err != nil {
 		t.Fatal(err)

@@ -493,7 +493,8 @@ func (qp *QueuePair) executeSend(wr *SendWR, sgl []SGE, total int, peer *Device,
 	qp.complete(wr, okStatus, total)
 }
 
-// Close shuts the device down, destroying its QPs.
+// Close shuts the device down: it closes the values kept on it (Value),
+// the latest first, then destroys its QPs.
 func (d *Device) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -501,6 +502,14 @@ func (d *Device) Close() {
 		return
 	}
 	d.closed = true
+	vals := d.vals
+	d.mu.Unlock()
+	for i := len(vals) - 1; i >= 0; i-- {
+		if c, ok := vals[i].v.(interface{ Close() }); ok {
+			c.Close()
+		}
+	}
+	d.mu.Lock()
 	qps := make([]*QueuePair, 0, len(d.qps))
 	for _, qp := range d.qps {
 		qps = append(qps, qp)

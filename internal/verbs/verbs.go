@@ -292,6 +292,25 @@ type Device struct {
 	qps     map[uint32]*QueuePair
 	nextQPN uint32
 	closed  bool
+	vals    []struct{ key, v any } // Value's, in order of creation
+}
+
+// Value returns the value the layers above keep on the device under key,
+// made by mk on first use (mk must not use the device). The device owns
+// it: Close closes it, if it has a Close method, after every value made
+// later and before the device's queue pairs, so the state a layer keeps
+// per node lives and dies with the node's device.
+func (d *Device) Value(key any, mk func() any) any {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, kv := range d.vals {
+		if kv.key == key {
+			return kv.v
+		}
+	}
+	v := mk()
+	d.vals = append(d.vals, struct{ key, v any }{key, v})
+	return v
 }
 
 // Name returns the device name (its network address).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -409,5 +410,36 @@ func TestStringers(t *testing.T) {
 		if s.String() == "" {
 			t.Fatalf("empty String for %#v", s)
 		}
+	}
+}
+
+type closeLog struct {
+	name string
+	log  *[]string
+}
+
+func (c closeLog) Close() { *c.log = append(*c.log, c.name) }
+
+// TestDeviceValueClosedWithDevice: a value kept on a device is made once
+// per key, and the device's Close closes every one that can be closed,
+// the latest first.
+func TestDeviceValueClosedWithDevice(t *testing.T) {
+	d, _ := NewNetwork().NewDevice("x")
+	var log []string
+	type keyA struct{}
+	type keyB struct{}
+	a := d.Value(keyA{}, func() any { return closeLog{"a", &log} })
+	if again := d.Value(keyA{}, func() any { t.Fatal("made twice"); return nil }); again != a {
+		t.Fatal("a second Value for the same key returned another value")
+	}
+	d.Value("plain", func() any { return 1 })
+	d.Value(keyB{}, func() any { return closeLog{"b", &log} })
+	if len(log) != 0 {
+		t.Fatalf("closed %v before the device", log)
+	}
+	d.Close()
+	d.Close()
+	if got := strings.Join(log, ","); got != "b,a" {
+		t.Fatalf("closed %q, want b,a", got)
 	}
 }
