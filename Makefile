@@ -26,45 +26,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# D6 + D10 self-healing gate: seeded fault injection (QP severs,
-# dropped and delayed sends, dead trackers, lost map outputs) plus
-# scripted whole-node death (kill mid-shuffle without revive, composed
-# with transport faults, and kill-then-revive) and, since cache-resident
-# partitions move by manifest + READ, what can happen to a published
-# manifest (lease expiry, eviction and job removal under it, the same
-# with seeded transport chaos on top), the serving-side convoy case
-# (every write to one reducer device parked while another device fetches
-# from the same tracker), and the copier's own clocks and shape (the
-# request deadline under every idle setting, clean idle retirement and
-# lazy redial, a loss notice ending a blacklist wait, and a host
-# connection that runs exactly two goroutines while a chunk is parked on
-# either half of the protocol), and running out of registered memory (a
-# budget that refuses payload blocks partway through a cache-resident
-# fetch: READs fall back to their ring slots, output intact, nothing
-# pinned left behind), the verbs posting contract D22 rests on (a
-# work request parked inside PostSend holds Destroy until it is let go),
-# a batch of requests (D23) whose connection is severed on the
-# first or the last of its payload writes (every request re-issued and
-# answered exactly once, no staging block left), and registered map
-# output (D24): an eager serve whose cached run is evicted and its slab
-# span carved again between lookup and staging copy still stages the
-# run's own bytes, and store borrowers racing writers that pin, demote
-# and delete objects whose release scribbles over the bytes never see a
-# mixed version, and the device receive pump that routes every answer
-# (D25): a lease that never reads holds its depth of answers without
-# stalling the other leases on the device, and a closed 4-node cluster
-# leaves no goroutine behind and, closed three times over, no heap and no
-# registered memory either, and the reused fetch arena (D26): a
-# fetcher closed in mid-stream or cancelled on refill with a chunk parked
-# in the fabric gives back a cleared arena the next fetcher takes, whose
-# stream is byte-identical while the late answers end as strays, and the
-# reduce task's grouping (D27): fed a stream that poisons every record as
-# the Next after the following one starts, each Reducer call still sees
-# exactly the reference grouping, all under the race detector.
-# Seeds are fixed in the tests for reproducibility; set
-# RDMAMR_CHAOS_SEED to sweep other fault interleavings of the
-# multi-host acceptance run. -count=1 defeats the test cache so the
-# gate always executes.
+# Seeded fault-injection gate (D6, D10, D13, D19-D27), every row under the
+# race detector; the test names are the list. RDMAMR_CHAOS_SEED sweeps the
+# multi-host run's seed, and -count=1 defeats the test cache.
 chaos:
 	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact|TestBatchSeveredMidWriteReissuesOnce|TestEagerServePinsEvictedRun|TestConnPlaneStalledLeaseDoesNotStallOthers|TestClusterCloseLeavesNoGoroutines|TestClosedClusterFreesItsMemory|TestArenaReuseAfterAbandonedFetch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestStoreBorrowersAgainstWriters' ./internal/storage/

@@ -36,7 +36,6 @@ const (
 	// TaskTracker connection. 1 reproduces the old request→wait→copy
 	// lockstep.
 	KeyParallelCopies    = "mapred.reduce.parallel.copies"
-	KeyOverlapReduce     = "mapred.rdma.overlap.reduce"
 	KeyHTTPPacketBytes   = "mapred.shuffle.http.packet.size"
 	KeyCachePriorityMode = "mapred.rdma.prefetch.cache.policy"
 	KeySpeculativeMaps   = "mapred.map.tasks.speculative.execution"
@@ -46,14 +45,10 @@ const (
 	// dead and its segments escalate to map re-execution. 0 restores the
 	// legacy behaviour: first transport error → RecoverMap.
 	KeyRDMAConnectRetries = "mapred.rdma.connect.retries"
-	// KeyRDMABackoffBase/Max bound the exponential reconnect backoff in
-	// milliseconds: attempt n sleeps min(base<<n, max) with jitter.
-	KeyRDMABackoffBase = "mapred.rdma.backoff.base"
-	KeyRDMABackoffMax  = "mapred.rdma.backoff.max"
 	// KeyRDMARequestTimeout is the per-DataRequest deadline in
 	// milliseconds: a response not received within it fails the
 	// connection (and re-issues through the retry budget), so a silent
-	// peer cannot stall a bounce-buffer slot forever. 0 disables.
+	// peer cannot stall a bounce-buffer slot forever.
 	KeyRDMARequestTimeout = "mapred.rdma.request.timeout"
 	// KeyRDMAReadLeaseTimeout bounds, in milliseconds, how long a
 	// responder keeps a manifest's cache body pinned waiting for the
@@ -139,14 +134,11 @@ var defaults = map[string]string{
 	KeyIOSortMB:             strconv.Itoa(100 << 20),
 	KeyShuffleMemLimit:      strconv.Itoa(140 << 20),
 	KeyParallelCopies:       "5",
-	KeyOverlapReduce:        "true",
 	KeyHTTPPacketBytes:      "65536", // 64 KB, the default packet the paper cites
 	KeyCachePriorityMode:    "priority",
 	KeySpeculativeMaps:      "false",
 	KeyRDMAConnectRetries:   "4",
-	KeyRDMABackoffBase:      "2",     // ms
-	KeyRDMABackoffMax:       "200",   // ms
-	KeyRDMARequestTimeout:   "30000", // ms; 0 disables the deadline
+	KeyRDMARequestTimeout:   "30000", // ms
 	KeyRDMAReadLeaseTimeout: "30000",
 	KeyTrackerExpiry:        "10000", // ms
 	KeyMapMaxAttempts:       "4",
@@ -326,16 +318,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: %s = %d outside [0, 1000] (0 = no retries, escalate immediately)",
 			KeyRDMAConnectRetries, v)
 	}
-	base, max := c.Int(KeyRDMABackoffBase), c.Int(KeyRDMABackoffMax)
-	if base < 0 {
-		return fmt.Errorf("config: %s = %d must be >= 0", KeyRDMABackoffBase, base)
-	}
-	if max < base {
-		return fmt.Errorf("config: %s = %d below %s = %d", KeyRDMABackoffMax, max, KeyRDMABackoffBase, base)
-	}
-	if v := c.Int(KeyRDMARequestTimeout); v < 0 || v > 600000 {
-		return fmt.Errorf("config: %s = %d outside [0, 600000] ms (0 disables the deadline)",
-			KeyRDMARequestTimeout, v)
+	if v := c.Int(KeyRDMARequestTimeout); v < 1 || v > 600000 {
+		return fmt.Errorf("config: %s = %d outside [1, 600000] ms", KeyRDMARequestTimeout, v)
 	}
 	if mode := c.Get(KeyCachePriorityMode); mode != "priority" && mode != "fifo" {
 		return fmt.Errorf("config: %s must be priority or fifo, got %q", KeyCachePriorityMode, mode)

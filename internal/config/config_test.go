@@ -151,10 +151,6 @@ func TestRobustnessKeyDefaults(t *testing.T) {
 	if c.Int(KeyRDMAConnectRetries) != 4 {
 		t.Fatalf("connect.retries default = %d, want 4", c.Int(KeyRDMAConnectRetries))
 	}
-	if c.Int(KeyRDMABackoffBase) != 2 || c.Int(KeyRDMABackoffMax) != 200 {
-		t.Fatalf("backoff defaults = %d/%d, want 2/200 ms",
-			c.Int(KeyRDMABackoffBase), c.Int(KeyRDMABackoffMax))
-	}
 	if c.Int(KeyRDMARequestTimeout) != 30000 {
 		t.Fatalf("request.timeout default = %d, want 30000 ms", c.Int(KeyRDMARequestTimeout))
 	}
@@ -167,8 +163,7 @@ func TestValidateRobustnessKeys(t *testing.T) {
 		bad []int64
 	}{
 		{KeyRDMAConnectRetries, []int64{0, 4, 1000}, []int64{-1, 1001}},
-		{KeyRDMABackoffBase, []int64{0, 2, 200}, []int64{-1, 201}}, // base > max(200) invalid
-		{KeyRDMARequestTimeout, []int64{0, 30000, 600000}, []int64{-1, 600001}},
+		{KeyRDMARequestTimeout, []int64{1, 30000, 600000}, []int64{0, -1, 600001}},
 		{KeyTrackerExpiry, []int64{1, 10000, 3600000}, []int64{0, -5, 3600001}},
 		{KeyMapMaxAttempts, []int64{1, 4, 100}, []int64{0, -1, 101}},
 		{KeyReduceMaxAttempts, []int64{1, 4, 100}, []int64{0, 101}},
@@ -188,13 +183,6 @@ func TestValidateRobustnessKeys(t *testing.T) {
 				t.Fatalf("%s=%d accepted", tc.key, v)
 			}
 		}
-	}
-	// max below base is inconsistent regardless of individual ranges.
-	c := New()
-	c.SetInt(KeyRDMABackoffBase, 50)
-	c.SetInt(KeyRDMABackoffMax, 10)
-	if err := c.Validate(); err == nil {
-		t.Fatal("backoff.max < backoff.base accepted")
 	}
 }
 

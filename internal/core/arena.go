@@ -8,11 +8,11 @@ import (
 
 // fetchArena is what a fetcher allocates in proportion to its maps and
 // hosts: a segment per map; a peer per host, with its request queue and
-// the books its connections keep (ring slot table, free-slot channel, send
-// batch, held slots); the host index; and the merged stream with its
-// gather arrays and merge heap. Fetchers share arenas (DESIGN.md D26):
-// Close gives the arena back to the process's free list once every pump
-// has exited, cleared, and the next Fetch takes it. A given-back arena
+// the books its connections keep (ring slot table, free-slot stack, send
+// batch); the host index; and the merged stream with its gather arrays
+// and merge heap. Fetchers share arenas (DESIGN.md D26): Close gives the
+// arena back to the process's free list once every supervisor has
+// exited, cleared, and the next Fetch takes it. A given-back arena
 // holds no fetcher and nothing bound to a device — hostPeers sets each
 // peer's fetcher and health again on every Fetch, and the closed stream
 // drops its recycle func — and live connection state is never in it.
@@ -63,8 +63,8 @@ func (l *arenaList) put(a *fetchArena) {
 	l.mu.Unlock()
 }
 
-// segments returns room for a segment per map. The pumps deliver into
-// segments by address, so the fetch never grows it.
+// segments returns room for a segment per map. The supervisors deliver
+// into segments by address, so the fetch never grows it.
 func (a *fetchArena) segments(maps int) []segment {
 	if cap(a.segs) < maps {
 		a.segs = make([]segment, 0, maps)
@@ -105,10 +105,10 @@ func (a *fetchArena) hostPeers(f *fetcher, hosts []string) map[string]*hostPeer 
 }
 
 // release clears what f used of the arena, so that no segment, request,
-// chunk buffer, iterator or fetcher outlives f in it: after Close's pumps
-// have exited, its stream has closed and its segments have dropped their
-// chunks. A segment that is nevertheless delivered to afterwards has no
-// fetcher, and the delivery faults.
+// chunk buffer, iterator or fetcher outlives f in it: after Close's
+// supervisors have exited, its stream has closed and its segments have
+// dropped their chunks. A segment that is nevertheless delivered to
+// afterwards has no fetcher, and the delivery faults.
 func (a *fetchArena) release(f *fetcher) {
 	clear(f.segs)
 	a.segs = f.segs[:0]

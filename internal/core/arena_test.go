@@ -40,7 +40,7 @@ func assertArenaCleared(t *testing.T, a *fetchArena) {
 	}
 	for i := range a.peers {
 		p := &a.peers[i]
-		if p.f != nil || p.cur != nil || p.head != 0 || len(p.reqs) != 0 {
+		if p.f != nil || p.head != 0 || len(p.reqs) != 0 {
 			t.Fatalf("peer slot %d still holds host %q's state", i, p.host)
 		}
 		for _, req := range p.reqs[:cap(p.reqs)] {

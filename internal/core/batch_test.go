@@ -13,7 +13,7 @@ import (
 )
 
 // fetchAllQueued is ringHarness.fetch with every map's first request
-// queued before the host connection starts, so the send pump's first
+// queued before the host connection starts, so the connection's first
 // batch is as full as the ring allows. The supervisor consults the host's
 // health before it dials; holding that record's lock keeps it there until
 // the queue is full.
@@ -37,7 +37,7 @@ func (h *ringHarness) fetchAllQueued(ctx context.Context) {
 
 // TestBatchedRequestsWarmEagerFetch: sixteen partitions of one host, all
 // asked for at once, leave the reducer in at most ⌈16/5⌉ + 1 request SENDs
-// at depth 5 — every request the send pump has a slot for rides in one
+// at depth 5 — every request the host's loop has a slot for rides in one
 // batch — and come back in no more answer SENDs, each request answered in
 // its own slot: the merged stream is the planted one, record for record.
 func TestBatchedRequestsWarmEagerFetch(t *testing.T) {
@@ -120,10 +120,10 @@ func TestBatchSeveredMidWriteReissuesOnce(t *testing.T) {
 			if got := answered.Load(); got != 0 {
 				t.Errorf("%d answer SENDs went out before write %d of the batch, want 0: answers follow every payload", got, k)
 			}
-			// The send pump may already hold the next request, waiting for a
-			// slot: it is re-issued with the batch.
-			if got := delta("shuffle.rdma.retries"); got < depth || got > depth+1 {
-				t.Errorf("%d requests re-issued, want the batch's %d (and the one the send pump held), each once", got, depth)
+			// The requests past the batch wait in the host's queue: only the
+			// batch's are re-issued.
+			if got := delta("shuffle.rdma.retries"); got != depth {
+				t.Errorf("%d requests re-issued, want the batch's %d, each once", got, depth)
 			}
 			if got := delta("shuffle.rdma.packets"); got != maps {
 				t.Errorf("%d chunks delivered, want each of %d partitions answered once", got, maps)

@@ -60,6 +60,10 @@ type connPlane struct {
 	idle   time.Duration // 0: connections never idle out
 	now    func() time.Time
 
+	// closing counts the endpoint closes fail left running on goroutines
+	// of their own.
+	closing sync.WaitGroup
+
 	cOpened, cReused, cEvicted, cStrays *obs.Counter
 }
 
@@ -91,7 +95,9 @@ func (p *connPlane) healthOf(host string) *peerHealth {
 }
 
 // Close closes every cached connection whose dial has settled, failing
-// any lease still on it, so its endpoint gives back its send block.
+// any lease still on it, and waits for the closes fail started, so every
+// endpoint has given back its send block. The fabric's pumps, which call
+// fail, have stopped by then (the cluster closes the fabric first).
 func (p *connPlane) Close() {
 	p.mu.Lock()
 	conns := slices.Collect(maps.Values(p.conns))
@@ -105,6 +111,7 @@ func (p *connPlane) Close() {
 		default: // still dialing, on a closed fabric
 		}
 	}
+	p.closing.Wait()
 }
 
 // acquire returns a lease on the shared connection to host, dialing it
@@ -341,7 +348,11 @@ func (sc *sharedConn) kill(cause error) {
 // any work request in progress on the QP (a READ parked in the fabric).
 func (sc *sharedConn) fail(cause error) {
 	if sc.drop(cause) {
-		go sc.ep.Close()
+		sc.plane.closing.Add(1)
+		go func() {
+			defer sc.plane.closing.Done()
+			sc.ep.Close()
+		}()
 	}
 }
 
@@ -457,7 +468,11 @@ type leaseMsg struct {
 
 // connLease is one fetcher's handle on a shared connection: a private
 // 16-bit slot tag space and a private delivery queue. Sends go straight
-// to the shared endpoint; receives are routed by Frame.
+// to the shared endpoint; answers are routed by Frame into msgs, which the
+// holder's loop reads. done closes when the connection dies (connErr says
+// why, a transport-classified error, so the copier's retry machinery
+// treats a shared-conn death exactly like a private one) or the lease
+// closes; answers already in msgs are still the holder's.
 type connLease struct {
 	sc        *sharedConn
 	seq       uint32
@@ -477,26 +492,6 @@ func (l *connLease) Send(ctx context.Context, b []byte) error { return l.sc.ep.S
 // ReadSG issues a one-sided RDMA READ on the shared endpoint.
 func (l *connLease) ReadSG(ctx context.Context, sgl []verbs.SGE, raddr uint64, rkey uint32) error {
 	return l.sc.ep.ReadSG(ctx, sgl, raddr, rkey)
-}
-
-// Recv returns the next frame routed to this lease. When the connection
-// dies, buffered frames drain first, then the connection's cause
-// surfaces (a transport-classified error, so the copier's retry
-// machinery treats a shared-conn death exactly like a private one).
-func (l *connLease) Recv(ctx context.Context) (leaseMsg, error) {
-	select {
-	case m := <-l.msgs:
-		return m, nil
-	case <-l.done:
-		select {
-		case m := <-l.msgs:
-			return m, nil
-		default:
-		}
-		return leaseMsg{}, l.sc.connErr()
-	case <-ctx.Done():
-		return leaseMsg{}, ctx.Err()
-	}
 }
 
 // Close detaches the lease. killConn tears the whole shared connection

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rdmamr/internal/mrpool"
 	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
@@ -33,6 +34,25 @@ type planeHarness struct {
 
 	mu    sync.Mutex
 	dials map[string]int
+}
+
+// Recv returns the next answer routed to the lease, as the copier's loop
+// takes them: buffered answers drain first once the connection dies, then
+// its cause surfaces.
+func (l *connLease) Recv(ctx context.Context) (leaseMsg, error) {
+	select {
+	case m := <-l.msgs:
+		return m, nil
+	case <-l.done:
+		select {
+		case m := <-l.msgs:
+			return m, nil
+		default:
+		}
+		return leaseMsg{}, l.sc.connErr()
+	case <-ctx.Done():
+		return leaseMsg{}, ctx.Err()
+	}
 }
 
 func newPlaneHarness(t *testing.T, maxConns int, idle time.Duration) *planeHarness {
@@ -641,5 +661,28 @@ func TestConnPlaneRoutedAnswerOutlivesReceiveBuffer(t *testing.T) {
 	}
 	if second.man == nil || !reflect.DeepEqual(*second.man, man) || second.more {
 		t.Fatalf("routed manifest now reads %+v, sent %+v", second.man, man)
+	}
+}
+
+// TestPlaneCloseWaitsForFailedEndpoints: closing the fabric fails every
+// cached connection on the device pump, which closes each endpoint on a
+// goroutine of its own, since the pump must not wait. The plane's Close
+// waits for those closes, so by the time the device's Close reaches the
+// slab pool no endpoint still lends its send block.
+func TestPlaneCloseWaitsForFailedEndpoints(t *testing.T) {
+	h := newPlaneHarness(t, 16, 0)
+	for i := 0; i < 8; i++ {
+		host := fmt.Sprintf("h%d", i)
+		h.serve(host)
+		h.acquire(host)
+	}
+	pool := mrpool.For(h.dev)
+	if pool.Attribution()["ucr.send"] == 0 {
+		t.Fatal("no endpoint lends a send block: nothing for Close to wait for")
+	}
+	h.fab.Close()
+	h.plane.Close()
+	if got := pool.Attribution()["ucr.send"]; got != 0 {
+		t.Fatalf("%d bytes of ucr.send blocks still lent once the fabric and the plane closed", got)
 	}
 }

@@ -69,8 +69,8 @@ func (seg *segment) request(offset int64) {
 
 // deliver hands the segment its next chunk. It never blocks: the segment
 // has no other chunk in flight, and the merge is woken only if it waits on
-// this segment. After the fetcher's pumps have exited nothing delivers, so
-// Close finds a chunk nobody took in next.
+// this segment. After the fetcher's supervisors have exited nothing
+// delivers, so Close finds a chunk nobody took in next.
 func (seg *segment) deliver(ck chunk) {
 	f := seg.f
 	f.dmu.Lock()
@@ -237,7 +237,7 @@ func (seg *segment) Err() error { return seg.err }
 
 // drop gives back what the segment still holds when the fetcher closes in
 // mid-stream: the chunk being walked and the one delivered ahead of it.
-// Only after the pumps have exited and the consumer has let go.
+// Only after the supervisors have exited and the consumer has let go.
 func (seg *segment) drop() {
 	seg.f.release(seg.cur)
 	seg.cur = payload{}
@@ -284,64 +284,58 @@ type readPlan struct {
 	released bool
 }
 
-// readJob is one chunk to pull one-sided: the slot it owns (already
-// registered in hc.pending), the owning request, the manifest chunk
-// describing the remote ranges, and the plan it came from.
+// readJob is one chunk to pull one-sided: the slot whose request it
+// completes, the manifest chunk describing the remote ranges, and the
+// plan it came from.
 type readJob struct {
 	slot  uint32
-	req   chunkReq
 	entry wire.ReadChunk
 	plan  *readPlan
 }
 
 // hostPeer is the fetcher's long-lived handle on one TaskTracker. It
 // outlives individual connections: segments enqueue requests here, and
-// the peer's supervisor goroutine (peerLoop) dials, re-dials with
-// backoff, and re-issues in-flight requests across connection deaths.
-// Only after the retry budget is exhausted is the peer declared dead and
-// every queued request answered with an error chunk (the RecoverMap
-// escalation path).
+// the peer's supervisor goroutine (peerLoop) dials, runs each connection
+// as its event loop, re-dials with backoff, and re-issues in-flight
+// requests across connection deaths. Only after the retry budget is
+// exhausted is the peer declared dead and every queued request answered
+// with an error chunk (the RecoverMap escalation path).
 type hostPeer struct {
 	f      *fetcher
 	host   string
 	health *peerHealth
 
-	// wake holds a token once a request has been queued since the queue's
-	// one reader last looked: the send pump while a connection runs, the
-	// supervisor otherwise.
+	// wake holds a token once a request has been queued since the
+	// supervisor last looked.
 	wake chan struct{}
 
 	// lostCh closes when the cluster's liveness detector declares the
-	// host dead (ReduceTaskInfo.Losses): the supervisor then skips its
-	// remaining retry budget and backoff sleeps and kills the peer
-	// immediately, so segments escalate to RecoverMap without waiting
-	// out request deadlines against a corpse.
+	// host dead (ReduceTaskInfo.Losses): the supervisor then ends the
+	// running connection, skips its remaining retry budget and backoff
+	// sleeps and kills the peer immediately, so segments escalate to
+	// RecoverMap without waiting out request deadlines against a corpse.
 	lostOnce sync.Once
 	lostCh   chan struct{}
 
+	// mu guards the request queue, reqs[head:], stable across reconnects.
+	// It grows to the host's demand — at most one request per segment —
+	// and never blocks a producer.
 	mu   sync.Mutex
-	dead error     // set once, when the retry budget is exhausted
-	cur  *hostConn // connection currently running (aborted on loss)
-	// reqs[head:] is the request queue, stable across reconnects. It grows
-	// to the host's demand — at most one request per segment — and never
-	// blocks a producer.
 	reqs []chunkReq
 	head int
 
 	// The books of the host's connection, one at a time: kept across
 	// reconnects, and with the fetch arena across fetchers. dialConn hands
-	// pending and free to the hostConn; batch is the send pump's, held the
-	// completion pump's.
+	// pending and free to the hostConn; batch is what its loop sends.
 	pending []pendingSlot
-	free    chan uint32
+	free    []uint32
 	batch   wire.Batch
-	held    []uint32
 }
 
-// reset clears the peer for its fetch arena once the fetcher's pumps have
-// exited: the queue and the connection books keep their arrays with no
-// request left in them, and the channels are kept, lostCh unless a loss
-// notice closed it.
+// reset clears the peer for its fetch arena once the fetcher's
+// supervisors have exited: the queue and the connection books keep their
+// arrays with no request left in them, and the channels are kept, lostCh
+// unless a loss notice closed it.
 func (p *hostPeer) reset() {
 	select {
 	case <-p.wake:
@@ -356,23 +350,20 @@ func (p *hostPeer) reset() {
 	clear(p.pending)
 	*p = hostPeer{
 		wake: p.wake, lostCh: lostCh, reqs: p.reqs[:0],
-		pending: p.pending, free: p.free, batch: p.batch, held: p.held[:0],
+		pending: p.pending, free: p.free[:0], batch: p.batch,
 	}
 }
 
-// connBooks returns the slot table and free-slot channel for a connection
-// of depth slots, every slot free. The host's previous connection has
-// exited its pumps.
-func (p *hostPeer) connBooks(depth int) ([]pendingSlot, chan uint32) {
-	if cap(p.free) != depth {
-		p.pending, p.free = make([]pendingSlot, depth), make(chan uint32, depth)
-	}
-	for len(p.free) > 0 {
-		<-p.free
+// connBooks returns the slot table and free-slot stack for a connection
+// of depth slots, every slot free and slot 0 on top.
+func (p *hostPeer) connBooks(depth int) ([]pendingSlot, []uint32) {
+	if len(p.pending) != depth {
+		p.pending, p.free = make([]pendingSlot, depth), make([]uint32, 0, depth)
 	}
 	clear(p.pending)
-	for s := 0; s < depth; s++ {
-		p.free <- uint32(s)
+	p.free = p.free[:0]
+	for s := depth - 1; s >= 0; s-- {
+		p.free = append(p.free, uint32(s))
 	}
 	return p.pending, p.free
 }
@@ -382,18 +373,11 @@ func (p *hostPeer) connBooks(depth int) ([]pendingSlot, chan uint32) {
 var errTrackerLost = errors.New("core: tracker declared dead by cluster liveness")
 
 // markLost records the liveness verdict, returning true on the first
-// call. The running connection (if any) is aborted so its pumps unwind.
+// call. The supervisor sees lostCh close, in a running connection's loop
+// too.
 func (p *hostPeer) markLost() bool {
 	first := false
 	p.lostOnce.Do(func() { first = true; close(p.lostCh) })
-	if first {
-		p.mu.Lock()
-		hc := p.cur
-		p.mu.Unlock()
-		if hc != nil {
-			hc.abort(errTrackerLost)
-		}
-	}
 	return first
 }
 
@@ -406,14 +390,8 @@ func (p *hostPeer) isLost() bool {
 	}
 }
 
-func (p *hostPeer) setCur(hc *hostConn) {
-	p.mu.Lock()
-	p.cur = hc
-	p.mu.Unlock()
-}
-
-// enqueue queues a request for the host. It never blocks, so a pump may
-// put back a request it could not finish.
+// enqueue queues a request for the host. It never blocks, so the
+// supervisor may put back a request it could not finish.
 func (p *hostPeer) enqueue(req chunkReq) {
 	p.mu.Lock()
 	if len(p.reqs) == cap(p.reqs) && p.head > 0 {
@@ -487,13 +465,11 @@ func (ps *pendingSlot) busy() bool { return ps.req.seg != nil }
 // and responses carry the lease-scoped slot tag, so chunk fetches for
 // different segments on the same host complete out of order while each
 // segment's own byte stream stays ordered (a segment never has more than
-// one chunk in flight). Two pumps run it — sendLoop and recvLoop — and
-// whichever finds a chunk to READ issues the READ itself (D20); the
-// supervisor keeps its deadline and idle clocks. A hostConn is
-// single-use: on any failure it is abandoned and the peer's supervisor
-// acquires a fresh lease.
+// one chunk in flight). The supervisor's goroutine runs it as one event
+// loop (runConn) and issues every READ it finds itself (D20); nothing
+// else touches it. A hostConn is single-use: on any failure it is
+// abandoned and the supervisor acquires a fresh lease.
 type hostConn struct {
-	host  string
 	lease *connLease
 	gen   uint64 // shared-connection incarnation (health dedupe)
 	// ring is depth × slotSize bytes, window-advertised. Slot i holds the
@@ -501,98 +477,69 @@ type hostConn struct {
 	// refused a payload block; a READ chunk otherwise never touches it.
 	ring     *mrpool.Block
 	slotSize int
-	depth    int
-	free     chan uint32 // free slot indices
+
+	pending  []pendingSlot     // by ring slot: its in-flight request
+	free     []uint32          // slots with no request in flight, a stack
+	inFlight int               // busy slots
+	plans    map[int]*readPlan // mapID → live manifest plan (nil until one is)
 
 	// progress is set on the first successful chunk, resetting the
 	// peer's consecutive-failure accounting: the link works, later
 	// failures start a fresh streak.
-	progress atomic.Bool
-
-	// lastActive is the idle clock: UnixNano of the last send, delivery,
-	// READ, or queued demand.
-	lastActive atomic.Int64
-
-	// pumps tracks the two goroutines runConn runs for this connection:
-	// takePending is safe only after it has drained.
-	pumps sync.WaitGroup
-
-	mu       sync.Mutex
-	pending  []pendingSlot     // by ring slot: its in-flight request
-	unsent   []chunkReq        // claimed by sendLoop but never sent
-	plans    map[int]*readPlan // mapID → live manifest plan (nil until one is)
-	inFlight int
-	failErr  error
-	failed   chan struct{} // closed by the first abort
+	progress bool
+	// lastActive is the idle clock: the last send, delivery, READ, or
+	// queued demand.
+	lastActive time.Time
+	// stalled is set while requests wait with every slot busy, since
+	// stallStart (stamped only when profiling).
+	stalled    bool
+	stallStart time.Time
+	// err is the first failure; the loop ends once it is set.
+	err error
 }
 
-// abort poisons the connection with the first error observed. The
-// supervisor notices via the failed channel, tears the connection down,
-// and re-issues whatever takePending returns.
+// abort fails the connection with the first error observed: its loop
+// ends, and the supervisor tears it down and re-issues whatever
+// takePending returns.
 func (hc *hostConn) abort(err error) {
-	hc.mu.Lock()
-	if hc.failErr == nil {
-		hc.failErr = err
-		close(hc.failed)
+	if hc.err == nil {
+		hc.err = err
 	}
-	hc.mu.Unlock()
 }
-
-// touch stamps connection activity for the idle check.
-func (hc *hostConn) touch() { hc.lastActive.Store(time.Now().UnixNano()) }
 
 // errConnIdle is the clean cause the idle check aborts with: not a
 // failure — no health hit, no retry budget, no backoff. The supervisor
 // parks until the next demand and redials lazily.
 var errConnIdle = errors.New("core: connection idle")
 
-func (hc *hostConn) failure() error {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	return hc.failErr
-}
-
-// stashUnsent records a request the send pump claimed but could not get
-// onto the wire before the connection died.
-func (hc *hostConn) stashUnsent(reqs ...chunkReq) {
-	hc.mu.Lock()
-	hc.unsent = append(hc.unsent, reqs...)
-	hc.mu.Unlock()
-}
-
-// takePending drains every request the dead connection still owed a
-// response (in-flight and unsent). Called only after hc.pumps has
-// drained, so exactly one owner remains per request.
-func (hc *hostConn) takePending() []chunkReq {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	reqs := make([]chunkReq, 0, hc.inFlight+len(hc.unsent))
+// takePending appends to reqs every request the dead connection still
+// owed a response, emptying its slots.
+func (hc *hostConn) takePending(reqs []chunkReq) []chunkReq {
 	for i := range hc.pending {
 		if hc.pending[i].busy() {
 			reqs = append(reqs, hc.pending[i].req)
 		}
 	}
 	clear(hc.pending)
-	reqs = append(reqs, hc.unsent...)
-	hc.unsent = nil
 	hc.inFlight = 0
 	return reqs
 }
 
-// takeSlot claims the in-flight request that owns ring slot `slot`,
-// reporting false when a teardown (or a duplicate completion) already took
-// it, or the slot is not one of the ring's. Whoever gets true owns the
-// request: complete it, re-issue it, or put it back.
-func (hc *hostConn) takeSlot(slot uint32) (pendingSlot, bool) {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	if int(slot) >= len(hc.pending) || !hc.pending[slot].busy() {
-		return pendingSlot{}, false
-	}
+// owes reports whether ring slot `slot` is one of the ring's and has a
+// request in flight.
+func (hc *hostConn) owes(slot uint32) bool {
+	return int(slot) < len(hc.pending) && hc.pending[slot].busy()
+}
+
+// finish takes the request out of a slot it owes and puts the slot back
+// on the free stack: complete it, re-issue it, or fail it. The slot's
+// bytes stay put until the slot is sent again.
+func (hc *hostConn) finish(slot uint32) pendingSlot {
 	ps := hc.pending[slot]
 	hc.pending[slot] = pendingSlot{}
 	hc.inFlight--
-	return ps, true
+	hc.free = append(hc.free, slot)
+	return ps
 }
 
 // planTake matches a request against the host's live plan for its map:
@@ -600,10 +547,8 @@ func (hc *hostConn) takeSlot(slot uint32) (pendingSlot, bool) {
 // request. A mismatch (retry or recovery moved the stream) abandons the
 // plan — its chunks describe offsets this segment will never ask for
 // again in order. staleID is the lease to release when an abandoned
-// plan has nothing in flight; the caller sends it outside the lock.
+// plan has nothing in flight.
 func (hc *hostConn) planTake(mapID int, offset int64) (entry wire.ReadChunk, plan *readPlan, staleID uint64, ok bool) {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
 	p := hc.plans[mapID]
 	if p == nil {
 		return wire.ReadChunk{}, nil, 0, false
@@ -631,8 +576,6 @@ func (hc *hostConn) planTake(mapID int, offset int64) (entry wire.ReadChunk, pla
 // detachPlan abandons a plan (READ fault, replacement by a newer
 // manifest) and returns the lease to release if nothing is in flight.
 func (hc *hostConn) detachPlan(p *readPlan) uint64 {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
 	if hc.plans[p.mapID] == p {
 		delete(hc.plans, p.mapID)
 	}
@@ -646,8 +589,6 @@ func (hc *hostConn) detachPlan(p *readPlan) uint64 {
 // planDone retires one in-flight chunk and returns the lease to release
 // when the plan is drained or abandoned with nothing else in flight.
 func (hc *hostConn) planDone(p *readPlan) uint64 {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
 	p.pending--
 	if p.pending == 0 && hc.plans[p.mapID] != p && !p.released {
 		p.released = true
@@ -689,10 +630,10 @@ func (f *fetcher) release(pl payload) {
 	}
 }
 
-// payloadPool recycles heap chunk buffers: a pump copies an eager packet
-// out of its ring slot into one, and the reduce side returns it once every
-// record of the chunk has been consumed (stream.Iterator's spent-buffer
-// rule) or the fetcher closes. READ chunks need none (payloadBlocks).
+// payloadPool recycles heap chunk buffers: a supervisor copies an eager
+// packet out of its ring slot into one, and the reduce side returns it
+// once every record of the chunk has been consumed (stream.Iterator's
+// spent-buffer rule) or the fetcher closes. READ chunks need none (payloadBlocks).
 var payloadPool sync.Pool // of *[]byte
 
 // payloadsOut counts chunk buffers — heap buffers and payload blocks —
@@ -758,10 +699,9 @@ func putPayload(pl payload) {
 // a block pins about what its chunk needs. Carves are local-only, with no
 // memory window: only the fetcher's own READs write into them.
 type payloadBlocks struct {
-	pool   *mrpool.Pool
-	mu     sync.Mutex
-	free   [][]*mrpool.Block // by sizeClass
-	carved []*mrpool.Block   // every block carved; close frees them
+	pool *mrpool.Pool
+	mu   sync.Mutex
+	free [][]*mrpool.Block // by sizeClass
 }
 
 // get returns a block of at least n > 0 bytes, or the carve's error:
@@ -782,9 +722,6 @@ func (l *payloadBlocks) get(n int) (*mrpool.Block, error) {
 		if b, err = l.pool.Alloc(size, "payload"); err != nil {
 			return nil, err
 		}
-		l.mu.Lock()
-		l.carved = append(l.carved, b)
-		l.mu.Unlock()
 	}
 	payloadsOut.Add(1)
 	return b, nil
@@ -805,24 +742,25 @@ func (l *payloadBlocks) put(b *mrpool.Block) {
 	l.mu.Unlock()
 }
 
-// close frees every block carved back to the slab: the free lists and, with
-// mapred.rdma.overlap.reduce=false, the blocks the kept records alias,
-// which die with the fetcher.
+// close frees every block back to the slab. The fetcher's Close calls it
+// once every chunk has been given back, so each block is on a free list.
 func (l *payloadBlocks) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, b := range l.carved {
-		b.Free()
+	for _, blocks := range l.free {
+		for _, b := range blocks {
+			b.Free()
+		}
 	}
-	l.carved, l.free = nil, nil
+	l.free = nil
 }
 
 // dialConn establishes one connection attempt: a lease on the device's
 // shared endpoint to the host (dialed by the plane if absent) plus a
 // bounce-buffer ring carved from the device's registered slab pool. The
-// pumps are started by runConn. The returned generation identifies the
-// shared-connection incarnation even on failure, so health accounting
-// can dedupe one sever across every fetcher that shared it.
+// returned generation identifies the shared-connection incarnation even
+// on failure, so health accounting can dedupe one sever across every
+// fetcher that shared it.
 func (f *fetcher) dialConn(ctx context.Context, p *hostPeer) (*hostConn, uint64, error) {
 	host := p.host
 	local := f.task.Local
@@ -839,15 +777,17 @@ func (f *fetcher) dialConn(ctx context.Context, p *hostPeer) (*hostConn, uint64,
 		lease.Close(false, nil)
 		return nil, gen, err
 	}
-	hc := &hostConn{
-		host: host, lease: lease, gen: gen, ring: ring,
-		slotSize: f.slotSize, depth: f.depth,
-		failed: make(chan struct{}),
-	}
+	hc := &hostConn{lease: lease, gen: gen, ring: ring, slotSize: f.slotSize, lastActive: time.Now()}
 	hc.pending, hc.free = p.connBooks(f.depth)
-	hc.touch()
 	return hc, gen, nil
 }
+
+// Reconnect backoff (D6): attempt n sleeps min(backoffBase << (n-1),
+// backoffMax), jittered.
+const (
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 200 * time.Millisecond
+)
 
 // peerLoop is the supervisor for one host: dial, run the connection
 // until it fails or the fetcher shuts down, classify the failure,
@@ -876,7 +816,7 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 		}
 		// Lazy dialing (D13): no connection exists until a segment
 		// actually wants bytes from this host. The demand stays queued for
-		// the connection's send pump.
+		// the connection.
 		if len(orphans) == 0 && p.queued() == 0 {
 			select {
 			case <-p.wake:
@@ -917,36 +857,27 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 		everConnected = true
 		idleClosed = false
 
-		p.setCur(hc)
-		if p.isLost() {
-			// Lost between dial and registration: abort ourselves so the
-			// pumps unwind immediately.
-			hc.abort(errTrackerLost)
-		}
-		err = f.runConn(ctx, p, hc, orphans)
-		p.setCur(nil)
-		orphans = nil
+		err = f.runConn(ctx, p, hc, &orphans)
 		// The ring's window invalidates here: a late responder write
 		// against a retired connection faults remotely and surfaces as a
 		// counted stray, never as corruption of reused slab bytes.
 		hc.ring.Free()
-		if ctx.Err() != nil {
-			return
-		}
-		if err == nil {
+		if err == nil || ctx.Err() != nil {
 			// runConn only returns without error on shutdown.
 			return
 		}
+		// The orphans it never sent, then what it sent and was owed.
+		reqs := hc.takePending(orphans)
 		if errors.Is(err, errConnIdle) {
 			// Clean idle retirement: no health hit, no backoff, and
 			// re-issues (normally none — the conn was quiet) keep their
 			// retry budget. Park at the loop top until the next demand.
-			orphans = hc.takePending()
+			orphans = reqs
 			idleClosed = true
 			attempt = 0
 			continue
 		}
-		if hc.progress.Load() {
+		if hc.progress {
 			// The link carried data before dying: past failures are a
 			// different incident, the streak restarts.
 			attempt = 0
@@ -954,10 +885,8 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 		attempt++
 		p.health.recordFailureGen(hc.gen, counters)
 
-		// Reclaim the dead connection's requests; each consumes one unit
-		// of its own retry budget.
-		reqs := hc.takePending()
-		orphans = orphans[:0]
+		// Each reclaimed request consumes one unit of its own retry budget.
+		orphans = reqs[:0]
 		for _, req := range reqs {
 			req.retries++
 			if int(req.retries) > f.connectRetries {
@@ -977,87 +906,91 @@ func (f *fetcher) peerLoop(ctx context.Context, p *hostPeer) {
 	}
 }
 
-// runConn operates one connection until it fails or ctx ends: the request
-// pump and the completion pump, each issuing the READs it finds. The
-// supervisor, idle here otherwise, keeps the request-deadline and idle
-// clocks on one ticker: a quarter of the shorter enabled window, at most
-// once per millisecond, none when both are off. Returns nil on orderly
-// shutdown, the first failure otherwise.
-func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphans []chunkReq) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	hc.pumps.Add(2)
-	go func() { defer hc.pumps.Done(); f.sendLoop(cctx, p, hc, orphans) }()
-	go func() { defer hc.pumps.Done(); f.recvLoop(cctx, p, hc) }()
-	var tick <-chan time.Time
+// runConn runs one connection until it fails or ctx ends, as one event
+// loop on the supervisor's goroutine. Each answer is handled as the
+// device pump routes it to the lease (D25), a READ it calls for issued in
+// place (D20). Once the last answer of a frame is handled (leaseMsg.more),
+// the slots the frame gave back are refilled from the queue in one batch
+// (D23), and a queued request takes a free slot as soon as it arrives.
+// One ticker keeps the request-deadline and idle clocks: a quarter of the
+// shorter window, at least a millisecond. orphans, re-issues from a
+// previous connection, go out before the queue; those never sent stay in
+// it. Returns nil on orderly shutdown, the first failure otherwise.
+func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphans *[]chunkReq) error {
 	window := f.reqTimeout
-	if window <= 0 || (f.connIdle > 0 && f.connIdle < window) {
+	if f.connIdle > 0 && f.connIdle < window {
 		window = f.connIdle
 	}
-	if window > 0 {
-		t := time.NewTicker(max(window/4, time.Millisecond))
-		defer t.Stop()
-		tick = t.C
-	}
-	for live := true; live; {
+	tick := time.NewTicker(max(window/4, time.Millisecond))
+	defer tick.Stop()
+	// Refilling mid-frame would send the first slot back alone, and the
+	// batch would shrink to one request a SEND as the fetch goes on.
+	midFrame := false
+	f.send(ctx, p, hc, orphans)
+	for hc.err == nil {
 		select {
-		case <-hc.failed:
-			live = false
+		case lm := <-hc.lease.msgs:
+			hc.lastActive = time.Now()
+			f.answer(ctx, p, hc, lm)
+			if midFrame = lm.more; !midFrame {
+				f.send(ctx, p, hc, orphans)
+			}
+		case <-hc.lease.done:
+			// Answers routed before the connection died are handled first.
+			if len(hc.lease.msgs) == 0 {
+				hc.abort(fmt.Errorf("core: response from %s: %w", p.host, hc.lease.sc.connErr()))
+			}
+		case <-p.wake:
+			if !midFrame {
+				f.send(ctx, p, hc, orphans)
+			}
+		case <-p.lostCh:
+			hc.abort(errTrackerLost)
+		case <-tick.C:
+			// Not the tick's own time: a tick buffered while the loop was
+			// blocked in a post would read early.
+			f.checkConn(p, hc, time.Now(), len(*orphans))
 		case <-ctx.Done():
-			live = false
-		case now := <-tick:
-			live = f.checkConn(p, hc, now)
+			hc.lease.Close(false, nil)
+			return nil
 		}
 	}
-	cancel()
-	hc.pumps.Wait()
-	err := hc.failure()
-	// Idle retirement and orderly shutdown release the lease but leave the
-	// shared endpoint alive for other fetchers; real failures kill it so
-	// every sharer observes the sever at once.
-	kill := err != nil && !errors.Is(err, errConnIdle)
-	hc.lease.Close(kill, err)
-	return err
+	// Idle retirement releases the lease but leaves the shared endpoint
+	// alive for other fetchers; real failures kill it so every sharer
+	// observes the sever at once.
+	hc.lease.Close(!errors.Is(hc.err, errConnIdle), hc.err)
+	return hc.err
 }
 
-// checkConn is the supervisor's tick, reporting false once it has aborted
-// the connection. First the request deadline: any pending request older
-// than mapred.rdma.request.timeout fails the connection, so a silent peer
-// cannot pin a bounce-buffer slot (and its segment) forever. Then the idle
-// clock: a connection that has carried no traffic for
-// mapred.rdma.conn.idle.timeout retires cleanly (errConnIdle) — the lease
-// releases, the ring unpins, and the supervisor parks until the next
-// demand, the lazy-dial arm of D13's connection cache. 0 turns either off.
-func (f *fetcher) checkConn(p *hostPeer, hc *hostConn, now time.Time) bool {
-	hc.mu.Lock()
-	overdue := false
-	if f.reqTimeout > 0 {
-		for i := range hc.pending {
-			if hc.pending[i].busy() && now.Sub(hc.pending[i].issued) > f.reqTimeout {
-				overdue = true
-				break
-			}
+// checkConn is the loop's tick. First the request deadline: any pending
+// request older than mapred.rdma.request.timeout fails the connection, so
+// a silent peer cannot pin a bounce-buffer slot (and its segment)
+// forever. Then the idle clock: a connection that has carried no traffic
+// for mapred.rdma.conn.idle.timeout (0: never) retires cleanly
+// (errConnIdle) — the lease releases, the ring unpins, and the supervisor
+// parks until the next demand, the lazy-dial arm of D13's connection
+// cache.
+func (f *fetcher) checkConn(p *hostPeer, hc *hostConn, now time.Time, orphans int) {
+	for i := range hc.pending {
+		if hc.pending[i].busy() && now.Sub(hc.pending[i].issued) > f.reqTimeout {
+			f.pastDeadline(p, hc)
+			return
 		}
 	}
-	busy := hc.inFlight > 0 || len(hc.unsent) > 0
-	hc.mu.Unlock()
-	if overdue {
-		f.cDeadline.Add(1)
-		hc.abort(fmt.Errorf("core: %s: %w (%v)", p.host, errRequestDeadline, f.reqTimeout))
-		return false
-	}
-	if f.connIdle <= 0 {
-		return true
-	}
-	if busy || p.queued() > 0 {
-		hc.touch()
-		return true
-	}
-	if time.Duration(now.UnixNano()-hc.lastActive.Load()) >= f.connIdle {
+	switch {
+	case f.connIdle <= 0:
+	case hc.inFlight > 0 || orphans > 0 || p.queued() > 0:
+		hc.lastActive = now
+	case now.Sub(hc.lastActive) >= f.connIdle:
 		hc.abort(errConnIdle)
-		return false
 	}
-	return true
+}
+
+// pastDeadline fails the connection for a request not answered within
+// mapred.rdma.request.timeout.
+func (f *fetcher) pastDeadline(p *hostPeer, hc *hostConn) {
+	f.cDeadline.Add(1)
+	hc.abort(fmt.Errorf("core: %s: %w (%v)", p.host, errRequestDeadline, f.reqTimeout))
 }
 
 // killPeer marks the host permanently dead for this fetcher and answers
@@ -1066,11 +999,6 @@ func (f *fetcher) checkConn(p *hostPeer, hc *hostConn, now time.Time) bool {
 // supervisor goroutine draining until the fetcher shuts down so enqueues
 // never block against a dead peer.
 func (f *fetcher) killPeer(ctx context.Context, p *hostPeer, cause error, orphans []chunkReq) {
-	p.mu.Lock()
-	if p.dead == nil {
-		p.dead = cause
-	}
-	p.mu.Unlock()
 	err := fmt.Errorf("core: host %s declared dead: %w", p.host, cause)
 	for _, req := range orphans {
 		req.seg.deliver(chunk{off: req.offset, err: err})
@@ -1085,20 +1013,15 @@ func (f *fetcher) killPeer(ctx context.Context, p *hostPeer, cause error, orphan
 }
 
 // sleepBackoff sleeps the exponential-backoff delay for the given
-// attempt: min(base << (attempt-1), max) with jitter in [d/2, d), so a
-// fleet of fetchers re-dialing a restarted tracker does not stampede.
-// Returns false if ctx ended during the sleep.
+// attempt: min(backoffBase << (attempt-1), backoffMax) with jitter in
+// [d/2, d), so a fleet of fetchers re-dialing a restarted tracker does not
+// stampede. Returns false if ctx ended during the sleep.
 func (f *fetcher) sleepBackoff(ctx context.Context, p *hostPeer, attempt int) bool {
-	d := f.backoffBase
-	for i := 1; i < attempt && d < f.backoffMax; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > f.backoffMax {
-		d = f.backoffMax
-	}
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
+	d = min(d, backoffMax)
 	half := d / 2
 	return p.wait(ctx, half+time.Duration(rand.Int63n(int64(half)+1)))
 }
@@ -1120,124 +1043,98 @@ func (p *hostPeer) wait(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// sendLoop is the connection's request pump: it claims a free slot,
-// stamps the request with the slot tag and the slot's RDMA address, and
-// sends it. While another request is already queued and another slot is
-// free it claims that one too, and sends every claimed request in one
-// SEND (D23): a wire.Batch, bare when it holds one. With all slots busy
-// the pump stalls — the fabric is saturated at the configured depth —
-// which the slot-stall counter records. Orphans (re-issues from a
-// previous connection) go out before new requests. A request the pump
-// claimed but could not put on the wire is stashed for takePending, so no
-// request is ever dropped.
-func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orphans []chunkReq) {
+// send claims a free slot for each waiting request, an orphan before the
+// queue's, and puts every request that needs the wire in one SEND (D23):
+// a wire.Batch, bare when it holds one. With every slot busy and requests
+// still waiting, the fabric is saturated at the configured depth: the
+// slot-stall counter records the stall once, and the span of the request
+// that ends it the time it waited for a slot.
+func (f *fetcher) send(ctx context.Context, p *hostPeer, hc *hostConn, orphans *[]chunkReq) {
 	batch := &p.batch
 	reqSize := (&wire.DataRequest{JobID: f.task.Job.ID}).EncodedSize()
 	// Room for a request per slot, each behind its two-byte length: the
-	// one allocation the host's pumps make, kept by the peer.
-	if room := min(1+hc.depth*(2+reqSize), ucr.MaxMessage); batch.Cap() < room {
+	// one allocation the connection's loop makes, kept by the peer.
+	if room := min(1+f.depth*(2+reqSize), ucr.MaxMessage); batch.Cap() < room {
 		batch.Reset(make([]byte, 0, room))
 	}
-	var ok bool
-	for {
-		var req chunkReq
-		if len(orphans) > 0 {
-			req = orphans[0]
-			orphans = orphans[1:]
-		} else if req, ok = p.next(cctx); !ok {
-			return
-		}
-		var slot uint32
-		var slotWait time.Duration
-		select {
-		case slot = <-hc.free:
-		default:
-			f.cSlotStalls.Add(1)
-			f.nSlotStalls.Add(1)
-			var stallStart time.Time
-			if f.prof != nil {
-				stallStart = time.Now()
-			}
-			select {
-			case slot = <-hc.free:
-				if f.prof != nil {
-					slotWait = time.Since(stallStart)
-				}
-			case <-cctx.Done():
-				hc.stashUnsent(append(orphans, req)...)
-				return
-			}
-		}
+	for full := true; full && hc.err == nil; {
+		full = false
 		batch.Reset(nil)
-		f.issue(cctx, p, hc, batch, req, slot, slotWait)
-		for batch.Fits(reqSize, ucr.MaxMessage) {
-			if req, slot, ok = hc.claimQueued(p, &orphans); !ok {
+		for len(hc.free) > 0 && hc.err == nil {
+			if !batch.Fits(reqSize, ucr.MaxMessage) {
+				full = true
 				break
 			}
-			f.issue(cctx, p, hc, batch, req, slot, 0)
+			var req chunkReq
+			if len(*orphans) > 0 {
+				req, *orphans = (*orphans)[0], (*orphans)[1:]
+			} else if r, ok := p.pop(); ok {
+				req = r
+			} else {
+				break
+			}
+			var slotWait time.Duration
+			if hc.stalled {
+				hc.stalled = false
+				if f.prof != nil {
+					slotWait = time.Since(hc.stallStart)
+				}
+			}
+			slot := hc.free[len(hc.free)-1]
+			hc.free = hc.free[:len(hc.free)-1]
+			f.issue(ctx, p, hc, batch, req, slot, slotWait)
 		}
 		frame, _ := batch.Frame()
-		if frame == nil {
-			continue // every request claimed was READ inline
+		if frame == nil || hc.err != nil {
+			// Every request claimed was READ inline, or a READ failed the
+			// connection: the batch's requests stay in their slots.
+			continue
 		}
 		// Counted before the send: the answers may be back, and the fetch
 		// over, before Send returns.
 		f.cReqMsgs.Add(1)
-		if err := hc.lease.Send(cctx, frame); err != nil {
-			// The batch's requests stay pending: takePending re-issues them
-			// on the next connection. (On shutdown nobody re-issues, which
-			// is fine — the merge is going away too.)
-			hc.stashUnsent(orphans...)
-			if cctx.Err() == nil {
+		start := time.Now()
+		if err := hc.lease.Send(ctx, frame); err != nil {
+			// The batch's requests stay in their slots: takePending
+			// re-issues them on the next connection. (On shutdown nobody
+			// re-issues, which is fine — the merge is going away too.)
+			if ctx.Err() == nil {
 				hc.abort(fmt.Errorf("core: request to %s: %w", p.host, err))
 			}
 			return
 		}
-		hc.touch()
+		if hc.lastActive = time.Now(); hc.lastActive.Sub(start) > f.reqTimeout {
+			// The SEND held the loop, and its clocks, past the deadline.
+			f.pastDeadline(p, hc)
+		}
+	}
+	if len(hc.free) == 0 && !hc.stalled && hc.err == nil && (len(*orphans) > 0 || p.queued() > 0) {
+		hc.stalled = true
+		f.cSlotStalls.Add(1)
+		f.nSlotStalls.Add(1)
+		if f.prof != nil {
+			hc.stallStart = time.Now()
+		}
 	}
 }
 
-// claimQueued claims, without blocking, a free slot and a request already
-// waiting for one: an orphan first, then the peer's queue. It reports false
-// when either is missing; a slot claimed for no request goes back.
-func (hc *hostConn) claimQueued(p *hostPeer, orphans *[]chunkReq) (req chunkReq, slot uint32, ok bool) {
-	select {
-	case slot = <-hc.free:
-	default:
-		return req, 0, false
-	}
-	if len(*orphans) > 0 {
-		req, *orphans = (*orphans)[0], (*orphans)[1:]
-		return req, slot, true
-	}
-	if req, ok = p.pop(); !ok {
-		hc.free <- slot // cannot block: the slot came out of free just now
-	}
-	return req, slot, ok
-}
-
-// issue books req in the slot the send pump claimed for it. A request the
-// host's live manifest already covers is READ into place here and sends
-// nothing — the rendezvous payoff, one responder message per plan, not
-// per chunk; doing it inline costs no depth, since the endpoint serialises
-// every work request on its sendMu anyway (D20), and it never joins a
-// batch. Any other request is stamped with the slot's tag and RDMA address
-// and appended to the batch.
-func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *wire.Batch, req chunkReq, slot uint32, slotWait time.Duration) {
-	hc.mu.Lock()
+// issue books req in the slot send claimed for it. A request the host's
+// live manifest already covers is READ into place here and sends nothing
+// — the rendezvous payoff, one responder message per plan, not per chunk;
+// doing it inline costs no depth, since the endpoint serialises every
+// work request on its sendMu anyway (D20), and it never joins a batch.
+// Any other request is stamped with the slot's tag and RDMA address and
+// appended to the batch.
+func (f *fetcher) issue(ctx context.Context, p *hostPeer, hc *hostConn, batch *wire.Batch, req chunkReq, slot uint32, slotWait time.Duration) {
 	hc.pending[slot] = pendingSlot{req: req, issued: time.Now(), slotWait: slotWait}
 	hc.inFlight++
-	depthNow := hc.inFlight
-	hc.mu.Unlock()
-	f.cOutPeak.Max(int64(depthNow))
-	f.prof.SlotOccupancy(depthNow)
+	f.cOutPeak.Max(int64(hc.inFlight))
+	f.prof.SlotOccupancy(hc.inFlight)
 	if !req.noRead {
 		entry, plan, staleID, hit := hc.planTake(int(req.seg.mapID), req.offset)
-		hc.releaseLease(cctx, staleID)
+		hc.releaseLease(ctx, staleID)
 		if hit {
-			if f.executeRead(cctx, p, hc, readJob{slot: slot, req: req, entry: entry, plan: plan}) {
-				hc.free <- slot
-			}
+			f.executeRead(ctx, p, hc, readJob{slot: slot, entry: entry, plan: plan})
 			return
 		}
 	}
@@ -1260,14 +1157,13 @@ func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *
 	batch.AddRequest(&wreq)
 }
 
-// recvLoop is the connection's completion pump. An eager response's
-// header is matched to its slot by tag (the payload was RDMA-written into
-// that slot before the header was sent) and completed; for a manifest the
-// pump READs chunk 0 into the slot itself. That READ cannot stall the
-// device's receive pump, which routes answers for every lease on the
-// device without waiting (D25): this lease's msgs channel holds depth
-// answers, and at most depth requests — one per slot — are ever awaiting
-// an answer.
+// answer handles one answer. An eager response's header is matched to
+// its slot by tag (the payload was RDMA-written into that slot before the
+// header was sent) and completed; for a manifest, chunk 0 is READ here.
+// That READ cannot stall the device's receive pump, which routes answers
+// for every lease on the device without waiting (D25): this lease's msgs
+// channel holds depth answers, and at most depth requests — one per slot
+// — are ever awaiting an answer.
 //
 // Serving errors marked Transient re-issue through the request's retry
 // budget without tearing the connection down; fatal serving errors (the
@@ -1275,99 +1171,57 @@ func (f *fetcher) issue(cctx context.Context, p *hostPeer, hc *hostConn, batch *
 // RecoverMap. Protocol violations abort the connection — the slot
 // bookkeeping is unrecoverable, but the in-flight requests re-issue
 // idempotently on the next one.
-//
-// The slots of the answers one frame brought back go back to the send
-// pump together, once the last of them is handled (D23): a pump woken by
-// the first would send its refill alone, and the batch would shrink to
-// one request a SEND as the fetch goes on.
-func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
-	p.held = p.held[:0] // slots finished earlier in the frame being handled
-	for {
-		lm, err := hc.lease.Recv(cctx)
-		if err != nil {
-			if cctx.Err() == nil {
-				hc.abort(fmt.Errorf("core: response from %s: %w", p.host, err))
-			}
-			return
-		}
-		hc.touch()
-		slot, finished, ok := f.answer(cctx, p, hc, lm)
-		if !ok {
-			return
-		}
-		if finished {
-			p.held = append(p.held, slot)
-		}
-		if !lm.more {
-			for _, s := range p.held {
-				hc.free <- s
-			}
-			p.held = p.held[:0]
-		}
-	}
-}
-
-// answer handles one answer on the completion pump and reports the ring
-// slot it finished with, which the caller gives back, or false once it
-// has aborted the connection.
-func (f *fetcher) answer(cctx context.Context, p *hostPeer, hc *hostConn, lm leaseMsg) (slot uint32, finished, ok bool) {
+func (f *fetcher) answer(ctx context.Context, p *hostPeer, hc *hostConn, lm leaseMsg) {
 	if lm.man != nil {
-		job, err := hc.installPlan(cctx, lm.man)
+		job, err := hc.installPlan(ctx, lm.man)
 		if err != nil {
 			hc.abort(fmt.Errorf("core: %s: %w", p.host, err))
-			return 0, false, false
+			return
 		}
-		return job.slot, f.executeRead(cctx, p, hc, job), true
+		f.executeRead(ctx, p, hc, job)
+		return
 	}
-	resp := lm.resp
+	resp := &lm.resp
 	// The lease's sequence prefix routed the message here; the low
 	// half-word is the ring slot.
-	slot = resp.Tag & 0xffff
-	ps, ok := hc.takeSlot(slot)
-	if !ok {
-		hc.abort(fmt.Errorf("core: %s: %w: response with unknown slot tag %d", p.host, errProtocol, resp.Tag))
-		return 0, false, false
-	}
-	req := ps.req
+	slot := resp.Tag & 0xffff
 	switch {
-	case resp.Err != "" && resp.Transient:
+	case !hc.owes(slot):
+		hc.abort(fmt.Errorf("core: %s: %w: response with unknown slot tag %d", p.host, errProtocol, resp.Tag))
+	case resp.Err == "" && (resp.Bytes < 0 || int(resp.Bytes) > hc.slotSize):
+		// The request stays in its slot, so takePending re-issues it on
+		// the next connection.
+		hc.abort(fmt.Errorf("core: %s: %w: response claims %d bytes in a %d-byte slot", p.host, errProtocol, resp.Bytes, hc.slotSize))
+	case resp.Err == "":
+		f.complete(p, hc, slot, int(resp.Bytes), resp.EOF, nil)
+	case resp.Transient:
 		// The tracker could not serve this request right now but the
 		// data exists; retry within budget instead of escalating.
+		req := hc.finish(slot).req
 		req.retries++
 		if int(req.retries) > f.connectRetries {
 			req.seg.deliver(chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s (retry budget exhausted)", p.host, resp.Err)})
-			break
+			return
 		}
 		f.cRetries.Add(1)
 		p.enqueue(req)
-	case resp.Err != "":
-		req.seg.deliver(chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s", p.host, resp.Err)})
-	case resp.Bytes < 0 || int(resp.Bytes) > hc.slotSize:
-		// Put the request back so takePending re-issues it on the
-		// next connection.
-		hc.mu.Lock()
-		hc.pending[slot] = ps
-		hc.inFlight++
-		hc.mu.Unlock()
-		hc.abort(fmt.Errorf("core: %s: %w: response claims %d bytes in a %d-byte slot", p.host, errProtocol, resp.Bytes, hc.slotSize))
-		return 0, false, false
 	default:
-		f.complete(p, hc, slot, ps, int(resp.Bytes), resp.EOF, nil)
+		req := hc.finish(slot).req
+		req.seg.deliver(chunk{off: req.offset, err: fmt.Errorf("core: tracker %s: %s", p.host, resp.Err)})
 	}
-	return slot, true, true
 }
 
-// complete finishes one fetched chunk however it arrived — RDMA-written
-// by the responder ahead of its header, or READ by one of the pumps — so a
-// chunk is accounted in exactly one place. A READ that landed in payload
-// block blk is delivered as that block, uncopied: its bytes are the bytes
-// the merge decodes. Otherwise the n payload bytes sitting in ring slot
-// `slot` are copied out into a pooled heap buffer. Either way the chunk is
-// counted, spanned, and delivered to the owning segment; nothing is left
-// in the slot, which the caller gives back. ps is the pending entry the
-// caller took for the slot. Delivery never blocks: a segment has at most
-// one chunk in flight and a place for it.
-func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlot, n int, eof bool, blk *mrpool.Block) {
+// complete finishes the request in ring slot `slot` however its chunk
+// arrived — RDMA-written by the responder ahead of its header, or READ by
+// the loop — so a chunk is accounted in exactly one place, and frees the
+// slot. A READ that landed in payload block blk is delivered as that
+// block, uncopied: its bytes are the bytes the merge decodes. Otherwise
+// the n payload bytes sitting in the slot are copied out into a pooled
+// heap buffer. Either way the chunk is counted, spanned, and delivered to
+// the owning segment. Delivery never blocks: a segment has at most one
+// chunk in flight and a place for it.
+func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, n int, eof bool, blk *mrpool.Block) {
+	ps := hc.finish(slot)
 	var pl payload
 	switch {
 	case blk != nil:
@@ -1382,7 +1236,8 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 	f.cRecvBytes.Add(int64(n))
 	f.nFetchBytes.Add(int64(n))
 	f.nFetchChunks.Add(1)
-	if !hc.progress.Swap(true) {
+	if !hc.progress {
+		hc.progress = true
 		p.health.recordSuccessGen(hc.gen)
 	}
 	req := ps.req
@@ -1399,24 +1254,21 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, ps pendingSlo
 }
 
 // installPlan accepts a descriptor manifest answering the request in
-// slot m.Tag and returns chunk 0's READ for the completion pump to issue;
-// the rest become the host's live plan for that map, consumed by planTake
-// as the segment walks forward. The pending entry stays registered — the
-// READ, not a wire response, completes it. Returns an error (a protocol
-// violation aborting the connection) when the manifest does not match
-// what the slot asked for.
-func (hc *hostConn) installPlan(cctx context.Context, m *wire.ReadManifest) (readJob, error) {
+// slot m.Tag and returns chunk 0's READ for the loop to issue; the rest
+// become the host's live plan for that map, consumed by planTake as the
+// segment walks forward. The request stays in its slot — the READ, not a
+// wire response, completes it. Returns an error (a protocol violation
+// aborting the connection) when the manifest does not match what the
+// slot asked for.
+func (hc *hostConn) installPlan(ctx context.Context, m *wire.ReadManifest) (readJob, error) {
 	slot := m.Tag & 0xffff
-	hc.mu.Lock()
-	if int(slot) >= len(hc.pending) || !hc.pending[slot].busy() {
-		hc.mu.Unlock()
+	if !hc.owes(slot) {
 		return readJob{}, fmt.Errorf("%w: manifest for unknown slot tag %d", errProtocol, m.Tag)
 	}
-	ps := hc.pending[slot]
-	mapID := ps.req.seg.mapID
-	if len(m.Chunks) == 0 || m.Chunks[0].Offset != ps.req.offset || m.MapID != mapID {
-		hc.mu.Unlock()
-		return readJob{}, fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, mapID, ps.req.offset)
+	req := hc.pending[slot].req
+	mapID := req.seg.mapID
+	if len(m.Chunks) == 0 || m.Chunks[0].Offset != req.offset || m.MapID != mapID {
+		return readJob{}, fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, mapID, req.offset)
 	}
 	plan := &readPlan{mapID: int(mapID), leaseID: m.LeaseID, rkey: m.RKey, chunks: m.Chunks[1:], pending: 1}
 	stale := hc.plans[plan.mapID]
@@ -1426,25 +1278,23 @@ func (hc *hostConn) installPlan(cctx context.Context, m *wire.ReadManifest) (rea
 		}
 		hc.plans[plan.mapID] = plan
 	}
-	hc.mu.Unlock()
 	if stale != nil {
-		hc.releaseLease(cctx, hc.detachPlan(stale))
+		hc.releaseLease(ctx, hc.detachPlan(stale))
 	}
-	return readJob{slot: slot, req: ps.req, entry: m.Chunks[0], plan: plan}, nil
+	return readJob{slot: slot, entry: m.Chunks[0], plan: plan}, nil
 }
 
-// executeRead issues the RDMA READs for one manifest chunk, on the pump
-// that found it — the responder is not involved at all. Remote ranges are
-// record-boundary descriptors over the pinned cache region; contiguous
-// ones coalesce into a single READ. The local destination, filled front to
-// back, is a payload block from the fetcher's free list, which complete
-// delivers as the chunk itself (D21). When the device's registered-memory
-// budget refuses the block, it is the slot, and the chunk completes the
-// way an RDMA-written response does, copied out. Waiting for a block
-// instead could deadlock: the merge may hold 2 × maps + 1 chunk buffers
-// before it can retire one. It reports whether it finished with the job's
-// slot, which the caller then gives back.
-func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) bool {
+// executeRead issues the RDMA READs for one manifest chunk — the
+// responder is not involved at all. Remote ranges are record-boundary
+// descriptors over the pinned cache region; contiguous ones coalesce into
+// a single READ. The local destination, filled front to back, is a
+// payload block from the fetcher's free list, which complete delivers as
+// the chunk itself (D21). When the device's registered-memory budget
+// refuses the block, it is the slot, and the chunk completes the way an
+// RDMA-written response does, copied out. Waiting for a block instead
+// could deadlock: the merge may hold 2 × maps + 1 chunk buffers before it
+// can retire one.
+func (f *fetcher) executeRead(ctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
 	entry := job.entry
 	n := int(entry.Bytes)
 	total := 0
@@ -1454,7 +1304,7 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 	if n < 0 || n > hc.slotSize || total != n {
 		hc.abort(fmt.Errorf("core: %s: %w: manifest chunk claims %d bytes, ranges sum %d (slot %d)",
 			p.host, errProtocol, n, total, hc.slotSize))
-		return false
+		return
 	}
 	dst, base := hc.ring.MR(), hc.ring.Offset()+int(job.slot)*hc.slotSize
 	var blk *mrpool.Block
@@ -1476,65 +1326,50 @@ func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, j
 			i++
 		}
 		sgl[0] = verbs.SGE{MR: dst, Offset: base + local, Length: span}
-		if err := hc.lease.ReadSG(cctx, sgl[:], addr, job.plan.rkey); err != nil {
+		if err := hc.lease.ReadSG(ctx, sgl[:], addr, job.plan.rkey); err != nil {
 			// ReadSG returns only after the READ has executed, so the
 			// fabric is done with the block. Only from here may the block
 			// be reused.
 			if blk != nil {
 				f.blocks.put(blk)
 			}
-			return f.readFailed(cctx, p, hc, job, err)
+			f.readFailed(ctx, p, hc, job, err)
+			return
 		}
 		local += span
 		reads++
 	}
-	hc.touch()
-	ps, ok := hc.takeSlot(job.slot)
-	if !ok {
-		// Someone else took the slot, and with it the request.
-		if blk != nil {
-			f.blocks.put(blk)
-		}
-		return false
-	}
+	hc.lastActive = time.Now()
 	f.cReadIssued.Add(int64(reads))
 	f.cReadBytes.Add(int64(n))
 	f.cZeroCopyHits.Add(1)
 	f.nReadIssued.Add(int64(reads))
-	hc.releaseLease(cctx, hc.planDone(job.plan))
-	f.complete(p, hc, job.slot, ps, n, entry.EOF, blk)
-	return true
+	hc.releaseLease(ctx, hc.planDone(job.plan))
+	f.complete(p, hc, job.slot, n, entry.EOF, blk)
 }
 
 // readFailed handles a failed READ. A remote-access fault means the
 // lease expired or the entry was evicted and its region deregistered —
 // the bytes were never written, nothing is corrupt — so the request
 // is re-issued for an eager response (noRead) without consuming retry
-// budget, and the slot is finished. Anything else is a transport failure:
+// budget, and the slot is freed. Anything else is a transport failure:
 // abort the connection and let the supervisor re-issue everything
 // idempotently.
-func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) bool {
-	if cctx.Err() != nil {
-		// A READ cut short by teardown leaves its request in hc.pending.
-		// takePending runs once, after both pumps have exited, and
-		// removes what it returns, so the supervisor re-issues the
-		// request exactly once.
-		return false
+func (f *fetcher) readFailed(ctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) {
+	if ctx.Err() != nil {
+		// Shutdown: the request stays in its slot, and nobody re-issues it.
+		return
 	}
 	f.cReadFallbacks.Add(1)
-	hc.releaseLease(cctx, hc.detachPlan(job.plan))
-	hc.releaseLease(cctx, hc.planDone(job.plan))
+	hc.releaseLease(ctx, hc.detachPlan(job.plan))
+	hc.releaseLease(ctx, hc.planDone(job.plan))
 	if !errors.Is(err, ucr.ErrRemoteAccess) {
 		hc.abort(fmt.Errorf("core: read from %s: %w", p.host, err))
-		return false
+		return
 	}
-	if _, ok := hc.takeSlot(job.slot); !ok {
-		return false
-	}
-	req := job.req
+	req := hc.finish(job.slot).req
 	req.noRead = true
 	p.enqueue(req)
-	return true
 }
 
 // fetcher is the ReduceTask-side pipeline: RDMACopier connections and the
@@ -1542,15 +1377,12 @@ func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, jo
 // pulls (the paper's DataToReduceQueue is that call; DESIGN.md D17).
 type fetcher struct {
 	task        mapred.ReduceTaskInfo
-	overlap     bool
 	kvPerPacket int
 	slotSize    int
 	depth       int
 
 	// Robustness policy (see DESIGN.md D6).
 	connectRetries int
-	backoffBase    time.Duration
-	backoffMax     time.Duration
 	reqTimeout     time.Duration
 
 	// Quiet connections retire after connIdle (0 = never, D13).
@@ -1564,8 +1396,8 @@ type fetcher struct {
 	// events and the merge span are gated on it.
 	tr *obs.JobTrace
 
-	// Pre-resolved counter handles: the pumps increment these per packet,
-	// so they skip the registry's name lookup.
+	// Pre-resolved counter handles: the supervisors increment these per
+	// packet, so they skip the registry's name lookup.
 	cRetries       *obs.Counter
 	cReconnects    *obs.Counter
 	cDeadline      *obs.Counter
@@ -1626,13 +1458,10 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	c := task.Local.Counters()
 	f := &fetcher{
 		task:           task,
-		overlap:        conf.Bool(config.KeyOverlapReduce),
 		kvPerPacket:    int(conf.Int(config.KeyKVPairsPerPacket)),
 		slotSize:       packet + 64<<10,
 		depth:          depth,
 		connectRetries: int(conf.Int(config.KeyRDMAConnectRetries)),
-		backoffBase:    time.Duration(conf.Int(config.KeyRDMABackoffBase)) * time.Millisecond,
-		backoffMax:     time.Duration(conf.Int(config.KeyRDMABackoffMax)) * time.Millisecond,
 		reqTimeout:     time.Duration(conf.Int(config.KeyRDMARequestTimeout)) * time.Millisecond,
 		connIdle:       time.Duration(conf.Int(config.KeyRDMAConnIdleTimeout)) * time.Millisecond,
 		prof:           prof,
@@ -1671,19 +1500,13 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	f.cancel = cancel
 	f.runCtx = ctx
-	// With overlap off the merged records are kept for the whole reduce,
-	// so their chunk buffers are never given back before Close.
-	var recycle func(payload)
-	if f.overlap {
-		recycle = f.release
-	}
 	var window func() func()
 	if f.prof != nil || f.tr != nil {
 		window = f.mergeWindow
 	}
 	f.arena = arenas.get()
 	f.it = &f.arena.it
-	f.it.Reset(ctx, f.task.Job.Comparator, recycle, window)
+	f.it.Reset(ctx, f.task.Job.Comparator, f.release, window)
 
 	// The shuffle window for this reduce opens now; deliveries extend it.
 	// Its open edge is also the TTFB origin.
@@ -1735,21 +1558,8 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 		defer f.wg.Done()
 		f.it.Gather(f.task.Events, f.task.Job.NumMaps, f.openSegment)
 	}()
-
-	if f.overlap {
-		// Streaming iterator: reduce overlaps shuffle+merge.
-		return f.it, nil
-	}
-	// Ablation mode: barrier like the vanilla design — materialize the
-	// whole merged stream before the reduce function sees any of it.
-	var all []kv.Record
-	for f.it.Next() {
-		all = append(all, f.it.Record())
-	}
-	if err := f.it.Err(); err != nil {
-		return nil, err
-	}
-	return kv.NewSliceIterator(all), nil
+	// Streaming iterator: reduce overlaps shuffle+merge.
+	return f.it, nil
 }
 
 // openSegment starts streaming one completed map's partition: its
@@ -1760,7 +1570,7 @@ func (f *fetcher) openSegment(ev mapred.MapEvent) (kv.Iterator, error) {
 		return nil, fmt.Errorf("core: map event from unknown host %s", ev.Host)
 	}
 	if len(f.segs) == cap(f.segs) {
-		// Growing segs would move the segments the pumps deliver into.
+		// Growing segs would move the segments the supervisors deliver into.
 		return nil, fmt.Errorf("core: map event %d past the job's %d maps", ev.MapID, cap(f.segs))
 	}
 	f.segs = append(f.segs, segment{mapID: int32(ev.MapID), peer: p, f: f})

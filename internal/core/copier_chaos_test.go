@@ -119,6 +119,19 @@ func TestCopierRequestDeadlineReissues(t *testing.T) {
 	}
 }
 
+// leases is the number of leases on the plane's connection to host.
+func (p *connPlane) leases(host string) int {
+	p.mu.Lock()
+	sc := p.conns[host]
+	p.mu.Unlock()
+	if sc == nil {
+		return 0
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.refs
+}
+
 // TestCopierIdleRetirementRedialsLazily: a host connection that carries
 // nothing for mapred.rdma.conn.idle.timeout retires cleanly, and the next
 // demand for that host dials again. Neither step is a failure: the fetch
@@ -153,13 +166,12 @@ func TestCopierIdleRetirementRedialsLazily(t *testing.T) {
 		fetchErr = it.Err()
 	}()
 	defer func() { cancel(); <-done }()
-	p := f.peers[h.tt.Host()]
+	plane := planeOf(h.tt)
 	c := h.tt.Counters()
 	events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
+	// The connection that carried the chunk has given its lease back.
 	waitFor(t, func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return c.Get("shuffle.rdma.packets") >= 1 && p.cur == nil
+		return c.Get("shuffle.rdma.packets") >= 1 && plane.leases(h.tt.Host()) == 0
 	})
 	events <- mapred.MapEvent{MapID: 1, Host: h.tt.Host()}
 	close(events)

@@ -146,8 +146,8 @@ func stressConf(depth int64) *config.Config {
 // segments share one 8-slot connection under an amplified verbs timing
 // model, with released payload buffers poisoned so any record that
 // outlives its chunk's pool release turns into visible corruption. Run
-// under -race this exercises sendLoop/recvLoop/merge/consumer
-// concurrency end to end.
+// under -race this exercises the host loop, the merge and the consumer
+// concurrently, end to end.
 func TestRingStressManySegmentsOneHost(t *testing.T) {
 	poisonReleasedPayloads.Store(true)
 	defer poisonReleasedPayloads.Store(false)

@@ -14,7 +14,6 @@ import (
 //   - mapred.local.caching.enabled — PrefetchCache on/off (Figure 8)
 //   - mapred.rdma.packet.size — RDMA packet size
 //   - mapred.rdma.kvpairs.per.packet — records per packet
-//   - mapred.rdma.overlap.reduce — streaming vs barrier hand-off (D3)
 //   - mapred.rdma.responder.threads — requests in service at once per tracker
 //   - mapred.rdma.prefetch.threads — prefetcher pool size
 type Engine struct {

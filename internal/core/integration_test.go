@@ -279,15 +279,6 @@ func TestAdoptedMapOutputReadsNoDiskAndLeaksNoBlock(t *testing.T) {
 	}
 }
 
-func TestOverlapAblation(t *testing.T) {
-	// D3: with overlap disabled the job still computes correct results
-	// (barrier semantics), so the ablation bench compares like for like.
-	conf := rdmaConf()
-	conf.SetBool(config.KeyOverlapReduce, false)
-	c := newRDMACluster(t, 2, conf)
-	runTeraSort(t, c, 600, 4)
-}
-
 func TestFIFOCachePolicy(t *testing.T) {
 	conf := rdmaConf()
 	conf.Set(config.KeyCachePriorityMode, "fifo")

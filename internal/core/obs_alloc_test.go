@@ -7,13 +7,13 @@ import (
 	"rdmamr/internal/stats"
 )
 
-// obsDisabledHotPath is the exact observability sequence the copier
-// pumps execute per delivered chunk when profiling and tracing are off
+// obsDisabledHotPath is the exact observability sequence the copier's
+// host loops execute per delivered chunk when profiling and tracing are off
 // (prof == nil, tr == nil): the nil-gated span construction, the
 // nil-profile no-op methods, the nil-gated trace record, and the
 // pre-resolved counter handles (cluster AND node registries).
 func obsDisabledHotPath(f *fetcher, i int) chunk {
-	// sendLoop: occupancy accounting.
+	// issue: occupancy accounting.
 	f.cOutPeak.Max(int64(i & 7))
 	f.prof.SlotOccupancy(i & 7)
 	// complete: byte accounting (cluster + node telemetry handles) plus

@@ -153,8 +153,13 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 			if heapGets != 0 {
 				t.Fatalf("%d chunks were copied into heap buffers, want every chunk READ into a payload block", heapGets)
 			}
+			// Every block the fetch carved is on a free list, or holds the
+			// last record's chunk.
 			f.blocks.mu.Lock()
-			carves := len(f.blocks.carved)
+			carves := int(payloadsOut.Load() - base)
+			for _, blocks := range f.blocks.free {
+				carves += len(blocks)
+			}
 			f.blocks.mu.Unlock()
 			if carves > 2*maps+1 {
 				t.Fatalf("%d payload blocks carved, want at most %d: blocks are not being reused", carves, 2*maps+1)
@@ -183,9 +188,7 @@ func settleBlocks(t *testing.T, pool *mrpool.Pool, blocks, payloadBytes int64, w
 
 // TestPullPayloadAccounting: every chunk buffer handed out — a heap buffer
 // from getPayload or a registered payload block — comes back on each way
-// a fetch can end, and the device's slab books with it. With
-// mapred.rdma.overlap.reduce=false the records keep their chunks until
-// Close, which then frees the blocks they alias.
+// a fetch can end, and the device's slab books with it.
 func TestPullPayloadAccounting(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -259,27 +262,6 @@ func TestPullPayloadAccounting(t *testing.T) {
 			}
 			f.Close()
 			settled("segment error")
-
-			// Barrier mode: Fetch drains the stream into the records the
-			// reduce keeps, so no chunk goes back before Close. Heap
-			// buffers are left to the collector; blocks must be freed.
-			job := h.job
-			h.job.Conf = job.Conf.Clone()
-			h.job.Conf.SetBool(config.KeyOverlapReduce, false)
-			f, it = h.open(ctx, maps)
-			h.job = job
-			n := 0
-			for it.Next() {
-				n++
-			}
-			if err := it.Err(); err != nil || n != len(h.expected) {
-				t.Fatalf("barrier mode: %d of %d records, err %v", n, len(h.expected), err)
-			}
-			if tc.caching && pool.Attribution()["payload"] == basePayload {
-				t.Fatal("barrier mode holds no payload block before Close: the fetch did not READ")
-			}
-			f.Close()
-			settleBlocks(t, pool, baseBlocks, basePayload, "barrier mode")
 		})
 	}
 }
@@ -298,10 +280,10 @@ func settleGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
-// connGoroutines counts the live goroutines that host connections run:
-// every goroutine a fetcher method started, except the per-host
-// supervisors and the event goroutine Fetch starts.
-func connGoroutines() int {
+// hostGoroutines counts the live goroutines that hosts run: the per-host
+// supervisors (peerLoop), and every goroutine a fetcher method other than
+// Fetch started.
+func hostGoroutines() (supervisors, others int) {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	for n == len(buf) {
@@ -309,13 +291,14 @@ func connGoroutines() int {
 		n = runtime.Stack(buf, true)
 	}
 	const by = "\ncreated by rdmamr/internal/core.(*fetcher)."
-	count := 0
 	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-		if i := strings.Index(g, by); i >= 0 && !strings.HasPrefix(g[i+len(by):], "Fetch") {
-			count++
+		if strings.Contains(g, "\nrdmamr/internal/core.(*fetcher).peerLoop(") {
+			supervisors++
+		} else if i := strings.Index(g, by); i >= 0 && !strings.HasPrefix(g[i+len(by):], "Fetch") {
+			others++
 		}
 	}
-	return count
+	return supervisors, others
 }
 
 // TestPullCancelWhileBlockedOnRefill: the reduce goroutine is inside Next,
@@ -327,7 +310,8 @@ func connGoroutines() int {
 // with caching off the responder's RDMA write (eager). Hadoop-A, asked
 // to cache, has no cache and serves eagerly — and settles to the same
 // baseline: the tracker keeps no goroutine per fetch. While the chunk is
-// parked, the host connection runs exactly two goroutines on every row.
+// parked, the host runs exactly one goroutine on every row, its
+// supervisor, which runs the connection itself.
 func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -349,9 +333,8 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 				// lands the partition is served by manifest.
 				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= 1 })
 			}
-			// Closed fetchers' pumps (this test's warm pass, earlier tests')
-			// may still be winding down: count from none.
-			waitFor(t, func() bool { return connGoroutines() == 0 })
+			// Count from no host goroutine of any earlier fetcher.
+			waitFor(t, func() bool { s, o := hostGoroutines(); return s+o == 0 })
 			baseline := runtime.NumGoroutine()
 			basePayloads := payloadsOut.Load()
 			pool := mrpool.For(h.tt.Device())
@@ -380,12 +363,12 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("no third %v in 10 s: the fetch is not taking the %s path", tc.op, tc.name)
 			}
-			// A live host connection is its two pumps, whichever half of the
-			// protocol is moving the bytes: the pump that finds a READ issues
-			// it, and the supervisor keeps the clocks.
+			// A live host connection is its supervisor's loop, whichever half
+			// of the protocol is moving the bytes: the loop that finds a READ
+			// issues it, and keeps the clocks.
 			// (Errorf, not Fatalf: the parked request must still be released.)
-			if n := connGoroutines(); n != 2 {
-				t.Errorf("host connection runs %d goroutines while the chunk is parked, want 2", n)
+			if s, o := hostGoroutines(); s != 1 || o != 0 {
+				t.Errorf("host runs %d supervisors and %d other fetcher goroutines while the chunk is parked, want 1 and 0", s, o)
 			}
 			cancel()
 			select {
@@ -456,25 +439,6 @@ func TestPullResumesAtOffsetAfterDroppedWrite(t *testing.T) {
 		t.Fatal("the dropped write healed by neither a retry nor RecoverMap")
 	}
 	t.Logf("healed by %d retries, %d recoveries", retries, recoveries)
-}
-
-// TestPullOverlapOffSameSequence: mapred.rdma.overlap.reduce=false drains
-// the same iterator into a slice. The sequence is the streaming one
-// (both are checked against the harness's sorted union, each record again
-// one behind, after the following Next), and with recycling off every
-// record is still whole after the last one arrived — released payloads are
-// poisoned, so a pooled buffer would show.
-func TestPullOverlapOffSameSequence(t *testing.T) {
-	poisonReleasedPayloads.Store(true)
-	defer poisonReleasedPayloads.Store(false)
-	for _, overlap := range []bool{true, false} {
-		conf := stressConf(4)
-		conf.SetBool(config.KeyOverlapReduce, overlap)
-		h := newRingHarness(t, conf, 16, 100)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		h.fetch(ctx)
-		cancel()
-	}
 }
 
 // plantConf is the benchmark's shuffle-only configuration: the RDMA

@@ -26,14 +26,6 @@ type HandlerSources struct {
 	Jobs func() *JobsReport
 }
 
-// Handler serves the node-local debug surface — the pre-telemetry
-// signature, kept for callers that only have a registry and a profile.
-// reg may be nil (renders as an empty registry); profile may be nil or
-// return nil (404).
-func Handler(reg *Registry, profile func() *Report) http.Handler {
-	return NewHandler(HandlerSources{Registry: reg, Profile: profile})
-}
-
 // NewHandler serves the debug observability surface over HTTP:
 //
 //	/metrics       registry rendered as sorted text

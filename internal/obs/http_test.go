@@ -23,7 +23,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 // a handler built with no registry at all must serve every endpoint
 // without panicking — /metrics empty, /metrics.json an empty snapshot.
 func TestHandlerNilRegistry(t *testing.T) {
-	h := Handler(nil, nil)
+	h := NewHandler(HandlerSources{})
 	code, ct, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics with nil registry: status %d", code)
@@ -49,7 +49,7 @@ func TestHandlerLegacyEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shuffle.rdma.bytes").Add(4096)
 	var rep *Report
-	h := Handler(reg, func() *Report { return rep })
+	h := NewHandler(HandlerSources{Registry: reg, Profile: func() *Report { return rep }})
 
 	code, ct, body := get(t, h, "/")
 	if code != http.StatusOK || !strings.HasPrefix(ct, "text/plain") {

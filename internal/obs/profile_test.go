@@ -184,7 +184,7 @@ func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shuffle.rdma.packets").Add(17)
 	var prof *JobProfile
-	h := Handler(reg, func() *Report { return prof.Report() })
+	h := NewHandler(HandlerSources{Registry: reg, Profile: func() *Report { return prof.Report() }})
 
 	get := func(path string) (int, string) {
 		req := httptest.NewRequest("GET", path, nil)
