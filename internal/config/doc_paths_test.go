@@ -1,6 +1,7 @@
 package config
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -20,14 +21,18 @@ var goFileRe = regexp.MustCompile("`([A-Za-z0-9_]+\\.go)(?::[0-9]+)?`")
 // roadmapItemRe matches a ROADMAP item named by its number.
 var roadmapItemRe = regexp.MustCompile(`ROADMAP item [0-9]`)
 
+// wrappedRoadmapItemRe is roadmapItemRe across a wrapped comment line.
+var wrappedRoadmapItemRe = regexp.MustCompile(`ROADMAP(?:\s|#)+item\s+[0-9]`)
+
 // TestDocPathsExist keeps the prose honest about the tree, the way
 // TestConfigKeysMatchDocs keeps it honest about the keys: every repository
 // path README, DESIGN, EXPERIMENTS and the verify skill mention exists (a
 // trailing :line or Go selector such as pkg/rdmamr.EngineByName is
 // dropped; a glob must match something), every backticked bare *.go
 // name is some file's name, and no ROADMAP item is named by its number,
-// which every re-anchor of ROADMAP.md renumbers. Delete or move code and
-// this fails until the docs follow.
+// which every re-anchor of ROADMAP.md renumbers — in those docs, the
+// Makefile or scripts/*.sh (benchmark/ is left to the benchmark's own
+// changes). Delete or move code and this fails until the docs follow.
 func TestDocPathsExist(t *testing.T) {
 	root := filepath.Join("..", "..")
 	goFiles := map[string]bool{}
@@ -81,6 +86,20 @@ func TestDocPathsExist(t *testing.T) {
 					t.Errorf("%s:%d names %s, which matches no file", doc, n+1, m[1])
 				}
 			}
+		}
+	}
+
+	scripts, err := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(scripts, filepath.Join(root, "Makefile")) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range wrappedRoadmapItemRe.FindAllIndex(raw, -1) {
+			t.Errorf("%s:%d names a ROADMAP item by number; name it by its subject", path, bytes.Count(raw[:m[0]], []byte("\n"))+1)
 		}
 	}
 }

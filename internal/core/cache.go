@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rdmamr/internal/kv"
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/obs"
 	"rdmamr/internal/stats"
@@ -66,13 +67,25 @@ type Registrar interface {
 // An adopted body (D24) is a map output run encoded straight into its
 // block: the store holds it pinned under name and owns one more
 // reference, dropped through Release when the store lets go of it.
+// marks is the run cut into chunks by the cache's rule before admission.
 type cacheBody struct {
-	data []byte
-	blk  *mrpool.Block
-	refs atomic.Int32
+	data  []byte
+	blk   *mrpool.Block
+	refs  atomic.Int32
+	marks []chunkMark
+	cut   sync.Once
 
 	store *storage.LocalStore // the store holding an adopted body; nil for a Put copy
 	name  string              // its name there
+}
+
+// cutBy sets marks once, so a body adopted twice keeps them under readers.
+func (b *cacheBody) cutBy(rule packRule) {
+	b.cut.Do(func() {
+		if body, _, err := kv.RunBody(b.data); err == nil {
+			b.marks = rule.cut(body)
+		}
+	})
 }
 
 // Release drops one reference. It is also the storage.Pinned hook the
@@ -166,9 +179,11 @@ type PrefetchCache struct {
 	regMu     sync.Mutex
 	registrar Registrar
 
-	// cHits and cMisses are cache.hits and cache.misses, which every
-	// lookup moves, resolved once.
-	cHits, cMisses *obs.Counter
+	rule packRule // the tracker's (D4), what admitted runs are cut by
+
+	// Every cache.* counter admission and lookup move, resolved once.
+	cHits, cMisses, cAdopted, cInserted, cRejected *obs.Counter
+	cEvictions, cQuotaEvictions, cDemoted          *obs.Counter
 
 	// Multi-tenant accounting (D12): tenants tracks cached bytes per job
 	// across every shard; quota, when >0, caps any one job's share of the
@@ -222,6 +237,8 @@ func NewPrefetchCache(capacity int64, policy string, counters *stats.Counters) *
 	n := shardsFor(capacity)
 	c := &PrefetchCache{policy: policy, counters: counters, shards: make([]*cacheShard, n), tenants: make(map[string]int64)}
 	c.cHits, c.cMisses = counters.Handle("cache.hits"), counters.Handle("cache.misses")
+	c.cAdopted, c.cInserted, c.cRejected = counters.Handle("cache.adopted"), counters.Handle("cache.inserted"), counters.Handle("cache.rejected")
+	c.cEvictions, c.cQuotaEvictions, c.cDemoted = counters.Handle("cache.evictions"), counters.Handle("cache.quota.evictions"), counters.Handle("cache.demoted")
 	per := capacity / int64(n)
 	for i := range c.shards {
 		cap := per
@@ -321,8 +338,7 @@ func (c *PrefetchCache) Get(key CacheKey) ([]byte, bool) {
 
 // Acquire is Get returning a pinned view: the entry's bytes stay
 // registered until the view is released, even across eviction or
-// RemoveJob. The responder parks the view in a read lease for as long
-// as a published manifest may still be READ.
+// RemoveJob.
 func (c *PrefetchCache) Acquire(key CacheKey) (*CacheView, bool) {
 	body, ok := c.pin(key)
 	if !ok {
@@ -332,7 +348,9 @@ func (c *PrefetchCache) Acquire(key CacheKey) (*CacheView, bool) {
 }
 
 // pin is Acquire without the view: it returns the entry's body holding a
-// reference the caller drops with Release, recording a hit or miss.
+// reference the caller drops with Release, recording a hit or miss. The
+// responder's manifests and eager serves pin what they read; a manifest's
+// read lease holds its pin for as long as the plan may still be READ.
 func (c *PrefetchCache) pin(key CacheKey) (*cacheBody, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -365,7 +383,8 @@ func (c *PrefetchCache) Contains(key CacheKey) bool {
 // admitted: an entry larger than the whole cache (shard), or one that
 // would require evicting strictly more valuable entries, is rejected.
 // When a registrar is wired the bytes are registered here, once, so every
-// subsequent request against this entry can be answered by manifest.
+// subsequent request against this entry can be answered by manifest; the
+// copy is cut into chunks right after, while its bytes are hot.
 //
 // The cache always keeps its own copy of data, never the slice itself,
 // so a caller may pass bytes it only borrowed (LocalStore.Get).
@@ -386,19 +405,22 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	if body.blk == nil {
 		body.data = slices.Clone(data)
 	}
+	body.cutBy(c.rule)
 	return c.insert(key, body, priority)
 }
 
 // adopt is Put by ownership transfer (D24): body is a map output run
 // encoded straight into its registered block and held pinned by the
 // store, and the entry takes over the caller's reference to it — no copy.
-// A run the cache refuses is demoted at once, so registered map output
-// never outgrows the cache's capacity plus the pins in flight.
+// The run is cut into chunks first, on the map's goroutine, right after
+// its encode. A run the cache refuses is demoted at once, so registered
+// map output never outgrows the cache's capacity plus the pins in flight.
 func (c *PrefetchCache) adopt(key CacheKey, body *cacheBody) bool {
+	body.cutBy(c.rule)
 	if !c.insert(key, body, PriorityPrefetch) {
 		return false
 	}
-	c.counters.Add("cache.adopted", 1)
+	c.cAdopted.Add(1)
 	return true
 }
 
@@ -447,7 +469,7 @@ func (c *PrefetchCache) insert(key CacheKey, body *cacheBody, priority int) bool
 				return c.reject(body)
 			}
 			c.drop(s.removeLocked(c, victim))
-			c.counters.Add("cache.quota.evictions", 1)
+			c.cQuotaEvictions.Add(1)
 		}
 	}
 	s.seq++
@@ -461,18 +483,18 @@ func (c *PrefetchCache) insert(key CacheKey, body *cacheBody, priority int) bool
 			return c.reject(body)
 		}
 		c.drop(s.removeLocked(c, victim))
-		c.counters.Add("cache.evictions", 1)
+		c.cEvictions.Add(1)
 	}
 	s.entries[key] = e
 	s.used += size
 	c.tenantAdd(key.JobID, size)
-	c.counters.Add("cache.inserted", 1)
+	c.cInserted.Add(1)
 	return true
 }
 
 // reject refuses admission to body and drops it.
 func (c *PrefetchCache) reject(body *cacheBody) bool {
-	c.counters.Add("cache.rejected", 1)
+	c.cRejected.Add(1)
 	c.drop(body)
 	return false
 }
@@ -486,7 +508,7 @@ func (c *PrefetchCache) reject(body *cacheBody) bool {
 // cache under its own.
 func (c *PrefetchCache) drop(body *cacheBody) {
 	if body.store != nil && body.store.Demote(body.name, body) {
-		c.counters.Add("cache.demoted", 1)
+		c.cDemoted.Add(1)
 	}
 	body.Release()
 }
@@ -568,7 +590,7 @@ func (s *cacheShard) evictLocked(c *PrefetchCache, protect *cacheEntry) {
 			return
 		}
 		c.drop(s.removeLocked(c, victim))
-		c.counters.Add("cache.evictions", 1)
+		c.cEvictions.Add(1)
 	}
 }
 

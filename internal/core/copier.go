@@ -1377,8 +1377,8 @@ func (f *fetcher) readFailed(ctx context.Context, p *hostPeer, hc *hostConn, job
 // pulls (the paper's DataToReduceQueue is that call; DESIGN.md D17).
 type fetcher struct {
 	task        mapred.ReduceTaskInfo
-	kvPerPacket int
-	slotSize    int
+	kvPerPacket int // packRule's record cap (D4)
+	slotSize    int // packRule's hard limit: the most a chunk may carry
 	depth       int
 
 	// Robustness policy (see DESIGN.md D6).
@@ -1450,7 +1450,7 @@ type fetcher struct {
 
 func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	conf := task.Job.Conf
-	packet := int(conf.Int(config.KeyRDMAPacketBytes))
+	rule := packRuleOf(conf, false)
 	// The paper's mapred.reduce.parallel.copies governs reducer fetch
 	// parallelism; on the RDMA path it is the ring depth.
 	depth := max(int(conf.Int(config.KeyParallelCopies)), 1)
@@ -1458,8 +1458,8 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	c := task.Local.Counters()
 	f := &fetcher{
 		task:           task,
-		kvPerPacket:    int(conf.Int(config.KeyKVPairsPerPacket)),
-		slotSize:       packet + 64<<10,
+		kvPerPacket:    rule.maxRecords,
+		slotSize:       rule.hard,
 		depth:          depth,
 		connectRetries: int(conf.Int(config.KeyRDMAConnectRetries)),
 		reqTimeout:     time.Duration(conf.Int(config.KeyRDMARequestTimeout)) * time.Millisecond,

@@ -8,7 +8,7 @@ import (
 // readLease is the server-side pin behind one published descriptor
 // manifest (D9). Publishing (rkey, addr, len) descriptors hands the
 // copier the right to READ cache memory the responder no longer watches,
-// so every manifest takes a lease: a pinned CacheView plus a deadline.
+// so every manifest takes a lease: a pinned cache body plus a deadline.
 // The pin keeps the run's memory region registered while the copier
 // drains the plan; the deadline bounds how long an unresponsive or dead
 // copier can hold cache memory hostage. An expired or drained lease drops
@@ -16,7 +16,7 @@ import (
 // removed), the region deregisters and any straggler READ completes with
 // a remote-access fault the copier turns into a clean fallback.
 type readLease struct {
-	view    *CacheView
+	body    *cacheBody
 	expires time.Time
 }
 
@@ -32,20 +32,20 @@ func newLeaseTable() *leaseTable {
 	return &leaseTable{leases: make(map[uint64]*readLease)}
 }
 
-// grant pins view under a fresh lease expiring ttl from now and returns
-// the lease ID the manifest carries. The table owns the view from here:
-// exactly one of release, expire, or drain drops it.
-func (t *leaseTable) grant(view *CacheView, ttl time.Duration) uint64 {
+// grant holds body's pin under a fresh lease expiring ttl from now and
+// returns the lease ID the manifest carries. The table owns the pin from
+// here: exactly one of release, expire, or drain drops it.
+func (t *leaseTable) grant(body *cacheBody, ttl time.Duration) uint64 {
 	t.mu.Lock()
 	t.next++
 	id := t.next
-	t.leases[id] = &readLease{view: view, expires: time.Now().Add(ttl)}
+	t.leases[id] = &readLease{body: body, expires: time.Now().Add(ttl)}
 	t.mu.Unlock()
 	return id
 }
 
 // release drops the lease (copier finished or abandoned its plan) and
-// reports whether it was still live. Views are released outside the lock:
+// reports whether it was still live. Pins are released outside the lock:
 // the last-reference path deregisters a memory region, which must not run
 // under the table mutex.
 func (t *leaseTable) release(id uint64) bool {
@@ -56,7 +56,7 @@ func (t *leaseTable) release(id uint64) bool {
 	}
 	t.mu.Unlock()
 	if ok {
-		l.view.Release()
+		l.body.Release()
 	}
 	return ok
 }
@@ -74,7 +74,7 @@ func (t *leaseTable) expire(now time.Time) int {
 	}
 	t.mu.Unlock()
 	for _, l := range victims {
-		l.view.Release()
+		l.body.Release()
 	}
 	return len(victims)
 }
@@ -89,7 +89,7 @@ func (t *leaseTable) drain() {
 	}
 	t.mu.Unlock()
 	for _, l := range victims {
-		l.view.Release()
+		l.body.Release()
 	}
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 )
 
@@ -12,21 +15,6 @@ type PackResult struct {
 	Records int  // whole records included
 	EOF     bool // no records remain after this chunk
 }
-
-// Range is one scatter-gather descriptor produced by PackDescriptors:
-// a [Off, Off+Len) byte window into the packed body. Offsets are
-// absolute positions within the body passed to PackDescriptors, so the
-// responder can address them against the memory region registered over
-// the containing run.
-type Range struct {
-	Off int
-	Len int
-}
-
-// descTargetLen is the coalescing target for descriptor entries: record
-// boundaries are merged into ranges of roughly this size so a packet
-// consumes a handful of SGEs instead of one per record.
-const descTargetLen = 32 << 10
 
 // Pack selects whole records from body[offset:] for one shuffle packet.
 //
@@ -42,30 +30,8 @@ const descTargetLen = 32 << 10
 // one record is always packed when any remain, so progress is guaranteed
 // even when the first record exceeds softLimit.
 func Pack(body []byte, offset int64, softLimit, hardLimit, maxRecords int, sizeAware bool) (PackResult, error) {
-	res, _, err := packWalk(body, offset, softLimit, hardLimit, maxRecords, sizeAware, 0, nil)
-	return res, err
-}
-
-// PackDescriptors is Pack in descriptor mode: it makes the identical
-// chunking decision (same PackResult for the same inputs) but also emits
-// the scatter-gather ranges covering the chunk, split only at record
-// boundaries, coalesced toward descTargetLen, and never more than maxSGE
-// entries (the final entry absorbs any overflow). ranges is an optional
-// scratch slice reused to avoid per-packet allocation. The concatenation
-// of the returned ranges is byte-identical to
-// body[offset : offset+res.Bytes].
-func PackDescriptors(body []byte, offset int64, softLimit, hardLimit, maxRecords int, sizeAware bool, maxSGE int, ranges []Range) (PackResult, []Range, error) {
-	if maxSGE < 1 {
-		maxSGE = 1
-	}
-	return packWalk(body, offset, softLimit, hardLimit, maxRecords, sizeAware, maxSGE, ranges[:0])
-}
-
-// packWalk is the single record-boundary walk behind both packing modes.
-// maxSGE == 0 means byte mode: no descriptors are collected.
-func packWalk(body []byte, offset int64, softLimit, hardLimit, maxRecords int, sizeAware bool, maxSGE int, ranges []Range) (PackResult, []Range, error) {
 	if offset < 0 || offset > int64(len(body)) {
-		return PackResult{}, nil, fmt.Errorf("core: pack offset %d outside body of %d", offset, len(body))
+		return PackResult{}, fmt.Errorf("core: pack offset %d outside body of %d", offset, len(body))
 	}
 	if softLimit > hardLimit {
 		softLimit = hardLimit
@@ -75,13 +41,13 @@ func packWalk(body []byte, offset int64, softLimit, hardLimit, maxRecords int, s
 	}
 	rest := body[offset:]
 	if len(rest) == 0 {
-		return PackResult{EOF: true}, ranges, nil
+		return PackResult{EOF: true}, nil
 	}
 	var res PackResult
 	for res.Records < maxRecords && res.Bytes < len(rest) {
 		n, err := kv.NextRecordSize(rest[res.Bytes:])
 		if err != nil {
-			return PackResult{}, nil, fmt.Errorf("core: corrupt record at offset %d: %w", offset+int64(res.Bytes), err)
+			return PackResult{}, fmt.Errorf("core: corrupt record at offset %d: %w", offset+int64(res.Bytes), err)
 		}
 		if res.Records > 0 {
 			// Stop before exceeding the budget that applies to this mode.
@@ -93,19 +59,64 @@ func packWalk(body []byte, offset int64, softLimit, hardLimit, maxRecords int, s
 				break
 			}
 		} else if n > hardLimit {
-			return PackResult{}, nil, fmt.Errorf("core: record of %d bytes exceeds copier buffer of %d", n, hardLimit)
-		}
-		if maxSGE > 0 {
-			last := len(ranges) - 1
-			if last >= 0 && (ranges[last].Len < descTargetLen || len(ranges) == maxSGE) {
-				ranges[last].Len += n
-			} else {
-				ranges = append(ranges, Range{Off: int(offset) + res.Bytes, Len: n})
-			}
+			return PackResult{}, fmt.Errorf("core: record of %d bytes exceeds copier buffer of %d", n, hardLimit)
 		}
 		res.Bytes += n
 		res.Records++
 	}
 	res.EOF = int(offset)+res.Bytes == len(body)
-	return res, ranges, nil
+	return res, nil
+}
+
+// packRule is the one chunking rule (D4) a copier asks by and the cache
+// cuts runs by: Pack with soft limit mapred.rdma.packet.size, hard limit
+// the copier's slot — 64 KiB more, for the record that crosses the soft
+// limit — and at most mapred.rdma.kvpairs.per.packet records.
+type packRule struct {
+	soft, hard, maxRecords int
+	sizeAware              bool
+}
+
+func packRuleOf(conf *config.Config, sizeAware bool) packRule {
+	packet := int(conf.Int(config.KeyRDMAPacketBytes))
+	return packRule{packet, packet + 64<<10, int(conf.Int(config.KeyKVPairsPerPacket)), sizeAware}
+}
+
+// chunkMark ends one chunk of a cached run's record body, which runs from
+// the previous mark's end (0 for the first) and holds records records.
+type chunkMark struct {
+	end     int64
+	records int32
+}
+
+// cut walks body once under r and returns every chunk's mark, or nil when
+// the walk fails: requests for that body take the walk, which reports it.
+func (r packRule) cut(body []byte) []chunkMark {
+	marks := make([]chunkMark, 0, len(body)/max(r.soft, 1)+1)
+	for off := int64(0); r.hard > 0 && off < int64(len(body)); {
+		res, err := Pack(body, off, r.soft, r.hard, r.maxRecords, r.sizeAware)
+		if err != nil {
+			return nil
+		}
+		off += int64(res.Bytes)
+		marks = append(marks, chunkMark{off, int32(res.Records)})
+	}
+	return marks
+}
+
+// chunk packs the chunk of body at offset for a request asking for at
+// most maxBytes and maxRecords. When the request asks by r and a chunk of
+// marks, body's cut under r, starts at offset, binary search finds it and
+// no record is read; anything else takes the walk.
+func (r packRule) chunk(body []byte, marks []chunkMark, offset int64, maxBytes, maxRecords int) (PackResult, error) {
+	if maxBytes == r.hard && maxRecords == r.maxRecords {
+		i, found := slices.BinarySearchFunc(marks, offset, func(m chunkMark, off int64) int { return cmp.Compare(m.end, off) })
+		if found {
+			i++ // the chunk after the one ending at offset
+		}
+		if (found || offset == 0) && i < len(marks) {
+			return PackResult{Bytes: int(marks[i].end - offset), Records: int(marks[i].records), EOF: i == len(marks)-1}, nil
+		}
+	}
+	return Pack(body, offset, r.soft, maxBytes, maxRecords, r.sizeAware)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"rdmamr/internal/mapred"
+	"rdmamr/internal/obs"
 )
 
 // MapOutputPrefetcher is the daemon thread pool of §III-B.3: "after
@@ -16,8 +17,9 @@ import (
 // heap runs (no run allocator, or one that refused the run) and re-cache
 // demand misses.
 type MapOutputPrefetcher struct {
-	tt    *mapred.TaskTracker
-	cache *PrefetchCache
+	tt          *mapred.TaskTracker
+	cache       *PrefetchCache
+	cPrefetched *obs.Counter // cache.prefetched, daemon-cached or adopted
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -33,7 +35,7 @@ func NewMapOutputPrefetcher(tt *mapred.TaskTracker, cache *PrefetchCache, worker
 	if workers < 1 {
 		workers = 1
 	}
-	p := &MapOutputPrefetcher{tt: tt, cache: cache}
+	p := &MapOutputPrefetcher{tt: tt, cache: cache, cPrefetched: tt.Counters().Handle("cache.prefetched")}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -95,13 +97,6 @@ func (p *MapOutputPrefetcher) CancelJob(jobID string) {
 	heap.Init(&p.tasks)
 }
 
-// Pending returns the queued task count (diagnostics).
-func (p *MapOutputPrefetcher) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.tasks)
-}
-
 // Close stops the daemons, discarding queued work.
 func (p *MapOutputPrefetcher) Close() {
 	p.mu.Lock()
@@ -142,7 +137,7 @@ func (p *MapOutputPrefetcher) worker() {
 		// Put copies the borrowed run into the cache's own (registered)
 		// memory: the one copy between the store and the wire.
 		if p.cache.Put(task.key, run, task.priority) {
-			p.tt.Counters().Add("cache.prefetched", 1)
+			p.cPrefetched.Add(1)
 		}
 	}
 }

@@ -34,8 +34,7 @@ type trackerServer struct {
 	cache      *PrefetchCache
 	prefetcher *MapOutputPrefetcher
 	cacheOn    bool
-	sizeAware  bool
-	packetSize int
+	rule       packRule // D4; the cache cuts the runs it admits by it
 
 	// Rendezvous half of the fetch protocol (D9): a read-capable request
 	// against a cache-resident, registered run is answered with a
@@ -68,9 +67,6 @@ type trackerServer struct {
 	// of scattered across per-subsystem sync.Pools of registrations.
 	mrp *mrpool.Pool
 
-	// descPool recycles the packer's range scratch across manifests.
-	descPool sync.Pool // of *descScratch
-
 	// hdrBlks and stageBlks recycle the blocks answers are encoded into
 	// and eager chunks are staged in (D26); Close frees what they hold.
 	hdrBlks   blockList
@@ -94,17 +90,16 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	ctx, cancel := context.WithCancel(context.Background())
 	responders := int(conf.Int(config.KeyResponderThreads))
 	s := &trackerServer{
-		tt:         tt,
-		listener:   l,
-		cache:      NewPrefetchCache(conf.Int(config.KeyPrefetchCacheCap), conf.Get(config.KeyCachePriorityMode), tt.Counters()),
-		cacheOn:    e.cache && conf.Bool(config.KeyCachingEnabled),
-		sizeAware:  e.sizeAware,
-		packetSize: int(conf.Int(config.KeyRDMAPacketBytes)),
-		leaseTTL:   time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
-		leases:     newLeaseTable(),
-		inService:  make(chan struct{}, responders),
-		ctx:        ctx,
-		cancel:     cancel,
+		tt:        tt,
+		listener:  l,
+		cache:     NewPrefetchCache(conf.Int(config.KeyPrefetchCacheCap), conf.Get(config.KeyCachePriorityMode), tt.Counters()),
+		cacheOn:   e.cache && conf.Bool(config.KeyCachingEnabled),
+		rule:      packRuleOf(conf, e.sizeAware),
+		leaseTTL:  time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
+		leases:    newLeaseTable(),
+		inService: make(chan struct{}, responders),
+		ctx:       ctx,
+		cancel:    cancel,
 	}
 	// D13: every registration on this tracker goes through the device's
 	// slab pool, under one budget and one set of gauges.
@@ -117,6 +112,7 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	// D12: per-job registered-memory quota — one tenant's churn cannot
 	// evict the whole cluster cache (0 keeps the shared free-for-all).
 	s.cache.SetJobQuota(conf.Int(config.KeyJTCacheJobQuota))
+	s.cache.rule = s.rule
 	c := tt.Counters()
 	s.cBusyNS = c.Handle("shuffle.rdma.responder.busy.ns")
 	s.cFallbacks = c.Handle("shuffle.rdma.zerocopy.fallbacks")
@@ -308,6 +304,9 @@ type answers struct {
 	batch  wire.Batch
 	sgl    [1]verbs.SGE
 	leases []uint64 // granted to the frame's manifests
+	// the manifest being built, encoded into the frame once complete
+	chunks []wire.ReadChunk
+	ranges [maxManifestChunks]wire.ReadRange
 }
 
 // begin starts a frame in a header block.
@@ -384,19 +383,6 @@ func (a *answers) flush() {
 	} else {
 		a.batch.Reset(nil)
 	}
-}
-
-// descScratch is the reusable per-manifest descriptor state: the packer's
-// range list.
-type descScratch struct {
-	ranges []Range
-}
-
-func (s *trackerServer) getScratch() *descScratch {
-	if v := s.descPool.Get(); v != nil {
-		return v.(*descScratch)
-	}
-	return &descScratch{}
 }
 
 // stagedPayload is a registered staging buffer holding the packed chunk,
@@ -542,14 +528,16 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 	if err != nil {
 		return fail(err)
 	}
+	var marks []chunkMark
 	if pin != nil {
 		defer pin.Release()
+		marks = pin.marks
 	}
 	body, _, err := kv.RunBody(run)
 	if err != nil {
 		return fail(err)
 	}
-	res, err := Pack(body, req.Offset, s.packetSize, int(req.MaxBytes), int(req.MaxRecords), s.sizeAware)
+	res, err := s.rule.chunk(body, marks, req.Offset, int(req.MaxBytes), int(req.MaxRecords))
 	if err != nil {
 		return fail(err)
 	}
@@ -569,43 +557,37 @@ func (s *trackerServer) buildResponse(req *wire.DataRequest) (header wire.DataRe
 	return header, payload
 }
 
-// maxManifestChunks caps one manifest's descriptor plan. The encoded-size
-// budget (maxManifestBytes) is the binding limit for range-dense runs; the
-// count cap bounds plan length for trivially small chunks so a lease never
-// covers an unbounded amount of future work.
+// maxManifestChunks caps one manifest's plan, so a lease never covers an
+// unbounded amount of future work.
 const maxManifestChunks = 64
 
 // maxManifestBytes caps one manifest's encoding, so that a manifest always
 // fits an answer frame beside the frame's framing, however full the frame
-// it is added to: room sends the frame first when it would not.
+// it is added to: room sends the frame first when it would not. Chunks
+// are one range each, so maxManifestChunks of them take about half of it.
 const maxManifestBytes = 4096
 
 // serveManifest is the rendezvous half of the protocol: pin the cached
-// run, walk it with the descriptor packer from the requested offset, and
-// answer the copier with a manifest of (rkey, addr, len) ranges it READs
-// directly — the responder never touches a payload byte and sends exactly
-// one message for the whole plan. The pin is held by a deadline-bounded
-// lease until the copier releases it (or the janitor expires it). Returns
-// false when the request cannot be served this way — cache miss,
-// unregistered body (slab budget exhausted at Put), corrupt framing — and
-// the eager path takes over.
+// run and answer the copier with a manifest of chunks from the requested
+// offset, each one (rkey, addr, len) range it READs directly — the
+// responder never touches a payload byte and sends exactly one message
+// for the whole plan. The pin is held by a deadline-bounded lease until
+// the copier releases it (or the janitor expires it). Returns false when
+// the request cannot be served this way — cache miss, unregistered body
+// (slab budget exhausted at Put), bad offset or corrupt framing — and the
+// eager path takes over.
 func (s *trackerServer) serveManifest(a *answers, req *wire.DataRequest) bool {
 	key := CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)}
 	if !s.cache.Contains(key) {
 		return false
 	}
-	view, ok := s.cache.Acquire(key)
+	pin, ok := s.cache.pin(key)
 	if !ok {
 		return false
 	}
-	if view.MR() == nil {
-		view.Release()
-		return false
-	}
-	run := view.Bytes()
-	start, end, _, err := kv.RunBodySpan(run)
-	if err != nil {
-		view.Release()
+	start, end, _, err := kv.RunBodySpan(pin.data)
+	if pin.blk == nil || err != nil {
+		pin.Release()
 		return false
 	}
 	// Descriptors advertise the entry's revocable window, not the raw slab
@@ -614,46 +596,35 @@ func (s *trackerServer) serveManifest(a *answers, req *wire.DataRequest) bool {
 	// observing whatever the slab reused those bytes for.
 	m := wire.ReadManifest{
 		MapID: req.MapID, ReduceID: req.ReduceID, Offset: req.Offset,
-		Tag: req.Tag, RKey: view.RKey(),
+		Tag: req.Tag, RKey: pin.blk.RKey(), Chunks: a.chunks[:0],
 	}
-	sc := s.getScratch()
-	defer s.descPool.Put(sc)
+	// The window starts at the run, so body offsets rebase by start.
+	body, base := pin.data[start:end], pin.blk.Addr()+uint64(start)
 	offset := req.Offset
 	for len(m.Chunks) < maxManifestChunks {
-		res, ranges, err := PackDescriptors(run[start:end], offset, s.packetSize,
-			int(req.MaxBytes), int(req.MaxRecords), s.sizeAware, verbs.MaxSGE, sc.ranges)
-		sc.ranges = ranges
+		res, err := s.rule.chunk(body, pin.marks, offset, int(req.MaxBytes), int(req.MaxRecords))
 		if err != nil {
 			if len(m.Chunks) == 0 {
 				// Bad offset or corrupt framing on the very first chunk:
 				// let the eager path report it.
-				view.Release()
+				pin.Release()
 				return false
 			}
 			break
 		}
-		ch := wire.ReadChunk{
+		i := len(m.Chunks)
+		a.ranges[i] = wire.ReadRange{Addr: base + uint64(offset), Len: int32(res.Bytes)}
+		m.Chunks = append(m.Chunks, wire.ReadChunk{
 			Offset: offset, Bytes: int32(res.Bytes), Records: int32(res.Records), EOF: res.EOF,
-			Ranges: make([]wire.ReadRange, 0, len(ranges)),
-		}
-		for _, r := range ranges {
-			// Range offsets are relative to the record body; the remote
-			// address targets the entry's window, hence the +start rebase.
-			ch.Ranges = append(ch.Ranges, wire.ReadRange{Addr: view.Addr() + uint64(start+r.Off), Len: int32(r.Len)})
-		}
-		m.Chunks = append(m.Chunks, ch)
-		if m.EncodedSize() > maxManifestBytes && len(m.Chunks) > 1 {
-			// Over budget: the copier re-requests from the first uncovered
-			// offset and gets a fresh manifest.
-			m.Chunks = m.Chunks[:len(m.Chunks)-1]
-			break
-		}
+			Ranges: a.ranges[i : i+1 : i+1],
+		})
 		offset += int64(res.Bytes)
 		if res.EOF {
 			break
 		}
 	}
-	m.LeaseID = s.leases.grant(view, s.leaseTTL)
+	a.chunks = m.Chunks
+	m.LeaseID = s.leases.grant(pin, s.leaseTTL)
 	// Counted before the send, as the staging block is freed before the
 	// header: the copier may act on the manifest before SendSG returns.
 	s.cManifests.Add(1)
@@ -757,7 +728,7 @@ func (s *trackerServer) MapOutputReady(job mapred.JobInfo, mapID int) {
 			continue
 		}
 		if s.cache.adopt(key, body) {
-			s.tt.Counters().Add("cache.prefetched", 1)
+			s.prefetcher.cPrefetched.Add(1)
 		}
 	}
 	s.prefetcher.Prefetch(heapRuns)

@@ -266,9 +266,9 @@ func (r *DataResponse) Decode(b []byte) error {
 
 // ReadRange is one remote descriptor of a manifest chunk: Len bytes at
 // virtual address Addr inside the region named by the manifest's RKey.
-// Successive ranges of a chunk are contiguous remote spans split at the
-// coalesced record boundaries PackDescriptors emits; the copier uses them
-// to shape its local scatter list.
+// A chunk may carry several ranges, each READ in turn, with remote-
+// contiguous ones coalesced into one READ; the responder, whose cached
+// runs are contiguous, sends one range per chunk.
 type ReadRange struct {
 	Addr uint64
 	Len  int32

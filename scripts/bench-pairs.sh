@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the repository's benchmark — the
-# procedure a claimed gain is judged by (benchmark/README.md, ROADMAP
-# item 6), as one command:
+# procedure a claimed gain is judged by (benchmark/README.md, and the
+# ROADMAP's rule that gates are judged on ten pairs), as one command:
 #
 #   make bench-pairs PARENT=<sha> [N=10] [WORKLOAD="terasort_osu ..."] [SEED=1]
 #
