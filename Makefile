@@ -30,13 +30,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Seeded fault-injection rows (D6, D10, D13, D19-D27) under -race; the test names are the list.
+# Seeded fault-injection rows (D6, D10, D12, D13, D19-D27) under -race; the test names are the list.
 chaos:
 	$(GO) test -race -count=1 -run 'TestCopierHealsFromSeveredQP|TestCopierRequestDeadlineReissues|TestCopierIdleRetirementRedialsLazily|TestCopierLossNoticeEndsAdmissionWait|TestCopierLegacyEscalationNoRetries|TestCopierSeededChaosMultiHost|TestCopierBlacklistSharedAcrossFetchers|TestPullCancelWhileBlockedOnRefill|TestRingReadArmEvictionChurn|TestReadAfterRemoveJobServesPinnedBytes|TestResponderStalledEndpointDoesNotStallOthers|TestPayloadBudgetExhaustedFallsBackIntact|TestBatchSeveredMidWriteReissuesOnce|TestEagerServePinsEvictedRun|TestConnPlaneStalledLeaseDoesNotStallOthers|TestClusterCloseLeavesNoGoroutines|TestClosedClusterFreesItsMemory|TestArenaReuseAfterAbandonedFetch' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestStoreBorrowersAgainstWriters' ./internal/storage/
 	$(GO) test -race -count=1 -run 'TestReduceGroupingReadsRecordsOnlyInTheirWindow' ./internal/mapred/
 	$(GO) test -race -count=1 -run 'TestFetchArmReadSeededChaos' ./internal/shuffle/
 	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestNodeDeath|TestRecoveryExhaustionFailsJob|TestConnCacheChurnChaos' ./internal/faultinject/
+	$(GO) test -race -count=1 -run 'TestSpeculativeTwinWinsUnderChaos|TestTwoTenantsByteIdenticalAcrossNodeDeath' ./internal/faultinject/
+	$(GO) test -race -count=1 -run 'TestSpeculativeExecutionRescuesStraggler|TestReduceSpeculationFirstFinisherWins|TestReduceRetrySucceedsWithinBudget|TestReduceRetryExhaustionFailsJob' ./internal/mapred/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestDestroyWaitsForInFlightPost' ./internal/verbs/
 

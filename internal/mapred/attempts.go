@@ -1,6 +1,9 @@
 package mapred
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // attemptQueue schedules attempts of one task kind (the map set or the
 // reduce set) across slot workers. It generalizes the old splitQueue:
@@ -28,7 +31,6 @@ type attemptQueue struct {
 	// un-backed task may be speculated the moment a slot goes idle).
 	gate func(id int) bool
 
-	wake     chan struct{} // closed+replaced whenever work may appear
 	doneCh   chan struct{} // closed when every task completed
 	doneOnce sync.Once
 }
@@ -48,18 +50,12 @@ func newAttemptQueue(ids []int, hosts map[int][]string, budget int, speculate bo
 		remaining: len(ids),
 		budget:    budget,
 		speculate: speculate,
-		wake:      make(chan struct{}),
 		doneCh:    make(chan struct{}),
 	}
 	if q.remaining == 0 {
 		close(q.doneCh)
 	}
 	return q
-}
-
-func (q *attemptQueue) wakeAllLocked() {
-	close(q.wake)
-	q.wake = make(chan struct{})
 }
 
 // setGate installs the speculation gate (see the field doc). Must be
@@ -72,16 +68,15 @@ func (q *attemptQueue) setGate(gate func(id int) bool) {
 
 // take hands out the next attempt: a pending task with a replica on host
 // first (data-local), then — unless localOnly — any pending task, then,
-// with speculation, a backup of a running straggler. When nothing is
-// available, wait is a channel to park on (nil means every task is done
-// and the worker should exit). localOnly is the fair-share dispatcher's
+// with speculation, a backup of a running straggler. ok is false when
+// nothing is available. localOnly is the fair-share dispatcher's
 // first pass: it probes every job for data-local work before settling
 // for a remote split. pendingOK=false skips the pending picks entirely —
 // the dispatcher's per-host balance says this host already holds its
 // share of the job's tasks — while still allowing a speculative backup
 // (a backup MUST be able to land on an already-loaded host, or a
 // straggler could pin its job forever).
-func (q *attemptQueue) take(host string, localOnly, pendingOK bool) (id, attempt int, backup, ok bool, wait <-chan struct{}) {
+func (q *attemptQueue) take(host string, localOnly, pendingOK bool) (id, attempt int, backup, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	pick := -1
@@ -106,21 +101,18 @@ func (q *attemptQueue) take(host string, localOnly, pendingOK bool) (id, attempt
 		q.pending = append(q.pending[:pick], q.pending[pick+1:]...)
 		q.running[id] = true
 		q.started[id]++
-		return id, q.started[id], false, true, nil
+		return id, q.started[id], false, true
 	}
 	if q.speculate && !localOnly {
 		for cand := range q.running {
 			if !q.done[cand] && !q.backed[cand] && (q.gate == nil || q.gate(cand)) {
 				q.backed[cand] = true
 				q.started[cand]++
-				return cand, q.started[cand], true, true, nil
+				return cand, q.started[cand], true, true
 			}
 		}
 	}
-	if q.remaining == 0 {
-		return 0, 0, false, false, nil
-	}
-	return 0, 0, false, false, q.wake
+	return 0, 0, false, false
 }
 
 // isDone reports whether task id already has a winning completion — the
@@ -174,7 +166,6 @@ func (q *attemptQueue) complete(id int) bool {
 	if q.remaining == 0 {
 		q.doneOnce.Do(func() { close(q.doneCh) })
 	}
-	q.wakeAllLocked()
 	return true
 }
 
@@ -193,7 +184,6 @@ func (q *attemptQueue) fail(id int) (requeued, fatal bool) {
 	}
 	delete(q.running, id)
 	q.pending = append(q.pending, id)
-	q.wakeAllLocked()
 	return true, false
 }
 
@@ -217,12 +207,10 @@ func (q *attemptQueue) requeueKilled(id int, backup bool) bool {
 	}
 	if backup {
 		q.backed[id] = false
-		q.wakeAllLocked()
 		return false
 	}
 	delete(q.running, id)
 	q.pending = append(q.pending, id)
-	q.wakeAllLocked()
 	return true
 }
 
@@ -230,4 +218,70 @@ func (q *attemptQueue) finished() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.remaining == 0
+}
+
+// attemptRegistry holds the cancel func of every running attempt, of
+// every job and kind, so node death can kill a tracker's attempts at once
+// (process death kills the task; the scheduler only *detects* it at
+// expiry) and a task's first finisher can cancel its losers.
+type attemptRegistry struct {
+	mu   sync.Mutex
+	live map[*liveAttempt]struct{}
+}
+
+// liveAttempt is one running attempt: attempt number of task of the
+// job's kind, on tracker.
+type liveAttempt struct {
+	job                    string
+	kind                   taskKind
+	task, attempt, tracker int
+	cancel                 context.CancelFunc
+	killed                 bool // set by killAll, under the registry's mu
+}
+
+func newAttemptRegistry() *attemptRegistry {
+	return &attemptRegistry{live: make(map[*liveAttempt]struct{})}
+}
+
+// begin registers a and returns its context, cancelled when ctx is, when
+// its tracker is killed or when another attempt wins its task. finish
+// unregisters it and reports whether it was killed with its node, which
+// decides requeue-without-budget against budget consumption.
+func (r *attemptRegistry) begin(ctx context.Context, a liveAttempt) (_ context.Context, finish func() (killed bool)) {
+	ctx, a.cancel = context.WithCancel(ctx)
+	r.mu.Lock()
+	r.live[&a] = struct{}{}
+	r.mu.Unlock()
+	return ctx, func() bool {
+		r.mu.Lock()
+		delete(r.live, &a)
+		killed := a.killed
+		r.mu.Unlock()
+		a.cancel()
+		return killed
+	}
+}
+
+// killAll cancels every attempt running on tracker ti.
+func (r *attemptRegistry) killAll(ti int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for a := range r.live {
+		if a.tracker == ti {
+			a.killed = true
+			a.cancel()
+		}
+	}
+}
+
+// cancelLosers cancels every other running attempt of the job's task:
+// attempt won it, so their remaining work is pure waste.
+func (r *attemptRegistry) cancelLosers(job string, kind taskKind, task, attempt int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for a := range r.live {
+		if a.job == job && a.kind == kind && a.task == task && a.attempt != attempt {
+			a.cancel()
+		}
+	}
 }

@@ -42,7 +42,7 @@ type Cluster struct {
 	servers []TrackerServer
 
 	// liveness is the heartbeat failure detector; attempts registers
-	// running task attempts per tracker so node death cancels them.
+	// running task attempts so node death and winners cancel them.
 	liveness *livenessMonitor
 	attempts *attemptRegistry
 
@@ -148,7 +148,7 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 	for i, tt := range c.trackers {
 		hosts[i] = tt.Host()
 	}
-	c.attempts = newAttemptRegistry(n)
+	c.attempts = newAttemptRegistry()
 	c.liveness = newLivenessMonitor(hosts,
 		time.Duration(conf.Int(config.KeyTrackerExpiry))*time.Millisecond,
 		time.Now, c.decommission)

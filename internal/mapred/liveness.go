@@ -1,7 +1,6 @@
 package mapred
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -17,9 +16,6 @@ import (
 //     beats while its process is "up"; a sweep decommissions any member
 //     whose last beat is older than the expiry window. The clock is
 //     injectable (like health.go) so tests drive beat/sweep directly.
-//   - attemptRegistry: per-tracker registry of running task attempts so
-//     node death can cancel them immediately (process death kills the
-//     task, the scheduler only *detects* it at expiry).
 //   - TrackerLossFeed: the push channel telling in-flight reduce
 //     fetchers a host is gone, so they fast-fail its connections instead
 //     of waiting out request deadlines and reconnect budgets.
@@ -318,69 +314,6 @@ func (lv *livenessMonitor) watch(fn func(ti int, host string)) func() {
 		delete(lv.watchers, id)
 		lv.mu.Unlock()
 	}
-}
-
-// attemptRegistry tracks the cancel handle of every running task attempt
-// by the tracker executing it, so node death can cancel them at once.
-type attemptRegistry struct {
-	mu        sync.Mutex
-	byTracker []map[*attemptHandle]struct{}
-}
-
-func newAttemptRegistry(n int) *attemptRegistry {
-	r := &attemptRegistry{byTracker: make([]map[*attemptHandle]struct{}, n)}
-	for i := range r.byTracker {
-		r.byTracker[i] = make(map[*attemptHandle]struct{})
-	}
-	return r
-}
-
-// attemptHandle is one running attempt's registration. finish reports
-// whether the attempt was killed by node death (as opposed to failing on
-// its own), which decides requeue-without-budget vs budget consumption.
-type attemptHandle struct {
-	reg    *attemptRegistry
-	ti     int
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	killed bool
-}
-
-func (r *attemptRegistry) begin(ctx context.Context, ti int) (context.Context, *attemptHandle) {
-	actx, cancel := context.WithCancel(ctx)
-	h := &attemptHandle{reg: r, ti: ti, cancel: cancel}
-	r.mu.Lock()
-	r.byTracker[ti][h] = struct{}{}
-	r.mu.Unlock()
-	return actx, h
-}
-
-// killAll cancels every attempt currently running on tracker ti.
-func (r *attemptRegistry) killAll(ti int) {
-	r.mu.Lock()
-	handles := make([]*attemptHandle, 0, len(r.byTracker[ti]))
-	for h := range r.byTracker[ti] {
-		handles = append(handles, h)
-	}
-	r.mu.Unlock()
-	for _, h := range handles {
-		h.mu.Lock()
-		h.killed = true
-		h.mu.Unlock()
-		h.cancel()
-	}
-}
-
-// finish unregisters the attempt and reports whether it was killed.
-func (h *attemptHandle) finish() bool {
-	h.reg.mu.Lock()
-	delete(h.reg.byTracker[h.ti], h)
-	h.reg.mu.Unlock()
-	h.cancel()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.killed
 }
 
 // TrackerLossFeed pushes "host X is gone" announcements from the

@@ -341,11 +341,14 @@ func TestLivenessStartDetectsDeadTrackerWithRealClock(t *testing.T) {
 }
 
 func TestAttemptRegistryKillCancelsOnlyThatTracker(t *testing.T) {
-	reg := newAttemptRegistry(2)
+	reg := newAttemptRegistry()
+	on := func(ti, task int) liveAttempt {
+		return liveAttempt{job: "j", kind: mapKind, task: task, attempt: 1, tracker: ti}
+	}
 
-	ctx0a, h0a := reg.begin(context.Background(), 0)
-	ctx0b, h0b := reg.begin(context.Background(), 0)
-	ctx1, h1 := reg.begin(context.Background(), 1)
+	ctx0a, finish0a := reg.begin(context.Background(), on(0, 0))
+	ctx0b, finish0b := reg.begin(context.Background(), on(0, 1))
+	ctx1, finish1 := reg.begin(context.Background(), on(1, 2))
 
 	reg.killAll(0)
 	if ctx0a.Err() == nil || ctx0b.Err() == nil {
@@ -354,21 +357,62 @@ func TestAttemptRegistryKillCancelsOnlyThatTracker(t *testing.T) {
 	if ctx1.Err() != nil {
 		t.Fatal("attempts on other trackers must keep running")
 	}
-	if !h0a.finish() || !h0b.finish() {
+	if !finish0a() || !finish0b() {
 		t.Fatal("killed attempts must report killed=true at finish")
 	}
-	if h1.finish() {
+	if finish1() {
 		t.Fatal("surviving attempt must report killed=false")
 	}
 
-	// finish unregisters: a later killAll must not observe old handles.
+	// finish unregisters: a later killAll must not observe old attempts.
 	reg.killAll(0)
-	ctx0c, h0c := reg.begin(context.Background(), 0)
+	ctx0c, finish0c := reg.begin(context.Background(), on(0, 0))
 	if ctx0c.Err() != nil {
 		t.Fatal("new attempt after killAll must start uncancelled")
 	}
-	if h0c.finish() {
+	if finish0c() {
 		t.Fatal("fresh attempt must not inherit a kill")
+	}
+}
+
+func TestAttemptRegistryCancelLosersSparesAllButSiblings(t *testing.T) {
+	reg := newAttemptRegistry()
+	begin := func(job string, kind taskKind, task, attempt int) (context.Context, func() bool) {
+		return reg.begin(context.Background(), liveAttempt{job: job, kind: kind, task: task, attempt: attempt, tracker: attempt % 2})
+	}
+	winner, finishWinner := begin("a", mapKind, 3, 1)
+	loser, finishLoser := begin("a", mapKind, 3, 2)
+	otherTask, finishOtherTask := begin("a", mapKind, 4, 2)
+	otherKind, finishOtherKind := begin("a", reduceKind, 3, 2)
+	otherJob, finishOtherJob := begin("b", mapKind, 3, 2)
+
+	reg.cancelLosers("a", mapKind, 3, 1)
+	if loser.Err() == nil {
+		t.Fatal("cancelLosers must cancel the task's other attempt")
+	}
+	for name, ctx := range map[string]context.Context{
+		"winner": winner, "same job's other task": otherTask,
+		"other kind's task with the same id": otherKind, "other job's attempt": otherJob,
+	} {
+		if ctx.Err() != nil {
+			t.Fatalf("cancelLosers cancelled the %s", name)
+		}
+	}
+	// A cancelled loser was not killed with its node.
+	if finishLoser() {
+		t.Fatal("a cancelled loser must report killed=false")
+	}
+	for _, finish := range []func() bool{finishWinner, finishOtherTask, finishOtherKind, finishOtherJob} {
+		if finish() {
+			t.Fatal("no attempt was killed, yet finish reported killed")
+		}
+	}
+	// Killed is reported only after a killAll of the attempt's own tracker.
+	_, onOne := begin("a", mapKind, 5, 1)
+	_, onZero := begin("a", mapKind, 5, 2)
+	reg.killAll(1)
+	if !onOne() || onZero() {
+		t.Fatal("finish must report killed exactly for the killed tracker's attempt")
 	}
 }
 

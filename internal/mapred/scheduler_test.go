@@ -8,11 +8,11 @@ func TestAttemptQueueLocalityPreferred(t *testing.T) {
 		1: {"node0"},
 	}, 4, false)
 
-	id, attempt, backup, ok, _ := q.take("node0", false, true)
+	id, attempt, backup, ok := q.take("node0", false, true)
 	if !ok || id != 1 || attempt != 1 || backup {
 		t.Fatalf("take(node0) = %d,%d,%v,%v, want the node0-local task 1", id, attempt, backup, ok)
 	}
-	id, _, _, ok, _ = q.take("node1", false, true)
+	id, _, _, ok = q.take("node1", false, true)
 	if !ok || id != 0 {
 		t.Fatalf("take(node1) = %d,%v, want the node1-local task 0", id, ok)
 	}
@@ -21,7 +21,7 @@ func TestAttemptQueueLocalityPreferred(t *testing.T) {
 func TestAttemptQueueFailConsumesBudget(t *testing.T) {
 	q := newAttemptQueue([]int{7}, nil, 2, false)
 
-	id, attempt, _, ok, _ := q.take("node0", false, true)
+	id, attempt, _, ok := q.take("node0", false, true)
 	if !ok || id != 7 || attempt != 1 {
 		t.Fatalf("take = %d,%d,%v", id, attempt, ok)
 	}
@@ -30,7 +30,7 @@ func TestAttemptQueueFailConsumesBudget(t *testing.T) {
 		t.Fatalf("first failure: requeued=%v fatal=%v, want requeue", requeued, fatal)
 	}
 	// The retry gets a fresh attempt number (distinct temp output path).
-	id, attempt, _, ok, _ = q.take("node0", false, true)
+	id, attempt, _, ok = q.take("node0", false, true)
 	if !ok || id != 7 || attempt != 2 {
 		t.Fatalf("retry take = %d,%d,%v, want attempt 2", id, attempt, ok)
 	}
@@ -45,7 +45,7 @@ func TestAttemptQueueFailConsumesBudget(t *testing.T) {
 
 func TestAttemptQueueCompleteFirstWins(t *testing.T) {
 	q := newAttemptQueue([]int{0}, nil, 4, false)
-	if _, _, _, ok, _ := q.take("node0", false, true); !ok {
+	if _, _, _, ok := q.take("node0", false, true); !ok {
 		t.Fatal("take failed")
 	}
 	if !q.complete(0) {
@@ -59,8 +59,8 @@ func TestAttemptQueueCompleteFirstWins(t *testing.T) {
 	default:
 		t.Fatal("doneCh must close when the last task completes")
 	}
-	if _, _, _, ok, wait := q.take("node0", false, true); ok || wait != nil {
-		t.Fatal("a drained queue must tell workers to exit (ok=false, wait=nil)")
+	if _, _, _, ok := q.take("node0", false, true); ok || !q.finished() {
+		t.Fatal("a drained queue must hand out nothing and report finished")
 	}
 	// Late failure reports from a completed task are ignored.
 	if requeued, fatal := q.fail(0); requeued || fatal {
@@ -71,16 +71,16 @@ func TestAttemptQueueCompleteFirstWins(t *testing.T) {
 func TestAttemptQueueSpeculatesOneBackupPerTask(t *testing.T) {
 	q := newAttemptQueue([]int{0}, nil, 4, true)
 
-	id, attempt, backup, ok, _ := q.take("node0", false, true)
+	id, attempt, backup, ok := q.take("node0", false, true)
 	if !ok || backup || attempt != 1 {
 		t.Fatalf("original take = %d,%d,%v,%v", id, attempt, backup, ok)
 	}
-	id, attempt, backup, ok, _ = q.take("node1", false, true)
+	id, attempt, backup, ok = q.take("node1", false, true)
 	if !ok || !backup || id != 0 || attempt != 2 {
 		t.Fatalf("backup take = %d,%d,%v,%v, want backup attempt 2 of task 0", id, attempt, backup, ok)
 	}
 	// Only one backup per task: further idle workers park.
-	if _, _, _, ok, wait := q.take("node2", false, true); ok || wait == nil {
+	if _, _, _, ok := q.take("node2", false, true); ok || q.finished() {
 		t.Fatal("second backup handed out; want park")
 	}
 }
@@ -88,7 +88,7 @@ func TestAttemptQueueSpeculatesOneBackupPerTask(t *testing.T) {
 func TestAttemptQueueRequeueKilledSkipsBudget(t *testing.T) {
 	q := newAttemptQueue([]int{0}, nil, 1, true) // budget 1: any real failure is fatal
 
-	if _, _, _, ok, _ := q.take("node0", false, true); !ok {
+	if _, _, _, ok := q.take("node0", false, true); !ok {
 		t.Fatal("take failed")
 	}
 	// Node death requeues without burning the (single-attempt) budget.
@@ -98,19 +98,19 @@ func TestAttemptQueueRequeueKilledSkipsBudget(t *testing.T) {
 	if got := q.attempts(0); got != 0 {
 		t.Fatalf("node death consumed budget: attempts = %d", got)
 	}
-	id, attempt, _, ok, _ := q.take("node1", false, true)
+	id, attempt, _, ok := q.take("node1", false, true)
 	if !ok || id != 0 || attempt != 2 {
 		t.Fatalf("requeued take = %d,%d,%v", id, attempt, ok)
 	}
 	// A killed backup only clears the backed flag — the original is still
 	// running, so nothing is re-queued, but a fresh backup may launch.
-	if _, _, backup, ok, _ := q.take("node2", false, true); !ok || !backup {
+	if _, _, backup, ok := q.take("node2", false, true); !ok || !backup {
 		t.Fatalf("backup take = %v,%v", backup, ok)
 	}
 	if q.requeueKilled(0, true) {
 		t.Fatal("killed backup must not requeue the task")
 	}
-	if _, _, backup, ok, _ := q.take("node0", false, true); !ok || !backup {
+	if _, _, backup, ok := q.take("node0", false, true); !ok || !backup {
 		t.Fatalf("re-speculation after killed backup = %v,%v", backup, ok)
 	}
 }
@@ -119,16 +119,16 @@ func TestAttemptQueueLocalOnlyPass(t *testing.T) {
 	q := newAttemptQueue([]int{0, 1}, map[int][]string{0: {"node1"}}, 4, false)
 
 	// The local-only pass refuses remote work: node0 has no local split.
-	if _, _, _, ok, wait := q.take("node0", true, true); ok || wait == nil {
+	if _, _, _, ok := q.take("node0", true, true); ok || q.finished() {
 		t.Fatal("local-only take on a host with no local split must park, not dispatch")
 	}
 	// node1 gets its local split even under local-only.
-	id, _, _, ok, _ := q.take("node1", true, true)
+	id, _, _, ok := q.take("node1", true, true)
 	if !ok || id != 0 {
 		t.Fatalf("local-only take(node1) = %d,%v, want local task 0", id, ok)
 	}
 	// The second pass (localOnly=false) hands node0 the remote leftover.
-	id, _, _, ok, _ = q.take("node0", false, true)
+	id, _, _, ok = q.take("node0", false, true)
 	if !ok || id != 1 {
 		t.Fatalf("fallback take(node0) = %d,%v, want remote task 1", id, ok)
 	}
@@ -139,24 +139,24 @@ func TestAttemptQueueSpeculationGate(t *testing.T) {
 	allowed := map[int]bool{}
 	q.setGate(func(id int) bool { return allowed[id] })
 
-	if _, _, _, ok, _ := q.take("node0", false, true); !ok {
+	if _, _, _, ok := q.take("node0", false, true); !ok {
 		t.Fatal("take 0")
 	}
-	if _, _, _, ok, _ := q.take("node1", false, true); !ok {
+	if _, _, _, ok := q.take("node1", false, true); !ok {
 		t.Fatal("take 1")
 	}
 	// Both tasks running, neither a confirmed straggler: no backups.
-	if _, _, backup, ok, wait := q.take("node2", false, true); ok || backup || wait == nil {
+	if _, _, backup, ok := q.take("node2", false, true); ok || backup || q.finished() {
 		t.Fatal("gate closed but a backup was handed out")
 	}
 	allowed[1] = true
-	id, attempt, backup, ok, _ := q.take("node2", false, true)
+	id, attempt, backup, ok := q.take("node2", false, true)
 	if !ok || !backup || id != 1 || attempt != 2 {
 		t.Fatalf("gated backup = %d,%d,%v,%v, want backup of straggler 1", id, attempt, backup, ok)
 	}
 	// Speculation never goes through the local-only pass.
 	allowed[0] = true
-	if _, _, _, ok, _ := q.take("node3", true, true); ok {
+	if _, _, _, ok := q.take("node3", true, true); ok {
 		t.Fatal("local-only take speculated a backup")
 	}
 }
@@ -166,7 +166,7 @@ func TestAttemptQueueIsDone(t *testing.T) {
 	if q.isDone(0) {
 		t.Fatal("task done before any attempt")
 	}
-	if _, _, _, ok, _ := q.take("node0", false, true); !ok {
+	if _, _, _, ok := q.take("node0", false, true); !ok {
 		t.Fatal("take failed")
 	}
 	q.complete(0)
@@ -180,20 +180,20 @@ func TestAttemptQueueHasDispatchable(t *testing.T) {
 	if !q.hasDispatchable() {
 		t.Fatal("pending work not dispatchable")
 	}
-	if _, _, _, ok, _ := q.take("node0", false, true); !ok {
+	if _, _, _, ok := q.take("node0", false, true); !ok {
 		t.Fatal("take failed")
 	}
 	if q.hasDispatchable() {
 		t.Fatal("running-only, no speculation: nothing to dispatch")
 	}
 	qs := newAttemptQueue([]int{0}, nil, 4, true)
-	if _, _, _, ok, _ := qs.take("node0", false, true); !ok {
+	if _, _, _, ok := qs.take("node0", false, true); !ok {
 		t.Fatal("take failed")
 	}
 	if !qs.hasDispatchable() {
 		t.Fatal("speculation makes a running un-backed task dispatchable")
 	}
-	if _, _, _, ok, _ := qs.take("node1", false, true); !ok {
+	if _, _, _, ok := qs.take("node1", false, true); !ok {
 		t.Fatal("backup take failed")
 	}
 	if qs.hasDispatchable() {

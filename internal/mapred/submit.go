@@ -19,6 +19,104 @@ import (
 // threshold), so a purely event-driven parked worker would never see it.
 const specPollInterval = 10 * time.Millisecond
 
+// taskKind indexes the per-kind tables: kindSpecs, jobTracker.kinds and
+// runningJob.kinds.
+type taskKind int
+
+const (
+	mapKind taskKind = iota
+	reduceKind
+	numKinds
+)
+
+// The attempt counters of one kind, indexes into kindSpec.counters.
+const (
+	ctrSpeculative = iota // a backup attempt launched
+	ctrSpeculated         // the same, in the mapred.* namespace
+	ctrDiscarded          // a finished attempt lost its task to another
+	ctrFailed             // an attempt failed or died with its node
+	ctrRetried            // a failed attempt's task was requeued
+	numCounters
+)
+
+// errDiedWithNode fails a map that ran to completion on a node killed
+// mid-attempt: its server is gone, so the output cannot be served.
+var errDiedWithNode = errors.New("mapred: map's node died mid-attempt")
+
+// kindSpec is what differs between maps and reduces: names, the slot
+// key, the counter names and the three hooks of an attempt's lifecycle.
+type kindSpec struct {
+	letter, noun string // task-name prefix; lane and error noun
+	slotsKey     string // slots per tracker
+	specCause    string // why a backup launched (EvAttemptSpeculated)
+	lostCause    string // why a finisher lost its task (EvSpeculationLost)
+	counters     [numCounters]string
+	// run executes one attempt in ctx; committed is the kind's own
+	// commit verdict.
+	run func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt int, lane string) (committed bool, err error)
+	// settle says what an attempt that returned no error means: err when
+	// it failed after all, else whether it won its task.
+	settle func(rj *runningJob, id int, committed, killed bool) (won bool, err error)
+	// win publishes a won task; nil when the common path is all.
+	win func(rj *runningJob, ti int, tt *TaskTracker, id, attempt int)
+}
+
+var kindSpecs = [numKinds]kindSpec{
+	mapKind: {
+		letter: "m", noun: "map", slotsKey: config.KeyMapSlots,
+		specCause: "elapsed past straggler threshold",
+		lostCause: "another attempt finished first",
+		counters: [numCounters]string{
+			ctrSpeculative: "map.tasks.speculative",
+			ctrSpeculated:  "mapred.map.task.attempts.speculated",
+			ctrDiscarded:   "map.tasks.duplicate.discarded",
+			ctrFailed:      "map.task.attempts.failed",
+			ctrRetried:     "map.task.attempts.retried",
+		},
+		run: func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt int, lane string) (bool, error) {
+			return true, rj.c.runMapTask(ctx, tt, rj.info, rj.job, rj.splits[id], lane, attempt)
+		},
+		// The first completion wins.
+		settle: func(rj *runningJob, id int, _, killed bool) (bool, error) {
+			if killed {
+				return false, errDiedWithNode
+			}
+			return rj.kinds[mapKind].q.complete(id), nil
+		},
+		// The winner cancels its losers and its output goes to the
+		// reduces.
+		win: func(rj *runningJob, ti int, tt *TaskTracker, id, attempt int) {
+			rj.c.attempts.cancelLosers(rj.info.ID, mapKind, id, attempt)
+			rj.c.server(ti).MapOutputReady(rj.info, id)
+			rj.board.announce(MapEvent{MapID: id, Host: tt.Host()})
+		},
+	},
+	reduceKind: {
+		letter: "r", noun: "reduce", slotsKey: config.KeyReduceSlots,
+		specCause: "idle slot backup",
+		lostCause: "another attempt committed first",
+		counters: [numCounters]string{
+			ctrSpeculative: "reduce.tasks.speculative",
+			ctrSpeculated:  "mapred.reduce.task.attempts.speculated",
+			ctrDiscarded:   "reduce.tasks.duplicate.discarded",
+			ctrFailed:      "reduce.task.attempts.failed",
+			ctrRetried:     "reduce.task.attempts.retried",
+		},
+		run: func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt int, lane string) (bool, error) {
+			events, unsubscribe := rj.board.subscribe()
+			defer unsubscribe()
+			return rj.c.runReduceTask(ctx, tt, rj.info, rj.job, id, attempt, events, rj.recovery, rj.losses, lane)
+		},
+		// The output-commit rename is the arbiter, so losers are not
+		// cancelled: a loser's rename fails cleanly and it is discarded
+		// (test-pinned). Either way the task is done.
+		settle: func(rj *runningJob, id int, committed, _ bool) (bool, error) {
+			rj.kinds[reduceKind].q.complete(id)
+			return committed, nil
+		},
+	},
+}
+
 // jobTracker multiplexes N admitted jobs over the cluster's shared
 // TaskTracker slots: one fixed pool of slot workers (trackers ×
 // mapred.tasktracker.map.tasks.maximum plus trackers ×
@@ -34,43 +132,49 @@ const specPollInterval = 10 * time.Millisecond
 type jobTracker struct {
 	c            *Cluster
 	adm          *jobtracker.Admission
-	mapSched     *jobtracker.DWRR
-	reduceSched  *jobtracker.DWRR
-	mapSlots     int // per tracker
-	reduceSlots  int // per tracker
+	kinds        [numKinds]kindPool
 	stragglerCfg jobtracker.StragglerConfig
 
 	mu   sync.Mutex
 	jobs map[string]*runningJob
 	wake chan struct{} // closed+replaced whenever new work may appear
-	// busyMaps/busyReduces count running attempts per host (all jobs) —
-	// the dispatcher's free-slot view for per-host balance.
-	busyMaps    map[string]int
-	busyReduces map[string]int
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
+// kindPool is the cluster-wide scheduling state of one task kind.
+type kindPool struct {
+	sched *jobtracker.DWRR
+	slots int // per tracker
+	// busy counts running attempts per host (all jobs, guarded by jt.mu)
+	// — the dispatcher's free-slot view for per-host balance.
+	busy     map[string]int
+	counters [numCounters]*obs.Counter
+}
+
 func newJobTracker(c *Cluster) *jobTracker {
-	conf := c.conf
-	return &jobTracker{
-		c:           c,
-		adm:         jobtracker.NewAdmission(int(conf.Int(config.KeyJTMaxRunning))),
-		mapSched:    jobtracker.NewDWRR(),
-		reduceSched: jobtracker.NewDWRR(),
-		mapSlots:    int(conf.Int(config.KeyMapSlots)),
-		reduceSlots: int(conf.Int(config.KeyReduceSlots)),
+	jt := &jobTracker{
+		c:   c,
+		adm: jobtracker.NewAdmission(int(c.conf.Int(config.KeyJTMaxRunning))),
 		// An attempt past 1.5× the job's median completed attempt is a
 		// straggler, once three attempts have completed.
 		stragglerCfg: jobtracker.StragglerConfig{RatioPercent: 150, MinFinished: 3},
 		jobs:         make(map[string]*runningJob),
 		wake:         make(chan struct{}),
-		busyMaps:     make(map[string]int),
-		busyReduces:  make(map[string]int),
 		stop:         make(chan struct{}),
 	}
+	for k := range numKinds {
+		p := &jt.kinds[k]
+		p.sched = jobtracker.NewDWRR()
+		p.slots = int(c.conf.Int(kindSpecs[k].slotsKey))
+		p.busy = make(map[string]int)
+		for i, name := range kindSpecs[k].counters {
+			p.counters[i] = c.counters.Handle(name)
+		}
+	}
+	return jt
 }
 
 // start launches the shared slot workers. The pool is cluster-lifetime:
@@ -78,13 +182,11 @@ func newJobTracker(c *Cluster) *jobTracker {
 // is what lets attempts from different jobs interleave on one node.
 func (jt *jobTracker) start() {
 	for ti, tt := range jt.c.trackers {
-		for s := 0; s < jt.mapSlots; s++ {
-			jt.wg.Add(1)
-			go jt.worker(ti, tt, 'm', s)
-		}
-		for s := 0; s < jt.reduceSlots; s++ {
-			jt.wg.Add(1)
-			go jt.worker(ti, tt, 'r', s)
+		for k := range numKinds {
+			for s := 0; s < jt.kinds[k].slots; s++ {
+				jt.wg.Add(1)
+				go jt.worker(ti, tt, k, s)
+			}
 		}
 	}
 }
@@ -108,8 +210,9 @@ func (jt *jobTracker) kick() {
 func (jt *jobTracker) add(rj *runningJob) {
 	jt.mu.Lock()
 	jt.jobs[rj.info.ID] = rj
-	jt.mapSched.Add(rj.info.ID, 1)
-	jt.reduceSched.Add(rj.info.ID, 1)
+	for k := range numKinds {
+		jt.kinds[k].sched.Add(rj.info.ID, 1)
+	}
 	jt.mu.Unlock()
 	jt.kick()
 }
@@ -133,8 +236,9 @@ func (jt *jobTracker) forEachRunning(fn func(*runningJob)) {
 func (jt *jobTracker) remove(jobID string) {
 	jt.mu.Lock()
 	delete(jt.jobs, jobID)
-	jt.mapSched.Remove(jobID)
-	jt.reduceSched.Remove(jobID)
+	for k := range numKinds {
+		jt.kinds[k].sched.Remove(jobID)
+	}
 	jt.mu.Unlock()
 }
 
@@ -142,7 +246,7 @@ func (jt *jobTracker) remove(jobID string) {
 // attempts from whichever job the fair-share arbiter favors, parks on a
 // down tracker until revive, and parks on wake (with a speculation
 // re-probe timeout when relevant) when no job has work for it.
-func (jt *jobTracker) worker(ti int, tt *TaskTracker, kind byte, slot int) {
+func (jt *jobTracker) worker(ti int, tt *TaskTracker, k taskKind, slot int) {
 	defer jt.wg.Done()
 	c := jt.c
 	for {
@@ -159,17 +263,13 @@ func (jt *jobTracker) worker(ti int, tt *TaskTracker, kind byte, slot int) {
 			}
 			continue
 		}
-		d := jt.dispatch(kind, tt.Host())
+		d := jt.dispatch(k, tt.Host())
 		if d.ok {
 			// Wake the other parked workers before running: more work may
 			// remain, and our taking a slot can change the balance
 			// condition that parked them.
 			jt.kick()
-			if kind == 'm' {
-				d.rj.runMapAttempt(ti, tt, slot, d.id, d.attempt, d.backup)
-			} else {
-				d.rj.runReduceAttempt(ti, tt, slot, d.id, d.attempt, d.backup)
-			}
+			d.rj.runAttempt(k, ti, tt, slot, d.id, d.attempt, d.backup)
 			continue
 		}
 		// d.wake was snapshotted inside dispatch's critical section, so a
@@ -198,9 +298,9 @@ func (jt *jobTracker) worker(ti int, tt *TaskTracker, kind byte, slot int) {
 // pollLocked returns a park timeout when any running job of this kind
 // may yet speculate (eligibility is time-driven), else 0 for pure
 // event-driven parking.
-func (jt *jobTracker) pollLocked(kind byte) time.Duration {
+func (jt *jobTracker) pollLocked(k taskKind) time.Duration {
 	for _, rj := range jt.jobs {
-		q := rj.queue(kind)
+		q := rj.kinds[k].q
 		if q.speculate && !q.finished() {
 			return specPollInterval
 		}
@@ -221,7 +321,8 @@ type dispatchResult struct {
 
 // dispatch picks the next attempt for an idle slot: jobs are probed in
 // fair-share order (most unspent DWRR credit first), first for
-// data-local work across every job, then for anything. Within a job,
+// data-local work across every job, then for anything (reduces carry no
+// locality hints, so their first pass finds nothing). Within a job,
 // per-host balance applies: a host already holding its share of the
 // job's tasks (ceil(tasks/liveHosts)) leaves pending work for a live
 // host with a free slot that is still under share — so a hot worker
@@ -229,61 +330,37 @@ type dispatchResult struct {
 // while other nodes' slots sit idle. The whole scan+take+wg.Add runs
 // under jt.mu so a finishing job's remove() is a clean barrier: after
 // it, no new attempt of that job can be handed out.
-func (jt *jobTracker) dispatch(kind byte, host string) dispatchResult {
+func (jt *jobTracker) dispatch(k taskKind, host string) dispatchResult {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	sched := jt.mapSched
-	if kind == 'r' {
-		sched = jt.reduceSched
-	}
-	order := sched.Candidates(func(jid string) bool {
+	pool := &jt.kinds[k]
+	order := pool.sched.Candidates(func(jid string) bool {
 		j := jt.jobs[jid]
-		return j != nil && j.ctx.Err() == nil && j.queue(kind).hasDispatchable()
+		return j != nil && j.ctx.Err() == nil && j.kinds[k].q.hasDispatchable()
 	})
 	live := jt.liveCountLocked()
-	passes := []bool{true, false}
-	if kind == 'r' {
-		passes = []bool{false} // reduces carry no locality hints
-	}
-	for _, localOnly := range passes {
+	for _, localOnly := range []bool{true, false} {
 		for _, jid := range order {
 			j := jt.jobs[jid]
 			if j == nil || j.ctx.Err() != nil {
 				continue
 			}
-			quota := (j.totalTasks(kind) + live - 1) / live
-			if quota < 1 {
-				quota = 1
-			}
-			pendingOK := j.assignedFor(kind)[host] < quota ||
-				!jt.idleShareElsewhereLocked(j, kind, host, quota)
-			tid, att, bk, took, _ := j.queue(kind).take(host, localOnly, pendingOK)
-			if took {
-				sched.Charge(jid, 1)
+			jk := &j.kinds[k]
+			quota := max((jk.tasks+live-1)/live, 1)
+			pendingOK := jk.assigned[host] < quota ||
+				!jt.idleShareElsewhereLocked(j, k, host, quota)
+			if id, attempt, backup, ok := jk.q.take(host, localOnly, pendingOK); ok {
+				pool.sched.Charge(jid, 1)
 				j.wg.Add(1)
-				jt.busyFor(kind)[host]++
-				if !bk {
-					j.assignedFor(kind)[host]++
+				pool.busy[host]++
+				if !backup {
+					jk.assigned[host]++
 				}
-				return dispatchResult{rj: j, id: tid, attempt: att, backup: bk, ok: true}
+				return dispatchResult{rj: j, id: id, attempt: attempt, backup: backup, ok: true}
 			}
 		}
 	}
-	return dispatchResult{wake: jt.wake, poll: jt.pollLocked(kind)}
-}
-
-func (jt *jobTracker) busyFor(kind byte) map[string]int {
-	if kind == 'm' {
-		return jt.busyMaps
-	}
-	return jt.busyReduces
-}
-
-func (jt *jobTracker) slotsFor(kind byte) int {
-	if kind == 'm' {
-		return jt.mapSlots
-	}
-	return jt.reduceSlots
+	return dispatchResult{wake: jt.wake, poll: jt.pollLocked(k)}
 }
 
 func (jt *jobTracker) liveCountLocked() int {
@@ -304,16 +381,14 @@ func (jt *jobTracker) liveCountLocked() int {
 // the condition under which an over-share host leaves pending work on
 // the queue. Without such a host, balance yields to utilization: better
 // an imbalanced assignment than an idle slot next to pending work.
-func (jt *jobTracker) idleShareElsewhereLocked(j *runningJob, kind byte, host string, quota int) bool {
-	slots := jt.slotsFor(kind)
-	busy := jt.busyFor(kind)
-	assigned := j.assignedFor(kind)
+func (jt *jobTracker) idleShareElsewhereLocked(j *runningJob, k taskKind, host string, quota int) bool {
+	pool, assigned := &jt.kinds[k], j.kinds[k].assigned
 	for i, tt := range jt.c.trackers {
 		h := tt.Host()
 		if h == host || !jt.c.liveness.isUp(i) {
 			continue
 		}
-		if busy[h] < slots && assigned[h] < quota {
+		if pool.busy[h] < pool.slots && assigned[h] < quota {
 			return true
 		}
 	}
@@ -322,30 +397,22 @@ func (jt *jobTracker) idleShareElsewhereLocked(j *runningJob, kind byte, host st
 
 // endAttempt releases the dispatcher's busy-slot accounting for a
 // finished attempt (success, failure, or cancellation alike).
-func (jt *jobTracker) endAttempt(kind byte, host string) {
+func (jt *jobTracker) endAttempt(k taskKind, host string) {
 	jt.mu.Lock()
-	jt.busyFor(kind)[host]--
+	jt.kinds[k].busy[host]--
 	jt.mu.Unlock()
 }
 
 // unassign returns a requeued task's share back from a host — it will
 // be re-assigned wherever the task lands next.
-func (jt *jobTracker) unassign(j *runningJob, kind byte, host string) {
+func (jt *jobTracker) unassign(j *runningJob, k taskKind, host string) {
 	jt.mu.Lock()
-	j.assignedFor(kind)[host]--
+	j.kinds[k].assigned[host]--
 	jt.mu.Unlock()
 }
 
-// attemptKey names one in-flight attempt for loser cancellation.
-type attemptKey struct {
-	kind    byte
-	task    int
-	attempt int
-}
-
-// runningJob is one admitted job's scheduling state: its attempt queues,
-// straggler detector, map-completion board, recovery hooks, and the
-// in-flight attempt set the first finisher cancels its losers through.
+// runningJob is one admitted job's scheduling state: its per-kind
+// attempt queues, map-completion board and recovery hooks.
 type runningJob struct {
 	c      *Cluster
 	info   JobInfo
@@ -355,8 +422,7 @@ type runningJob struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mq, rq   *attemptQueue
-	mapDet   *jobtracker.Stragglers // nil unless speculative maps
+	kinds    [numKinds]jobKind
 	board    *eventBoard
 	losses   *TrackerLossFeed
 	recovery *jobRecovery
@@ -368,43 +434,23 @@ type runningJob struct {
 	errOnce  sync.Once
 	firstErr error
 
-	amu      sync.Mutex
-	inflight map[attemptKey]context.CancelFunc
-
-	// mapsRunning/reducesRunning are the job's held-slot gauges, the
-	// numbers /jobs.json reports as slot shares.
-	mapsRunning    atomic.Int64
-	reducesRunning atomic.Int64
-
-	// mapAssigned/reduceAssigned count tasks assigned per host (guarded
-	// by jt.mu) — the dispatcher's per-host balance state. A completed
-	// task stays counted; a requeued one is returned via unassign.
-	mapAssigned    map[string]int
-	reduceAssigned map[string]int
-
 	prof *obs.JobProfile
 	tr   *obs.JobTrace
 }
 
-func (rj *runningJob) queue(kind byte) *attemptQueue {
-	if kind == 'm' {
-		return rj.mq
-	}
-	return rj.rq
-}
-
-func (rj *runningJob) assignedFor(kind byte) map[string]int {
-	if kind == 'm' {
-		return rj.mapAssigned
-	}
-	return rj.reduceAssigned
-}
-
-func (rj *runningJob) totalTasks(kind byte) int {
-	if kind == 'm' {
-		return rj.info.NumMaps
-	}
-	return rj.info.NumReduces
+// jobKind is one job's scheduling state for one task kind.
+type jobKind struct {
+	q     *attemptQueue
+	tasks int
+	// assigned counts tasks assigned per host (guarded by jt.mu) — the
+	// dispatcher's per-host balance state. A completed task stays
+	// counted; a requeued one is returned via unassign.
+	assigned map[string]int
+	// running is the held-slot gauge /jobs.json reports as a slot share.
+	running atomic.Int64
+	// det is the straggler gate; nil unless the kind's speculation goes
+	// through it (speculative maps; reduce speculation is eager).
+	det *jobtracker.Stragglers
 }
 
 func (rj *runningJob) fail(err error) {
@@ -417,102 +463,70 @@ func (rj *runningJob) fail(err error) {
 	})
 }
 
-// beginAttempt registers an in-flight attempt and returns its context
-// (cancelled when the job ends, the node dies — via the attempt
-// registry layered on top — or a sibling attempt wins the task) plus
-// the deregistration func.
-func (rj *runningJob) beginAttempt(kind byte, task, attempt int) (context.Context, func()) {
-	actx, acancel := context.WithCancel(rj.ctx)
-	key := attemptKey{kind: kind, task: task, attempt: attempt}
-	rj.amu.Lock()
-	rj.inflight[key] = acancel
-	rj.amu.Unlock()
-	return actx, func() {
-		rj.amu.Lock()
-		delete(rj.inflight, key)
-		rj.amu.Unlock()
-		acancel()
-	}
-}
-
-// cancelLosers cancels every other in-flight attempt of the task: the
-// first finisher committed, so the losers' remaining work is pure waste.
-func (rj *runningJob) cancelLosers(kind byte, task, attempt int) {
-	rj.amu.Lock()
-	for k, cancel := range rj.inflight {
-		if k.kind == kind && k.task == task && k.attempt != attempt {
-			cancel()
-		}
-	}
-	rj.amu.Unlock()
-}
-
-// runMapAttempt executes one map attempt on tt and routes its outcome:
-// first-finisher-wins completion (losers cancelled, late duplicates
-// discarded), budget-free requeue on node death, budgeted retry on real
-// failure, fatal error on budget exhaustion.
-func (rj *runningJob) runMapAttempt(ti int, tt *TaskTracker, slot, id, attempt int, backup bool) {
+// runAttempt executes one attempt of task id on tt and routes its
+// outcome: a win (the kind's win hook), a discarded duplicate, a
+// cancelled loser or an aborting job (nothing), death with its node
+// (budget-free requeue), a failed backup (nothing: the original still
+// runs), a budgeted retry, or exhaustion (the job fails).
+func (rj *runningJob) runAttempt(k taskKind, ti int, tt *TaskTracker, slot, id, attempt int, backup bool) {
 	defer rj.wg.Done()
-	defer rj.c.jt.endAttempt('m', tt.Host())
-	c := rj.c
-	info := rj.info
-	task := fmt.Sprintf("m%d", id)
+	c, info, spec, jk := rj.c, rj.info, &kindSpecs[k], &rj.kinds[k]
+	ctr := &c.jt.kinds[k].counters
+	host := tt.Host()
+	defer c.jt.endAttempt(k, host)
+	task := fmt.Sprintf("%s%d", spec.letter, id)
 	if backup {
-		c.counters.Add("map.tasks.speculative", 1)
-		c.counters.Add("mapred.map.task.attempts.speculated", 1)
+		ctr[ctrSpeculative].Add(1)
+		ctr[ctrSpeculated].Add(1)
 		c.events.Append(obs.Event{Type: obs.EvAttemptSpeculated,
-			Job: info.ID, Task: task, Host: tt.Host(), Cause: "elapsed past straggler threshold"})
+			Job: info.ID, Task: task, Host: host, Cause: spec.specCause})
 		c.events.Append(obs.Event{Type: obs.EvSpeculationLaunched,
-			Job: info.ID, Task: task, Host: tt.Host(), Cause: "straggler backup"})
-	} else if rj.mapDet != nil {
-		rj.mapDet.Started(id, time.Now())
+			Job: info.ID, Task: task, Host: host, Cause: "straggler backup"})
+	} else if jk.det != nil {
+		jk.det.Started(id, time.Now())
 	}
 	tr := tt.TraceFor(info.ID)
 	var lane string
 	var dispatched time.Time
 	if tr != nil {
-		lane = fmt.Sprintf("map slot %d", slot)
+		lane = fmt.Sprintf("%s slot %d", spec.noun, slot)
 		dispatched = time.Now()
 	}
-	rj.mapsRunning.Add(1)
-	defer rj.mapsRunning.Add(-1)
-	actx, done := rj.beginAttempt('m', id, attempt)
-	actx, h := c.attempts.begin(actx, ti)
-	err := c.runMapTask(actx, tt, info, rj.job, rj.splits[id], lane, attempt)
-	killed := h.finish()
-	done()
+	jk.running.Add(1)
+	defer jk.running.Add(-1)
+	ctx, finish := c.attempts.begin(rj.ctx, liveAttempt{job: info.ID, kind: k, task: id, attempt: attempt, tracker: ti})
+	committed, err := spec.run(rj, ctx, tt, id, attempt, lane)
+	killed := finish()
 	if tr != nil {
-		tr.Span(tt.Host(), lane, obs.CatSched,
-			fmt.Sprintf("dispatch m%d@%d", id, attempt), dispatched, time.Now(),
-			map[string]string{"corr": fmt.Sprintf("%s/m%d@%d", info.ID, id, attempt)})
+		tr.Span(host, lane, obs.CatSched,
+			fmt.Sprintf("dispatch %s@%d", task, attempt), dispatched, time.Now(),
+			map[string]string{"corr": fmt.Sprintf("%s/%s@%d", info.ID, task, attempt)})
 	}
-	if err == nil && killed {
-		// Ran to completion on a node the scheduler killed mid-attempt:
-		// its server is gone, so the output cannot be served. Discard
-		// and reschedule.
-		err = fmt.Errorf("mapred: map %d attempt %d: %s died mid-attempt", id, attempt, tt.Host())
+	var won bool
+	if err == nil {
+		won, err = spec.settle(rj, id, committed, killed)
 	}
 	if err == nil {
-		if !rj.mq.complete(id) {
-			c.counters.Add("map.tasks.duplicate.discarded", 1)
+		if !won {
+			ctr[ctrDiscarded].Add(1)
 			c.events.Append(obs.Event{Type: obs.EvSpeculationLost,
-				Job: info.ID, Task: task, Host: tt.Host(), Cause: "another attempt finished first"})
-			return
+				Job: info.ID, Task: task, Host: host, Cause: spec.lostCause})
+		} else {
+			if backup {
+				c.events.Append(obs.Event{Type: obs.EvSpeculationWon,
+					Job: info.ID, Task: task, Host: host})
+			} else if jk.det != nil {
+				jk.det.Finished(id, time.Now())
+			}
+			if spec.win != nil {
+				spec.win(rj, ti, tt, id, attempt)
+			}
 		}
-		if rj.mapDet != nil && !backup {
-			rj.mapDet.Finished(id, time.Now())
-		}
-		rj.cancelLosers('m', id, attempt)
-		if backup {
-			c.events.Append(obs.Event{Type: obs.EvSpeculationWon,
-				Job: info.ID, Task: task, Host: tt.Host()})
-		}
-		c.server(ti).MapOutputReady(info, id)
-		rj.board.announce(MapEvent{MapID: id, Host: tt.Host()})
 		c.jt.kick()
 		return
 	}
-	if rj.mq.isDone(id) {
+	q := jk.q
+	if q.isDone(id) {
 		// A cancelled loser: the task completed elsewhere while we ran.
 		// Not a failure — no budget, no retry.
 		return
@@ -520,133 +534,33 @@ func (rj *runningJob) runMapAttempt(ti int, tt *TaskTracker, slot, id, attempt i
 	if rj.ctx.Err() != nil && !killed {
 		return // job is aborting, not this attempt's fault
 	}
-	c.counters.Add("map.task.attempts.failed", 1)
-	if killed {
-		if rj.mq.requeueKilled(id, backup) {
-			c.jt.unassign(rj, 'm', tt.Host())
-			c.counters.Add("map.task.attempts.retried", 1)
-			c.events.Append(obs.Event{Type: obs.EvAttemptRetried,
-				Job: info.ID, Task: task, Host: tt.Host(), Cause: "node death"})
-		}
-		c.jt.kick()
-		return
+	ctr[ctrFailed].Add(1)
+	var requeued, fatal bool
+	cause := "node death"
+	switch {
+	case killed:
+		requeued = q.requeueKilled(id, backup)
+	case backup:
+		return // a failed backup is harmless; the original is still running
+	default:
+		requeued, fatal = q.fail(id)
+		cause = err.Error()
 	}
-	if backup {
-		// A failed backup is harmless; the original attempt is still
-		// running.
-		return
-	}
-	requeued, fatal := rj.mq.fail(id)
 	if requeued {
-		c.jt.unassign(rj, 'm', tt.Host())
-		c.counters.Add("map.task.attempts.retried", 1)
+		c.jt.unassign(rj, k, host)
+		ctr[ctrRetried].Add(1)
 		c.events.Append(obs.Event{Type: obs.EvAttemptRetried,
-			Job: info.ID, Task: task, Host: tt.Host(), Cause: err.Error()})
+			Job: info.ID, Task: task, Host: host, Cause: cause})
+	}
+	if requeued || killed {
 		c.jt.kick()
 	}
 	if fatal {
 		c.events.Append(obs.Event{Type: obs.EvAttemptExhausted,
-			Job: info.ID, Task: task, Host: tt.Host(),
-			Cause: fmt.Sprintf("failed after %d attempts: %v", rj.mq.attempts(id), err)})
-		rj.fail(fmt.Errorf("map %d on %s failed after %d attempts: %w",
-			id, tt.Host(), rj.mq.attempts(id), err))
-	}
-}
-
-// runReduceAttempt executes one reduce attempt; duplicate attempts are
-// arbitrated by the output-commit rename (first committer wins) and the
-// winner cancels in-flight losers.
-func (rj *runningJob) runReduceAttempt(ti int, tt *TaskTracker, slot, id, attempt int, backup bool) {
-	defer rj.wg.Done()
-	defer rj.c.jt.endAttempt('r', tt.Host())
-	c := rj.c
-	info := rj.info
-	task := fmt.Sprintf("r%d", id)
-	if backup {
-		c.counters.Add("reduce.tasks.speculative", 1)
-		c.counters.Add("mapred.reduce.task.attempts.speculated", 1)
-		c.events.Append(obs.Event{Type: obs.EvAttemptSpeculated,
-			Job: info.ID, Task: task, Host: tt.Host(), Cause: "idle slot backup"})
-		c.events.Append(obs.Event{Type: obs.EvSpeculationLaunched,
-			Job: info.ID, Task: task, Host: tt.Host(), Cause: "straggler backup"})
-	}
-	tr := tt.TraceFor(info.ID)
-	var lane string
-	var dispatched time.Time
-	if tr != nil {
-		lane = fmt.Sprintf("reduce slot %d", slot)
-		dispatched = time.Now()
-	}
-	rj.reducesRunning.Add(1)
-	defer rj.reducesRunning.Add(-1)
-	events, unsubscribe := rj.board.subscribe()
-	actx, done := rj.beginAttempt('r', id, attempt)
-	actx, h := c.attempts.begin(actx, ti)
-	committed, err := c.runReduceTask(actx, tt, info, rj.job, id, attempt, events, rj.recovery, rj.losses, lane)
-	killed := h.finish()
-	done()
-	unsubscribe()
-	if tr != nil {
-		tr.Span(tt.Host(), lane, obs.CatSched,
-			fmt.Sprintf("dispatch r%d@%d", id, attempt), dispatched, time.Now(),
-			map[string]string{"corr": fmt.Sprintf("%s/r%d@%d", info.ID, id, attempt)})
-	}
-	if err == nil {
-		if committed {
-			// Unlike maps, in-flight duplicate attempts are NOT cancelled:
-			// the output-commit rename is the arbiter, and the loser's
-			// rename failing cleanly is the legacy (and test-pinned)
-			// duplicate-discard path.
-			rj.rq.complete(id)
-			if backup {
-				c.events.Append(obs.Event{Type: obs.EvSpeculationWon,
-					Job: info.ID, Task: task, Host: tt.Host()})
-			}
-		} else {
-			// Another attempt committed first; ours was discarded by
-			// the rename arbiter.
-			rj.rq.complete(id)
-			c.counters.Add("reduce.tasks.duplicate.discarded", 1)
-			c.events.Append(obs.Event{Type: obs.EvSpeculationLost,
-				Job: info.ID, Task: task, Host: tt.Host(), Cause: "another attempt committed first"})
-		}
-		c.jt.kick()
-		return
-	}
-	if rj.rq.isDone(id) {
-		return // cancelled loser; the task committed elsewhere
-	}
-	if rj.ctx.Err() != nil && !killed {
-		return
-	}
-	c.counters.Add("reduce.task.attempts.failed", 1)
-	if killed {
-		if rj.rq.requeueKilled(id, backup) {
-			c.jt.unassign(rj, 'r', tt.Host())
-			c.counters.Add("reduce.task.attempts.retried", 1)
-			c.events.Append(obs.Event{Type: obs.EvAttemptRetried,
-				Job: info.ID, Task: task, Host: tt.Host(), Cause: "node death"})
-		}
-		c.jt.kick()
-		return
-	}
-	if backup {
-		return
-	}
-	requeued, fatal := rj.rq.fail(id)
-	if requeued {
-		c.jt.unassign(rj, 'r', tt.Host())
-		c.counters.Add("reduce.task.attempts.retried", 1)
-		c.events.Append(obs.Event{Type: obs.EvAttemptRetried,
-			Job: info.ID, Task: task, Host: tt.Host(), Cause: err.Error()})
-		c.jt.kick()
-	}
-	if fatal {
-		c.events.Append(obs.Event{Type: obs.EvAttemptExhausted,
-			Job: info.ID, Task: task, Host: tt.Host(),
-			Cause: fmt.Sprintf("failed after %d attempts: %v", rj.rq.attempts(id), err)})
-		rj.fail(fmt.Errorf("reduce %d on %s failed after %d attempts: %w",
-			id, tt.Host(), rj.rq.attempts(id), err))
+			Job: info.ID, Task: task, Host: host,
+			Cause: fmt.Sprintf("failed after %d attempts: %v", q.attempts(id), err)})
+		rj.fail(fmt.Errorf("%s %d on %s failed after %d attempts: %w",
+			spec.noun, id, host, q.attempts(id), err))
 	}
 }
 
@@ -805,11 +719,8 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 
 	rj := &runningJob{
 		c: c, info: info, job: job,
-		splits:         make(map[int]*split, len(splits)),
-		inflight:       make(map[attemptKey]context.CancelFunc),
-		mapAssigned:    make(map[string]int),
-		reduceAssigned: make(map[string]int),
-		prof:           prof, tr: tr,
+		splits: make(map[int]*split, len(splits)),
+		prof:   prof, tr: tr,
 	}
 	rj.ctx, rj.cancel = context.WithCancel(ctx)
 	mapIDs := make([]int, 0, len(splits))
@@ -819,24 +730,28 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 		mapIDs = append(mapIDs, sp.id)
 		hostHints[sp.id] = sp.hosts
 	}
-	rj.mq = newAttemptQueue(mapIDs, hostHints,
+	rj.kinds[mapKind].q = newAttemptQueue(mapIDs, hostHints,
 		int(info.Conf.Int(config.KeyMapMaxAttempts)),
 		info.Conf.Bool(config.KeySpeculativeMaps))
 	if info.Conf.Bool(config.KeySpeculativeMaps) {
 		det := jobtracker.NewStragglers(jt.stragglerCfg, len(mapIDs))
-		rj.mapDet = det
-		rj.mq.setGate(func(id int) bool { return det.Straggler(id, time.Now()) })
+		rj.kinds[mapKind].det = det
+		rj.kinds[mapKind].q.setGate(func(id int) bool { return det.Straggler(id, time.Now()) })
 	}
 	reduceIDs := make([]int, info.NumReduces)
 	for r := range reduceIDs {
 		reduceIDs[r] = r
 	}
-	// Reduces keep the legacy eager speculation (no straggler gate): the
+	// Reduces keep eager speculation (no straggler gate): the
 	// output-commit rename arbitrates duplicates, and an idle reduce slot
 	// late in the job has nothing better to do.
-	rj.rq = newAttemptQueue(reduceIDs, nil,
+	rj.kinds[reduceKind].q = newAttemptQueue(reduceIDs, nil,
 		int(info.Conf.Int(config.KeyReduceMaxAttempts)),
 		info.Conf.Bool(config.KeySpeculativeReduces))
+	rj.kinds[mapKind].tasks, rj.kinds[reduceKind].tasks = info.NumMaps, info.NumReduces
+	for k := range numKinds {
+		rj.kinds[k].assigned = make(map[string]int)
+	}
 	rj.board = newEventBoard(info.NumMaps)
 	rj.losses = NewTrackerLossFeed()
 	rj.recovery = newJobRecovery(rj.ctx, c, info, job, splits)
@@ -870,7 +785,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 
 	success := false
 	select {
-	case <-rj.rq.doneCh: // every reduce committed: the job is done
+	case <-rj.kinds[reduceKind].q.doneCh: // every reduce committed: the job is done
 		success = true
 	case <-rj.ctx.Done(): // failed (rj.fail) or cancelled from outside
 	case <-jt.stop:
@@ -889,7 +804,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	rj.wg.Wait()
 
 	err := rj.firstErr
-	if err == nil && !rj.rq.finished() {
+	if err == nil && !rj.kinds[reduceKind].q.finished() {
 		err = rj.ctx.Err()
 		if err == nil {
 			err = ctx.Err()
@@ -897,6 +812,10 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	}
 	dur := time.Since(start)
 
+	// Commit-protocol debris: losing duplicate attempts delete their own
+	// temp files, but attempts killed mid-write leave reserved names
+	// under _temporary; clear the scratch dir before listing the output.
+	scrub := job.Output + "/_temporary/"
 	if err != nil {
 		c.jobObs.remove(info.ID)
 		if tr != nil {
@@ -912,65 +831,55 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 		// directory was empty at admission, so everything under it —
 		// committed parts from finished reduces, uncommitted attempt
 		// temp files, abandoned writer placeholders — is ours to remove.
-		for _, p := range c.fs.List(job.Output + "/") {
-			_ = c.fs.Delete(p)
-		}
-		for i, tt := range c.trackers {
-			c.server(i).JobComplete(info)
-			tt.CleanupJob(info.ID)
-		}
-		c.counters.Add("mapred.jobtracker.jobs.failed", 1)
-		c.events.Append(obs.Event{Type: obs.EvJobFailed, Job: info.ID})
-		c.finishJob(h, job, info, nil, err)
-		jt.adm.Release()
-		jt.kick()
-		return
+		scrub = job.Output + "/"
 	}
-
-	// Commit-protocol debris: losing duplicate attempts delete their own
-	// temp files, but attempts killed mid-write leave reserved names
-	// under _temporary; clear the scratch dir before listing the output.
-	for _, p := range c.fs.List(job.Output + "/_temporary/") {
+	for _, p := range c.fs.List(scrub) {
 		_ = c.fs.Delete(p)
 	}
 	for i, tt := range c.trackers {
 		c.server(i).JobComplete(info)
 		tt.CleanupJob(info.ID)
 	}
-	after := c.counters.Snapshot()
-	delta := make(map[string]int64, len(after))
-	for k, v := range after {
-		if d := v - before[k]; d != 0 {
-			delta[k] = d
+	var res *JobResult
+	if err != nil {
+		c.counters.Add("mapred.jobtracker.jobs.failed", 1)
+		c.events.Append(obs.Event{Type: obs.EvJobFailed, Job: info.ID})
+	} else {
+		after := c.counters.Snapshot()
+		delta := make(map[string]int64, len(after))
+		for k, v := range after {
+			if d := v - before[k]; d != 0 {
+				delta[k] = d
+			}
 		}
-	}
-	phasesAfter := c.phases.Snapshot()
-	phaseDelta := make(map[string]time.Duration, len(phasesAfter))
-	for k, v := range phasesAfter {
-		if d := v - phasesBefore[k]; d != 0 {
-			phaseDelta[k] = d
+		phasesAfter := c.phases.Snapshot()
+		phaseDelta := make(map[string]time.Duration, len(phasesAfter))
+		for k, v := range phasesAfter {
+			if d := v - phasesBefore[k]; d != 0 {
+				phaseDelta[k] = d
+			}
 		}
+		res = &JobResult{
+			JobID: info.ID, Duration: dur,
+			NumMaps: info.NumMaps, NumReduces: info.NumReduces,
+			OutputFiles: c.fs.List(job.Output + "/"),
+			Counters:    delta,
+			Phases:      phaseDelta,
+		}
+		if prof != nil && profileOn {
+			rep := prof.Report()
+			res.Profile = rep
+			c.lastReport.Store(rep)
+		}
+		if tr != nil {
+			res.Trace = tr
+			c.lastTrace.Store(tr)
+		}
+		c.jobObs.remove(info.ID)
+		c.counters.Add("mapred.jobtracker.jobs.completed", 1)
+		c.events.Append(obs.Event{Type: obs.EvJobCompleted, Job: info.ID})
 	}
-	res := &JobResult{
-		JobID: info.ID, Duration: dur,
-		NumMaps: info.NumMaps, NumReduces: info.NumReduces,
-		OutputFiles: c.fs.List(job.Output + "/"),
-		Counters:    delta,
-		Phases:      phaseDelta,
-	}
-	if prof != nil && profileOn {
-		rep := prof.Report()
-		res.Profile = rep
-		c.lastReport.Store(rep)
-	}
-	if tr != nil {
-		res.Trace = tr
-		c.lastTrace.Store(tr)
-	}
-	c.jobObs.remove(info.ID)
-	c.counters.Add("mapred.jobtracker.jobs.completed", 1)
-	c.events.Append(obs.Event{Type: obs.EvJobCompleted, Job: info.ID})
-	c.finishJob(h, job, info, res, nil)
+	c.finishJob(h, job, info, res, err)
 	jt.adm.Release()
 	jt.kick()
 }
@@ -994,8 +903,8 @@ func (c *Cluster) finishJob(h *JobHandle, job *Job, info JobInfo, res *JobResult
 	if st := c.jobStatus[info.ID]; st != nil {
 		st.finished = time.Now()
 		if rj := st.rj; rj != nil {
-			st.mapsDone = rj.mq.completedCount()
-			st.reducesDone = rj.rq.completedCount()
+			st.mapsDone = rj.kinds[mapKind].q.completedCount()
+			st.reducesDone = rj.kinds[reduceKind].q.completedCount()
 		}
 		st.rj = nil
 		if err != nil {
@@ -1032,8 +941,8 @@ func (c *Cluster) JobsReport() *obs.JobsReport {
 	n := len(c.trackers)
 	rep := &obs.JobsReport{
 		MaxRunning: c.jt.adm.Max(), Running: running, Queued: queued,
-		TotalMapSlots:    n * c.jt.mapSlots,
-		TotalReduceSlots: n * c.jt.reduceSlots,
+		TotalMapSlots:    n * c.jt.kinds[mapKind].slots,
+		TotalReduceSlots: n * c.jt.kinds[reduceKind].slots,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1049,10 +958,10 @@ func (c *Cluster) JobsReport() *obs.JobsReport {
 			MapsDone: st.mapsDone, ReducesDone: st.reducesDone,
 		}
 		if rj := st.rj; rj != nil {
-			js.MapsDone = rj.mq.completedCount()
-			js.ReducesDone = rj.rq.completedCount()
-			js.MapSlots = int(rj.mapsRunning.Load())
-			js.ReduceSlots = int(rj.reducesRunning.Load())
+			js.MapsDone = rj.kinds[mapKind].q.completedCount()
+			js.ReducesDone = rj.kinds[reduceKind].q.completedCount()
+			js.MapSlots = int(rj.kinds[mapKind].running.Load())
+			js.ReduceSlots = int(rj.kinds[reduceKind].running.Load())
 			if rep.TotalMapSlots > 0 {
 				js.MapShare = float64(js.MapSlots) / float64(rep.TotalMapSlots)
 			}
