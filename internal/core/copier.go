@@ -272,9 +272,9 @@ type chunkReq struct {
 // remaining chunks the copier may READ under the manifest's lease, in
 // offset order. A plan dies by exhaustion (every chunk taken), by
 // mismatch (the segment asked for an offset other than the head — a
-// retry or recovery changed the stream), or by a READ fault. The last
-// in-flight chunk of a dead plan sends the eager LeaseRelease so the
-// server drops its pin before the deadline.
+// retry or recovery changed the stream), by a READ fault, or with its
+// connection. The last in-flight chunk of a dead plan sends the eager
+// LeaseRelease so the server drops its pin before the deadline.
 type readPlan struct {
 	mapID    int
 	leaseID  uint64
@@ -595,6 +595,19 @@ func (hc *hostConn) planDone(p *readPlan) uint64 {
 		return p.leaseID
 	}
 	return 0
+}
+
+// releasePlans gives back the lease of every plan still live when the
+// connection ends. A segment that has not yet asked for a plan's next
+// chunk (its merge is busy elsewhere, and the connection retired idle)
+// asks again on the next connection, so nothing will READ under these
+// leases; kept, each would pin its run until the lease deadline, past
+// its job's end. ctx bounds only a release's RNR backoff, so a cancelled
+// fetch still sends them.
+func (hc *hostConn) releasePlans(ctx context.Context) {
+	for _, p := range hc.plans {
+		hc.releaseLease(ctx, hc.detachPlan(p))
+	}
 }
 
 // releaseLease eagerly retires a server-side lease. Best-effort: on a
@@ -951,10 +964,12 @@ func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphan
 			// blocked in a post would read early.
 			f.checkConn(p, hc, time.Now(), len(*orphans))
 		case <-ctx.Done():
+			hc.releasePlans(ctx)
 			hc.lease.Close(false, nil)
 			return nil
 		}
 	}
+	hc.releasePlans(ctx)
 	// Idle retirement releases the lease but leaves the shared endpoint
 	// alive for other fetchers; real failures kill it so every sharer
 	// observes the sever at once.

@@ -191,6 +191,64 @@ func TestCopierIdleRetirementRedialsLazily(t *testing.T) {
 	}
 }
 
+// TestIdleRetirementReleasesPlanLeases: a manifest's first chunk is
+// READ, and the segment does not ask for the rest before its connection
+// retires idle. The plan dies with the connection, and so must the
+// server's lease on the run: kept, it would pin the cached run until the
+// lease deadline, past the end of its job.
+func TestIdleRetirementReleasesPlanLeases(t *testing.T) {
+	conf := stressConf(2)
+	conf.SetInt(config.KeyRDMAConnIdleTimeout, 20) // ms
+	h := newRingHarness(t, conf, 2, 40)
+	s := h.cluster.Servers()[0].(*trackerServer)
+	run, err := h.tt.MapOutput(h.job.ID, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.cache.Put(CacheKey{JobID: h.job.ID, MapID: 0, Partition: 0}, run, PriorityPrefetch) {
+		t.Fatal("put rejected")
+	}
+	events := make(chan mapred.MapEvent, h.numMaps)
+	f := newFetcher(mapred.ReduceTaskInfo{
+		Job: h.job, ReduceID: 0, Events: events,
+		Local: h.tt, Hosts: []string{h.tt.Host()},
+	})
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	it, err := f.Fetch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first Next waits for every map, so nothing asks for map 0's
+	// second chunk until map 1 is announced.
+	var n int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for it.Next() {
+			n++
+		}
+	}()
+	defer func() { cancel(); <-done }()
+	c := h.tt.Counters()
+	events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
+	waitFor(t, func() bool {
+		return c.Get("shuffle.rdma.read.manifests") == 1 && planeOf(h.tt).leases(h.tt.Host()) == 0
+	})
+	waitFor(t, func() bool { return s.leases.live() == 0 })
+
+	events <- mapred.MapEvent{MapID: 1, Host: h.tt.Host()}
+	close(events)
+	<-done
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(h.expected) {
+		t.Fatalf("merged %d records, want %d", n, len(h.expected))
+	}
+}
+
 // TestCopierLossNoticeEndsAdmissionWait: a host the node's blacklist has
 // embargoed for a minute is declared dead by the cluster while the
 // supervisor waits out its admission delay. The notice ends the wait, and

@@ -21,12 +21,15 @@ type MapOutputPrefetcher struct {
 	cache       *PrefetchCache
 	cPrefetched *obs.Counter // cache.prefetched, daemon-cached or adopted
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	tasks   taskHeap
-	seq     uint64
-	stopped bool
-	wg      sync.WaitGroup
+	mu    sync.Mutex
+	cond  *sync.Cond
+	tasks taskHeap
+	// inflight counts, per job, the tasks a daemon has popped and not
+	// finished; CancelJob waits for its job's count to reach 0.
+	inflight map[string]int
+	seq      uint64
+	stopped  bool
+	wg       sync.WaitGroup
 }
 
 // NewMapOutputPrefetcher starts workers daemon goroutines serving the
@@ -35,7 +38,8 @@ func NewMapOutputPrefetcher(tt *mapred.TaskTracker, cache *PrefetchCache, worker
 	if workers < 1 {
 		workers = 1
 	}
-	p := &MapOutputPrefetcher{tt: tt, cache: cache, cPrefetched: tt.Counters().Handle("cache.prefetched")}
+	p := &MapOutputPrefetcher{tt: tt, cache: cache, cPrefetched: tt.Counters().Handle("cache.prefetched"),
+		inflight: make(map[string]int)}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
@@ -83,7 +87,8 @@ func (p *MapOutputPrefetcher) push(t *prefetchTask) {
 	heap.Push(&p.tasks, t)
 }
 
-// CancelJob drops queued tasks for a finished job.
+// CancelJob drops queued tasks for a finished job and waits for the ones
+// a daemon is running, so no Put for the job lands after it returns.
 func (p *MapOutputPrefetcher) CancelJob(jobID string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -95,6 +100,9 @@ func (p *MapOutputPrefetcher) CancelJob(jobID string) {
 	}
 	p.tasks = keep
 	heap.Init(&p.tasks)
+	for p.inflight[jobID] > 0 {
+		p.cond.Wait()
+	}
 }
 
 // Close stops the daemons, discarding queued work.
@@ -119,25 +127,39 @@ func (p *MapOutputPrefetcher) worker() {
 			return
 		}
 		task := heap.Pop(&p.tasks).(*prefetchTask)
+		job := task.key.JobID
+		p.inflight[job]++
 		p.mu.Unlock()
 
-		if task.priority == PriorityPrefetch && p.cache.Contains(task.key) {
-			continue // already cached (e.g. by a demand re-cache)
+		p.serve(task)
+
+		p.mu.Lock()
+		if p.inflight[job]--; p.inflight[job] == 0 {
+			delete(p.inflight, job)
+			p.cond.Broadcast()
 		}
-		run := task.run
-		if run == nil {
-			var err error
-			if run, err = p.tt.MapOutput(task.key.JobID, task.key.MapID, task.key.Partition); err != nil {
-				// The output may have been cleaned up (job finished) — the
-				// cache simply stays cold for it.
-				p.tt.Counters().Add("cache.prefetch.failed", 1)
-				continue
-			}
+		p.mu.Unlock()
+	}
+}
+
+// serve caches one task's partition.
+func (p *MapOutputPrefetcher) serve(task *prefetchTask) {
+	if task.priority == PriorityPrefetch && p.cache.Contains(task.key) {
+		return // already cached (e.g. by a demand re-cache)
+	}
+	run := task.run
+	if run == nil {
+		var err error
+		if run, err = p.tt.MapOutput(task.key.JobID, task.key.MapID, task.key.Partition); err != nil {
+			// The output may have been cleaned up (job finished) — the
+			// cache simply stays cold for it.
+			p.tt.Counters().Add("cache.prefetch.failed", 1)
+			return
 		}
-		// Put copies the borrowed run into the cache's own (registered)
-		// memory: the one copy between the store and the wire.
-		if p.cache.Put(task.key, run, task.priority) {
-			p.cPrefetched.Add(1)
-		}
+	}
+	// Put copies the borrowed run into the cache's own (registered)
+	// memory: the one copy between the store and the wire.
+	if p.cache.Put(task.key, run, task.priority) {
+		p.cPrefetched.Add(1)
 	}
 }

@@ -735,7 +735,8 @@ func (s *trackerServer) MapOutputReady(job mapred.JobInfo, mapID int) {
 }
 
 // JobComplete implements mapred.TrackerServer: release cached data and
-// queued prefetches for the job.
+// queued prefetches for the job, once no daemon is still caching one of
+// its partitions.
 func (s *trackerServer) JobComplete(job mapred.JobInfo) {
 	s.prefetcher.CancelJob(job.ID)
 	s.cache.RemoveJob(job.ID)

@@ -59,10 +59,8 @@ type Cluster struct {
 	// dispatch through.
 	jt *jobTracker
 	// events is the scheduler's structured event log (always on — its
-	// producers are rare control-plane transitions, never data-path);
-	// view merges heartbeat-shipped node deltas (nil with telemetry off).
+	// producers are rare control-plane transitions, never data-path).
 	events  *obs.EventLog
-	view    *obs.ClusterView
 	httpLn  net.Listener
 	httpSrv *http.Server
 
@@ -106,16 +104,15 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 	}
 	c.jobStatus = make(map[string]*jobStatus)
 	c.events = obs.NewEventLog(256) // the scheduler's last 256 control-plane events
-	// Attach the fabric to the registry — and stand up the per-node
-	// telemetry plane (node registries, delta shippers, cluster view) —
-	// only when someone will look at the numbers: profiling, tracing, or
-	// the debug endpoint. Detached (default), the ucr/verbs data path
-	// stays clock-free and every node-metric handle is a nil no-op.
+	// Attach the fabric to the registry — and give each node its own
+	// registry — only when someone will look at the numbers: profiling,
+	// tracing, or the debug endpoint. Detached (default), the ucr/verbs
+	// data path stays clock-free and every node-metric handle is a nil
+	// no-op.
 	telemetry := conf.Bool(config.KeyObsProfile) || conf.Bool(config.KeyObsTrace) ||
 		conf.Get(config.KeyObsHTTPAddr) != ""
 	if telemetry {
 		c.fabric.SetRegistry(c.counters.Registry())
-		c.view = obs.NewClusterView(64) // heartbeat deltas kept per node for rates
 	}
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("node%d", i)
@@ -152,16 +149,8 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 	c.liveness = newLivenessMonitor(hosts,
 		time.Duration(conf.Int(config.KeyTrackerExpiry))*time.Millisecond,
 		time.Now, c.decommission)
-	// Telemetry rides the heartbeat path: every beat observes its spacing
-	// and processing-time histograms and ships the node's metric delta
-	// into the cluster view (nil shipper/view with telemetry off — the
-	// beat then costs two nil-histogram checks).
+	c.liveness.hbCount = c.counters.Handle("mapred.tasktracker.heartbeats")
 	c.liveness.hbInterval = c.counters.Registry().Histogram("mapred.tasktracker.heartbeat.interval")
-	c.liveness.hbRTT = c.counters.Registry().Histogram("mapred.tasktracker.heartbeat.rtt")
-	c.liveness.onBeat = func(ti int, host string) {
-		c.counters.Add("mapred.tasktracker.heartbeats", 1)
-		c.view.Ingest(c.trackers[ti].ShipDelta(time.Now()))
-	}
 	// A decommissioned tracker whose heartbeats resume was never dead —
 	// the expiry was a false positive (e.g. a starved beat goroutine on a
 	// loaded machine). Re-admit it through the same path as an explicit
@@ -223,15 +212,19 @@ func (c *Cluster) TraceReport() *obs.JobTrace {
 	return c.lastTrace.Load()
 }
 
-// ClusterReport snapshots the heartbeat-shipped per-node telemetry
-// (nil when the telemetry plane is off).
+// ClusterReport reads every node's registry now: its counter totals, the
+// cluster sum, and a stale flag on each node the liveness monitor has
+// decommissioned. Nil when telemetry is off.
 func (c *Cluster) ClusterReport() *obs.ClusterReport {
-	return c.view.Report(time.Now())
+	if c.trackers[0].NodeRegistry() == nil {
+		return nil
+	}
+	rep := &obs.ClusterReport{}
+	for ti, tt := range c.trackers {
+		rep.Add(tt.Host(), !c.liveness.isAlive(ti), tt.NodeRegistry().CounterSnapshot())
+	}
+	return rep
 }
-
-// ClusterView exposes the raw merged node-telemetry view (nil when the
-// telemetry plane is off) — the surface an adaptive scheduler reads.
-func (c *Cluster) ClusterView() *obs.ClusterView { return c.view }
 
 // Events returns the scheduler's structured event log.
 func (c *Cluster) Events() *obs.EventLog { return c.events }
@@ -343,7 +336,6 @@ func (c *Cluster) decommission(ti int, host string) {
 	c.counters.Add("mapred.tasktracker.decommissioned", 1)
 	c.events.Append(obs.Event{Type: obs.EvTrackerDecommissioned, Host: host,
 		Cause: "declared dead by liveness sweep"})
-	c.view.MarkStale(host)
 	c.attempts.killAll(ti)
 	_ = c.server(ti).Close()
 }

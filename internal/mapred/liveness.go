@@ -59,16 +59,11 @@ type livenessMonitor struct {
 	// onExpire, so a revival can never interleave with the decommission
 	// that preceded it.
 	onRecover func(ti int, host string)
-	// onBeat, when set, runs on every heartbeat OUTSIDE the state lock —
-	// the cluster telemetry plane's ride-along: it collects the node's
-	// metric delta and ingests it into the scheduler's ClusterView.
-	// Assigned (with the histograms below) before start().
-	onBeat func(ti int, host string)
-	// hbInterval observes the spacing between consecutive heartbeats of
-	// one tracker; hbRTT observes how long each beat's scheduler-side
-	// processing (onBeat: delta collect + ingest) took. Nil = off.
+	// hbCount counts live heartbeats; hbInterval observes the spacing
+	// between consecutive heartbeats of one tracker (nil = off). Both
+	// are assigned before start().
+	hbCount    *obs.Counter
 	hbInterval *obs.Histogram
-	hbRTT      *obs.Histogram
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -145,9 +140,8 @@ func (lv *livenessMonitor) stopAll() {
 }
 
 // beat records a heartbeat from tracker ti. A killed tracker's process
-// is gone, so its beats stop flowing. Live beats feed the telemetry
-// plane: the interval histogram, the onBeat delta shipment, and the RTT
-// histogram measuring that shipment's scheduler-side processing.
+// is gone, so its beats stop flowing. Live beats are counted and their
+// spacing observed.
 func (lv *livenessMonitor) beat(ti int) {
 	t0 := lv.now()
 	lv.mu.Lock()
@@ -160,18 +154,14 @@ func (lv *livenessMonitor) beat(ti int) {
 		prev = lv.states[ti].lastBeat
 		lv.states[ti].lastBeat = t0
 	}
-	host := lv.states[ti].host
 	lv.mu.Unlock()
 	if !up {
 		return
 	}
+	lv.hbCount.Add(1)
 	if !prev.IsZero() {
 		lv.hbInterval.Observe(t0.Sub(prev))
 	}
-	if lv.onBeat != nil {
-		lv.onBeat(ti, host)
-	}
-	lv.hbRTT.Observe(lv.now().Sub(t0))
 }
 
 // sweep decommissions every member whose heartbeat has expired, and
@@ -273,6 +263,14 @@ func (lv *livenessMonitor) status(ti int) (bool, <-chan struct{}) {
 func (lv *livenessMonitor) isUp(ti int) bool {
 	up, _ := lv.status(ti)
 	return up
+}
+
+// isAlive reports whether the scheduler still counts ti as a member:
+// false from its decommission until it is revived.
+func (lv *livenessMonitor) isAlive(ti int) bool {
+	lv.mu.Lock()
+	defer lv.mu.Unlock()
+	return lv.states[ti].alive
 }
 
 // pickUp returns the first live tracker scanning from start (wrapping),

@@ -8,46 +8,34 @@ import (
 )
 
 // TestHeartbeatHistogramsObserveIntervalAndRTT pins the telemetry the
-// beat path records: heartbeat spacing (time since the tracker's
-// previous beat) into mapred.tasktracker.heartbeat.interval, and the
-// scheduler's per-beat processing time (the onBeat callback, which
-// ships the node's metric delta) into mapred.tasktracker.heartbeat.rtt.
-// Driven on the fake clock so both sums are exact.
+// beat path records: each live beat is counted in
+// mapred.tasktracker.heartbeats and its spacing (time since the
+// tracker's previous beat) observed in
+// mapred.tasktracker.heartbeat.interval. Driven on the fake clock so
+// the sum is exact.
 func TestHeartbeatHistogramsObserveIntervalAndRTT(t *testing.T) {
 	lv, clk, _ := testMonitor(t, []string{"node0", "node1"}, time.Second)
 	reg := obs.NewRegistry()
+	lv.hbCount = reg.Counter("mapred.tasktracker.heartbeats")
 	lv.hbInterval = reg.Histogram("mapred.tasktracker.heartbeat.interval")
-	lv.hbRTT = reg.Histogram("mapred.tasktracker.heartbeat.rtt")
-	// onBeat runs between the two clock reads that bracket the RTT, so
-	// advancing here is exactly the simulated per-beat processing time.
-	var beats []string
-	lv.onBeat = func(_ int, host string) {
-		beats = append(beats, host)
-		clk.advance(3 * time.Millisecond)
-	}
 
 	// lastBeat starts at construction time, so the first beat observes a
-	// real interval too: 40ms, then (3+60)=63ms measured from beat 1's
-	// entry timestamp.
+	// real interval too: 40ms, then 60ms.
 	clk.advance(40 * time.Millisecond)
 	lv.beat(0)
 	clk.advance(60 * time.Millisecond)
 	lv.beat(0)
 
 	iv := lv.hbInterval.Snapshot()
-	if iv.Count != 2 || iv.Sum != 103*time.Millisecond {
-		t.Fatalf("interval histogram = %d obs / %v sum, want 2 / 103ms", iv.Count, iv.Sum)
+	if iv.Count != 2 || iv.Sum != 100*time.Millisecond {
+		t.Fatalf("interval histogram = %d obs / %v sum, want 2 / 100ms", iv.Count, iv.Sum)
 	}
-	rtt := lv.hbRTT.Snapshot()
-	if rtt.Count != 2 || rtt.Sum != 6*time.Millisecond {
-		t.Fatalf("rtt histogram = %d obs / %v sum, want 2 / 6ms", rtt.Count, rtt.Sum)
-	}
-	if len(beats) != 2 || beats[0] != "node0" || beats[1] != "node0" {
-		t.Fatalf("onBeat calls = %v, want [node0 node0]", beats)
+	if n := lv.hbCount.Get(); n != 2 {
+		t.Fatalf("heartbeats = %d, want 2", n)
 	}
 
 	// A killed tracker can't beat: suppressed beats are dropped before
-	// any observation or delta shipping.
+	// they are counted or observed.
 	if err := lv.suppress(1); err != nil {
 		t.Fatalf("suppress: %v", err)
 	}
@@ -56,7 +44,7 @@ func TestHeartbeatHistogramsObserveIntervalAndRTT(t *testing.T) {
 	if got := lv.hbInterval.Snapshot().Count; got != 2 {
 		t.Fatalf("suppressed beat observed an interval (count %d)", got)
 	}
-	if len(beats) != 2 {
-		t.Fatalf("suppressed beat reached onBeat: %v", beats)
+	if n := lv.hbCount.Get(); n != 2 {
+		t.Fatalf("suppressed beat counted: heartbeats = %d", n)
 	}
 }

@@ -3,7 +3,6 @@ package mapred
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
@@ -33,13 +32,9 @@ type TaskTracker struct {
 	// disabled-observability fast path at every call site.
 	jobObs *jobObsRegistry
 	// nodeReg is this node's OWN registry (node.* namespace), distinct
-	// from the cluster-wide one behind counters. Its counters are what
-	// the DeltaShipper diffs and ships on the heartbeat path. Nil when
-	// telemetry is off.
+	// from the cluster-wide one behind counters; the cluster report
+	// reads its counters. Nil when telemetry is off.
 	nodeReg *obs.Registry
-	// shipper turns nodeReg into per-heartbeat deltas for the
-	// scheduler's ClusterView. Nil when telemetry is off.
-	shipper *obs.DeltaShipper
 	// events is the cluster's shared structured event log (servers
 	// append lease-expiry events through it). Nil when telemetry is off.
 	events *obs.EventLog
@@ -65,21 +60,14 @@ type RunAllocator func(name string, n int) ([]byte, storage.Pinned, error)
 // installs one with caching on (DESIGN.md D24).
 func (tt *TaskTracker) SetRunAllocator(a RunAllocator) { tt.runAlloc.Store(&a) }
 
-// initNodeTelemetry attaches the per-node registry, its delta shipper,
-// and the shared event log, pre-resolving the tracker's own counter
-// handles. Called once by the cluster at construction.
+// initNodeTelemetry attaches the per-node registry and the shared event
+// log, pre-resolving the tracker's own counter handles. Called once by
+// the cluster at construction.
 func (tt *TaskTracker) initNodeTelemetry(reg *obs.Registry, events *obs.EventLog) {
 	tt.nodeReg = reg
-	tt.shipper = obs.NewDeltaShipper(tt.host, reg)
 	tt.events = events
 	tt.nDiskReads = reg.Counter("node.disk.reads")
 	tt.nMapoutBytes = reg.Counter("node.mapout.bytes")
-}
-
-// ShipDelta collects this node's next telemetry delta (nil when
-// telemetry is off). The liveness monitor calls it on every heartbeat.
-func (tt *TaskTracker) ShipDelta(now time.Time) *obs.Delta {
-	return tt.shipper.Collect(now)
 }
 
 // Host returns the node name.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,16 +17,15 @@ import (
 )
 
 // TestClusterTelemetryViewAggregatesNodeMetrics runs a real TeraSort
-// with the telemetry plane on (HTTP endpoint set ⇒ node registries,
-// delta shippers, and the cluster view all come up) and checks that
-// heartbeat-shipped node metrics land in the scheduler's view: every
-// node reports, map-output bytes aggregate across the cluster, and the
-// same report is served at /cluster.json.
+// with telemetry on (HTTP endpoint set ⇒ node registries come up) and
+// checks the cluster report, read straight from the node registries the
+// moment the job returns: every node reports its registry's totals, the
+// cluster totals are their sum, and the same report is served at
+// /cluster.json. A decommissioned node keeps its totals and reads stale.
 func TestClusterTelemetryViewAggregatesNodeMetrics(t *testing.T) {
 	conf := testConf()
-	// Fast heartbeats → fast delta shipping, but with enough expiry
-	// margin that a race-detector scheduling stall can't spuriously
-	// decommission the whole cluster mid-job (beats tick at expiry/4).
+	// Enough expiry margin that a race-detector scheduling stall can't
+	// spuriously decommission a node mid-job (beats tick at expiry/4).
 	conf.SetInt(config.KeyTrackerExpiry, 200)
 	conf.Set(config.KeyObsHTTPAddr, "127.0.0.1:0")
 	// The RDMA engine, so reducer nodes report fetch-side node metrics
@@ -38,47 +38,32 @@ func TestClusterTelemetryViewAggregatesNodeMetrics(t *testing.T) {
 
 	runTeraSort(t, c, 10000, 3)
 
-	// Deltas ride heartbeats, so the view converges on the beat clock —
-	// possibly a few beats after the job itself finished.
-	reportingNodes := func(rep *obs.ClusterReport) int {
-		n := 0
-		for _, node := range rep.Nodes {
-			if node.Totals["node.mapout.bytes"] > 0 || node.Totals["node.fetch.bytes"] > 0 {
-				n++
-			}
-		}
-		return n
+	rep := c.ClusterReport()
+	if rep == nil || len(rep.Nodes) != 3 {
+		t.Fatalf("cluster report = %+v, want 3 nodes", rep)
 	}
-	var rep *obs.ClusterReport
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rep = c.ClusterReport()
-		if rep != nil && len(rep.Nodes) == 3 && reportingNodes(rep) >= 2 {
-			break
+	sum := make(map[string]int64)
+	reporting := 0
+	for i, n := range rep.Nodes {
+		tt := c.Trackers()[i]
+		if n.Host != tt.Host() || n.Stale {
+			t.Fatalf("node %d = %s stale=%v, want live %s", i, n.Host, n.Stale, tt.Host())
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster view never converged: %+v", rep)
+		if want := tt.NodeRegistry().CounterSnapshot(); !reflect.DeepEqual(n.Totals, want) {
+			t.Fatalf("%s totals = %v, want its registry's %v", n.Host, n.Totals, want)
 		}
-		time.Sleep(5 * time.Millisecond)
+		for name, v := range n.Totals {
+			sum[name] += v
+		}
+		if n.Totals["node.mapout.bytes"] > 0 || n.Totals["node.fetch.bytes"] > 0 {
+			reporting++
+		}
+	}
+	if reporting < 2 || !reflect.DeepEqual(rep.Totals, sum) {
+		t.Fatalf("%d nodes moved bytes; cluster totals %v, sum of node totals %v", reporting, rep.Totals, sum)
 	}
 
-	// The aggregate is the sum of the per-node totals, and with every
-	// tracker still beating nothing is stale.
-	var sum int64
-	for _, n := range rep.Nodes {
-		if n.Stale {
-			t.Fatalf("live tracker %s marked stale: %+v", n.Host, n)
-		}
-		sum += n.Totals["node.mapout.bytes"]
-	}
-	if sum != rep.Totals["node.mapout.bytes"] {
-		t.Fatalf("cluster total %d != sum of node totals %d", rep.Totals["node.mapout.bytes"], sum)
-	}
-	if c.Counters().Get("mapred.tasktracker.heartbeats") == 0 {
-		t.Fatal("no heartbeats counted while the view converged")
-	}
-
-	// The same snapshot must be one GET away.
+	// The same report must be one GET away.
 	resp, err := http.Get("http://" + c.ObsAddr() + "/cluster.json")
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +76,33 @@ func TestClusterTelemetryViewAggregatesNodeMetrics(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
 		t.Fatalf("/cluster.json does not decode: %v", err)
 	}
-	if len(served.Nodes) != 3 || served.Totals["node.mapout.bytes"] == 0 {
-		t.Fatalf("served view = %+v", served)
+	if !reflect.DeepEqual(served.Totals, rep.Totals) {
+		t.Fatalf("served totals %v, want %v", served.Totals, rep.Totals)
+	}
+
+	// Kill a node and wait out its expiry: once decommissioned it reads
+	// stale and keeps the totals it had.
+	dead := rep.Nodes[2]
+	if err := c.KillTracker(dead.Host); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Counters().Get("mapred.tasktracker.decommissioned") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s was never decommissioned", dead.Host)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	after := c.ClusterReport()
+	for i, n := range after.Nodes {
+		if n.Stale != (n.Host == dead.Host) {
+			t.Fatalf("after decommissioning %s: %s stale=%v", dead.Host, n.Host, n.Stale)
+		}
+		if !reflect.DeepEqual(n.Totals, rep.Nodes[i].Totals) {
+			t.Fatalf("%s totals moved from %v to %v", n.Host, rep.Nodes[i].Totals, n.Totals)
+		}
+	}
+	if c.Counters().Get("mapred.tasktracker.heartbeats") == 0 {
+		t.Fatal("no heartbeats counted")
 	}
 }
 

@@ -15,7 +15,7 @@ type HandlerSources struct {
 	Registry *Registry
 	// Profile returns the current job profile report for /profile(.json).
 	Profile func() *Report
-	// Cluster returns the merged per-node telemetry for /cluster(.json).
+	// Cluster returns the per-node telemetry for /cluster(.json).
 	Cluster func() *ClusterReport
 	// Events backs /events and /events.json.
 	Events *EventLog
@@ -29,11 +29,11 @@ type HandlerSources struct {
 // NewHandler serves the debug observability surface over HTTP:
 //
 //	/metrics       registry rendered as sorted text
-//	/metrics.json  full registry snapshot (counters, gauges, histograms)
+//	/metrics.json  full registry snapshot (counters, histograms)
 //	/profile       current job's shuffle profile, human-readable
 //	/profile.json  the same report as JSON (404 when none)
 //	/cluster       per-node + aggregate telemetry, human-readable
-//	/cluster.json  the same as JSON (404 when no cluster view)
+//	/cluster.json  the same as JSON (404 when telemetry is off)
 //	/events        structured scheduler event log, one per line
 //	/events.json   the same as JSON (404 when no event log)
 //	/trace.json    job trace as Chrome trace-event JSON (404 when none)

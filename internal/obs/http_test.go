@@ -38,7 +38,7 @@ func TestHandlerNilRegistry(t *testing.T) {
 	if code != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("/metrics.json: status %d type %q", code, ct)
 	}
-	for _, key := range []string{`"counters"`, `"gauges"`, `"histograms"`} {
+	for _, key := range []string{`"counters"`, `"histograms"`} {
 		if !strings.Contains(body, key) {
 			t.Errorf("/metrics.json missing %s: %s", key, body)
 		}
@@ -100,16 +100,15 @@ func TestHandlerLegacyEndpoints(t *testing.T) {
 }
 
 func TestHandlerTelemetryEndpoints(t *testing.T) {
-	view := NewClusterView(4)
-	view.Ingest(&Delta{Host: "node1", Seq: 1, At: time.Now(), Interval: time.Second,
-		Counters: map[string]int64{"node.fetch.bytes": 77}})
+	cluster := &ClusterReport{}
+	cluster.Add("node1", false, map[string]int64{"node.fetch.bytes": 77})
 	events := NewEventLog(8)
 	events.Append(Event{Type: EvHeartbeatExpired, Host: "node2", Cause: "no heartbeat"})
 	tr := NewJobTrace("job_0002_t")
 	tr.Span("node1", "map slot 0", CatMap, "map m0@0", tr.Start(), tr.Start().Add(time.Millisecond), nil)
 
 	h := NewHandler(HandlerSources{
-		Cluster: func() *ClusterReport { return view.Report(time.Now()) },
+		Cluster: func() *ClusterReport { return cluster },
 		Events:  events,
 		Trace:   func() *JobTrace { return tr },
 	})

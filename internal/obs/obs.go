@@ -1,12 +1,12 @@
-// Package obs is rdmamr's observability substrate: a hierarchical
-// metrics registry (counters, gauges, log-bucketed latency histograms),
-// lightweight fetch-span tracing, and per-job shuffle profiles that
+// Package obs is rdmamr's observability substrate: a metrics registry
+// (counters and log-bucketed latency histograms), lightweight
+// fetch-span tracing, and per-job shuffle profiles that
 // reconstruct the shuffle/merge/reduce overlap the paper's design is
 // about (§III-B.4, Figures 9–11 of the Hadoop-A comparison).
 //
 // Everything is stdlib-only and safe for concurrent use. Every metric
 // handle and recorder in this package is nil-tolerant: a nil *Registry
-// hands out nil *Counter/*Gauge/*Histogram, and every method on a nil
+// hands out nil *Counter/*Histogram, and every method on a nil
 // receiver is a no-op that performs zero allocations — the disabled
 // fast path the shuffle hot loops rely on (see TestObsDisabledZeroAllocs
 // in internal/core).
@@ -23,9 +23,9 @@ import (
 	"time"
 )
 
-// Counter is a monotonically named int64. The Max method supports peak
-// gauges (high-water marks) that share the counter namespace, mirroring
-// the semantics stats.Counters historically offered.
+// Counter is a monotonically named int64. The Max method keeps
+// high-water marks (shuffle.rdma.outstanding.peak) in the counter
+// namespace.
 type Counter struct {
 	name string
 	v    atomic.Int64
@@ -66,57 +66,6 @@ func (c *Counter) Get() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a named instantaneous value.
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the gauge's registered dotted name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
-// Set assigns the gauge. No-op on a nil receiver.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Max raises the gauge to v if v exceeds its current value.
-func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Get returns the current value (0 on a nil receiver).
-func (g *Gauge) Get() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // histBuckets covers durations from <2ns (bucket 0) up to ~9h by powers
@@ -238,43 +187,23 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return snap
 }
 
-// Registry is a hierarchical, concurrency-safe metric registry. Metric
-// names are dotted paths; Sub returns a view that prefixes every name,
-// which is how layers (ucr, verbs, shuffle) own their namespace without
-// knowing where they sit. The zero value is NOT ready — use NewRegistry
-// — but a nil *Registry is a valid "observability off" registry whose
-// lookups return nil handles.
+// Registry is a concurrency-safe metric registry keyed by dotted names
+// (shuffle.rdma.bytes, node.fetch.bytes). The zero value is NOT ready —
+// use NewRegistry — but a nil *Registry is a valid "observability off"
+// registry whose lookups return nil handles. One mutex guards both name
+// maps, so handle creation is serialized.
 type Registry struct {
-	prefix string
-	s      *regState
-}
-
-// regState is the backing store every Sub view of one root shares: one
-// mutex guards the three name maps, so handle creation through any view
-// is serialized.
-type regState struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty root registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{s: &regState{
+	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-	}}
-}
-
-// Sub returns a view of r that prefixes every metric name with
-// "prefix.". Sub of a nil registry is nil, preserving the disabled path.
-func (r *Registry) Sub(prefix string) *Registry {
-	if r == nil || prefix == "" {
-		return r
 	}
-	return &Registry{prefix: r.prefix + prefix + ".", s: r.s}
 }
 
 // Counter returns (creating if needed) the named counter. Nil registry
@@ -283,31 +212,14 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	full := r.prefix + name
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	c := r.s.counters[full]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: full}
-		r.s.counters[full] = c
+		c = &Counter{name: name}
+		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	full := r.prefix + name
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	g := r.s.gauges[full]
-	if g == nil {
-		g = &Gauge{name: full}
-		r.s.gauges[full] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram.
@@ -315,13 +227,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	full := r.prefix + name
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	h := r.s.hists[full]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.hists[name]
 	if h == nil {
-		h = &Histogram{name: full}
-		r.s.hists[full] = h
+		h = &Histogram{name: name}
+		r.hists[name] = h
 	}
 	return h
 }
@@ -329,80 +240,45 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Snapshot is a point-in-time copy of every metric in a registry.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
-	Gauges     map[string]int64        `json:"gauges"`
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
 // Snapshot copies out every metric. Empty snapshot on a nil receiver.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
+		Counters:   r.CounterSnapshot(),
 		Histograms: map[string]HistSnapshot{},
 	}
 	if r == nil {
 		return snap
 	}
-	r.s.mu.Lock()
-	counters := make([]*Counter, 0, len(r.s.counters))
-	for _, c := range r.s.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.s.gauges))
-	for _, g := range r.s.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.s.hists))
-	for _, h := range r.s.hists {
+	r.mu.Lock()
+	hists := make([]*Histogram, 0, len(r.hists))
+	for _, h := range r.hists {
 		hists = append(hists, h)
 	}
-	r.s.mu.Unlock()
-	for _, c := range counters {
-		snap.Counters[c.name] = c.Get()
-	}
-	for _, g := range gauges {
-		snap.Gauges[g.name] = g.Get()
-	}
+	r.mu.Unlock()
 	for _, h := range hists {
 		snap.Histograms[h.name] = h.Snapshot()
 	}
 	return snap
 }
 
-// CounterSnapshot copies out the counters only (the stats.Counters
-// compatibility surface).
+// CounterSnapshot copies out the counters only: what stats.Counters
+// and the /cluster report read.
 func (r *Registry) CounterSnapshot() map[string]int64 {
 	out := make(map[string]int64)
 	if r == nil {
 		return out
 	}
-	r.s.mu.Lock()
-	counters := make([]*Counter, 0, len(r.s.counters))
-	for _, c := range r.s.counters {
+	r.mu.Lock()
+	counters := make([]*Counter, 0, len(r.counters))
+	for _, c := range r.counters {
 		counters = append(counters, c)
 	}
-	r.s.mu.Unlock()
+	r.mu.Unlock()
 	for _, c := range counters {
 		out[c.name] = c.Get()
-	}
-	return out
-}
-
-// GaugeSnapshot copies out the gauges only (shipped absolute, not as
-// deltas, by the cluster telemetry plane).
-func (r *Registry) GaugeSnapshot() map[string]int64 {
-	out := make(map[string]int64)
-	if r == nil {
-		return out
-	}
-	r.s.mu.Lock()
-	gauges := make([]*Gauge, 0, len(r.s.gauges))
-	for _, g := range r.s.gauges {
-		gauges = append(gauges, g)
-	}
-	r.s.mu.Unlock()
-	for _, g := range gauges {
-		out[g.name] = g.Get()
 	}
 	return out
 }
@@ -411,28 +287,20 @@ func (r *Registry) GaugeSnapshot() map[string]int64 {
 // the /debug/metrics format.
 func (r *Registry) WriteText(w io.Writer) {
 	snap := r.Snapshot()
-	names := make([]string, 0, len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
+	names := make([]string, 0, len(snap.Counters)+len(snap.Histograms))
 	for k := range snap.Counters {
 		names = append(names, k)
-	}
-	for k := range snap.Gauges {
-		names = append(names, k+" (gauge)")
 	}
 	for k := range snap.Histograms {
 		names = append(names, k+" (hist)")
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		switch {
-		case strings.HasSuffix(n, " (gauge)"):
-			k := strings.TrimSuffix(n, " (gauge)")
-			fmt.Fprintf(w, "%s=%d\n", k, snap.Gauges[k])
-		case strings.HasSuffix(n, " (hist)"):
-			k := strings.TrimSuffix(n, " (hist)")
+		if k, ok := strings.CutSuffix(n, " (hist)"); ok {
 			hs := snap.Histograms[k]
 			fmt.Fprintf(w, "%s count=%d mean=%v p50=%v p95=%v p99=%v max=%v\n",
 				k, hs.Count, hs.Mean(), hs.P50, hs.P95, hs.P99, hs.Max)
-		default:
+		} else {
 			fmt.Fprintf(w, "%s=%d\n", n, snap.Counters[n])
 		}
 	}

@@ -31,23 +31,16 @@ func TestCounterAddMaxGet(t *testing.T) {
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
-	g := r.Gauge("x")
 	h := r.Histogram("x")
-	if c != nil || g != nil || h != nil {
+	if c != nil || h != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	// All of these must be safe no-ops.
 	c.Add(1)
 	c.Max(1)
-	g.Set(1)
-	g.Add(1)
-	g.Max(1)
 	h.Observe(time.Second)
-	if c.Get() != 0 || g.Get() != 0 || h.Snapshot().Count != 0 {
+	if c.Get() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil handles must read as zero")
-	}
-	if r.Sub("pre") != nil {
-		t.Fatal("Sub of nil registry must be nil")
 	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 {
@@ -55,18 +48,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	}
 	var sb strings.Builder
 	r.WriteText(&sb) // must not panic
-}
-
-func TestSubPrefixesNames(t *testing.T) {
-	r := NewRegistry()
-	sub := r.Sub("ucr").Sub("send")
-	sub.Counter("bytes").Add(42)
-	if got := r.Counter("ucr.send.bytes").Get(); got != 42 {
-		t.Fatalf("prefixed counter = %d, want 42", got)
-	}
-	if name := sub.Counter("bytes").Name(); name != "ucr.send.bytes" {
-		t.Fatalf("Name = %q", name)
-	}
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -78,7 +59,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("shared").Add(1)
-				r.Sub("sub").Gauge("g").Max(int64(j))
 				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
 			}
 		}()
@@ -135,16 +115,15 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestSnapshotAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c1").Add(5)
-	r.Gauge("g1").Set(9)
 	r.Histogram("h1").Observe(time.Millisecond)
 	snap := r.Snapshot()
-	if snap.Counters["c1"] != 5 || snap.Gauges["g1"] != 9 || snap.Histograms["h1"].Count != 1 {
+	if snap.Counters["c1"] != 5 || snap.Histograms["h1"].Count != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	var sb strings.Builder
 	r.WriteText(&sb)
 	text := sb.String()
-	for _, want := range []string{"c1=5", "g1=9", "h1 count=1"} {
+	for _, want := range []string{"c1=5", "h1 count=1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text missing %q:\n%s", want, text)
 		}

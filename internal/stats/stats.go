@@ -9,9 +9,6 @@
 package stats
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,32 +17,16 @@ import (
 
 // Counters is a concurrency-safe named-counter set backed by an
 // obs.Registry. The zero value is ready to use (it lazily creates a
-// private registry); OnRegistry shares an existing one.
+// private registry).
 type Counters struct {
 	once sync.Once
 	reg  *obs.Registry
 }
 
-// OnRegistry returns a Counters view writing into reg, so counter
-// updates are visible to everything else holding the registry (debug
-// HTTP endpoint, profiles). A nil reg behaves like the zero value.
-func OnRegistry(reg *obs.Registry) *Counters {
-	c := &Counters{}
-	if reg != nil {
-		c.reg = reg
-		c.once.Do(func() {})
-	}
-	return c
-}
-
 // Registry exposes the backing obs.Registry for components that want
-// richer instruments (gauges, histograms) alongside the counters.
+// histograms alongside the counters.
 func (c *Counters) Registry() *obs.Registry {
-	c.once.Do(func() {
-		if c.reg == nil {
-			c.reg = obs.NewRegistry()
-		}
-	})
+	c.once.Do(func() { c.reg = obs.NewRegistry() })
 	return c.reg
 }
 
@@ -60,13 +41,6 @@ func (c *Counters) Add(name string, delta int64) {
 	c.Registry().Counter(name).Add(delta)
 }
 
-// Max raises name to v if v exceeds its current value. Used for peak
-// gauges (e.g. the RDMA copier's outstanding-request high-water mark)
-// where Add's summing semantics would be meaningless.
-func (c *Counters) Max(name string, v int64) {
-	c.Registry().Counter(name).Max(v)
-}
-
 // Get returns the current value of name (0 if never touched).
 func (c *Counters) Get(name string) int64 {
 	return c.Registry().Counter(name).Get()
@@ -75,28 +49,6 @@ func (c *Counters) Get(name string) int64 {
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]int64 {
 	return c.Registry().CounterSnapshot()
-}
-
-// Merge adds every counter from other into c.
-func (c *Counters) Merge(other *Counters) {
-	for k, v := range other.Snapshot() {
-		c.Add(k, v)
-	}
-}
-
-// String renders the counters sorted by name, one per line.
-func (c *Counters) String() string {
-	snap := c.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d\n", k, snap[k])
-	}
-	return b.String()
 }
 
 // Phases records named wall-clock intervals (map, shuffle, merge, reduce).
@@ -114,27 +66,6 @@ func (p *Phases) Observe(name string, d time.Duration) {
 		p.spans = make(map[string]time.Duration)
 	}
 	p.spans[name] += d
-}
-
-// Time runs fn and attributes its wall time to the named phase.
-func (p *Phases) Time(name string, fn func()) {
-	start := time.Now()
-	fn()
-	p.Observe(name, time.Since(start))
-}
-
-// Get returns the accumulated duration of name.
-func (p *Phases) Get(name string) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.spans[name]
-}
-
-// Merge adds every phase duration from other into p.
-func (p *Phases) Merge(other *Phases) {
-	for k, v := range other.Snapshot() {
-		p.Observe(k, v)
-	}
 }
 
 // Snapshot returns a copy of all phases.
