@@ -42,7 +42,8 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestDestroyWaitsForInFlightPost' ./internal/verbs/
 
-# D7: a profiled Sort on OSU-IB whose shuffle report must show fetch spans, per-host latency, TTFB and overlap.
+# D7: a profiled Sort on OSU-IB whose shuffle report must show fetch spans, per-host latency, TTFB and overlap from an
+# untruncated record, and whose Chrome trace (the same record's other view) must validate on two or more nodes.
 profile-smoke:
 	$(GO) run ./cmd/rdmamr profile -nodes 3 -mb 2 -reduces 3 -json -check >/dev/null
 

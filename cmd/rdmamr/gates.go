@@ -20,18 +20,21 @@ import (
 )
 
 // runProfile executes a real (non-simulated) Sort on the OSU-IB engine
-// with profiling on and renders the measured shuffle report: fetch
-// latency percentiles, TTFB, ring-slot occupancy and the phase-overlap
-// timeline. With -check, the emitted JSON is re-parsed exactly as a
-// consumer would and the run fails unless the report proves shuffle and
-// merge actually overlapped — the smoke gate behind `make profile-smoke`.
+// with the job's record on and renders its profile view: fetch latency
+// percentiles, TTFB, ring-slot occupancy and the phase-overlap timeline.
+// With -check, the emitted JSON is re-parsed exactly as a consumer would
+// and the run fails unless the report proves shuffle and merge actually
+// overlapped and was computed from a whole record (no span dropped), and
+// unless the same record's Chrome view validates with spans from two or
+// more nodes and fetch and merge events — the smoke gate behind
+// `make profile-smoke`.
 func runProfile(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	nodes := fs.Int("nodes", 3, "cluster size")
 	mb := fs.Float64("mb", 4, "input size in MB")
 	reduces := fs.Int("reduces", 3, "reduce count")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
-	check := fs.Bool("check", false, "re-parse the JSON report and fail unless shuffle/merge overlap > 0 (smoke gate)")
+	check := fs.Bool("check", false, "re-parse the JSON report and fail unless shuffle/merge overlap > 0, no span was dropped, and the same run's Chrome trace validates (smoke gate)")
 	fs.Parse(args)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -70,11 +73,31 @@ func runProfile(args []string) {
 	if ov <= 0 {
 		fatalf("profile-check: shuffle/merge overlap = %.3f ms, want > 0", ov)
 	}
-	fmt.Fprintf(os.Stderr, "profile-check ok: %d fetches, shuffle/merge overlap %.1f ms\n", back.Fetches, ov)
+	if back.SpansDropped > 0 {
+		fatalf("profile-check: report computed from a truncated record (%d spans dropped)", back.SpansDropped)
+	}
+	chrome, err := res.Trace.ChromeTrace()
+	if err != nil {
+		fatalf("profile-check: rendering the trace: %v", err)
+	}
+	stats, err := obs.ValidateChromeTrace(chrome)
+	if err != nil {
+		fatalf("profile-check: %v", err)
+	}
+	if len(stats.Nodes) < 2 {
+		fatalf("profile-check: trace spans %d nodes, want >= 2", len(stats.Nodes))
+	}
+	for _, cat := range []string{obs.CatFetch, obs.CatMerge} {
+		if stats.Cats[cat] == 0 {
+			fatalf("profile-check: no %q events in the trace", cat)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "profile-check ok: %d fetches, shuffle/merge overlap %.1f ms; trace %d events across %d nodes\n",
+		back.Fetches, ov, stats.Events, len(stats.Nodes))
 }
 
-// runTrace executes a real (non-simulated) TeraSort with job-lifecycle
-// tracing on and emits the Chrome trace-event JSON on stdout (load it in
+// runTrace executes a real (non-simulated) TeraSort with the job's record
+// on and emits its Chrome view, trace-event JSON, on stdout (load it in
 // ui.perfetto.dev). With -check, the emitted bytes are validated exactly
 // as Perfetto would consume them and the run fails unless the trace is
 // balanced, spans at least two nodes, and shows the full dispatch → map →

@@ -73,20 +73,17 @@ const (
 	// (attempt-scoped temp files + atomic rename, first committer wins)
 	// makes duplicate reduce attempts safe.
 	KeySpeculativeReduces = "mapred.reduce.tasks.speculative.execution"
-	// KeyObsProfile enables per-job shuffle profiling: phase-overlap
-	// windows, fetch spans, per-host latency histograms, TTFB. Off by
-	// default — the copier hot path then takes zero observability cost.
+	// KeyObsProfile keeps each job's record: typed spans of scheduler
+	// dispatch, map run/commit, every shuffle fetch, merge and reduce
+	// run/commit, viewed as the shuffle profile (JobResult.Profile,
+	// /profile) and as Chrome trace-event JSON (JobResult.Trace,
+	// /trace.json). Off by default — the hot paths then take one nil
+	// check per site and no clock read.
 	KeyObsProfile = "mapred.obs.profile.enabled"
 	// KeyObsHTTPAddr, when non-empty, serves the debug observability
 	// endpoint (/metrics, /profile, /cluster, /events, /trace.json) on
 	// the given listen address.
 	KeyObsHTTPAddr = "mapred.obs.http.addr"
-	// KeyObsTrace enables job-lifecycle tracing: scheduler dispatch, map
-	// run/commit, shuffle fetches, merge, and reduce run/commit recorded
-	// as spans and exported as Chrome trace-event JSON (/trace.json,
-	// JobResult.Trace). Off by default — a nil trace costs the hot paths
-	// one pointer check.
-	KeyObsTrace = "mapred.obs.trace.enabled"
 	// KeyJTMaxRunning bounds how many jobs the JobTracker runs
 	// concurrently; later submissions queue FIFO for admission.
 	KeyJTMaxRunning = "mapred.jobtracker.max.running"
@@ -146,7 +143,6 @@ var defaults = map[string]string{
 	KeySpeculativeReduces:   "false",
 	KeyObsProfile:           "false",
 	KeyObsHTTPAddr:          "",
-	KeyObsTrace:             "false",
 	KeyJTMaxRunning:         "4",
 	KeyJTCacheJobQuota:      "0", // 0 = no per-job cache isolation
 	KeyRDMAConnCacheMax:     "16",

@@ -26,7 +26,7 @@ type chunk struct {
 	pl   payload
 	off  int64 // the offset this chunk was requested at (for retries)
 	err  error
-	span *obs.FetchSpan // set only when profiling is enabled
+	span obs.Span // the fetch's span, stamped only when the job is recorded
 	eof  bool
 }
 
@@ -61,7 +61,7 @@ type segment struct {
 // request asks the host peer for the chunk at offset.
 func (seg *segment) request(offset int64) {
 	req := chunkReq{offset: offset, seg: seg}
-	if seg.f.prof != nil {
+	if seg.f.tr != nil {
 		req.enq = time.Now()
 	}
 	seg.peer.enqueue(req)
@@ -116,41 +116,23 @@ func (seg *segment) await(ctx context.Context) (chunk, error) {
 // now serving the regenerated output — deterministic map functions make
 // the bytes identical, so mid-stream offsets stay valid.
 func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
-	prof := seg.f.prof
+	f := seg.f
 	for {
 		var waitStart time.Time
-		if prof != nil {
+		if f.tr != nil {
 			waitStart = time.Now()
 		}
 		ck, err := seg.await(ctx)
 		if err != nil {
 			return false, err
 		}
-		if prof != nil {
+		if f.tr != nil && ck.err == nil {
 			// Time the merge spent parked on this select is exactly the
 			// "reduce waits on shuffle" stall: a chunk already delivered
 			// returns immediately and contributes ~nothing.
 			now := time.Now()
-			prof.MergeStall(now.Sub(waitStart))
-			if sp := ck.span; sp != nil {
-				sp.Delivered = now
-				prof.AddSpan(sp)
-				prof.FetchObserved(sp.Host, sp.Reduce, sp.Total(), sp.Bytes, now)
-				prof.Mark(obs.PhaseShuffle, sp.Reduce, now)
-				if tr := seg.f.tr; tr != nil {
-					// One X event per fetch, on the reducer node, laned by
-					// serving host so concurrent streams render side by side.
-					tr.Fetch(seg.f.task.Local.Host(),
-						fmt.Sprintf("fetch r%d<-%s", sp.Reduce, sp.Host),
-						fmt.Sprintf("fetch m%d", sp.MapID), sp.Enqueued, now,
-						map[string]string{
-							"corr":    fmt.Sprintf("%s/r%d@%d", seg.f.task.Job.ID, sp.Reduce, seg.f.task.Attempt),
-							"host":    sp.Host,
-							"bytes":   fmt.Sprintf("%d", sp.Bytes),
-							"retries": fmt.Sprintf("%d", sp.Retries),
-						})
-				}
-			}
+			ck.span.End, ck.span.MergeWait = now, now.Sub(waitStart)
+			f.tr.Add(ck.span)
 		}
 		if ck.err != nil {
 			seg.attempts++
@@ -1091,7 +1073,7 @@ func (f *fetcher) send(ctx context.Context, p *hostPeer, hc *hostConn, orphans *
 			var slotWait time.Duration
 			if hc.stalled {
 				hc.stalled = false
-				if f.prof != nil {
+				if f.tr != nil {
 					slotWait = time.Since(hc.stallStart)
 				}
 			}
@@ -1127,7 +1109,7 @@ func (f *fetcher) send(ctx context.Context, p *hostPeer, hc *hostConn, orphans *
 		hc.stalled = true
 		f.cSlotStalls.Add(1)
 		f.nSlotStalls.Add(1)
-		if f.prof != nil {
+		if f.tr != nil {
 			hc.stallStart = time.Now()
 		}
 	}
@@ -1144,7 +1126,6 @@ func (f *fetcher) issue(ctx context.Context, p *hostPeer, hc *hostConn, batch *w
 	hc.pending[slot] = pendingSlot{req: req, issued: time.Now(), slotWait: slotWait}
 	hc.inFlight++
 	f.cOutPeak.Max(int64(hc.inFlight))
-	f.prof.SlotOccupancy(hc.inFlight)
 	if !req.noRead {
 		entry, plan, staleID, hit := hc.planTake(int(req.seg.mapID), req.offset)
 		hc.releaseLease(ctx, staleID)
@@ -1257,13 +1238,11 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, n int, eof bo
 	}
 	req := ps.req
 	ck := chunk{pl: pl, eof: eof, off: req.offset}
-	if f.prof != nil {
-		ck.span = &obs.FetchSpan{
-			Host: p.host, Reduce: f.task.ReduceID, MapID: int(req.seg.mapID),
-			Offset: req.offset, Bytes: n, Retries: int(req.retries),
-			Enqueued: req.enq, Sent: ps.issued, Received: time.Now(),
-			SlotWait: ps.slotWait,
-		}
+	if f.tr != nil {
+		sp := f.span(obs.KindFetch, req.enq, time.Time{}) // loadChunk ends it
+		sp.Peer, sp.Map, sp.Offset, sp.Bytes, sp.Retries = p.host, req.seg.mapID, req.offset, n, req.retries
+		sp.Sent, sp.Received, sp.SlotWait = ps.issued, time.Now(), ps.slotWait
+		ck.span = sp
 	}
 	req.seg.deliver(ck)
 }
@@ -1403,12 +1382,9 @@ type fetcher struct {
 	// Quiet connections retire after connIdle (0 = never, D13).
 	connIdle time.Duration
 
-	// prof is the job's shuffle profile, or nil when profiling is off —
-	// the nil is the disabled fast path: every time.Now() and span
-	// allocation on the copier hot path is gated on it.
-	prof *obs.JobProfile
-	// tr is the job's lifecycle trace (nil = tracing off). Fetch X
-	// events and the merge span are gated on it.
+	// tr is the job's record, or nil when it is off — the nil is the
+	// disabled fast path: every time.Now() on the copier hot path is
+	// gated on it.
 	tr *obs.JobTrace
 
 	// Pre-resolved counter handles: the supervisors increment these per
@@ -1469,7 +1445,6 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	// The paper's mapred.reduce.parallel.copies governs reducer fetch
 	// parallelism; on the RDMA path it is the ring depth.
 	depth := max(int(conf.Int(config.KeyParallelCopies)), 1)
-	prof := task.Local.ProfileFor(task.Job.ID)
 	c := task.Local.Counters()
 	f := &fetcher{
 		task:           task,
@@ -1479,7 +1454,7 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 		connectRetries: int(conf.Int(config.KeyRDMAConnectRetries)),
 		reqTimeout:     time.Duration(conf.Int(config.KeyRDMARequestTimeout)) * time.Millisecond,
 		connIdle:       time.Duration(conf.Int(config.KeyRDMAConnIdleTimeout)) * time.Millisecond,
-		prof:           prof,
+		tr:             task.Local.TraceFor(task.Job.ID),
 		wake:           make(chan struct{}, 1),
 	}
 	f.cRetries = c.Handle("shuffle.rdma.retries")
@@ -1498,7 +1473,6 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cPoolHits = c.Handle("shuffle.rdma.payload.pool.hits")
 	f.cPoolMisses = c.Handle("shuffle.rdma.payload.pool.misses")
 	f.blocks.pool = mrpool.For(task.Local.Device())
-	f.tr = task.Local.TraceFor(task.Job.ID)
 	nreg := task.Local.NodeRegistry()
 	f.nFetchBytes = nreg.Counter("node.fetch.bytes")
 	f.nFetchChunks = nreg.Counter("node.fetch.chunks")
@@ -1516,18 +1490,16 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	f.cancel = cancel
 	f.runCtx = ctx
 	var window func() func()
-	if f.prof != nil || f.tr != nil {
+	if f.tr != nil {
 		window = f.mergeWindow
+		// The shuffle window for this reduce opens now (deliveries
+		// extend it): it is the TTFB origin.
+		now := time.Now()
+		f.tr.Add(f.span(obs.KindShuffle, now, now))
 	}
 	f.arena = arenas.get()
 	f.it = &f.arena.it
 	f.it.Reset(ctx, f.task.Job.Comparator, f.release, window)
-
-	// The shuffle window for this reduce opens now; deliveries extend it.
-	// Its open edge is also the TTFB origin.
-	if f.prof != nil {
-		f.prof.Mark(obs.PhaseShuffle, f.task.ReduceID, time.Now())
-	}
 
 	// "Initially, RDMACopier sends end point information to RDMAListener
 	// in TaskTracker to establish the connection ... to all available
@@ -1604,20 +1576,13 @@ func (f *fetcher) openSegment(ev mapred.MapEvent) (kv.Iterator, error) {
 // trace lane, so the two spans read side by side.
 func (f *fetcher) mergeWindow() func() {
 	start := time.Now()
-	if f.prof != nil {
-		f.prof.Mark(obs.PhaseMerge, f.task.ReduceID, start)
-	}
-	return func() {
-		end := time.Now()
-		if f.prof != nil {
-			f.prof.Mark(obs.PhaseMerge, f.task.ReduceID, end)
-		}
-		if f.tr != nil {
-			f.tr.Span(f.task.Local.Host(), fmt.Sprintf("merge r%d", f.task.ReduceID),
-				obs.CatMerge, fmt.Sprintf("merge r%d@%d", f.task.ReduceID, f.task.Attempt),
-				start, end, nil)
-		}
-	}
+	return func() { f.tr.Add(f.span(obs.KindMerge, start, time.Now())) }
+}
+
+// span starts a span of this reduce attempt's kind k.
+func (f *fetcher) span(k obs.SpanKind, start, end time.Time) obs.Span {
+	return obs.Span{Kind: k, Task: int32(f.task.ReduceID), Attempt: int32(f.task.Attempt),
+		Node: f.task.Local.Host(), Start: start, End: end}
 }
 
 // Close implements mapred.ReduceFetcher, after the consumer's last Next.

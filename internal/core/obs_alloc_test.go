@@ -2,47 +2,57 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"rdmamr/internal/obs"
 	"rdmamr/internal/stats"
 )
 
 // obsDisabledHotPath is the exact observability sequence the copier's
-// host loops execute per delivered chunk when profiling and tracing are off
-// (prof == nil, tr == nil): the nil-gated span construction, the
-// nil-profile no-op methods, the nil-gated trace record, and the
-// pre-resolved counter handles (cluster AND node registries).
+// host loops execute per delivered chunk when the job's record is off
+// (tr == nil): the nil-gated request stamp and slot wait, the nil-gated
+// span stamped into the chunk, the nil-gated span finished and added as
+// the merge picks it up, and the pre-resolved counter handles (cluster
+// AND node registries).
 func obsDisabledHotPath(f *fetcher, i int) chunk {
-	// issue: occupancy accounting.
+	// request: the enqueue stamp.
+	req := chunkReq{offset: int64(i)}
+	if f.tr != nil {
+		req.enq = time.Now()
+	}
+	// send and issue: the slot wait, occupancy accounting.
+	var slotWait time.Duration
+	if f.tr != nil {
+		slotWait = time.Since(req.enq)
+	}
 	f.cOutPeak.Max(int64(i & 7))
-	f.prof.SlotOccupancy(i & 7)
 	// complete: byte accounting (cluster + node telemetry handles) plus
 	// the gated span.
-	ck := chunk{off: int64(i)}
-	if f.prof != nil {
-		ck.span = &obs.FetchSpan{}
+	ck := chunk{off: req.offset}
+	if f.tr != nil {
+		ck.span = f.span(obs.KindFetch, req.enq, time.Time{})
+		ck.span.SlotWait = slotWait
 	}
 	f.cBytes.Add(1024)
 	f.cPackets.Add(1)
 	f.cRecvBytes.Add(1024)
 	f.nFetchBytes.Add(1024)
 	f.nFetchChunks.Add(1)
-	// loadChunk: profile lookup and the gated stall/span/trace
-	// bookkeeping.
-	if prof := f.prof; prof != nil {
-		prof.MergeStall(0)
-		if sp := ck.span; sp != nil {
-			prof.AddSpan(sp)
-			if f.tr != nil {
-				f.tr.Fetch("node0", "fetch r0<-node1", "fetch m0", sp.Enqueued, sp.Enqueued, nil)
-			}
-		}
+	// loadChunk: the gated merge-wait clock and span record.
+	var waitStart time.Time
+	if f.tr != nil {
+		waitStart = time.Now()
+	}
+	if f.tr != nil && ck.err == nil {
+		now := time.Now()
+		ck.span.End, ck.span.MergeWait = now, now.Sub(waitStart)
+		f.tr.Add(ck.span)
 	}
 	return ck
 }
 
 func disabledFetcher() *fetcher {
-	f := &fetcher{} // prof == nil IS the disabled profiler, tr == nil IS tracing off
+	f := &fetcher{} // tr == nil IS the record off
 	var c stats.Counters
 	f.cBytes = c.Handle("shuffle.rdma.bytes")
 	f.cPackets = c.Handle("shuffle.rdma.packets")

@@ -9,9 +9,11 @@ import (
 )
 
 // TestShuffleProfileEndToEnd runs a real TeraSort on the OSU engine with
-// profiling enabled and checks the report has everything ISSUE'd: fetch
-// spans with all four segments, per-host latency percentiles, TTFB, the
-// ring-slot high-water mark, and a measurably overlapped shuffle/merge.
+// the job's record on and checks its profile view has fetch spans with
+// all four segments, per-host latency percentiles, TTFB, the ring-slot
+// high-water mark, and a measurably overlapped shuffle/merge — and that
+// its Chrome view agrees: one fetch event per fetch, under the same
+// correlation ID.
 func TestShuffleProfileEndToEnd(t *testing.T) {
 	conf := rdmaConf()
 	conf.SetBool(config.KeyObsProfile, true)
@@ -19,8 +21,8 @@ func TestShuffleProfileEndToEnd(t *testing.T) {
 	res := runTeraSort(t, c, 3000, 3)
 
 	rep := res.Profile
-	if rep == nil {
-		t.Fatal("profiling enabled but JobResult.Profile is nil")
+	if rep == nil || res.Trace == nil {
+		t.Fatalf("record on but JobResult.Profile = %v, .Trace = %v", rep, res.Trace)
 	}
 	if rep.JobID != res.JobID {
 		t.Fatalf("profile job %q, result job %q", rep.JobID, res.JobID)
@@ -92,22 +94,36 @@ func TestShuffleProfileEndToEnd(t *testing.T) {
 	if txt := rep.Text(); len(txt) == 0 {
 		t.Fatal("empty text report")
 	}
+
+	// The Chrome view of the same record.
+	chrome, err := res.Trace.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := obs.ValidateChromeTrace(chrome)
+	if err != nil {
+		t.Fatalf("trace does not validate: %v", err)
+	}
+	if rep.SpansDropped != 0 || int64(stats.Cats[obs.CatFetch]) != rep.Fetches || int64(len(rep.Spans)) != rep.Fetches {
+		t.Fatalf("trace has %d fetch events, report %d fetches and %d spans (%d dropped)",
+			stats.Cats[obs.CatFetch], rep.Fetches, len(rep.Spans), rep.SpansDropped)
+	}
+	for _, sp := range rep.Spans {
+		if n := stats.Corrs[sp.CorrID]; n != 1 {
+			t.Fatalf("report span %s is the corr of %d fetch events, want 1", sp.CorrID, n)
+		}
+	}
 }
 
 // TestProfileDisabledByDefault checks the other side of the contract:
-// without mapred.obs.profile.enabled, no profile is produced anywhere.
+// without mapred.obs.profile.enabled, no record is kept anywhere.
 func TestProfileDisabledByDefault(t *testing.T) {
 	c := newRDMACluster(t, 2, nil)
 	res := runTeraSort(t, c, 800, 2)
-	if res.Profile != nil {
-		t.Fatal("JobResult.Profile set without profiling enabled")
+	if res.Profile != nil || res.Trace != nil {
+		t.Fatal("JobResult.Profile or .Trace set without mapred.obs.profile.enabled")
 	}
-	if c.ProfileReport() != nil {
-		t.Fatal("cluster reports a profile without profiling enabled")
-	}
-	for _, tt := range c.Trackers() {
-		if tt.Profile() != nil {
-			t.Fatal("tracker holds a profile without profiling enabled")
-		}
+	if c.TraceReport() != nil {
+		t.Fatal("cluster serves a record without mapred.obs.profile.enabled")
 	}
 }

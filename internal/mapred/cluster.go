@@ -46,14 +46,12 @@ type Cluster struct {
 	liveness *livenessMonitor
 	attempts *attemptRegistry
 
-	// jobObs maps running jobs to their profiles and traces, keyed by
-	// jobID — concurrent jobs each get their own instrumentation.
-	// lastReport/lastTrace keep the most recent finished job's report and
-	// trace so the debug endpoint can serve them between jobs (a failed
-	// job's trace is worth the most when debugging).
-	jobObs     *jobObsRegistry
-	lastReport atomic.Pointer[obs.Report]
-	lastTrace  atomic.Pointer[obs.JobTrace]
+	// jobObs maps running jobs to their records, keyed by jobID —
+	// concurrent jobs each get their own. lastTrace keeps the most recent
+	// finished job's record so the debug endpoint can serve its views
+	// between jobs (a failed job's is worth the most when debugging).
+	jobObs    *jobObsRegistry
+	lastTrace atomic.Pointer[obs.JobTrace]
 	// jt is the JobTracker: admission control, the shared slot-worker
 	// pool, and the fair-share arbiter every running job's attempts
 	// dispatch through.
@@ -105,12 +103,10 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 	c.jobStatus = make(map[string]*jobStatus)
 	c.events = obs.NewEventLog(256) // the scheduler's last 256 control-plane events
 	// Attach the fabric to the registry — and give each node its own
-	// registry — only when someone will look at the numbers: profiling,
-	// tracing, or the debug endpoint. Detached (default), the ucr/verbs
-	// data path stays clock-free and every node-metric handle is a nil
-	// no-op.
-	telemetry := conf.Bool(config.KeyObsProfile) || conf.Bool(config.KeyObsTrace) ||
-		conf.Get(config.KeyObsHTTPAddr) != ""
+	// registry — only when someone will look at the numbers: job records
+	// or the debug endpoint. Detached (default), the ucr/verbs data path
+	// stays clock-free and every node-metric handle is a nil no-op.
+	telemetry := conf.Bool(config.KeyObsProfile) || conf.Get(config.KeyObsHTTPAddr) != ""
 	if telemetry {
 		c.fabric.SetRegistry(c.counters.Registry())
 	}
@@ -172,10 +168,9 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		c.httpLn = ln
 		c.httpSrv = &http.Server{Handler: obs.NewHandler(obs.HandlerSources{
 			Registry: c.counters.Registry(),
-			Profile:  c.ProfileReport,
+			Trace:    c.TraceReport,
 			Cluster:  c.ClusterReport,
 			Events:   c.events,
-			Trace:    c.TraceReport,
 			Jobs:     c.JobsReport,
 		})}
 		go func() { _ = c.httpSrv.Serve(ln) }()
@@ -192,19 +187,10 @@ func (c *Cluster) ObsAddr() string {
 	return c.httpLn.Addr().String()
 }
 
-// ProfileReport snapshots the newest running job's shuffle profile,
-// falling back to the last finished job's report; nil when nothing was
-// profiled. Per-job reports are available through ProfileFor on any
-// tracker while the job runs, and on its JobResult after.
-func (c *Cluster) ProfileReport() *obs.Report {
-	if p := c.jobObs.latestProfile(); p != nil {
-		return p.Report()
-	}
-	return c.lastReport.Load()
-}
-
-// TraceReport returns the newest running job's lifecycle trace, falling
-// back to the most recent job's; nil when nothing was traced.
+// TraceReport returns the newest running job's record, falling back to
+// the most recent finished job's; nil when no job was recorded. Its
+// Report and ChromeTrace are the debug endpoint's /profile and
+// /trace.json.
 func (c *Cluster) TraceReport() *obs.JobTrace {
 	if t := c.jobObs.latestTrace(); t != nil {
 		return t
@@ -382,13 +368,13 @@ type JobResult struct {
 	// Phases holds the per-job delta of accumulated task-phase wall time
 	// (map.task, reduce.shuffle, reduce.apply) summed across tasks.
 	Phases map[string]time.Duration
-	// Profile is the shuffle observability report, non-nil only when the
-	// job ran with mapred.obs.profile.enabled.
+	// Trace is the job's record (dispatch → map → shuffle → merge →
+	// reduce spans) and Profile its shuffle-profile view (Trace.Report()
+	// at job end); Trace.ChromeTrace() is its Chrome trace-event view.
+	// Both are non-nil only when the job ran with
+	// mapred.obs.profile.enabled.
+	Trace   *obs.JobTrace
 	Profile *obs.Report
-	// Trace is the job lifecycle trace (dispatch → map → shuffle →
-	// merge → reduce spans, exportable as Chrome trace-event JSON via
-	// Trace.ChromeTrace()), non-nil only with mapred.obs.trace.enabled.
-	Trace *obs.JobTrace
 }
 
 // split is one map task's input: one block of a splittable file or a

@@ -6,44 +6,33 @@ import (
 	"rdmamr/internal/obs"
 )
 
-// jobObsRegistry keys per-job profiles and lifecycle traces by jobID so
-// concurrent jobs do not clobber each other's instrumentation (the old
-// single atomic slot followed "the most recently started job"). Nil
-// lookups mean observability is off for that job — the same nil-is-free
-// discipline every instrumentation site already follows.
+// jobObsRegistry keys per-job records by jobID so concurrent jobs do not
+// clobber each other's instrumentation. A nil lookup means the record is
+// off for that job — the same nil-is-free discipline every
+// instrumentation site already follows.
 type jobObsRegistry struct {
-	mu       sync.Mutex
-	profiles map[string]*obs.JobProfile
-	traces   map[string]*obs.JobTrace
-	order    []string // install order; latest* scans newest-first
+	mu     sync.Mutex
+	traces map[string]*obs.JobTrace
+	order  []string // install order: the last is the newest
 }
 
 func newJobObsRegistry() *jobObsRegistry {
-	return &jobObsRegistry{
-		profiles: make(map[string]*obs.JobProfile),
-		traces:   make(map[string]*obs.JobTrace),
-	}
+	return &jobObsRegistry{traces: make(map[string]*obs.JobTrace)}
 }
 
-// install registers a running job's profile and trace (either may be
-// nil when that plane is off for the job).
-func (r *jobObsRegistry) install(jobID string, p *obs.JobProfile, t *obs.JobTrace) {
+// install registers a running job's record; jobs without one are never
+// installed, so the newest entry is the newest recorded job.
+func (r *jobObsRegistry) install(jobID string, t *obs.JobTrace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p != nil {
-		r.profiles[jobID] = p
-	}
-	if t != nil {
-		r.traces[jobID] = t
-	}
+	r.traces[jobID] = t
 	r.order = append(r.order, jobID)
 }
 
-// remove drops a finished job's entries.
+// remove drops a finished job's entry.
 func (r *jobObsRegistry) remove(jobID string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.profiles, jobID)
 	delete(r.traces, jobID)
 	for i, id := range r.order {
 		if id == jobID {
@@ -53,39 +42,19 @@ func (r *jobObsRegistry) remove(jobID string) {
 	}
 }
 
-func (r *jobObsRegistry) profileFor(jobID string) *obs.JobProfile {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.profiles[jobID]
-}
-
 func (r *jobObsRegistry) traceFor(jobID string) *obs.JobTrace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.traces[jobID]
 }
 
-// latestProfile returns the newest running job's profile (the debug
-// endpoint's "current job" view), nil when no running job profiles.
-func (r *jobObsRegistry) latestProfile() *obs.JobProfile {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.order) - 1; i >= 0; i-- {
-		if p := r.profiles[r.order[i]]; p != nil {
-			return p
-		}
-	}
-	return nil
-}
-
-// latestTrace returns the newest running job's trace, nil when none.
+// latestTrace returns the newest running job's record (the debug
+// endpoint's "current job" view), nil when none.
 func (r *jobObsRegistry) latestTrace() *obs.JobTrace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := len(r.order) - 1; i >= 0; i-- {
-		if t := r.traces[r.order[i]]; t != nil {
-			return t
-		}
+	if n := len(r.order); n > 0 {
+		return r.traces[r.order[n-1]]
 	}
 	return nil
 }

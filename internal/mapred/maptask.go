@@ -14,21 +14,15 @@ import (
 // the local replica), apply the map function, partition and sort the
 // emitted records, and spill one sorted run per reduce partition to local
 // disk — the map output files the shuffle serves.
-func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo, job *Job, sp *split, lane string, attempt int) error {
+func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo, job *Job, sp *split, slot, attempt int) error {
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
 	start := time.Now()
 	defer func() { c.phases.Observe("map.task", time.Since(start)) }()
-	if prof := tt.ProfileFor(info.ID); prof != nil {
-		prof.Mark(obs.PhaseMap, sp.id, start)
-		defer func() { prof.Mark(obs.PhaseMap, sp.id, time.Now()) }()
-	}
 	tr := tt.TraceFor(info.ID)
 	if tr != nil {
-		defer func(name string) {
-			tr.Span(tt.Host(), lane, obs.CatMap, name, start, time.Now(), nil)
-		}(fmt.Sprintf("map m%d@%d", sp.id, attempt))
+		defer func() { tr.Add(taskSpan(obs.KindMap, tt, sp.id, attempt, slot, start)) }()
 	}
 	// Read the split's blocks. A single-block split is parsed in the
 	// DataNode's stored block itself (read-only from here to the mapper);
@@ -107,8 +101,7 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 		return err
 	}
 	if tr != nil {
-		tr.Span(tt.Host(), lane, obs.CatMap,
-			fmt.Sprintf("commit m%d@%d", sp.id, attempt), commitStart, time.Now(), nil)
+		tr.Add(taskSpan(obs.KindMapCommit, tt, sp.id, attempt, slot, commitStart))
 	}
 	c.counters.Add("map.tasks.completed", 1)
 	return nil

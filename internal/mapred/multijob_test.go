@@ -1,6 +1,7 @@
 package mapred_test
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -380,5 +381,39 @@ func TestPerJobProfileIsolation(t *testing.T) {
 	}
 	if got := reduceWindows(resB.Profile); got != 3 {
 		t.Errorf("job B profile tracks %d reduce windows, want 3", got)
+	}
+	// Each job's Chrome view carries only its own job ID.
+	for _, res := range []*mapred.JobResult{resA, resB} {
+		if res.Trace == nil || res.Trace.JobID() != res.JobID {
+			t.Fatalf("job %s: trace %v", res.JobID, res.Trace)
+		}
+		raw, err := res.Trace.ChromeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct {
+			TraceEvents []struct {
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+			OtherData map[string]string `json:"otherData"`
+		}
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		if file.OtherData["job_id"] != res.JobID {
+			t.Errorf("job %s: trace otherData %v", res.JobID, file.OtherData)
+		}
+		corrs := 0
+		for _, ev := range file.TraceEvents {
+			if c, ok := ev.Args["corr"]; ok {
+				corrs++
+				if !strings.HasPrefix(c, res.JobID+"/") {
+					t.Fatalf("job %s: trace holds %q", res.JobID, c)
+				}
+			}
+		}
+		if corrs == 0 {
+			t.Errorf("job %s: trace has no correlated events", res.JobID)
+		}
 	}
 }

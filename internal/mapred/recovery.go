@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"rdmamr/internal/obs"
 )
 
 // MaxMapRecoveries bounds re-execution attempts per map task, mirroring
@@ -124,7 +126,7 @@ func (r *jobRecovery) execute(e *recoveryEntry, mapID, start int, avoid string) 
 	tt := r.c.trackers[ti]
 	// Recovery re-executions run outside the slot workers, so they get
 	// their own trace lane rather than a slot's.
-	e.err = r.c.runMapTask(r.ctx, tt, r.info, r.job, sp, "map recovery", 0)
+	e.err = r.c.runMapTask(r.ctx, tt, r.info, r.job, sp, obs.RecoverySlot, 0)
 	if e.err == nil {
 		e.host = tt.Host()
 		r.c.server(ti).MapOutputReady(r.info, mapID)

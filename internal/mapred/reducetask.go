@@ -23,7 +23,7 @@ import (
 // Because grouping pulls from the fetcher's iterator, a streaming engine
 // overlaps reduce with shuffle and merge for free (§III-B.4): the reduce
 // function runs as soon as the first merged key group is complete.
-func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobInfo, job *Job, reduceID, attempt int, events <-chan MapEvent, recovery *jobRecovery, losses *TrackerLossFeed, lane string) (committed bool, err error) {
+func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobInfo, job *Job, reduceID, attempt int, events <-chan MapEvent, recovery *jobRecovery, losses *TrackerLossFeed, slot int) (committed bool, err error) {
 	hosts := make([]string, len(c.trackers))
 	for i, tr := range c.trackers {
 		hosts[i] = tr.Host()
@@ -31,9 +31,7 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 	taskStart := time.Now()
 	jt := tt.TraceFor(info.ID)
 	if jt != nil {
-		defer func(name string) {
-			jt.Span(tt.Host(), lane, obs.CatReduce, name, taskStart, time.Now(), nil)
-		}(fmt.Sprintf("reduce r%d@%d", reduceID, attempt))
+		defer func() { jt.Add(taskSpan(obs.KindReduce, tt, reduceID, attempt, slot, taskStart)) }()
 	}
 	fetcher, err := c.engine.NewReduceFetcher(ReduceTaskInfo{
 		Job: info, ReduceID: reduceID, Attempt: attempt, Events: events,
@@ -58,9 +56,8 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 	// The reduce window opens when the reduce function can first pull
 	// merged records; with a streaming engine that is while shuffle and
 	// merge are still running — the overlap the profile measures.
-	if prof := tt.ProfileFor(info.ID); prof != nil {
-		prof.Mark(obs.PhaseReduce, reduceID, reduceStart)
-		defer func() { prof.Mark(obs.PhaseReduce, reduceID, time.Now()) }()
+	if jt != nil {
+		defer func() { jt.Add(taskSpan(obs.KindApply, tt, reduceID, attempt, slot, reduceStart)) }()
 	}
 
 	// Attempt-scoped temp path; the atomic rename below is the commit.
@@ -102,10 +99,7 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 	var commitStart time.Time
 	if jt != nil {
 		commitStart = time.Now()
-		defer func() {
-			jt.Span(tt.Host(), lane, obs.CatReduce,
-				fmt.Sprintf("commit r%d@%d", reduceID, attempt), commitStart, time.Now(), nil)
-		}()
+		defer func() { jt.Add(taskSpan(obs.KindReduceCommit, tt, reduceID, attempt, slot, commitStart)) }()
 	}
 	if err := c.fs.Rename(tmp, final); err != nil {
 		if errors.Is(err, hdfs.ErrExists) {

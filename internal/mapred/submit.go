@@ -46,14 +46,15 @@ var errDiedWithNode = errors.New("mapred: map's node died mid-attempt")
 // kindSpec is what differs between maps and reduces: names, the slot
 // key, the counter names and the three hooks of an attempt's lifecycle.
 type kindSpec struct {
-	letter, noun string // task-name prefix; lane and error noun
-	slotsKey     string // slots per tracker
-	specCause    string // why a backup launched (EvAttemptSpeculated)
-	lostCause    string // why a finisher lost its task (EvSpeculationLost)
+	letter, noun string       // task-name prefix; error noun
+	dispatch     obs.SpanKind // the scheduler's span of an attempt
+	slotsKey     string       // slots per tracker
+	specCause    string       // why a backup launched (EvAttemptSpeculated)
+	lostCause    string       // why a finisher lost its task (EvSpeculationLost)
 	counters     [numCounters]string
 	// run executes one attempt in ctx; committed is the kind's own
 	// commit verdict.
-	run func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt int, lane string) (committed bool, err error)
+	run func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt, slot int) (committed bool, err error)
 	// settle says what an attempt that returned no error means: err when
 	// it failed after all, else whether it won its task.
 	settle func(rj *runningJob, id int, committed, killed bool) (won bool, err error)
@@ -63,7 +64,7 @@ type kindSpec struct {
 
 var kindSpecs = [numKinds]kindSpec{
 	mapKind: {
-		letter: "m", noun: "map", slotsKey: config.KeyMapSlots,
+		letter: "m", noun: "map", dispatch: obs.KindMapDispatch, slotsKey: config.KeyMapSlots,
 		specCause: "elapsed past straggler threshold",
 		lostCause: "another attempt finished first",
 		counters: [numCounters]string{
@@ -73,8 +74,8 @@ var kindSpecs = [numKinds]kindSpec{
 			ctrFailed:      "map.task.attempts.failed",
 			ctrRetried:     "map.task.attempts.retried",
 		},
-		run: func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt int, lane string) (bool, error) {
-			return true, rj.c.runMapTask(ctx, tt, rj.info, rj.job, rj.splits[id], lane, attempt)
+		run: func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt, slot int) (bool, error) {
+			return true, rj.c.runMapTask(ctx, tt, rj.info, rj.job, rj.splits[id], slot, attempt)
 		},
 		// The first completion wins.
 		settle: func(rj *runningJob, id int, _, killed bool) (bool, error) {
@@ -92,7 +93,7 @@ var kindSpecs = [numKinds]kindSpec{
 		},
 	},
 	reduceKind: {
-		letter: "r", noun: "reduce", slotsKey: config.KeyReduceSlots,
+		letter: "r", noun: "reduce", dispatch: obs.KindReduceDispatch, slotsKey: config.KeyReduceSlots,
 		specCause: "idle slot backup",
 		lostCause: "another attempt committed first",
 		counters: [numCounters]string{
@@ -102,10 +103,10 @@ var kindSpecs = [numKinds]kindSpec{
 			ctrFailed:      "reduce.task.attempts.failed",
 			ctrRetried:     "reduce.task.attempts.retried",
 		},
-		run: func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt int, lane string) (bool, error) {
+		run: func(rj *runningJob, ctx context.Context, tt *TaskTracker, id, attempt, slot int) (bool, error) {
 			events, unsubscribe := rj.board.subscribe()
 			defer unsubscribe()
-			return rj.c.runReduceTask(ctx, tt, rj.info, rj.job, id, attempt, events, rj.recovery, rj.losses, lane)
+			return rj.c.runReduceTask(ctx, tt, rj.info, rj.job, id, attempt, events, rj.recovery, rj.losses, slot)
 		},
 		// The output-commit rename is the arbiter, so losers are not
 		// cancelled: a loser's rename fails cleanly and it is discarded
@@ -433,9 +434,6 @@ type runningJob struct {
 
 	errOnce  sync.Once
 	firstErr error
-
-	prof *obs.JobProfile
-	tr   *obs.JobTrace
 }
 
 // jobKind is one job's scheduling state for one task kind.
@@ -486,21 +484,17 @@ func (rj *runningJob) runAttempt(k taskKind, ti int, tt *TaskTracker, slot, id, 
 		jk.det.Started(id, time.Now())
 	}
 	tr := tt.TraceFor(info.ID)
-	var lane string
 	var dispatched time.Time
 	if tr != nil {
-		lane = fmt.Sprintf("%s slot %d", spec.noun, slot)
 		dispatched = time.Now()
 	}
 	jk.running.Add(1)
 	defer jk.running.Add(-1)
 	ctx, finish := c.attempts.begin(rj.ctx, liveAttempt{job: info.ID, kind: k, task: id, attempt: attempt, tracker: ti})
-	committed, err := spec.run(rj, ctx, tt, id, attempt, lane)
+	committed, err := spec.run(rj, ctx, tt, id, attempt, slot)
 	killed := finish()
 	if tr != nil {
-		tr.Span(host, lane, obs.CatSched,
-			fmt.Sprintf("dispatch %s@%d", task, attempt), dispatched, time.Now(),
-			map[string]string{"corr": fmt.Sprintf("%s/%s@%d", info.ID, task, attempt)})
+		tr.Add(taskSpan(spec.dispatch, tt, id, attempt, slot, dispatched))
 	}
 	var won bool
 	if err == nil {
@@ -700,27 +694,17 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	c.counters.Add("mapred.jobtracker.jobs.admitted", 1)
 	c.events.Append(obs.Event{Type: obs.EvJobAdmitted, Job: info.ID})
 
-	// Install the job's profile and trace under its OWN key — concurrent
-	// jobs never clobber each other's instrumentation. Tracing needs the
-	// profile's fetch spans, so enabling the trace forces a profile even
-	// when profiling itself is off; the report is then not attached to
-	// the result.
-	profileOn := job.Conf.Bool(config.KeyObsProfile)
-	traceOn := job.Conf.Bool(config.KeyObsTrace)
-	var prof *obs.JobProfile
-	if profileOn || traceOn {
-		prof = obs.NewJobProfile(info.ID)
-	}
+	// Install the job's record under its OWN key — concurrent jobs never
+	// clobber each other's instrumentation.
 	var tr *obs.JobTrace
-	if traceOn {
+	if job.Conf.Bool(config.KeyObsProfile) {
 		tr = obs.NewJobTrace(info.ID)
+		c.jobObs.install(info.ID, tr)
 	}
-	c.jobObs.install(info.ID, prof, tr)
 
 	rj := &runningJob{
 		c: c, info: info, job: job,
 		splits: make(map[int]*split, len(splits)),
-		prof:   prof, tr: tr,
 	}
 	rj.ctx, rj.cancel = context.WithCancel(ctx)
 	mapIDs := make([]int, 0, len(splits))
@@ -866,13 +850,8 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 			Counters:    delta,
 			Phases:      phaseDelta,
 		}
-		if prof != nil && profileOn {
-			rep := prof.Report()
-			res.Profile = rep
-			c.lastReport.Store(rep)
-		}
 		if tr != nil {
-			res.Trace = tr
+			res.Trace, res.Profile = tr, tr.Report()
 			c.lastTrace.Store(tr)
 		}
 		c.jobObs.remove(info.ID)

@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
@@ -25,10 +26,10 @@ type TaskTracker struct {
 	dev      *verbs.Device
 	conf     *config.Config
 	counters *stats.Counters
-	// jobObs is the cluster's per-job profile/trace registry: task code
-	// asks for the profile of the job it is running (keyed by jobID), so
+	// jobObs is the cluster's per-job record registry: task code asks
+	// for the record of the job it is running (keyed by jobID), so
 	// concurrent jobs never see each other's instrumentation. A nil
-	// registry, or a job with neither plane enabled, yields nils — the
+	// registry, or a job without a record, yields nil — the
 	// disabled-observability fast path at every call site.
 	jobObs *jobObsRegistry
 	// nodeReg is this node's OWN registry (node.* namespace), distinct
@@ -89,18 +90,9 @@ func (tt *TaskTracker) Counters() *stats.Counters { return tt.counters }
 // that want gauges or histograms alongside (and for the debug endpoint).
 func (tt *TaskTracker) Registry() *obs.Registry { return tt.counters.Registry() }
 
-// ProfileFor returns the given job's shuffle profile, or nil when
-// profiling is off for that job — the nil IS the disabled profiler;
-// every obs call site treats it as a free no-op.
-func (tt *TaskTracker) ProfileFor(jobID string) *obs.JobProfile {
-	if tt.jobObs == nil {
-		return nil
-	}
-	return tt.jobObs.profileFor(jobID)
-}
-
-// TraceFor returns the given job's lifecycle trace, or nil when tracing
-// is off for that job — the nil IS tracing off, free at every call site.
+// TraceFor returns the given job's record (mapred.obs.profile.enabled),
+// or nil when it is off for that job — the nil IS observability off,
+// free at every call site.
 func (tt *TaskTracker) TraceFor(jobID string) *obs.JobTrace {
 	if tt.jobObs == nil {
 		return nil
@@ -108,23 +100,11 @@ func (tt *TaskTracker) TraceFor(jobID string) *obs.JobTrace {
 	return tt.jobObs.traceFor(jobID)
 }
 
-// Profile returns the newest running job's profile (nil when none).
-// Job-scoped code should use ProfileFor; this remains for diagnostics
-// that have no job in hand.
-func (tt *TaskTracker) Profile() *obs.JobProfile {
-	if tt.jobObs == nil {
-		return nil
-	}
-	return tt.jobObs.latestProfile()
-}
-
-// Trace returns the newest running job's trace (nil when none). Same
-// contract as Profile.
-func (tt *TaskTracker) Trace() *obs.JobTrace {
-	if tt.jobObs == nil {
-		return nil
-	}
-	return tt.jobObs.latestTrace()
+// taskSpan is a span of kind k of one task attempt on tt, from start to
+// now.
+func taskSpan(k obs.SpanKind, tt *TaskTracker, id, attempt, slot int, start time.Time) obs.Span {
+	return obs.Span{Kind: k, Task: int32(id), Attempt: int32(attempt), Slot: int32(slot),
+		Node: tt.Host(), Start: start, End: time.Now()}
 }
 
 // NodeRegistry returns this node's own metric registry (node.* names,

@@ -13,15 +13,13 @@ import (
 type HandlerSources struct {
 	// Registry backs /metrics and /metrics.json.
 	Registry *Registry
-	// Profile returns the current job profile report for /profile(.json).
-	Profile func() *Report
+	// Trace returns the current (or last finished) job's record, whose
+	// two views /profile(.json) and /trace.json serve.
+	Trace func() *JobTrace
 	// Cluster returns the per-node telemetry for /cluster(.json).
 	Cluster func() *ClusterReport
 	// Events backs /events and /events.json.
 	Events *EventLog
-	// Trace returns the current (or last finished) job trace for
-	// /trace.json.
-	Trace func() *JobTrace
 	// Jobs returns the JobTracker's job listing for /jobs(.json).
 	Jobs func() *JobsReport
 }
@@ -41,10 +39,13 @@ type HandlerSources struct {
 //	/jobs.json     the same as JSON (404 when no JobTracker)
 //	/              a tiny index
 func NewHandler(src HandlerSources) http.Handler {
-	profile := src.Profile
-	if profile == nil {
-		profile = func() *Report { return nil }
+	trace := func() *JobTrace {
+		if src.Trace == nil {
+			return nil
+		}
+		return src.Trace()
 	}
+	const off = "no job record (enable mapred.obs.profile.enabled)"
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -78,9 +79,9 @@ func NewHandler(src HandlerSources) http.Handler {
 		_ = json.NewEncoder(w).Encode(src.Registry.Snapshot())
 	})
 	mux.HandleFunc("/profile.json", func(w http.ResponseWriter, r *http.Request) {
-		rep := profile()
+		rep := trace().Report()
 		if rep == nil {
-			http.Error(w, "no job profile (enable mapred.obs.profile.enabled)", http.StatusNotFound)
+			http.Error(w, off, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -92,9 +93,9 @@ func NewHandler(src HandlerSources) http.Handler {
 		_, _ = w.Write(out)
 	})
 	mux.HandleFunc("/profile", func(w http.ResponseWriter, r *http.Request) {
-		rep := profile()
+		rep := trace().Report()
 		if rep == nil {
-			http.Error(w, "no job profile (enable mapred.obs.profile.enabled)", http.StatusNotFound)
+			http.Error(w, off, http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -142,12 +143,9 @@ func NewHandler(src HandlerSources) http.Handler {
 		src.Events.WriteText(w)
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
-		var tr *JobTrace
-		if src.Trace != nil {
-			tr = src.Trace()
-		}
+		tr := trace()
 		if tr == nil {
-			http.Error(w, "no job trace (enable mapred.obs.trace.enabled)", http.StatusNotFound)
+			http.Error(w, off, http.StatusNotFound)
 			return
 		}
 		out, err := tr.ChromeTrace()

@@ -48,8 +48,8 @@ func TestHandlerNilRegistry(t *testing.T) {
 func TestHandlerLegacyEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shuffle.rdma.bytes").Add(4096)
-	var rep *Report
-	h := NewHandler(HandlerSources{Registry: reg, Profile: func() *Report { return rep }})
+	var tr *JobTrace
+	h := NewHandler(HandlerSources{Registry: reg, Trace: func() *JobTrace { return tr }})
 
 	code, ct, body := get(t, h, "/")
 	if code != http.StatusOK || !strings.HasPrefix(ct, "text/plain") {
@@ -70,15 +70,14 @@ func TestHandlerLegacyEndpoints(t *testing.T) {
 		t.Errorf("/metrics.json: status %d type %q body %q", code, ct, body)
 	}
 
-	// No profile yet: both renderings 404 with a hint.
-	for _, p := range []string{"/profile", "/profile.json"} {
+	// No record yet: both views' renderings 404 with a hint.
+	for _, p := range []string{"/profile", "/profile.json", "/trace.json"} {
 		if code, _, body = get(t, h, p); code != http.StatusNotFound || !strings.Contains(body, "mapred.obs.profile.enabled") {
-			t.Errorf("%s without profile: status %d body %q", p, code, body)
+			t.Errorf("%s without a record: status %d body %q", p, code, body)
 		}
 	}
-	prof := NewJobProfile("job_0001_t")
-	prof.FetchObserved("node1", 0, 10*time.Millisecond, 4096, time.Now())
-	rep = prof.Report()
+	tr = NewJobTrace("job_0001_t")
+	tr.Add(Span{Kind: KindFetch, Peer: "node1", Bytes: 4096, Start: tr.Start(), End: tr.Start().Add(10 * time.Millisecond)})
 	if code, ct, body = get(t, h, "/profile"); code != http.StatusOK ||
 		!strings.HasPrefix(ct, "text/plain") || !strings.Contains(body, "job_0001_t") {
 		t.Errorf("/profile: status %d type %q body %q", code, ct, body)
@@ -86,13 +85,16 @@ func TestHandlerLegacyEndpoints(t *testing.T) {
 	if code, ct, _ = get(t, h, "/profile.json"); code != http.StatusOK || !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("/profile.json: status %d type %q", code, ct)
 	}
+	if code, _, body = get(t, h, "/trace.json"); code != http.StatusOK || !strings.Contains(body, "job_0001_t/r0@0/m0+0") {
+		t.Errorf("/trace.json from the same record: status %d body %q", code, body)
+	}
 
 	// Unknown paths 404; the legacy handler has no telemetry sources, so
 	// the new endpoints 404 cleanly rather than crashing.
 	if code, _, _ = get(t, h, "/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path: status %d", code)
 	}
-	for _, p := range []string{"/cluster", "/cluster.json", "/events", "/events.json", "/trace.json"} {
+	for _, p := range []string{"/cluster", "/cluster.json", "/events", "/events.json"} {
 		if code, _, _ = get(t, h, p); code != http.StatusNotFound {
 			t.Errorf("%s without source: status %d", p, code)
 		}
@@ -105,7 +107,7 @@ func TestHandlerTelemetryEndpoints(t *testing.T) {
 	events := NewEventLog(8)
 	events.Append(Event{Type: EvHeartbeatExpired, Host: "node2", Cause: "no heartbeat"})
 	tr := NewJobTrace("job_0002_t")
-	tr.Span("node1", "map slot 0", CatMap, "map m0@0", tr.Start(), tr.Start().Add(time.Millisecond), nil)
+	tr.Add(Span{Kind: KindMap, Node: "node1", Start: tr.Start(), End: tr.Start().Add(time.Millisecond)})
 
 	h := NewHandler(HandlerSources{
 		Cluster: func() *ClusterReport { return cluster },
@@ -136,10 +138,12 @@ func TestHandlerTelemetryEndpoints(t *testing.T) {
 		t.Errorf("/trace.json served malformed trace: %v", err)
 	}
 
-	// A Trace source that returns nil (tracing off this job) still 404s.
+	// A Trace source that returns nil (the record off this job) still 404s.
 	h = NewHandler(HandlerSources{Trace: func() *JobTrace { return nil }})
-	if code, _, body = get(t, h, "/trace.json"); code != http.StatusNotFound || !strings.Contains(body, "mapred.obs.trace.enabled") {
-		t.Errorf("/trace.json nil-returning source: status %d body %q", code, body)
+	for _, p := range []string{"/trace.json", "/profile"} {
+		if code, _, body = get(t, h, p); code != http.StatusNotFound || !strings.Contains(body, "mapred.obs.profile.enabled") {
+			t.Errorf("%s nil-returning source: status %d body %q", p, code, body)
+		}
 	}
 }
 

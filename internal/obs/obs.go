@@ -1,8 +1,8 @@
 // Package obs is rdmamr's observability substrate: a metrics registry
-// (counters and log-bucketed latency histograms), lightweight
-// fetch-span tracing, and per-job shuffle profiles that
-// reconstruct the shuffle/merge/reduce overlap the paper's design is
-// about (§III-B.4, Figures 9–11 of the Hadoop-A comparison).
+// (counters and log-bucketed latency histograms), and a per-job record
+// of typed spans whose two views — the shuffle profile and a Chrome
+// trace — reconstruct the shuffle/merge/reduce overlap the paper's design
+// is about (§III-B.4, Figures 9–11 of the Hadoop-A comparison).
 //
 // Everything is stdlib-only and safe for concurrent use. Every metric
 // handle and recorder in this package is nil-tolerant: a nil *Registry

@@ -3,211 +3,20 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Canonical phase names for job profiles. Phases are free-form strings,
-// but the shuffle path uses these so reports and overlap queries agree.
+// Phase names of a Report's timelines: the span kinds that open windows
+// (phaseOf).
 const (
 	PhaseMap     = "map"
 	PhaseShuffle = "shuffle"
 	PhaseMerge   = "merge"
 	PhaseReduce  = "reduce"
 )
-
-// maxSpans bounds the fetch spans a profile retains verbatim; further
-// spans still feed the aggregate histograms but are dropped from the
-// sample (SpansDropped reports how many).
-const maxSpans = 512
-
-// FetchSpan is one chunk fetch reconstructed end to end. The correlation
-// ID (job, reduce, map, offset) ties the span to the DataRequest the
-// copier issued; the timestamps decompose its life into the queue wait
-// (Enqueued→Sent, which includes any bounce-buffer-slot stall, reported
-// separately as SlotWait), the RDMA round trip (Sent→Received: request
-// send, responder service, RDMA write, header back), and the delivery
-// wait (Received→Delivered: time parked in the segment's ready channel
-// until the merge consumed it).
-type FetchSpan struct {
-	Host    string `json:"host"`
-	Reduce  int    `json:"reduce"`
-	MapID   int    `json:"map"`
-	Offset  int64  `json:"offset"`
-	Bytes   int    `json:"bytes"`
-	Retries int    `json:"retries,omitempty"`
-
-	Enqueued  time.Time `json:"enqueued"`
-	Sent      time.Time `json:"sent"`
-	Received  time.Time `json:"received"`
-	Delivered time.Time `json:"delivered"`
-
-	SlotWait time.Duration `json:"slot_wait_ns"`
-}
-
-// CorrID renders the span's correlation ID.
-func (sp *FetchSpan) CorrID(jobID string) string {
-	return fmt.Sprintf("%s/r%d/m%d@%d", jobID, sp.Reduce, sp.MapID, sp.Offset)
-}
-
-// Queue is the scheduling delay: enqueue to wire.
-func (sp *FetchSpan) Queue() time.Duration { return sp.Sent.Sub(sp.Enqueued) }
-
-// RDMA is the fabric round trip: wire to response header.
-func (sp *FetchSpan) RDMA() time.Duration { return sp.Received.Sub(sp.Sent) }
-
-// Deliver is the consumption delay: response to merge pickup.
-func (sp *FetchSpan) Deliver() time.Duration { return sp.Delivered.Sub(sp.Received) }
-
-// Total is the full fetch latency the reducer observed.
-func (sp *FetchSpan) Total() time.Duration { return sp.Delivered.Sub(sp.Enqueued) }
-
-type windowKey struct {
-	phase string
-	key   int
-}
-
-type window struct {
-	start, end time.Time
-}
-
-// JobProfile accumulates one job's shuffle observability: phase windows
-// (for the overlap timeline), per-host fetch latency histograms,
-// time-to-first-byte per reduce, merge-stall time, ring-slot occupancy
-// high-water, and a bounded sample of full fetch spans.
-//
-// All methods are safe for concurrent use and no-ops on a nil receiver —
-// a nil *JobProfile IS the disabled profiler.
-type JobProfile struct {
-	jobID string
-	start time.Time
-
-	mu        sync.Mutex
-	windows   map[windowKey]*window
-	hosts     map[string]*Histogram
-	hostBytes map[string]int64
-	firstByte map[int]time.Time // per reduce: earliest delivery
-	spans     []*FetchSpan
-
-	mergeStall atomic.Int64 // ns
-	slotHW     atomic.Int64
-	spanTotal  atomic.Int64
-	fetches    atomic.Int64
-}
-
-// NewJobProfile starts a profile for jobID; the clock origin for every
-// timeline offset is the call time.
-func NewJobProfile(jobID string) *JobProfile {
-	return &JobProfile{
-		jobID:     jobID,
-		start:     time.Now(),
-		windows:   make(map[windowKey]*window),
-		hosts:     make(map[string]*Histogram),
-		hostBytes: make(map[string]int64),
-		firstByte: make(map[int]time.Time),
-	}
-}
-
-// JobID returns the profiled job's ID ("" on a nil receiver).
-func (p *JobProfile) JobID() string {
-	if p == nil {
-		return ""
-	}
-	return p.jobID
-}
-
-// Start returns the profile's clock origin.
-func (p *JobProfile) Start() time.Time {
-	if p == nil {
-		return time.Time{}
-	}
-	return p.start
-}
-
-// Mark extends the (phase, key) window to include t: the first Mark
-// opens the window, later Marks stretch its ends. Tasks call it at
-// entry and exit (and the shuffle path on every delivery), so a window
-// is exactly the wall-clock footprint of that task's phase.
-func (p *JobProfile) Mark(phase string, key int, t time.Time) {
-	if p == nil {
-		return
-	}
-	k := windowKey{phase, key}
-	p.mu.Lock()
-	w := p.windows[k]
-	if w == nil {
-		p.windows[k] = &window{start: t, end: t}
-	} else {
-		if t.Before(w.start) {
-			w.start = t
-		}
-		if t.After(w.end) {
-			w.end = t
-		}
-	}
-	p.mu.Unlock()
-}
-
-// FetchObserved records one delivered chunk: the per-host latency
-// histogram, per-host bytes, and the reduce task's first-byte time.
-func (p *JobProfile) FetchObserved(host string, reduce int, latency time.Duration, bytes int, at time.Time) {
-	if p == nil {
-		return
-	}
-	p.fetches.Add(1)
-	p.mu.Lock()
-	h := p.hosts[host]
-	if h == nil {
-		h = &Histogram{name: host}
-		p.hosts[host] = h
-	}
-	p.hostBytes[host] += int64(bytes)
-	if fb, ok := p.firstByte[reduce]; !ok || at.Before(fb) {
-		p.firstByte[reduce] = at
-	}
-	p.mu.Unlock()
-	h.Observe(latency)
-}
-
-// MergeStall adds time the merge spent blocked waiting for a chunk that
-// was not yet delivered — the "reduce waits on shuffle" residual the
-// overlapped design exists to shrink.
-func (p *JobProfile) MergeStall(d time.Duration) {
-	if p == nil || d <= 0 {
-		return
-	}
-	p.mergeStall.Add(int64(d))
-}
-
-// SlotOccupancy raises the ring-slot occupancy high-water mark.
-func (p *JobProfile) SlotOccupancy(inFlight int) {
-	if p == nil {
-		return
-	}
-	for {
-		cur := p.slotHW.Load()
-		if int64(inFlight) <= cur || p.slotHW.CompareAndSwap(cur, int64(inFlight)) {
-			return
-		}
-	}
-}
-
-// AddSpan retains a completed fetch span (up to maxSpans; the rest are
-// counted and dropped).
-func (p *JobProfile) AddSpan(sp *FetchSpan) {
-	if p == nil || sp == nil {
-		return
-	}
-	p.spanTotal.Add(1)
-	p.mu.Lock()
-	if len(p.spans) < maxSpans {
-		p.spans = append(p.spans, sp)
-	}
-	p.mu.Unlock()
-}
 
 // Interval is one [start, end] segment on the report timeline, in
 // milliseconds from the job's start.
@@ -252,7 +61,10 @@ type ReduceTTFB struct {
 	Ms     float64 `json:"ms"`
 }
 
-// SpanOut is a FetchSpan rendered for the report.
+// SpanOut is a fetch span rendered for the report: its life split into
+// the queue wait (enqueue → sent, slot wait included and also shown
+// alone), the round trip (sent → received) and the delivery wait
+// (received → the merge's pickup).
 type SpanOut struct {
 	CorrID    string  `json:"corr_id"`
 	Host      string  `json:"host"`
@@ -265,9 +77,9 @@ type SpanOut struct {
 	TotalUs   float64 `json:"total_us"`
 }
 
-// Report is the per-job shuffle profile, serializable as JSON and
-// renderable as text (Text). It is a value snapshot: taking it does not
-// stop the profile.
+// Report is the per-job shuffle profile, the record's profile view
+// (JobTrace.Report), serializable as JSON and renderable as text (Text).
+// It is a value snapshot: taking it does not stop the record.
 type Report struct {
 	JobID      string  `json:"job_id"`
 	DurationMs float64 `json:"duration_ms"`
@@ -286,47 +98,126 @@ type Report struct {
 	SpansDropped int64     `json:"spans_dropped"`
 }
 
-// Report snapshots the profile into a Report. Nil receiver → nil.
-func (p *JobProfile) Report() *Report {
-	if p == nil {
+// phaseOf names the profile phase a span kind's windows belong to ("" for
+// kinds that open none).
+func phaseOf(k SpanKind) string {
+	switch k {
+	case KindMap:
+		return PhaseMap
+	case KindShuffle, KindFetch:
+		return PhaseShuffle
+	case KindMerge:
+		return PhaseMerge
+	case KindApply:
+		return PhaseReduce
+	}
+	return ""
+}
+
+// Report computes the profile view of the record as of now. Nil
+// receiver → nil.
+func (t *JobTrace) Report() *Report {
+	if t == nil {
 		return nil
 	}
-	now := time.Now()
-	ms := func(t time.Time) float64 { return float64(t.Sub(p.start)) / float64(time.Millisecond) }
+	return t.reportAt(time.Now())
+}
 
-	p.mu.Lock()
-	windows := make(map[windowKey]window, len(p.windows))
-	for k, w := range p.windows {
-		windows[k] = *w
-	}
-	hosts := make(map[string]*Histogram, len(p.hosts))
-	for h, hist := range p.hosts {
-		hosts[h] = hist
-	}
-	hostBytes := make(map[string]int64, len(p.hostBytes))
-	for h, b := range p.hostBytes {
-		hostBytes[h] = b
-	}
-	firstByte := make(map[int]time.Time, len(p.firstByte))
-	for r, t := range p.firstByte {
-		firstByte[r] = t
-	}
-	spans := append([]*FetchSpan(nil), p.spans...)
-	p.mu.Unlock()
+// reportAt derives every Report field from the spans alone:
+//   - a phase's window per task id spans every attempt's span of that
+//     phase (map, merge, apply), and overlaps intersect the phases'
+//     window unions; a shuffle window opens at the fetcher's shuffle
+//     span and each delivery (a fetch span's End) extends it;
+//   - per-host count, bytes and latency percentiles come from the fetch
+//     spans, each observed enqueue → delivery;
+//   - a reduce's TTFB is its first delivery minus its shuffle window's
+//     open (the fetcher's Fetch call);
+//   - merge stall is the sum of the fetches' merge waits;
+//   - the slot peak is the most [sent, received) intervals open at once
+//     on one (reduce attempt, host) connection.
+func (t *JobTrace) reportAt(now time.Time) *Report {
+	spans, dropped := t.Spans()
+	ms := func(at time.Time) float64 { return float64(at.Sub(t.start)) / float64(time.Millisecond) }
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	rep := &Report{JobID: t.jobID, DurationMs: ms(now), SpansDropped: dropped}
 
-	rep := &Report{
-		JobID:        p.jobID,
-		DurationMs:   float64(now.Sub(p.start)) / float64(time.Millisecond),
-		SlotPeak:     p.slotHW.Load(),
-		MergeStallMs: float64(p.mergeStall.Load()) / float64(time.Millisecond),
-		Fetches:      p.fetches.Load(),
-		SpansDropped: p.spanTotal.Load() - int64(len(spans)),
+	type windowKey struct {
+		phase string
+		task  int32
+	}
+	type window struct{ start, end time.Time }
+	type conn struct {
+		reduce, attempt int32
+		peer            string
+	}
+	type edge struct {
+		at    time.Time
+		delta int64
+	}
+	windows := map[windowKey]window{}
+	hosts := map[string]*Histogram{}
+	hostBytes := map[string]int64{}
+	firstByte := map[int32]time.Time{}
+	slots := map[conn][]edge{}
+	var fetches []*Span
+	var stall time.Duration
+	for i := range spans {
+		sp := &spans[i]
+		if phase := phaseOf(sp.Kind); phase != "" {
+			from := sp.Start
+			if sp.Kind == KindFetch {
+				from = sp.End
+			}
+			k := windowKey{phase, sp.Task}
+			w, ok := windows[k]
+			if !ok || from.Before(w.start) {
+				w.start = from
+			}
+			if !ok || sp.End.After(w.end) {
+				w.end = sp.End
+			}
+			windows[k] = w
+		}
+		if sp.Kind != KindFetch {
+			continue
+		}
+		fetches = append(fetches, sp)
+		h := hosts[sp.Peer]
+		if h == nil {
+			h = &Histogram{name: sp.Peer}
+			hosts[sp.Peer] = h
+		}
+		h.Observe(sp.End.Sub(sp.Start))
+		hostBytes[sp.Peer] += int64(sp.Bytes)
+		if fb, ok := firstByte[sp.Task]; !ok || sp.End.Before(fb) {
+			firstByte[sp.Task] = sp.End
+		}
+		stall += sp.MergeWait
+		c := conn{sp.Task, sp.Attempt, sp.Peer}
+		slots[c] = append(slots[c], edge{sp.Sent, 1}, edge{sp.Received, -1})
+	}
+	rep.Fetches = int64(len(fetches))
+	rep.MergeStallMs = float64(stall) / float64(time.Millisecond)
+	for _, edges := range slots {
+		// Half-open intervals: at one instant a slot frees before the
+		// next is claimed.
+		sort.Slice(edges, func(i, j int) bool {
+			if !edges[i].at.Equal(edges[j].at) {
+				return edges[i].at.Before(edges[j].at)
+			}
+			return edges[i].delta < edges[j].delta
+		})
+		var open int64
+		for _, e := range edges {
+			open += e.delta
+			rep.SlotPeak = max(rep.SlotPeak, open)
+		}
 	}
 
 	// Phase timelines and overlap from window unions.
 	perPhase := map[string][]Interval{}
 	for k, w := range windows {
-		perPhase[k.phase] = append(perPhase[k.phase], Interval{Key: k.key, StartMs: ms(w.start), EndMs: ms(w.end)})
+		perPhase[k.phase] = append(perPhase[k.phase], Interval{Key: int(k.task), StartMs: ms(w.start), EndMs: ms(w.end)})
 	}
 	phaseNames := make([]string, 0, len(perPhase))
 	for name := range perPhase {
@@ -362,27 +253,21 @@ func (p *JobProfile) Report() *Report {
 	}
 
 	// TTFB per reduce: first byte minus the reduce's shuffle-window open.
-	reduces := make([]int, 0, len(firstByte))
+	reduces := make([]int32, 0, len(firstByte))
 	for r := range firstByte {
 		reduces = append(reduces, r)
 	}
-	sort.Ints(reduces)
-	first := true
+	slices.Sort(reduces)
 	for _, r := range reduces {
 		open, ok := windows[windowKey{PhaseShuffle, r}]
 		if !ok {
 			continue
 		}
-		ttfb := firstByte[r].Sub(open.start)
-		if ttfb < 0 {
-			ttfb = 0
-		}
-		v := float64(ttfb) / float64(time.Millisecond)
-		rep.ReduceTTFB = append(rep.ReduceTTFB, ReduceTTFB{Reduce: r, Ms: v})
-		if first || v < rep.TTFBMs {
+		v := float64(max(firstByte[r].Sub(open.start), 0)) / float64(time.Millisecond)
+		if len(rep.ReduceTTFB) == 0 || v < rep.TTFBMs {
 			rep.TTFBMs = v
-			first = false
 		}
+		rep.ReduceTTFB = append(rep.ReduceTTFB, ReduceTTFB{Reduce: int(r), Ms: v})
 	}
 
 	// Per-host latency percentiles.
@@ -391,7 +276,6 @@ func (p *JobProfile) Report() *Report {
 		hostNames = append(hostNames, h)
 	}
 	sort.Strings(hostNames)
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	for _, h := range hostNames {
 		s := hosts[h].Snapshot()
 		rep.Hosts = append(rep.Hosts, HostStats{
@@ -400,17 +284,17 @@ func (p *JobProfile) Report() *Report {
 		})
 	}
 
-	// Span sample, oldest first.
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Enqueued.Before(spans[j].Enqueued) })
-	for _, sp := range spans {
+	// Every fetch span, oldest first.
+	sort.SliceStable(fetches, func(i, j int) bool { return fetches[i].Start.Before(fetches[j].Start) })
+	for _, sp := range fetches {
 		rep.Spans = append(rep.Spans, SpanOut{
-			CorrID: sp.CorrID(p.jobID), Host: sp.Host, Bytes: sp.Bytes,
-			StartMs:   ms(sp.Enqueued),
-			QueueUs:   us(sp.Queue()),
+			CorrID: sp.CorrID(t.jobID), Host: sp.Peer, Bytes: sp.Bytes,
+			StartMs:   ms(sp.Start),
+			QueueUs:   us(sp.Sent.Sub(sp.Start)),
 			SlotUs:    us(sp.SlotWait),
-			RDMAUs:    us(sp.RDMA()),
-			DeliverUs: us(sp.Deliver()),
-			TotalUs:   us(sp.Total()),
+			RDMAUs:    us(sp.Received.Sub(sp.Sent)),
+			DeliverUs: us(sp.End.Sub(sp.Received)),
+			TotalUs:   us(sp.End.Sub(sp.Start)),
 		})
 	}
 	return rep
@@ -542,7 +426,7 @@ func (r *Report) Text() string {
 		if show > 8 {
 			show = 8
 		}
-		fmt.Fprintf(&sb, "\n  fetch spans (%d of %d sampled, %d dropped):\n", show, n, r.SpansDropped)
+		fmt.Fprintf(&sb, "\n  fetch spans (%d of %d shown, %d dropped):\n", show, n, r.SpansDropped)
 		fmt.Fprintf(&sb, "    %-28s %-8s %9s %9s %9s %9s %9s\n",
 			"corr-id", "host", "queue µs", "slot µs", "rdma µs", "deliver", "total µs")
 		for _, sp := range r.Spans[:show] {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,136 +10,175 @@ import (
 )
 
 func TestNilJobProfileIsDisabled(t *testing.T) {
-	var p *JobProfile
-	// Every recorder must be a safe no-op on the nil profile.
-	p.Mark(PhaseMap, 0, time.Now())
-	p.FetchObserved("node0", 0, time.Millisecond, 100, time.Now())
-	p.MergeStall(time.Millisecond)
-	p.SlotOccupancy(4)
-	p.AddSpan(&FetchSpan{})
-	if p.Report() != nil {
-		t.Fatal("nil profile must report nil")
+	var tr *JobTrace
+	// Every span kind the report reads must be a safe no-op on the nil record.
+	for _, k := range []SpanKind{KindMap, KindShuffle, KindMerge, KindApply, KindFetch} {
+		tr.Add(Span{Kind: k, Peer: "node0", Bytes: 100, Start: time.Now(), End: time.Now(), MergeWait: time.Millisecond})
 	}
-	if p.JobID() != "" {
-		t.Fatal("nil profile JobID")
+	if tr.Report() != nil {
+		t.Fatal("nil record must report nil")
+	}
+	if tr.JobID() != "" {
+		t.Fatal("nil record JobID")
 	}
 }
 
+// handSetTrace builds a record from hand-set timestamps — no clock, no
+// sleep — so every Report field can be checked against arithmetic done by
+// hand on its spans. fetch adds one more fetch span to it.
+func handSetTrace() (tr *JobTrace, at func(ms float64) time.Time,
+	fetch func(reduce, attempt int32, peer string, mapID int32, off int64, bytes int, enq, sent, recv, deliv, slotWait, mergeWait float64)) {
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	at = func(ms float64) time.Time { return t0.Add(time.Duration(ms * float64(time.Millisecond))) }
+	tr = &JobTrace{jobID: "job_t", start: t0}
+	task := func(k SpanKind, id, attempt int32, from, to float64) {
+		tr.Add(Span{Kind: k, Task: id, Attempt: attempt, Node: "node0", Start: at(from), End: at(to)})
+	}
+	// Map 1's two attempts merge into one window [50,150]; map union [0,150].
+	task(KindMap, 0, 0, 0, 100)
+	task(KindMap, 1, 0, 50, 120)
+	task(KindMap, 1, 1, 60, 150)
+	task(KindMapCommit, 0, 0, 90, 100) // opens no window
+	// Shuffle windows open at the fetcher's marker; deliveries extend
+	// them: r0 [80,220], r1 [90,105].
+	task(KindShuffle, 0, 0, 80, 80)
+	task(KindShuffle, 0, 1, 81, 81)
+	task(KindShuffle, 1, 0, 90, 90)
+	task(KindMerge, 0, 0, 120, 240)
+	task(KindReduce, 0, 0, 70, 265) // the reduce window is the apply span's
+	task(KindApply, 0, 0, 130, 260)
+	fetch = func(reduce, attempt int32, peer string, mapID int32, off int64, bytes int, enq, sent, recv, deliv, slotWait, mergeWait float64) {
+		tr.Add(Span{Kind: KindFetch, Task: reduce, Attempt: attempt, Node: "node0",
+			Peer: peer, Map: mapID, Offset: off, Bytes: bytes,
+			Start: at(enq), Sent: at(sent), Received: at(recv), End: at(deliv),
+			SlotWait:  time.Duration(slotWait * float64(time.Millisecond)),
+			MergeWait: time.Duration(mergeWait * float64(time.Millisecond))})
+	}
+	fetch(0, 0, "node1", 0, 0, 4096, 82, 83, 93, 95, 0, 2)       // 13 ms
+	fetch(0, 0, "node1", 1, 0, 4096, 84, 85, 100, 140, 1, 3)     // 56 ms
+	fetch(0, 1, "node1", 0, 0, 4096, 84, 84, 99, 130, 0, 0)      // 46 ms, the other attempt's connection
+	fetch(0, 0, "node2", 2, 0, 1024, 85, 86, 88, 90, 0, 0)       // 5 ms, r0's first byte
+	fetch(0, 0, "node1", 0, 4096, 4096, 92, 93, 97, 132, 0, 0.5) // 40 ms, claims f1's slot as it frees
+	fetch(1, 0, "node2", 0, 0, 2048, 95, 96, 100, 105, 0, 0)     // 10 ms, r1's first byte
+	fetch(0, 0, "node3", 3, 0, 1024, 150, 151, 200, 220, 0, 0)   // 70 ms, r0's last delivery
+	return tr, at, fetch
+}
+
+func approx(got, want float64) bool { return math.Abs(got-want) < 1e-6 }
+
+// TestProfileWindowsAndOverlap checks the report's aggregates — phase
+// windows, overlaps, TTFB, per-host latency, slot peak and merge stall —
+// against the hand-set spans.
 func TestProfileWindowsAndOverlap(t *testing.T) {
-	p := NewJobProfile("job_test")
-	t0 := p.Start()
-	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
-
-	// map tasks: [0,100] and [50,150] → union [0,150]
-	p.Mark(PhaseMap, 0, at(0))
-	p.Mark(PhaseMap, 0, at(100))
-	p.Mark(PhaseMap, 1, at(50))
-	p.Mark(PhaseMap, 1, at(150))
-	// shuffle for reduce 0: [80,220]
-	p.Mark(PhaseShuffle, 0, at(80))
-	p.Mark(PhaseShuffle, 0, at(220))
-	// merge for reduce 0: [120,240]
-	p.Mark(PhaseMerge, 0, at(120))
-	p.Mark(PhaseMerge, 0, at(240))
-	// reduce apply: [130,260]
-	p.Mark(PhaseReduce, 0, at(130))
-	p.Mark(PhaseReduce, 0, at(260))
-
-	p.FetchObserved("node1", 0, 2*time.Millisecond, 4096, at(95))
-	p.FetchObserved("node1", 0, 4*time.Millisecond, 4096, at(140))
-	p.FetchObserved("node2", 0, time.Millisecond, 1024, at(90))
-	p.MergeStall(7 * time.Millisecond)
-	p.SlotOccupancy(3)
-	p.SlotOccupancy(2) // lower: must not regress the high water
-
-	rep := p.Report()
-	const tol = 1.0 // ms tolerance: wall-clock marks are exact, arithmetic is float
-	approx := func(got, want float64) bool { return got > want-tol && got < want+tol }
-
-	if got := rep.OverlapMs(PhaseMap, PhaseShuffle); !approx(got, 70) { // [80,150]
-		t.Fatalf("map∩shuffle = %.2f, want ≈70", got)
+	tr, at, _ := handSetTrace()
+	rep := tr.reportAt(at(300))
+	if rep.JobID != "job_t" || !approx(rep.DurationMs, 300) {
+		t.Fatalf("job %q duration %.3f, want job_t 300", rep.JobID, rep.DurationMs)
 	}
-	if got := rep.OverlapMs(PhaseShuffle, PhaseMerge); !approx(got, 100) { // [120,220]
-		t.Fatalf("shuffle∩merge = %.2f, want ≈100", got)
+	if rep.Fetches != 7 || rep.SpansDropped != 0 {
+		t.Fatalf("fetches %d dropped %d, want 7 and 0", rep.Fetches, rep.SpansDropped)
 	}
-	if got := rep.OverlapMs(PhaseMerge, PhaseReduce); !approx(got, 110) { // [130,240]
-		t.Fatalf("merge∩reduce = %.2f, want ≈110", got)
+	// TTFB: r0 opened at 80, first delivery at 90; r1 opened at 90, first at 105.
+	if len(rep.ReduceTTFB) != 2 || rep.ReduceTTFB[0].Reduce != 0 || !approx(rep.ReduceTTFB[0].Ms, 10) ||
+		rep.ReduceTTFB[1].Reduce != 1 || !approx(rep.ReduceTTFB[1].Ms, 15) || !approx(rep.TTFBMs, 10) {
+		t.Fatalf("TTFB %.3f per reduce %+v, want 10 (r0 10, r1 15)", rep.TTFBMs, rep.ReduceTTFB)
 	}
-	if got := rep.OverlapMs("map", "nope"); got != 0 {
-		t.Fatalf("unknown pair overlap = %.2f", got)
+	// Hosts: node1's totals 13, 40, 46, 56 ms put p50 in the 46 ms bucket,
+	// whose bound clamps to the max; node2's 5 and 10 ms and node3's one
+	// 70 ms the same way.
+	if len(rep.Hosts) != 3 {
+		t.Fatalf("hosts %+v", rep.Hosts)
 	}
-
-	// TTFB for reduce 0: shuffle opened at 80, first byte at 90 → 10ms.
-	if len(rep.ReduceTTFB) != 1 || !approx(rep.ReduceTTFB[0].Ms, 10) {
-		t.Fatalf("reduce TTFB = %+v, want ≈10ms", rep.ReduceTTFB)
+	for i, w := range []HostStats{
+		{Host: "node1", Fetches: 4, Bytes: 16384, P50Us: 56000, MaxUs: 56000},
+		{Host: "node2", Fetches: 2, Bytes: 3072, P50Us: 10000, MaxUs: 10000},
+		{Host: "node3", Fetches: 1, Bytes: 1024, P50Us: 70000, MaxUs: 70000},
+	} {
+		h := rep.Hosts[i]
+		if h.Host != w.Host || h.Fetches != w.Fetches || h.Bytes != w.Bytes || !approx(h.P50Us, w.P50Us) || !approx(h.MaxUs, w.MaxUs) {
+			t.Errorf("host %d = %+v, want %+v", i, h, w)
+		}
 	}
-	if !approx(rep.TTFBMs, 10) {
-		t.Fatalf("TTFB = %.2f, want ≈10", rep.TTFBMs)
+	// Slot peak: on (r0@0, node1) [83,93) [85,100) [93,97) never hold
+	// more than two at once; r0@1's [84,99) is another connection.
+	if rep.SlotPeak != 2 {
+		t.Errorf("slot peak = %d, want 2", rep.SlotPeak)
 	}
-
-	if rep.SlotPeak != 3 {
-		t.Fatalf("slot peak = %d, want 3", rep.SlotPeak)
+	if !approx(rep.MergeStallMs, 5.5) {
+		t.Errorf("merge stall = %.3f ms, want 5.5", rep.MergeStallMs)
 	}
-	if !approx(rep.MergeStallMs, 7) {
-		t.Fatalf("merge stall = %.2f, want ≈7", rep.MergeStallMs)
+	for _, o := range []Overlap{
+		{A: PhaseMap, B: PhaseShuffle, Ms: 70},    // [80,150]
+		{A: PhaseShuffle, B: PhaseMerge, Ms: 100}, // [120,220]
+		{A: PhaseShuffle, B: PhaseReduce, Ms: 90}, // [130,220]
+		{A: PhaseMerge, B: PhaseReduce, Ms: 110},  // [130,240]
+	} {
+		if got := rep.OverlapMs(o.A, o.B); !approx(got, o.Ms) {
+			t.Errorf("%s∩%s = %.3f, want %.0f", o.A, o.B, got, o.Ms)
+		}
 	}
-	if rep.Fetches != 3 {
-		t.Fatalf("fetches = %d", rep.Fetches)
+	if len(rep.Overlaps) != 4 || rep.OverlapMs(PhaseMap, "nope") != 0 {
+		t.Errorf("overlaps %+v", rep.Overlaps)
 	}
-	if len(rep.Hosts) != 2 || rep.Hosts[0].Host != "node1" || rep.Hosts[0].Fetches != 2 {
-		t.Fatalf("hosts = %+v", rep.Hosts)
-	}
-	if rep.Hosts[0].P50Us <= 0 || rep.Hosts[0].P99Us < rep.Hosts[0].P50Us {
-		t.Fatalf("host percentiles not ordered: %+v", rep.Hosts[0])
-	}
-
-	// Union length of map phase = 150ms despite overlapping windows.
 	for _, ph := range rep.Phases {
-		if ph.Phase == PhaseMap && !approx(ph.UnionMs, 150) {
-			t.Fatalf("map union = %.2f, want ≈150", ph.UnionMs)
+		switch ph.Phase {
+		case PhaseMap:
+			if len(ph.Windows) != 2 || ph.Windows[1] != (Interval{Key: 1, StartMs: 50, EndMs: 150}) || !approx(ph.UnionMs, 150) {
+				t.Errorf("map timeline %+v, want map 1 at [50,150] and a 150 ms union", ph)
+			}
+		case PhaseShuffle:
+			if len(ph.Windows) != 2 || ph.Windows[0] != (Interval{Key: 0, StartMs: 80, EndMs: 220}) ||
+				ph.Windows[1] != (Interval{Key: 1, StartMs: 90, EndMs: 105}) {
+				t.Errorf("shuffle timeline %+v, want r0 [80,220] and r1 [90,105]", ph)
+			}
+		case PhaseReduce:
+			if len(ph.Windows) != 1 || ph.Windows[0] != (Interval{Key: 0, StartMs: 130, EndMs: 260}) {
+				t.Errorf("reduce timeline %+v, want the apply span [130,260]", ph)
+			}
 		}
 	}
 }
 
+// TestProfileSpansCapAndOrder checks the report's span sample — every
+// fetch, oldest first, its life split in four — and spans_dropped once
+// the record is at its cap.
 func TestProfileSpansCapAndOrder(t *testing.T) {
-	p := NewJobProfile("j")
-	t0 := p.Start()
-	for i := 0; i < maxSpans+10; i++ {
-		p.AddSpan(&FetchSpan{
-			Host: "node0", Reduce: 1, MapID: i, Offset: int64(i * 128),
-			Enqueued:  t0.Add(time.Duration(i) * time.Microsecond),
-			Sent:      t0.Add(time.Duration(i)*time.Microsecond + 10*time.Microsecond),
-			Received:  t0.Add(time.Duration(i)*time.Microsecond + 200*time.Microsecond),
-			Delivered: t0.Add(time.Duration(i)*time.Microsecond + 250*time.Microsecond),
-			SlotWait:  time.Microsecond,
-			Bytes:     128,
-		})
+	tr, at, fetch := handSetTrace()
+	rep := tr.reportAt(at(300))
+	if len(rep.Spans) != 7 {
+		t.Fatalf("spans = %d, want 7", len(rep.Spans))
 	}
-	rep := p.Report()
-	if len(rep.Spans) != maxSpans {
-		t.Fatalf("spans = %d, want %d", len(rep.Spans), maxSpans)
+	if sp := rep.Spans[0]; sp.CorrID != "job_t/r0@0/m0+0" || sp.Host != "node1" || sp.Bytes != 4096 || !approx(sp.StartMs, 82) ||
+		!approx(sp.QueueUs, 1000) || !approx(sp.RDMAUs, 10000) || !approx(sp.DeliverUs, 2000) || !approx(sp.TotalUs, 13000) {
+		t.Errorf("span 0 = %+v", sp)
 	}
-	if rep.SpansDropped != 10 {
-		t.Fatalf("dropped = %d, want 10", rep.SpansDropped)
+	if sp := rep.Spans[1]; sp.CorrID != "job_t/r0@0/m1+0" || !approx(sp.SlotUs, 1000) {
+		t.Errorf("span 1 = %+v", sp)
 	}
-	sp := rep.Spans[0]
-	if sp.CorrID != "j/r1/m0@0" {
-		t.Fatalf("corr id = %q", sp.CorrID)
+	if got := rep.Spans[4].CorrID; got != "job_t/r0@0/m0+4096" {
+		t.Errorf("span 4 corr = %q", got)
 	}
-	if sp.QueueUs != 10 || sp.RDMAUs != 190 || sp.DeliverUs != 50 || sp.TotalUs != 250 {
-		t.Fatalf("span segments = %+v", sp)
+
+	// At the cap the record drops spans and the report says how many.
+	for range maxTraceSpans {
+		fetch(0, 0, "node1", 0, 0, 1, 100, 100, 100, 100, 0, 0)
+	}
+	rep = tr.reportAt(at(300))
+	if len(tr.spans) != maxTraceSpans {
+		t.Fatalf("record holds %d spans, cap %d", len(tr.spans), maxTraceSpans)
+	}
+	if rep.SpansDropped != 17 || rep.Fetches != maxTraceSpans-10 {
+		t.Errorf("at the cap: dropped %d fetches %d, want 17 and %d", rep.SpansDropped, rep.Fetches, maxTraceSpans-10)
 	}
 }
 
 func TestReportJSONRoundTripAndText(t *testing.T) {
-	p := NewJobProfile("job_rt")
-	t0 := p.Start()
-	p.Mark(PhaseShuffle, 0, t0)
-	p.Mark(PhaseShuffle, 0, t0.Add(100*time.Millisecond))
-	p.Mark(PhaseMerge, 0, t0.Add(20*time.Millisecond))
-	p.Mark(PhaseMerge, 0, t0.Add(120*time.Millisecond))
-	p.FetchObserved("node1", 0, time.Millisecond, 64, t0.Add(10*time.Millisecond))
-	rep := p.Report()
+	tr := NewJobTrace("job_rt")
+	t0 := tr.Start()
+	tr.Add(Span{Kind: KindShuffle, Start: t0, End: t0.Add(100 * time.Millisecond)})
+	tr.Add(Span{Kind: KindMerge, Start: t0.Add(20 * time.Millisecond), End: t0.Add(120 * time.Millisecond)})
+	tr.Add(Span{Kind: KindFetch, Peer: "node1", Bytes: 64, Start: t0.Add(9 * time.Millisecond), End: t0.Add(10 * time.Millisecond)})
+	rep := tr.Report()
 
 	raw, err := rep.JSON()
 	if err != nil {
@@ -183,8 +223,8 @@ func TestRenderers(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shuffle.rdma.packets").Add(17)
-	var prof *JobProfile
-	h := NewHandler(HandlerSources{Registry: reg, Profile: func() *Report { return prof.Report() }})
+	var tr *JobTrace
+	h := NewHandler(HandlerSources{Registry: reg, Trace: func() *JobTrace { return tr }})
 
 	get := func(path string) (int, string) {
 		req := httptest.NewRequest("GET", path, nil)
@@ -203,8 +243,8 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("/profile.json with no profile: %d, want 404", code)
 	}
 
-	prof = NewJobProfile("job_http")
-	prof.Mark(PhaseShuffle, 0, prof.Start())
+	tr = NewJobTrace("job_http")
+	tr.Add(Span{Kind: KindShuffle, Start: tr.Start(), End: tr.Start()})
 	if code, body := get("/profile.json"); code != 200 || !strings.Contains(body, "job_http") {
 		t.Fatalf("/profile.json: %d %q", code, body)
 	}

@@ -4,64 +4,161 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
 
-// This file generalizes the copier's fetch spans into a job-wide span
-// model and exports it as Chrome trace-event JSON (loadable in Perfetto
-// or chrome://tracing): one pid per node, one tid per lane (task slot,
-// merge loop, or per-host fetch stream), scheduler dispatch → map
-// run/commit → shuffle fetches → merge → reduce run/commit, all under
-// one job.
+// This file holds a job's one observability record: a list of typed
+// spans covering scheduler dispatch → map run/commit → shuffle fetches →
+// merge → reduce run/commit, all under one job. Two views are computed
+// from it: the shuffle profile (Report, profile.go) and Chrome
+// trace-event JSON (ChromeTrace, loadable in Perfetto or
+// chrome://tracing: one pid per node, one tid per lane — task slot,
+// shuffle or merge loop, or per-host fetch stream). Names, lanes and
+// correlation IDs are rendered only by the views.
 
-// Span categories. Task-level spans (everything but fetch) export as
-// balanced B/E duration events; fetch spans export as "X" complete
-// events because concurrent fetches on one lane overlap freely.
+// Chrome trace categories. Task-level spans export as balanced B/E
+// duration events; fetch spans export as "X" complete events because
+// concurrent fetches on one lane overlap freely.
 const (
-	CatSched  = "sched"
-	CatMap    = "map"
-	CatFetch  = "fetch"
-	CatMerge  = "merge"
-	CatReduce = "reduce"
+	CatSched   = "sched"
+	CatMap     = "map"
+	CatShuffle = "shuffle"
+	CatFetch   = "fetch"
+	CatMerge   = "merge"
+	CatReduce  = "reduce"
 )
 
-// maxTraceSpans bounds the spans a trace retains; beyond it spans are
+// maxTraceSpans bounds the spans a record retains; beyond it spans are
 // counted as dropped. Fetch-heavy jobs hit this first — the cap keeps a
 // runaway job from holding the whole shuffle in memory.
 const maxTraceSpans = 16384
 
-// TraceSpan is one timed interval of job work attributed to a node and
-// a lane (the tid it renders on).
-type TraceSpan struct {
-	Node  string            `json:"node"`
-	Lane  string            `json:"lane"`
-	Cat   string            `json:"cat"`
-	Name  string            `json:"name"`
-	Start time.Time         `json:"start"`
-	End   time.Time         `json:"end"`
-	Args  map[string]string `json:"args,omitempty"`
+// SpanKind says what a span timed: its Chrome category, name and lane,
+// and the profile phase it feeds.
+type SpanKind uint8
+
+const (
+	KindMapDispatch    SpanKind = iota // a map attempt held its slot
+	KindMap                            // a map attempt ran: the map phase
+	KindMapCommit                      // a map attempt wrote its output
+	KindReduceDispatch                 // a reduce attempt held its slot
+	KindReduce                         // a reduce attempt ran, fetcher setup to exit
+	KindApply                          // the reduce function ran: the reduce phase
+	KindReduceCommit                   // a reduce attempt renamed its output
+	KindShuffle                        // Fetch, zero length: the shuffle window opens
+	KindMerge                          // priming to the last record: the merge phase
+	KindFetch                          // one chunk, enqueued to delivered: extends the shuffle window
+)
+
+// RecoverySlot is the Slot of a map re-executed outside the slot workers:
+// it renders on a lane of its own.
+const RecoverySlot = -1
+
+// Span is one timed interval of job work. Task is the map or reduce id
+// (for a fetch, merge or shuffle span the reduce's), Node the host the
+// work ran on, Slot the task slot a dispatch, map or reduce span ran in.
+type Span struct {
+	Kind    SpanKind
+	Task    int32
+	Attempt int32
+	Slot    int32
+	Node    string
+
+	// Start and End bound the span; a fetch's are its enqueue (when the
+	// segment asked) and its delivery (when the merge picked it up).
+	Start, End time.Time
+
+	// Fetch only: the chunk (map, offset, bytes) and who served it, how
+	// often the request was re-issued, when it went on the wire (its
+	// ring slot claimed) and when the chunk landed, how long it waited
+	// for a free slot, and how long the merge waited for it.
+	Peer      string
+	Map       int32
+	Retries   int32
+	Offset    int64
+	Bytes     int
+	Sent      time.Time
+	Received  time.Time
+	SlotWait  time.Duration
+	MergeWait time.Duration
 }
 
-// JobTrace accumulates one job's spans. All methods are safe for
-// concurrent use and no-ops on a nil receiver — a nil *JobTrace IS
-// tracing disabled, so every hot-path call site gates on the nil.
+// taskID renders the span's task attempt: m3@0, r2@1.
+func (sp *Span) taskID() string {
+	letter := "r"
+	if sp.Kind <= KindMapCommit {
+		letter = "m"
+	}
+	return letter + strconv.Itoa(int(sp.Task)) + "@" + strconv.Itoa(int(sp.Attempt))
+}
+
+// CorrID renders the span's correlation ID, the one format every view
+// shares: job/<task>@<attempt> for a task-level span (job/m3@0,
+// job/r2@1), and for a fetch the fetching reduce attempt's ID followed by
+// the chunk it asked for, map and offset (job/r2@1/m5+131072).
+func (sp *Span) CorrID(jobID string) string {
+	id := jobID + "/" + sp.taskID()
+	if sp.Kind == KindFetch {
+		id += "/m" + strconv.Itoa(int(sp.Map)) + "+" + strconv.FormatInt(sp.Offset, 10)
+	}
+	return id
+}
+
+// render returns the span's Chrome category, name and lane.
+func (sp *Span) render() (cat, name, lane string) {
+	slot := func(noun string) string {
+		if sp.Slot == RecoverySlot {
+			return noun + " recovery"
+		}
+		return noun + " slot " + strconv.Itoa(int(sp.Slot))
+	}
+	reduce := "r" + strconv.Itoa(int(sp.Task))
+	switch sp.Kind {
+	case KindMapDispatch:
+		return CatSched, "dispatch " + sp.taskID(), slot("map")
+	case KindMap:
+		return CatMap, "map " + sp.taskID(), slot("map")
+	case KindMapCommit:
+		return CatMap, "commit " + sp.taskID(), slot("map")
+	case KindReduceDispatch:
+		return CatSched, "dispatch " + sp.taskID(), slot("reduce")
+	case KindReduce:
+		return CatReduce, "reduce " + sp.taskID(), slot("reduce")
+	case KindApply:
+		return CatReduce, "apply " + sp.taskID(), slot("reduce")
+	case KindReduceCommit:
+		return CatReduce, "commit " + sp.taskID(), slot("reduce")
+	case KindShuffle:
+		return CatShuffle, "shuffle " + sp.taskID(), "shuffle " + reduce
+	case KindMerge:
+		return CatMerge, "merge " + sp.taskID(), "merge " + reduce
+	default: // KindFetch: laned by serving host, so streams render side by side
+		return CatFetch, "fetch m" + strconv.Itoa(int(sp.Map)), "fetch " + reduce + "<-" + sp.Peer
+	}
+}
+
+// JobTrace is one job's record: the spans its tasks, fetchers and
+// scheduler add. All methods are safe for concurrent use and no-ops on a
+// nil receiver — a nil *JobTrace IS observability off, so every hot-path
+// site gates its clock reads on the nil.
 type JobTrace struct {
 	jobID string
 	start time.Time
 
 	mu      sync.Mutex
-	spans   []TraceSpan
+	spans   []Span
 	dropped int64
 }
 
-// NewJobTrace starts a trace for jobID; the Chrome timeline origin is
+// NewJobTrace starts a record for jobID; every view's timeline origin is
 // the call time.
 func NewJobTrace(jobID string) *JobTrace {
 	return &JobTrace{jobID: jobID, start: time.Now()}
 }
 
-// JobID returns the traced job's ID ("" on a nil receiver).
+// JobID returns the recorded job's ID ("" on a nil receiver).
 func (t *JobTrace) JobID() string {
 	if t == nil {
 		return ""
@@ -69,7 +166,7 @@ func (t *JobTrace) JobID() string {
 	return t.jobID
 }
 
-// Start returns the trace's clock origin.
+// Start returns the record's clock origin.
 func (t *JobTrace) Start() time.Time {
 	if t == nil {
 		return time.Time{}
@@ -77,60 +174,32 @@ func (t *JobTrace) Start() time.Time {
 	return t.start
 }
 
-// Span records one completed interval of work.
-func (t *JobTrace) Span(node, lane, cat, name string, start, end time.Time, args map[string]string) {
+// Add records one completed span; an End before its Start is clamped to
+// a zero-length span.
+func (t *JobTrace) Add(sp Span) {
 	if t == nil {
 		return
 	}
-	if end.Before(start) {
-		end = start
+	if sp.End.Before(sp.Start) {
+		sp.End = sp.Start
 	}
 	t.mu.Lock()
 	if len(t.spans) < maxTraceSpans {
-		t.spans = append(t.spans, TraceSpan{
-			Node: node, Lane: lane, Cat: cat, Name: name,
-			Start: start, End: end, Args: args,
-		})
+		t.spans = append(t.spans, sp)
 	} else {
 		t.dropped++
 	}
 	t.mu.Unlock()
 }
 
-// Fetch records one completed shuffle fetch (CatFetch, exported as an
-// "X" complete event so overlapping fetches render side by side).
-func (t *JobTrace) Fetch(node, lane, name string, start, end time.Time, args map[string]string) {
-	t.Span(node, lane, CatFetch, name, start, end, args)
-}
-
-// SpanCount returns the retained span count.
-func (t *JobTrace) SpanCount() int {
+// Spans copies out the retained spans and how many the cap dropped.
+func (t *JobTrace) Spans() (spans []Span, dropped int64) {
 	if t == nil {
-		return 0
+		return nil, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
-// Dropped returns how many spans were discarded at the cap.
-func (t *JobTrace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Spans copies out the retained spans (test and report surface).
-func (t *JobTrace) Spans() []TraceSpan {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceSpan(nil), t.spans...)
+	return append([]Span(nil), t.spans...), t.dropped
 }
 
 // chromeEvent is one Chrome trace-event JSON object.
@@ -153,12 +222,20 @@ type chromeTraceFile struct {
 	OtherData       map[string]string `json:"otherData,omitempty"`
 }
 
-// ChromeTrace exports the trace as Chrome trace-event JSON: one pid per
+// laneSpan is a span rendered for its lane.
+type laneSpan struct {
+	cat, name  string
+	start, end time.Time
+	args       map[string]string
+}
+
+// ChromeTrace exports the record as Chrome trace-event JSON: one pid per
 // node (with process_name metadata), one tid per lane (thread_name
 // metadata), task-level spans as balanced B/E pairs (nested: a child
 // overlapping its parent's end is clamped so the stack discipline the
 // format requires always holds), and fetch spans as "X" complete
-// events. Nil receiver → an empty but well-formed trace.
+// events. Every B and X event carries its span's correlation ID as the
+// corr arg. Nil receiver → an empty but well-formed trace.
 func (t *JobTrace) ChromeTrace() ([]byte, error) {
 	file := chromeTraceFile{
 		TraceEvents:     []chromeEvent{},
@@ -167,21 +244,30 @@ func (t *JobTrace) ChromeTrace() ([]byte, error) {
 	if t == nil {
 		return json.MarshalIndent(file, "", " ")
 	}
-	spans := t.Spans()
+	spans, dropped := t.Spans()
 	file.OtherData = map[string]string{"job_id": t.jobID}
-	if d := t.Dropped(); d > 0 {
-		file.OtherData["spans_dropped"] = fmt.Sprintf("%d", d)
+	if dropped > 0 {
+		file.OtherData["spans_dropped"] = strconv.FormatInt(dropped, 10)
 	}
 
 	us := func(at time.Time) float64 { return float64(at.Sub(t.start)) / float64(time.Microsecond) }
 
 	// Stable pid per node, tid per lane within node.
-	byNode := map[string]map[string][]TraceSpan{}
-	for _, sp := range spans {
-		if byNode[sp.Node] == nil {
-			byNode[sp.Node] = map[string][]TraceSpan{}
+	byNode := map[string]map[string][]laneSpan{}
+	for i := range spans {
+		sp := &spans[i]
+		cat, name, lane := sp.render()
+		args := map[string]string{"corr": sp.CorrID(t.jobID)}
+		if sp.Kind == KindFetch {
+			args["host"] = sp.Peer
+			args["bytes"] = strconv.Itoa(sp.Bytes)
+			args["retries"] = strconv.Itoa(int(sp.Retries))
 		}
-		byNode[sp.Node][sp.Lane] = append(byNode[sp.Node][sp.Lane], sp)
+		if byNode[sp.Node] == nil {
+			byNode[sp.Node] = map[string][]laneSpan{}
+		}
+		byNode[sp.Node][lane] = append(byNode[sp.Node][lane],
+			laneSpan{cat: cat, name: name, start: sp.Start, end: sp.End, args: args})
 	}
 	nodes := make([]string, 0, len(byNode))
 	for n := range byNode {
@@ -211,15 +297,15 @@ func (t *JobTrace) ChromeTrace() ([]byte, error) {
 
 // emitLane renders one lane's spans: CatFetch as X events, the rest as
 // a properly nested, balanced B/E sequence.
-func emitLane(spans []TraceSpan, pid, tid int, us func(time.Time) float64) []chromeEvent {
+func emitLane(spans []laneSpan, pid, tid int, us func(time.Time) float64) []chromeEvent {
 	var out []chromeEvent
-	var nested []TraceSpan
+	var nested []laneSpan
 	for _, sp := range spans {
-		if sp.Cat == CatFetch {
-			dur := us(sp.End) - us(sp.Start)
+		if sp.cat == CatFetch {
+			dur := us(sp.end) - us(sp.start)
 			out = append(out, chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "X",
-				TS: us(sp.Start), Dur: &dur, PID: pid, TID: tid, Args: sp.Args,
+				Name: sp.name, Cat: sp.cat, Ph: "X",
+				TS: us(sp.start), Dur: &dur, PID: pid, TID: tid, Args: sp.args,
 			})
 			continue
 		}
@@ -231,13 +317,13 @@ func emitLane(spans []TraceSpan, pid, tid int, us func(time.Time) float64) []chr
 	// outlives its parent is clamped to the parent's end so every B has
 	// exactly one E and the lane's stack discipline holds.
 	sort.Slice(nested, func(i, j int) bool {
-		if !nested[i].Start.Equal(nested[j].Start) {
-			return nested[i].Start.Before(nested[j].Start)
+		if !nested[i].start.Equal(nested[j].start) {
+			return nested[i].start.Before(nested[j].start)
 		}
-		if !nested[i].End.Equal(nested[j].End) {
-			return nested[i].End.After(nested[j].End)
+		if !nested[i].end.Equal(nested[j].end) {
+			return nested[i].end.After(nested[j].end)
 		}
-		return nested[i].Name < nested[j].Name
+		return nested[i].name < nested[j].name
 	})
 	type open struct {
 		name string
@@ -251,18 +337,18 @@ func emitLane(spans []TraceSpan, pid, tid int, us func(time.Time) float64) []chr
 		out = append(out, chromeEvent{Name: top.name, Cat: top.cat, Ph: "E", TS: us(top.end), PID: pid, TID: tid})
 	}
 	for _, sp := range nested {
-		for len(stack) > 0 && !stack[len(stack)-1].end.After(sp.Start) {
+		for len(stack) > 0 && !stack[len(stack)-1].end.After(sp.start) {
 			closeTop()
 		}
-		end := sp.End
+		end := sp.end
 		if len(stack) > 0 && end.After(stack[len(stack)-1].end) {
 			end = stack[len(stack)-1].end
 		}
 		out = append(out, chromeEvent{
-			Name: sp.Name, Cat: sp.Cat, Ph: "B",
-			TS: us(sp.Start), PID: pid, TID: tid, Args: sp.Args,
+			Name: sp.name, Cat: sp.cat, Ph: "B",
+			TS: us(sp.start), PID: pid, TID: tid, Args: sp.args,
 		})
-		stack = append(stack, open{name: sp.Name, cat: sp.Cat, end: end})
+		stack = append(stack, open{name: sp.name, cat: sp.cat, end: end})
 	}
 	for len(stack) > 0 {
 		closeTop()
@@ -280,6 +366,9 @@ type TraceStats struct {
 	Cats      map[string]int // events per category
 	Names     map[string]int // events per name (B and X only)
 	Nodes     []string       // process_name metadata values, sorted
+	// Corrs counts X events per corr arg: a fetch's correlation ID
+	// appears once.
+	Corrs map[string]int
 }
 
 // ValidateChromeTrace parses raw as Chrome trace-event JSON and checks
@@ -294,7 +383,7 @@ func ValidateChromeTrace(raw []byte) (*TraceStats, error) {
 	if file.TraceEvents == nil {
 		return nil, fmt.Errorf("obs: trace has no traceEvents array")
 	}
-	stats := &TraceStats{Cats: map[string]int{}, Names: map[string]int{}}
+	stats := &TraceStats{Cats: map[string]int{}, Names: map[string]int{}, Corrs: map[string]int{}}
 	type laneKey struct{ pid, tid int }
 	stacks := map[laneKey][]string{}
 	pids := map[int]bool{}
@@ -309,6 +398,9 @@ func ValidateChromeTrace(raw []byte) (*TraceStats, error) {
 		case "X":
 			stats.Completes++
 			stats.Names[ev.Name]++
+			if c, ok := ev.Args["corr"]; ok {
+				stats.Corrs[c]++
+			}
 		case "B":
 			k := laneKey{ev.PID, ev.TID}
 			stacks[k] = append(stacks[k], ev.Name)

@@ -9,9 +9,9 @@ import (
 
 func TestJobTraceNilIsDisabled(t *testing.T) {
 	var tr *JobTrace
-	tr.Span("n", "l", CatMap, "map", time.Now(), time.Now(), nil)
-	tr.Fetch("n", "l", "f", time.Now(), time.Now(), nil)
-	if tr.JobID() != "" || tr.SpanCount() != 0 || tr.Dropped() != 0 || tr.Spans() != nil {
+	tr.Add(Span{Kind: KindMap, Start: time.Now(), End: time.Now()})
+	tr.Add(Span{Kind: KindFetch})
+	if spans, dropped := tr.Spans(); tr.JobID() != "" || !tr.Start().IsZero() || spans != nil || dropped != 0 {
 		t.Error("nil trace leaked state")
 	}
 	raw, err := tr.ChromeTrace()
@@ -31,17 +31,16 @@ func TestJobTraceSpanCapAndClamp(t *testing.T) {
 	tr := NewJobTrace("job_x")
 	start := tr.Start()
 	// end < start clamps to zero-length rather than going negative.
-	tr.Span("n", "l", CatMap, "backwards", start.Add(time.Second), start, nil)
-	sp := tr.Spans()[0]
-	if !sp.End.Equal(sp.Start) {
+	tr.Add(Span{Kind: KindMap, Start: start.Add(time.Second), End: start})
+	spans, _ := tr.Spans()
+	if sp := spans[0]; !sp.End.Equal(sp.Start) {
 		t.Errorf("backwards span not clamped: %v → %v", sp.Start, sp.End)
 	}
-	for i := tr.SpanCount(); i < maxTraceSpans; i++ {
-		tr.Fetch("n", "l", "f", start, start, nil)
+	for range maxTraceSpans {
+		tr.Add(Span{Kind: KindFetch, Start: start, End: start})
 	}
-	tr.Fetch("n", "l", "overflow", start, start, nil)
-	if tr.SpanCount() != maxTraceSpans || tr.Dropped() != 1 {
-		t.Errorf("cap: count=%d dropped=%d", tr.SpanCount(), tr.Dropped())
+	if spans, dropped := tr.Spans(); len(spans) != maxTraceSpans || dropped != 1 {
+		t.Errorf("cap: count=%d dropped=%d", len(spans), dropped)
 	}
 }
 
@@ -55,21 +54,27 @@ func TestChromeTraceNestedBalanced(t *testing.T) {
 	t0 := tr.Start()
 	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
 
+	add := func(k SpanKind, node string, task, slot int32, from, to int) {
+		tr.Add(Span{Kind: k, Node: node, Task: task, Slot: slot, Start: at(from), End: at(to)})
+	}
 	// node1, map slot 0: dispatch encloses map; commit nests inside map.
-	tr.Span("node1", "map slot 0", CatSched, "dispatch m0@0", at(0), at(100), nil)
-	tr.Span("node1", "map slot 0", CatMap, "map m0@0", at(5), at(95), map[string]string{"corr": "job/m0@0"})
-	tr.Span("node1", "map slot 0", CatMap, "commit m0@0", at(80), at(95), nil)
+	add(KindMapDispatch, "node1", 0, 0, 0, 100)
+	add(KindMap, "node1", 0, 0, 5, 95)
+	add(KindMapCommit, "node1", 0, 0, 80, 95)
 	// A child recorded as outliving its parent must be clamped, not break balance.
-	tr.Span("node1", "map slot 0", CatSched, "dispatch m1@0", at(100), at(180), nil)
-	tr.Span("node1", "map slot 0", CatMap, "map m1@0", at(105), at(200), nil)
+	add(KindMapDispatch, "node1", 1, 0, 100, 180)
+	add(KindMap, "node1", 1, 0, 105, 200)
 
-	// node2, reduce slot 0 + overlapping fetch X events + merge lane.
-	tr.Span("node2", "reduce slot 0", CatSched, "dispatch r0@0", at(50), at(300), nil)
-	tr.Span("node2", "reduce slot 0", CatReduce, "reduce r0@0", at(55), at(295), nil)
-	tr.Span("node2", "reduce slot 0", CatReduce, "commit r0@0", at(280), at(295), nil)
-	tr.Fetch("node2", "fetch r0<-node1", "fetch m0", at(60), at(120), map[string]string{"bytes": "4096"})
-	tr.Fetch("node2", "fetch r0<-node1", "fetch m1", at(70), at(110), nil) // overlaps freely
-	tr.Span("node2", "merge r0", CatMerge, "merge r0@0", at(90), at(270), nil)
+	// node2, reduce slot 0 + shuffle and merge lanes + overlapping fetch
+	// X events on one host's lane.
+	add(KindReduceDispatch, "node2", 0, 0, 50, 300)
+	add(KindReduce, "node2", 0, 0, 55, 295)
+	add(KindApply, "node2", 0, 0, 70, 295)
+	add(KindReduceCommit, "node2", 0, 0, 280, 295)
+	add(KindShuffle, "node2", 0, 0, 58, 120)
+	add(KindMerge, "node2", 0, 0, 90, 270)
+	tr.Add(Span{Kind: KindFetch, Node: "node2", Peer: "node1", Map: 0, Bytes: 4096, Start: at(60), End: at(120)})
+	tr.Add(Span{Kind: KindFetch, Node: "node2", Peer: "node1", Map: 1, Offset: 0, Start: at(70), End: at(110)}) // overlaps freely
 
 	raw, err := tr.ChromeTrace()
 	if err != nil {
@@ -88,16 +93,20 @@ func TestChromeTraceNestedBalanced(t *testing.T) {
 	if stats.Completes != 2 {
 		t.Errorf("X events = %d, want 2 fetches", stats.Completes)
 	}
-	if stats.Durations != 9 {
-		t.Errorf("matched B/E pairs = %d, want 9 (one per non-fetch span)", stats.Durations)
+	if stats.Durations != 11 {
+		t.Errorf("matched B/E pairs = %d, want 11 (one per non-fetch span)", stats.Durations)
 	}
-	for _, cat := range []string{CatSched, CatMap, CatFetch, CatMerge, CatReduce} {
+	for _, cat := range []string{CatSched, CatMap, CatShuffle, CatFetch, CatMerge, CatReduce} {
 		if stats.Cats[cat] == 0 {
 			t.Errorf("category %q absent from trace", cat)
 		}
 	}
-	if stats.Names["commit m0@0"] == 0 || stats.Names["commit r0@0"] == 0 {
-		t.Errorf("commit spans missing: %v", stats.Names)
+	if stats.Names["commit m0@0"] == 0 || stats.Names["commit r0@0"] == 0 || stats.Names["fetch m1"] != 1 {
+		t.Errorf("commit or fetch spans missing: %v", stats.Names)
+	}
+	// Correlation IDs are rendered at export, one format for every view.
+	if stats.Corrs["job_0001_sort/r0@0/m0+0"] != 1 || stats.Corrs["job_0001_sort/r0@0/m1+0"] != 1 {
+		t.Errorf("fetch corr args = %v", stats.Corrs)
 	}
 
 	// otherData carries the job id.

@@ -8,21 +8,24 @@ import (
 	"rdmamr/internal/obs"
 )
 
-// Report is a finished job's shuffle observability report: per-host
-// fetch latency percentiles, time-to-first-byte per reduce, ring-slot
-// occupancy, sampled fetch spans, and the measured map/shuffle/merge/
-// reduce overlap timeline. Produced on JobResult.Profile when the job
-// runs with KeyObsProfile, and served live by the debug endpoint when
+// Report is a finished job's shuffle observability report, the profile
+// view of its record (JobTrace.Report): per-host fetch latency
+// percentiles, time-to-first-byte per reduce, ring-slot occupancy, the
+// fetch spans, and the measured map/shuffle/merge/reduce overlap
+// timeline. Produced on JobResult.Profile when the job runs with
+// KeyObsProfile, and served live by the debug endpoint when
 // KeyObsHTTPAddr is set.
 type Report = obs.Report
 
 // Observability configuration keys.
 const (
-	// KeyObsProfile enables per-job shuffle profiling (fetch spans,
-	// phase windows, per-host latency); off by default and free when off.
+	// KeyObsProfile keeps each job's record, the one source of
+	// JobResult.Profile and JobResult.Trace; off by default and nearly
+	// free when off (one nil check per instrumented site).
 	KeyObsProfile = config.KeyObsProfile
 	// KeyObsHTTPAddr, when set to a listen address, serves /metrics,
-	// /profile and /profile.json over HTTP for the cluster's lifetime.
+	// /profile(.json), /trace.json and the cluster views over HTTP for
+	// the cluster's lifetime.
 	KeyObsHTTPAddr = config.KeyObsHTTPAddr
 )
 

@@ -4,26 +4,22 @@ import (
 	"context"
 	"fmt"
 
-	"rdmamr/internal/config"
 	"rdmamr/internal/obs"
 )
 
-// JobTrace is a finished job's lifecycle trace: scheduler dispatch, map
-// run/commit, shuffle fetches, merge, and reduce run/commit spans, one
-// lane per task slot per node. ChromeTrace() exports it as Chrome
-// trace-event JSON loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Produced on JobResult.Trace when the job runs with
-// KeyObsTrace, and served at /trace.json when KeyObsHTTPAddr is set.
+// JobTrace is a finished job's record: scheduler dispatch, map
+// run/commit, shuffle fetch, merge, and reduce run/commit spans. It has
+// two views: Report() is the shuffle profile (JobResult.Profile), and
+// ChromeTrace() exports Chrome trace-event JSON, one lane per task slot
+// per node, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// Produced on JobResult.Trace when the job runs with KeyObsProfile, and
+// served at /profile and /trace.json when KeyObsHTTPAddr is set.
 type JobTrace = obs.JobTrace
 
 // TraceStats summarizes a validated Chrome trace (event counts per
 // phase/category, distinct nodes) — the assertion surface behind
 // `rdmamr trace -check` and `make trace-smoke`.
 type TraceStats = obs.TraceStats
-
-// KeyObsTrace enables job-lifecycle tracing; off by default and nearly
-// free when off (one nil check per instrumented site).
-const KeyObsTrace = config.KeyObsTrace
 
 // ValidateChromeTrace checks raw is well-formed Chrome trace-event JSON
 // (parses, and every duration-begin event has a matching end in LIFO
@@ -33,8 +29,8 @@ func ValidateChromeTrace(raw []byte) (*TraceStats, error) {
 }
 
 // TracedTeraSort runs an in-process TeraSort on the OSU-IB RDMA engine
-// with job-lifecycle tracing enabled, validates the output, and returns
-// the result; JobResult.Trace carries the trace. This is the one-call
+// with the job's record on (KeyObsProfile), validates the output, and
+// returns the result; JobResult.Trace carries the record. This is the one-call
 // "show me the timeline" entry point behind `rdmamr trace` and
 // `make trace-smoke`.
 func TracedTeraSort(ctx context.Context, nodes int, rows int64, reduces int) (*JobResult, error) {
@@ -43,7 +39,7 @@ func TracedTeraSort(ctx context.Context, nodes int, rows int64, reduces int) (*J
 	}
 	conf := NewConfig()
 	conf.SetBool(KeyRDMAEnabled, true)
-	conf.SetBool(KeyObsTrace, true)
+	conf.SetBool(KeyObsProfile, true)
 	c, err := NewCluster(nodes, conf)
 	if err != nil {
 		return nil, err
@@ -68,7 +64,7 @@ func TracedTeraSort(ctx context.Context, nodes int, rows int64, reduces int) (*J
 		return nil, fmt.Errorf("rdmamr: traced terasort output invalid: %w", err)
 	}
 	if res.Trace == nil {
-		return nil, fmt.Errorf("rdmamr: tracing enabled but no trace produced")
+		return nil, fmt.Errorf("rdmamr: record enabled but no trace produced")
 	}
 	return res, nil
 }
