@@ -75,7 +75,7 @@ bench-harness:
 
 # Every fuzz target's seed corpus as plain tests, never from the test cache.
 fuzz-seeds:
-	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/ ./internal/core/
+	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/ ./internal/core/ ./internal/workload/
 
 # Every allocation-budget test (D7, D14, D16, D17, D21, D24, D26), never from the test cache.
 alloc-budgets:
@@ -100,3 +100,4 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTakeString -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzSplitBatch -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzChunkMarksMatchWalk -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzChecksum -fuzztime=10s ./internal/workload/

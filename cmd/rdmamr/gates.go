@@ -199,16 +199,13 @@ func runSched(args []string) {
 		if err != nil {
 			fatalf("sched: teragen: %v", err)
 		}
-		sample, err := workload.SampleKeys(c.FS(), paths, mapred.TeraInput, 100)
-		if err != nil {
-			fatalf("sched: sample: %v", err)
+		var sample [][]byte
+		if sample, tn.want, err = workload.ScanInput(c.FS(), paths, mapred.TeraInput, 100); err != nil {
+			fatalf("sched: scan input: %v", err)
 		}
 		part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, *nodes))
 		if err != nil {
 			fatalf("sched: partitioner: %v", err)
-		}
-		if tn.want, err = workload.ChecksumInput(c.FS(), paths, mapred.TeraInput); err != nil {
-			fatalf("sched: checksum: %v", err)
 		}
 		tn.h, err = c.Submit(ctx, &mapred.Job{
 			Name: tn.name, Input: paths, Output: tn.out,

@@ -41,15 +41,11 @@ func matrixRun(t *testing.T, depth int64, opts faultinject.Options, wrap func(ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, err := workload.SampleKeys(fs, paths, mapred.TeraInput, 100)
+	sample, want, err := workload.ScanInput(fs, paths, mapred.TeraInput, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := workload.ChecksumInput(fs, paths, mapred.TeraInput)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,9 +247,11 @@ type RunReader struct {
 	crcWant uint32
 }
 
-// NewRunReader validates the framing of buf and returns a reader. The CRC
-// is verified lazily when the final record has been consumed, so large runs
-// do not pay two passes.
+// NewRunReader validates the framing of buf and returns a reader. It does
+// not check the trailer CRC: Next checks only that the body ends where the
+// trailer's count does. A run's bytes are checked by the HDFS block CRC on
+// every block read and, for a job's output, by VerifyChecksum in
+// workload.Validate.
 func NewRunReader(buf []byte) (*RunReader, error) {
 	if len(buf) < len(runMagic)+12 {
 		return nil, ErrCorrupt
@@ -307,9 +309,9 @@ func (rr *RunReader) Record() Record { return rr.cur }
 // Err returns the first error encountered.
 func (rr *RunReader) Err() error { return rr.err }
 
-// VerifyChecksum re-walks the full run and checks the trailer CRC. It is
-// independent of iteration state and used by tests and by the DataNode
-// block scanner.
+// VerifyChecksum checks the trailer CRC over the whole run body. It is
+// independent of any reader; workload.Validate calls it on every output
+// part.
 func VerifyChecksum(buf []byte) error {
 	rr, err := NewRunReader(buf)
 	if err != nil {

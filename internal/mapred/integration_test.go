@@ -57,15 +57,11 @@ func runTeraSort(t *testing.T, c *mapred.Cluster, rows int64, reduces int) *mapr
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, err := workload.SampleKeys(fs, paths, mapred.TeraInput, 200)
+	sample, want, err := workload.ScanInput(fs, paths, mapred.TeraInput, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, reduces))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := workload.ChecksumInput(fs, paths, mapred.TeraInput)
 	if err != nil {
 		t.Fatal(err)
 	}

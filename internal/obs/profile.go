@@ -128,8 +128,8 @@ func (t *JobTrace) Report() *Report {
 //     phase (map, merge, apply), and overlaps intersect the phases'
 //     window unions; a shuffle window opens at the fetcher's shuffle
 //     span and each delivery (a fetch span's End) extends it;
-//   - per-host count, bytes and latency percentiles come from the fetch
-//     spans, each observed enqueue → delivery;
+//   - per-host count, bytes and exact latency percentiles come from the
+//     fetch spans, each timed enqueue → delivery;
 //   - a reduce's TTFB is its first delivery minus its shuffle window's
 //     open (the fetcher's Fetch call);
 //   - merge stall is the sum of the fetches' merge waits;
@@ -155,7 +155,7 @@ func (t *JobTrace) reportAt(now time.Time) *Report {
 		delta int64
 	}
 	windows := map[windowKey]window{}
-	hosts := map[string]*Histogram{}
+	hosts := map[string][]time.Duration{}
 	hostBytes := map[string]int64{}
 	firstByte := map[int32]time.Time{}
 	slots := map[conn][]edge{}
@@ -182,12 +182,7 @@ func (t *JobTrace) reportAt(now time.Time) *Report {
 			continue
 		}
 		fetches = append(fetches, sp)
-		h := hosts[sp.Peer]
-		if h == nil {
-			h = &Histogram{name: sp.Peer}
-			hosts[sp.Peer] = h
-		}
-		h.Observe(sp.End.Sub(sp.Start))
+		hosts[sp.Peer] = append(hosts[sp.Peer], max(sp.End.Sub(sp.Start), 0))
 		hostBytes[sp.Peer] += int64(sp.Bytes)
 		if fb, ok := firstByte[sp.Task]; !ok || sp.End.Before(fb) {
 			firstByte[sp.Task] = sp.End
@@ -270,17 +265,26 @@ func (t *JobTrace) reportAt(now time.Time) *Report {
 		rep.ReduceTTFB = append(rep.ReduceTTFB, ReduceTTFB{Reduce: int(r), Ms: v})
 	}
 
-	// Per-host latency percentiles.
+	// Per-host latency percentiles, exact: the report holds every fetch
+	// span, so it takes them from the sorted durations, by the rank rule
+	// of Histogram.Snapshot.
 	hostNames := make([]string, 0, len(hosts))
 	for h := range hosts {
 		hostNames = append(hostNames, h)
 	}
 	sort.Strings(hostNames)
 	for _, h := range hostNames {
-		s := hosts[h].Snapshot()
+		ds := hosts[h]
+		slices.Sort(ds)
+		var sum time.Duration
+		for _, d := range ds {
+			sum += d
+		}
+		n := len(ds)
+		quantile := func(q float64) float64 { return us(ds[min(int(q*float64(n)), n-1)]) }
 		rep.Hosts = append(rep.Hosts, HostStats{
-			Host: h, Fetches: s.Count, Bytes: hostBytes[h],
-			MeanUs: us(s.Mean()), P50Us: us(s.P50), P95Us: us(s.P95), P99Us: us(s.P99), MaxUs: us(s.Max),
+			Host: h, Fetches: int64(n), Bytes: hostBytes[h], MeanUs: us(sum / time.Duration(n)),
+			P50Us: quantile(0.50), P95Us: quantile(0.95), P99Us: quantile(0.99), MaxUs: us(ds[n-1]),
 		})
 	}
 

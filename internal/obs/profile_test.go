@@ -83,14 +83,14 @@ func TestProfileWindowsAndOverlap(t *testing.T) {
 		rep.ReduceTTFB[1].Reduce != 1 || !approx(rep.ReduceTTFB[1].Ms, 15) || !approx(rep.TTFBMs, 10) {
 		t.Fatalf("TTFB %.3f per reduce %+v, want 10 (r0 10, r1 15)", rep.TTFBMs, rep.ReduceTTFB)
 	}
-	// Hosts: node1's totals 13, 40, 46, 56 ms put p50 in the 46 ms bucket,
-	// whose bound clamps to the max; node2's 5 and 10 ms and node3's one
-	// 70 ms the same way.
+	// Hosts: p50 is the exact duration at rank ⌊n/2⌋ of the sorted
+	// totals: node1's 13, 40, 46, 56 ms give 46; node2's 5 and 10 ms give
+	// 10; node3's one 70 ms gives 70.
 	if len(rep.Hosts) != 3 {
 		t.Fatalf("hosts %+v", rep.Hosts)
 	}
 	for i, w := range []HostStats{
-		{Host: "node1", Fetches: 4, Bytes: 16384, P50Us: 56000, MaxUs: 56000},
+		{Host: "node1", Fetches: 4, Bytes: 16384, P50Us: 46000, MaxUs: 56000},
 		{Host: "node2", Fetches: 2, Bytes: 3072, P50Us: 10000, MaxUs: 10000},
 		{Host: "node3", Fetches: 1, Bytes: 1024, P50Us: 70000, MaxUs: 70000},
 	} {

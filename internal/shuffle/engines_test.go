@@ -62,15 +62,11 @@ func runEngineTeraSort(t *testing.T, mk func() mapred.ShuffleEngine, rows int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, err := workload.SampleKeys(fs, paths, mapred.TeraInput, 100)
+	sample, want, err := workload.ScanInput(fs, paths, mapred.TeraInput, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := workload.ChecksumInput(fs, paths, mapred.TeraInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +303,14 @@ func TestHadoopATeraSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, _ := workload.SampleKeys(fs, paths, mapred.TeraInput, 100)
+	sample, want, err := workload.ScanInput(fs, paths, mapred.TeraInput, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := workload.ChecksumInput(fs, paths, mapred.TeraInput)
 	res, err := c.RunJob(ctxT(t), &mapred.Job{
 		Name: "ha-ts", Input: paths, Output: "/out",
 		InputFormat: mapred.TeraInput, Partitioner: part, NumReduces: 4,

@@ -25,15 +25,11 @@ func runTeraSortOn(t *testing.T, c *mapred.Cluster, rows int64) (workload.Checks
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample, err := workload.SampleKeys(fs, paths, mapred.TeraInput, 100)
+	sample, want, err := workload.ScanInput(fs, paths, mapred.TeraInput, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := workload.ChecksumInput(fs, paths, mapred.TeraInput)
 	if err != nil {
 		t.Fatal(err)
 	}

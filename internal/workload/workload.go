@@ -9,8 +9,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
-	"strconv"
 
 	"rdmamr/internal/hdfs"
 	"rdmamr/internal/kv"
@@ -24,6 +24,24 @@ const (
 	TeraRecordLen = TeraKeyLen + TeraValueLen
 )
 
+// teraIDLen is the width of the zero-padded row id ("%020d") that opens
+// every TeraGen value.
+const teraIDLen = 20
+
+// teraValue is row 0's value, teragen's layout: the row id in ASCII,
+// zero-padded to teraIDLen digits, then filler whose byte at record
+// offset j is 'A'+(j%26).
+var teraValue = func() (v [TeraValueLen]byte) {
+	for j := range v {
+		if j < teraIDLen {
+			v[j] = '0'
+		} else {
+			v[j] = byte('A' + ((TeraKeyLen + j) % 26))
+		}
+	}
+	return v
+}()
+
 // TeraGen writes rows 100-byte records into dir as part files of at most
 // maxFileBytes each (rounded down to whole records), returning the file
 // paths. Keys are uniformly random, mirroring the TeraGen tool.
@@ -36,6 +54,9 @@ func TeraGen(fs *hdfs.FileSystem, dir string, rows int64, maxFileBytes int64, se
 		rowsPerFile = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
+	// value is the next row's value: each record copies it whole, then
+	// its row id counts up in place, in ASCII.
+	value := teraValue
 	var paths []string
 	for written := int64(0); written < rows; {
 		n := rows - written
@@ -43,20 +64,16 @@ func TeraGen(fs *hdfs.FileSystem, dir string, rows int64, maxFileBytes int64, se
 			n = rowsPerFile
 		}
 		buf := make([]byte, n*TeraRecordLen)
-		var digits [20]byte
 		for i := int64(0); i < n; i++ {
 			rec := buf[i*TeraRecordLen : (i+1)*TeraRecordLen]
 			rng.Read(rec[:TeraKeyLen])
-			// Value: row id in ASCII, zero-padded to 20 digits ("%020d"),
-			// plus filler, like teragen's layout.
-			id := strconv.AppendInt(digits[:0], written+i, 10)
-			pad := TeraKeyLen + len(digits) - len(id)
-			for j := TeraKeyLen; j < pad; j++ {
-				rec[j] = '0'
-			}
-			copy(rec[pad:], id)
-			for j := TeraKeyLen + 20; j < TeraRecordLen; j++ {
-				rec[j] = byte('A' + (j % 26))
+			copy(rec[TeraKeyLen:], value[:])
+			for j := teraIDLen - 1; j >= 0; j-- {
+				if value[j] != '9' {
+					value[j]++
+					break
+				}
+				value[j] = '0'
 			}
 		}
 		path := fmt.Sprintf("%s/part-%05d", dir, len(paths))
@@ -77,53 +94,23 @@ func TeraGen(fs *hdfs.FileSystem, dir string, rows int64, maxFileBytes int64, se
 	return paths, nil
 }
 
-// SampleKeys reads up to perFile records from each input file and returns
-// their keys — the input sampling step TeraSort uses to compute the
-// TotalOrderPartitioner's split points.
-func SampleKeys(fs *hdfs.FileSystem, paths []string, format mapred.InputFormat, perFile int) ([][]byte, error) {
-	var sample [][]byte
-	for _, p := range paths {
-		data, err := fs.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		it, err := format.Records(data)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < perFile && it.Next(); i++ {
-			k := make([]byte, len(it.Record().Key))
-			copy(k, it.Record().Key)
-			sample = append(sample, k)
-		}
-		if err := it.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return sample, nil
-}
-
 // Checksum is an order-independent digest of a record multiset: equal
 // inputs and outputs have equal checksums regardless of record order.
 type Checksum struct {
 	Count int64
-	Sum   uint64 // sum of per-record FNV-1a hashes, wrapping
+	Sum   uint64 // sum of per-record CRC-32C pairs, wrapping
 	Bytes int64
 }
 
-// add folds in FNV-1a of key ‖ 0x00 ‖ value, written out so a record
-// costs no hasher and no separator slice.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// add folds in a record's CRC-32C pair: the high word is CRC-32C(key),
+// the low word continues that CRC over the value, so a byte moved across
+// the key/value boundary changes the high word.
 func (c *Checksum) add(r kv.Record) {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, b := range r.Key {
-		h = (h ^ uint64(b)) * prime64
-	}
-	h *= prime64 // the 0x00 separator: h ^ 0 is h
-	for _, b := range r.Value {
-		h = (h ^ uint64(b)) * prime64
-	}
-	c.Sum += h
+	k := crc32.Update(0, castagnoli, r.Key)
+	v := crc32.Update(k, castagnoli, r.Value)
+	c.Sum += uint64(k)<<32 | uint64(v)
 	c.Count++
 	c.Bytes += int64(len(r.Key) + len(r.Value))
 }
@@ -131,26 +118,40 @@ func (c *Checksum) add(r kv.Record) {
 // Equal reports whether two checksums match.
 func (c Checksum) Equal(o Checksum) bool { return c == o }
 
-// ChecksumInput digests all records in the given input files.
-func ChecksumInput(fs *hdfs.FileSystem, paths []string, format mapred.InputFormat) (Checksum, error) {
+// ScanInput reads each input file once: it digests every record and
+// copies out the keys of the first perFile records of each file, the
+// input sample TeraSort computes the TotalOrderPartitioner's split points
+// from.
+func ScanInput(fs *hdfs.FileSystem, paths []string, format mapred.InputFormat, perFile int) ([][]byte, Checksum, error) {
+	var sample [][]byte
 	var sum Checksum
 	for _, p := range paths {
 		data, err := fs.ReadFile(p)
 		if err != nil {
-			return Checksum{}, err
+			return nil, Checksum{}, err
 		}
 		it, err := format.Records(data)
 		if err != nil {
-			return Checksum{}, err
+			return nil, Checksum{}, err
 		}
-		for it.Next() {
-			sum.add(it.Record())
+		for i := 0; it.Next(); i++ {
+			rec := it.Record()
+			if i < perFile {
+				sample = append(sample, bytes.Clone(rec.Key))
+			}
+			sum.add(rec)
 		}
 		if err := it.Err(); err != nil {
-			return Checksum{}, err
+			return nil, Checksum{}, err
 		}
 	}
-	return sum, nil
+	return sample, sum, nil
+}
+
+// ChecksumInput digests all records in the given input files.
+func ChecksumInput(fs *hdfs.FileSystem, paths []string, format mapred.InputFormat) (Checksum, error) {
+	_, sum, err := ScanInput(fs, paths, format, 0)
+	return sum, err
 }
 
 // ValidationError describes a TeraValidate failure.
@@ -169,7 +170,10 @@ func Validate(fs *hdfs.FileSystem, outputDir string, cmp kv.Comparator, want Che
 		return &ValidationError{Reason: "no output files in " + outputDir}
 	}
 	var got Checksum
-	var prevLast []byte
+	// prev is the last key seen, in this part or an earlier one. Keys alias
+	// the parts' bytes, which a later read does not overwrite (stored
+	// objects are immutable), so it needs no copy.
+	var prev []byte
 	havePrev := false
 	for _, p := range parts {
 		data, err := fs.ReadFile(p)
@@ -183,26 +187,22 @@ func Validate(fs *hdfs.FileSystem, outputDir string, cmp kv.Comparator, want Che
 		if err := kv.VerifyChecksum(data); err != nil {
 			return fmt.Errorf("workload: %s: %w", p, err)
 		}
-		var prev []byte
 		first := true
 		for rr.Next() {
 			rec := rr.Record()
 			got.add(rec)
-			if first && checkGlobalOrder && havePrev && cmp(prevLast, rec.Key) > 0 {
-				return &ValidationError{Reason: fmt.Sprintf("global order broken entering %s", p)}
+			if havePrev && cmp(prev, rec.Key) > 0 {
+				if !first {
+					return &ValidationError{Reason: fmt.Sprintf("%s not sorted", p)}
+				}
+				if checkGlobalOrder {
+					return &ValidationError{Reason: fmt.Sprintf("global order broken entering %s", p)}
+				}
 			}
-			if !first && cmp(prev, rec.Key) > 0 {
-				return &ValidationError{Reason: fmt.Sprintf("%s not sorted", p)}
-			}
-			prev = append(prev[:0], rec.Key...)
-			first = false
+			prev, havePrev, first = rec.Key, true, false
 		}
 		if err := rr.Err(); err != nil {
 			return err
-		}
-		if !first {
-			prevLast = append(prevLast[:0], prev...)
-			havePrev = true
 		}
 	}
 	if !got.Equal(want) {

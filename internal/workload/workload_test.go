@@ -1,6 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"testing"
 
 	"rdmamr/internal/hdfs"
@@ -103,9 +108,12 @@ func TestTeraGenNegativeRows(t *testing.T) {
 func TestSampleKeys(t *testing.T) {
 	fs := testFS(t)
 	paths, _ := TeraGen(fs, "/in", 300, 10_000, 3)
-	sample, err := SampleKeys(fs, paths, mapred.TeraInput, 20)
+	sample, sum, err := ScanInput(fs, paths, mapred.TeraInput, 20)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _ := ChecksumInput(fs, paths, mapred.TeraInput); sum != want {
+		t.Fatalf("ScanInput checksum %+v, ChecksumInput %+v", sum, want)
 	}
 	if len(sample) != 20*len(paths) {
 		t.Fatalf("sample = %d", len(sample))
@@ -161,10 +169,9 @@ func TestChecksumKeyValueBoundary(t *testing.T) {
 	}
 }
 
-// TestChecksumGolden pins the digest values: they were recorded from the
-// hash/fnv-based implementation (FNV-1a over key, a zero byte, value) and
-// the hand-written loop must keep producing them, for a seeded TeraGen and
-// for the empty-key / empty-value corners.
+// TestChecksumGolden pins the digest values (the CRC-32C pair of each
+// record, summed) for a seeded TeraGen and for the empty-key / empty-value
+// corners.
 func TestChecksumGolden(t *testing.T) {
 	fs := testFS(t)
 	paths, err := TeraGen(fs, "/in", 5000, 128<<10, 42)
@@ -175,16 +182,126 @@ func TestChecksumGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Checksum{Count: 5000, Sum: 14454743632922896391, Bytes: 500000}); got != want {
+	if want := (Checksum{Count: 5000, Sum: 4792870791117881150, Bytes: 500000}); got != want {
 		t.Fatalf("TeraGen(seed 42) checksum = %+v, want %+v", got, want)
 	}
 	var c Checksum
 	c.add(kv.Record{})
 	c.add(kv.Record{Key: []byte("a")})
 	c.add(kv.Record{Value: []byte("a")})
-	if want := (Checksum{Count: 3, Sum: 13849138796059287965, Bytes: 2}); c != want {
+	if want := (Checksum{Count: 3, Sum: 13965736324416702048, Bytes: 2}); c != want {
 		t.Fatalf("corner-case checksum = %+v, want %+v", c, want)
 	}
+}
+
+// TestTeraGenBytesPinned pins TeraGen's output independently of Checksum:
+// a SHA-256 over the part files of TeraGen(seed 42, 5 000 rows, 128 KiB
+// files) in path order, recorded from the per-byte generator that the
+// value template replaced.
+func TestTeraGenBytesPinned(t *testing.T) {
+	fs := testFS(t)
+	paths, err := TeraGen(fs, "/in", 5000, 128<<10, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(paths) || len(paths) != 4 {
+		t.Fatalf("paths = %v, want four in path order", paths)
+	}
+	h := sha256.New()
+	for _, p := range paths {
+		data, err := fs.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	const want = "8e16f2b17b1de3baf90fc697aa2c8fedfc43f615d8d60d07344a287e4cf91abb"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("TeraGen(seed 42) SHA-256 = %s, want %s", got, want)
+	}
+}
+
+// teraRecords returns n distinct records of TeraSort geometry.
+func teraRecords(n int) []kv.Record {
+	recs := make([]kv.Record, n)
+	for i := range recs {
+		recs[i] = kv.Record{
+			Key:   []byte(fmt.Sprintf("key-%06d", i)),
+			Value: []byte(fmt.Sprintf("%020d%s", i*7919, bytes.Repeat([]byte{byte('a' + i)}, TeraValueLen-20))),
+		}
+	}
+	return recs
+}
+
+func checksumOf(recs []kv.Record) Checksum {
+	var c Checksum
+	for _, r := range recs {
+		c.add(r)
+	}
+	return c
+}
+
+// TestChecksumCatchesMutations: every mutation below keeps Count and Bytes,
+// so only Sum can catch it, and it must; a reordering must not change it.
+func TestChecksumCatchesMutations(t *testing.T) {
+	base := checksumOf(teraRecords(4))
+	for _, tc := range []struct {
+		name   string
+		mutate func(rs []kv.Record)
+	}{
+		{"key byte flipped", func(rs []kv.Record) { rs[1].Key[3] ^= 0x01 }},
+		{"value byte flipped", func(rs []kv.Record) { rs[2].Value[45] ^= 0x80 }},
+		{"byte moved across the key/value boundary", func(rs []kv.Record) {
+			k := rs[0].Key
+			rs[0] = kv.Record{Key: k[:len(k)-1], Value: append(k[len(k)-1:], rs[0].Value...)}
+		}},
+		{"two records swap values", func(rs []kv.Record) { rs[0].Value, rs[3].Value = rs[3].Value, rs[0].Value }},
+		{"one record dropped, another duplicated", func(rs []kv.Record) { rs[2] = rs[1] }},
+	} {
+		rs := teraRecords(4)
+		tc.mutate(rs)
+		got := checksumOf(rs)
+		if got.Count != base.Count || got.Bytes != base.Bytes {
+			t.Fatalf("%s: count/bytes %d/%d, want %d/%d", tc.name, got.Count, got.Bytes, base.Count, base.Bytes)
+		}
+		if got.Sum == base.Sum {
+			t.Errorf("%s: checksum unchanged", tc.name)
+		}
+	}
+	rs := teraRecords(4)
+	slices.Reverse(rs)
+	if got := checksumOf(rs); got != base {
+		t.Errorf("reordered records: %+v, want %+v", got, base)
+	}
+}
+
+// FuzzChecksum: flipping any one byte of a record (key or value) changes
+// the digest, and the digest does not depend on record order.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, []byte("value"), uint(0), byte(0x01))
+	f.Add([]byte("key"), []byte{}, uint(2), byte(0x40))
+	f.Add(bytes.Repeat([]byte{'k'}, TeraKeyLen), bytes.Repeat([]byte{'v'}, TeraValueLen), uint(57), byte(0x80))
+	f.Fuzz(func(t *testing.T, key, value []byte, pos uint, flip byte) {
+		rec := kv.Record{Key: key, Value: value}
+		other := kv.Record{Key: []byte("other"), Value: []byte("record")}
+		base := checksumOf([]kv.Record{rec, other})
+		if got := checksumOf([]kv.Record{other, rec}); got != base {
+			t.Fatalf("order changed the digest: %+v vs %+v", got, base)
+		}
+		n := uint(len(key) + len(value))
+		if n == 0 || flip == 0 {
+			return
+		}
+		mut := kv.Record{Key: bytes.Clone(key), Value: bytes.Clone(value)}
+		if i := pos % n; i < uint(len(key)) {
+			mut.Key[i] ^= flip
+		} else {
+			mut.Value[i-uint(len(key))] ^= flip
+		}
+		if got := checksumOf([]kv.Record{mut, other}); got == base {
+			t.Fatalf("byte %d ^ %#x of %q/%q left the digest at %+v", pos%n, flip, key, value, got)
+		}
+	})
 }
 
 func TestValidateAcceptsSortedOutput(t *testing.T) {

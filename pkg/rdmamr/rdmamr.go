@@ -126,19 +126,16 @@ func RandomWriter(c *Cluster, dir string, totalBytes, maxFileBytes, seed int64) 
 	return workload.RandomWriter(c.FS(), dir, totalBytes, maxFileBytes, seed)
 }
 
-// TeraSortJob assembles a TeraSort job: it samples the input, builds a
-// total-order partitioner (so concatenated outputs are globally sorted),
-// and returns the job plus the input checksum for TeraValidate.
+// TeraSortJob assembles a TeraSort job: in one read of the input it
+// samples keys and digests every record, builds a total-order partitioner
+// (so concatenated outputs are globally sorted) from the sample, and
+// returns the job plus the input checksum for TeraValidate.
 func TeraSortJob(c *Cluster, name string, inputs []string, output string, reduces int) (*Job, Checksum, error) {
-	sample, err := workload.SampleKeys(c.FS(), inputs, mapred.TeraInput, 1000)
+	sample, sum, err := workload.ScanInput(c.FS(), inputs, mapred.TeraInput, 1000)
 	if err != nil {
 		return nil, Checksum{}, err
 	}
 	part, err := kv.NewTotalOrderPartitioner(kv.SampleSplits(sample, reduces))
-	if err != nil {
-		return nil, Checksum{}, err
-	}
-	sum, err := workload.ChecksumInput(c.FS(), inputs, mapred.TeraInput)
 	if err != nil {
 		return nil, Checksum{}, err
 	}
