@@ -79,8 +79,8 @@ fuzz-seeds:
 
 # Every allocation-budget test (D7, D14, D16, D17, D21, D24, D26), never from the test cache.
 alloc-budgets:
-	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
-		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/httpshuffle/ ./internal/verbs/
+	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestBlocksConcatenateToReadFile|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
+		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/httpshuffle/ ./internal/verbs/ ./internal/workload/
 
 # CPU and heap profiles of BenchmarkTeraSort/$(ENGINE) (osu, http or hadoopa) in .bench_build/; pprof views in the verify skill.
 ENGINE ?= osu
@@ -93,6 +93,7 @@ profile:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSortBuffer -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzMerger -fuzztime=10s ./internal/kv/
+	$(GO) test -run=NONE -fuzz=FuzzRunChunks -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataRequest -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataResponse -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeReadManifest -fuzztime=10s ./internal/shuffle/wire/

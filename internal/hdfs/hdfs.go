@@ -2,7 +2,7 @@
 // runs on (§II-A): a miniature Hadoop Distributed File System with a
 // NameNode managing the namespace and block placement, and DataNodes
 // storing fixed-size blocks. Files are written through a block-splitting
-// writer and read back through a streaming reader; the JobTracker uses
+// writer and read back a block at a time, in place; the JobTracker uses
 // block locations for locality-aware MapTask scheduling, and TeraGen /
 // RandomWriter write their inputs here.
 package hdfs
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -481,39 +480,24 @@ func (fs *FileSystem) ReadBlock(bl BlockLocation, preferredHost string) ([]byte,
 	return nil, "", fmt.Errorf("%w: block %d", ErrCorrupt, bl.ID)
 }
 
-// Open returns a sequential reader over the whole file.
-func (fs *FileSystem) Open(path string) (*Reader, error) {
+// Blocks calls fn with each block of path in order, as ReadBlock returns
+// it: CRC-verified and borrowed (a read-only view; clone to mutate). It
+// stops at the first error, a read's or fn's, and returns it.
+func (fs *FileSystem) Blocks(path string, fn func(block []byte) error) error {
 	info, err := fs.Stat(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Reader{fs: fs, info: info}, nil
-}
-
-// Reader streams a file's blocks in order.
-type Reader struct {
-	fs   *FileSystem
-	info FileInfo
-	idx  int
-	cur  []byte
-}
-
-// Read implements io.Reader across block boundaries.
-func (r *Reader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.idx >= len(r.info.Blocks) {
-			return 0, io.EOF
+	for _, bl := range info.Blocks {
+		data, _, err := fs.ReadBlock(bl, "")
+		if err == nil {
+			err = fn(data)
 		}
-		data, _, err := r.fs.ReadBlock(r.info.Blocks[r.idx], "")
 		if err != nil {
-			return 0, err
+			return err
 		}
-		r.idx++
-		r.cur = data
 	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
+	return nil
 }
 
 // FsckReport summarizes a namespace scan.
@@ -580,7 +564,7 @@ func (fs *FileSystem) Fsck() FsckReport {
 // ReadFile is a convenience returning the full contents of path: the one
 // block of a single-block file as ReadBlock returned it (a read-only
 // view; clone to mutate), otherwise a buffer allocated once from the
-// file's size. Open is the streaming alternative.
+// file's size. Blocks is the streaming alternative, which copies nothing.
 func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
 	info, err := fs.Stat(path)
 	if err != nil {

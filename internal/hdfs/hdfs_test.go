@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -85,10 +84,12 @@ func TestCreateWithoutDataNodes(t *testing.T) {
 	}
 }
 
-func TestOpenMissing(t *testing.T) {
+func TestBlocksMissing(t *testing.T) {
 	fs := cluster(t, 1, 64, 1)
-	if _, err := fs.Open("/ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
+	called := false
+	err := fs.Blocks("/ghost", func([]byte) error { called = true; return nil })
+	if !errors.Is(err, ErrNotFound) || called {
+		t.Fatalf("err = %v, fn called: %v", err, called)
 	}
 }
 
@@ -230,17 +231,46 @@ func TestWriterAfterClose(t *testing.T) {
 	}
 }
 
-func TestReaderIsIOReader(t *testing.T) {
-	fs := cluster(t, 2, 7, 1) // awkward block size to cross boundaries
-	data := []byte("the quick brown fox jumps over the lazy dog")
-	_ = fs.WriteFile("/f", "", data)
-	r, _ := fs.Open("/f")
-	var got bytes.Buffer
-	if _, err := io.CopyBuffer(&got, r, make([]byte, 5)); err != nil {
+// TestBlocksConcatenateToReadFile: Blocks yields a multi-block file's
+// blocks in order, the stored blocks themselves — their concatenation is
+// ReadFile's result and the walk allocates nothing block-sized — and stops
+// at fn's first error.
+func TestBlocksConcatenateToReadFile(t *testing.T) {
+	const blockSize, fileSize = 64 << 10, 8*64<<10 + 999
+	fs := cluster(t, 2, blockSize, 1)
+	data := make([]byte, fileSize)
+	rand.New(rand.NewSource(10)).Read(data)
+	if err := fs.WriteFile("/f", "", data); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(data) {
-		t.Fatalf("read %q", got.String())
+	want, err := fs.ReadFile("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	if err := fs.Blocks("/f", func(b []byte) error { got = append(got, b...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("concatenated blocks differ from ReadFile")
+	}
+	blocks := 0
+	allocated := alloctest.Bytes(3, func() {
+		blocks = 0
+		if err := fs.Blocks("/f", func(b []byte) error { blocks++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if blocks != 9 {
+		t.Fatalf("Blocks yielded %d blocks, want 9", blocks)
+	}
+	if allocated >= blockSize/8 {
+		t.Errorf("Blocks over %d blocks allocated %d bytes, budget %d", blocks, allocated, blockSize/8)
+	}
+	stop := errors.New("stop")
+	blocks = 0
+	if err := fs.Blocks("/f", func([]byte) error { blocks++; return stop }); err != stop || blocks != 1 {
+		t.Fatalf("fn's error: Blocks returned %v after %d blocks, want it after 1", err, blocks)
 	}
 }
 

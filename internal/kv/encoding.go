@@ -244,13 +244,12 @@ type RunReader struct {
 	cur     Record
 	err     error
 	checked bool
-	crcWant uint32
 }
 
 // NewRunReader validates the framing of buf and returns a reader. It does
 // not check the trailer CRC: Next checks only that the body ends where the
-// trailer's count does. A run's bytes are checked by the HDFS block CRC on
-// every block read and, for a job's output, by VerifyChecksum in
+// trailer's count does. A run's bytes are checked by the HDFS block CRC on every
+// block read and, for a job's output, by the RunScanner in
 // workload.Validate.
 func NewRunReader(buf []byte) (*RunReader, error) {
 	if len(buf) < len(runMagic)+12 {
@@ -260,13 +259,8 @@ func NewRunReader(buf []byte) (*RunReader, error) {
 		return nil, ErrCorrupt
 	}
 	trailer := buf[len(buf)-12:]
-	count := binary.LittleEndian.Uint64(trailer[0:8])
-	crc := binary.LittleEndian.Uint32(trailer[8:12])
-	return &RunReader{
-		body:    buf[4 : len(buf)-12],
-		count:   count,
-		crcWant: crc,
-	}, nil
+	count := binary.LittleEndian.Uint64(trailer)
+	return &RunReader{body: buf[4 : len(buf)-12], count: count}, nil
 }
 
 func equal4(b []byte, m [4]byte) bool {
@@ -281,7 +275,13 @@ func (rr *RunReader) Remaining() uint64 { return rr.count - rr.read }
 
 // Next decodes the next record. Records alias the run buffer.
 func (rr *RunReader) Next() bool {
-	if rr.err != nil || rr.read >= rr.count {
+	if rr.err != nil {
+		return false
+	}
+	if rr.read >= rr.count {
+		if rr.count == 0 && len(rr.body) != 0 {
+			rr.err = ErrCorrupt // a trailer counting no records under a body
+		}
 		return false
 	}
 	r, n, err := DecodeRecord(rr.body)
@@ -309,18 +309,172 @@ func (rr *RunReader) Record() Record { return rr.cur }
 // Err returns the first error encountered.
 func (rr *RunReader) Err() error { return rr.err }
 
-// VerifyChecksum checks the trailer CRC over the whole run body. It is
-// independent of any reader; workload.Validate calls it on every output
-// part.
+// VerifyChecksum checks a whole run held in one buffer: its framing, its
+// trailer's CRC and record count, and that its body decodes. It is the
+// one-chunk case of RunScanner, so the two cannot disagree.
 func VerifyChecksum(buf []byte) error {
-	rr, err := NewRunReader(buf)
-	if err != nil {
+	s := NewRunScanner(int64(len(buf)))
+	s.Feed(buf)
+	for s.Next() {
+	}
+	if err := s.Close(); err != nil {
 		return err
 	}
-	body := buf[4 : len(buf)-12]
-	crc := crc32.ChecksumIEEE(body)
-	if crc != rr.crcWant {
+	return s.Err()
+}
+
+// RunScanner checks a run that arrives in consecutive chunks, an HDFS
+// file's blocks say, in one pass and without joining them: it decodes the
+// records where they lie, updates the body CRC over each chunk as it is
+// fed, and at Close checks the magic, the trailer's CRC and the trailer's
+// record count. After each Feed, call Next until it returns false.
+//
+// A record aliases the chunk it lies in, or, when it straddles a chunk
+// boundary, the carry buffer it was assembled in. There are two carry
+// buffers, used in turn, so a record stays whole one behind: the previous
+// record is intact while the current one is read (DESIGN.md D27), and the
+// last one stays intact after Close.
+type RunScanner struct {
+	size   int64  // the run's length, known up front
+	off    int64  // bytes fed so far
+	chunk  []byte // the fed chunk's body bytes not yet decoded
+	carry  []byte // a record begun in an earlier chunk, being assembled
+	spare  []byte // the other carry buffer, which may hold the record before
+	head   [4]byte
+	tail   [12]byte
+	framed bool // size and magic are right: records may be decoded
+	crc    uint32
+	n      uint64
+	cur    Record
+	err    error
+}
+
+// NewRunScanner returns a scanner for a run of size bytes.
+func NewRunScanner(size int64) *RunScanner {
+	return &RunScanner{size: size, framed: size >= int64(len(runMagic))+12}
+}
+
+// Feed hands the scanner the run's next chunk, which must stay unchanged
+// while records that alias it are in use.
+func (s *RunScanner) Feed(chunk []byte) {
+	start := s.off
+	s.off += int64(len(chunk))
+	if !s.framed || s.off > s.size {
+		s.framed = false
+		return
+	}
+	at := func(from, to int64) []byte { // chunk ∩ [from, to) in run offsets
+		return chunk[min(max(from-start, 0), int64(len(chunk))):max(min(to-start, int64(len(chunk))), 0)]
+	}
+	bodyEnd := s.size - 12
+	copy(s.head[min(start, 4):], at(0, 4))
+	copy(s.tail[max(start-bodyEnd, 0):], at(bodyEnd, s.size))
+	if s.off >= 4 && s.head != runMagic {
+		s.framed = false
+		return
+	}
+	s.chunk = at(4, bodyEnd)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.chunk)
+}
+
+// Next decodes the next record that the chunks fed so far hold whole. It
+// returns false when it needs the next chunk, at the end of the body, or
+// at a record that does not decode (Err).
+func (s *RunScanner) Next() bool {
+	if !s.framed || s.err != nil {
+		return false
+	}
+	if len(s.carry) > 0 {
+		return s.assemble()
+	}
+	if len(s.chunk) == 0 {
+		return false
+	}
+	r, n, err := DecodeRecord(s.chunk)
+	if err != nil {
+		// The record may go on in the next chunk: assemble it there, in
+		// the carry buffer the record before did not use.
+		s.carry, s.spare = append(s.spare[:0], s.chunk...), s.carry
+		s.chunk = nil
+		return s.assemble()
+	}
+	s.chunk = s.chunk[n:]
+	s.cur = r
+	s.n++
+	return true
+}
+
+// assemble moves bytes of the fed chunk onto the record begun in the
+// carry buffer, as many as its header says it lacks, and decodes it once
+// whole. A record that cannot end within the body is corrupt.
+func (s *RunScanner) assemble() bool {
+	for {
+		need, err := recordLen(s.carry)
+		unfed := max(s.size-12-s.off, 0)
+		if err != nil || int64(need) > int64(len(s.carry)+len(s.chunk))+unfed {
+			s.err = ErrCorrupt
+			return false
+		}
+		if need <= len(s.carry) {
+			break
+		}
+		if len(s.chunk) == 0 {
+			return false
+		}
+		k := min(need-len(s.carry), len(s.chunk))
+		s.carry = append(s.carry, s.chunk[:k]...)
+		s.chunk = s.chunk[k:]
+	}
+	r, _, _ := DecodeRecord(s.carry)
+	s.carry = s.carry[:0]
+	s.cur = r
+	s.n++
+	return true
+}
+
+// recordLen returns the encoded length of the record that b begins, or,
+// when b ends inside the record's header, len(b)+1: at least one byte
+// more is needed to know it.
+func recordLen(b []byte) (int, error) {
+	kl, n1 := binary.Uvarint(b)
+	if n1 < 0 || kl > MaxRecordLen {
+		return 0, ErrCorrupt
+	}
+	if n1 == 0 {
+		return len(b) + 1, nil
+	}
+	vl, n2 := binary.Uvarint(b[n1:])
+	if n2 < 0 || vl > MaxRecordLen {
+		return 0, ErrCorrupt
+	}
+	if n2 == 0 {
+		return len(b) + 1, nil
+	}
+	return n1 + n2 + int(kl) + int(vl), nil
+}
+
+// Record returns the current record.
+func (s *RunScanner) Record() Record { return s.cur }
+
+// Err returns the error that ended the records early — a record that does
+// not decode or, after Close, a record count other than the trailer's —
+// the errors RunReader reports for the same run.
+func (s *RunScanner) Err() error { return s.err }
+
+// Close ends the run. It returns ErrCorrupt when the run is too short,
+// was fed other than size bytes or lacks the magic, and ErrBadChecksum
+// when the body's CRC is not the trailer's: the errors that NewRunReader
+// and the CRC check report before any record is read. Otherwise it
+// checks the trailer's count, for Err.
+func (s *RunScanner) Close() error {
+	if !s.framed || s.off != s.size {
+		return ErrCorrupt
+	}
+	if s.crc != binary.LittleEndian.Uint32(s.tail[8:]) {
 		return ErrBadChecksum
+	}
+	if s.err == nil && (len(s.carry) > 0 || len(s.chunk) > 0 || s.n != binary.LittleEndian.Uint64(s.tail[:8])) {
+		s.err = ErrCorrupt
 	}
 	return nil
 }

@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"rdmamr/internal/hdfs"
 	"rdmamr/internal/kv"
@@ -118,32 +121,76 @@ func (c *Checksum) add(r kv.Record) {
 // Equal reports whether two checksums match.
 func (c Checksum) Equal(o Checksum) bool { return c == o }
 
+// plus folds another digest into c.
+func (c *Checksum) plus(o Checksum) {
+	c.Count += o.Count
+	c.Sum += o.Sum
+	c.Bytes += o.Bytes
+}
+
+// each runs task(0) … task(n-1) on min(n, GOMAXPROCS) goroutines, each
+// taking the next index when it is free, and returns when all are done.
+func each(n int, task func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // ScanInput reads each input file once: it digests every record and
 // copies out the keys of the first perFile records of each file, the
 // input sample TeraSort computes the TotalOrderPartitioner's split points
-// from.
+// from. Each file is one task (each); the samples are joined and the
+// first error is picked in path order.
 func ScanInput(fs *hdfs.FileSystem, paths []string, format mapred.InputFormat, perFile int) ([][]byte, Checksum, error) {
-	var sample [][]byte
-	var sum Checksum
-	for _, p := range paths {
-		data, err := fs.ReadFile(p)
+	type fileScan struct {
+		sample [][]byte
+		sum    Checksum
+		err    error
+	}
+	scans := make([]fileScan, len(paths))
+	each(len(paths), func(i int) {
+		sc := &scans[i]
+		data, err := fs.ReadFile(paths[i])
 		if err != nil {
-			return nil, Checksum{}, err
+			sc.err = err
+			return
 		}
 		it, err := format.Records(data)
 		if err != nil {
-			return nil, Checksum{}, err
+			sc.err = err
+			return
 		}
-		for i := 0; it.Next(); i++ {
+		sc.sample = make([][]byte, 0, perFile)
+		for n := 0; it.Next(); n++ {
 			rec := it.Record()
-			if i < perFile {
-				sample = append(sample, bytes.Clone(rec.Key))
+			if n < perFile {
+				sc.sample = append(sc.sample, bytes.Clone(rec.Key))
 			}
-			sum.add(rec)
+			sc.sum.add(rec)
 		}
-		if err := it.Err(); err != nil {
-			return nil, Checksum{}, err
+		sc.err = it.Err()
+	})
+	n := 0
+	for _, sc := range scans {
+		if sc.err != nil {
+			return nil, Checksum{}, sc.err
 		}
+		n += len(sc.sample)
+	}
+	sample := make([][]byte, 0, n)
+	var sum Checksum
+	for _, sc := range scans {
+		sample = append(sample, sc.sample...)
+		sum.plus(sc.sum)
 	}
 	return sample, sum, nil
 }
@@ -164,51 +211,88 @@ func (e *ValidationError) Error() string { return "workload: validation failed: 
 // globally ordered (last key of part i ≤ first key of part i+1, which
 // holds under a total-order partitioner), and that the output record
 // multiset checksum equals want.
+//
+// As Hadoop's TeraValidate runs one map per output file, each part is one
+// task (each), which walks the part's borrowed blocks once through a
+// kv.RunScanner: the run CRC, the in-part order and the digest all come
+// from that pass. A fold in path order then checks the order across
+// parts, sums the digests and picks the error a walk of the parts one
+// after another meets first: for a part, an error reading it, its framing
+// or its run CRC; then a first key below the last key before it; then a
+// key below the one before it in the part, or a record that does not
+// decode.
 func Validate(fs *hdfs.FileSystem, outputDir string, cmp kv.Comparator, want Checksum, checkGlobalOrder bool) error {
 	parts := fs.List(outputDir + "/")
 	if len(parts) == 0 {
 		return &ValidationError{Reason: "no output files in " + outputDir}
 	}
+	scans := make([]partScan, len(parts))
+	each(len(parts), func(i int) { scans[i] = scanPart(fs, parts[i], cmp) })
 	var got Checksum
-	// prev is the last key seen, in this part or an earlier one. Keys alias
-	// the parts' bytes, which a later read does not overwrite (stored
-	// objects are immutable), so it needs no copy.
-	var prev []byte
-	havePrev := false
-	for _, p := range parts {
-		data, err := fs.ReadFile(p)
-		if err != nil {
-			return err
+	var prev []byte // the last key of the parts before, once got.Count > 0
+	for i, sc := range scans {
+		if sc.err != nil {
+			return sc.err
 		}
-		rr, err := kv.NewRunReader(data)
-		if err != nil {
-			return fmt.Errorf("workload: %s: %w", p, err)
+		if checkGlobalOrder && got.Count > 0 && sc.sum.Count > 0 && cmp(prev, sc.first) > 0 {
+			return &ValidationError{Reason: fmt.Sprintf("global order broken entering %s", parts[i])}
 		}
-		if err := kv.VerifyChecksum(data); err != nil {
-			return fmt.Errorf("workload: %s: %w", p, err)
+		if sc.walkErr != nil {
+			return sc.walkErr
 		}
-		first := true
-		for rr.Next() {
-			rec := rr.Record()
-			got.add(rec)
-			if havePrev && cmp(prev, rec.Key) > 0 {
-				if !first {
-					return &ValidationError{Reason: fmt.Sprintf("%s not sorted", p)}
-				}
-				if checkGlobalOrder {
-					return &ValidationError{Reason: fmt.Sprintf("global order broken entering %s", p)}
-				}
-			}
-			prev, havePrev, first = rec.Key, true, false
+		if sc.sum.Count > 0 {
+			prev = sc.last
 		}
-		if err := rr.Err(); err != nil {
-			return err
-		}
+		got.plus(sc.sum)
 	}
 	if !got.Equal(want) {
 		return &ValidationError{Reason: fmt.Sprintf("checksum mismatch: got %+v want %+v", got, want)}
 	}
 	return nil
+}
+
+// partScan is what one part's task found.
+type partScan struct {
+	sum         Checksum
+	first, last []byte // the part's first and last keys, if sum.Count > 0
+	err         error  // reading the part, its framing or its run CRC
+	walkErr     error  // the first key out of order, or a record that does not decode
+}
+
+// scanPart walks one output part's blocks in place. Every key it keeps
+// stays whole: the scanner keeps the record before the current one whole
+// and is not reused, so prev and last may alias its carry buffer; first
+// would not stay whole and is copied.
+func scanPart(fs *hdfs.FileSystem, path string, cmp kv.Comparator) (sc partScan) {
+	info, err := fs.Stat(path)
+	if err != nil {
+		sc.err = err
+		return sc
+	}
+	s := kv.NewRunScanner(info.Size)
+	sc.err = fs.Blocks(path, func(block []byte) error {
+		s.Feed(block)
+		for s.Next() {
+			rec := s.Record()
+			if sc.sum.Count == 0 {
+				sc.first = bytes.Clone(rec.Key)
+			} else if sc.walkErr == nil && cmp(sc.last, rec.Key) > 0 {
+				sc.walkErr = &ValidationError{Reason: fmt.Sprintf("%s not sorted", path)}
+			}
+			sc.sum.add(rec)
+			sc.last = rec.Key
+		}
+		return nil
+	})
+	if sc.err != nil {
+		return sc
+	}
+	if err := s.Close(); err != nil {
+		sc.err = fmt.Errorf("workload: %s: %w", path, err)
+	} else if sc.walkErr == nil {
+		sc.walkErr = s.Err()
+	}
+	return sc
 }
 
 // IsValidationError reports whether err is a validation failure (as
