@@ -228,7 +228,7 @@ func runSched(args []string) {
 			fatalf("sched: job %s output invalid: %v", tn.name, err)
 		}
 		fmt.Fprintf(os.Stderr, "sched: job %s (%s) valid: %d maps, %d reduces, %d speculated\n",
-			tn.name, res.JobID, res.Counters["map.tasks.completed"], res.Counters["reduce.tasks.completed"],
+			tn.name, res.JobID, res.NumMaps, res.NumReduces,
 			res.Counters["mapred.map.task.attempts.speculated"])
 	}
 	sched.Wait()

@@ -86,7 +86,7 @@ func TestArenaReuseAfterAbandonedFetch(t *testing.T) {
 			conf := stressConf(2)
 			conf.SetBool(config.KeyCachingEnabled, false)
 			h := newRingHarness(t, conf, maps, 200)
-			c := h.tt.Counters()
+			c := h.cluster.Counters()
 			h.fetch(context.Background()) // dial the plane's shared endpoint once
 			packets := c.Get("shuffle.rdma.packets")
 			h.fetch(context.Background())

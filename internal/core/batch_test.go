@@ -46,7 +46,7 @@ func TestBatchedRequestsWarmEagerFetch(t *testing.T) {
 	conf.SetInt(config.KeyParallelCopies, depth)
 	h := plantHarness(t, conf, maps, 4<<10)
 	h.drain() // warm: the plane's endpoint is dialed
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	before := c.Snapshot()
 	delta := func(name string) int64 { return c.Get(name) - before[name] }
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -105,7 +105,7 @@ func TestBatchSeveredMidWriteReissuesOnce(t *testing.T) {
 			conf.SetInt(config.KeyParallelCopies, depth)
 			h := plantHarness(t, conf, maps, 4<<10)
 			h.drain()
-			c := h.tt.Counters()
+			c := h.cluster.Counters()
 			before := c.Snapshot()
 			delta := func(name string) int64 { return c.Get(name) - before[name] }
 			var answered atomic.Int64 // answer SENDs of the batch when the write failed

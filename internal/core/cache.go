@@ -24,7 +24,6 @@ import (
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/obs"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/storage"
 	"rdmamr/internal/verbs"
 )
@@ -174,7 +173,7 @@ func (v *CacheView) Release() {
 // exact global eviction semantics.
 type PrefetchCache struct {
 	policy    string
-	counters  *stats.Counters
+	counters  *obs.Registry
 	shards    []*cacheShard
 	regMu     sync.Mutex
 	registrar Registrar
@@ -226,19 +225,16 @@ func shardsFor(capacity int64) int {
 }
 
 // NewPrefetchCache returns a cache bounded to capacity bytes. policy is
-// "priority" or "fifo"; counters may be nil.
-func NewPrefetchCache(capacity int64, policy string, counters *stats.Counters) *PrefetchCache {
-	if counters == nil {
-		counters = &stats.Counters{}
-	}
+// "priority" or "fifo"; a nil counters registry counts nothing.
+func NewPrefetchCache(capacity int64, policy string, counters *obs.Registry) *PrefetchCache {
 	if policy != "priority" && policy != "fifo" {
 		policy = "priority"
 	}
 	n := shardsFor(capacity)
 	c := &PrefetchCache{policy: policy, counters: counters, shards: make([]*cacheShard, n), tenants: make(map[string]int64)}
-	c.cHits, c.cMisses = counters.Handle("cache.hits"), counters.Handle("cache.misses")
-	c.cAdopted, c.cInserted, c.cRejected = counters.Handle("cache.adopted"), counters.Handle("cache.inserted"), counters.Handle("cache.rejected")
-	c.cEvictions, c.cQuotaEvictions, c.cDemoted = counters.Handle("cache.evictions"), counters.Handle("cache.quota.evictions"), counters.Handle("cache.demoted")
+	c.cHits, c.cMisses = counters.Counter("cache.hits"), counters.Counter("cache.misses")
+	c.cAdopted, c.cInserted, c.cRejected = counters.Counter("cache.adopted"), counters.Counter("cache.inserted"), counters.Counter("cache.rejected")
+	c.cEvictions, c.cQuotaEvictions, c.cDemoted = counters.Counter("cache.evictions"), counters.Counter("cache.quota.evictions"), counters.Counter("cache.demoted")
 	per := capacity / int64(n)
 	for i := range c.shards {
 		cap := per
@@ -614,7 +610,7 @@ func (c *PrefetchCache) RemoveJob(jobID string) {
 		s.mu.Unlock()
 	}
 	if reclaimed > 0 {
-		c.counters.Add("cache.removejob.bytes", reclaimed)
+		c.counters.Counter("cache.removejob.bytes").Add(reclaimed)
 	}
 }
 

@@ -3,14 +3,14 @@ package core
 import (
 	"testing"
 
-	"rdmamr/internal/stats"
+	"rdmamr/internal/obs"
 )
 
 func jkey(job string, m, p int) CacheKey { return CacheKey{JobID: job, MapID: m, Partition: p} }
 
 func TestCacheQuotaCapsTenantBytes(t *testing.T) {
-	var c stats.Counters
-	cache := NewPrefetchCache(1000, "priority", &c)
+	c := obs.NewRegistry()
+	cache := NewPrefetchCache(1000, "priority", c)
 	cache.SetJobQuota(100)
 	for m := 0; m < 10; m++ {
 		cache.Put(jkey("jobA", m, 0), make([]byte, 40), PriorityPrefetch)
@@ -23,19 +23,19 @@ func TestCacheQuotaCapsTenantBytes(t *testing.T) {
 	if !cache.Contains(jkey("jobA", 9, 0)) {
 		t.Fatal("latest insert missing after quota eviction")
 	}
-	if c.Get("cache.quota.evictions") == 0 {
+	if c.Counter("cache.quota.evictions").Get() == 0 {
 		t.Fatalf("no quota evictions recorded: %v", c.Snapshot())
 	}
 }
 
 func TestCacheQuotaRejectsOversizedEntry(t *testing.T) {
-	var c stats.Counters
-	cache := NewPrefetchCache(1000, "priority", &c)
+	c := obs.NewRegistry()
+	cache := NewPrefetchCache(1000, "priority", c)
 	cache.SetJobQuota(50)
 	if cache.Put(jkey("jobA", 0, 0), make([]byte, 51), PriorityDemand) {
 		t.Fatal("entry larger than the job quota admitted")
 	}
-	if c.Get("cache.rejected") != 1 {
+	if c.Counter("cache.rejected").Get() != 1 {
 		t.Fatalf("rejection not counted: %v", c.Snapshot())
 	}
 }
@@ -59,8 +59,8 @@ func TestCacheQuotaEvictsOwnTenantNotNeighbors(t *testing.T) {
 }
 
 func TestCacheCapacityEvictionPrefersOverQuotaTenant(t *testing.T) {
-	var c stats.Counters
-	cache := NewPrefetchCache(200, "priority", &c)
+	c := obs.NewRegistry()
+	cache := NewPrefetchCache(200, "priority", c)
 	cache.Put(jkey("jobA", 0, 0), make([]byte, 120), PriorityDemand)
 	cache.Put(jkey("jobB", 0, 0), make([]byte, 40), PriorityPrefetch)
 	// Shrink the quota below jobA's resident 120 bytes: jobA is now over
@@ -79,13 +79,13 @@ func TestCacheCapacityEvictionPrefersOverQuotaTenant(t *testing.T) {
 }
 
 func TestCacheRemoveJobReclaimsExactTenantBytes(t *testing.T) {
-	var c stats.Counters
-	cache := NewPrefetchCache(1000, "priority", &c)
+	c := obs.NewRegistry()
+	cache := NewPrefetchCache(1000, "priority", c)
 	cache.Put(jkey("jobA", 0, 0), make([]byte, 30), PriorityPrefetch)
 	cache.Put(jkey("jobA", 1, 0), make([]byte, 45), PriorityDemand)
 	cache.Put(jkey("jobB", 0, 0), make([]byte, 25), PriorityDemand)
 	cache.RemoveJob("jobA")
-	if got := c.Get("cache.removejob.bytes"); got != 75 {
+	if got := c.Counter("cache.removejob.bytes").Get(); got != 75 {
 		t.Fatalf("reclaimed %d bytes, want 75", got)
 	}
 	if got := cache.JobBytes("jobA"); got != 0 {

@@ -6,14 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rdmamr/internal/stats"
+	"rdmamr/internal/obs"
 )
 
 func key(m, p int) CacheKey { return CacheKey{JobID: "job", MapID: m, Partition: p} }
 
 func TestCacheHitMiss(t *testing.T) {
-	var c stats.Counters
-	cache := NewPrefetchCache(1000, "priority", &c)
+	c := obs.NewRegistry()
+	cache := NewPrefetchCache(1000, "priority", c)
 	if _, ok := cache.Get(key(0, 0)); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -24,7 +24,7 @@ func TestCacheHitMiss(t *testing.T) {
 	if !ok || string(got) != "data" {
 		t.Fatalf("get: %q %v", got, ok)
 	}
-	if c.Get("cache.hits") != 1 || c.Get("cache.misses") != 1 {
+	if c.Counter("cache.hits").Get() != 1 || c.Counter("cache.misses").Get() != 1 {
 		t.Fatalf("counters: %v", c.Snapshot())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/obs"
 	"rdmamr/internal/shuffle/wire"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
@@ -67,17 +66,17 @@ type connPlane struct {
 	cOpened, cReused, cEvicted, cStrays *obs.Counter
 }
 
-func newConnPlane(maxConns int, idle time.Duration, c *stats.Counters) *connPlane {
+func newConnPlane(maxConns int, idle time.Duration, c *obs.Registry) *connPlane {
 	return &connPlane{
 		conns:    make(map[string]*sharedConn),
 		health:   make(map[string]*peerHealth),
 		maxFor:   maxConns,
 		idle:     idle,
 		now:      time.Now,
-		cOpened:  c.Handle("shuffle.rdma.conn.opened"),
-		cReused:  c.Handle("shuffle.rdma.conn.reused"),
-		cEvicted: c.Handle("shuffle.rdma.conn.evicted"),
-		cStrays:  c.Handle("shuffle.rdma.conn.strays"),
+		cOpened:  c.Counter("shuffle.rdma.conn.opened"),
+		cReused:  c.Counter("shuffle.rdma.conn.reused"),
+		cEvicted: c.Counter("shuffle.rdma.conn.evicted"),
+		cStrays:  c.Counter("shuffle.rdma.conn.strays"),
 	}
 }
 

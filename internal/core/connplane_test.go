@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"rdmamr/internal/mrpool"
+	"rdmamr/internal/obs"
 	"rdmamr/internal/shuffle/wire"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
@@ -28,7 +28,7 @@ type planeHarness struct {
 	fab    *ucr.Fabric
 	dev    *verbs.Device
 	plane  *connPlane
-	c      *stats.Counters
+	c      *obs.Registry
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -64,7 +64,7 @@ func newPlaneHarness(t *testing.T, maxConns int, idle time.Duration) *planeHarne
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	h := &planeHarness{
 		t: t, fab: fab, dev: dev, plane: newConnPlane(maxConns, idle, c),
 		c: c, ctx: ctx, cancel: cancel,
@@ -191,9 +191,9 @@ func TestConnPlaneSharesEndpoint(t *testing.T) {
 	if h.dialCount("tt1") != 1 {
 		t.Fatalf("dialed %d times, want 1", h.dialCount("tt1"))
 	}
-	if h.c.Get("shuffle.rdma.conn.opened") != 1 || h.c.Get("shuffle.rdma.conn.reused") != 1 {
+	if h.c.Counter("shuffle.rdma.conn.opened").Get() != 1 || h.c.Counter("shuffle.rdma.conn.reused").Get() != 1 {
 		t.Fatalf("opened=%d reused=%d, want 1/1",
-			h.c.Get("shuffle.rdma.conn.opened"), h.c.Get("shuffle.rdma.conn.reused"))
+			h.c.Counter("shuffle.rdma.conn.opened").Get(), h.c.Counter("shuffle.rdma.conn.reused").Get())
 	}
 	if l1.sc.gen != l2.sc.gen {
 		t.Fatal("leases on one connection report different generations")
@@ -307,7 +307,7 @@ func TestConnPlaneSingleflightDial(t *testing.T) {
 	if h.plane.open() != 1 {
 		t.Fatalf("open = %d, want 1", h.plane.open())
 	}
-	if got := h.c.Get("shuffle.rdma.conn.reused"); got != n-1 {
+	if got := h.c.Counter("shuffle.rdma.conn.reused").Get(); got != n-1 {
 		t.Fatalf("reused = %d, want %d", got, n-1)
 	}
 }
@@ -370,7 +370,7 @@ func TestConnPlaneLRUCapEvictsOldestIdle(t *testing.T) {
 	if hosts["ttA"] || !hosts["ttB"] || !hosts["ttC"] {
 		t.Fatalf("cache = %v, want oldest idle (ttA) evicted", hosts)
 	}
-	if got := h.c.Get("shuffle.rdma.conn.evicted"); got != 1 {
+	if got := h.c.Counter("shuffle.rdma.conn.evicted").Get(); got != 1 {
 		t.Fatalf("evicted = %d, want 1", got)
 	}
 }
@@ -442,7 +442,7 @@ func TestConnPlaneIdleSweep(t *testing.T) {
 	if !hosts["ttB"] {
 		t.Fatal("freshly used connection swept")
 	}
-	if got := h.c.Get("shuffle.rdma.conn.evicted"); got != 1 {
+	if got := h.c.Counter("shuffle.rdma.conn.evicted").Get(); got != 1 {
 		t.Fatalf("evicted = %d, want 1", got)
 	}
 }
@@ -464,7 +464,7 @@ func TestConnPlaneStrayFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for h.c.Get("shuffle.rdma.conn.strays") == 0 {
+	for h.c.Counter("shuffle.rdma.conn.strays").Get() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stray frame never counted")
 		}
@@ -648,13 +648,13 @@ func TestConnPlaneRoutedAnswerOutlivesReceiveBuffer(t *testing.T) {
 	// Strays for the departed lease, each as long as the first frame and
 	// of other bytes, through every receive buffer on the device.
 	filler := (&wire.DataResponse{Tag: goneTag, Err: strings.Repeat("\xa5", len(frame))}).Encode()
-	strays := h.c.Get("shuffle.rdma.conn.strays")
+	strays := h.c.Counter("shuffle.rdma.conn.strays").Get()
 	for i := 0; i < ucr.SRQDepth+1; i++ {
 		if err := l.Send(h.ctx, filler); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return h.c.Get("shuffle.rdma.conn.strays")-strays == ucr.SRQDepth+1 })
+	waitFor(t, func() bool { return h.c.Counter("shuffle.rdma.conn.strays").Get()-strays == ucr.SRQDepth+1 })
 
 	if first.man != nil || first.resp != resp || !first.more {
 		t.Fatalf("routed header now reads %+v (more %v), sent %+v followed by a manifest", first.resp, first.more, resp)

@@ -143,7 +143,7 @@ func (seg *segment) loadChunk(ctx context.Context) (bool, error) {
 				return false, fmt.Errorf("core: map %d unrecoverable after %d fetch attempts (last host %s): %w",
 					seg.mapID, seg.attempts, seg.peer.host, ck.err)
 			}
-			seg.f.task.Local.Counters().Add("shuffle.fetch.failures", 1)
+			seg.f.task.Local.Counters().Counter("shuffle.fetch.failures").Add(1)
 			host, err := seg.f.task.RecoverMap(ctx, int(seg.mapID), int(seg.attempts))
 			if err != nil {
 				return false, fmt.Errorf("recovering map %d: %w (after %w)", seg.mapID, err, ck.err)
@@ -1108,7 +1108,6 @@ func (f *fetcher) send(ctx context.Context, p *hostPeer, hc *hostConn, orphans *
 	if len(hc.free) == 0 && !hc.stalled && hc.err == nil && (len(*orphans) > 0 || p.queued() > 0) {
 		hc.stalled = true
 		f.cSlotStalls.Add(1)
-		f.nSlotStalls.Add(1)
 		if f.tr != nil {
 			hc.stallStart = time.Now()
 		}
@@ -1229,9 +1228,6 @@ func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, n int, eof bo
 	}
 	f.cBytes.Add(int64(n))
 	f.cPackets.Add(1)
-	f.cRecvBytes.Add(int64(n))
-	f.nFetchBytes.Add(int64(n))
-	f.nFetchChunks.Add(1)
 	if !hc.progress {
 		hc.progress = true
 		p.health.recordSuccessGen(hc.gen)
@@ -1337,7 +1333,6 @@ func (f *fetcher) executeRead(ctx context.Context, p *hostPeer, hc *hostConn, jo
 	f.cReadIssued.Add(int64(reads))
 	f.cReadBytes.Add(int64(n))
 	f.cZeroCopyHits.Add(1)
-	f.nReadIssued.Add(int64(reads))
 	hc.releaseLease(ctx, hc.planDone(job.plan))
 	f.complete(p, hc, job.slot, n, entry.EOF, blk)
 }
@@ -1396,7 +1391,6 @@ type fetcher struct {
 	cReqMsgs       *obs.Counter // request SENDs: one per batch
 	cBytes         *obs.Counter // shuffle.rdma.bytes: delivered, either way
 	cPackets       *obs.Counter
-	cRecvBytes     *obs.Counter
 	cOutPeak       *obs.Counter
 	cReadIssued    *obs.Counter
 	cReadBytes     *obs.Counter
@@ -1404,12 +1398,6 @@ type fetcher struct {
 	cZeroCopyHits  *obs.Counter // chunks READ: no responder copy
 	cPoolHits      *obs.Counter
 	cPoolMisses    *obs.Counter
-	// Node-local handles (the reducer node's own registry, shipped on
-	// heartbeats); nil no-ops when cluster telemetry is off.
-	nFetchBytes  *obs.Counter
-	nFetchChunks *obs.Counter
-	nReadIssued  *obs.Counter
-	nSlotStalls  *obs.Counter
 
 	// arena is the memory below, taken from the arena free list at Fetch
 	// and given back at Close (D26).
@@ -1457,27 +1445,21 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 		tr:             task.Local.TraceFor(task.Job.ID),
 		wake:           make(chan struct{}, 1),
 	}
-	f.cRetries = c.Handle("shuffle.rdma.retries")
-	f.cReconnects = c.Handle("shuffle.rdma.reconnects")
-	f.cDeadline = c.Handle("shuffle.rdma.deadline.exceeded")
-	f.cSlotStalls = c.Handle("shuffle.rdma.slot.stalls")
-	f.cReqMsgs = c.Handle("shuffle.rdma.request.msgs")
-	f.cBytes = c.Handle("shuffle.rdma.bytes")
-	f.cPackets = c.Handle("shuffle.rdma.packets")
-	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")
-	f.cOutPeak = c.Handle("shuffle.rdma.outstanding.peak")
-	f.cReadIssued = c.Handle("shuffle.rdma.read.issued")
-	f.cReadBytes = c.Handle("shuffle.rdma.read.bytes")
-	f.cReadFallbacks = c.Handle("shuffle.rdma.read.fallbacks")
-	f.cZeroCopyHits = c.Handle("shuffle.rdma.zerocopy.hits")
-	f.cPoolHits = c.Handle("shuffle.rdma.payload.pool.hits")
-	f.cPoolMisses = c.Handle("shuffle.rdma.payload.pool.misses")
+	f.cRetries = c.Counter("shuffle.rdma.retries")
+	f.cReconnects = c.Counter("shuffle.rdma.reconnects")
+	f.cDeadline = c.Counter("shuffle.rdma.deadline.exceeded")
+	f.cSlotStalls = c.Counter("shuffle.rdma.slot.stalls")
+	f.cReqMsgs = c.Counter("shuffle.rdma.request.msgs")
+	f.cBytes = c.Counter("shuffle.rdma.bytes")
+	f.cPackets = c.Counter("shuffle.rdma.packets")
+	f.cOutPeak = c.Counter("shuffle.rdma.outstanding.peak")
+	f.cReadIssued = c.Counter("shuffle.rdma.read.issued")
+	f.cReadBytes = c.Counter("shuffle.rdma.read.bytes")
+	f.cReadFallbacks = c.Counter("shuffle.rdma.read.fallbacks")
+	f.cZeroCopyHits = c.Counter("shuffle.rdma.zerocopy.hits")
+	f.cPoolHits = c.Counter("shuffle.rdma.payload.pool.hits")
+	f.cPoolMisses = c.Counter("shuffle.rdma.payload.pool.misses")
 	f.blocks.pool = mrpool.For(task.Local.Device())
-	nreg := task.Local.NodeRegistry()
-	f.nFetchBytes = nreg.Counter("node.fetch.bytes")
-	f.nFetchChunks = nreg.Counter("node.fetch.chunks")
-	f.nReadIssued = nreg.Counter("node.read.issued")
-	f.nSlotStalls = nreg.Counter("node.slot.stalls")
 	return f
 }
 
@@ -1519,7 +1501,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	// tracker and escalates straight to map recovery.
 	if f.task.Losses != nil {
 		lossCh, unsub := f.task.Losses.Subscribe()
-		lostNotices := f.task.Local.Counters().Handle("shuffle.rdma.lost.notices")
+		lostNotices := f.task.Local.Counters().Counter("shuffle.rdma.lost.notices")
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()

@@ -63,7 +63,7 @@ func TestCopierHealsFromSeveredQP(t *testing.T) {
 	defer cancel()
 	h.fetch(ctx)
 
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	if c.Get("shuffle.rdma.reconnects") < 1 {
 		t.Fatalf("reconnects = %d, want >= 1", c.Get("shuffle.rdma.reconnects"))
 	}
@@ -108,7 +108,7 @@ func TestCopierRequestDeadlineReissues(t *testing.T) {
 			defer cancel()
 			h.fetch(ctx)
 
-			c := h.tt.Counters()
+			c := h.cluster.Counters()
 			if c.Get("shuffle.rdma.deadline.exceeded") < 1 {
 				t.Fatalf("deadline.exceeded = %d, want >= 1", c.Get("shuffle.rdma.deadline.exceeded"))
 			}
@@ -167,7 +167,7 @@ func TestCopierIdleRetirementRedialsLazily(t *testing.T) {
 	}()
 	defer func() { cancel(); <-done }()
 	plane := planeOf(h.tt)
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
 	// The connection that carried the chunk has given its lease back.
 	waitFor(t, func() bool {
@@ -231,7 +231,7 @@ func TestIdleRetirementReleasesPlanLeases(t *testing.T) {
 		}
 	}()
 	defer func() { cancel(); <-done }()
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
 	waitFor(t, func() bool {
 		return c.Get("shuffle.rdma.read.manifests") == 1 && planeOf(h.tt).leases(h.tt.Host()) == 0
@@ -352,7 +352,7 @@ func TestCopierLegacyEscalationNoRetries(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "retry budget exhausted") && !strings.Contains(err.Error(), "declared dead") {
 		t.Fatalf("escalation error = %v, want a budget-exhaustion failure", err)
 	}
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	if c.Get("shuffle.rdma.reconnects") != 0 {
 		t.Fatalf("reconnects = %d with retries=0; legacy mode must not reconnect", c.Get("shuffle.rdma.reconnects"))
 	}
@@ -495,7 +495,7 @@ func TestCopierSeededChaosMultiHost(t *testing.T) {
 	if inj.Faults() == 0 {
 		t.Fatal("chaos injector never fired; the run proved nothing")
 	}
-	c := h.trackers[0].Counters()
+	c := h.cluster.Counters()
 	if c.Get("shuffle.rdma.reconnects") < 1 {
 		t.Fatalf("reconnects = %d, want >= 1 under seeded chaos (faults=%d)",
 			c.Get("shuffle.rdma.reconnects"), inj.Faults())
@@ -517,11 +517,12 @@ func TestCopierBlacklistSharedAcrossFetchers(t *testing.T) {
 	h := newRingHarness(t, stressConf(2), 2, 10)
 	c := h.tt.Counters()
 	ph := planeOf(h.tt).healthOf(h.tt.Host())
+	trips := c.Counter("shuffle.rdma.blacklist.trips")
 	for i := 0; i < blacklistAfter; i++ {
 		ph.recordFailure(c)
 	}
-	if c.Get("shuffle.rdma.blacklist.trips") < 1 {
-		t.Fatalf("blacklist.trips = %d after %d consecutive failures", c.Get("shuffle.rdma.blacklist.trips"), blacklistAfter)
+	if trips.Get() < 1 {
+		t.Fatalf("blacklist.trips = %d after %d consecutive failures", trips.Get(), blacklistAfter)
 	}
 	// Another fetcher on the same device sees the embargo...
 	if d := planeOf(h.tt).healthOf(h.tt.Host()).admissionDelay(); d <= 0 {

@@ -161,7 +161,7 @@ func TestRingStressManySegmentsOneHost(t *testing.T) {
 	defer cancel()
 	h.fetch(ctx)
 
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	if peak := c.Get("shuffle.rdma.outstanding.peak"); peak < 2 {
 		t.Fatalf("outstanding peak = %d; the ring never pipelined", peak)
 	}
@@ -196,7 +196,7 @@ func TestRingDepthOneLockstep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	h.fetch(ctx)
-	if peak := h.tt.Counters().Get("shuffle.rdma.outstanding.peak"); peak != 1 {
+	if peak := h.cluster.Counters().Get("shuffle.rdma.outstanding.peak"); peak != 1 {
 		t.Fatalf("depth-1 ring reached %d outstanding", peak)
 	}
 }

@@ -23,11 +23,6 @@ var mrCounterNameRe = regexp.MustCompile(`(?:^|[^.a-z0-9])(mr\.slab\.[a-z][a-z0-
 // calls on a field named cache and the `...cache.bytes` config keys out.
 var cacheCounterNameRe = regexp.MustCompile("[\"`](cache\\.[a-z][a-z0-9._]*[a-z0-9])[\"`]")
 
-// nodeCounterNameRe covers a node registry's `node.*` counters, emitted
-// here and by internal/mapred's TaskTracker and documented in README's
-// node-counter table. Quoted or backticked only, like cache.*.
-var nodeCounterNameRe = regexp.MustCompile("[\"`](node\\.[a-z][a-z0-9._]*[a-z0-9])[\"`]")
-
 // scanDir collects counter names matched by res in a directory's non-test
 // Go sources.
 func scanDir(t *testing.T, dir string, into map[string]bool, res ...*regexp.Regexp) {
@@ -64,18 +59,16 @@ func collect(re *regexp.Regexp, s string, into map[string]bool) {
 }
 
 // TestCounterNamesMatchDocs pins the counter namespace to the README's
-// "Shuffle counter reference" and node-counter tables: every
-// `shuffle.rdma.*`, `cache.*` and `node.*` name used by this package's
-// non-test sources — every `mr.slab.*` name used by internal/mrpool, and
-// every `node.*` name used by internal/mapred — must be documented, and every name the
-// README mentions must exist in the sources. Rename a counter — or add
+// "Shuffle counter reference" table: every `shuffle.rdma.*` and
+// `cache.*` name used by this package's non-test sources, and every
+// `mr.slab.*` name used by internal/mrpool, must be documented, and every
+// name the README mentions must exist in the sources. Rename a counter — or add
 // one — and this fails until the table is updated, so dashboards built
 // on the documented names never silently break.
 func TestCounterNamesMatchDocs(t *testing.T) {
 	inCode := map[string]bool{}
-	scanDir(t, ".", inCode, counterNameRe, mrCounterNameRe, cacheCounterNameRe, nodeCounterNameRe)
+	scanDir(t, ".", inCode, counterNameRe, mrCounterNameRe, cacheCounterNameRe)
 	scanDir(t, filepath.Join("..", "mrpool"), inCode, mrCounterNameRe)
-	scanDir(t, filepath.Join("..", "mapred"), inCode, nodeCounterNameRe)
 	if len(inCode) == 0 {
 		t.Fatal("no shuffle.rdma.* counters found in package sources")
 	}
@@ -88,7 +81,6 @@ func TestCounterNamesMatchDocs(t *testing.T) {
 	collect(counterNameRe, string(readme), inDocs)
 	collect(mrCounterNameRe, string(readme), inDocs)
 	collect(cacheCounterNameRe, string(readme), inDocs)
-	collect(nodeCounterNameRe, string(readme), inDocs)
 
 	var undocumented, phantom []string
 	for name := range inCode {

@@ -41,7 +41,7 @@ func TestRingReadArmServesFromCache(t *testing.T) {
 	// Cold pass: demand misses are served eagerly from disk and re-cache
 	// every partition in the background.
 	h.fetch(ctx)
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	waitFor(t, func() bool { return c.Get("cache.inserted") >= int64(h.numMaps) })
 
 	before := c.Snapshot()
@@ -109,7 +109,7 @@ func TestRingReadArmEvictionChurn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	h.fetch(ctx) // seed the cache
-	waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= 1 })
+	waitFor(t, func() bool { return h.cluster.Counters().Get("cache.inserted") >= 1 })
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,7 +134,7 @@ func TestRingReadArmEvictionChurn(t *testing.T) {
 		}
 	}()
 
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	rounds := 0
 	for ; rounds < 25; rounds++ {
 		h.fetch(ctx) // byte-exact merge is the hard assertion

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"rdmamr/internal/stats"
+	"rdmamr/internal/obs"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
 )
@@ -78,7 +78,7 @@ func (ph *peerHealth) clock() time.Time {
 // report a given incarnation's death scores it, later sharers are no-ops
 // (gen 0 = not shared, always scores). Without this, one severed endpoint
 // would multiply blacklist penalties by the number of fetchers leasing it.
-func (ph *peerHealth) recordFailureGen(gen uint64, c *stats.Counters) int {
+func (ph *peerHealth) recordFailureGen(gen uint64, c *obs.Registry) int {
 	ph.mu.Lock()
 	defer ph.mu.Unlock()
 	if gen != 0 {
@@ -95,7 +95,7 @@ func (ph *peerHealth) recordFailureGen(gen uint64, c *stats.Counters) int {
 			ph.penalty *= 2
 		}
 		ph.blackUntil = ph.clock().Add(ph.penalty)
-		c.Add("shuffle.rdma.blacklist.trips", 1)
+		c.Counter("shuffle.rdma.blacklist.trips").Add(1)
 	}
 	return ph.consecFails
 }

@@ -4,11 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"rdmamr/internal/stats"
+	"rdmamr/internal/obs"
 )
 
 // recordFailure is recordFailureGen outside any shared connection.
-func (ph *peerHealth) recordFailure(c *stats.Counters) int { return ph.recordFailureGen(0, c) }
+func (ph *peerHealth) recordFailure(c *obs.Registry) int { return ph.recordFailureGen(0, c) }
 
 // recordSuccess is recordSuccessGen outside any shared connection.
 func (ph *peerHealth) recordSuccess() { ph.recordSuccessGen(0) }
@@ -32,7 +32,7 @@ func newHealthClock() (*peerHealth, *fakeClock) {
 
 func TestHealthBlacklistThreshold(t *testing.T) {
 	ph, _ := newHealthClock()
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	for i := 1; i < blacklistAfter; i++ {
 		if got := ph.recordFailure(c); got != i {
 			t.Fatalf("failure %d counted as %d", i, got)
@@ -42,8 +42,8 @@ func TestHealthBlacklistThreshold(t *testing.T) {
 		}
 	}
 	ph.recordFailure(c)
-	if c.Get("shuffle.rdma.blacklist.trips") != 1 {
-		t.Fatalf("trips = %d, want 1", c.Get("shuffle.rdma.blacklist.trips"))
+	if c.Counter("shuffle.rdma.blacklist.trips").Get() != 1 {
+		t.Fatalf("trips = %d, want 1", c.Counter("shuffle.rdma.blacklist.trips").Get())
 	}
 	if d := ph.admissionDelay(); d != blacklistBase {
 		t.Fatalf("first embargo = %v, want %v", d, blacklistBase)
@@ -52,7 +52,7 @@ func TestHealthBlacklistThreshold(t *testing.T) {
 
 func TestHealthPenaltyDoublesAndCaps(t *testing.T) {
 	ph, fc := newHealthClock()
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	// The threshold failure sets the base penalty; every further failure
 	// in the streak doubles it until blacklistMax, where it saturates.
 	for i := 0; i < blacklistAfter; i++ {
@@ -76,7 +76,7 @@ func TestHealthPenaltyDoublesAndCaps(t *testing.T) {
 		ph.recordFailure(c)
 	}
 	// Every at-or-past-threshold failure tripped the counter.
-	if got := c.Get("shuffle.rdma.blacklist.trips"); got != int64(len(want))+1 {
+	if got := c.Counter("shuffle.rdma.blacklist.trips").Get(); got != int64(len(want))+1 {
 		t.Fatalf("trips = %d, want %d", got, len(want)+1)
 	}
 	// Embargoes lapse with the clock, never by themselves.
@@ -88,7 +88,7 @@ func TestHealthPenaltyDoublesAndCaps(t *testing.T) {
 
 func TestHealthSuccessHalvesPenaltyAndResetsStreak(t *testing.T) {
 	ph, _ := newHealthClock()
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	for i := 0; i < blacklistAfter; i++ {
 		ph.recordFailure(c)
 	}
@@ -114,7 +114,7 @@ func TestHealthSuccessHalvesPenaltyAndResetsStreak(t *testing.T) {
 
 func TestHealthAdmissionDelayEdges(t *testing.T) {
 	ph, fc := newHealthClock()
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	if ph.admissionDelay() != 0 {
 		t.Fatal("fresh peer must admit immediately")
 	}

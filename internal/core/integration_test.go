@@ -121,9 +121,6 @@ func TestZeroCopyAblationBitForBit(t *testing.T) {
 			t.Fatalf("caching=%v: %d staging regions leaked", caching, n)
 		}
 		moved[caching] = res.Counters["shuffle.rdma.bytes"]
-		if got := res.Counters["shuffle.rdma.recv.bytes"]; got != moved[caching] {
-			t.Fatalf("caching=%v: shuffle.rdma.bytes = %d, reducers received %d", caching, moved[caching], got)
-		}
 		files := make(map[string][]byte)
 		fs := c.FS()
 		for _, path := range fs.List("/terasort-1500-6/out") {

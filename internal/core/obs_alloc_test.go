@@ -5,15 +5,14 @@ import (
 	"time"
 
 	"rdmamr/internal/obs"
-	"rdmamr/internal/stats"
 )
 
 // obsDisabledHotPath is the exact observability sequence the copier's
 // host loops execute per delivered chunk when the job's record is off
 // (tr == nil): the nil-gated request stamp and slot wait, the nil-gated
 // span stamped into the chunk, the nil-gated span finished and added as
-// the merge picks it up, and the pre-resolved counter handles (cluster
-// AND node registries).
+// the merge picks it up, and the pre-resolved counter handles of the
+// reducer node's registry.
 func obsDisabledHotPath(f *fetcher, i int) chunk {
 	// request: the enqueue stamp.
 	req := chunkReq{offset: int64(i)}
@@ -26,8 +25,7 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 		slotWait = time.Since(req.enq)
 	}
 	f.cOutPeak.Max(int64(i & 7))
-	// complete: byte accounting (cluster + node telemetry handles) plus
-	// the gated span.
+	// complete: byte accounting plus the gated span.
 	ck := chunk{off: req.offset}
 	if f.tr != nil {
 		ck.span = f.span(obs.KindFetch, req.enq, time.Time{})
@@ -35,9 +33,6 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 	}
 	f.cBytes.Add(1024)
 	f.cPackets.Add(1)
-	f.cRecvBytes.Add(1024)
-	f.nFetchBytes.Add(1024)
-	f.nFetchChunks.Add(1)
 	// loadChunk: the gated merge-wait clock and span record.
 	var waitStart time.Time
 	if f.tr != nil {
@@ -53,15 +48,10 @@ func obsDisabledHotPath(f *fetcher, i int) chunk {
 
 func disabledFetcher() *fetcher {
 	f := &fetcher{} // tr == nil IS the record off
-	var c stats.Counters
-	f.cBytes = c.Handle("shuffle.rdma.bytes")
-	f.cPackets = c.Handle("shuffle.rdma.packets")
-	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")
-	f.cOutPeak = c.Handle("shuffle.rdma.outstanding.peak")
-	// Node registry absent (telemetry off): nil handles must be free.
-	var nreg *obs.Registry
-	f.nFetchBytes = nreg.Counter("node.fetch.bytes")
-	f.nFetchChunks = nreg.Counter("node.fetch.chunks")
+	c := obs.NewRegistry()
+	f.cBytes = c.Counter("shuffle.rdma.bytes")
+	f.cPackets = c.Counter("shuffle.rdma.packets")
+	f.cOutPeak = c.Counter("shuffle.rdma.outstanding.peak")
 	return f
 }
 

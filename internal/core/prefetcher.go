@@ -38,7 +38,7 @@ func NewMapOutputPrefetcher(tt *mapred.TaskTracker, cache *PrefetchCache, worker
 	if workers < 1 {
 		workers = 1
 	}
-	p := &MapOutputPrefetcher{tt: tt, cache: cache, cPrefetched: tt.Counters().Handle("cache.prefetched"),
+	p := &MapOutputPrefetcher{tt: tt, cache: cache, cPrefetched: tt.Counters().Counter("cache.prefetched"),
 		inflight: make(map[string]int)}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < workers; i++ {
@@ -153,7 +153,7 @@ func (p *MapOutputPrefetcher) serve(task *prefetchTask) {
 		if run, err = p.tt.MapOutput(task.key.JobID, task.key.MapID, task.key.Partition); err != nil {
 			// The output may have been cleaned up (job finished) — the
 			// cache simply stays cold for it.
-			p.tt.Counters().Add("cache.prefetch.failed", 1)
+			p.tt.Counters().Counter("cache.prefetch.failed").Add(1)
 			return
 		}
 	}

@@ -90,7 +90,7 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			c := h.tt.Counters()
+			c := h.cluster.Counters()
 			if tc.caching {
 				h.fetch(ctx) // cold: demand misses re-cache every partition
 				waitFor(t, func() bool { return c.Get("cache.inserted") >= maps })
@@ -208,7 +208,7 @@ func TestPullPayloadAccounting(t *testing.T) {
 			// every partition re-cached, so later fetches READ them.
 			h.fetch(ctx)
 			if tc.caching {
-				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= maps })
+				waitFor(t, func() bool { return h.cluster.Counters().Get("cache.inserted") >= maps })
 			}
 			pool := mrpool.For(h.tt.Device())
 			base := payloadsOut.Load()
@@ -331,7 +331,7 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			if tc.op == verbs.OpRDMARead {
 				// The cold pass above was a demand miss; once its re-cache
 				// lands the partition is served by manifest.
-				waitFor(t, func() bool { return h.tt.Counters().Get("cache.inserted") >= 1 })
+				waitFor(t, func() bool { return h.cluster.Counters().Get("cache.inserted") >= 1 })
 			}
 			// Count from no host goroutine of any earlier fetcher.
 			waitFor(t, func() bool { s, o := hostGoroutines(); return s+o == 0 })
@@ -423,7 +423,7 @@ func TestPullResumesAtOffsetAfterDroppedWrite(t *testing.T) {
 		recoveries++
 		return h.tt.Host(), nil // the output is intact; only the write failed
 	}
-	retries := h.tt.Counters().Get("shuffle.rdma.retries")
+	retries := h.cluster.Counters().Get("shuffle.rdma.retries")
 
 	fault := chaos.DropNth(verbs.OpRDMAWrite, 3)
 	h.tt.Fabric().Network().SetFaultInjector(fault)
@@ -434,7 +434,7 @@ func TestPullResumesAtOffsetAfterDroppedWrite(t *testing.T) {
 	default:
 		t.Fatal("the third write never came: nothing was dropped")
 	}
-	retries = h.tt.Counters().Get("shuffle.rdma.retries") - retries
+	retries = h.cluster.Counters().Get("shuffle.rdma.retries") - retries
 	if recoveries == 0 && retries == 0 {
 		t.Fatal("the dropped write healed by neither a retry nor RecoverMap")
 	}
@@ -527,7 +527,7 @@ func TestPullSmallFetchAllocBudget(t *testing.T) {
 	h := plantHarness(t, plantConf(false), maps, 4<<10)
 	delivered := h.drain() // warm: endpoint dialed, ring slab carved, payload pool filled
 	h.drain()
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	for i := 0; i < 3; i++ {
 		before := c.Get("mr.slab.allocs")
 		h.drain()
@@ -560,7 +560,7 @@ func TestPullBulkFetchAllocBudget(t *testing.T) {
 	h := plantHarness(t, plantConf(true), maps, 1<<20)
 	h.drain()
 	h.drain()
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	heapGets := func() int64 {
 		return c.Get("shuffle.rdma.payload.pool.hits") + c.Get("shuffle.rdma.payload.pool.misses")
 	}
@@ -609,7 +609,7 @@ func TestPayloadBudgetExhaustedFallsBackIntact(t *testing.T) {
 	conf.SetInt(config.KeyRDMAMRSlabBytes, budget)
 	h := plantHarness(t, conf, maps, partBytes)
 	pool := mrpool.For(h.tt.Device())
-	c := h.tt.Counters()
+	c := h.cluster.Counters()
 	before := c.Snapshot()
 	delta := func(name string) int64 { return c.Get(name) - before[name] }
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -56,10 +56,11 @@ type trackerServer struct {
 	cManifests *obs.Counter // shuffle.rdma.read.manifests
 	// cAnswerMsgs is shuffle.rdma.answer.msgs: answer SENDs, one per frame.
 	cAnswerMsgs *obs.Counter
-	// Node-local serving counters (heartbeat-shipped telemetry); nil
-	// no-op handles when the plane is off.
-	nServedReqs  *obs.Counter
-	nServedBytes *obs.Counter
+	// What this tracker served: every request, and the bytes written
+	// eagerly (shuffle.rdma.served.requests, .served.bytes), added once
+	// per frame.
+	cServedReqs  *obs.Counter
+	cServedBytes *obs.Counter
 
 	// mrp is the device's slab MR pool (D13): staging regions, response
 	// headers, and cache bodies all carve out of it, so the tracker's
@@ -114,13 +115,13 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 	s.cache.SetJobQuota(conf.Int(config.KeyJTCacheJobQuota))
 	s.cache.rule = s.rule
 	c := tt.Counters()
-	s.cBusyNS = c.Handle("shuffle.rdma.responder.busy.ns")
-	s.cFallbacks = c.Handle("shuffle.rdma.zerocopy.fallbacks")
-	s.cStageOut = c.Handle("shuffle.rdma.stage.outstanding")
-	s.cManifests = c.Handle("shuffle.rdma.read.manifests")
-	s.cAnswerMsgs = c.Handle("shuffle.rdma.answer.msgs")
-	s.nServedReqs = tt.NodeRegistry().Counter("node.served.requests")
-	s.nServedBytes = tt.NodeRegistry().Counter("node.served.bytes")
+	s.cBusyNS = c.Counter("shuffle.rdma.responder.busy.ns")
+	s.cFallbacks = c.Counter("shuffle.rdma.zerocopy.fallbacks")
+	s.cStageOut = c.Counter("shuffle.rdma.stage.outstanding")
+	s.cManifests = c.Counter("shuffle.rdma.read.manifests")
+	s.cAnswerMsgs = c.Counter("shuffle.rdma.answer.msgs")
+	s.cServedReqs = c.Counter("shuffle.rdma.served.requests")
+	s.cServedBytes = c.Counter("shuffle.rdma.served.bytes")
 	s.prefetcher = NewMapOutputPrefetcher(tt, s.cache, int(conf.Int(config.KeyPrefetchThreads)))
 	if s.cacheOn {
 		// Cache entries are registered at Put time so a manifest can
@@ -203,7 +204,7 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 			return // connection closed by copier or server shutdown
 		}
 		if msgs, err = wire.SplitBatch(frame, msgs[:0]); err != nil {
-			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
+			s.tt.Counters().Counter("shuffle.rdma.bad.requests").Add(1)
 			return
 		}
 		if !s.serveFrame(a, &req, msgs) {
@@ -220,6 +221,7 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 // carry the same one. It returns false on server shutdown.
 func (s *trackerServer) serveFrame(a *answers, req *wire.DataRequest, msgs [][]byte) bool {
 	var t0 time.Time // set once the token is held, from the frame's first request on
+	served := int64(0)
 	for _, msg := range msgs {
 		if len(msg) > 0 && msg[0] == wire.TypeLeaseRelease {
 			// Copiers retire drained or abandoned read plans eagerly so the
@@ -228,12 +230,12 @@ func (s *trackerServer) serveFrame(a *answers, req *wire.DataRequest, msgs [][]b
 			if lr, err := wire.DecodeLeaseRelease(msg); err == nil {
 				s.leases.release(lr.LeaseID)
 			} else {
-				s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
+				s.tt.Counters().Counter("shuffle.rdma.bad.requests").Add(1)
 			}
 			continue
 		}
 		if err := req.Decode(msg); err != nil {
-			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
+			s.tt.Counters().Counter("shuffle.rdma.bad.requests").Add(1)
 			continue
 		}
 		if t0.IsZero() {
@@ -249,8 +251,14 @@ func (s *trackerServer) serveFrame(a *answers, req *wire.DataRequest, msgs [][]b
 			a.begin()
 		}
 		s.serve(a, req)
+		served++
 	}
 	if !t0.IsZero() {
+		// Counted before the last SEND: the job cannot end before the
+		// copier has every answer of the frame.
+		s.cServedReqs.Add(served)
+		s.cServedBytes.Add(a.eagerBytes)
+		a.eagerBytes = 0
 		a.end()
 		s.cBusyNS.Add(time.Since(t0).Nanoseconds())
 		<-s.inService
@@ -263,7 +271,6 @@ func (s *trackerServer) serveFrame(a *answers, req *wire.DataRequest, msgs [][]b
 // the response header to the answers — or answer with a manifest the
 // copier READs.
 func (s *trackerServer) serve(a *answers, req *wire.DataRequest) {
-	s.nServedReqs.Add(1)
 	// The fetch protocol's one decision (D8): a read-capable request for a
 	// run that is cache-resident and registered is answered with a
 	// descriptor manifest (rendezvous — the copier READs the payload);
@@ -287,7 +294,7 @@ func (s *trackerServer) serve(a *answers, req *wire.DataRequest) {
 			header.Transient = true
 			header.Bytes, header.Records = 0, 0
 		} else {
-			s.nServedBytes.Add(int64(header.Bytes))
+			a.eagerBytes += int64(header.Bytes)
 		}
 	}
 	a.header(&header)
@@ -304,6 +311,8 @@ type answers struct {
 	batch  wire.Batch
 	sgl    [1]verbs.SGE
 	leases []uint64 // granted to the frame's manifests
+	// eagerBytes is what the frame's eager answers wrote.
+	eagerBytes int64
 	// the manifest being built, encoded into the frame once complete
 	chunks []wire.ReadChunk
 	ranges [maxManifestChunks]wire.ReadRange
@@ -651,7 +660,7 @@ func (s *trackerServer) leaseJanitor() {
 			return
 		case now := <-t.C:
 			if n := s.leases.expire(now); n > 0 {
-				s.tt.Counters().Add("shuffle.rdma.read.lease.expired", int64(n))
+				s.tt.Counters().Counter("shuffle.rdma.read.lease.expired").Add(int64(n))
 				s.tt.Events().Append(obs.Event{Type: obs.EvLeaseExpired,
 					Host: s.tt.Host(), Cause: fmt.Sprintf("%d read leases past TTL %v", n, s.leaseTTL)})
 			}

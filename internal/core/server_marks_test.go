@@ -130,7 +130,7 @@ func TestCachedRunsServedFromMarks(t *testing.T) {
 	copy(dst, run)
 	tt.Store().OverwritePinned(name, dst, owner)
 	s.MapOutputReady(job, 0)
-	if n := tt.Counters().Get("cache.adopted"); n != 1 {
+	if n := tt.Counters().Counter("cache.adopted").Get(); n != 1 {
 		t.Fatalf("cache.adopted = %d, want 1", n)
 	}
 	adopted := CacheKey{JobID: job.ID, MapID: 0}

@@ -134,7 +134,7 @@ func TestConnCacheChurnChaos(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		if n := tt.Counters().Get("shuffle.rdma.stage.outstanding"); n != 0 {
+		if n := tt.Counters().Counter("shuffle.rdma.stage.outstanding").Get(); n != 0 {
 			t.Fatalf("device %s has %d staging blocks that were never released", tt.Host(), n)
 		}
 	}

@@ -109,7 +109,7 @@ func (s *server) MapOutputReady(job mapred.JobInfo, mapID int) {
 		for r := 0; r < job.NumReduces; r++ {
 			_ = s.tt.Store().Delete(mapred.MapOutputKey(job.ID, mapID, r))
 		}
-		s.tt.Counters().Add("faultinject.outputs.lost", 1)
+		s.tt.Counters().Counter("faultinject.outputs.lost").Add(1)
 	}
 	s.inner.MapOutputReady(job, mapID)
 }

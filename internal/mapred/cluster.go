@@ -13,7 +13,6 @@ import (
 	"rdmamr/internal/config"
 	"rdmamr/internal/hdfs"
 	"rdmamr/internal/obs"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/storage"
 	"rdmamr/internal/ucr"
 )
@@ -28,8 +27,11 @@ type Cluster struct {
 	engine   ShuffleEngine
 	fabric   *ucr.Fabric
 	trackers []*TaskTracker
-	counters *stats.Counters
-	phases   *stats.Phases
+	// reg counts the cluster's own work: the JobTracker, liveness,
+	// recovery and, with telemetry on, the ucr histograms. counters reads
+	// it and every tracker's registry as one.
+	reg      *obs.Registry
+	counters obs.View
 
 	// sortBufs recycles map-side collect buffers (*kv.SortBuffer) across
 	// map tasks, whatever their job: arena, index and sort scratch are
@@ -90,25 +92,23 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		return nil, err
 	}
 	c := &Cluster{
-		fs:       hdfs.New(conf.Int(config.KeyBlockSize), int(conf.Int(config.KeyReplication))),
-		conf:     conf,
-		engine:   engine,
-		fabric:   ucr.NewFabric(),
-		counters: &stats.Counters{},
-		phases:   &stats.Phases{},
-		jobIDs:   make(map[string]bool),
-		outputs:  make(map[string]string),
-		jobObs:   newJobObsRegistry(),
+		fs:      hdfs.New(conf.Int(config.KeyBlockSize), int(conf.Int(config.KeyReplication))),
+		conf:    conf,
+		engine:  engine,
+		fabric:  ucr.NewFabric(),
+		reg:     obs.NewRegistry(),
+		jobIDs:  make(map[string]bool),
+		outputs: make(map[string]string),
+		jobObs:  newJobObsRegistry(),
 	}
 	c.jobStatus = make(map[string]*jobStatus)
 	c.events = obs.NewEventLog(256) // the scheduler's last 256 control-plane events
-	// Attach the fabric to the registry — and give each node its own
-	// registry — only when someone will look at the numbers: job records
-	// or the debug endpoint. Detached (default), the ucr/verbs data path
-	// stays clock-free and every node-metric handle is a nil no-op.
-	telemetry := conf.Bool(config.KeyObsProfile) || conf.Get(config.KeyObsHTTPAddr) != ""
-	if telemetry {
-		c.fabric.SetRegistry(c.counters.Registry())
+	c.counters = obs.View{c.reg}
+	// Attach the fabric to the registry only when someone will look at
+	// its clocked histograms: job records or the debug endpoint.
+	// Detached (default), the ucr/verbs data path stays clock-free.
+	if conf.Bool(config.KeyObsProfile) || conf.Get(config.KeyObsHTTPAddr) != "" {
+		c.fabric.SetRegistry(c.reg)
 	}
 	for i := 0; i < n; i++ {
 		host := fmt.Sprintf("node%d", i)
@@ -120,16 +120,10 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		if err := c.fs.AddDataNode(hdfs.NewDataNode(host, store)); err != nil {
 			return nil, err
 		}
-		tt := &TaskTracker{
-			host: host, store: store, fab: c.fabric, dev: dev,
-			conf: conf, counters: c.counters, jobObs: c.jobObs,
-		}
-		var nodeReg *obs.Registry
-		if telemetry {
-			nodeReg = obs.NewRegistry()
-		}
-		tt.initNodeTelemetry(nodeReg, c.events)
+		tt := newTaskTracker(host, store)
+		tt.fab, tt.dev, tt.conf, tt.jobObs, tt.events = c.fabric, dev, conf, c.jobObs, c.events
 		c.trackers = append(c.trackers, tt)
+		c.counters = append(c.counters, tt.reg)
 		srv, err := engine.StartTracker(tt)
 		if err != nil {
 			c.Close()
@@ -145,8 +139,8 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 	c.liveness = newLivenessMonitor(hosts,
 		time.Duration(conf.Int(config.KeyTrackerExpiry))*time.Millisecond,
 		time.Now, c.decommission)
-	c.liveness.hbCount = c.counters.Handle("mapred.tasktracker.heartbeats")
-	c.liveness.hbInterval = c.counters.Registry().Histogram("mapred.tasktracker.heartbeat.interval")
+	c.liveness.hbCount = c.reg.Counter("mapred.tasktracker.heartbeats")
+	c.liveness.hbInterval = c.reg.Histogram("mapred.tasktracker.heartbeat.interval")
 	// A decommissioned tracker whose heartbeats resume was never dead —
 	// the expiry was a false positive (e.g. a starved beat goroutine on a
 	// loaded machine). Re-admit it through the same path as an explicit
@@ -167,11 +161,11 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		}
 		c.httpLn = ln
 		c.httpSrv = &http.Server{Handler: obs.NewHandler(obs.HandlerSources{
-			Registry: c.counters.Registry(),
-			Trace:    c.TraceReport,
-			Cluster:  c.ClusterReport,
-			Events:   c.events,
-			Jobs:     c.JobsReport,
+			Metrics: c.counters,
+			Trace:   c.TraceReport,
+			Cluster: c.ClusterReport,
+			Events:  c.events,
+			Jobs:    c.JobsReport,
 		})}
 		go func() { _ = c.httpSrv.Serve(ln) }()
 	}
@@ -198,16 +192,13 @@ func (c *Cluster) TraceReport() *obs.JobTrace {
 	return c.lastTrace.Load()
 }
 
-// ClusterReport reads every node's registry now: its counter totals, the
-// cluster sum, and a stale flag on each node the liveness monitor has
-// decommissioned. Nil when telemetry is off.
+// ClusterReport reads every node's registry now: its counters, the
+// nodes' totals combined by obs.Combine, and a stale flag on each node
+// the liveness monitor has decommissioned.
 func (c *Cluster) ClusterReport() *obs.ClusterReport {
-	if c.trackers[0].NodeRegistry() == nil {
-		return nil
-	}
 	rep := &obs.ClusterReport{}
 	for ti, tt := range c.trackers {
-		rep.Add(tt.Host(), !c.liveness.isAlive(ti), tt.NodeRegistry().CounterSnapshot())
+		rep.Add(tt.Host(), !c.liveness.isAlive(ti), tt.reg.CounterSnapshot())
 	}
 	return rep
 }
@@ -215,8 +206,10 @@ func (c *Cluster) ClusterReport() *obs.ClusterReport {
 // Events returns the scheduler's structured event log.
 func (c *Cluster) Events() *obs.EventLog { return c.events }
 
-// Registry returns the obs registry backing the cluster counters.
-func (c *Cluster) Registry() *obs.Registry { return c.counters.Registry() }
+// Registry returns the cluster's own registry: the JobTracker's,
+// liveness and recovery counters and, with telemetry on, the ucr
+// histograms. Each node's work is counted in its tracker's registry.
+func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
 // FS returns the cluster's HDFS (for loading inputs and reading outputs).
 func (c *Cluster) FS() *hdfs.FileSystem { return c.fs }
@@ -227,8 +220,9 @@ func (c *Cluster) Conf() *config.Config { return c.conf }
 // Engine returns the shuffle engine.
 func (c *Cluster) Engine() ShuffleEngine { return c.engine }
 
-// Counters returns the cluster-wide counters.
-func (c *Cluster) Counters() *stats.Counters { return c.counters }
+// Counters returns the cluster's counters: its own registry and every
+// tracker's, read as one (obs.View: sums, and the max of a .peak).
+func (c *Cluster) Counters() obs.View { return c.counters }
 
 // Trackers returns the TaskTrackers (for tests and diagnostics).
 func (c *Cluster) Trackers() []*TaskTracker { return c.trackers }
@@ -305,7 +299,7 @@ func (c *Cluster) reviveTracker(host, cause string) error {
 	// future reduce attempt; retract them so only subscribers that
 	// already marked it lost still have to retry their way back.
 	c.jt.forEachRunning(func(rj *runningJob) { rj.losses.Retract(host) })
-	c.counters.Add("mapred.tasktracker.revived", 1)
+	c.reg.Counter("mapred.tasktracker.revived").Add(1)
 	c.events.Append(obs.Event{Type: obs.EvTrackerRevived, Host: host, Cause: cause})
 	return nil
 }
@@ -316,10 +310,10 @@ func (c *Cluster) reviveTracker(host, cause string) error {
 // when the job was admitted) reschedules its work and re-hosts its
 // completed map outputs.
 func (c *Cluster) decommission(ti int, host string) {
-	c.counters.Add("mapred.tasktracker.expired", 1)
+	c.reg.Counter("mapred.tasktracker.expired").Add(1)
 	c.events.Append(obs.Event{Type: obs.EvHeartbeatExpired, Host: host,
 		Cause: fmt.Sprintf("no heartbeat within %v", c.liveness.expiry)})
-	c.counters.Add("mapred.tasktracker.decommissioned", 1)
+	c.reg.Counter("mapred.tasktracker.decommissioned").Add(1)
 	c.events.Append(obs.Event{Type: obs.EvTrackerDecommissioned, Host: host,
 		Cause: "declared dead by liveness sweep"})
 	c.attempts.killAll(ti)
@@ -363,10 +357,13 @@ type JobResult struct {
 	NumMaps     int
 	NumReduces  int
 	OutputFiles []string
-	// Counters holds the per-job delta of cluster counters.
+	// Counters is the change in the cluster's counters (Cluster.Counters)
+	// over the job's run. It includes the work of any job that ran at
+	// the same time.
 	Counters map[string]int64
-	// Phases holds the per-job delta of accumulated task-phase wall time
-	// (map.task, reduce.shuffle, reduce.apply) summed across tasks.
+	// Phases is task-phase wall time summed across tasks (map.task,
+	// reduce.shuffle, reduce.apply), read from the same change in the
+	// <phase>.ns counters, so it too includes any concurrent job's tasks.
 	Phases map[string]time.Duration
 	// Trace is the job's record (dispatch → map → shuffle → merge →
 	// reduce spans) and Profile its shuffle-profile view (Trace.Report()

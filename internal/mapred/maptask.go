@@ -18,8 +18,8 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 	if ctx.Err() != nil {
 		return ctx.Err()
 	}
-	start := time.Now()
-	defer func() { c.phases.Observe("map.task", time.Since(start)) }()
+	start, reg := time.Now(), tt.reg
+	defer func() { reg.Counter("map.task.ns").Add(int64(time.Since(start))) }()
 	tr := tt.TraceFor(info.ID)
 	if tr != nil {
 		defer func() { tr.Add(taskSpan(obs.KindMap, tt, sp.id, attempt, slot, start)) }()
@@ -41,9 +41,9 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 			return fmt.Errorf("reading block %d of %s: %w", bl.ID, sp.path, err)
 		}
 		if served == tt.Host() {
-			c.counters.Add("map.input.blocks.local", 1)
+			reg.Counter("map.input.blocks.local").Add(1)
 		} else {
-			c.counters.Add("map.input.blocks.remote", 1)
+			reg.Counter("map.input.blocks.remote").Add(1)
 		}
 		if len(sp.blocks) == 1 {
 			data = blk
@@ -51,7 +51,7 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 			data = append(data, blk...)
 		}
 	}
-	c.counters.Add("map.input.bytes", int64(len(data)))
+	reg.Counter("map.input.bytes").Add(int64(len(data)))
 
 	it, err := job.InputFormat.Records(data)
 	if err != nil {
@@ -87,8 +87,8 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 	if err := it.Err(); err != nil {
 		return fmt.Errorf("reading split %d: %w", sp.id, err)
 	}
-	c.counters.Add("map.records.in", inRecords)
-	c.counters.Add("map.records.out", outRecords)
+	reg.Counter("map.records.in").Add(inRecords)
+	reg.Counter("map.records.out").Add(outRecords)
 
 	// The commit span covers finish(): merging spill runs into the final
 	// map output files — the map-side "write my output where the shuffle
@@ -103,7 +103,7 @@ func (c *Cluster) runMapTask(ctx context.Context, tt *TaskTracker, info JobInfo,
 	if tr != nil {
 		tr.Add(taskSpan(obs.KindMapCommit, tt, sp.id, attempt, slot, commitStart))
 	}
-	c.counters.Add("map.tasks.completed", 1)
+	reg.Counter("map.tasks.completed").Add(1)
 	return nil
 }
 
@@ -179,7 +179,7 @@ func (ms *mapSpiller) spill() error {
 		return err
 	}
 	ms.spills++
-	ms.c.counters.Add("map.spills", 1)
+	ms.tt.reg.Counter("map.spills").Add(1)
 	ms.resetBuf()
 	return nil
 }
@@ -200,8 +200,8 @@ func (ms *mapSpiller) sortedRuns(put func(partition int, run []byte) error) erro
 			if err != nil {
 				return fmt.Errorf("combiner: %w", err)
 			}
-			ms.c.counters.Add("combine.records.in", int64(len(ms.views)))
-			ms.c.counters.Add("combine.records.out", int64(len(combined)))
+			ms.tt.reg.Counter("combine.records.in").Add(int64(len(ms.views)))
+			ms.tt.reg.Counter("combine.records.out").Add(int64(len(combined)))
 			run = kv.WriteRun(combined)
 		}
 		if err := put(r, run); err != nil {
@@ -216,7 +216,7 @@ func (ms *mapSpiller) storeOutput(r int, run []byte) error {
 	if err := ms.tt.storeMapOutput(ms.info.ID, ms.mapID, r, run); err != nil {
 		return fmt.Errorf("storing partition %d: %w", r, err)
 	}
-	ms.c.counters.Add("map.output.bytes", int64(len(run)))
+	ms.tt.reg.Counter("map.output.bytes").Add(int64(len(run)))
 	return nil
 }
 
@@ -232,7 +232,7 @@ func (ms *mapSpiller) finish() error {
 		ms.buf.Sort()
 		for r := 0; r < ms.info.NumReduces; r++ {
 			n := ms.tt.storeSortedRun(ms.info.ID, ms.mapID, r, ms.buf)
-			ms.c.counters.Add("map.output.bytes", int64(n))
+			ms.tt.reg.Counter("map.output.bytes").Add(int64(n))
 		}
 		return nil
 	}

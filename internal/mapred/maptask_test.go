@@ -9,7 +9,6 @@ import (
 	"rdmamr/internal/alloctest"
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/storage"
 )
 
@@ -24,8 +23,8 @@ func collectMapOutput(t *testing.T, ioSortBytes int64, recs []kv.Record, reduces
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Cluster{counters: &stats.Counters{}}
-	tt := &TaskTracker{host: "node0", store: storage.NewLocalStore(), counters: c.counters}
+	c := &Cluster{}
+	tt := newTaskTracker("node0", storage.NewLocalStore())
 	info := JobInfo{ID: "job_t", Conf: conf, Comparator: job.Comparator, NumMaps: 1, NumReduces: reduces}
 
 	size := 0
@@ -50,10 +49,10 @@ func collectMapOutput(t *testing.T, ioSortBytes int64, recs []kv.Record, reduces
 		}
 		bytesOut += int64(len(runs[r]))
 	}
-	if got := c.counters.Get("map.output.bytes"); got != bytesOut {
+	if got := tt.Counters().Counter("map.output.bytes").Get(); got != bytesOut {
 		t.Fatalf("map.output.bytes = %d, stored %d", got, bytesOut)
 	}
-	return runs, c.counters.Get("map.spills")
+	return runs, tt.Counters().Counter("map.spills").Get()
 }
 
 // TestMultiSpillMapOutputEqualsNoSpill forces io.sort.mb far below the
@@ -101,8 +100,7 @@ func TestMultiSpillMapOutputEqualsNoSpill(t *testing.T) {
 // it is looked up by and not one byte of the partition — the run returned
 // is the stored run, every time, and the disk read is still counted.
 func TestMapOutputAllocBudget(t *testing.T) {
-	counters := &stats.Counters{}
-	tt := &TaskTracker{host: "node0", store: storage.NewLocalStore(), counters: counters}
+	tt := newTaskTracker("node0", storage.NewLocalStore())
 	run := kv.WriteRun([]kv.Record{{Key: []byte("k"), Value: make([]byte, 1<<20)}})
 	if err := tt.storeMapOutput("job_t", 3, 1, run); err != nil {
 		t.Fatal(err)
@@ -120,7 +118,7 @@ func TestMapOutputAllocBudget(t *testing.T) {
 	if &got[0] != &run[0] || len(got) != len(run) || cap(got) != len(got) {
 		t.Fatal("MapOutput did not return the stored run, capacity clamped")
 	}
-	if reads := counters.Get("tracker.mapoutput.disk.reads"); reads != 3 {
+	if reads := tt.Counters().Counter("tracker.mapoutput.disk.reads").Get(); reads != 3 {
 		t.Fatalf("tracker.mapoutput.disk.reads = %d after 3 reads", reads)
 	}
 	if read, _, n, _ := tt.Store().Counters(); n != 3 || read != int64(3*len(run)) {

@@ -130,6 +130,6 @@ func (r *jobRecovery) execute(e *recoveryEntry, mapID, start int, avoid string) 
 	if e.err == nil {
 		e.host = tt.Host()
 		r.c.server(ti).MapOutputReady(r.info, mapID)
-		r.c.counters.Add("map.tasks.recovered", 1)
+		r.c.reg.Counter("map.tasks.recovered").Add(1)
 	}
 }

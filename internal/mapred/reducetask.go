@@ -50,9 +50,10 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 	// For a barrier engine Fetch returns only after shuffle+merge; for a
 	// streaming engine this span is near zero and the cost lands in the
 	// reduce span below (the overlap the design is about).
-	c.phases.Observe("reduce.shuffle", time.Since(taskStart))
+	reg := tt.reg
+	reg.Counter("reduce.shuffle.ns").Add(int64(time.Since(taskStart)))
 	reduceStart := time.Now()
-	defer func() { c.phases.Observe("reduce.apply", time.Since(reduceStart)) }()
+	defer func() { reg.Counter("reduce.apply.ns").Add(int64(time.Since(reduceStart))) }()
 	// The reduce window opens when the reduce function can first pull
 	// merged records; with a streaming engine that is while shuffle and
 	// merge are still running — the overlap the profile measures.
@@ -108,9 +109,9 @@ func (c *Cluster) runReduceTask(ctx context.Context, tt *TaskTracker, info JobIn
 		}
 		return abandon(fmt.Errorf("committing %s: %w", final, err))
 	}
-	c.counters.Add("reduce.records.in", inRecords)
-	c.counters.Add("reduce.records.out", outRecords)
-	c.counters.Add("reduce.tasks.completed", 1)
+	reg.Counter("reduce.records.in").Add(inRecords)
+	reg.Counter("reduce.records.out").Add(outRecords)
+	reg.Counter("reduce.tasks.completed").Add(1)
 	return true, nil
 }
 

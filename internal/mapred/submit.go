@@ -172,7 +172,7 @@ func newJobTracker(c *Cluster) *jobTracker {
 		p.slots = int(c.conf.Int(kindSpecs[k].slotsKey))
 		p.busy = make(map[string]int)
 		for i, name := range kindSpecs[k].counters {
-			p.counters[i] = c.counters.Handle(name)
+			p.counters[i] = c.reg.Counter(name)
 		}
 	}
 	return jt
@@ -671,7 +671,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	admit, queued := jt.adm.Submit(info.ID)
 	if queued {
 		running, waiting := jt.adm.Stats()
-		c.counters.Add("mapred.jobtracker.jobs.queued", 1)
+		c.reg.Counter("mapred.jobtracker.jobs.queued").Add(1)
 		c.events.Append(obs.Event{Type: obs.EvJobQueued, Job: info.ID,
 			Cause: fmt.Sprintf("%d jobs running (max %d), %d queued", running, jt.adm.Max(), waiting)})
 		select {
@@ -691,7 +691,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 			<-admit
 		}
 	}
-	c.counters.Add("mapred.jobtracker.jobs.admitted", 1)
+	c.reg.Counter("mapred.jobtracker.jobs.admitted").Add(1)
 	c.events.Append(obs.Event{Type: obs.EvJobAdmitted, Job: info.ID})
 
 	// Install the job's record under its OWN key — concurrent jobs never
@@ -761,7 +761,6 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	})
 
 	before := c.counters.Snapshot()
-	phasesBefore := c.phases.Snapshot()
 	eventsBefore := c.events.Seq()
 	start := time.Now()
 	c.markRunning(info.ID, rj)
@@ -826,7 +825,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	}
 	var res *JobResult
 	if err != nil {
-		c.counters.Add("mapred.jobtracker.jobs.failed", 1)
+		c.reg.Counter("mapred.jobtracker.jobs.failed").Add(1)
 		c.events.Append(obs.Event{Type: obs.EvJobFailed, Job: info.ID})
 	} else {
 		after := c.counters.Snapshot()
@@ -836,11 +835,10 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 				delta[k] = d
 			}
 		}
-		phasesAfter := c.phases.Snapshot()
-		phaseDelta := make(map[string]time.Duration, len(phasesAfter))
-		for k, v := range phasesAfter {
-			if d := v - phasesBefore[k]; d != 0 {
-				phaseDelta[k] = d
+		phaseDelta := make(map[string]time.Duration)
+		for _, phase := range []string{"map.task", "reduce.shuffle", "reduce.apply"} {
+			if d, ok := delta[phase+".ns"]; ok {
+				phaseDelta[phase] = time.Duration(d)
 			}
 		}
 		res = &JobResult{
@@ -855,7 +853,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 			c.lastTrace.Store(tr)
 		}
 		c.jobObs.remove(info.ID)
-		c.counters.Add("mapred.jobtracker.jobs.completed", 1)
+		c.reg.Counter("mapred.jobtracker.jobs.completed").Add(1)
 		c.events.Append(obs.Event{Type: obs.EvJobCompleted, Job: info.ID})
 	}
 	c.finishJob(h, job, info, res, err)

@@ -8,7 +8,6 @@ import (
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/obs"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/storage"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
@@ -20,32 +19,26 @@ import (
 // both the serving side (map outputs live in Store) and the reduce side
 // (the local endpoint for fetching).
 type TaskTracker struct {
-	host     string
-	store    *storage.LocalStore
-	fab      *ucr.Fabric
-	dev      *verbs.Device
-	conf     *config.Config
-	counters *stats.Counters
+	host  string
+	store *storage.LocalStore
+	fab   *ucr.Fabric
+	dev   *verbs.Device
+	conf  *config.Config
+	// reg holds every counter of this node's work; the cluster's
+	// Counters view combines it with the other nodes'.
+	reg *obs.Registry
 	// jobObs is the cluster's per-job record registry: task code asks
 	// for the record of the job it is running (keyed by jobID), so
 	// concurrent jobs never see each other's instrumentation. A nil
 	// registry, or a job without a record, yields nil — the
 	// disabled-observability fast path at every call site.
 	jobObs *jobObsRegistry
-	// nodeReg is this node's OWN registry (node.* namespace), distinct
-	// from the cluster-wide one behind counters; the cluster report
-	// reads its counters. Nil when telemetry is off.
-	nodeReg *obs.Registry
 	// events is the cluster's shared structured event log (servers
-	// append lease-expiry events through it). Nil when telemetry is off.
+	// append lease-expiry events through it).
 	events *obs.EventLog
-	// Pre-resolved nodeReg handles for the tracker's own hot paths
-	// (nil handles when telemetry is off — free no-ops).
-	nDiskReads   *obs.Counter
-	nMapoutBytes *obs.Counter
-	// cDiskReads is the cluster counter tracker.mapoutput.disk.reads,
-	// resolved on first use so that MapOutput looks no name up.
-	cDiskReads atomic.Pointer[obs.Counter]
+	// cDiskReads is tracker.mapoutput.disk.reads, resolved at
+	// construction so that MapOutput looks no name up.
+	cDiskReads *obs.Counter
 	// runAlloc is the shuffle engine's RunAllocator, nil when it has none.
 	runAlloc atomic.Pointer[RunAllocator]
 }
@@ -61,14 +54,12 @@ type RunAllocator func(name string, n int) ([]byte, storage.Pinned, error)
 // installs one with caching on (DESIGN.md D24).
 func (tt *TaskTracker) SetRunAllocator(a RunAllocator) { tt.runAlloc.Store(&a) }
 
-// initNodeTelemetry attaches the per-node registry and the shared event
-// log, pre-resolving the tracker's own counter handles. Called once by
-// the cluster at construction.
-func (tt *TaskTracker) initNodeTelemetry(reg *obs.Registry, events *obs.EventLog) {
-	tt.nodeReg = reg
-	tt.events = events
-	tt.nDiskReads = reg.Counter("node.disk.reads")
-	tt.nMapoutBytes = reg.Counter("node.mapout.bytes")
+// newTaskTracker makes host's tracker over its local disk, with the
+// node's own counter registry.
+func newTaskTracker(host string, store *storage.LocalStore) *TaskTracker {
+	reg := obs.NewRegistry()
+	return &TaskTracker{host: host, store: store, reg: reg,
+		cDiskReads: reg.Counter("tracker.mapoutput.disk.reads")}
 }
 
 // Host returns the node name.
@@ -83,12 +74,9 @@ func (tt *TaskTracker) Fabric() *ucr.Fabric { return tt.fab }
 // Device returns this node's verbs device.
 func (tt *TaskTracker) Device() *verbs.Device { return tt.dev }
 
-// Counters returns the cluster-wide stat counters.
-func (tt *TaskTracker) Counters() *stats.Counters { return tt.counters }
-
-// Registry returns the obs registry backing the counters, for components
-// that want gauges or histograms alongside (and for the debug endpoint).
-func (tt *TaskTracker) Registry() *obs.Registry { return tt.counters.Registry() }
+// Counters returns this node's counter registry: every counter of the
+// work the node does, map and reduce tasks, shuffle serving and fetching.
+func (tt *TaskTracker) Counters() *obs.Registry { return tt.reg }
 
 // TraceFor returns the given job's record (mapred.obs.profile.enabled),
 // or nil when it is off for that job — the nil IS observability off,
@@ -107,13 +95,8 @@ func taskSpan(k obs.SpanKind, tt *TaskTracker, id, attempt, slot int, start time
 		Node: tt.Host(), Start: start, End: time.Now()}
 }
 
-// NodeRegistry returns this node's own metric registry (node.* names,
-// shipped to the scheduler as heartbeat deltas). Nil when cluster
-// telemetry is off — obs handles from a nil registry are free no-ops.
-func (tt *TaskTracker) NodeRegistry() *obs.Registry { return tt.nodeReg }
-
-// Events returns the cluster's structured event log (nil when telemetry
-// is off; Append on nil is a no-op).
+// Events returns the cluster's structured event log (Append on nil is a
+// no-op).
 func (tt *TaskTracker) Events() *obs.EventLog { return tt.events }
 
 // Store exposes the node's local disk. Engines read map outputs from here
@@ -129,19 +112,9 @@ func (tt *TaskTracker) Store() *storage.LocalStore { return tt.store }
 // and stays readable after the job's outputs are cleaned up; a run the
 // store holds pinned comes back as a private copy.
 func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, error) {
-	tt.diskReads().Add(1)
-	tt.nDiskReads.Add(1)
+	tt.cDiskReads.Add(1)
 	var key [64]byte
 	return tt.store.GetKey(AppendMapOutputKey(key[:0], jobID, mapID, partition))
-}
-
-func (tt *TaskTracker) diskReads() *obs.Counter {
-	c := tt.cDiskReads.Load()
-	if c == nil {
-		c = tt.counters.Handle("tracker.mapoutput.disk.reads")
-		tt.cDiskReads.Store(c)
-	}
-	return c
 }
 
 // MapOutputSize returns the stored size of a partition without a disk
@@ -157,7 +130,6 @@ func (tt *TaskTracker) MapOutputSize(jobID string, mapID, partition int) (int64,
 // (identical) bytes.
 func (tt *TaskTracker) storeMapOutput(jobID string, mapID, partition int, run []byte) error {
 	tt.store.OverwriteOwned(MapOutputKey(jobID, mapID, partition), run)
-	tt.nMapoutBytes.Add(int64(len(run)))
 	return nil
 }
 
@@ -168,7 +140,6 @@ func (tt *TaskTracker) storeMapOutput(jobID string, mapID, partition int, run []
 // heap buffer the store takes over.
 func (tt *TaskTracker) storeSortedRun(jobID string, mapID, p int, buf *kv.SortBuffer) int {
 	name, n := MapOutputKey(jobID, mapID, p), buf.RunLen(p)
-	tt.nMapoutBytes.Add(int64(n))
 	if alloc := tt.runAlloc.Load(); alloc != nil && *alloc != nil {
 		if dst, owner, err := (*alloc)(name, n); err == nil {
 			buf.RunInto(p, dst)

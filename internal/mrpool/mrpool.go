@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"rdmamr/internal/obs"
-	"rdmamr/internal/stats"
 	"rdmamr/internal/verbs"
 )
 
@@ -86,19 +85,20 @@ func (p *Pool) Configure(budgetBytes, slabBytes int64) {
 	}
 }
 
-// SetCounters mirrors the accountant into a counter set
+// SetCounters mirrors the accountant into a registry's counters
 // (mr.slab.bytes.pinned, mr.slab.allocs, mr.slab.failures), once: a later
-// call changes nothing. Pinned bytes registered before the first call are
-// replayed so the gauge is absolute, not a partial delta.
-func (p *Pool) SetCounters(c *stats.Counters) {
+// call changes nothing; a nil registry counts nothing. Pinned bytes
+// registered before the first call are replayed so the gauge is
+// absolute, not a partial delta.
+func (p *Pool) SetCounters(c *obs.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.hPinned != nil {
 		return
 	}
-	p.hPinned = c.Handle("mr.slab.bytes.pinned")
-	p.hAllocs = c.Handle("mr.slab.allocs")
-	p.hFailures = c.Handle("mr.slab.failures")
+	p.hPinned = c.Counter("mr.slab.bytes.pinned")
+	p.hAllocs = c.Counter("mr.slab.allocs")
+	p.hFailures = c.Counter("mr.slab.failures")
 	p.hPinned.Add(p.pinned)
 }
 

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"rdmamr/internal/stats"
+	"rdmamr/internal/obs"
 	"rdmamr/internal/verbs"
 )
 
@@ -98,14 +98,14 @@ func TestFreeCoalesces(t *testing.T) {
 // pinning past it, and failures are counted.
 func TestBudgetEnforced(t *testing.T) {
 	p := testPool(t, 1<<16)
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	p.SetCounters(c)
 	p.Configure(1<<16, 1<<16)
 	a, err := p.Alloc(1<<14, "q") // under half a slab: it shares one
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Get("mr.slab.bytes.pinned"); got != 1<<16 {
+	if got := c.Counter("mr.slab.bytes.pinned").Get(); got != 1<<16 {
 		t.Fatalf("bytes.pinned = %d after a small carve, want one slab %d", got, 1<<16)
 	}
 	a.Free()
@@ -116,10 +116,10 @@ func TestBudgetEnforced(t *testing.T) {
 	if _, err := p.Alloc(1<<16, "q"); !errors.Is(err, ErrBudget) {
 		t.Fatalf("over-budget alloc = %v, want ErrBudget", err)
 	}
-	if c.Get("mr.slab.failures") != 1 {
-		t.Fatalf("failures = %d, want 1", c.Get("mr.slab.failures"))
+	if c.Counter("mr.slab.failures").Get() != 1 {
+		t.Fatalf("failures = %d, want 1", c.Counter("mr.slab.failures").Get())
 	}
-	if got := c.Get("mr.slab.bytes.pinned"); got != 1<<16 {
+	if got := c.Counter("mr.slab.bytes.pinned").Get(); got != 1<<16 {
 		t.Fatalf("bytes.pinned = %d, want %d", got, 1<<16)
 	}
 	// Freeing makes room within the already-pinned slab.
@@ -269,9 +269,9 @@ func TestDoubleFreePanics(t *testing.T) {
 func TestCountersReplayPinnedBytes(t *testing.T) {
 	p := testPool(t, 1<<16)
 	blk, _ := p.Alloc(64, "x")
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	p.SetCounters(c)
-	if got := c.Get("mr.slab.bytes.pinned"); got != 1<<16 {
+	if got := c.Counter("mr.slab.bytes.pinned").Get(); got != 1<<16 {
 		t.Fatalf("replayed bytes.pinned = %d, want %d", got, 1<<16)
 	}
 	blk.Free()
@@ -355,7 +355,7 @@ func TestCloseDeregistersAndForgets(t *testing.T) {
 	if For(dev) != p {
 		t.Fatal("For returned a second pool for the device")
 	}
-	c := &stats.Counters{}
+	c := obs.NewRegistry()
 	p.SetCounters(c)
 	kept, err := p.AllocRemote(4096, "kept")
 	if err != nil {
@@ -373,7 +373,7 @@ func TestCloseDeregistersAndForgets(t *testing.T) {
 		t.Fatalf("closed pool: pinned %d, in use %d, %d blocks (%v), want nothing",
 			p.PinnedBytes(), p.InUseBytes(), p.OutstandingBlocks(), p.Attribution())
 	}
-	if got := c.Get("mr.slab.bytes.pinned"); got != 0 {
+	if got := c.Counter("mr.slab.bytes.pinned").Get(); got != 0 {
 		t.Fatalf("mr.slab.bytes.pinned = %d after Close, want 0", got)
 	}
 	if _, err := p.Alloc(64, "late"); !errors.Is(err, verbs.ErrClosed) {

@@ -7,9 +7,8 @@ import (
 	"sort"
 )
 
-// NodeReport is one node's telemetry in a ClusterReport: the totals of
-// its node registry's counters, and whether the scheduler has declared
-// the node dead.
+// NodeReport is one node's telemetry in a ClusterReport: its registry's
+// counters, and whether the scheduler has declared the node dead.
 type NodeReport struct {
 	Host   string           `json:"host"`
 	Stale  bool             `json:"stale"`
@@ -17,20 +16,21 @@ type NodeReport struct {
 }
 
 // ClusterReport is the /cluster.json payload: every node plus the
-// cluster sum (stale nodes' totals included). It is read from the node
-// registries when asked for; a reader who wants rates diffs two reports.
+// cluster totals, its nodes' counters combined by Combine (stale nodes
+// included). It is read from the node registries when asked for; a
+// reader who wants rates diffs two reports.
 type ClusterReport struct {
 	Nodes  []NodeReport     `json:"nodes"`
 	Totals map[string]int64 `json:"cluster_totals,omitempty"`
 }
 
-// Add appends one node and sums its totals into the cluster's.
+// Add appends one node and combines its totals into the cluster's.
 func (r *ClusterReport) Add(host string, stale bool, totals map[string]int64) {
 	if r.Totals == nil {
 		r.Totals = make(map[string]int64)
 	}
 	for name, v := range totals {
-		r.Totals[name] += v
+		r.Totals[name] = Combine(name, r.Totals[name], v)
 	}
 	r.Nodes = append(r.Nodes, NodeReport{Host: host, Stale: stale, Totals: totals})
 }
@@ -39,7 +39,7 @@ func (r *ClusterReport) Add(host string, stale bool, totals map[string]int64) {
 func (r *ClusterReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // WriteText renders the report for humans: one block per node with its
-// totals, then the cluster sum.
+// totals, then the cluster totals.
 func (r *ClusterReport) WriteText(w io.Writer) {
 	if r == nil {
 		fmt.Fprintln(w, "(no cluster view)")

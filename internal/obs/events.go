@@ -148,15 +148,6 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-// Tail returns the newest n retained events, oldest first.
-func (l *EventLog) Tail(n int) []Event {
-	evs := l.Events()
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
 // TailSince returns up to max retained events with Seq > seq, oldest
 // first — "what happened during this job" given the Seq at job start.
 func (l *EventLog) TailSince(seq int64, max int) []Event {
@@ -180,16 +171,6 @@ func (l *EventLog) Seq() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
-}
-
-// Dropped returns how many events aged out of the ring.
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // EventsSnapshot is the /events.json payload.

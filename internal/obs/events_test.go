@@ -23,9 +23,6 @@ func TestEventLogRingRetainsNewest(t *testing.T) {
 			t.Errorf("event %d has seq %d, want %d (oldest-first newest window)", i, e.Seq, want)
 		}
 	}
-	if got := l.Dropped(); got != 6 {
-		t.Errorf("dropped = %d, want 6", got)
-	}
 	snap := l.Snapshot()
 	if snap.Total != 10 || snap.Dropped != 6 || len(snap.Events) != 4 {
 		t.Errorf("snapshot = total %d dropped %d len %d, want 10/6/4", snap.Total, snap.Dropped, len(snap.Events))
@@ -44,8 +41,8 @@ func TestEventLogTailSince(t *testing.T) {
 	if got := l.TailSince(4, 1); len(got) != 1 || got[0].Seq != 6 {
 		t.Fatalf("TailSince(4, max 1) = %+v, want just seq 6", got)
 	}
-	if got := l.Tail(2); len(got) != 2 || got[0].Seq != 5 {
-		t.Fatalf("Tail(2) = %+v", got)
+	if snap := l.Snapshot(); len(snap.Events) != 6 || snap.Events[4].Seq != 5 || snap.Dropped != 0 {
+		t.Fatalf("Snapshot = %+v, want all six retained", snap)
 	}
 }
 
@@ -54,7 +51,7 @@ func TestEventLogNilIsDisabled(t *testing.T) {
 	if seq := l.Append(Event{Type: EvLeaseExpired}); seq != 0 {
 		t.Errorf("nil append returned %d", seq)
 	}
-	if l.Events() != nil || l.Tail(3) != nil || l.Dropped() != 0 || l.Seq() != 0 {
+	if snap := l.Snapshot(); l.Events() != nil || len(snap.Events) != 0 || snap.Dropped != 0 || l.Seq() != 0 {
 		t.Error("nil event log leaked state")
 	}
 	var sb strings.Builder

@@ -7,12 +7,12 @@ import (
 )
 
 // HandlerSources feeds the debug HTTP surface. Every field may be nil:
-// a nil Registry renders as an empty registry, nil functions and a nil
-// EventLog turn their endpoints into clean 404s. Function sources are
+// a nil Metrics view renders as empty, nil functions and a nil EventLog
+// turn their endpoints into clean 404s. Function sources are
 // called per request so the handler always serves the current job.
 type HandlerSources struct {
-	// Registry backs /metrics and /metrics.json.
-	Registry *Registry
+	// Metrics backs /metrics and /metrics.json.
+	Metrics View
 	// Trace returns the current (or last finished) job's record, whose
 	// two views /profile(.json) and /trace.json serve.
 	Trace func() *JobTrace
@@ -26,12 +26,12 @@ type HandlerSources struct {
 
 // NewHandler serves the debug observability surface over HTTP:
 //
-//	/metrics       registry rendered as sorted text
-//	/metrics.json  full registry snapshot (counters, histograms)
+//	/metrics       the view's metrics rendered as sorted text
+//	/metrics.json  the same snapshot (counters, histograms) as JSON
 //	/profile       current job's shuffle profile, human-readable
 //	/profile.json  the same report as JSON (404 when none)
 //	/cluster       per-node + aggregate telemetry, human-readable
-//	/cluster.json  the same as JSON (404 when telemetry is off)
+//	/cluster.json  the same as JSON (404 when no cluster view)
 //	/events        structured scheduler event log, one per line
 //	/events.json   the same as JSON (404 when no event log)
 //	/trace.json    job trace as Chrome trace-event JSON (404 when none)
@@ -68,15 +68,13 @@ func NewHandler(src HandlerSources) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		// A nil registry is a valid "observability off" registry: render
-		// it as empty rather than panicking (WriteText and Snapshot are
-		// both nil-receiver safe by construction; this endpoint's contract
-		// is pinned by TestHandlerNilRegistry).
-		src.Registry.WriteText(w)
+		// An empty view renders as empty rather than panicking (this
+		// endpoint's contract is pinned by TestHandlerNilRegistry).
+		src.Metrics.Metrics().WriteText(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(src.Registry.Snapshot())
+		_ = json.NewEncoder(w).Encode(src.Metrics.Metrics())
 	})
 	mux.HandleFunc("/profile.json", func(w http.ResponseWriter, r *http.Request) {
 		rep := trace().Report()

@@ -49,7 +49,7 @@ func TestHandlerLegacyEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shuffle.rdma.bytes").Add(4096)
 	var tr *JobTrace
-	h := NewHandler(HandlerSources{Registry: reg, Trace: func() *JobTrace { return tr }})
+	h := NewHandler(HandlerSources{Metrics: View{reg}, Trace: func() *JobTrace { return tr }})
 
 	code, ct, body := get(t, h, "/")
 	if code != http.StatusOK || !strings.HasPrefix(ct, "text/plain") {
@@ -103,7 +103,7 @@ func TestHandlerLegacyEndpoints(t *testing.T) {
 
 func TestHandlerTelemetryEndpoints(t *testing.T) {
 	cluster := &ClusterReport{}
-	cluster.Add("node1", false, map[string]int64{"node.fetch.bytes": 77})
+	cluster.Add("node1", false, map[string]int64{"shuffle.rdma.bytes": 77})
 	events := NewEventLog(8)
 	events.Append(Event{Type: EvHeartbeatExpired, Host: "node2", Cause: "no heartbeat"})
 	tr := NewJobTrace("job_0002_t")
@@ -120,7 +120,7 @@ func TestHandlerTelemetryEndpoints(t *testing.T) {
 		t.Errorf("/cluster: status %d type %q body %q", code, ct, body)
 	}
 	if code, ct, body = get(t, h, "/cluster.json"); code != http.StatusOK ||
-		!strings.HasPrefix(ct, "application/json") || !strings.Contains(body, `"node.fetch.bytes": 77`) {
+		!strings.HasPrefix(ct, "application/json") || !strings.Contains(body, `"shuffle.rdma.bytes": 77`) {
 		t.Errorf("/cluster.json: status %d type %q body %q", code, ct, body)
 	}
 	if code, _, body = get(t, h, "/events"); code != http.StatusOK || !strings.Contains(body, EvHeartbeatExpired) {

@@ -15,7 +15,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -188,7 +190,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // Registry is a concurrency-safe metric registry keyed by dotted names
-// (shuffle.rdma.bytes, node.fetch.bytes). The zero value is NOT ready —
+// (shuffle.rdma.bytes, cache.hits). The zero value is NOT ready —
 // use NewRegistry — but a nil *Registry is a valid "observability off"
 // registry whose lookups return nil handles. One mutex guards both name
 // maps, so handle creation is serialized.
@@ -244,28 +246,9 @@ type Snapshot struct {
 }
 
 // Snapshot copies out every metric. Empty snapshot on a nil receiver.
-func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   r.CounterSnapshot(),
-		Histograms: map[string]HistSnapshot{},
-	}
-	if r == nil {
-		return snap
-	}
-	r.mu.Lock()
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	r.mu.Unlock()
-	for _, h := range hists {
-		snap.Histograms[h.name] = h.Snapshot()
-	}
-	return snap
-}
+func (r *Registry) Snapshot() Snapshot { return View{r}.Metrics() }
 
-// CounterSnapshot copies out the counters only: what stats.Counters
-// and the /cluster report read.
+// CounterSnapshot copies out the counters only.
 func (r *Registry) CounterSnapshot() map[string]int64 {
 	out := make(map[string]int64)
 	if r == nil {
@@ -283,10 +266,72 @@ func (r *Registry) CounterSnapshot() map[string]int64 {
 	return out
 }
 
-// WriteText renders the registry sorted by name, one metric per line —
-// the /debug/metrics format.
-func (r *Registry) WriteText(w io.Writer) {
-	snap := r.Snapshot()
+// View reads several registries as one: a cluster's own and each of its
+// nodes'. Every reader of its counters — Get, Snapshot, Metrics and a
+// ClusterReport's totals — combines them by Combine. Histograms are not
+// combined: a name kept in two registries reads the later one's.
+type View []*Registry
+
+// Combine folds one registry's value v of counter name into total: a
+// high-water mark (a name ending in ".peak") keeps the max, every other
+// counter sums.
+func Combine(name string, total, v int64) int64 {
+	if strings.HasSuffix(name, ".peak") {
+		return max(total, v)
+	}
+	return total + v
+}
+
+// Get returns name combined over every registry: 0 where none has it,
+// and no counter is created.
+func (v View) Get(name string) int64 {
+	var total int64
+	for _, r := range v {
+		if r == nil {
+			continue
+		}
+		r.mu.Lock()
+		c := r.counters[name]
+		r.mu.Unlock()
+		if c != nil {
+			total = Combine(name, total, c.Get())
+		}
+	}
+	return total
+}
+
+// Snapshot returns every counter, combined over the registries.
+func (v View) Snapshot() map[string]int64 {
+	out := make(map[string]int64)
+	for _, r := range v {
+		for name, n := range r.CounterSnapshot() {
+			out[name] = Combine(name, out[name], n)
+		}
+	}
+	return out
+}
+
+// Metrics returns the combined counters and every registry's
+// histograms: what /metrics and /metrics.json serve.
+func (v View) Metrics() Snapshot {
+	snap := Snapshot{Counters: v.Snapshot(), Histograms: map[string]HistSnapshot{}}
+	for _, r := range v {
+		if r == nil {
+			continue
+		}
+		r.mu.Lock()
+		hists := slices.Collect(maps.Values(r.hists))
+		r.mu.Unlock()
+		for _, h := range hists {
+			snap.Histograms[h.name] = h.Snapshot()
+		}
+	}
+	return snap
+}
+
+// WriteText renders the snapshot sorted by name, one metric per line —
+// the /metrics format.
+func (snap Snapshot) WriteText(w io.Writer) {
 	names := make([]string, 0, len(snap.Counters)+len(snap.Histograms))
 	for k := range snap.Counters {
 		names = append(names, k)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -47,7 +48,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	var sb strings.Builder
-	r.WriteText(&sb) // must not panic
+	r.Snapshot().WriteText(&sb) // must not panic
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -121,11 +122,84 @@ func TestSnapshotAndText(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	var sb strings.Builder
-	r.WriteText(&sb)
+	snap.WriteText(&sb)
 	text := sb.String()
 	for _, want := range []string{"c1=5", "h1 count=1"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestViewCombinesRegistries: a view sums every counter over its
+// registries, keeps the max of a high-water mark, and reads the same
+// totals through Get, Snapshot and Metrics.
+func TestViewCombinesRegistries(t *testing.T) {
+	own, a, b := NewRegistry(), NewRegistry(), NewRegistry()
+	own.Counter("mapred.tasktracker.heartbeats").Add(5)
+	own.Histogram("ucr.send").Observe(time.Microsecond)
+	a.Counter("shuffle.rdma.bytes").Add(40)
+	b.Counter("shuffle.rdma.bytes").Add(2)
+	a.Counter("shuffle.rdma.outstanding.peak").Max(3)
+	b.Counter("shuffle.rdma.outstanding.peak").Max(7)
+	v := View{own, a, nil, b}
+	want := map[string]int64{"mapred.tasktracker.heartbeats": 5, "shuffle.rdma.bytes": 42, "shuffle.rdma.outstanding.peak": 7}
+	for name, n := range want {
+		if got := v.Get(name); got != n {
+			t.Errorf("Get(%s) = %d, want %d", name, got, n)
+		}
+	}
+	if got := v.Snapshot(); !maps.Equal(got, want) {
+		t.Errorf("Snapshot = %v, want %v", got, want)
+	}
+	m := v.Metrics()
+	if !maps.Equal(m.Counters, want) || m.Histograms["ucr.send"].Count != 1 {
+		t.Errorf("Metrics = %+v", m)
+	}
+}
+
+// TestViewCountersBasic: a name no registry has reads 0 and is not
+// created by the read.
+func TestViewCountersBasic(t *testing.T) {
+	r := NewRegistry()
+	v := View{r}
+	r.Counter("x").Add(3)
+	r.Counter("x").Add(4)
+	if v.Get("x") != 7 {
+		t.Fatalf("x = %d", v.Get("x"))
+	}
+	if v.Get("missing") != 0 {
+		t.Fatal("missing counter nonzero")
+	}
+	if _, ok := r.CounterSnapshot()["missing"]; ok || len(v.Snapshot()) != 1 {
+		t.Fatalf("Get created a counter: %v", r.CounterSnapshot())
+	}
+}
+
+func TestViewCountersSnapshotIsolated(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a").Add(1)
+	snap := View{r}.Snapshot()
+	snap["a"] = 99
+	if (View{r}).Get("a") != 1 {
+		t.Fatal("snapshot aliases the registry")
+	}
+}
+
+func TestViewCountersConcurrent(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(r *Registry) {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				r.Counter("n").Add(1)
+			}
+		}([]*Registry{a, b}[i%2])
+	}
+	wg.Wait()
+	if got := (View{a, b}).Get("n"); got != 8000 {
+		t.Fatalf("n = %d", got)
 	}
 }

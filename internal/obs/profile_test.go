@@ -224,7 +224,7 @@ func TestHTTPHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("shuffle.rdma.packets").Add(17)
 	var tr *JobTrace
-	h := NewHandler(HandlerSources{Registry: reg, Trace: func() *JobTrace { return tr }})
+	h := NewHandler(HandlerSources{Metrics: View{reg}, Trace: func() *JobTrace { return tr }})
 
 	get := func(path string) (int, string) {
 		req := httptest.NewRequest("GET", path, nil)

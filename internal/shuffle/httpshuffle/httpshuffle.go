@@ -112,9 +112,9 @@ func (s *servlet) fetch(jobID string, mapID, reduceID int) ([]byte, error) {
 		packets = 1
 	}
 	c := s.tt.Counters()
-	c.Add("shuffle.http.requests", 1)
-	c.Add("shuffle.http.packets", int64(packets))
-	c.Add("shuffle.http.bytes", int64(len(data)))
+	c.Counter("shuffle.http.requests").Add(1)
+	c.Counter("shuffle.http.packets").Add(int64(packets))
+	c.Counter("shuffle.http.bytes").Add(int64(len(data)))
 	// data is the tracker's stored run, borrowed. The socket path copies
 	// the payload into the reducer's buffer (no zero-copy wire for the
 	// baseline): this is that copy, and the only one.
@@ -223,14 +223,14 @@ func (f *fetcher) copyOne(ctx context.Context, ev mapred.MapEvent) error {
 			if err := f.spillMemoryLocked(); err != nil {
 				return err
 			}
-			c.Add("shuffle.inmem.merges", 1)
+			c.Counter("shuffle.inmem.merges").Add(1)
 		}
 	} else {
 		// Copier spills directly.
 		key := f.diskKey()
 		f.task.Local.Store().OverwriteOwned(key, data) // the fetched body is ours alone
 		f.diskRuns = append(f.diskRuns, key)
-		c.Add("shuffle.copier.disk.spills", 1)
+		c.Counter("shuffle.copier.disk.spills").Add(1)
 	}
 	return f.compactDiskLocked()
 }
@@ -255,7 +255,7 @@ func (f *fetcher) fetchWithRecovery(ctx context.Context, ev mapred.MapEvent) ([]
 			return nil, fmt.Errorf("httpshuffle: map %d unrecoverable after %d fetch attempts (last host %s): %w",
 				ev.MapID, attempt, host, err)
 		}
-		f.task.Local.Counters().Add("shuffle.fetch.failures", 1)
+		f.task.Local.Counters().Counter("shuffle.fetch.failures").Add(1)
 		host, err = f.task.RecoverMap(ctx, ev.MapID, attempt)
 		if err != nil {
 			return nil, err
@@ -325,7 +325,7 @@ func (f *fetcher) compactDiskLocked() error {
 		key := f.diskKey()
 		store.OverwriteOwned(key, merged)
 		f.diskRuns = append(next, key)
-		f.task.Local.Counters().Add("shuffle.localfs.merges", 1)
+		f.task.Local.Counters().Counter("shuffle.localfs.merges").Add(1)
 	}
 	return nil
 }

@@ -312,39 +312,43 @@ const (
 )
 
 // RandomWriter writes approximately totalBytes of random variable-size
-// records into dir as kv-run part files of at most maxFileBytes each,
-// returning the paths.
+// records into dir as kv-run part files, returning the paths. Each file's
+// encoded run, framing included, is at most maxFileBytes, as TeraGen's
+// files are, except that every file holds at least one record: a record
+// larger than the bound gets a file of its own.
 func RandomWriter(fs *hdfs.FileSystem, dir string, totalBytes, maxFileBytes, seed int64) ([]string, error) {
 	if totalBytes < 0 {
 		return nil, fmt.Errorf("workload: negative size %d", totalBytes)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	frame := int64(len(kv.WriteRun(nil)))
 	var paths []string
+	var next kv.Record // drawn, and waiting for a file with room
 	remaining := totalBytes
 	for remaining > 0 || len(paths) == 0 {
 		var recs []kv.Record
-		fileBytes := int64(0)
-		for fileBytes < maxFileBytes && remaining > 0 {
-			kl := RandMinKey + rng.Intn(RandMaxKey-RandMinKey+1)
-			vl := RandMinValue + rng.Intn(RandMaxValue-RandMinValue+1)
-			key := make([]byte, kl)
-			val := make([]byte, vl)
-			rng.Read(key)
-			rng.Read(val)
-			recs = append(recs, kv.Record{Key: key, Value: val})
-			sz := int64(kl + vl)
-			fileBytes += sz
-			remaining -= sz
+		runBytes := frame
+		for remaining > 0 {
+			if next.Key == nil {
+				next.Key = make([]byte, RandMinKey+rng.Intn(RandMaxKey-RandMinKey+1))
+				next.Value = make([]byte, RandMinValue+rng.Intn(RandMaxValue-RandMinValue+1))
+				rng.Read(next.Key)
+				rng.Read(next.Value)
+			}
+			n := int64(next.EncodedLen())
+			if len(recs) > 0 && runBytes+n > maxFileBytes {
+				break
+			}
+			recs = append(recs, next)
+			runBytes += n
+			remaining -= int64(len(next.Key) + len(next.Value))
+			next = kv.Record{}
 		}
-		run := kv.WriteRun(recs)
 		path := fmt.Sprintf("%s/part-%05d", dir, len(paths))
-		if err := fs.WriteFile(path, "", run); err != nil {
+		if err := fs.WriteFile(path, "", kv.WriteRun(recs)); err != nil {
 			return nil, err
 		}
 		paths = append(paths, path)
-		if remaining <= 0 {
-			break
-		}
 	}
 	return paths, nil
 }

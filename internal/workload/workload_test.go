@@ -410,6 +410,29 @@ func TestRandomWriterSizes(t *testing.T) {
 	}
 }
 
+// TestRandomWriterFilesFitTheirBound: with maxFileBytes the block size,
+// as the Sort CLI passes it, every file is one block, so no map task has
+// to join two blocks to read its split.
+func TestRandomWriterFilesFitTheirBound(t *testing.T) {
+	fs := testFS(t)
+	paths, err := RandomWriter(fs, "/in", 400_000, fs.BlockSize(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 4 {
+		t.Fatalf("files = %d, want several", len(paths))
+	}
+	for _, p := range paths {
+		info, err := fs.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Blocks) != 1 || info.Size > fs.BlockSize() {
+			t.Fatalf("%s: %d bytes in %d blocks, want one block of at most %d", p, info.Size, len(info.Blocks), fs.BlockSize())
+		}
+	}
+}
+
 func TestRandomWriterZeroBytes(t *testing.T) {
 	fs := testFS(t)
 	paths, err := RandomWriter(fs, "/in", 0, 1000, 1)
