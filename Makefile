@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSortBuffer -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzMerger -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzRunChunks -fuzztime=10s ./internal/kv/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataRequest -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDataResponse -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeReadManifest -fuzztime=10s ./internal/shuffle/wire/

@@ -211,6 +211,19 @@ func (seg *segment) Next() bool {
 	}
 }
 
+// NextInto is Next followed by Record, the record written to *r: the
+// merge's one call per record. It walks the current chunk, else Next.
+func (seg *segment) NextInto(r *kv.Record) bool {
+	if seg.walking && seg.it.NextInto(r) {
+		return true
+	}
+	if !seg.Next() {
+		return false
+	}
+	*r = seg.it.Record()
+	return true
+}
+
 // Record implements kv.Iterator: the current chunk iterator's record.
 func (seg *segment) Record() kv.Record { return seg.it.Record() }
 

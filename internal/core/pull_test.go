@@ -441,6 +441,70 @@ func TestPullResumesAtOffsetAfterDroppedWrite(t *testing.T) {
 	t.Logf("healed by %d retries, %d recoveries", retries, recoveries)
 }
 
+// TestSegmentNextIntoMatchesNext: a segment yields the same records
+// through NextInto, the merge's one call per record, as through Next and
+// Record — across chunk refills (2 KiB packets: a refill every ~25
+// records) and across a chunk whose write is dropped and that the retry or
+// RecoverMap fetches again at its own offset.
+func TestSegmentNextIntoMatchesNext(t *testing.T) {
+	h := newRingHarnessOn(t, NewHadoopA(), stressConf(2), 1, 100)
+	h.recoverMap = func(context.Context, int, int) (string, error) { return h.tt.Host(), nil }
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	defer h.tt.Fabric().Network().SetFaultInjector(nil)
+	for _, into := range []bool{true, false} {
+		fault := chaos.DropNth(verbs.OpRDMAWrite, 3)
+		h.tt.Fabric().Network().SetFaultInjector(fault)
+		events := make(chan mapred.MapEvent, 1)
+		events <- mapred.MapEvent{MapID: 0, Host: h.tt.Host()}
+		close(events)
+		f := newFetcher(mapred.ReduceTaskInfo{
+			Job: h.job, Events: events, Local: h.tt, Hosts: []string{h.tt.Host()}, RecoverMap: h.recoverMap,
+		})
+		it, err := f.Fetch(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The stream's first Next hands the merge its one source and reads
+		// the first record; the segment is then driven directly.
+		if !it.Next() {
+			t.Fatalf("into=%v: no first record: %v", into, it.Err())
+		}
+		got := []kv.Record{it.Record().Clone()}
+		seg := &f.segs[0]
+		for {
+			var rec kv.Record
+			if into {
+				if !seg.NextInto(&rec) {
+					break
+				}
+			} else if seg.Next() {
+				rec = seg.Record()
+			} else {
+				break
+			}
+			got = append(got, rec.Clone())
+		}
+		if err := seg.Err(); err != nil {
+			t.Fatalf("into=%v: %v", into, err)
+		}
+		f.Close()
+		select {
+		case <-fault.Reached():
+		default:
+			t.Fatalf("into=%v: the third write never came: nothing was dropped", into)
+		}
+		if len(got) != len(h.expected) {
+			t.Fatalf("into=%v: %d records, want %d", into, len(got), len(h.expected))
+		}
+		for i, rec := range got {
+			if !bytes.Equal(rec.Key, h.expected[i].Key) || !bytes.Equal(rec.Value, h.expected[i].Value) {
+				t.Fatalf("into=%v: record %d = %q, want %q", into, i, rec.Key, h.expected[i].Key)
+			}
+		}
+	}
+}
+
 // plantConf is the benchmark's shuffle-only configuration: the RDMA
 // engine's defaults, caching as given.
 func plantConf(caching bool) *config.Config {

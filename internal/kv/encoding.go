@@ -30,8 +30,16 @@ func AppendRecord(dst []byte, r Record) []byte {
 }
 
 // DecodeRecord decodes one record from b, returning the record and the
-// number of bytes consumed. The record aliases b.
+// number of bytes consumed. The record aliases b. Two one-byte lengths
+// (below 0x80, as TeraSort's 10 and 90) skip the varint loop.
 func DecodeRecord(b []byte) (Record, int, error) {
+	if len(b) >= 2 && (uint16(b[0])|uint16(b[1])<<8)&0x8080 == 0 {
+		kl, end := 2+int(b[0]), 2+int(b[0])+int(b[1])
+		if end > len(b) {
+			return Record{}, 0, ErrCorrupt
+		}
+		return Record{Key: b[2:kl], Value: b[kl:end]}, end, nil
+	}
 	kl, n1 := binary.Uvarint(b)
 	if n1 <= 0 || kl > MaxRecordLen {
 		return Record{}, 0, ErrCorrupt
@@ -106,16 +114,19 @@ func NewBufferIterator(buf []byte) *BufferIterator { return &BufferIterator{buf:
 func (it *BufferIterator) Reset(buf []byte) { *it = BufferIterator{buf: buf} }
 
 // Next decodes the next record.
-func (it *BufferIterator) Next() bool {
+func (it *BufferIterator) Next() bool { return it.NextInto(&it.cur) }
+
+// NextInto is Next followed by Record, the record also written to *r.
+func (it *BufferIterator) NextInto(r *Record) bool {
 	if it.err != nil || len(it.buf) == 0 {
 		return false
 	}
-	r, n, err := DecodeRecord(it.buf)
+	rec, n, err := DecodeRecord(it.buf)
 	if err != nil {
 		it.err = err
 		return false
 	}
-	it.cur = r
+	it.cur, *r = rec, rec
 	it.buf = it.buf[n:]
 	prefetchNext(it.buf)
 	return true
@@ -255,16 +266,12 @@ func NewRunReader(buf []byte) (*RunReader, error) {
 	if len(buf) < len(runMagic)+12 {
 		return nil, ErrCorrupt
 	}
-	if !equal4(buf[:4], runMagic) {
+	if [4]byte(buf) != runMagic {
 		return nil, ErrCorrupt
 	}
 	trailer := buf[len(buf)-12:]
 	count := binary.LittleEndian.Uint64(trailer)
 	return &RunReader{body: buf[4 : len(buf)-12], count: count}, nil
-}
-
-func equal4(b []byte, m [4]byte) bool {
-	return b[0] == m[0] && b[1] == m[1] && b[2] == m[2] && b[3] == m[3]
 }
 
 // Count returns the total number of records in the run.
@@ -274,7 +281,10 @@ func (rr *RunReader) Count() uint64 { return rr.count }
 func (rr *RunReader) Remaining() uint64 { return rr.count - rr.read }
 
 // Next decodes the next record. Records alias the run buffer.
-func (rr *RunReader) Next() bool {
+func (rr *RunReader) Next() bool { return rr.NextInto(&rr.cur) }
+
+// NextInto is Next followed by Record, the record also written to *r.
+func (rr *RunReader) NextInto(rec *Record) bool {
 	if rr.err != nil {
 		return false
 	}
@@ -289,7 +299,7 @@ func (rr *RunReader) Next() bool {
 		rr.err = err
 		return false
 	}
-	rr.cur = r
+	rr.cur, *rec = r, r
 	rr.body = rr.body[n:]
 	prefetchNext(rr.body)
 	rr.read++
@@ -528,7 +538,7 @@ func RunBody(run []byte) (body []byte, count uint64, err error) {
 // It checks the framing NewRunReader checks, reading the trailer in
 // place: a responder calls it once per request.
 func RunBodySpan(run []byte) (start, end int, count uint64, err error) {
-	if len(run) < len(runMagic)+12 || !equal4(run[:4], runMagic) {
+	if len(run) < len(runMagic)+12 || [4]byte(run) != runMagic {
 		return 0, 0, 0, ErrCorrupt
 	}
 	end = len(run) - 12

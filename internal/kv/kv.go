@@ -96,6 +96,15 @@ func (it *SliceIterator) Next() bool {
 	return true
 }
 
+// NextInto is Next followed by Record, the record written to *r.
+func (it *SliceIterator) NextInto(r *Record) bool {
+	if !it.Next() {
+		return false
+	}
+	*r = it.recs[it.idx]
+	return true
+}
+
 // Record returns the current record.
 func (it *SliceIterator) Record() Record { return it.recs[it.idx] }
 

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sort"
@@ -85,6 +86,52 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 			t.Errorf("case %d: expected error, got nil", i)
 		}
 	}
+}
+
+// decodeRecordVarint is DecodeRecord without its one-byte fast path, both
+// lengths read by binary.Uvarint: the reference FuzzDecodeRecord holds
+// DecodeRecord to.
+func decodeRecordVarint(b []byte) (Record, int, error) {
+	kl, n1 := binary.Uvarint(b)
+	if n1 <= 0 || kl > MaxRecordLen {
+		return Record{}, 0, ErrCorrupt
+	}
+	vl, n2 := binary.Uvarint(b[n1:])
+	if n2 <= 0 || vl > MaxRecordLen {
+		return Record{}, 0, ErrCorrupt
+	}
+	off := n1 + n2
+	if uint64(len(b)-off) < kl+vl {
+		return Record{}, 0, ErrCorrupt
+	}
+	r := Record{Key: b[off : off+int(kl)], Value: b[off+int(kl) : off+int(kl)+int(vl)]}
+	return r, off + int(kl) + int(vl), nil
+}
+
+// FuzzDecodeRecord: for any bytes, DecodeRecord returns what the varint
+// reference returns — the same record, aliasing the same bytes of the
+// input, the same length consumed and the same error.
+func FuzzDecodeRecord(f *testing.F) {
+	body := bytes.Repeat([]byte{'x'}, 200)
+	f.Add([]byte{})
+	f.Add(append([]byte{0x7f, 0x7f}, body...))       // the largest one-byte lengths
+	f.Add(append([]byte{0x80, 0x01, 0x02}, body...)) // a 0x80 header byte: key of 128
+	f.Add(append([]byte{0x02, 0x80, 0x01}, body...)) // ... and value of 128
+	f.Add(append([]byte{0xff, 0x7f, 0x00}, body...)) // 0xff begins a two-byte length
+	f.Add([]byte{0xff})                              // a length that never ends
+	f.Add([]byte{0x00, 0x03, 'v', 'a', 'l'})         // an empty key
+	f.Add([]byte{0x03, 0x00, 'k', 'e', 'y'})         // an empty value
+	f.Add([]byte{0x05, 0x05, 'a', 'b', 'c'})         // a body cut short
+	f.Add(binary.AppendUvarint(nil, MaxRecordLen+1)) // a key past MaxRecordLen
+	f.Add(append([]byte{0x00}, binary.AppendUvarint(nil, MaxRecordLen+1)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, n, err := DecodeRecord(b)
+		want, wn, werr := decodeRecordVarint(b)
+		same := func(x, y []byte) bool { return bytes.Equal(x, y) && cap(x) == cap(y) && (x == nil) == (y == nil) }
+		if n != wn || err != werr || !same(got.Key, want.Key) || !same(got.Value, want.Value) {
+			t.Fatalf("DecodeRecord(%x) = %v, %d, %v; the varint reference gives %v, %d, %v", b, got, n, err, want, wn, werr)
+		}
+	})
 }
 
 func TestBufferIterator(t *testing.T) {

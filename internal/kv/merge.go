@@ -34,8 +34,28 @@ type mergeNode struct {
 }
 
 type mergeSource struct {
-	it  Iterator
-	rec Record
+	it   recordSource // the Iterator, or wrap around one without NextInto
+	rec  Record
+	wrap nextInto
+}
+
+// recordSource is the merge's one call per record: NextInto(r) is Next
+// and then, if that was true, *r = Record(). A type that embeds a kv
+// iterator and overrides Next must override NextInto too.
+type recordSource interface {
+	NextInto(r *Record) bool
+	Err() error
+}
+
+// nextInto is the recordSource of an Iterator without NextInto.
+type nextInto struct{ Iterator }
+
+func (w *nextInto) NextInto(r *Record) bool {
+	if !w.Next() {
+		return false
+	}
+	*r = w.Record()
+	return true
 }
 
 // NewMerger returns a merger over its (each individually sorted under
@@ -54,7 +74,12 @@ func (m *Merger) Reset(cmp Comparator, its ...Iterator) {
 	clear(m.srcs)
 	srcs := slices.Grow(m.srcs[:0], len(its))[:len(its)]
 	for i, it := range its {
-		srcs[i].it = it
+		if rs, ok := it.(recordSource); ok {
+			srcs[i].it = rs
+		} else {
+			srcs[i].wrap.Iterator = it
+			srcs[i].it = &srcs[i].wrap
+		}
 	}
 	*m = Merger{heap: m.heap[:0], srcs: srcs, prefixed: IsByteOrder(cmp), cmp: cmp}
 	if cmp == nil {
@@ -74,23 +99,34 @@ func (m *Merger) less(a, b mergeNode) bool {
 	return a.src < b.src
 }
 
-// siftDown restores the heap below position i.
+// siftDown restores the heap below position i, bottom-up (Wegener,
+// "BOTTOM-UP-HEAPSORT", TCS 118, 1993): the hole at i walks down to a leaf
+// along the smaller child, picked from the prefixes by a SETcc (only a tie
+// calls less), and h[i]'s node climbs back up from there, rarely far.
 func (m *Merger) siftDown(i int) {
 	h := m.heap
-	node := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
-			c = r
-		}
-		if !m.less(h[c], node) {
-			break
+	node, top := h[i], i
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) {
+			l, r, right := h[c].prefix, h[c+1].prefix, 0
+			if r < l {
+				right = 1
+			}
+			if l == r && m.less(h[c+1], h[c]) {
+				right = 1
+			}
+			c += right
 		}
 		h[i] = h[c]
 		i = c
+	}
+	for i > top {
+		p := (i - 1) / 2
+		if !m.less(node, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
 	h[i] = node
 }
@@ -99,12 +135,11 @@ func (m *Merger) siftDown(i int) {
 // has one, filling in node's prefix; a source error is latched in m.err.
 func (m *Merger) advance(node *mergeNode) bool {
 	s := &m.srcs[node.src]
-	if !s.it.Next() {
+	if !s.it.NextInto(&s.rec) {
 		s.rec = Record{}
 		m.err = s.it.Err()
 		return false
 	}
-	s.rec = s.it.Record()
 	if m.prefixed {
 		node.prefix = keyPrefix(s.rec.Key)
 	}

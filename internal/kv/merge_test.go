@@ -3,7 +3,9 @@ package kv
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -52,10 +54,12 @@ func TestMergerResetReusesSlices(t *testing.T) {
 		}
 		return string(got) == want
 	}
+	// b has no NextInto: Reset wraps it in its source slot.
 	a, b := NewSliceIterator(sortedRecs("e", "g")), NewSliceIterator(sortedRecs("f"))
+	plainB := &plainIterator{b}
 	if allocs := testing.AllocsPerRun(10, func() {
 		a.idx, b.idx = -1, -1
-		m.Reset(BytesComparator, a, b)
+		m.Reset(BytesComparator, a, plainB)
 		if !merged("efg") {
 			t.Fatal("a merger Reset over new sources did not merge them")
 		}
@@ -69,7 +73,7 @@ func TestMergerResetReusesSlices(t *testing.T) {
 	}
 	m.Reset(nil)
 	for _, s := range m.srcs[:cap(m.srcs)] {
-		if s.it != nil || s.rec.Key != nil {
+		if s.it != nil || s.wrap.Iterator != nil || s.rec.Key != nil {
 			t.Fatal("Reset(nil) kept a source or its record")
 		}
 	}
@@ -224,33 +228,52 @@ func TestMergerRecordAliasing(t *testing.T) {
 	}
 }
 
-// cutIterator yields the first cut of its records and then fails, as a
-// source whose stream breaks mid-way does.
+// plainIterator is an Iterator without NextInto, which the merger wraps.
+type plainIterator struct{ Iterator }
+
+// cutIterator yields the first cut records of its source and then fails,
+// as a source whose stream breaks mid-way does. It has no NextInto, so the
+// merger reads it through the wrapper.
 type cutIterator struct {
-	SliceIterator
+	Iterator
 	cut int
 	err error
 }
 
-func (it *cutIterator) Next() bool { return it.idx+1 < it.cut && it.SliceIterator.Next() }
+func (it *cutIterator) Next() bool {
+	if it.cut == 0 {
+		return false
+	}
+	it.cut--
+	return it.Iterator.Next()
+}
+
 func (it *cutIterator) Err() error {
-	if it.idx+1 >= it.cut {
+	if it.cut == 0 {
 		return it.err
 	}
 	return nil
 }
+
+// sharedPrefix is prepended to every key of a shared round, so that under
+// byte order every prefix comparison in the heap ties and the keys decide.
+var sharedPrefix = []byte("sharedpf")
 
 // fuzzSources deals fuzzRecords' records — small alphabet, so keys repeat
 // within and across sources, with empty keys, keys on both sides of the
 // 8-byte prefix, "a" next to "a\x00", long shared prefixes and 20 KB
 // values — out to k sources, tags each value with (source, position) so
 // that no two records are interchangeable, and sorts each source stably
-// under cmp. With few records some sources stay empty.
-func fuzzSources(data []byte, k int, cmp Comparator) [][]Record {
+// under cmp. With few records some sources stay empty. With shared, every
+// key starts with sharedPrefix.
+func fuzzSources(data []byte, k int, cmp Comparator, shared bool) [][]Record {
 	sources := make([][]Record, k)
 	for i, r := range fuzzRecords(data) {
 		s := (i*5 + len(r.Key) + len(r.Value)) % k
 		r.Value = append([]byte{byte(s), byte(i), byte(i >> 8)}, r.Value...)
+		if shared {
+			r.Key = append(append([]byte(nil), sharedPrefix...), r.Key...)
+		}
 		sources[s] = append(sources[s], r)
 	}
 	for _, recs := range sources {
@@ -259,13 +282,31 @@ func fuzzSources(data []byte, k int, cmp Comparator) [][]Record {
 	return sources
 }
 
+// mergeSourceKinds are the sources the reference check merges the same
+// records from: in memory, and encoded, where each record is decoded
+// (one-byte headers and varint ones) as the merge reads it.
+var mergeSourceKinds = []struct {
+	name string
+	open func(recs []Record) Iterator
+}{
+	{"slice", func(recs []Record) Iterator { return NewSliceIterator(recs) }},
+	{"buffer", func(recs []Record) Iterator { return NewBufferIterator(EncodeAll(recs)) }},
+	{"run", func(recs []Record) Iterator {
+		rr, err := NewRunReader(WriteRun(recs))
+		if err != nil {
+			panic(err)
+		}
+		return rr
+	}},
+}
+
 // checkMergerAgainstReference requires the merged record sequence — equal
 // keys included — to be what a stable sort of the sources concatenated in
 // source order gives, for the default order passed as nil and by name,
-// and for a custom order. With failAt >= 0 one source breaks half-way:
-// the merge must then stop with that source's error, having emitted a
-// prefix of the same sequence.
-func checkMergerAgainstReference(t *testing.T, data []byte, k int, failAt int) {
+// and for a custom order, with the sources in memory and encoded. With
+// failAt >= 0 one source breaks half-way: the merge must then stop with
+// that source's error, right after that source's last record.
+func checkMergerAgainstReference(t *testing.T, data []byte, k int, failAt int, shared bool) {
 	t.Helper()
 	for _, cc := range []struct {
 		name string
@@ -276,42 +317,52 @@ func checkMergerAgainstReference(t *testing.T, data []byte, k int, failAt int) {
 		{"bytes", BytesComparator, BytesComparator},
 		{"reverse", reverseComparator, reverseComparator},
 	} {
-		sources := fuzzSources(data, k, cc.ref)
+		sources := fuzzSources(data, k, cc.ref, shared)
 		var want []Record
-		its := make([]Iterator, k)
-		for s, recs := range sources {
+		for _, recs := range sources {
 			want = append(want, recs...)
-			its[s] = NewSliceIterator(recs)
 		}
 		sort.SliceStable(want, func(i, j int) bool { return cc.ref(want[i].Key, want[j].Key) < 0 })
-
-		var failed error
-		if failAt >= 0 {
-			failed = errors.New("source failed")
-			recs := sources[failAt%k]
-			its[failAt%k] = &cutIterator{SliceIterator: *NewSliceIterator(recs), cut: len(recs) / 2, err: failed}
-		}
-		m := NewMerger(cc.cmp, its...)
-		n := 0
-		for m.Next() {
-			got := m.Record()
-			if n >= len(want) {
-				t.Fatalf("%s: merger yielded more than the %d records put in", cc.name, len(want))
+		for _, kind := range mergeSourceKinds {
+			name := cc.name + "/" + kind.name
+			its := make([]Iterator, k)
+			for s, recs := range sources {
+				its[s] = kind.open(recs)
 			}
-			if !bytes.Equal(got.Key, want[n].Key) || !bytes.Equal(got.Value, want[n].Value) {
-				t.Fatalf("%s: record %d of %d is %q=%x, want %q=%x (k=%d)",
-					cc.name, n, len(want), got.Key, got.Value[:3], want[n].Key, want[n].Value[:3], k)
+			var failed error
+			stop := len(want) // records the merge yields before it stops
+			if failAt >= 0 {
+				failed = errors.New("source failed")
+				recs := sources[failAt%k]
+				cut := len(recs) / 2
+				its[failAt%k] = &cutIterator{Iterator: its[failAt%k], cut: cut, err: failed}
+				stop = 0
+				if cut > 0 {
+					stop = slices.IndexFunc(want, func(r Record) bool { return bytes.Equal(r.Value, recs[cut-1].Value) }) + 1
+				}
 			}
-			n++
-		}
-		if m.Err() != failed {
-			t.Fatalf("%s: Err = %v, want %v", cc.name, m.Err(), failed)
-		}
-		if m.Next() {
-			t.Fatalf("%s: Next true after the end", cc.name)
-		}
-		if failed == nil && n != len(want) {
-			t.Fatalf("%s: merged %d records, want %d", cc.name, n, len(want))
+			m := NewMerger(cc.cmp, its...)
+			n := 0
+			for m.Next() {
+				got := m.Record()
+				if n >= stop {
+					t.Fatalf("%s: merger yielded more than the %d records it had before stopping", name, stop)
+				}
+				if !bytes.Equal(got.Key, want[n].Key) || !bytes.Equal(got.Value, want[n].Value) {
+					t.Fatalf("%s: record %d of %d is %q=%x, want %q=%x (k=%d)",
+						name, n, len(want), got.Key, got.Value[:3], want[n].Key, want[n].Value[:3], k)
+				}
+				n++
+			}
+			if m.Err() != failed {
+				t.Fatalf("%s: Err = %v, want %v", name, m.Err(), failed)
+			}
+			if m.Next() {
+				t.Fatalf("%s: Next true after the end", name)
+			}
+			if n != stop {
+				t.Fatalf("%s: merged %d records, want %d", name, n, stop)
+			}
 		}
 	}
 }
@@ -326,22 +377,68 @@ func FuzzMerger(f *testing.F) {
 	f.Add([]byte{10, 0xff, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 10, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 2, 'v'}, uint8(1), int8(-1))
 	// A source failing mid-stream.
 	f.Add([]byte{3, 1, 1, 2, 1, 'x', 2, 1, 2, 1, 'y', 3, 1, 1, 2, 0, 'z', 1, 1, 2, 'w'}, uint8(2), int8(1))
+	// Every key behind one 8-byte prefix (k's top bit).
+	f.Add([]byte{3, 1, 1, 2, 1, 'x', 2, 1, 2, 1, 'y', 3, 1, 1, 2, 0, 'z', 1, 1, 2, 'w'}, uint8(0x83), int8(-1))
 	f.Fuzz(func(t *testing.T, data []byte, k uint8, failAt int8) {
-		checkMergerAgainstReference(t, data, 1+int(k%8), int(failAt))
+		checkMergerAgainstReference(t, data, 1+int(k%8), int(failAt), k&0x80 != 0)
 	})
 }
 
 // TestMergerMatchesReference runs FuzzMerger's property over seeded random
-// inputs on every `go test`, up to 64 sources.
+// inputs on every `go test`, up to 96 sources (a heap 7 levels deep), every
+// third round with all keys behind one prefix.
 func TestMergerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 60; round++ {
+		k := 1 + rng.Intn(96)
 		data := make([]byte, rng.Intn(1500))
+		if round%10 == 9 {
+			k, data = 96, make([]byte, 4000+rng.Intn(4000))
+		}
 		rng.Read(data)
 		failAt := -1
 		if round%5 == 4 {
-			failAt = rng.Intn(64)
+			failAt = rng.Intn(96)
 		}
-		checkMergerAgainstReference(t, data, 1+rng.Intn(64), failAt)
+		checkMergerAgainstReference(t, data, k, failAt, round%3 == 2)
+	}
+}
+
+// BenchmarkMerger merges k sorted BufferIterator sources of TeraSort-shaped
+// records (random 10-byte keys, 90-byte values), 40 a source, each record
+// decoded as the merge reads it, and reports the cost per merged record.
+func BenchmarkMerger(b *testing.B) {
+	for _, k := range []int{8, 64, 96} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			bufs := make([][]byte, k)
+			srcs := make([]*BufferIterator, k)
+			its := make([]Iterator, k)
+			for s := range bufs {
+				recs := make([]Record, 40)
+				for i := range recs {
+					recs[i] = Record{Key: make([]byte, 10), Value: make([]byte, 90)}
+					rng.Read(recs[i].Key)
+					rng.Read(recs[i].Value)
+				}
+				SortRecords(recs, BytesComparator)
+				bufs[s] = EncodeAll(recs)
+				srcs[s] = NewBufferIterator(bufs[s])
+				its[s] = srcs[s]
+			}
+			m := NewMerger(nil)
+			b.ResetTimer()
+			n := 0
+			for range b.N {
+				for s, it := range srcs {
+					it.Reset(bufs[s])
+				}
+				m.Reset(nil, its...)
+				for m.Next() {
+					n++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/rec")
+		})
 	}
 }
