@@ -178,8 +178,7 @@ func runSched(args []string) {
 	conf.SetInt(config.KeyJTMaxRunning, 2)
 	conf.SetBool(config.KeySpeculativeMaps, true)
 
-	inj := chaos.New(chaos.Config{Seed: 23})
-	sched := chaos.WrapNodeSchedule(core.New(), inj, chaos.NodeCrash{AfterOutputs: 3})
+	sched := chaos.Wrap(core.New(), nil, chaos.Event{At: 3, Kind: chaos.KillTracker})
 	c, err := mapred.NewCluster(*nodes, conf, sched)
 	if err != nil {
 		fatalf("sched: %v", err)

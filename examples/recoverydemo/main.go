@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"rdmamr/internal/faultinject"
+	"rdmamr/internal/chaos"
 	"rdmamr/internal/mapred"
 	"rdmamr/pkg/rdmamr"
 )
@@ -21,7 +21,10 @@ func main() {
 		log.Fatal(err)
 	}
 	// Destroy the outputs of maps 0, 1 and 2 the moment they complete.
-	injected := faultinject.Wrap(engine, 0, 1, 2)
+	injected := chaos.Wrap(engine, nil,
+		chaos.Event{Kind: chaos.LoseOutput, Map: 0},
+		chaos.Event{Kind: chaos.LoseOutput, Map: 1},
+		chaos.Event{Kind: chaos.LoseOutput, Map: 2})
 
 	conf := rdmamr.NewConfig()
 	conf.SetInt(rdmamr.KeyBlockSize, 64<<10)
@@ -50,8 +53,8 @@ func main() {
 	}
 
 	fmt.Printf("job %s completed and validated (%d records)\n", res.JobID, checksum.Count)
-	fmt.Printf("  outputs destroyed        %d\n", res.Counters["faultinject.outputs.lost"])
+	fmt.Printf("  outputs destroyed        %d\n", res.Counters["chaos.outputs.lost"])
 	fmt.Printf("  fetch failures observed  %d\n", res.Counters["shuffle.fetch.failures"])
 	fmt.Printf("  map tasks re-executed    %d\n", res.Counters["map.tasks.recovered"])
-	fmt.Printf("  map attempts bound       %d per map\n", mapred.MaxMapRecoveries)
+	fmt.Printf("  map attempts bound       %d per map\n", mapred.MaxTaskAttempts)
 }

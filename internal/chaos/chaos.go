@@ -18,10 +18,11 @@
 //     before the kill keep draining; compose with SeverProb (or a
 //     scripted sever) to cut those mid-flight.
 //
-// The injector sits below the fabric latency model — a surviving
-// operation still pays modeled latency — and above UCR, so reconnect
-// logic in the copier sees exactly the completion statuses real
-// transport faults produce.
+// The injector sits in the fabric, below UCR, so reconnect logic in the
+// copier sees exactly the completion statuses real transport faults
+// produce. Above the fabric, a Schedule (schedule.go) scripts output
+// loss, dial refusal and tracker death against the count of map-output
+// announcements, and installs the injector on the cluster's network.
 package chaos
 
 import (

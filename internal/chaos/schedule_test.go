@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -37,33 +38,38 @@ func (k *fakeKiller) snapshot() (killed, revived []string) {
 	return append([]string(nil), k.killed...), append([]string(nil), k.revived...)
 }
 
-func TestNodeScheduleFiresAtOutputCount(t *testing.T) {
-	inj := New(Config{})
-	k := &fakeKiller{}
-	e := WrapNodeSchedule(nil, inj, NodeCrash{Host: "node2", AfterOutputs: 3})
-	e.SetKiller(k)
+// note delivers one announcement the way scheduleServer does, without a
+// tracker, and reports whether the output was lost.
+func note(s *Schedule, host string, mapID int) bool {
+	lose, kills := s.announce(host, mapID)
+	for _, kill := range kills {
+		go kill()
+	}
+	return lose
+}
 
-	e.noteOutput("node0")
-	e.noteOutput("node1")
+func TestNodeScheduleFiresAtOutputCount(t *testing.T) {
+	k := &fakeKiller{}
+	s := Wrap(nil, nil, Event{At: 3, Kind: KillTracker, Host: "node2"})
+	s.SetKiller(k)
+
+	note(s, "node0", 0)
+	note(s, "node1", 1)
 	if killed, _ := k.snapshot(); len(killed) != 0 {
 		t.Fatalf("fired early: %v", killed)
 	}
-	e.noteOutput("node0")
-	e.Wait()
+	note(s, "node0", 2)
+	s.Wait()
 	killed, _ := k.snapshot()
 	if len(killed) != 1 || killed[0] != "node2" {
 		t.Fatalf("killed = %v, want [node2]", killed)
 	}
-	if got := e.Kills(); len(got) != 1 || got[0] != "node2" {
+	if got := s.Kills(); len(got) != 1 || got[0] != "node2" {
 		t.Fatalf("Kills() = %v", got)
 	}
-	// The transport layer refuses dials toward the dead host.
-	if !inj.DialRefused("node0", "node2") {
-		t.Fatal("injector should refuse dials to the killed peer")
-	}
 	// The script is one-shot: more outputs don't re-fire.
-	e.noteOutput("node1")
-	e.Wait()
+	note(s, "node1", 3)
+	s.Wait()
 	if killed, _ := k.snapshot(); len(killed) != 1 {
 		t.Fatalf("crash re-fired: %v", killed)
 	}
@@ -71,63 +77,90 @@ func TestNodeScheduleFiresAtOutputCount(t *testing.T) {
 
 func TestNodeScheduleKillsAnnouncingHost(t *testing.T) {
 	k := &fakeKiller{}
-	e := WrapNodeSchedule(nil, nil, NodeCrash{AfterOutputs: 2})
-	e.SetKiller(k)
+	s := Wrap(nil, nil, Event{At: 2, Kind: KillTracker})
+	s.SetKiller(k)
 
-	e.noteOutput("node3")
-	e.noteOutput("node1")
-	e.Wait()
+	note(s, "node3", 0)
+	note(s, "node1", 1)
+	s.Wait()
 	if killed, _ := k.snapshot(); len(killed) != 1 || killed[0] != "node1" {
 		t.Fatalf("killed = %v, want the announcing host node1", killed)
 	}
 }
 
 func TestNodeScheduleRevives(t *testing.T) {
-	inj := New(Config{})
 	k := &fakeKiller{}
-	e := WrapNodeSchedule(nil, inj, NodeCrash{Host: "node1", AfterOutputs: 1, Revive: 5 * time.Millisecond})
-	e.SetKiller(k)
+	s := Wrap(nil, nil, Event{At: 1, Kind: KillTracker, Host: "node1", Undo: 5 * time.Millisecond})
+	s.SetKiller(k)
 
-	e.noteOutput("node0")
-	e.Wait()
+	note(s, "node0", 0)
+	s.Wait()
 	killed, revived := k.snapshot()
 	if len(killed) != 1 || len(revived) != 1 || revived[0] != "node1" {
 		t.Fatalf("killed = %v revived = %v", killed, revived)
 	}
-	if inj.DialRefused("node0", "node1") {
-		t.Fatal("revived peer must accept dials again")
-	}
 }
 
+// A refused kill (the cluster's last live tracker) records no kill and
+// leaves the tracker serving: nothing is revived later either.
 func TestNodeScheduleRefusedKillRestoresDialability(t *testing.T) {
-	inj := New(Config{})
 	k := &fakeKiller{refuse: true}
-	e := WrapNodeSchedule(nil, inj, NodeCrash{Host: "node0", AfterOutputs: 1})
-	e.SetKiller(k)
+	s := Wrap(nil, nil, Event{At: 1, Kind: KillTracker, Host: "node0", Undo: time.Millisecond})
+	s.SetKiller(k)
 
-	e.noteOutput("node0")
-	e.Wait()
-	if inj.DialRefused("node1", "node0") {
-		t.Fatal("a refused kill must leave the peer dialable")
+	note(s, "node0", 0)
+	s.Wait()
+	if got := s.Kills(); len(got) != 0 {
+		t.Fatalf("Kills() = %v after a refused kill", got)
+	}
+	if killed, revived := k.snapshot(); len(killed) != 0 || len(revived) != 0 {
+		t.Fatalf("killed = %v revived = %v after a refused kill", killed, revived)
 	}
 }
 
 func TestNodeScheduleWaitsForKiller(t *testing.T) {
 	k := &fakeKiller{}
-	e := WrapNodeSchedule(nil, nil, NodeCrash{Host: "node1", AfterOutputs: 1})
+	s := Wrap(nil, nil, Event{At: 1, Kind: KillTracker, Host: "node1"})
 
 	// Trigger count passes with no killer attached: nothing fires...
-	e.noteOutput("node0")
-	e.Wait()
+	note(s, "node0", 0)
+	s.Wait()
 	if killed, _ := k.snapshot(); len(killed) != 0 {
 		t.Fatalf("fired without a killer: %v", killed)
 	}
 	// ...but the crash is still pending and fires on the next output
 	// once a killer exists.
-	e.SetKiller(k)
-	e.noteOutput("node2")
-	e.Wait()
+	s.SetKiller(k)
+	note(s, "node2", 1)
+	s.Wait()
 	if killed, _ := k.snapshot(); len(killed) != 1 || killed[0] != "node1" {
 		t.Fatalf("killed = %v, want [node1]", killed)
+	}
+}
+
+// KillPeer needs no killer: the announcing host's dials are refused at
+// once, and accepted again after the undo.
+func TestNodeScheduleKillPeerUntilUndo(t *testing.T) {
+	s := Wrap(nil, New(Config{}), Event{At: 1, Kind: KillPeer, Undo: 5 * time.Millisecond})
+	note(s, "node1", 0)
+	if !s.inj.DialRefused("node0", "node1") {
+		t.Fatal("dials toward the killed peer are accepted")
+	}
+	s.Wait()
+	if s.inj.DialRefused("node0", "node1") {
+		t.Fatal("revived peer must accept dials again")
+	}
+}
+
+// Two LoseOutput events on one map take its first two announcements once
+// due; other maps and the third announcement are spared.
+func TestNodeScheduleLosesSuccessiveOutputs(t *testing.T) {
+	s := Wrap(nil, nil, Event{At: 2, Kind: LoseOutput, Map: 4}, Event{At: 2, Kind: LoseOutput, Map: 4})
+	var lost []bool
+	for _, mapID := range []int{4, 3, 4, 4, 4} {
+		lost = append(lost, note(s, "node0", mapID))
+	}
+	if want := []bool{false, false, true, true, false}; fmt.Sprint(lost) != fmt.Sprint(want) {
+		t.Fatalf("lost = %v, want %v", lost, want)
 	}
 }

@@ -23,7 +23,6 @@ const (
 	KeyPrefetchThreads  = "mapred.rdma.prefetch.threads"
 	KeyPrefetchCacheCap = "mapred.rdma.prefetch.cache.bytes"
 	KeyBlockSize        = "dfs.block.size"
-	KeyReplication      = "dfs.replication"
 	KeyMapSlots         = "mapred.tasktracker.map.tasks.maximum"
 	KeyReduceSlots      = "mapred.tasktracker.reduce.tasks.maximum"
 	KeyIOSortFactor     = "io.sort.factor"
@@ -63,11 +62,6 @@ const (
 	// Mirrors Hadoop's mapred.tasktracker.expiry.interval (default 10 s
 	// here; Hadoop ships 600 s).
 	KeyTrackerExpiry = "mapred.tasktracker.expiry.interval"
-	// KeyMapMaxAttempts / KeyReduceMaxAttempts bound how many times one
-	// map / reduce task may be attempted (original + retries, Hadoop
-	// semantics) before the job fails.
-	KeyMapMaxAttempts    = "mapred.map.max.attempts"
-	KeyReduceMaxAttempts = "mapred.reduce.max.attempts"
 	// KeySpeculativeReduces enables backup attempts for straggling
 	// reduces, mirroring KeySpeculativeMaps. The output-commit protocol
 	// (attempt-scoped temp files + atomic rename, first committer wins)
@@ -124,7 +118,6 @@ var defaults = map[string]string{
 	KeyPrefetchThreads:      "4",
 	KeyPrefetchCacheCap:     strconv.Itoa(256 << 20),
 	KeyBlockSize:            strconv.Itoa(256 << 20),
-	KeyReplication:          "1",
 	KeyMapSlots:             "4",
 	KeyReduceSlots:          "4",
 	KeyIOSortFactor:         "10",
@@ -138,8 +131,6 @@ var defaults = map[string]string{
 	KeyRDMARequestTimeout:   "30000", // ms
 	KeyRDMAReadLeaseTimeout: "30000",
 	KeyTrackerExpiry:        "10000", // ms
-	KeyMapMaxAttempts:       "4",
-	KeyReduceMaxAttempts:    "4",
 	KeySpeculativeReduces:   "false",
 	KeyObsProfile:           "false",
 	KeyObsHTTPAddr:          "",
@@ -295,7 +286,6 @@ func (c *Config) Validate() error {
 		{KeyResponderThreads, 1},
 		{KeyPrefetchThreads, 1},
 		{KeyBlockSize, 4096},
-		{KeyReplication, 1},
 		{KeyMapSlots, 1},
 		{KeyReduceSlots, 1},
 		{KeyIOSortFactor, 2},
@@ -325,11 +315,6 @@ func (c *Config) Validate() error {
 	}
 	if v := c.Int(KeyTrackerExpiry); v < 1 || v > 3600000 {
 		return fmt.Errorf("config: %s = %d outside [1, 3600000] ms", KeyTrackerExpiry, v)
-	}
-	for _, key := range []string{KeyMapMaxAttempts, KeyReduceMaxAttempts} {
-		if v := c.Int(key); v < 1 || v > 100 {
-			return fmt.Errorf("config: %s = %d outside [1, 100]", key, v)
-		}
 	}
 	if v := c.Int(KeyJTMaxRunning); v < 1 || v > 256 {
 		return fmt.Errorf("config: %s = %d outside [1, 256]", KeyJTMaxRunning, v)

@@ -165,8 +165,6 @@ func TestValidateRobustnessKeys(t *testing.T) {
 		{KeyRDMAConnectRetries, []int64{0, 4, 1000}, []int64{-1, 1001}},
 		{KeyRDMARequestTimeout, []int64{1, 30000, 600000}, []int64{0, -1, 600001}},
 		{KeyTrackerExpiry, []int64{1, 10000, 3600000}, []int64{0, -5, 3600001}},
-		{KeyMapMaxAttempts, []int64{1, 4, 100}, []int64{0, -1, 101}},
-		{KeyReduceMaxAttempts, []int64{1, 4, 100}, []int64{0, 101}},
 	}
 	for _, tc := range cases {
 		for _, v := range tc.ok {

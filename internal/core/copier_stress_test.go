@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
-	"rdmamr/internal/fabric"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/mrpool"
@@ -153,9 +153,9 @@ func TestRingStressManySegmentsOneHost(t *testing.T) {
 	defer poisonReleasedPayloads.Store(false)
 
 	h := newRingHarness(t, stressConf(8), 32, 100)
-	// Amplify modeled verbs latency into real sleeps (delay = modeled /
-	// scale, so 0.05 = 20×) to open the out-of-order completion windows.
-	h.tt.Fabric().Network().SetLatencyModel(fabric.Models(fabric.IBVerbs), 0.05)
+	// Delay every post by 50 µs (about what 20× QDR latency plus a 2 KiB
+	// serialization costs) to open the out-of-order completion windows.
+	h.tt.Fabric().Network().SetFaultInjector(chaos.New(chaos.Config{DelayProb: 1, Delay: 50 * time.Microsecond}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

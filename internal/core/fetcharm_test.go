@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
-	"rdmamr/internal/fabric"
 )
 
 func waitFor(t testing.TB, cond func() bool) {
@@ -102,9 +102,9 @@ func TestRingReadArmEvictionChurn(t *testing.T) {
 	if !ok {
 		t.Fatalf("server is %T, want *trackerServer", h.cluster.Servers()[0])
 	}
-	// Amplify modeled verbs latency into real sleeps so a plan's READs
-	// stretch over milliseconds and the eviction window stays open.
-	h.tt.Fabric().Network().SetLatencyModel(fabric.Models(fabric.IBVerbs), 0.05)
+	// Delay every post by 50 µs so a plan's READs stretch over
+	// milliseconds and the eviction window stays open.
+	h.tt.Fabric().Network().SetFaultInjector(chaos.New(chaos.Config{DelayProb: 1, Delay: 50 * time.Microsecond}))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()

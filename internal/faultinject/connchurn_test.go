@@ -8,7 +8,6 @@ import (
 	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
-	"rdmamr/internal/faultinject"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/mrpool"
@@ -41,8 +40,7 @@ func TestConnCacheChurnChaos(t *testing.T) {
 	conf.SetInt(config.KeyRDMAConnIdleTimeout, 50)
 
 	inj := chaos.New(chaos.Config{Seed: 29, SeverProb: 1, MaxFaults: 3})
-	fi := faultinject.WrapOptions(core.New(), faultinject.Options{Transport: inj})
-	c, err := mapred.NewCluster(3, conf, fi)
+	c, err := mapred.NewCluster(3, conf, chaos.Wrap(core.New(), inj))
 	if err != nil {
 		t.Fatal(err)
 	}

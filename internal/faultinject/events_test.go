@@ -41,8 +41,7 @@ func fetchEvents(t *testing.T, addr string) obs.EventsSnapshot {
 // survivor — plus at least one task attempt requeued with the node
 // death as its recorded cause.
 func TestNodeDeathEmitsOrderedEventSequence(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 23})
-	sched := chaos.WrapNodeSchedule(core.New(), inj, chaos.NodeCrash{AfterOutputs: 2})
+	sched := chaos.Wrap(core.New(), nil, chaos.Event{At: 2, Kind: chaos.KillTracker})
 	conf := nodeDeathConf()
 	conf.Set(config.KeyObsHTTPAddr, "127.0.0.1:0")
 	c, err := mapred.NewCluster(4, conf, sched)

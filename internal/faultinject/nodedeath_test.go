@@ -8,7 +8,6 @@ import (
 	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
-	"rdmamr/internal/faultinject"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/workload"
@@ -95,8 +94,7 @@ func assertRetryCountersConsistent(t *testing.T, counters map[string]int64) {
 // byte-identical TeraSort output, and the scheduler must detect the
 // death through missed heartbeats.
 func TestNodeDeathMidShuffleNoRevive(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 23})
-	sched := chaos.WrapNodeSchedule(core.New(), inj, chaos.NodeCrash{AfterOutputs: 2})
+	sched := chaos.Wrap(core.New(), nil, chaos.Event{At: 2, Kind: chaos.KillTracker})
 	c, err := mapred.NewCluster(4, nodeDeathConf(), sched)
 	if err != nil {
 		t.Fatal(err)
@@ -129,12 +127,9 @@ func TestNodeDeathMidShuffleNoRevive(t *testing.T) {
 // `make chaos` gate runs.
 func TestNodeDeathComposedWithTransportFaults(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 17, SeverProb: 1, MaxFaults: 2})
-	sched := chaos.WrapNodeSchedule(core.New(), inj, chaos.NodeCrash{AfterOutputs: 3})
-	fi := faultinject.WrapOptions(sched, faultinject.Options{
-		LoseMapIDs: []int{1},
-		Transport:  inj,
-	})
-	c, err := mapred.NewCluster(4, nodeDeathConf(), fi)
+	sched := chaos.Wrap(core.New(), inj,
+		chaos.Event{At: 3, Kind: chaos.KillTracker}, chaos.Event{Kind: chaos.LoseOutput, Map: 1})
+	c, err := mapred.NewCluster(4, nodeDeathConf(), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +142,8 @@ func TestNodeDeathComposedWithTransportFaults(t *testing.T) {
 	if len(sched.Kills()) != 1 {
 		t.Fatalf("kills = %v", sched.Kills())
 	}
-	if fi.LostCount() != 1 {
-		t.Fatalf("lost outputs = %d, want 1", fi.LostCount())
+	if lost := res.Counters["chaos.outputs.lost"]; lost != 1 {
+		t.Fatalf("lost outputs = %d, want 1", lost)
 	}
 	if inj.Faults() == 0 {
 		t.Fatal("no transport faults injected; composition not exercised")
@@ -205,8 +200,7 @@ func (s *recordingServer) MapOutputReady(job mapred.JobInfo, mapID int) {
 // restarts it and runs a second job: the revived node must rejoin the
 // heartbeat ring and serve map outputs again.
 func TestNodeDeathReviveRejoins(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 41})
-	sched := chaos.WrapNodeSchedule(core.New(), inj, chaos.NodeCrash{AfterOutputs: 2})
+	sched := chaos.Wrap(core.New(), nil, chaos.Event{At: 2, Kind: chaos.KillTracker})
 	rec := &announceRecorder{ShuffleEngine: sched}
 	c, err := mapred.NewCluster(3, nodeDeathConf(), rec)
 	if err != nil {
@@ -223,9 +217,8 @@ func TestNodeDeathReviveRejoins(t *testing.T) {
 	}
 	victim := kills[0]
 
-	// Restart the node: transport accepts dials again, the cluster
-	// starts a fresh shuffle server, heartbeats resume.
-	inj.RevivePeer(victim)
+	// Restart the node: the cluster starts a fresh shuffle server, so
+	// dials succeed again, and heartbeats resume.
 	if err := c.ReviveTracker(victim); err != nil {
 		t.Fatalf("revive %s: %v", victim, err)
 	}

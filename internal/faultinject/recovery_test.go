@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
-	"rdmamr/internal/faultinject"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/shuffle/httpshuffle"
@@ -43,8 +43,11 @@ func ctxT(t *testing.T) context.Context {
 // and validates the result.
 func runWithFaults(t *testing.T, mk func() mapred.ShuffleEngine, loseMaps []int) *mapred.JobResult {
 	t.Helper()
-	fi := faultinject.Wrap(mk(), loseMaps...)
-	c, err := mapred.NewCluster(3, testConf(), fi)
+	var events []chaos.Event
+	for _, m := range loseMaps {
+		events = append(events, chaos.Event{Kind: chaos.LoseOutput, Map: m})
+	}
+	c, err := mapred.NewCluster(3, testConf(), chaos.Wrap(mk(), nil, events...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func runWithFaults(t *testing.T, mk func() mapred.ShuffleEngine, loseMaps []int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loseMaps) > 0 && fi.LostCount() == 0 {
+	if len(loseMaps) > 0 && res.Counters["chaos.outputs.lost"] == 0 {
 		t.Fatal("fault injection never fired")
 	}
 	if err := workload.Validate(fs, "/out", kv.BytesComparator, want, true); err != nil {
@@ -88,7 +91,7 @@ func TestRecoveryAllEngines(t *testing.T) {
 			if res.Counters["shuffle.fetch.failures"] == 0 {
 				t.Fatalf("no fetch failures recorded: %v", res.Counters)
 			}
-			if res.Counters["faultinject.outputs.lost"] != 2 {
+			if res.Counters["chaos.outputs.lost"] != 2 {
 				t.Fatalf("injections: %v", res.Counters)
 			}
 		})
@@ -110,41 +113,14 @@ func TestNoFaultsNoRecovery(t *testing.T) {
 	}
 }
 
-// persistentLoss wraps an engine so a map's output is destroyed on EVERY
-// announcement, exhausting recovery attempts.
-type persistentLoss struct {
-	mapred.ShuffleEngine
-	victim int
-}
-
-func (p *persistentLoss) StartTracker(tt *mapred.TaskTracker) (mapred.TrackerServer, error) {
-	inner, err := p.ShuffleEngine.StartTracker(tt)
-	if err != nil {
-		return nil, err
-	}
-	return &persistentServer{inner: inner, tt: tt, victim: p.victim}, nil
-}
-
-type persistentServer struct {
-	inner  mapred.TrackerServer
-	tt     *mapred.TaskTracker
-	victim int
-}
-
-func (s *persistentServer) MapOutputReady(job mapred.JobInfo, mapID int) {
-	if mapID == s.victim {
-		for r := 0; r < job.NumReduces; r++ {
-			_ = s.tt.Store().Delete(mapred.MapOutputKey(job.ID, mapID, r))
-		}
-	}
-	s.inner.MapOutputReady(job, mapID)
-}
-
-func (s *persistentServer) JobComplete(job mapred.JobInfo) { s.inner.JobComplete(job) }
-func (s *persistentServer) Close() error                   { return s.inner.Close() }
-
 func TestRecoveryExhaustionFailsJob(t *testing.T) {
-	c, err := mapred.NewCluster(3, testConf(), &persistentLoss{ShuffleEngine: core.New(), victim: 0})
+	// Map 0 loses its original output and every re-execution the budget
+	// allows.
+	var events []chaos.Event
+	for range mapred.MaxMapRecoveries + 1 {
+		events = append(events, chaos.Event{Kind: chaos.LoseOutput, Map: 0})
+	}
+	c, err := mapred.NewCluster(3, testConf(), chaos.Wrap(core.New(), nil, events...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
-	"rdmamr/internal/faultinject"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/workload"
@@ -46,8 +45,7 @@ func terasortSpec(t *testing.T, c *mapred.Cluster, name string, rows, seed int64
 // validation against the input checksum pins exactly that), and the
 // JobTracker's admission accounting must add up.
 func TestTwoTenantsByteIdenticalAcrossNodeDeath(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 29})
-	sched := chaos.WrapNodeSchedule(core.New(), inj, chaos.NodeCrash{AfterOutputs: 3})
+	sched := chaos.Wrap(core.New(), nil, chaos.Event{At: 3, Kind: chaos.KillTracker})
 	c, err := mapred.NewCluster(4, nodeDeathConf(), sched)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +104,6 @@ func TestTwoTenantsByteIdenticalAcrossNodeDeath(t *testing.T) {
 // discarded duplicate. Output must still be byte-identical.
 func TestSpeculativeTwinWinsUnderChaos(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 53, SeverProb: 1, MaxFaults: 2})
-	fi := faultinject.WrapOptions(core.New(), faultinject.Options{Transport: inj})
 	// No node dies here, so keep the default (10 s) heartbeat expiry: the
 	// aggressive 50 ms window is for death-detection tests and can
 	// spuriously decommission trackers on a loaded race-detector run.
@@ -114,7 +111,7 @@ func TestSpeculativeTwinWinsUnderChaos(t *testing.T) {
 	conf.SetInt(config.KeyRDMAConnectRetries, 8)
 	conf.SetInt(config.KeyRDMARequestTimeout, 5000)
 	conf.SetBool(config.KeySpeculativeMaps, true)
-	c, err := mapred.NewCluster(3, conf, fi)
+	c, err := mapred.NewCluster(3, conf, chaos.Wrap(core.New(), inj))
 	if err != nil {
 		t.Fatal(err)
 	}

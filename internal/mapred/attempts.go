@@ -5,11 +5,16 @@ import (
 	"sync"
 )
 
+// MaxTaskAttempts bounds how many times one map or reduce task may be
+// attempted (original + retries, Hadoop's mapred.{map,reduce}.max.attempts
+// default) before the job fails.
+const MaxTaskAttempts = 4
+
 // attemptQueue schedules attempts of one task kind (the map set or the
 // reduce set) across slot workers. It generalizes the old splitQueue:
 // locality-preferred dispatch, straggler speculation (one backup per
 // task, first finisher wins), and — new — a per-task attempt budget
-// (mapred.{map,reduce}.max.attempts) with requeue-on-failure, plus
+// (MaxTaskAttempts) with requeue-on-failure, plus
 // budget-free requeue when an attempt dies with its node rather than on
 // its own. Attempt numbers are unique per task, giving retries and
 // backups distinct temp output paths for the commit protocol.

@@ -92,7 +92,7 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		return nil, err
 	}
 	c := &Cluster{
-		fs:      hdfs.New(conf.Int(config.KeyBlockSize), int(conf.Int(config.KeyReplication))),
+		fs:      hdfs.New(conf.Int(config.KeyBlockSize), 1),
 		conf:    conf,
 		engine:  engine,
 		fabric:  ucr.NewFabric(),

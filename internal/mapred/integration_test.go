@@ -278,9 +278,7 @@ func TestRunJobAfterClose(t *testing.T) {
 }
 
 func TestLocalityPreferred(t *testing.T) {
-	conf := testConf()
-	conf.SetInt(config.KeyReplication, 1)
-	c := newTestCluster(t, 4, conf)
+	c := newTestCluster(t, 4, testConf())
 	res := runTeraSort(t, c, 3000, 4)
 	local := res.Counters["map.input.blocks.local"]
 	remote := res.Counters["map.input.blocks.remote"]

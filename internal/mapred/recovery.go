@@ -8,9 +8,9 @@ import (
 	"rdmamr/internal/obs"
 )
 
-// MaxMapRecoveries bounds re-execution attempts per map task, mirroring
-// Hadoop's mapred.map.max.attempts (4 = 1 original + 3 retries).
-const MaxMapRecoveries = 3
+// MaxMapRecoveries bounds re-execution attempts per map task: the
+// original run plus these make MaxTaskAttempts.
+const MaxMapRecoveries = MaxTaskAttempts - 1
 
 // jobRecovery coordinates map re-execution when reduce-side fetchers
 // report lost map outputs — the "faster recovery in case of task

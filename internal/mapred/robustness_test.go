@@ -83,8 +83,7 @@ func TestCancelledJobLeavesOutputEmpty(t *testing.T) {
 
 func TestReduceRetrySucceedsWithinBudget(t *testing.T) {
 	// The reducer fails its first two attempts and then behaves; with
-	// mapred.reduce.max.attempts=4 the job must recover and produce
-	// correct output.
+	// MaxTaskAttempts = 4 the job must recover and produce correct output.
 	c := newTestCluster(t, 2, nil)
 	fs := c.FS()
 	_ = fs.WriteFile("/rretry/in", "", kv.WriteRun([]kv.Record{
@@ -142,8 +141,8 @@ func TestReduceRetryExhaustionFailsJob(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
-	// Default mapred.reduce.max.attempts is 4; the error must say which
-	// reduce failed, where, and how many attempts were burned.
+	// MaxTaskAttempts is 4; the error must say which reduce failed,
+	// where, and how many attempts were burned.
 	if !strings.Contains(err.Error(), "reduce 0 on node") ||
 		!strings.Contains(err.Error(), "failed after 4 attempts") {
 		t.Fatalf("exhaustion error should name the reduce, host, and attempt count: %v", err)

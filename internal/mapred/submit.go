@@ -715,7 +715,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 		hostHints[sp.id] = sp.hosts
 	}
 	rj.kinds[mapKind].q = newAttemptQueue(mapIDs, hostHints,
-		int(info.Conf.Int(config.KeyMapMaxAttempts)),
+		MaxTaskAttempts,
 		info.Conf.Bool(config.KeySpeculativeMaps))
 	if info.Conf.Bool(config.KeySpeculativeMaps) {
 		det := jobtracker.NewStragglers(jt.stragglerCfg, len(mapIDs))
@@ -730,7 +730,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 	// output-commit rename arbitrates duplicates, and an idle reduce slot
 	// late in the job has nothing better to do.
 	rj.kinds[reduceKind].q = newAttemptQueue(reduceIDs, nil,
-		int(info.Conf.Int(config.KeyReduceMaxAttempts)),
+		MaxTaskAttempts,
 		info.Conf.Bool(config.KeySpeculativeReduces))
 	rj.kinds[mapKind].tasks, rj.kinds[reduceKind].tasks = info.NumMaps, info.NumReduces
 	for k := range numKinds {

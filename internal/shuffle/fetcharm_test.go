@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"os"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"rdmamr/internal/chaos"
 	"rdmamr/internal/config"
 	"rdmamr/internal/core"
-	"rdmamr/internal/fabric"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/workload"
@@ -68,10 +66,10 @@ func TestFetchArmBitForBit(t *testing.T) {
 				c.SetInt(config.KeyRDMAReadLeaseTimeout, 1)
 				c.SetInt(config.KeyPrefetchCacheCap, 24<<10)
 			},
-			// Amplify modeled verbs latency into real sleeps so plans
-			// stretch over many janitor ticks and lose their leases.
+			// Delay every post by 50 µs so plans stretch over many janitor
+			// ticks and lose their leases.
 			cluster: func(c *mapred.Cluster) {
-				c.Trackers()[0].Fabric().Network().SetLatencyModel(fabric.Models(fabric.IBVerbs), 0.05)
+				c.Trackers()[0].Fabric().Network().SetFaultInjector(chaos.New(chaos.Config{DelayProb: 1, Delay: 50 * time.Microsecond}))
 			}},
 	}
 	outputs := map[string]map[string][]byte{}
@@ -176,38 +174,6 @@ func fetchArmChaosSeed(t *testing.T) int64 {
 	return seed
 }
 
-// reviveKillOnFirstOutput kills the serving side of the first host to
-// announce a map output — by construction a host some reducer needs —
-// and revives it shortly after, so plans under lease must ride out a dead
-// peer without corrupting or hanging (and without needing RecoverMap).
-type reviveKillOnFirstOutput struct {
-	mapred.ShuffleEngine
-	inj  *chaos.Injector
-	once sync.Once
-}
-
-func (k *reviveKillOnFirstOutput) StartTracker(tt *mapred.TaskTracker) (mapred.TrackerServer, error) {
-	inner, err := k.ShuffleEngine.StartTracker(tt)
-	if err != nil {
-		return nil, err
-	}
-	return &reviveKillServer{TrackerServer: inner, k: k, host: tt.Host()}, nil
-}
-
-type reviveKillServer struct {
-	mapred.TrackerServer
-	k    *reviveKillOnFirstOutput
-	host string
-}
-
-func (s *reviveKillServer) MapOutputReady(job mapred.JobInfo, mapID int) {
-	s.k.once.Do(func() {
-		s.k.inj.KillPeer(s.host)
-		time.AfterFunc(300*time.Millisecond, func() { s.k.inj.RevivePeer(s.host) })
-	})
-	s.TrackerServer.MapOutputReady(job, mapID)
-}
-
 // TestFetchArmReadSeededChaos runs TeraSort, served by manifest + READ
 // wherever the cache allows, under the full degradation matrix at once: seeded transport chaos (severs, drops,
 // delays), a killed-then-revived peer, cache capacity at its floor, and a
@@ -231,15 +197,17 @@ func TestFetchArmReadSeededChaos(t *testing.T) {
 		Delay:        200 * time.Microsecond,
 		MaxFaults:    10,
 	})
-	eng := &reviveKillOnFirstOutput{ShuffleEngine: core.New(), inj: inj}
-	c, err := mapred.NewCluster(3, conf, eng)
+	// The first host to announce a map output — by construction a host
+	// some reducer needs — refuses dials for 300 ms, so plans under lease
+	// must ride out a dead peer without corrupting or hanging (and
+	// without needing RecoverMap).
+	sched := chaos.Wrap(core.New(), inj, chaos.Event{At: 1, Kind: chaos.KillPeer, Undo: 300 * time.Millisecond})
+	c, err := mapred.NewCluster(3, conf, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	net := c.Trackers()[0].Fabric().Network()
-	net.SetFaultInjector(inj)
-	defer net.SetFaultInjector(nil)
+	defer sched.Wait()
 
 	_, res := runTeraSortOn(t, c, 20000)
 

@@ -2,6 +2,7 @@ package verbs
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -139,5 +140,112 @@ func TestDestroyWaitsForInFlightPost(t *testing.T) {
 	qpA.dev.net.SetFaultInjector(nil)
 	if err := qpA.PostSend(read); !errors.Is(err, ErrQPState) {
 		t.Fatalf("post after Destroy = %v, want ErrQPState", err)
+	}
+}
+
+// postEach posts a SEND, a WRITE and a READ of 8 bytes from qpA to qpB
+// (after a receive for the SEND, if qpB still takes one) and returns
+// their completions in that order. It calls no t method, so it may run on
+// its own goroutine.
+func postEach(qpA, qpB *QueuePair, cqA *CQ, local, remote *MemoryRegion) ([]WC, error) {
+	_ = qpB.PostRecv(RecvWR{SGE: SGE{MR: remote, Length: 8}})
+	wcs := make([]WC, 3)
+	for i, op := range []Opcode{OpSend, OpRDMAWrite, OpRDMARead} {
+		if err := qpA.PostSend(SendWR{Opcode: op, SGE: SGE{MR: local, Length: 8},
+			RemoteAddr: remote.Addr(), RKey: remote.RKey()}); err != nil {
+			return nil, err
+		}
+		if cqA.Poll(wcs[i:i+1]) != 1 {
+			return nil, fmt.Errorf("%v returned without its completion", op)
+		}
+	}
+	return wcs, nil
+}
+
+// TestPostTakesNoNetworkLock: a connected QP posts on the peer it resolved
+// at Connect, so SEND, WRITE and READ all complete while another goroutine
+// holds the network's device map for writing.
+func TestPostTakesNoNetworkLock(t *testing.T) {
+	qpA, qpB, cqA, _ := pair(t)
+	local, remote := mustMR(t, qpA.dev, 8), mustMR(t, qpB.dev, 8)
+	done := make(chan error, 1)
+	var wcs []WC
+	qpA.dev.net.mu.Lock()
+	go func() {
+		var err error
+		wcs, err = postEach(qpA, qpB, cqA, local, remote)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Second):
+		qpA.dev.net.mu.Unlock()
+		<-done // the posts finish once the lock is let go
+		t.Fatal("posts did not complete within 1 s while the network lock was held")
+	}
+	qpA.dev.net.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wc := range wcs {
+		if wc.Status != WCSuccess {
+			t.Fatalf("%v completed %v", wc.Opcode, wc.Status)
+		}
+	}
+}
+
+// TestPostToClosedPeer: once the peer device is closed, SEND, WRITE and
+// READ all complete with WCRemoteAccessErr and move nothing.
+func TestPostToClosedPeer(t *testing.T) {
+	qpA, qpB, cqA, _ := pair(t)
+	local, remote := mustMR(t, qpA.dev, 8), mustMR(t, qpB.dev, 8)
+	qpB.dev.Close()
+	wcs, err := postEach(qpA, qpB, cqA, local, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wc := range wcs {
+		if wc.Status != WCRemoteAccessErr || wc.ByteLen != 0 {
+			t.Fatalf("%v to a closed peer completed %+v, want REMOTE_ACCESS_ERR", wc.Opcode, wc)
+		}
+	}
+}
+
+// TestFaultInjectorSwapDuringPosts (meant for -race): installing,
+// replacing and removing the injector while a QP posts leaves every post
+// completing before PostSend returns.
+func TestFaultInjectorSwapDuringPosts(t *testing.T) {
+	qpA, qpB, cqA, _ := pair(t)
+	local, remote := mustMR(t, qpA.dev, 8), mustMR(t, qpB.dev, 8)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 2000; i++ {
+			err := qpA.PostSend(SendWR{Opcode: []Opcode{OpRDMAWrite, OpRDMARead}[i%2],
+				SGE: SGE{MR: local, Length: 8}, RemoteAddr: remote.Addr(), RKey: remote.RKey()})
+			var wc [1]WC
+			if err == nil && cqA.Poll(wc[:]) != 1 {
+				err = fmt.Errorf("post %d returned without its completion", i)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	injs := []FaultInjector{&scriptedInjector{only: -1}, nil,
+		&scriptedInjector{verdict: FaultVerdict{Action: FaultFailCompletion}, only: OpRDMARead}}
+	for i := 0; ; i++ {
+		select {
+		case err := <-done:
+			qpA.dev.net.SetFaultInjector(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+			qpA.dev.net.SetFaultInjector(injs[i%len(injs)])
+		}
 	}
 }

@@ -196,7 +196,7 @@ type QueuePair struct {
 	state     QPState
 	recvQueue recvRing
 	srq       *SRQ // non-nil: receive side draws from the shared queue
-	peerDev   string
+	peer      *Device
 	peerQPN   uint32
 
 	// postMu is held while a work request executes in the goroutine that
@@ -234,9 +234,12 @@ func (qp *QueuePair) QPN() uint32 { return qp.qpn }
 
 // Connect transitions the QP to RTS targeting the remote (device, QPN).
 // Both sides must Connect for bidirectional traffic, mirroring the
-// INIT→RTR→RTS modify_qp sequence.
+// INIT→RTR→RTS modify_qp sequence. The peer device is resolved here, once:
+// every later post on the QP goes to that device, and fails once it is
+// closed.
 func (qp *QueuePair) Connect(remoteDev string, remoteQPN uint32) error {
-	if _, err := qp.dev.net.lookup(remoteDev); err != nil {
+	peer, err := qp.dev.net.lookup(remoteDev)
+	if err != nil {
 		return err
 	}
 	qp.mu.Lock()
@@ -244,7 +247,7 @@ func (qp *QueuePair) Connect(remoteDev string, remoteQPN uint32) error {
 	if qp.state != QPReset {
 		return fmt.Errorf("%w: state %v, want RESET", ErrQPState, qp.state)
 	}
-	qp.peerDev = remoteDev
+	qp.peer = peer
 	qp.peerQPN = remoteQPN
 	qp.state = QPReadyToSend
 	return nil
@@ -281,8 +284,8 @@ func (qp *QueuePair) PostRecv(wr RecvWR) error {
 // the request's completion already on the send CQ, so a non-blocking Poll
 // reaps it. The QP must be RTS. Posts on one QP run one at a time, in
 // post order, and the call lasts as long as its work request: a delayed
-// or parked fault verdict, injected latency or a full CQ stalls the
-// poster.
+// or parked fault verdict or a full CQ stalls the poster. A post takes no
+// network-wide lock: only the QP's own and its peer device's.
 func (qp *QueuePair) PostSend(wr SendWR) error {
 	var one [1]SGE
 	sgl := wr.sgl(&one)
@@ -293,12 +296,12 @@ func (qp *QueuePair) PostSend(wr SendWR) error {
 	qp.postMu.Lock()
 	defer qp.postMu.Unlock()
 	qp.mu.Lock()
-	state, peerName, peerQPN := qp.state, qp.peerDev, qp.peerQPN
+	state, peer, peerQPN := qp.state, qp.peer, qp.peerQPN
 	qp.mu.Unlock()
 	if state != QPReadyToSend {
 		return fmt.Errorf("%w: state %v, want RTS", ErrQPState, state)
 	}
-	qp.execute(wr, sgl, total, peerName, peerQPN)
+	qp.execute(wr, sgl, total, peer, peerQPN)
 	return nil
 }
 
@@ -359,21 +362,17 @@ func (qp *QueuePair) complete(wr *SendWR, status WCStatus, n int) {
 
 // execute runs one validated work request; the caller holds postMu.
 // Gather list resolution: the fabric executes the work request as ONE
-// wire message of the summed length — fault verdicts, injected latency,
-// and the receiver's completion all see the total, never per-SGE
-// fragments, mirroring how an HCA's DMA engine gathers before the wire.
-func (qp *QueuePair) execute(wr SendWR, sgl []SGE, total int, peerName string, peerQPN uint32) {
-	peer, err := qp.dev.net.lookup(peerName)
-	if err != nil {
-		qp.complete(&wr, WCRemoteAccessErr, 0)
-		return
-	}
-
+// wire message of the summed length — fault verdicts and the receiver's
+// completion both see the total, never per-SGE fragments, mirroring how
+// an HCA's DMA engine gathers before the wire. A closed peer device
+// completes every opcode with WCRemoteAccessErr: the check sits inside
+// the peer.mu sections the post takes anyway.
+func (qp *QueuePair) execute(wr SendWR, sgl []SGE, total int, peer *Device, peerQPN uint32) {
 	// okStatus is what a successfully executed operation completes with;
 	// FaultFailCompletion delivers the data but reports failure.
 	okStatus := WCSuccess
 	if fi := qp.dev.net.faultInjector(); fi != nil {
-		switch v := fi.SendVerdict(qp.dev.name, peerName, wr.Opcode, total); v.Action {
+		switch v := fi.SendVerdict(qp.dev.name, peer.name, wr.Opcode, total); v.Action {
 		case FaultDelay:
 			time.Sleep(v.Delay)
 		case FaultDropSend:
@@ -393,7 +392,6 @@ func (qp *QueuePair) execute(wr SendWR, sgl []SGE, total int, peerName string, p
 			return
 		}
 	}
-	qp.dev.net.injectDelay(total)
 
 	switch wr.Opcode {
 	case OpSend:
@@ -401,6 +399,7 @@ func (qp *QueuePair) execute(wr SendWR, sgl []SGE, total int, peerName string, p
 	case OpRDMAWrite, OpRDMARead:
 		peer.mu.Lock()
 		remote, ok := peer.resolve(wr.RKey, wr.RemoteAddr, total)
+		ok = ok && !peer.closed
 		switch {
 		case ok && wr.Opcode == OpRDMAWrite:
 			gatherInto(remote, sgl)
@@ -441,7 +440,12 @@ func scatterFrom(src []byte, sgl []SGE) {
 func (qp *QueuePair) executeSend(wr *SendWR, sgl []SGE, total int, peer *Device, peerQPN uint32, okStatus WCStatus) {
 	peer.mu.Lock()
 	rqp, ok := peer.qps[peerQPN]
+	closed := peer.closed
 	peer.mu.Unlock()
+	if closed {
+		qp.complete(wr, WCRemoteAccessErr, 0)
+		return
+	}
 	if !ok {
 		// The remote QP no longer exists (destroyed): no ACK ever comes
 		// back, so the transport retry counter exhausts.

@@ -7,10 +7,10 @@
 // Substitution note (DESIGN.md): no InfiniBand hardware is available in
 // this environment, so devices attach to an in-process Network that copies
 // payloads directly between registered buffers — the same zero-copy,
-// OS-bypass data movement an HCA performs, with optional injected latency
-// from a fabric.Model. Everything above this layer (UCR, the RDMA shuffle
-// engine) is agnostic to whether completions come from the emulator or a
-// real HCA.
+// OS-bypass data movement an HCA performs; delay, loss and severed
+// connections come only from an installed FaultInjector. Everything above
+// this layer (UCR, the RDMA shuffle engine) is agnostic to whether
+// completions come from the emulator or a real HCA.
 package verbs
 
 import (
@@ -19,22 +19,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rdmamr/internal/fabric"
 )
 
 // Errors returned by verbs operations (posting errors; data-path failures
 // surface as work-completion statuses instead, as on real hardware).
 var (
 	ErrQPState      = errors.New("verbs: queue pair not in required state")
-	ErrUnknownQP    = errors.New("verbs: unknown queue pair")
 	ErrUnknownDev   = errors.New("verbs: unknown device")
 	ErrBadSGE       = errors.New("verbs: scatter/gather entry out of region bounds")
 	ErrDeregistered = errors.New("verbs: memory region deregistered")
 	ErrClosed       = errors.New("verbs: object closed")
-	// ErrDialRefused is returned by QueuePair.Connect when a fault
-	// injector refuses the dial — the emulator's stand-in for RDMA-CM
-	// REJECT / an unreachable CM listener.
+	// ErrDialRefused is what a connection manager (ucr) returns when
+	// Network.DialRefused rules against a dial — the emulator's stand-in
+	// for RDMA-CM REJECT / an unreachable CM listener.
 	ErrDialRefused = errors.New("verbs: dial refused")
 )
 
@@ -111,8 +108,7 @@ const (
 	// FaultNone lets the operation proceed untouched.
 	FaultNone FaultAction = iota
 	// FaultDelay stalls the posting goroutine for the verdict's Delay
-	// before executing normally — a congested or flapping link. Composes with
-	// the fabric latency model, which still applies afterwards.
+	// before executing normally — a congested or flapping link.
 	FaultDelay
 	// FaultDropSend discards the work request without delivering
 	// anything; the sender completes with WCRetryExceeded, as a reliable
@@ -153,24 +149,19 @@ type FaultInjector interface {
 	DialRefused(localDev, remoteDev string) bool
 }
 
-// Network is the in-process fabric connecting emulated devices. A nil
-// latency model means transfers complete with no injected delay (tests);
-// with a model installed the network sleeps per-message latency +
-// serialization time scaled by TimeScale, letting demos observe realistic
-// relative timings without wall-clock pain.
+// Network is the in-process fabric connecting emulated devices. Its
+// mutex guards only the device map, which a dial reads once: a post runs
+// on the peer device its queue pair resolved at Connect and reads the
+// installed fault injector with one atomic load.
 type Network struct {
 	mu      sync.RWMutex
 	devices map[string]*Device
-	model   *fabric.Model
-	// TimeScale divides injected delays (e.g. 1000 = microseconds become
-	// nanoseconds). Zero means no injection even with a model set.
-	timeScale float64
-	faults    FaultInjector
 
-	// wcObs, when set, sees every work completion any CQ on the network
-	// delivers. Atomic so the per-completion load costs one pointer read
-	// (nil, the common case) instead of a lock.
-	wcObs atomic.Pointer[WCObserver]
+	// faults and wcObs are atomic so the per-post and per-completion
+	// loads cost one pointer read (nil, the common case) instead of a
+	// lock.
+	faults atomic.Pointer[FaultInjector]
+	wcObs  atomic.Pointer[WCObserver]
 }
 
 // WCObserver is notified of every work completion generated on the
@@ -198,34 +189,27 @@ func (n *Network) observeWC(dev string, wc WC) {
 	}
 }
 
-// NewNetwork returns an empty network with no latency injection.
+// NewNetwork returns an empty network with no fault injector.
 func NewNetwork() *Network {
 	return &Network{devices: make(map[string]*Device)}
 }
 
-// SetLatencyModel installs a fabric model whose latency and bandwidth are
-// injected as real sleeps scaled down by scale (delay = modeled/scale).
-// scale <= 0 disables injection.
-func (n *Network) SetLatencyModel(m fabric.Model, scale float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.model = &m
-	n.timeScale = scale
-}
-
 // SetFaultInjector installs (or, with nil, removes) a fault injector
-// consulted on every send-queue work request and dial. Composable with
-// the latency model: a surviving operation still pays modeled latency.
+// consulted on every send-queue work request and dial. A post reads it
+// once, so a swap takes effect from the next post on.
 func (n *Network) SetFaultInjector(fi FaultInjector) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults = fi
+	if fi == nil {
+		n.faults.Store(nil)
+		return
+	}
+	n.faults.Store(&fi)
 }
 
 func (n *Network) faultInjector() FaultInjector {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.faults
+	if p := n.faults.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // DialRefused reports whether the installed fault injector rejects a
@@ -237,19 +221,6 @@ func (n *Network) faultInjector() FaultInjector {
 func (n *Network) DialRefused(localDev, remoteDev string) bool {
 	fi := n.faultInjector()
 	return fi != nil && fi.DialRefused(localDev, remoteDev)
-}
-
-func (n *Network) injectDelay(bytes int) {
-	n.mu.RLock()
-	m, scale := n.model, n.timeScale
-	n.mu.RUnlock()
-	if m == nil || scale <= 0 {
-		return
-	}
-	d := time.Duration(float64(m.TransferTime(bytes)) / scale)
-	if d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // NewDevice creates and attaches a device (HCA) with the given unique name.
@@ -316,8 +287,8 @@ func (d *Device) Value(key any, mk func() any) any {
 // Name returns the device name (its network address).
 func (d *Device) Name() string { return d.name }
 
-// Network returns the fabric this device is attached to (for latency
-// model and fault injector installation).
+// Network returns the fabric this device is attached to (for fault
+// injector installation).
 func (d *Device) Network() *Network { return d.net }
 
 // MemoryRegion is a registered buffer. RDMA operations address it by

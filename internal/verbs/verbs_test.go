@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"rdmamr/internal/fabric"
 )
 
 // pair builds two connected devices with one QP each, a shared CQ per
@@ -382,26 +380,6 @@ func TestCQWaitCancellation(t *testing.T) {
 	defer cancel()
 	if _, err := cq.Wait(ctx); err == nil {
 		t.Fatal("wait did not honor context")
-	}
-}
-
-func TestLatencyInjection(t *testing.T) {
-	net := NewNetwork()
-	net.SetLatencyModel(fabric.Models(fabric.IBVerbs), 1) // no scaling: 2µs latency
-	a, _ := net.NewDevice("a")
-	b, _ := net.NewDevice("b")
-	cqA, cqB := a.CreateCQ(4), b.CreateCQ(4)
-	qpA, _ := a.CreateQP(cqA, cqA)
-	qpB, _ := b.CreateQP(cqB, cqB)
-	_ = qpA.Connect("b", qpB.QPN())
-	_ = qpB.Connect("a", qpA.QPN())
-	src, dst := mustMR(t, a, 8), mustMR(t, b, 8)
-	_ = qpB.PostRecv(RecvWR{SGE: SGE{MR: dst, Length: 8}})
-	start := time.Now()
-	_ = qpA.PostSend(SendWR{Opcode: OpSend, SGE: SGE{MR: src, Length: 8}})
-	waitWC(t, cqA)
-	if elapsed := time.Since(start); elapsed < time.Microsecond {
-		t.Logf("latency injection below timer resolution: %v", elapsed)
 	}
 }
 
