@@ -26,9 +26,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Every test under the race detector.
+# Every test under the race detector, in a shuffled order whose seed a failure prints.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # Seeded fault-injection rows (D6, D10, D12, D13, D19-D27) under -race; the test names are the list.
 chaos:

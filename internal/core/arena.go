@@ -2,16 +2,52 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
+	"rdmamr/internal/mapred"
 	"rdmamr/internal/shuffle/stream"
 )
+
+// fetchNode is what the fetchers of one device share (D26): the arenas
+// they take at Fetch and give back at Close, and the heap buffers their
+// eager chunks are copied into. The device keeps it, so what one node's
+// fetches recycle lives and dies with the node and warms no other.
+type fetchNode struct {
+	arenas arenaList
+	heap   classList[[]byte]
+	// out counts chunk buffers, heap and registered, handed out and not
+	// yet given back: a fetcher that closes leaves it where it found it,
+	// which is what the payload-accounting tests hold every exit path to.
+	out atomic.Int64
+	// poison, set only by tests, scribbles over released chunk buffers,
+	// so a record still aliasing one is visibly corrupt.
+	poison atomic.Bool
+}
+
+type fetchNodeKey struct{}
+
+// nodeOf returns the fetch state tt's device keeps, made the first time
+// a fetcher on the node asks.
+func nodeOf(tt *mapred.TaskTracker) *fetchNode {
+	return tt.Device().Value(fetchNodeKey{}, func() any { return new(fetchNode) }).(*fetchNode)
+}
+
+// giveBack books a chunk buffer's return, poisoning it if asked to.
+func (nd *fetchNode) giveBack(buf []byte) {
+	nd.out.Add(-1)
+	if nd.poison.Load() {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+}
 
 // fetchArena is what a fetcher allocates in proportion to its maps and
 // hosts: a segment per map; a peer per host, with its request queue and
 // the books its connections keep (ring slot table, free-slot stack, send
 // batch); the host index; and the merged stream with its gather arrays
-// and merge heap. Fetchers share arenas (DESIGN.md D26): Close gives the
-// arena back to the process's free list once every supervisor has
+// and merge heap. A node's fetchers share arenas (DESIGN.md D26): Close
+// gives the arena back to the node's free list once every supervisor has
 // exited, cleared, and the next Fetch takes it. A given-back arena
 // holds no fetcher and nothing bound to a device — hostPeers sets each
 // peer's fetcher and health again on every Fetch, and the closed stream
@@ -25,7 +61,7 @@ type fetchArena struct {
 
 // An arena is not kept once it has held more than maxArenaMaps segments
 // (about 240 bytes each), so a job with that many maps does not leave its
-// segments pinned to the process.
+// segments pinned to the node.
 const maxArenaMaps = 4096
 
 // arenaList is a free list of arenas. It needs no cap of its own: get
@@ -36,8 +72,6 @@ type arenaList struct {
 	mu   sync.Mutex
 	free []*fetchArena
 }
-
-var arenas arenaList
 
 // get takes the arena the last fetcher to close gave back, or a new one.
 func (l *arenaList) get() *fetchArena {

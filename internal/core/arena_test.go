@@ -21,6 +21,17 @@ func (l *arenaList) holds(a *fetchArena) bool {
 	return slices.Contains(l.free, a)
 }
 
+// idle is how many buffers wait on the list.
+func (l *classList[T]) idle() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, vs := range l.free {
+		n += len(vs)
+	}
+	return n
+}
+
 // idleBlocks is how many blocks wait on the list.
 func (l *blockList) idleBlocks() int {
 	l.mu.Lock()
@@ -80,18 +91,18 @@ func TestArenaReuseAfterAbandonedFetch(t *testing.T) {
 		{"cancelled on refill", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			poisonReleasedPayloads.Store(true)
-			defer poisonReleasedPayloads.Store(false)
 			const maps = 2
 			conf := stressConf(2)
 			conf.SetBool(config.KeyCachingEnabled, false)
 			h := newRingHarness(t, conf, maps, 200)
+			node := nodeOf(h.tt)
+			node.poison.Store(true)
 			c := h.cluster.Counters()
 			h.fetch(context.Background()) // dial the plane's shared endpoint once
 			packets := c.Get("shuffle.rdma.packets")
 			h.fetch(context.Background())
 			clean := c.Get("shuffle.rdma.packets") - packets
-			base := payloadsOut.Load()
+			base := node.out.Load()
 
 			g := chaos.ParkNth(verbs.OpRDMAWrite, 3)
 			h.tt.Fabric().Network().SetFaultInjector(g)
@@ -133,7 +144,7 @@ func TestArenaReuseAfterAbandonedFetch(t *testing.T) {
 			strays := c.Get("shuffle.rdma.conn.strays")
 			f.Close()
 			assertArenaCleared(t, arena)
-			if !arenas.holds(arena) {
+			if !node.arenas.holds(arena) {
 				t.Fatal("the closed fetcher's arena is not on the free list")
 			}
 
@@ -166,7 +177,7 @@ func TestArenaReuseAfterAbandonedFetch(t *testing.T) {
 				t.Fatalf("the second fetch delivered %d chunks, a fault-free one %d", got, clean)
 			}
 			waitFor(t, func() bool { return c.Get("shuffle.rdma.conn.strays") > strays })
-			if out := payloadsOut.Load() - base; out != 0 {
+			if out := node.out.Load() - base; out != 0 {
 				t.Fatalf("%d chunk buffers never given back", out)
 			}
 			// Every chunk was staged, the one whose write was parked under

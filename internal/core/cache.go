@@ -17,7 +17,6 @@ import (
 	"container/heap"
 	"hash/fnv"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -509,17 +508,6 @@ func (c *PrefetchCache) drop(body *cacheBody) {
 	body.Release()
 }
 
-// Promote raises an entry's priority (after a demand miss on a sibling
-// partition, successive requests favor keeping this map's data).
-func (c *PrefetchCache) Promote(key CacheKey, priority int) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok && priority > e.priority {
-		e.priority = priority
-	}
-}
-
 // less orders entries by eviction value: true if a is less valuable
 // (evicted earlier) than b.
 func (c *PrefetchCache) less(a, b *cacheEntry) bool {
@@ -635,10 +623,6 @@ func (c *PrefetchCache) Len() int {
 	}
 	return n
 }
-
-// jobPrefix reports whether key belongs to the given job (helper for
-// tests; matches RemoveJob semantics).
-func (k CacheKey) jobPrefix(jobID string) bool { return strings.HasPrefix(k.JobID, jobID) }
 
 // taskHeap is a priority heap of prefetch tasks: higher priority first,
 // FIFO within a priority (demand-missed partitions jump the queue).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -104,19 +105,6 @@ func TestCacheRefreshInPlace(t *testing.T) {
 	}
 }
 
-func TestCachePromote(t *testing.T) {
-	cache := NewPrefetchCache(100, "priority", nil)
-	cache.Put(key(0, 0), make([]byte, 50), PriorityPrefetch)
-	cache.Promote(key(0, 0), PriorityDemand)
-	cache.Put(key(1, 0), make([]byte, 50), PriorityPrefetch)
-	// Promoted entry must outlive the plain prefetch entry.
-	if cache.Put(key(2, 0), make([]byte, 60), PriorityPrefetch) {
-		if cache.Contains(key(1, 0)) && !cache.Contains(key(0, 0)) {
-			t.Fatal("promotion ignored")
-		}
-	}
-}
-
 func TestCacheRemoveJob(t *testing.T) {
 	cache := NewPrefetchCache(1000, "priority", nil)
 	cache.Put(CacheKey{JobID: "a", MapID: 0, Partition: 0}, make([]byte, 10), 0)
@@ -144,7 +132,6 @@ func TestCacheConcurrent(t *testing.T) {
 				k := key(w, i%10)
 				cache.Put(k, make([]byte, 100), i%2)
 				cache.Get(k)
-				cache.Promote(k, PriorityDemand)
 			}
 		}(w)
 	}
@@ -160,6 +147,10 @@ func TestCacheBadPolicyFallsBack(t *testing.T) {
 		t.Fatalf("policy = %q", cache.policy)
 	}
 }
+
+// jobPrefix reports whether key belongs to the given job (helper for
+// tests; matches RemoveJob semantics).
+func (k CacheKey) jobPrefix(jobID string) bool { return strings.HasPrefix(k.JobID, jobID) }
 
 func TestCacheKeyJobPrefix(t *testing.T) {
 	k := CacheKey{JobID: "job_1", MapID: 0, Partition: 0}
@@ -200,7 +191,7 @@ func TestCacheModelProperty(t *testing.T) {
 				} else {
 					delete(model, k)
 				}
-			case 1: // get
+			case 1, 2: // get
 				if data, ok := cache.Get(k); ok {
 					if _, could := model[k]; !could {
 						t.Logf("op %d: hit on key the model never admitted", i)
@@ -210,8 +201,6 @@ func TestCacheModelProperty(t *testing.T) {
 						return false
 					}
 				}
-			case 2: // promote
-				cache.Promote(k, PriorityDemand)
 			case 3: // remove job
 				cache.RemoveJob(k.JobID)
 				for mk := range model {

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rdmamr/internal/config"
@@ -617,14 +616,12 @@ func (hc *hostConn) releaseLease(ctx context.Context, id uint64) {
 
 // payload is one delivered chunk's bytes: the registered block a READ
 // landed in (blk set; the merge decodes it in place), or a heap buffer
-// from payloadPool that an eager chunk — or a READ the budget kept in its
-// ring slot — was copied into. The chunk carries its own kind, so giving
-// it back looks nothing up, and a heap buffer its pool box, so giving it
-// back allocates nothing.
+// from the node's free list that an eager chunk — or a READ the budget
+// kept in its ring slot — was copied into. The chunk carries its own
+// kind, so giving it back looks nothing up.
 type payload struct {
 	buf []byte
 	blk *mrpool.Block
-	box *[]byte
 }
 
 // release gives a chunk's buffer back once nothing reads it: the merge
@@ -634,104 +631,98 @@ func (f *fetcher) release(pl payload) {
 	case pl.blk != nil:
 		f.blocks.put(pl.blk)
 	case pl.buf != nil:
-		putPayload(pl)
+		buf := pl.buf[:cap(pl.buf)]
+		f.node.giveBack(buf)
+		f.node.heap.put(len(buf), buf)
 	}
 }
 
-// payloadPool recycles heap chunk buffers: a supervisor copies an eager
-// packet out of its ring slot into one, and the reduce side returns it
-// once every record of the chunk has been consumed (stream.Iterator's
-// spent-buffer rule) or the fetcher closes. READ chunks need none (payloadBlocks).
-var payloadPool sync.Pool // of *[]byte
-
-// payloadsOut counts chunk buffers — heap buffers and payload blocks —
-// handed out and not yet given back: a fetcher that closes leaves it
-// where it found it, which is what the payload-accounting tests hold
-// every exit path to.
-var payloadsOut atomic.Int64
-
-// poisonReleasedPayloads makes putPayload and payloadBlocks.put scribble
-// over buffers on release. Tests enable it to turn any record still
-// aliasing a released chunk into visible corruption instead of a silent
-// heisenbug.
-var poisonReleasedPayloads atomic.Bool
-
-func poison(buf []byte) {
-	if poisonReleasedPayloads.Load() {
-		for i := range buf {
-			buf[i] = 0xDB
-		}
-	}
-}
-
-// payloadCap is the capacity a chunk of n bytes is held in, heap buffer
-// or registered block alike: a power of two from 4 KiB.
-func payloadCap(n int) int {
-	c := 4 << 10
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
+// payloadCap is the capacity a chunk of n > 0 bytes is held in, heap
+// buffer or registered block alike: a power of two from 4 KiB.
+func payloadCap(n int) int { return max(4<<10, 1<<bits.Len(uint(n-1))) }
 
 // sizeClass numbers payloadCap's sizes from 0 (4 KiB).
 func sizeClass(size int) int { return bits.TrailingZeros(uint(size)) - 12 }
 
-func (f *fetcher) getPayload(n int) payload {
-	payloadsOut.Add(1)
-	if v := payloadPool.Get(); v != nil {
-		box := v.(*[]byte)
-		if cap(*box) >= n {
-			f.cPoolHits.Add(1)
-			return payload{buf: (*box)[:n], box: box}
-		}
-	}
-	f.cPoolMisses.Add(1)
-	buf := make([]byte, n, payloadCap(n))
-	return payload{buf: buf, box: &buf}
+// classList is a free list of chunk buffers, heap or registered alike,
+// one LIFO per payloadCap size: get takes the last one put of the
+// smallest size that holds the chunk, so a buffer pins about what its
+// chunk needs.
+type classList[T any] struct {
+	mu   sync.Mutex
+	free [][]T // by sizeClass
 }
 
-func putPayload(pl payload) {
-	payloadsOut.Add(-1)
-	buf := pl.buf[:cap(pl.buf)]
-	poison(buf)
-	*pl.box = buf
-	payloadPool.Put(pl.box)
+func (l *classList[T]) get(size int) (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for c := sizeClass(size); c < len(l.free); c++ {
+		if k := len(l.free[c]); k > 0 {
+			v, l.free[c] = l.free[c][k-1], l.free[c][:k-1]
+			return v, true
+		}
+	}
+	return v, false
+}
+
+// put files v, a buffer of payloadCap size, under its size.
+func (l *classList[T]) put(size int, v T) {
+	c := sizeClass(size)
+	l.mu.Lock()
+	for len(l.free) <= c {
+		l.free = append(l.free, nil)
+	}
+	l.free[c] = append(l.free[c], v)
+	l.mu.Unlock()
+}
+
+// drain empties the list, passing each buffer to fn.
+func (l *classList[T]) drain(fn func(T)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, vs := range l.free {
+		for _, v := range vs {
+			fn(v)
+		}
+	}
+	l.free = nil
+}
+
+func (f *fetcher) getPayload(n int) payload {
+	f.node.out.Add(1)
+	size := payloadCap(n)
+	if buf, ok := f.node.heap.get(size); ok {
+		f.cPoolHits.Add(1)
+		return payload{buf: buf[:n]}
+	}
+	f.cPoolMisses.Add(1)
+	return payload{buf: make([]byte, n, size)}
 }
 
 // payloadBlocks is a fetcher's registered payload blocks (D21): a READ
 // chunk lands in one, and the block is the chunk the merge decodes, so
-// nothing copies it out of a ring slot. A released block goes on its
-// size's LIFO list; a chunk takes the smallest free block that holds it,
-// and only when none does is a block of the chunk's payloadCap carved, so
-// a block pins about what its chunk needs. Carves are local-only, with no
-// memory window: only the fetcher's own READs write into them.
+// nothing copies it out of a ring slot. A released block goes back on
+// the list, and only when no free block holds a chunk is a block of the
+// chunk's payloadCap carved. Carves are local-only, with no memory
+// window: only the fetcher's own READs write into them.
 type payloadBlocks struct {
 	pool *mrpool.Pool
-	mu   sync.Mutex
-	free [][]*mrpool.Block // by sizeClass
+	node *fetchNode
+	free classList[*mrpool.Block]
 }
 
 // get returns a block of at least n > 0 bytes, or the carve's error:
 // mrpool.ErrBudget once the device's registered-memory budget is spent.
 func (l *payloadBlocks) get(n int) (*mrpool.Block, error) {
 	size := payloadCap(n)
-	var b *mrpool.Block
-	l.mu.Lock()
-	for c := sizeClass(size); c < len(l.free) && b == nil; c++ {
-		if k := len(l.free[c]); k > 0 {
-			b = l.free[c][k-1]
-			l.free[c] = l.free[c][:k-1]
-		}
-	}
-	l.mu.Unlock()
-	if b == nil {
+	b, ok := l.free.get(size)
+	if !ok {
 		var err error
 		if b, err = l.pool.Alloc(size, "payload"); err != nil {
 			return nil, err
 		}
 	}
-	payloadsOut.Add(1)
+	l.node.out.Add(1)
 	return b, nil
 }
 
@@ -739,29 +730,13 @@ func (l *payloadBlocks) get(n int) (*mrpool.Block, error) {
 // it: a READ's block after ReadSG has returned, a delivered one after the
 // merge is done with it.
 func (l *payloadBlocks) put(b *mrpool.Block) {
-	payloadsOut.Add(-1)
-	poison(b.Bytes())
-	c := sizeClass(b.Len())
-	l.mu.Lock()
-	for len(l.free) <= c {
-		l.free = append(l.free, nil)
-	}
-	l.free[c] = append(l.free[c], b)
-	l.mu.Unlock()
+	l.node.giveBack(b.Bytes())
+	l.free.put(b.Len(), b)
 }
 
 // close frees every block back to the slab. The fetcher's Close calls it
-// once every chunk has been given back, so each block is on a free list.
-func (l *payloadBlocks) close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, blocks := range l.free {
-		for _, b := range blocks {
-			b.Free()
-		}
-	}
-	l.free = nil
-}
+// once every chunk has been given back, so each block is on the list.
+func (l *payloadBlocks) close() { l.free.drain((*mrpool.Block).Free) }
 
 // dialConn establishes one connection attempt: a lease on the device's
 // shared endpoint to the host (dialed by the plane if absent) plus a
@@ -1224,10 +1199,10 @@ func (f *fetcher) answer(ctx context.Context, p *hostPeer, hc *hostConn, lm leas
 // the loop — so a chunk is accounted in exactly one place, and frees the
 // slot. A READ that landed in payload block blk is delivered as that
 // block, uncopied: its bytes are the bytes the merge decodes. Otherwise
-// the n payload bytes sitting in the slot are copied out into a pooled
-// heap buffer. Either way the chunk is counted, spanned, and delivered to
-// the owning segment. Delivery never blocks: a segment has at most one
-// chunk in flight and a place for it.
+// the n payload bytes sitting in the slot are copied out into a heap
+// buffer from the node's list. Either way the chunk is counted, spanned,
+// and delivered to the owning segment. Delivery never blocks: a segment
+// has at most one chunk in flight and a place for it.
 func (f *fetcher) complete(p *hostPeer, hc *hostConn, slot uint32, n int, eof bool, blk *mrpool.Block) {
 	ps := hc.finish(slot)
 	var pl payload
@@ -1412,8 +1387,9 @@ type fetcher struct {
 	cPoolHits      *obs.Counter
 	cPoolMisses    *obs.Counter
 
-	// arena is the memory below, taken from the arena free list at Fetch
-	// and given back at Close (D26).
+	// node is what the device's fetchers share (D26); arena is the memory
+	// below, taken from the node's list at Fetch and given back at Close.
+	node  *fetchNode
 	arena *fetchArena
 	// peers is the host index, set before Fetch starts a goroutine.
 	peers map[string]*hostPeer
@@ -1472,7 +1448,8 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cZeroCopyHits = c.Counter("shuffle.rdma.zerocopy.hits")
 	f.cPoolHits = c.Counter("shuffle.rdma.payload.pool.hits")
 	f.cPoolMisses = c.Counter("shuffle.rdma.payload.pool.misses")
-	f.blocks.pool = mrpool.For(task.Local.Device())
+	f.node = nodeOf(task.Local)
+	f.blocks.pool, f.blocks.node = mrpool.For(task.Local.Device()), f.node
 	return f
 }
 
@@ -1492,7 +1469,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 		now := time.Now()
 		f.tr.Add(f.span(obs.KindShuffle, now, now))
 	}
-	f.arena = arenas.get()
+	f.arena = f.node.arenas.get()
 	f.it = &f.arena.it
 	f.it.Reset(ctx, f.task.Job.Comparator, f.release, window)
 
@@ -1602,7 +1579,7 @@ func (f *fetcher) Close() error {
 		f.blocks.close()
 		if f.arena != nil {
 			f.arena.release(f)
-			arenas.put(f.arena)
+			f.node.arenas.put(f.arena)
 			f.arena, f.segs, f.peers = nil, nil, nil
 		}
 	})

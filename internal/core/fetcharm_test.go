@@ -27,10 +27,8 @@ func waitFor(t testing.TB, cond func() bool) {
 // every delivered chunk was READ, the responder served nothing eagerly
 // and staged nothing, zero fallbacks — and releases every lease when done.
 func TestRingReadArmServesFromCache(t *testing.T) {
-	poisonReleasedPayloads.Store(true)
-	defer poisonReleasedPayloads.Store(false)
-
 	h := newRingHarness(t, stressConf(4), 8, 100)
+	nodeOf(h.tt).poison.Store(true)
 	srv, ok := h.cluster.Servers()[0].(*trackerServer)
 	if !ok {
 		t.Fatalf("server is %T, want *trackerServer", h.cluster.Servers()[0])
@@ -92,12 +90,10 @@ func TestRingReadArmServesFromCache(t *testing.T) {
 // (released-buffer poison turns any stale read into visible corruption)
 // and nothing hangs or leaks.
 func TestRingReadArmEvictionChurn(t *testing.T) {
-	poisonReleasedPayloads.Store(true)
-	defer poisonReleasedPayloads.Store(false)
-
 	conf := stressConf(4)
 	conf.SetInt(config.KeyRDMAReadLeaseTimeout, 5)
 	h := newRingHarness(t, conf, 8, 400)
+	nodeOf(h.tt).poison.Store(true)
 	srv, ok := h.cluster.Servers()[0].(*trackerServer)
 	if !ok {
 		t.Fatalf("server is %T, want *trackerServer", h.cluster.Servers()[0])

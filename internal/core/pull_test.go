@@ -68,9 +68,6 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 		{"eager", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			poisonReleasedPayloads.Store(true)
-			defer poisonReleasedPayloads.Store(false)
-
 			// Every third map is short, so segments run out mid-stream and
 			// their last records sit at the end of a partly filled final
 			// chunk.
@@ -78,6 +75,8 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 			conf := stressConf(4)
 			conf.SetBool(config.KeyCachingEnabled, tc.caching)
 			h := newRingHarness(t, conf, 0, 0)
+			node := nodeOf(h.tt)
+			node.poison.Store(true)
 			for m := 0; m < maps; m++ {
 				n := 150
 				if m%3 == 0 {
@@ -97,7 +96,7 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 			}
 			before := c.Snapshot()
 			delta := func(name string) int64 { return c.Get(name) - before[name] }
-			base := payloadsOut.Load()
+			base := node.out.Load()
 			f, it := h.open(ctx, maps)
 			defer f.Close()
 			same := func(n int, rec kv.Record, when string) {
@@ -129,7 +128,7 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 				}
 				held = it.Record()
 				same(n, held, "as returned")
-				if out := payloadsOut.Load() - base; out > 2*maps+1 {
+				if out := node.out.Load() - base; out > 2*maps+1 {
 					t.Fatalf("%d chunk buffers out after record %d, want at most %d", out, n, 2*maps+1)
 				}
 				n++
@@ -155,12 +154,7 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 			}
 			// Every block the fetch carved is on a free list, or holds the
 			// last record's chunk.
-			f.blocks.mu.Lock()
-			carves := int(payloadsOut.Load() - base)
-			for _, blocks := range f.blocks.free {
-				carves += len(blocks)
-			}
-			f.blocks.mu.Unlock()
+			carves := int(node.out.Load()-base) + f.blocks.free.idle()
 			if carves > 2*maps+1 {
 				t.Fatalf("%d payload blocks carved, want at most %d: blocks are not being reused", carves, 2*maps+1)
 			}
@@ -211,11 +205,12 @@ func TestPullPayloadAccounting(t *testing.T) {
 				waitFor(t, func() bool { return h.cluster.Counters().Get("cache.inserted") >= maps })
 			}
 			pool := mrpool.For(h.tt.Device())
-			base := payloadsOut.Load()
+			node := nodeOf(h.tt)
+			base := node.out.Load()
 			baseBlocks, basePayload := pool.OutstandingBlocks(), pool.Attribution()["payload"]
 			settled := func(when string) {
 				t.Helper()
-				if out := payloadsOut.Load() - base; out != 0 {
+				if out := node.out.Load() - base; out != 0 {
 					t.Fatalf("%s: %d chunk buffers never given back", when, out)
 				}
 				settleBlocks(t, pool, baseBlocks, basePayload, when)
@@ -230,7 +225,7 @@ func TestPullPayloadAccounting(t *testing.T) {
 			// End of stream gives back all but the chunk the call that
 			// ended it retired: it holds the last record, which is still
 			// the consumer's until Close.
-			if out := payloadsOut.Load() - base; out != 1 {
+			if out := node.out.Load() - base; out != 1 {
 				t.Fatalf("fully drained, before Close: %d chunk buffers out, want 1 (the last record's)", out)
 			}
 			f.Close()
@@ -242,7 +237,7 @@ func TestPullPayloadAccounting(t *testing.T) {
 					t.Fatalf("stream ended at record %d: %v", i, it.Err())
 				}
 			}
-			if payloadsOut.Load() == base {
+			if node.out.Load() == base {
 				t.Fatal("no chunk buffer out in mid-stream: the test is not exercising Close")
 			}
 			f.Close()
@@ -336,7 +331,7 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 			// Count from no host goroutine of any earlier fetcher.
 			waitFor(t, func() bool { s, o := hostGoroutines(); return s+o == 0 })
 			baseline := runtime.NumGoroutine()
-			basePayloads := payloadsOut.Load()
+			basePayloads := nodeOf(h.tt).out.Load()
 			pool := mrpool.For(h.tt.Device())
 			baseBlocks, basePayload := pool.OutstandingBlocks(), pool.Attribution()["payload"]
 
@@ -391,7 +386,7 @@ func TestPullCancelWhileBlockedOnRefill(t *testing.T) {
 				t.Fatal("Close hangs after a cancelled fetch")
 			}
 			settleGoroutines(t, baseline, "after cancel + Close")
-			if out := payloadsOut.Load() - basePayloads; out != 0 {
+			if out := nodeOf(h.tt).out.Load() - basePayloads; out != 0 {
 				t.Fatalf("%d chunk buffers never returned after cancel + Close", out)
 			}
 			// On the rendezvous row the parked READ held a payload block:
@@ -577,19 +572,17 @@ func (h *ringHarness) drain() int {
 // tracker side included. A warm fetch reuses a closed fetcher's arena and
 // the responder's staging blocks (D26), so what it allocates is per fetch,
 // not per partition: 9.0 KB in 44 allocations, 0.036 of the bytes it
-// delivers. The budget is a sixteenth, which leaves room for one pooled
-// chunk buffer lost to a collection, and one allocation a partition, which
-// anything that comes back per partition fails — a per-segment channel,
-// a per-chunk iterator, box or staging block, a per-answer decode. The
-// fetch carves one slab block, its connection's ring, and so does every
-// warm fetch after it: no staging block is carved.
+// delivers. The budget is a sixteenth, and one allocation a partition,
+// which anything that comes back per partition fails — a per-segment
+// channel, a per-chunk iterator or staging block, a per-answer decode.
+// The heap chunk buffers are the node's, so the race detector's
+// collections take none of them and the budget holds under -race too.
+// The fetch carves one slab block, its connection's ring, and so does
+// every warm fetch after it: no staging block is carved.
 func TestPullSmallFetchAllocBudget(t *testing.T) {
-	if alloctest.Race {
-		t.Skip("the payload pool is a sync.Pool, which drops buffers at random under the race detector")
-	}
 	const maps = 64
 	h := plantHarness(t, plantConf(false), maps, 4<<10)
-	delivered := h.drain() // warm: endpoint dialed, ring slab carved, payload pool filled
+	delivered := h.drain() // warm: endpoint dialed, ring slab carved, heap list filled
 	h.drain()
 	c := h.cluster.Counters()
 	for i := 0; i < 3; i++ {
