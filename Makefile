@@ -79,7 +79,7 @@ fuzz-seeds:
 
 # Every allocation-budget test (D7, D14, D16, D17, D21, D24, D26), never from the test cache.
 alloc-budgets:
-	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestBlocksConcatenateToReadFile|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows' \
+	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs|TestWriteRunExactlySized|TestRunWriterAllocsPerRun|TestChunkedWritesMatchSingleWrite|TestReadFileAllocatesOnce|TestBlocksConcatenateToReadFile|TestStoreOverwriteCopiesOwnedDoesNot|TestStoreGetBorrows|TestMergerResetReusesSlices' \
 		./internal/kv/ ./internal/storage/ ./internal/hdfs/ ./internal/mapred/ ./internal/core/ ./internal/shuffle/httpshuffle/ ./internal/verbs/ ./internal/workload/
 
 # CPU and heap profiles of BenchmarkTeraSort/$(ENGINE) (osu, http or hadoopa) in .bench_build/; pprof views in the verify skill.

@@ -46,7 +46,7 @@ func (nd *fetchNode) giveBack(buf []byte) {
 // hosts: a segment per map; a peer per host, with its request queue and
 // the books its connections keep (ring slot table, free-slot stack, send
 // batch); the host index; and the merged stream with its gather arrays
-// and merge heap. A node's fetchers share arenas (DESIGN.md D26): Close
+// and merge tree. A node's fetchers share arenas (DESIGN.md D26): Close
 // gives the arena back to the node's free list once every supervisor has
 // exited, cleared, and the next Fetch takes it. A given-back arena
 // holds no fetcher and nothing bound to a device — hostPeers sets each

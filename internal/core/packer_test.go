@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -163,5 +165,86 @@ func TestPackWalksWholeBody(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// packReference is Pack's record walk as it was before it prefetched.
+func packReference(body []byte, offset int64, softLimit, hardLimit, maxRecords int, sizeAware bool) (PackResult, error) {
+	if offset < 0 || offset > int64(len(body)) {
+		return PackResult{}, fmt.Errorf("core: pack offset %d outside body of %d", offset, len(body))
+	}
+	if softLimit > hardLimit {
+		softLimit = hardLimit
+	}
+	if maxRecords < 1 {
+		maxRecords = 1
+	}
+	rest := body[offset:]
+	if len(rest) == 0 {
+		return PackResult{EOF: true}, nil
+	}
+	var res PackResult
+	for res.Records < maxRecords && res.Bytes < len(rest) {
+		n, err := kv.NextRecordSize(rest[res.Bytes:])
+		if err != nil {
+			return PackResult{}, fmt.Errorf("core: corrupt record at offset %d: %w", offset+int64(res.Bytes), err)
+		}
+		if res.Records > 0 {
+			limit := hardLimit
+			if sizeAware {
+				limit = softLimit
+			}
+			if res.Bytes+n > limit {
+				break
+			}
+		} else if n > hardLimit {
+			return PackResult{}, fmt.Errorf("core: record of %d bytes exceeds copier buffer of %d", n, hardLimit)
+		}
+		res.Bytes += n
+		res.Records++
+	}
+	res.EOF = int(offset)+res.Bytes == len(body)
+	return res, nil
+}
+
+// TestPackEveryOffset: over bodies from empty to about 3 KiB of mixed
+// records — one-byte and two-byte length headers, records shorter and
+// longer than a cache line — and the same bodies cut one byte short, Pack
+// from every record start under several limits gives what the walk
+// without prefetching gives, errors included.
+func TestPackEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var full []byte
+	ends := []int{0}
+	for len(full) < 3<<10 {
+		r := kv.Record{Key: make([]byte, rng.Intn(20)), Value: make([]byte, []int{rng.Intn(40), 90, 100 + rng.Intn(200)}[rng.Intn(3)])}
+		rng.Read(r.Key)
+		full = kv.AppendRecord(full, r)
+		ends = append(ends, len(full))
+	}
+	type limits struct{ soft, hard, maxRecords int }
+	var cases []limits
+	for _, soft := range []int{1, 100, 1 << 10, 4 << 10} {
+		for _, hard := range []int{300, 1 << 20} {
+			for _, maxRecords := range []int{1, 7, 1 << 20} {
+				cases = append(cases, limits{soft, hard, maxRecords})
+			}
+		}
+	}
+	for n, end := range ends {
+		for _, body := range [][]byte{full[:end], full[:max(end-1, 0)]} {
+			for _, off := range append(ends[:n:n], len(body)) {
+				for _, c := range cases {
+					for _, aware := range []bool{true, false} {
+						got, gotErr := Pack(body, int64(off), c.soft, c.hard, c.maxRecords, aware)
+						want, wantErr := packReference(body, int64(off), c.soft, c.hard, c.maxRecords, aware)
+						if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+							t.Fatalf("body %d B, offset %d, %+v, sizeAware %v: Pack = %+v, %v; want %+v, %v",
+								len(body), off, c, aware, got, gotErr, want, wantErr)
+						}
+					}
+				}
+			}
+		}
 	}
 }

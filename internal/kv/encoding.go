@@ -62,14 +62,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 // a turn, so by then that record — header, key and, for short records, its
 // value — is in cache, and neither the merge's decode nor the record's
 // consumer waits for memory (DESIGN.md D27).
-func prefetchNext(b []byte) {
-	if len(b) > 0 {
-		prefetch(&b[0])
-		if len(b) > 64 {
-			prefetch(&b[64])
-		}
-	}
-}
+func prefetchNext(b []byte) { Prefetch(b[:min(len(b), 128)]) }
 
 // EncodeAll encodes recs back to back into a fresh buffer.
 func EncodeAll(recs []Record) []byte {

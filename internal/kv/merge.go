@@ -9,22 +9,27 @@ import "slices"
 // the RDMA engines' refillable segments (which implement Iterator
 // themselves) all run through it.
 //
-// The priority queue is a binary heap of 16-byte nodes held by value: a
-// source's index and, under byte order, the 8-byte prefix of its current
-// key, so most comparisons on the way down the heap are one integer
-// compare in an array that stays in cache. The sources' iterators and
-// current records sit in a side array that only a prefix tie reaches.
+// The priority queue is a tournament (loser) tree of 16-byte nodes held
+// by value (Knuth, TAOCP vol. 3, §5.4.1): a source's index and, under
+// byte order, the 8-byte prefix of its current key, so most matches are
+// one integer compare in an array that stays in cache. The sources'
+// iterators and current records sit in a side array that only a prefix
+// tie reaches.
 type Merger struct {
-	heap []mergeNode
+	// tree[0] is the winner, tree[1:] the loser of each match; source s
+	// is leaf len(tree)+s, and len(tree) is len(srcs) rounded up to a
+	// power of two. Padding leaves and exhausted sources are done: src
+	// len(srcs), prefix all ones.
+	tree []mergeNode
 	srcs []mergeSource
 	cmp  Comparator
 	// prefixed: cmp is byte order, nodes carry key prefixes. Otherwise
-	// every prefix is zero and the comparator decides.
+	// every live prefix is zero and the comparator decides.
 	prefixed bool
 	cur      Record
 	err      error
-	// init defers heap construction until the first Next so that a Merger
-	// over zero iterators is valid and empty.
+	// init defers building the tree until the first Next so that a
+	// Merger over zero iterators is valid and empty.
 	init bool
 }
 
@@ -67,7 +72,7 @@ func NewMerger(cmp Comparator, its ...Iterator) *Merger {
 }
 
 // Reset starts the merger over its, as NewMerger(cmp, its...) would,
-// keeping the source and heap slices of the merge before it. Nothing else
+// keeping the source and tree slices of the merge before it. Nothing else
 // of that merge survives: its iterators and records are cleared first, so
 // Reset(nil) drops every reference a finished merge holds.
 func (m *Merger) Reset(cmp Comparator, its ...Iterator) {
@@ -81,69 +86,80 @@ func (m *Merger) Reset(cmp Comparator, its ...Iterator) {
 			srcs[i].it = &srcs[i].wrap
 		}
 	}
-	*m = Merger{heap: m.heap[:0], srcs: srcs, prefixed: IsByteOrder(cmp), cmp: cmp}
+	*m = Merger{tree: m.tree[:0], srcs: srcs, prefixed: IsByteOrder(cmp), cmp: cmp}
 	if cmp == nil {
 		m.cmp = BytesComparator
 	}
 }
 
-// less orders heap nodes by prefix, then key, then source index. The last
-// makes the order total, which is what makes the merge stable.
+// less orders nodes by prefix, then liveness, then key, then source
+// index: a done node loses every tie to a live one, whose key may have
+// an all-ones prefix too. The last term makes the order total, which is
+// what makes the merge stable.
 func (m *Merger) less(a, b mergeNode) bool {
 	if a.prefix != b.prefix {
 		return a.prefix < b.prefix
 	}
-	if c := m.cmp(m.srcs[a.src].rec.Key, m.srcs[b.src].rec.Key); c != 0 {
-		return c < 0
+	if done := int32(len(m.srcs)); a.src < done && b.src < done {
+		if c := m.cmp(m.srcs[a.src].rec.Key, m.srcs[b.src].rec.Key); c != 0 {
+			return c < 0
+		}
 	}
 	return a.src < b.src
 }
 
-// siftDown restores the heap below position i, bottom-up (Wegener,
-// "BOTTOM-UP-HEAPSORT", TCS 118, 1993): the hole at i walks down to a leaf
-// along the smaller child, picked from the prefixes by a SETcc (only a tie
-// calls less), and h[i]'s node climbs back up from there, rarely far.
-func (m *Merger) siftDown(i int) {
-	h := m.heap
-	node, top := h[i], i
-	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
-		if c+1 < len(h) {
-			l, r, right := h[c].prefix, h[c+1].prefix, 0
-			if r < l {
-				right = 1
-			}
-			if l == r && m.less(h[c+1], h[c]) {
-				right = 1
-			}
-			c += right
+// build plays every match below node i, keeping each one's loser, and
+// returns the winner; it primes the sources, in order, as it reaches
+// their leaves. A source error leaves every later source done.
+func (m *Merger) build(i int) mergeNode {
+	if i >= len(m.tree) {
+		if s := i - len(m.tree); s < len(m.srcs) && m.err == nil {
+			node := mergeNode{src: int32(s)}
+			m.advance(&node)
+			return node
 		}
-		h[i] = h[c]
-		i = c
+		return mergeNode{^uint64(0), int32(len(m.srcs))}
 	}
-	for i > top {
-		p := (i - 1) / 2
-		if !m.less(node, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	w, l := m.build(2*i), m.build(2*i+1)
+	if m.less(l, w) {
+		w, l = l, w
 	}
-	h[i] = node
+	m.tree[i] = l
+	return w
 }
 
-// advance steps node's source to its next record and reports whether it
-// has one, filling in node's prefix; a source error is latched in m.err.
-func (m *Merger) advance(node *mergeNode) bool {
+// replay carries w, the new node of source s, the last winner, from its
+// leaf's parent to the root. The path is fixed by the leaf, so no load
+// waits on a compare, and each level is one prefix compare and a swap
+// made of conditional moves; only a prefix tie calls less.
+func (m *Merger) replay(w mergeNode, s int32) {
+	t := m.tree
+	for i := (len(t) + int(s)) >> 1; i > 0; i >>= 1 {
+		l := t[i]
+		up := l.prefix < w.prefix
+		if l.prefix == w.prefix {
+			up = m.less(l, w)
+		}
+		if up {
+			w, l = l, w
+		}
+		t[i] = l
+	}
+	t[0] = w
+}
+
+// advance steps node's source to its next record and fills in node's
+// prefix, or makes node done when the source has no record left; a
+// source error is latched in m.err.
+func (m *Merger) advance(node *mergeNode) {
 	s := &m.srcs[node.src]
 	if !s.it.NextInto(&s.rec) {
 		s.rec = Record{}
 		m.err = s.it.Err()
-		return false
-	}
-	if m.prefixed {
+		*node = mergeNode{^uint64(0), int32(len(m.srcs))}
+	} else if m.prefixed {
 		node.prefix = keyPrefix(s.rec.Key)
 	}
-	return true
 }
 
 // Next advances to the next record in merged order.
@@ -153,37 +169,26 @@ func (m *Merger) Next() bool {
 	}
 	if !m.init {
 		m.init = true
-		// Prime each source; drop exhausted ones.
-		m.heap = slices.Grow(m.heap[:0], len(m.srcs))
-		for i := range m.srcs {
-			node := mergeNode{src: int32(i)}
-			if m.advance(&node) {
-				m.heap = append(m.heap, node)
-			} else if m.err != nil {
-				return false
-			}
+		k := 1
+		for k < len(m.srcs) {
+			k *= 2
 		}
-		for i := len(m.heap)/2 - 1; i >= 0; i-- {
-			m.siftDown(i)
-		}
-	} else if len(m.heap) > 0 {
+		m.tree = slices.Grow(m.tree[:0], k)[:k]
+		m.tree[0] = m.build(1)
+	} else if w := m.tree[0]; int(w.src) < len(m.srcs) {
 		// Advance the source we last emitted from.
-		if !m.advance(&m.heap[0]) {
-			if m.err != nil {
-				return false
-			}
-			last := len(m.heap) - 1
-			m.heap[0] = m.heap[last]
-			m.heap = m.heap[:last]
-		}
-		if len(m.heap) > 1 {
-			m.siftDown(0)
-		}
+		s := w.src
+		m.advance(&w)
+		m.replay(w, s)
 	}
-	if len(m.heap) == 0 {
+	if m.err != nil {
 		return false
 	}
-	m.cur = m.srcs[m.heap[0].src].rec
+	w := m.tree[0]
+	if int(w.src) >= len(m.srcs) {
+		return false
+	}
+	m.cur = m.srcs[w.src].rec
 	return true
 }
 

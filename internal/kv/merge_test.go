@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -41,7 +42,8 @@ func TestMergerBasic(t *testing.T) {
 
 // TestMergerResetReusesSlices: a merger Reset over new sources merges them
 // as a new one would, under the new comparator, without allocating when
-// its slices already fit; Reset(nil) leaves no source or record behind.
+// its slices already fit, over 2 sources and over 100; Reset(nil) leaves
+// no source or record behind.
 func TestMergerResetReusesSlices(t *testing.T) {
 	m := NewMerger(BytesComparator, NewSliceIterator(sortedRecs("b", "d")), NewSliceIterator(sortedRecs("a", "c")))
 	for m.Next() {
@@ -65,6 +67,33 @@ func TestMergerResetReusesSlices(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Reset and a merge over two sources allocated %.0f times, want 0", allocs)
+	}
+	// A 100-source tree, its slices grown by one merge first.
+	wide := make([]Iterator, 100)
+	for s := range wide {
+		wide[s] = NewSliceIterator(sortedRecs(string(rune('0'+s%10)), string(rune('A'+s%26))))
+	}
+	rewind := func() {
+		for _, it := range wide {
+			it.(*SliceIterator).idx = -1
+		}
+	}
+	drain := func() (n int) {
+		for m.Next() {
+			n++
+		}
+		return n
+	}
+	m.Reset(nil, wide...)
+	drain()
+	if allocs := testing.AllocsPerRun(10, func() {
+		rewind()
+		m.Reset(nil, wide...)
+		if drain() != 200 {
+			t.Fatal("a merger Reset over 100 sources lost records")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reset and a merge over 100 sources allocated %.0f times, want 0", allocs)
 	}
 	reverse := func(x, y []byte) int { return bytes.Compare(y, x) }
 	m.Reset(reverse, NewSliceIterator([]Record{{Key: []byte("z")}, {Key: []byte("x")}}), NewSliceIterator([]Record{{Key: []byte("y")}}))
@@ -256,7 +285,7 @@ func (it *cutIterator) Err() error {
 }
 
 // sharedPrefix is prepended to every key of a shared round, so that under
-// byte order every prefix comparison in the heap ties and the keys decide.
+// byte order every prefix comparison in the tree ties and the keys decide.
 var sharedPrefix = []byte("sharedpf")
 
 // fuzzSources deals fuzzRecords' records — small alphabet, so keys repeat
@@ -264,11 +293,18 @@ var sharedPrefix = []byte("sharedpf")
 // 8-byte prefix, "a" next to "a\x00", long shared prefixes and 20 KB
 // values — out to k sources, tags each value with (source, position) so
 // that no two records are interchangeable, and sorts each source stably
-// under cmp. With few records some sources stay empty. With shared, every
-// key starts with sharedPrefix.
+// under cmp. Its alphabet's 'b' becomes 0xFF, so a key of eight or more
+// such bytes has the all-ones prefix of an exhausted source. With few
+// records some sources stay empty. With shared, every key starts with
+// sharedPrefix.
 func fuzzSources(data []byte, k int, cmp Comparator, shared bool) [][]Record {
 	sources := make([][]Record, k)
 	for i, r := range fuzzRecords(data) {
+		for j, c := range r.Key {
+			if c == 'b' {
+				r.Key[j] = 0xFF
+			}
+		}
 		s := (i*5 + len(r.Key) + len(r.Value)) % k
 		r.Value = append([]byte{byte(s), byte(i), byte(i >> 8)}, r.Value...)
 		if shared {
@@ -367,6 +403,23 @@ func checkMergerAgainstReference(t *testing.T, data []byte, k int, failAt int, s
 	}
 }
 
+// onesData is n fuzzRecords records whose keys are ten bytes, the first
+// eight 'b' (0xFF in fuzzSources: the exhausted source's prefix) and, with
+// tail, the last two from the whole alphabet.
+func onesData(rng *rand.Rand, n int, tail bool) []byte {
+	var data []byte
+	for range n {
+		data = append(data, 10, byte(rng.Intn(6)), 'b', 'b', 'b', 'b', 'b', 'b', 'b', 'b', 'b', 'b')
+		if tail {
+			data[len(data)-2], data[len(data)-1] = byte(rng.Intn(3)), byte(rng.Intn(3))
+		}
+		for range data[len(data)-11] % 7 {
+			data = append(data, byte(rng.Intn(256)))
+		}
+	}
+	return data
+}
+
 func FuzzMerger(f *testing.F) {
 	f.Add([]byte{}, uint8(3), int8(-1))
 	// "a" and "a\x00" — one prefix, two keys — and an empty key.
@@ -379,36 +432,84 @@ func FuzzMerger(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 2, 1, 'x', 2, 1, 2, 1, 'y', 3, 1, 1, 2, 0, 'z', 1, 1, 2, 'w'}, uint8(2), int8(1))
 	// Every key behind one 8-byte prefix (k's top bit).
 	f.Add([]byte{3, 1, 1, 2, 1, 'x', 2, 1, 2, 1, 'y', 3, 1, 1, 2, 0, 'z', 1, 1, 2, 'w'}, uint8(0x83), int8(-1))
+	// Trees with padding leaves (3 and 5 sources, 100 of 128) and a full
+	// one 7 levels deep.
+	rng := rand.New(rand.NewSource(3))
+	mixed := make([]byte, 3000)
+	rng.Read(mixed)
+	for _, k := range []uint8{2, 4, 99, 127} {
+		f.Add(mixed, k, int8(-1))
+	}
+	// Every key ten 0xFF bytes: each prefix ties the exhausted sources'.
+	f.Add(onesData(rng, 200, false), uint8(4), int8(-1))
+	// The last of 100 sources is empty and fails during the first Next.
+	f.Add(mixed[:200], uint8(99), int8(99))
 	f.Fuzz(func(t *testing.T, data []byte, k uint8, failAt int8) {
-		checkMergerAgainstReference(t, data, 1+int(k%8), int(failAt), k&0x80 != 0)
+		checkMergerAgainstReference(t, data, 1+int(k&0x7f), int(failAt), k&0x80 != 0)
 	})
 }
 
 // TestMergerMatchesReference runs FuzzMerger's property over seeded random
-// inputs on every `go test`, up to 96 sources (a heap 7 levels deep), every
-// third round with all keys behind one prefix.
+// inputs on every `go test`, up to 128 sources (a tree 7 levels deep),
+// every third round with all keys behind one prefix and every seventh
+// with every key's prefix all ones.
 func TestMergerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 60; round++ {
-		k := 1 + rng.Intn(96)
+	for round := 0; round < 70; round++ {
+		k := 1 + rng.Intn(128)
 		data := make([]byte, rng.Intn(1500))
 		if round%10 == 9 {
-			k, data = 96, make([]byte, 4000+rng.Intn(4000))
+			k, data = 128, make([]byte, 4000+rng.Intn(4000))
 		}
 		rng.Read(data)
+		if round%7 == 6 {
+			data = onesData(rng, rng.Intn(400), round%2 == 0)
+		}
 		failAt := -1
 		if round%5 == 4 {
-			failAt = rng.Intn(96)
+			failAt = rng.Intn(128)
 		}
 		checkMergerAgainstReference(t, data, k, failAt, round%3 == 2)
 	}
 }
 
+// TestMergerComparatorCallsPerRecord: under a custom comparator every
+// prefix ties, so each match calls it; after the build a record costs one
+// match per level of the replayed path, ⌈log₂ k⌉ calls at most.
+func TestMergerComparatorCallsPerRecord(t *testing.T) {
+	for _, k := range []int{64, 100} {
+		calls := 0
+		counting := func(a, b []byte) int { calls++; return bytes.Compare(a, b) }
+		rng := rand.New(rand.NewSource(int64(k)))
+		its := make([]Iterator, k)
+		for s := range its {
+			keys := make([]string, 1+rng.Intn(30))
+			for i := range keys {
+				keys[i] = fmt.Sprint(rng.Intn(1000))
+			}
+			its[s] = NewSliceIterator(sortedRecs(keys...))
+		}
+		levels := bits.Len(uint(k - 1))
+		m := NewMerger(counting, its...)
+		m.Next()
+		for n := 1; ; n++ {
+			calls = 0
+			if !m.Next() {
+				break
+			}
+			if calls > levels {
+				t.Fatalf("k=%d: record %d took %d comparator calls, want at most %d", k, n, calls, levels)
+			}
+		}
+	}
+}
+
 // BenchmarkMerger merges k sorted BufferIterator sources of TeraSort-shaped
 // records (random 10-byte keys, 90-byte values), 40 a source, each record
-// decoded as the merge reads it, and reports the cost per merged record.
+// decoded as the merge reads it, and reports the cost per merged record;
+// k=100 is the benchmark TeraSort's map count per reduce.
 func BenchmarkMerger(b *testing.B) {
-	for _, k := range []int{8, 64, 96} {
+	for _, k := range []int{8, 64, 96, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(k)))
 			bufs := make([][]byte, k)

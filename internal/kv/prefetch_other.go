@@ -2,5 +2,5 @@
 
 package kv
 
-// prefetch is a hint with no portable form: elsewhere it does nothing.
-func prefetch(*byte) {}
+// Prefetch is a hint with no portable form: elsewhere it does nothing.
+func Prefetch([]byte) {}

@@ -35,7 +35,7 @@ import (
 // for its consumer reads nothing more.
 //
 // An iterator can be used again after Close: Reset starts it over,
-// keeping its gather arrays, its merger's heap and its spent list, so an
+// keeping its gather arrays, its merger's tree and its spent list, so an
 // engine that keeps one per fetch allocates none of them a second time.
 type Iterator[B any] struct {
 	ctx     context.Context
