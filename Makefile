@@ -2,10 +2,10 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile fuzz profile-smoke trace-smoke sched-smoke
+.PHONY: verify fmt vet build unreached test race chaos bench bench-compare bench-pairs bench-harness fuzz-seeds alloc-budgets profile fuzz profile-smoke trace-smoke sched-smoke
 
-# The tier-1 gate: format, vet, build, every test under -race, chaos, the smokes, fuzz seeds and alloc budgets.
-verify: fmt vet build race chaos profile-smoke trace-smoke sched-smoke bench-harness fuzz-seeds alloc-budgets
+# The tier-1 gate: format, vet (host and arm64), build, no unreached code, every test under -race, chaos, the smokes, fuzz seeds and alloc budgets.
+verify: fmt vet build unreached race chaos profile-smoke trace-smoke sched-smoke bench-harness fuzz-seeds alloc-budgets
 
 # Fail on any file gofmt would rewrite.
 fmt:
@@ -14,13 +14,18 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# go vet over every package.
+# go vet over every package, on the host and on arm64, so that files built only off amd64 (kv's prefetch_other.go) still compile.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Build every package.
 build:
 	$(GO) build ./...
+
+# Fail on a function of internal/ or pkg/ that no program links and scripts/unreached.allow does not list.
+unreached:
+	bash scripts/unreached.sh
 
 # Every test, without the race detector.
 test:

@@ -7,7 +7,6 @@ package config
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -232,44 +231,6 @@ func (c *Config) Bool(key string) bool {
 		panic(fmt.Sprintf("config: malformed default for %s: %q", key, d))
 	}
 	return v
-}
-
-// Keys returns every explicitly-set key, sorted.
-func (c *Config) Keys() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	keys := make([]string, 0, len(c.vals))
-	for k := range c.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// DefaultFor exposes a registered default (used by docs and validation).
-func DefaultFor(key string) (string, bool) {
-	v, ok := defaults[key]
-	return v, ok
-}
-
-// Snapshot returns the effective value of every known key — registered
-// defaults overlaid with explicit sets, plus any explicitly-set keys this
-// package does not know. Bench tooling stamps result files with it so a
-// recorded number is attributable to the exact configuration that
-// produced it. Works on a nil receiver (pure defaults).
-func (c *Config) Snapshot() map[string]string {
-	out := make(map[string]string, len(defaults))
-	for k, v := range defaults {
-		out[k] = v
-	}
-	if c != nil {
-		c.mu.RLock()
-		for k, v := range c.vals {
-			out[k] = v
-		}
-		c.mu.RUnlock()
-	}
-	return out
 }
 
 // Validate checks cross-key consistency and value sanity for the keys this

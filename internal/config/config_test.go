@@ -74,16 +74,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestKeysSorted(t *testing.T) {
-	c := New()
-	c.Set("zz", "1")
-	c.Set("aa", "2")
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "aa" || keys[1] != "zz" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	c := New()
 	if err := c.Validate(); err != nil {
@@ -120,15 +110,6 @@ func TestValidateParallelCopies(t *testing.T) {
 	}
 }
 
-func TestDefaultFor(t *testing.T) {
-	if v, ok := DefaultFor(KeyIOSortFactor); !ok || v != "10" {
-		t.Fatalf("DefaultFor(io.sort.factor) = %q,%v", v, ok)
-	}
-	if _, ok := DefaultFor("nope"); ok {
-		t.Fatal("unknown default reported present")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
@@ -139,7 +120,6 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				c.SetInt(KeyKVPairsPerPacket, int64(j))
 				_ = c.Int(KeyKVPairsPerPacket)
-				_ = c.Keys()
 			}
 		}(i)
 	}
@@ -193,25 +173,5 @@ func TestValidateReadLeaseTimeout(t *testing.T) {
 	c.SetInt(KeyRDMAReadLeaseTimeout, 50)
 	if err := c.Validate(); err != nil {
 		t.Fatalf("sane lease timeout rejected: %v", err)
-	}
-}
-
-func TestSnapshotCoversDefaultsAndOverrides(t *testing.T) {
-	c := New()
-	c.Set(KeyCachePriorityMode, "fifo")
-	c.Set("x.custom.key", "7")
-	snap := c.Snapshot()
-	if snap[KeyCachePriorityMode] != "fifo" {
-		t.Fatalf("snapshot missed override: %q", snap[KeyCachePriorityMode])
-	}
-	if snap[KeyRDMAPacketBytes] != "131072" {
-		t.Fatalf("snapshot missed default: %q", snap[KeyRDMAPacketBytes])
-	}
-	if snap["x.custom.key"] != "7" {
-		t.Fatal("snapshot missed unknown explicit key")
-	}
-	var nilConf *Config
-	if nilSnap := nilConf.Snapshot(); nilSnap[KeyCachingEnabled] != "true" {
-		t.Fatal("nil snapshot missing defaults")
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/obs"
 	"rdmamr/internal/storage"
-	"rdmamr/internal/verbs"
 )
 
 // CacheKey identifies one cached map output partition.
@@ -117,37 +116,6 @@ func (b *cacheBody) retain() bool {
 // safe for concurrent use by multiple goroutines.
 type CacheView struct {
 	body *cacheBody
-}
-
-// Bytes returns the cached run. Treat as read-only.
-func (v *CacheView) Bytes() []byte { return v.body.data }
-
-// MR returns the slab region backing Bytes, or nil when the entry was
-// cached without registration (no registrar, or the slab budget rejected
-// it); the responder then serves it eagerly through the staging copy.
-func (v *CacheView) MR() *verbs.MemoryRegion {
-	if v.body.blk == nil {
-		return nil
-	}
-	return v.body.blk.MR()
-}
-
-// Addr is the remote virtual address of Bytes[0] — the base one-sided
-// READ descriptors are built against (zero when unregistered).
-func (v *CacheView) Addr() uint64 {
-	if v.body.blk == nil {
-		return 0
-	}
-	return v.body.blk.Addr()
-}
-
-// RKey is the revocable window key advertised with Addr (zero when
-// unregistered).
-func (v *CacheView) RKey() uint32 {
-	if v.body.blk == nil {
-		return 0
-	}
-	return v.body.blk.RKey()
 }
 
 // Release drops the pin. Idempotent on the same view.
@@ -600,17 +568,6 @@ func (c *PrefetchCache) RemoveJob(jobID string) {
 	if reclaimed > 0 {
 		c.counters.Counter("cache.removejob.bytes").Add(reclaimed)
 	}
-}
-
-// Used returns the current cached byte total.
-func (c *PrefetchCache) Used() int64 {
-	var total int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		total += s.used
-		s.mu.Unlock()
-	}
-	return total
 }
 
 // Len returns the number of cached entries.

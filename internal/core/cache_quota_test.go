@@ -24,7 +24,7 @@ func TestCacheQuotaCapsTenantBytes(t *testing.T) {
 		t.Fatal("latest insert missing after quota eviction")
 	}
 	if c.Counter("cache.quota.evictions").Get() == 0 {
-		t.Fatalf("no quota evictions recorded: %v", c.Snapshot())
+		t.Fatalf("no quota evictions recorded: %v", c.CounterSnapshot())
 	}
 }
 
@@ -36,7 +36,7 @@ func TestCacheQuotaRejectsOversizedEntry(t *testing.T) {
 		t.Fatal("entry larger than the job quota admitted")
 	}
 	if c.Counter("cache.rejected").Get() != 1 {
-		t.Fatalf("rejection not counted: %v", c.Snapshot())
+		t.Fatalf("rejection not counted: %v", c.CounterSnapshot())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"rdmamr/internal/obs"
+	"rdmamr/internal/verbs"
 )
 
 func key(m, p int) CacheKey { return CacheKey{JobID: "job", MapID: m, Partition: p} }
@@ -26,7 +27,7 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Fatalf("get: %q %v", got, ok)
 	}
 	if c.Counter("cache.hits").Get() != 1 || c.Counter("cache.misses").Get() != 1 {
-		t.Fatalf("counters: %v", c.Snapshot())
+		t.Fatalf("counters: %v", c.CounterSnapshot())
 	}
 }
 
@@ -221,4 +222,46 @@ func TestCacheModelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Bytes returns the cached run. Treat as read-only.
+func (v *CacheView) Bytes() []byte { return v.body.data }
+
+// MR returns the slab region backing Bytes, or nil when the entry was
+// cached without registration (no registrar, or the slab budget rejected
+// it); the responder then serves it eagerly through the staging copy.
+func (v *CacheView) MR() *verbs.MemoryRegion {
+	if v.body.blk == nil {
+		return nil
+	}
+	return v.body.blk.MR()
+}
+
+// Addr is the remote virtual address of Bytes[0] — the base one-sided
+// READ descriptors are built against (zero when unregistered).
+func (v *CacheView) Addr() uint64 {
+	if v.body.blk == nil {
+		return 0
+	}
+	return v.body.blk.Addr()
+}
+
+// RKey is the revocable window key advertised with Addr (zero when
+// unregistered).
+func (v *CacheView) RKey() uint32 {
+	if v.body.blk == nil {
+		return 0
+	}
+	return v.body.blk.RKey()
+}
+
+// Used returns the current cached byte total.
+func (c *PrefetchCache) Used() int64 {
+	var total int64
+	for _, s := range c.shards {
+		s.mu.Lock()
+		total += s.used
+		s.mu.Unlock()
+	}
+	return total
 }

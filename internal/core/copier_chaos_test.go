@@ -383,7 +383,7 @@ func newMultiHostHarness(t *testing.T, conf *config.Config, nodes, numMaps, recs
 	h := &multiHostHarness{
 		t: t, cluster: cluster, trackers: cluster.Trackers(),
 		job: mapred.JobInfo{
-			ID: "job_chaos", Conf: cluster.Conf(), Comparator: kv.BytesComparator,
+			ID: "job_chaos", Conf: conf, Comparator: kv.BytesComparator,
 			NumMaps: numMaps, NumReduces: 1,
 		},
 		numMaps: numMaps,

@@ -46,7 +46,7 @@ func newRingHarnessOn(t testing.TB, e *Engine, conf *config.Config, numMaps, rec
 	t.Cleanup(cluster.Close)
 	tt := cluster.Trackers()[0]
 	job := mapred.JobInfo{
-		ID: "job_ring", Conf: cluster.Conf(), Comparator: kv.BytesComparator,
+		ID: "job_ring", Conf: tt.Conf(), Comparator: kv.BytesComparator,
 		NumMaps: numMaps, NumReduces: 1,
 	}
 	h := &ringHarness{t: t, cluster: cluster, tt: tt, job: job, numMaps: numMaps}

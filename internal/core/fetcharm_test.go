@@ -149,3 +149,10 @@ func TestRingReadArmEvictionChurn(t *testing.T) {
 	}
 	waitFor(t, func() bool { return srv.leases.live() == 0 })
 }
+
+// live returns the number of outstanding leases (test hook).
+func (t *leaseTable) live() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.leases)
+}

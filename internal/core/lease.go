@@ -92,10 +92,3 @@ func (t *leaseTable) drain() {
 		l.body.Release()
 	}
 }
-
-// live returns the number of outstanding leases (test hook).
-func (t *leaseTable) live() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.leases)
-}

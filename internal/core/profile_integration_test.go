@@ -74,7 +74,7 @@ func TestShuffleProfileEndToEnd(t *testing.T) {
 			t.Errorf("counter %s = 0 after a profiled job", name)
 		}
 	}
-	snap := c.Registry().Snapshot()
+	snap := c.Counters().Metrics()
 	// (Map outputs are cache-resident by the time the reducers ask, so
 	// the payload moves by the copiers' READs.)
 	for _, name := range []string{"ucr.send", "ucr.rdma.read"} {

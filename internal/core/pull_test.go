@@ -522,7 +522,7 @@ func plantHarness(t *testing.T, conf *config.Config, maps, partBytes int) *ringH
 	t.Cleanup(cluster.Close)
 	tt := cluster.Trackers()[0]
 	h := &ringHarness{t: t, cluster: cluster, tt: tt, numMaps: maps, job: mapred.JobInfo{
-		ID: "job_plant", Conf: cluster.Conf(), Comparator: kv.BytesComparator,
+		ID: "job_plant", Conf: conf, Comparator: kv.BytesComparator,
 		NumMaps: maps, NumReduces: 1,
 	}}
 	value := bytes.Repeat([]byte{0xA5}, 88)

@@ -56,7 +56,7 @@ func TestResponderStalledEndpointDoesNotStallOthers(t *testing.T) {
 	trackers := cluster.Trackers()
 	src, stalledOn, healthyOn := trackers[0], trackers[1], trackers[2]
 	job := mapred.JobInfo{
-		ID: "job_convoy", Conf: cluster.Conf(), Comparator: kv.BytesComparator,
+		ID: "job_convoy", Conf: conf, Comparator: kv.BytesComparator,
 		NumMaps: maps, NumReduces: 1,
 	}
 	for m := 0; m < maps; m++ {

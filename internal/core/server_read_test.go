@@ -368,7 +368,7 @@ func TestResponderDecidesPerRequest(t *testing.T) {
 			if got := delta("tracker.mapoutput.disk.reads") > 0; got != tc.wantDisk {
 				t.Fatalf("disk reads grew by %d, want from disk = %v", delta("tracker.mapoutput.disk.reads"), tc.wantDisk)
 			}
-			cacheOn := h.cluster.Conf().Bool(config.KeyCachingEnabled)
+			cacheOn := h.cluster.Trackers()[0].Conf().Bool(config.KeyCachingEnabled)
 			if got := delta("shuffle.rdma.zerocopy.fallbacks"); (got == 1) != cacheOn {
 				t.Fatalf("zerocopy.fallbacks grew by %d with caching on = %v", got, cacheOn)
 			}

@@ -74,7 +74,7 @@ func (h *protoHarness) seedOutput(mapID, partition int, recs []kv.Record) mapred
 	h.t.Helper()
 	tt := h.cluster.Trackers()[0]
 	info := mapred.JobInfo{
-		ID: "job_proto", Conf: h.cluster.Conf(), Comparator: kv.BytesComparator,
+		ID: "job_proto", Conf: tt.Conf(), Comparator: kv.BytesComparator,
 		NumMaps: mapID + 1, NumReduces: partition + 1,
 	}
 	h.jobID = info.ID
@@ -335,7 +335,7 @@ func TestResponderMissAllocBudget(t *testing.T) {
 					t.Fatalf("map %d: %d disk reads for one packet, want %d", m, got, wantReads)
 				}
 			}
-			size, err := h.cluster.Trackers()[0].MapOutputSize(h.jobID, 0, 0)
+			size, err := h.cluster.Trackers()[0].Store().Size(mapred.MapOutputKey(h.jobID, 0, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,26 +65,6 @@ func (s *Sim) Run() float64 {
 	return s.now
 }
 
-// RunUntil executes events with time ≤ deadline; later events stay queued.
-func (s *Sim) RunUntil(deadline float64) float64 {
-	for len(s.events) > 0 && s.events[0].t <= deadline {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = ev.t
-		s.processed++
-		if s.limit > 0 && s.processed > s.limit {
-			panic(fmt.Sprintf("des: event limit %d exceeded at t=%g", s.limit, s.now))
-		}
-		ev.fn()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return s.now
-}
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 type event struct {
 	t   float64
 	seq uint64

@@ -79,21 +79,6 @@ func TestInvalidTimePanics(t *testing.T) {
 	s.At(math.NaN(), func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	fired := 0
-	s.After(1, func() { fired++ })
-	s.After(10, func() { fired++ })
-	s.RunUntil(5)
-	if fired != 1 || s.Now() != 5 || s.Pending() != 1 {
-		t.Fatalf("fired=%d now=%g pending=%d", fired, s.Now(), s.Pending())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Fatalf("fired=%d after full run", fired)
-	}
-}
-
 func TestEventLimit(t *testing.T) {
 	s := New()
 	s.SetEventLimit(10)
@@ -356,3 +341,34 @@ func TestBarrierOverSignalPanics(t *testing.T) {
 	}()
 	b.Signal()
 }
+
+// QueueLen returns the number of waiting (not in-service) jobs.
+func (sv *Server) QueueLen() int { return len(sv.queue) }
+
+// InService returns the number of jobs currently being served.
+func (sv *Server) InService() int { return sv.busy }
+
+// BusySlotSeconds returns cumulative slot-seconds of service delivered.
+func (sv *Server) BusySlotSeconds() float64 {
+	sv.account()
+	return sv.busyTime
+}
+
+// SeekPenalty returns a PenaltyFunc where each additional concurrent
+// stream costs fraction alpha of aggregate throughput:
+// efficiency = 1/(1+alpha*(n-1)).
+func SeekPenalty(alpha float64) PenaltyFunc {
+	return FloorPenalty(alpha, 0)
+}
+
+// Active returns the number of in-flight flows.
+func (l *FairLink) Active() int { return len(l.flows) }
+
+// BytesMoved returns cumulative bytes delivered by the link.
+func (l *FairLink) BytesMoved() float64 { return l.moved }
+
+// InUse returns the number of held slots.
+func (g *Gate) InUse() int { return g.inUse }
+
+// Waiting returns the number of queued acquirers.
+func (g *Gate) Waiting() int { return len(g.waiters) }

@@ -64,18 +64,6 @@ func (sv *Server) account() {
 	sv.lastChange = sv.sim.Now()
 }
 
-// QueueLen returns the number of waiting (not in-service) jobs.
-func (sv *Server) QueueLen() int { return len(sv.queue) }
-
-// InService returns the number of jobs currently being served.
-func (sv *Server) InService() int { return sv.busy }
-
-// BusySlotSeconds returns cumulative slot-seconds of service delivered.
-func (sv *Server) BusySlotSeconds() float64 {
-	sv.account()
-	return sv.busyTime
-}
-
 // PenaltyFunc maps the number of concurrent flows on a FairLink to an
 // efficiency factor in (0, 1]. It models how aggregate device throughput
 // degrades under concurrency — e.g. HDD seek thrash when shuffle reads
@@ -86,15 +74,10 @@ type PenaltyFunc func(flows int) float64
 // NoPenalty keeps full aggregate bandwidth at any concurrency (SSDs, NICs).
 func NoPenalty(int) float64 { return 1 }
 
-// SeekPenalty returns a PenaltyFunc where each additional concurrent
-// stream costs fraction alpha of aggregate throughput:
-// efficiency = 1/(1+alpha*(n-1)).
-func SeekPenalty(alpha float64) PenaltyFunc {
-	return FloorPenalty(alpha, 0)
-}
-
-// FloorPenalty is SeekPenalty with a lower bound: efficiency degrades
-// with concurrency but saturates at floor, matching measured devices
+// FloorPenalty charges each additional concurrent stream fraction alpha
+// of aggregate throughput, efficiency = 1/(1+alpha*(n-1)), with a lower
+// bound: efficiency degrades with concurrency but saturates at floor,
+// matching measured devices
 // (interleaved large-block streams on an HDD settle near 50-70% of
 // sequential throughput, they do not collapse to zero).
 func FloorPenalty(alpha, floor float64) PenaltyFunc {
@@ -219,12 +202,6 @@ func (l *FairLink) reschedule() {
 	}
 }
 
-// Active returns the number of in-flight flows.
-func (l *FairLink) Active() int { return len(l.flows) }
-
-// BytesMoved returns cumulative bytes delivered by the link.
-func (l *FairLink) BytesMoved() float64 { return l.moved }
-
 // Gate is a counting semaphore for multi-stage DES processes: task slots
 // (4 map + 4 reduce per TaskTracker) gate admission while the admitted
 // process runs several resource stages before releasing. Waiters are
@@ -273,12 +250,6 @@ func (g *Gate) releaseFunc() func() {
 		g.inUse--
 	}
 }
-
-// InUse returns the number of held slots.
-func (g *Gate) InUse() int { return g.inUse }
-
-// Waiting returns the number of queued acquirers.
-func (g *Gate) Waiting() int { return len(g.waiters) }
 
 // Barrier calls done after count completions have been signalled. It is
 // the DES equivalent of a WaitGroup for fan-out stages (e.g. a transfer

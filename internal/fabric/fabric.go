@@ -156,6 +156,3 @@ func (m Model) HostCPUTime(size int) time.Duration {
 	}
 	return cpu
 }
-
-// AllKinds lists every fabric kind, in legend order.
-func AllKinds() []Kind { return []Kind{GigE1, TenGigE, IPoIB, IBVerbs} }

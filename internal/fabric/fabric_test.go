@@ -117,3 +117,6 @@ func TestLatencyOrdering(t *testing.T) {
 		t.Fatal("IPoIB latency must beat 1GigE")
 	}
 }
+
+// AllKinds lists every fabric kind, in legend order.
+func AllKinds() []Kind { return []Kind{GigE1, TenGigE, IPoIB, IBVerbs} }

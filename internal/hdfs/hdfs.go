@@ -73,9 +73,6 @@ func NewDataNode(host string, store *storage.LocalStore) *DataNode {
 // Name returns the DataNode's host name.
 func (dn *DataNode) Name() string { return dn.name }
 
-// Store exposes the underlying object store (for traffic accounting).
-func (dn *DataNode) Store() *storage.LocalStore { return dn.store }
-
 func (dn *DataNode) putBlock(id BlockID, data []byte) error {
 	if err := dn.store.Put(id.storeKey(), data); err != nil {
 		return err

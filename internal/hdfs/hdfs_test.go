@@ -761,3 +761,6 @@ func TestReadBlockAllocBudget(t *testing.T) {
 		t.Errorf("ReadFile of a one-block file allocated %d bytes, budget 2 KiB", allocated)
 	}
 }
+
+// Store exposes the underlying object store (for traffic accounting).
+func (dn *DataNode) Store() *storage.LocalStore { return dn.store }

@@ -3,7 +3,6 @@ package kv
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -99,11 +98,8 @@ type BufferIterator struct {
 	err error
 }
 
-// NewBufferIterator returns an iterator over the records encoded in buf.
-func NewBufferIterator(buf []byte) *BufferIterator { return &BufferIterator{buf: buf} }
-
-// Reset starts the iterator over buf, as NewBufferIterator(buf) would, so
-// that a consumer walking one buffer after another keeps one iterator.
+// Reset starts the iterator over buf, so that a consumer walking one
+// buffer after another keeps one iterator.
 func (it *BufferIterator) Reset(buf []byte) { *it = BufferIterator{buf: buf} }
 
 // Next decodes the next record.
@@ -141,8 +137,7 @@ func (it *BufferIterator) Err() error { return it.err }
 var runMagic = [4]byte{'R', 'M', 'R', '1'}
 
 // RunWriter writes a sorted run. The caller is responsible for feeding
-// records in sorted order; Write verifies ordering when a comparator is
-// installed via CheckOrder.
+// records in sorted order.
 //
 // Records are encoded straight into the writer's own buffer, which is
 // handed to the underlying io.Writer a block at a time and checksummed
@@ -152,15 +147,12 @@ type RunWriter struct {
 	// buf holds encoded bytes not yet written: the magic at first, then
 	// whole records. body is where its not-yet-checksummed record bytes
 	// start (past the magic in the first block, 0 afterwards).
-	buf     []byte
-	body    int
-	crc     uint32
-	count   uint64
-	bytes   uint64
-	cmp     Comparator
-	prevKey []byte
-	err     error // first error from w, latched
-	closed  bool
+	buf    []byte
+	body   int
+	crc    uint32
+	count  uint64
+	err    error // first error from w, latched
+	closed bool
 }
 
 // runWriterBlock is how much a RunWriter buffers before it writes. A
@@ -176,11 +168,6 @@ func NewRunWriter(w io.Writer) *RunWriter {
 	return &RunWriter{w: w, buf: append(buf, runMagic[:]...), body: len(runMagic)}
 }
 
-// CheckOrder makes subsequent Writes verify non-decreasing key order under
-// cmp, returning ErrCorrupt on violation. This catches sorter bugs at the
-// spill boundary instead of deep inside a merge.
-func (rw *RunWriter) CheckOrder(cmp Comparator) { rw.cmp = cmp }
-
 // Write appends one record to the run. After the underlying writer has
 // failed, every Write and Close returns that first error.
 func (rw *RunWriter) Write(r Record) error {
@@ -190,12 +177,6 @@ func (rw *RunWriter) Write(r Record) error {
 	if rw.err != nil {
 		return rw.err
 	}
-	if rw.cmp != nil {
-		if rw.count > 0 && rw.cmp(rw.prevKey, r.Key) > 0 {
-			return fmt.Errorf("%w: unsorted write (%q after %q)", ErrCorrupt, r.Key, rw.prevKey)
-		}
-		rw.prevKey = append(rw.prevKey[:0], r.Key...)
-	}
 	n := r.EncodedLen()
 	if len(rw.buf)+n > runWriterBlock && len(rw.buf) > 0 {
 		if err := rw.flush(); err != nil {
@@ -204,7 +185,6 @@ func (rw *RunWriter) Write(r Record) error {
 	}
 	rw.buf = AppendRecord(rw.buf, r)
 	rw.count++
-	rw.bytes += uint64(n)
 	return nil
 }
 
@@ -215,12 +195,6 @@ func (rw *RunWriter) flush() error {
 	rw.buf, rw.body = rw.buf[:0], 0
 	return rw.err
 }
-
-// Count returns the number of records written so far.
-func (rw *RunWriter) Count() uint64 { return rw.count }
-
-// Bytes returns the number of record payload bytes written so far.
-func (rw *RunWriter) Bytes() uint64 { return rw.bytes }
 
 // Close writes the trailer (record count + CRC) and flushes.
 func (rw *RunWriter) Close() error {
@@ -266,12 +240,6 @@ func NewRunReader(buf []byte) (*RunReader, error) {
 	count := binary.LittleEndian.Uint64(trailer)
 	return &RunReader{body: buf[4 : len(buf)-12], count: count}, nil
 }
-
-// Count returns the total number of records in the run.
-func (rr *RunReader) Count() uint64 { return rr.count }
-
-// Remaining returns how many records have not yet been consumed.
-func (rr *RunReader) Remaining() uint64 { return rr.count - rr.read }
 
 // Next decodes the next record. Records alias the run buffer.
 func (rr *RunReader) Next() bool { return rr.NextInto(&rr.cur) }

@@ -121,22 +121,6 @@ func Drain(it Iterator) ([]Record, error) {
 	return out, it.Err()
 }
 
-// IsSorted reports whether it yields records in non-decreasing key order
-// under cmp, consuming the iterator.
-func IsSorted(it Iterator, cmp Comparator) (bool, error) {
-	var prev []byte
-	first := true
-	for it.Next() {
-		k := it.Record().Key
-		if !first && cmp(prev, k) > 0 {
-			return false, nil
-		}
-		prev = append(prev[:0], k...)
-		first = false
-	}
-	return true, it.Err()
-}
-
 func uvarintLen(x uint64) int {
 	n := 1
 	for x >= 0x80 {

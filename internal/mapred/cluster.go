@@ -203,19 +203,8 @@ func (c *Cluster) ClusterReport() *obs.ClusterReport {
 	return rep
 }
 
-// Events returns the scheduler's structured event log.
-func (c *Cluster) Events() *obs.EventLog { return c.events }
-
-// Registry returns the cluster's own registry: the JobTracker's,
-// liveness and recovery counters and, with telemetry on, the ucr
-// histograms. Each node's work is counted in its tracker's registry.
-func (c *Cluster) Registry() *obs.Registry { return c.reg }
-
 // FS returns the cluster's HDFS (for loading inputs and reading outputs).
 func (c *Cluster) FS() *hdfs.FileSystem { return c.fs }
-
-// Conf returns the cluster configuration.
-func (c *Cluster) Conf() *config.Config { return c.conf }
 
 // Engine returns the shuffle engine.
 func (c *Cluster) Engine() ShuffleEngine { return c.engine }

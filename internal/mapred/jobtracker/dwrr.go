@@ -112,13 +112,3 @@ func (d *DWRR) Charge(id string, n int64) {
 		f.deficit -= n
 	}
 }
-
-// Deficit returns job id's unspent credit (0 when unknown).
-func (d *DWRR) Deficit(id string) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if f, ok := d.flows[id]; ok {
-		return f.deficit
-	}
-	return 0
-}

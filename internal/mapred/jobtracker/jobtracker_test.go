@@ -1,6 +1,7 @@
 package jobtracker
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -217,4 +218,27 @@ func TestStragglerUnknownTask(t *testing.T) {
 	if got := s.Median(); got != 0 {
 		t.Fatalf("median from unstarted finish = %v", got)
 	}
+}
+
+// Deficit returns job id's unspent credit (0 when unknown).
+func (d *DWRR) Deficit(id string) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if f, ok := d.flows[id]; ok {
+		return f.deficit
+	}
+	return 0
+}
+
+// Median exposes the current median completed duration (0 when nothing
+// finished) — diagnostics and tests.
+func (s *Stragglers) Median() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.took) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), s.took...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[len(sorted)/2]
 }

@@ -98,16 +98,3 @@ func (s *Stragglers) Straggler(id int, now time.Time) bool {
 	}
 	return now.Sub(start) > threshold
 }
-
-// Median exposes the current median completed duration (0 when nothing
-// finished) — diagnostics and tests.
-func (s *Stragglers) Median() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.took) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), s.took...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
-}

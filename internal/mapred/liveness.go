@@ -372,16 +372,6 @@ func (f *TrackerLossFeed) Retract(host string) {
 	f.lost = kept
 }
 
-// Lost returns the hosts announced so far (latest snapshot).
-func (f *TrackerLossFeed) Lost() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.lost...)
-}
-
 // Subscribe returns a channel replaying past announcements then
 // streaming new ones, plus an unsubscribe func. Safe on a nil feed
 // (engines treat a nil feed as "no liveness information").

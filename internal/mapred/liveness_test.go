@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rdmamr/internal/obs"
 )
 
 // fakeClock drives the liveness monitor deterministically: tests call
@@ -500,3 +502,21 @@ func TestTrackerLossFeedNilSafe(t *testing.T) {
 	}
 	unsub()
 }
+
+// Lost returns the hosts announced so far (latest snapshot).
+func (f *TrackerLossFeed) Lost() []string {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.lost...)
+}
+
+// Registry returns the cluster's own registry: the JobTracker's,
+// liveness and recovery counters and, with telemetry on, the ucr
+// histograms. Each node's work is counted in its tracker's registry.
+func (c *Cluster) Registry() *obs.Registry { return c.reg }
+
+// Events returns the scheduler's structured event log.
+func (c *Cluster) Events() *obs.EventLog { return c.events }

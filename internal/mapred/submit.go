@@ -570,9 +570,6 @@ type JobHandle struct {
 	err  error
 }
 
-// Done returns a channel closed when the job has finished (either way).
-func (h *JobHandle) Done() <-chan struct{} { return h.done }
-
 // Wait blocks until the job finishes and returns its result, or returns
 // early with ctx's error (the job keeps running; cancel the context
 // passed to Submit to abort it).

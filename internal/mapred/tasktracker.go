@@ -117,12 +117,6 @@ func (tt *TaskTracker) MapOutput(jobID string, mapID, partition int) ([]byte, er
 	return tt.store.GetKey(AppendMapOutputKey(key[:0], jobID, mapID, partition))
 }
 
-// MapOutputSize returns the stored size of a partition without a disk
-// read (namespace metadata, as a real TaskTracker has in memory).
-func (tt *TaskTracker) MapOutputSize(jobID string, mapID, partition int) (int64, error) {
-	return tt.store.Size(MapOutputKey(jobID, mapID, partition))
-}
-
 // storeMapOutput persists one sorted partition of a map's output,
 // taking ownership of run: the map task encoded it for this call and
 // must not write it afterwards. Overwrite semantics allow recovery

@@ -245,9 +245,6 @@ type Snapshot struct {
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
-// Snapshot copies out every metric. Empty snapshot on a nil receiver.
-func (r *Registry) Snapshot() Snapshot { return View{r}.Metrics() }
-
 // CounterSnapshot copies out the counters only.
 func (r *Registry) CounterSnapshot() map[string]int64 {
 	out := make(map[string]int64)

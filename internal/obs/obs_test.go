@@ -43,12 +43,12 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if c.Get() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
-	snap := r.Snapshot()
+	snap := View{r}.Metrics()
 	if len(snap.Counters) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	var sb strings.Builder
-	r.Snapshot().WriteText(&sb) // must not panic
+	View{r}.Metrics().WriteText(&sb) // must not panic
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -117,7 +117,7 @@ func TestSnapshotAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c1").Add(5)
 	r.Histogram("h1").Observe(time.Millisecond)
-	snap := r.Snapshot()
+	snap := View{r}.Metrics()
 	if snap.Counters["c1"] != 5 || snap.Histograms["h1"].Count != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}

@@ -166,14 +166,6 @@ func (t *JobTrace) JobID() string {
 	return t.jobID
 }
 
-// Start returns the record's clock origin.
-func (t *JobTrace) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // Add records one completed span; an End before its Start is clamped to
 // a zero-length span.
 func (t *JobTrace) Add(sp Span) {

@@ -152,3 +152,11 @@ func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 		t.Errorf("stats = %+v", stats)
 	}
 }
+
+// Start returns the record's clock origin.
+func (t *JobTrace) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.start
+}

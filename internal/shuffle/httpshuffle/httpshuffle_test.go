@@ -154,7 +154,7 @@ func TestMergedStreamKeepsRecordsOneBehind(t *testing.T) {
 			t.Cleanup(c.Close)
 			tt := c.Trackers()[0]
 			const maps = 8
-			job := mapred.JobInfo{ID: "job_onebehind", Conf: c.Conf(), Comparator: kv.BytesComparator, NumMaps: maps, NumReduces: 1}
+			job := mapred.JobInfo{ID: "job_onebehind", Conf: conf, Comparator: kv.BytesComparator, NumMaps: maps, NumReduces: 1}
 			var want []kv.Record
 			events := make(chan mapred.MapEvent, maps)
 			for m := 0; m < maps; m++ {

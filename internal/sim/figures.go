@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rdmamr/internal/fabric"
@@ -41,16 +40,6 @@ func (f Figure) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Get returns the series with the given label.
-func (f Figure) Get(label string) (Series, bool) {
-	for _, s := range f.Series {
-		if s.Label == label {
-			return s, true
-		}
-	}
-	return Series{}, false
 }
 
 // combo names one (design, fabric) pair as the figure legends do.
@@ -211,27 +200,6 @@ func Fig8() Figure {
 // AllFigures regenerates every evaluation figure, in paper order.
 func AllFigures() []Figure {
 	return []Figure{Fig4a(), Fig4b(), Fig5(), Fig6a(), Fig6b(), Fig7(), Fig8()}
-}
-
-// Improvement returns the fractional improvement of series a over series
-// b at tick index i: (b-a)/b (positive = a faster).
-func Improvement(f Figure, a, b string, i int) float64 {
-	sa, oka := f.Get(a)
-	sb, okb := f.Get(b)
-	if !oka || !okb || i >= len(sa.Seconds) || i >= len(sb.Seconds) {
-		panic(fmt.Sprintf("sim: bad improvement query %q vs %q @%d in %s", a, b, i, f.Name))
-	}
-	return (sb.Seconds[i] - sa.Seconds[i]) / sb.Seconds[i]
-}
-
-// Labels returns the figure's series labels, sorted (diagnostics).
-func (f Figure) Labels() []string {
-	out := make([]string, 0, len(f.Series))
-	for _, s := range f.Series {
-		out = append(out, s.Label)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FigScaling is an extension experiment beyond the paper (its §VI future

@@ -207,14 +207,6 @@ func (s *LocalStore) Size(name string) (int64, error) {
 	return int64(len(obj.data)), nil
 }
 
-// Exists reports whether name is stored.
-func (s *LocalStore) Exists(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.objects[name]
-	return ok
-}
-
 // Delete removes name; deleting a missing object is an error so task
 // cleanup bugs surface.
 func (s *LocalStore) Delete(name string) error {
@@ -243,27 +235,8 @@ func (s *LocalStore) List(prefix string) []string {
 	return names
 }
 
-// TotalBytes returns the sum of stored object sizes.
-func (s *LocalStore) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	for _, obj := range s.objects {
-		total += int64(len(obj.data))
-	}
-	return total
-}
-
 // Counters reports cumulative traffic: bytes read, bytes written, read
 // ops, write ops.
 func (s *LocalStore) Counters() (bytesRead, bytesWritten, reads, writes int64) {
 	return s.bytesRead.Load(), s.bytesWritten.Load(), s.reads.Load(), s.writes.Load()
-}
-
-// ResetCounters zeroes the traffic counters (between experiment phases).
-func (s *LocalStore) ResetCounters() {
-	s.bytesRead.Store(0)
-	s.bytesWritten.Store(0)
-	s.reads.Store(0)
-	s.writes.Store(0)
 }

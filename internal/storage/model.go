@@ -117,6 +117,3 @@ func (m Model) WriteTime(size int64) float64 {
 	}
 	return m.RequestLatency + float64(size)/m.WriteBps
 }
-
-// AllKinds lists the storage configurations in legend order.
-func AllKinds() []DeviceKind { return []DeviceKind{HDD1, HDD2, SSD} }

@@ -170,8 +170,8 @@ func TestStoreDelete(t *testing.T) {
 	if err := s.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Exists("k") {
-		t.Fatal("still exists after delete")
+	if _, err := s.Size("k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("still exists after delete: %v", err)
 	}
 	if err := s.Delete("k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
@@ -193,9 +193,6 @@ func TestStoreListAndSize(t *testing.T) {
 	if _, err := s.Size("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("size missing: %v", err)
 	}
-	if s.TotalBytes() != 4 {
-		t.Fatalf("total bytes = %d", s.TotalBytes())
-	}
 }
 
 func TestStoreCounters(t *testing.T) {
@@ -207,17 +204,11 @@ func TestStoreCounters(t *testing.T) {
 	if br != 200 || bw != 100 || r != 2 || w != 1 {
 		t.Fatalf("counters: %d %d %d %d", br, bw, r, w)
 	}
-	// Size and Exists must not count as reads (the cache uses them).
+	// Size must not count as a read (the cache uses it).
 	_, _ = s.Size("k")
-	s.Exists("k")
 	br2, _, r2, _ := s.Counters()
 	if br2 != br || r2 != r {
 		t.Fatal("metadata ops counted as reads")
-	}
-	s.ResetCounters()
-	br, bw, r, w = s.Counters()
-	if br+bw+r+w != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -365,7 +356,6 @@ func TestStoreBorrowersAgainstWriters(t *testing.T) {
 				}
 				held[j%len(held)] = data
 				_, _ = s.Size(name)
-				s.Exists(name)
 			}
 			for _, old := range held {
 				if !whole(old) {
@@ -442,3 +432,6 @@ func TestStorePinnedReleasedOnce(t *testing.T) {
 		})
 	}
 }
+
+// AllKinds lists the storage configurations in legend order.
+func AllKinds() []DeviceKind { return []DeviceKind{HDD1, HDD2, SSD} }

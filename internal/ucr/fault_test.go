@@ -69,10 +69,9 @@ func TestCloseDuringRecvReturnsErrClosed(t *testing.T) {
 // local Close), Send fails with an error wrapping ErrTransport — the
 // signal the copier's classifier treats as reconnect-worthy.
 func TestSeveredQPClassifiedAsTransport(t *testing.T) {
-	cep, sep := connected(t)
-	_ = sep
-	cep.dev.Name() // cep dials from "client" to "server"
-	fabricOf(t, cep).SetFaultInjector(&severInjector{target: "server"})
+	f := NewFabric()
+	cep, _ := connectedOn(t, f) // cep dials from "client" to "server"
+	f.Network().SetFaultInjector(&severInjector{target: "server"})
 
 	err := cep.Send(ctxT(t), []byte("doomed"))
 	if err == nil {
@@ -159,10 +158,3 @@ func (refuseAll) SendVerdict(_, _ string, _ verbs.Opcode, _ int) verbs.FaultVerd
 	return verbs.FaultVerdict{}
 }
 func (refuseAll) DialRefused(_, _ string) bool { return true }
-
-// fabricOf digs the verbs network out of an endpoint for fault
-// installation in tests.
-func fabricOf(t *testing.T, ep *EndPoint) *verbs.Network {
-	t.Helper()
-	return ep.dev.Network()
-}

@@ -589,12 +589,6 @@ func (ep *EndPoint) classify(err error) error {
 	return fmt.Errorf("%w: %v", ErrTransport, err)
 }
 
-// Peer returns the remote device name.
-func (ep *EndPoint) Peer() string { return ep.peer }
-
-// Device returns the local device.
-func (ep *EndPoint) Device() *verbs.Device { return ep.dev }
-
 // Send transmits a small message (≤ MaxMessage) and waits for the send
 // completion. Safe for concurrent use; sends are serialized. A
 // receiver-not-ready completion is retried with backoff, mirroring the

@@ -404,7 +404,7 @@ func TestFabricRegistryInstrumentation(t *testing.T) {
 	if counts["verbs.wc.errors"] != 0 {
 		t.Fatalf("verbs.wc.errors = %d on a clean run", counts["verbs.wc.errors"])
 	}
-	snap := reg.Snapshot()
+	snap := obs.View{reg}.Metrics()
 	for _, name := range []string{"ucr.send", "ucr.rdma.write", "ucr.rdma.read"} {
 		h, ok := snap.Histograms[name]
 		if !ok || h.Count != 1 {
@@ -465,3 +465,6 @@ func TestDevRecvPlaneDeathFailsEndpoints(t *testing.T) {
 		t.Fatalf("server send after client plane death: %v", err)
 	}
 }
+
+// Peer returns the remote device name.
+func (ep *EndPoint) Peer() string { return ep.peer }

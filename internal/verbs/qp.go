@@ -253,13 +253,6 @@ func (qp *QueuePair) Connect(remoteDev string, remoteQPN uint32) error {
 	return nil
 }
 
-// State returns the current QP state.
-func (qp *QueuePair) State() QPState {
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
-	return qp.state
-}
-
 // PostRecv posts a receive work request. Allowed in RESET (pre-posting
 // before connect is standard practice) and RTS. QPs attached to an SRQ
 // have no private receive queue; post to the SRQ instead.

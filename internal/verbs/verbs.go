@@ -287,10 +287,6 @@ func (d *Device) Value(key any, mk func() any) any {
 // Name returns the device name (its network address).
 func (d *Device) Name() string { return d.name }
 
-// Network returns the fabric this device is attached to (for fault
-// injector installation).
-func (d *Device) Network() *Network { return d.net }
-
 // MemoryRegion is a registered buffer. RDMA operations address it by
 // (rkey, virtual address); local SGEs address it by lkey.
 type MemoryRegion struct {
@@ -349,9 +345,6 @@ func (mr *MemoryRegion) Dead() bool {
 	defer mr.devMu.Unlock()
 	return mr.dead
 }
-
-// LKey returns the local protection key.
-func (mr *MemoryRegion) LKey() uint32 { return mr.lkey }
 
 // RKey returns the remote protection key to hand to peers.
 func (mr *MemoryRegion) RKey() uint32 { return mr.rkey }

@@ -421,3 +421,13 @@ func TestDeviceValueClosedWithDevice(t *testing.T) {
 		t.Fatalf("closed %q, want b,a", got)
 	}
 }
+
+// State returns the current QP state.
+func (qp *QueuePair) State() QPState {
+	qp.mu.Lock()
+	defer qp.mu.Unlock()
+	return qp.state
+}
+
+// LKey returns the local protection key.
+func (mr *MemoryRegion) LKey() uint32 { return mr.lkey }

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -293,13 +292,6 @@ func scanPart(fs *hdfs.FileSystem, path string, cmp kv.Comparator) (sc partScan)
 		sc.walkErr = s.Err()
 	}
 	return sc
-}
-
-// IsValidationError reports whether err is a validation failure (as
-// opposed to an I/O error).
-func IsValidationError(err error) bool {
-	var ve *ValidationError
-	return errors.As(err, &ve)
 }
 
 // RandomWriter geometry, following Hadoop's RandomWriter defaults scaled

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -334,7 +335,7 @@ func TestValidateRejectsUnsortedPart(t *testing.T) {
 		want.add(r)
 	}
 	err := Validate(fs, "/out", kv.BytesComparator, want, false)
-	if !IsValidationError(err) {
+	if !errors.As(err, new(*ValidationError)) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -347,7 +348,7 @@ func TestValidateRejectsGlobalOrderViolation(t *testing.T) {
 	want.add(kv.Record{Key: []byte("z")})
 	want.add(kv.Record{Key: []byte("a")})
 	err := Validate(fs, "/out", kv.BytesComparator, want, true)
-	if !IsValidationError(err) {
+	if !errors.As(err, new(*ValidationError)) {
 		t.Fatalf("err = %v", err)
 	}
 	// Without the global-order requirement (hash partitioning), it passes.
@@ -360,14 +361,14 @@ func TestValidateRejectsChecksumMismatch(t *testing.T) {
 	fs := testFS(t)
 	_ = fs.WriteFile("/out/part-r-00000", "", kv.WriteRun([]kv.Record{{Key: []byte("a")}}))
 	err := Validate(fs, "/out", kv.BytesComparator, Checksum{Count: 99}, true)
-	if !IsValidationError(err) {
+	if !errors.As(err, new(*ValidationError)) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestValidateRejectsEmptyOutput(t *testing.T) {
 	fs := testFS(t)
-	if err := Validate(fs, "/nothing", kv.BytesComparator, Checksum{}, true); !IsValidationError(err) {
+	if err := Validate(fs, "/nothing", kv.BytesComparator, Checksum{}, true); !errors.As(err, new(*ValidationError)) {
 		t.Fatalf("err = %v", err)
 	}
 }
