@@ -46,6 +46,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestSpeculativeExecutionRescuesStraggler|TestReduceSpeculationFirstFinisherWins|TestReduceRetrySucceedsWithinBudget|TestReduceRetryExhaustionFailsJob' ./internal/mapred/
 	$(GO) test -race -count=1 -run 'TestNodeSchedule' ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestDestroyWaitsForInFlightPost' ./internal/verbs/
+	$(GO) test -race -count=1 -run 'TestPoolRecycleConcurrent' ./internal/mrpool/
 
 # D7: a profiled Sort on OSU-IB whose shuffle report must show fetch spans, per-host latency, TTFB and overlap from an
 # untruncated record, and whose Chrome trace (the same record's other view) must validate on two or more nodes.
@@ -80,7 +81,7 @@ bench-harness:
 
 # Every fuzz target's seed corpus as plain tests, never from the test cache.
 fuzz-seeds:
-	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/ ./internal/core/ ./internal/workload/
+	$(GO) test -count=1 -run '^Fuzz' ./internal/kv/ ./internal/shuffle/wire/ ./internal/core/ ./internal/workload/ ./internal/mrpool/
 
 # Every allocation-budget test (D7, D14, D16, D17, D21, D24, D26), never from the test cache.
 alloc-budgets:
@@ -108,3 +109,4 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSplitBatch -fuzztime=10s ./internal/shuffle/wire/
 	$(GO) test -run=NONE -fuzz=FuzzChunkMarksMatchWalk -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzChecksum -fuzztime=10s ./internal/workload/
+	$(GO) test -run=NONE -fuzz=FuzzPoolOps -fuzztime=10s ./internal/mrpool/

@@ -14,7 +14,7 @@ import (
 // fetches recycle lives and dies with the node and warms no other.
 type fetchNode struct {
 	arenas arenaList
-	heap   classList[[]byte]
+	heap   classList
 	// out counts chunk buffers, heap and registered, handed out and not
 	// yet given back: a fetcher that closes leaves it where it found it,
 	// which is what the payload-accounting tests hold every exit path to.

@@ -21,24 +21,6 @@ func (l *arenaList) holds(a *fetchArena) bool {
 	return slices.Contains(l.free, a)
 }
 
-// idle is how many buffers wait on the list.
-func (l *classList[T]) idle() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, vs := range l.free {
-		n += len(vs)
-	}
-	return n
-}
-
-// idleBlocks is how many blocks wait on the list.
-func (l *blockList) idleBlocks() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.idle)
-}
-
 // assertArenaCleared fails unless a given-back arena holds nothing of the
 // fetcher that used it: no segment, request, chunk buffer or fetcher in
 // any segment slot or peer, and no host in the index.
@@ -182,8 +164,7 @@ func TestArenaReuseAfterAbandonedFetch(t *testing.T) {
 			}
 			// Every chunk was staged, the one whose write was parked under
 			// an abandoned fetcher included: each staging block was
-			// released, and closing the tracker frees what its free lists
-			// kept.
+			// released, and none is left in use once the tracker closes.
 			if n := c.Get("shuffle.rdma.stage.outstanding"); n != 0 {
 				t.Fatalf("%d staging blocks never released", n)
 			}
@@ -219,65 +200,5 @@ func TestArenaListBounded(t *testing.T) {
 	l.put(big)
 	if l.holds(big) {
 		t.Fatalf("an arena of %d segments was kept", maxArenaMaps+1)
-	}
-}
-
-// TestBlockListRecycled: a block goes back to the server's free list and
-// the next answer it holds takes it, the smallest idle block that does; a
-// carve is the chunk's size; the list keeps no more than keep blocks, the
-// larger ones; a carve the budget refuses is made once the idle blocks
-// are freed; and close frees them to the slab.
-func TestBlockListRecycled(t *testing.T) {
-	dev, err := verbs.NewNetwork().NewDevice("block-list")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := mrpool.For(dev)
-	pool.Configure(16<<10, 16<<10) // one slab, and no second
-	l := blockList{pool: pool, class: "stage", keep: 2}
-	get := func(n int) *mrpool.Block {
-		t.Helper()
-		b, err := l.get(n)
-		if err != nil {
-			t.Fatalf("get(%d): %v", n, err)
-		}
-		if b.Len() < n {
-			t.Fatalf("get(%d) returned a %d-byte block", n, b.Len())
-		}
-		return b
-	}
-	small := get(3000)
-	l.put(small)
-	if b := get(2000); b != small {
-		t.Fatal("a chunk that fits the idle block carved another")
-	}
-	big := get(5000) // nothing idle
-	if big.Len() != 5000 {
-		t.Fatalf("a 5000-byte chunk was carved %d bytes", big.Len())
-	}
-	tiny := get(100)
-	for _, b := range []*mrpool.Block{small, big, tiny} {
-		l.put(b)
-	}
-	if n := l.idleBlocks(); n != 2 {
-		t.Fatalf("%d blocks kept, want keep (2)", n)
-	}
-	if n := pool.OutstandingBlocks(); n != 2 {
-		t.Fatalf("%d blocks outstanding, want the 2 the list keeps", n)
-	}
-	if b := get(4000); b != big {
-		t.Fatalf("a 4000-byte chunk took a %d-byte block: the list did not keep the two larger ones", b.Len())
-	}
-	l.put(big)
-	// 8 KiB of the one slab is idle on the list, so 12 KiB fits only once
-	// the list lets its blocks go.
-	huge := get(12 << 10)
-	if n := l.idleBlocks(); n != 0 {
-		t.Fatalf("%d blocks still idle after a refused carve", n)
-	}
-	l.put(huge)
-	l.close()
-	if n := pool.OutstandingBlocks(); n != 0 {
-		t.Fatalf("%d blocks outstanding after close", n)
 	}
 }

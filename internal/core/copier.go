@@ -629,63 +629,51 @@ type payload struct {
 func (f *fetcher) release(pl payload) {
 	switch {
 	case pl.blk != nil:
-		f.blocks.put(pl.blk)
+		f.node.giveBack(pl.blk.Bytes())
+		pl.blk.Free()
 	case pl.buf != nil:
 		buf := pl.buf[:cap(pl.buf)]
 		f.node.giveBack(buf)
-		f.node.heap.put(len(buf), buf)
+		f.node.heap.put(buf)
 	}
 }
 
-// payloadCap is the capacity a chunk of n > 0 bytes is held in, heap
-// buffer or registered block alike: a power of two from 4 KiB.
+// payloadCap is the capacity a heap chunk buffer of n > 0 bytes is made
+// with: a power of two from 4 KiB.
 func payloadCap(n int) int { return max(4<<10, 1<<bits.Len(uint(n-1))) }
 
 // sizeClass numbers payloadCap's sizes from 0 (4 KiB).
 func sizeClass(size int) int { return bits.TrailingZeros(uint(size)) - 12 }
 
-// classList is a free list of chunk buffers, heap or registered alike,
-// one LIFO per payloadCap size: get takes the last one put of the
-// smallest size that holds the chunk, so a buffer pins about what its
-// chunk needs.
-type classList[T any] struct {
+// classList is a free list of heap chunk buffers, one LIFO per
+// payloadCap size: get takes the last one put of the smallest size that
+// holds the chunk, so a buffer holds about what its chunk needs.
+type classList struct {
 	mu   sync.Mutex
-	free [][]T // by sizeClass
+	free [][][]byte // by sizeClass
 }
 
-func (l *classList[T]) get(size int) (v T, ok bool) {
+func (l *classList) get(size int) (buf []byte, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for c := sizeClass(size); c < len(l.free); c++ {
 		if k := len(l.free[c]); k > 0 {
-			v, l.free[c] = l.free[c][k-1], l.free[c][:k-1]
-			return v, true
+			buf, l.free[c] = l.free[c][k-1], l.free[c][:k-1]
+			return buf, true
 		}
 	}
-	return v, false
+	return nil, false
 }
 
-// put files v, a buffer of payloadCap size, under its size.
-func (l *classList[T]) put(size int, v T) {
-	c := sizeClass(size)
+// put files buf, of payloadCap capacity, under its size.
+func (l *classList) put(buf []byte) {
+	c := sizeClass(len(buf))
 	l.mu.Lock()
 	for len(l.free) <= c {
 		l.free = append(l.free, nil)
 	}
-	l.free[c] = append(l.free[c], v)
+	l.free[c] = append(l.free[c], buf)
 	l.mu.Unlock()
-}
-
-// drain empties the list, passing each buffer to fn.
-func (l *classList[T]) drain(fn func(T)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, vs := range l.free {
-		for _, v := range vs {
-			fn(v)
-		}
-	}
-	l.free = nil
 }
 
 func (f *fetcher) getPayload(n int) payload {
@@ -698,45 +686,6 @@ func (f *fetcher) getPayload(n int) payload {
 	f.cPoolMisses.Add(1)
 	return payload{buf: make([]byte, n, size)}
 }
-
-// payloadBlocks is a fetcher's registered payload blocks (D21): a READ
-// chunk lands in one, and the block is the chunk the merge decodes, so
-// nothing copies it out of a ring slot. A released block goes back on
-// the list, and only when no free block holds a chunk is a block of the
-// chunk's payloadCap carved. Carves are local-only, with no memory
-// window: only the fetcher's own READs write into them.
-type payloadBlocks struct {
-	pool *mrpool.Pool
-	node *fetchNode
-	free classList[*mrpool.Block]
-}
-
-// get returns a block of at least n > 0 bytes, or the carve's error:
-// mrpool.ErrBudget once the device's registered-memory budget is spent.
-func (l *payloadBlocks) get(n int) (*mrpool.Block, error) {
-	size := payloadCap(n)
-	b, ok := l.free.get(size)
-	if !ok {
-		var err error
-		if b, err = l.pool.Alloc(size, "payload"); err != nil {
-			return nil, err
-		}
-	}
-	l.node.out.Add(1)
-	return b, nil
-}
-
-// put takes a block back once nothing can still write into it or read
-// it: a READ's block after ReadSG has returned, a delivered one after the
-// merge is done with it.
-func (l *payloadBlocks) put(b *mrpool.Block) {
-	l.node.giveBack(b.Bytes())
-	l.free.put(b.Len(), b)
-}
-
-// close frees every block back to the slab. The fetcher's Close calls it
-// once every chunk has been given back, so each block is on the list.
-func (l *payloadBlocks) close() { l.free.drain((*mrpool.Block).Free) }
 
 // dialConn establishes one connection attempt: a lease on the device's
 // shared endpoint to the host (dialed by the plane if absent) plus a
@@ -755,7 +704,7 @@ func (f *fetcher) dialConn(ctx context.Context, p *hostPeer) (*hostConn, uint64,
 	if err != nil {
 		return nil, gen, fmt.Errorf("core: connecting to %s: %w", host, err)
 	}
-	ring, err := mrpool.For(dev).AllocRemote(f.depth*f.slotSize, "ring")
+	ring, err := f.mrp.AllocRemote(f.depth*f.slotSize, "ring")
 	if err != nil {
 		lease.Close(false, nil)
 		return nil, gen, err
@@ -1266,10 +1215,10 @@ func (hc *hostConn) installPlan(ctx context.Context, m *wire.ReadManifest) (read
 // responder is not involved at all. Remote ranges are record-boundary
 // descriptors over the pinned cache region; contiguous ones coalesce into
 // a single READ. The local destination, filled front to back, is a
-// payload block from the fetcher's free list, which complete delivers as
-// the chunk itself (D21). When the device's registered-memory budget
-// refuses the block, it is the slot, and the chunk completes the way an
-// RDMA-written response does, copied out. Waiting for a block instead
+// payload block of the chunk's size from the device's pool, which
+// complete delivers as the chunk itself (D21). When the device's
+// registered-memory budget refuses the block, it is the slot, and the
+// chunk completes the way an RDMA-written response does, copied out. Waiting for a block instead
 // could deadlock: the merge may hold 2 × maps + 1 chunk buffers before it
 // can retire one.
 func (f *fetcher) executeRead(ctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
@@ -1287,7 +1236,8 @@ func (f *fetcher) executeRead(ctx context.Context, p *hostPeer, hc *hostConn, jo
 	dst, base := hc.ring.MR(), hc.ring.Offset()+int(job.slot)*hc.slotSize
 	var blk *mrpool.Block
 	if n > 0 {
-		if b, err := f.blocks.get(n); err == nil {
+		if b, err := f.mrp.Alloc(n, "payload"); err == nil {
+			f.node.out.Add(1)
 			blk = b
 			dst, base = b.MR(), b.Offset()
 		}
@@ -1308,9 +1258,7 @@ func (f *fetcher) executeRead(ctx context.Context, p *hostPeer, hc *hostConn, jo
 			// ReadSG returns only after the READ has executed, so the
 			// fabric is done with the block. Only from here may the block
 			// be reused.
-			if blk != nil {
-				f.blocks.put(blk)
-			}
+			f.release(payload{blk: blk})
 			f.readFailed(ctx, p, hc, job, err)
 			return
 		}
@@ -1397,8 +1345,8 @@ type fetcher struct {
 	// it is the merged stream Fetch returns (nil until then); segments
 	// retire drained chunk buffers to it.
 	it *stream.Iterator[payload]
-	// blocks is where READ chunks land; Close frees it.
-	blocks payloadBlocks
+	// mrp is the device's slab pool: READ chunks land in its blocks.
+	mrp *mrpool.Pool
 	// segs holds every segment, one per map, allocated at Fetch: the event
 	// goroutine opens them in order, and Close reads them once that
 	// goroutine has exited.
@@ -1449,7 +1397,7 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cPoolHits = c.Counter("shuffle.rdma.payload.pool.hits")
 	f.cPoolMisses = c.Counter("shuffle.rdma.payload.pool.misses")
 	f.node = nodeOf(task.Local)
-	f.blocks.pool, f.blocks.node = mrpool.For(task.Local.Device()), f.node
+	f.mrp = mrpool.For(task.Local.Device())
 	return f
 }
 
@@ -1562,8 +1510,7 @@ func (f *fetcher) span(k obs.SpanKind, start, end time.Time) obs.Span {
 // endpoint lease and frees its slab-carved ring before exiting; waiting
 // on the group is what makes slab reuse safe across fetcher lifetimes,
 // and what lets the chunk buffers still out — retired, being walked or
-// delivered ahead — be given back, and every payload block then be freed
-// to the slab.
+// delivered ahead — be given back, payload blocks to the slab pool.
 func (f *fetcher) Close() error {
 	f.closeOnce.Do(func() {
 		if f.cancel != nil {
@@ -1576,7 +1523,6 @@ func (f *fetcher) Close() error {
 		for i := range f.segs {
 			f.segs[i].drop()
 		}
-		f.blocks.close()
 		if f.arena != nil {
 			f.arena.release(f)
 			f.node.arenas.put(f.arena)

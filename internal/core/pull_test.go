@@ -152,11 +152,11 @@ func TestPullRecordsIntactUntilFollowingNext(t *testing.T) {
 			if heapGets != 0 {
 				t.Fatalf("%d chunks were copied into heap buffers, want every chunk READ into a payload block", heapGets)
 			}
-			// Every block the fetch carved is on a free list, or holds the
-			// last record's chunk.
-			carves := int(node.out.Load()-base) + f.blocks.free.idle()
-			if carves > 2*maps+1 {
-				t.Fatalf("%d payload blocks carved, want at most %d: blocks are not being reused", carves, 2*maps+1)
+			// The pool hands freed payload blocks out again: the fetch
+			// carved no more than its ring and the blocks the merge holds
+			// at once.
+			if carves := delta("mr.slab.allocs"); carves > 2*maps+2 {
+				t.Fatalf("%d slab blocks carved, want at most the ring and %d payload blocks: blocks are not being reused", carves, 2*maps+1)
 			}
 		})
 	}
@@ -644,22 +644,23 @@ func TestPullBulkFetchAllocBudget(t *testing.T) {
 // TestPayloadBudgetExhaustedFallsBackIntact: the device's registered-memory
 // budget (mapred.rdma.mr.budget.bytes, one slab of exactly that size)
 // holds the cached bodies, the endpoints, the response header and the
-// copier's ring, and three payload blocks. A cache-resident fetch of eight
+// copier's ring, and three packets of payload blocks. A cache-resident fetch of eight
 // partitions wants more blocks than that at once, so carves fail partway
 // (ErrBudget): those READs land in their ring slots and are copied out into
 // heap buffers, the existing eager landing. The stream stays
 // byte-identical, no map is re-run, and nothing is left pinned.
 func TestPayloadBudgetExhaustedFallsBackIntact(t *testing.T) {
-	const maps, partBytes, blocks = 8, 64 << 10, 3
+	const maps, partBytes, packet, blocks = 8, 64 << 10, 16 << 10, 3
 	conf := plantConf(true)
-	conf.SetInt(config.KeyRDMAPacketBytes, 16<<10) // four chunks a partition
+	conf.SetInt(config.KeyRDMAPacketBytes, packet) // four chunks a partition
 	// What the fetch pins besides payload blocks, on an unbudgeted twin:
-	// everything a drained fetch leaves carved, plus the ring it freed.
+	// everything a drained fetch leaves in use, plus the ring and the
+	// response header it gave back (both wait idle or free in the pool).
 	probe := plantHarness(t, conf, maps, partBytes)
 	probe.drain()
 	f := newFetcher(mapred.ReduceTaskInfo{Job: probe.job, Local: probe.tt})
 	budget := mrpool.For(probe.tt.Device()).InUseBytes() + int64(f.depth*f.slotSize) +
-		blocks*int64(payloadCap(16<<10))
+		headerBlockBytes + blocks*packet
 
 	conf = conf.Clone()
 	conf.SetInt(config.KeyRDMAMRBudget, budget)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -68,11 +67,6 @@ type trackerServer struct {
 	// of scattered across per-subsystem sync.Pools of registrations.
 	mrp *mrpool.Pool
 
-	// hdrBlks and stageBlks recycle the blocks answers are encoded into
-	// and eager chunks are staged in (D26); Close frees what they hold.
-	hdrBlks   blockList
-	stageBlks blockList
-
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -89,7 +83,6 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	responders := int(conf.Int(config.KeyResponderThreads))
 	s := &trackerServer{
 		tt:        tt,
 		listener:  l,
@@ -98,16 +91,13 @@ func startTrackerServer(tt *mapred.TaskTracker, e *Engine) (*trackerServer, erro
 		rule:      packRuleOf(conf, e.sizeAware),
 		leaseTTL:  time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
 		leases:    newLeaseTable(),
-		inService: make(chan struct{}, responders),
+		inService: make(chan struct{}, conf.Int(config.KeyResponderThreads)),
 		ctx:       ctx,
 		cancel:    cancel,
 	}
 	// D13: every registration on this tracker goes through the device's
 	// slab pool, under one budget and one set of gauges.
 	s.mrp = mrpool.For(tt.Device())
-	// At most one block of each list is out per request in service.
-	s.hdrBlks = blockList{pool: s.mrp, class: "header", keep: responders + 1}
-	s.stageBlks = blockList{pool: s.mrp, class: "stage", keep: responders + 1}
 	s.mrp.Configure(conf.Int(config.KeyRDMAMRBudget), conf.Int(config.KeyRDMAMRSlabBytes))
 	s.mrp.SetCounters(tt.Counters())
 	// D12: per-job registered-memory quota — one tenant's churn cannot
@@ -320,7 +310,7 @@ type answers struct {
 
 // begin starts a frame in a header block.
 func (a *answers) begin() {
-	if blk, err := a.s.hdrBlks.get(headerBlockBytes); err == nil {
+	if blk, err := a.s.mrp.Alloc(headerBlockBytes, "header"); err == nil {
 		a.blk = blk
 		a.batch.Reset(blk.Bytes())
 		return
@@ -333,7 +323,7 @@ func (a *answers) begin() {
 func (a *answers) end() {
 	a.flush()
 	if a.blk != nil {
-		a.s.hdrBlks.put(a.blk)
+		a.blk.Free()
 		a.blk = nil
 	}
 }
@@ -398,8 +388,9 @@ func (a *answers) flush() {
 // or none when blk is nil.
 // Responders copy the chunk from the (unregistered) cache entry into a
 // slab-carved block and RDMA-write from there — the staging-buffer
-// scheme RDMA middlewares use for data that is not pinned. The blocks are
-// recycled by the server's stageBlks, and stay under the device budget.
+// scheme RDMA middlewares use for data that is not pinned. The blocks
+// are the chunk's size, recycled by the device's pool (D13), and stay
+// under its budget.
 type stagedPayload struct {
 	blk *mrpool.Block
 	n   int
@@ -411,7 +402,7 @@ func (sp *stagedPayload) sge() verbs.SGE {
 }
 
 func (s *trackerServer) stage(data []byte) (stagedPayload, error) {
-	blk, err := s.stageBlks.get(len(data))
+	blk, err := s.mrp.Alloc(len(data), "stage")
 	if err != nil {
 		return stagedPayload{}, err
 	}
@@ -426,89 +417,7 @@ func (s *trackerServer) stage(data []byte) (stagedPayload, error) {
 // request's header is out (asserted by the server tests).
 func (sp *stagedPayload) release() {
 	sp.srv.cStageOut.Add(-1)
-	sp.srv.stageBlks.put(sp.blk)
-}
-
-// blockList is a server's free list of slab blocks of one mrpool class
-// (D26): the header blocks answers are encoded into, or the staging
-// blocks eager chunks are copied into. get takes the smallest idle block
-// that holds n bytes and carves n only when none does, so a staging block
-// pins what its chunk needs, as the slab rounds it. At most keep blocks
-// wait — one per request in service, and one more — and when the list is
-// full put keeps the larger of the block it is given and the smallest
-// idle one, so the list pins at most keep blocks of the largest chunk
-// served. Every mrpool Free re-coalesces the slab under the pool mutex,
-// which is what a carve and free per answer cost.
-type blockList struct {
-	pool  *mrpool.Pool
-	class string
-	keep  int
-
-	mu   sync.Mutex
-	idle []*mrpool.Block
-}
-
-// get returns a block of at least n > 0 bytes, or the carve's error. A
-// carve the registered-memory budget refuses is tried once more after the
-// idle blocks are freed, so keeping them never refuses a carve that
-// carving per answer would have made.
-func (l *blockList) get(n int) (*mrpool.Block, error) {
-	l.mu.Lock()
-	best := -1
-	for i, b := range l.idle {
-		if b.Len() >= n && (best < 0 || b.Len() < l.idle[best].Len()) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		b := l.idle[best]
-		last := len(l.idle) - 1
-		l.idle[best], l.idle[last] = l.idle[last], nil
-		l.idle = l.idle[:last]
-		l.mu.Unlock()
-		return b, nil
-	}
-	l.mu.Unlock()
-	b, err := l.pool.Alloc(n, l.class)
-	if errors.Is(err, mrpool.ErrBudget) && l.close() > 0 {
-		b, err = l.pool.Alloc(n, l.class)
-	}
-	return b, err
-}
-
-// put takes a block back once the fabric is done with it.
-func (l *blockList) put(b *mrpool.Block) {
-	l.mu.Lock()
-	if len(l.idle) < l.keep {
-		l.idle = append(l.idle, b)
-		b = nil
-	} else {
-		small := 0
-		for i, ib := range l.idle {
-			if ib.Len() < l.idle[small].Len() {
-				small = i
-			}
-		}
-		if l.idle[small].Len() < b.Len() {
-			l.idle[small], b = b, l.idle[small]
-		}
-	}
-	l.mu.Unlock()
-	if b != nil {
-		b.Free()
-	}
-}
-
-// close frees every idle block to the slab and returns how many it freed.
-func (l *blockList) close() int {
-	l.mu.Lock()
-	idle := l.idle
-	l.idle = nil
-	l.mu.Unlock()
-	for _, b := range idle {
-		b.Free()
-	}
-	return len(idle)
+	sp.blk.Free()
 }
 
 // buildResponse is the eager half of the protocol: locate the run (cache
@@ -770,11 +679,6 @@ func (s *trackerServer) Close() error {
 	}
 	s.prefetcher.Close()
 	s.wg.Wait()
-	// Receivers are stopped, so nothing is in service: return the recycled
-	// header and staging blocks to the slab so the MR accountant's leak
-	// assertion sees a drained server.
-	s.hdrBlks.close()
-	s.stageBlks.close()
 	// With receivers and the janitor stopped, no new leases can appear;
 	// drop whatever pins remain so cache regions deregister.
 	s.leases.drain()

@@ -14,7 +14,7 @@ import (
 // lookup and the staging copy, and another writer carves the freed slab
 // span at once and fills it; the staged chunk must still be the run's
 // own bytes, and the block must go back to the slab when the serve lets
-// go of it (the staging block to the server's free list).
+// go of it (the staging block to the pool's idle list).
 func TestEagerServePinsEvictedRun(t *testing.T) {
 	conf := config.New()
 	conf.SetInt(config.KeyBlockSize, 64<<10)
@@ -69,10 +69,10 @@ func TestEagerServePinsEvictedRun(t *testing.T) {
 	}
 	staged.release()
 	other.Free()
-	// The staging block waits on the server's free list for the next
-	// eager answer: what is counted is the run's pin.
-	if n := s.mrp.OutstandingBlocks() - int64(s.stageBlks.idleBlocks()); n != blocks {
-		t.Fatalf("%d slab blocks outstanding, recycled staging blocks aside, while the serve still pins the run, want %d", n, blocks)
+	// The staging block waits idle in the pool for the next eager answer
+	// and is not outstanding: what is counted is the run's pin.
+	if n := s.mrp.OutstandingBlocks(); n != blocks {
+		t.Fatalf("%d slab blocks outstanding while the serve still pins the run, want %d", n, blocks)
 	}
 	pin.Release()
 	if !pin.blk.Freed() {

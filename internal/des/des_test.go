@@ -113,17 +113,6 @@ func TestServerRespectsCapacity(t *testing.T) {
 	}
 }
 
-func TestServerUtilization(t *testing.T) {
-	s := New()
-	sv := NewServer(s, 1)
-	sv.Submit(5, func() {})
-	sv.Submit(5, func() {})
-	s.Run()
-	if got := sv.BusySlotSeconds(); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("busy slot-seconds = %g, want 10", got)
-	}
-}
-
 func TestServerZeroServiceTime(t *testing.T) {
 	s := New()
 	sv := NewServer(s, 1)
@@ -347,12 +336,6 @@ func (sv *Server) QueueLen() int { return len(sv.queue) }
 
 // InService returns the number of jobs currently being served.
 func (sv *Server) InService() int { return sv.busy }
-
-// BusySlotSeconds returns cumulative slot-seconds of service delivered.
-func (sv *Server) BusySlotSeconds() float64 {
-	sv.account()
-	return sv.busyTime
-}
 
 // SeekPenalty returns a PenaltyFunc where each additional concurrent
 // stream costs fraction alpha of aggregate throughput:

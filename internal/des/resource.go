@@ -12,9 +12,6 @@ type Server struct {
 	capacity int
 	busy     int
 	queue    []serverJob
-	// Business accounting for utilization reports.
-	busyTime   float64
-	lastChange float64
 }
 
 type serverJob struct {
@@ -44,10 +41,8 @@ func (sv *Server) Submit(service float64, onDone func()) {
 }
 
 func (sv *Server) start(j serverJob) {
-	sv.account()
 	sv.busy++
 	sv.sim.After(j.service, func() {
-		sv.account()
 		sv.busy--
 		if len(sv.queue) > 0 {
 			next := sv.queue[0]
@@ -56,12 +51,6 @@ func (sv *Server) start(j serverJob) {
 		}
 		j.onDone()
 	})
-}
-
-func (sv *Server) account() {
-	dt := sv.sim.Now() - sv.lastChange
-	sv.busyTime += dt * float64(sv.busy)
-	sv.lastChange = sv.sim.Now()
 }
 
 // PenaltyFunc maps the number of concurrent flows on a FairLink to an

@@ -14,13 +14,23 @@
 // stale RDMA against a freed block faults exactly as it did when every
 // buffer was its own registration — slab reuse never turns a protocol
 // bug into silent corruption.
+//
+// The pool recycles what it carves. A freed local-only block waits on
+// the pool's idle list, its carve in place, and the next Alloc that it
+// holds, at no more than twice the request, takes it. Before the pool
+// registers a slab or refuses a carve for the budget, it returns every
+// idle block to its slab, so keeping them never pins a byte or refuses
+// a carve that freeing at once would not.
 package mrpool
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rdmamr/internal/obs"
 	"rdmamr/internal/verbs"
@@ -59,7 +69,10 @@ type Pool struct {
 	inUse     int64 // bytes currently allocated out
 	blocks    int64 // blocks currently allocated out
 	byClass   map[string]int64
-	closed    bool
+	// idle holds freed local-only blocks, carves kept in place, by
+	// idleClass: neither in use nor free in their slab.
+	idle   [][]*Block
+	closed bool
 
 	// Handles into counters, resolved by SetCounters: a carve moves one,
 	// and looks no name up. Nil until then, which counts nothing.
@@ -102,15 +115,17 @@ func (p *Pool) SetCounters(c *obs.Registry) {
 	p.hPinned.Add(p.pinned)
 }
 
-// Alloc carves an n-byte block attributed to class. The block is backed
-// by a registered slab (local lkey access via MR()+Offset()); it has no
-// remote key — use AllocRemote for buffers advertised to peers.
+// Alloc returns an n-byte block attributed to class: an idle block that
+// holds n bytes and at most 2n, or else a fresh carve. The block is
+// backed by a registered slab (local lkey access via MR()+Offset()); it
+// has no remote key — use AllocRemote for buffers advertised to peers.
 func (p *Pool) Alloc(n int, class string) (*Block, error) {
 	return p.alloc(n, class, false)
 }
 
-// AllocRemote is Alloc plus a memory window bound over the carve, so
-// the block has its own (rkey, addr) to advertise and Free revokes it.
+// AllocRemote carves a fresh block, as Alloc does when nothing idle fits,
+// and binds a memory window over it, so the block has its own (rkey,
+// addr) to advertise and Free revokes it.
 func (p *Pool) AllocRemote(n int, class string) (*Block, error) {
 	return p.alloc(n, class, true)
 }
@@ -121,24 +136,31 @@ func (p *Pool) alloc(n int, class string, remote bool) (*Block, error) {
 	}
 	rounded := (n + blockAlign - 1) &^ (blockAlign - 1)
 	p.mu.Lock()
-	s, off, err := p.carve(rounded)
-	if err != nil {
-		p.hFailures.Add(1)
-		p.mu.Unlock()
-		return nil, err
+	var blk *Block
+	if !remote {
+		blk = p.reuse(rounded, n)
 	}
-	p.inUse += int64(rounded)
-	p.blocks++
+	if blk == nil {
+		s, off, err := p.carve(rounded)
+		if err != nil {
+			p.hFailures.Add(1)
+			p.mu.Unlock()
+			return nil, err
+		}
+		p.hAllocs.Add(1)
+		blk = &Block{pool: p, slab: s, off: off, rounded: rounded}
+	}
+	blk.n, blk.class = n, class
 	if p.byClass == nil {
 		p.byClass = make(map[string]int64)
 	}
-	p.byClass[class] += int64(rounded)
-	p.hAllocs.Add(1)
+	p.byClass[class] += int64(blk.rounded)
+	p.inUse += int64(blk.rounded)
+	p.blocks++
 	p.mu.Unlock()
 
-	blk := &Block{pool: p, slab: s, off: off, n: n, rounded: rounded, class: class}
 	if remote {
-		win, err := s.mr.BindWindow(off, n)
+		win, err := blk.slab.mr.BindWindow(blk.off, n)
 		if err != nil {
 			blk.Free()
 			return nil, err
@@ -148,9 +170,47 @@ func (p *Pool) alloc(n int, class string, remote bool) (*Block, error) {
 	return blk, nil
 }
 
+// idleClass is the idle list a block of rounded bytes waits on: blocks
+// from 2^c up to 2^(c+1) bytes wait on list c.
+func idleClass(rounded int) int { return bits.Len(uint(rounded)) - 1 }
+
+// reuse, under p.mu, takes the idle block freed last of those that hold
+// rounded bytes and no more than 2n, or returns nil. Only lists c and
+// c + 1 can hold one.
+func (p *Pool) reuse(rounded, n int) *Block {
+	c := idleClass(rounded)
+	for k := c; k <= c+1 && k < len(p.idle); k++ {
+		idle := p.idle[k]
+		for i := len(idle) - 1; i >= 0; i-- {
+			if b := idle[i]; b.rounded >= rounded && b.rounded <= 2*n {
+				p.idle[k] = slices.Delete(idle, i, i+1)
+				b.freed.Store(false)
+				return b
+			}
+		}
+	}
+	return nil
+}
+
+// flush, under p.mu, returns every idle block to its slab and reports
+// whether there was one.
+func (p *Pool) flush() bool {
+	found := false
+	for c, idle := range p.idle {
+		for _, b := range idle {
+			b.slab.put(b.off, b.rounded)
+		}
+		found = found || len(idle) > 0
+		clear(idle)
+		p.idle[c] = idle[:0]
+	}
+	return found
+}
+
 // carve, under p.mu, takes rounded bytes from the end of the highest free
 // span if small, from the start of the lowest if large (a ring), so small
-// blocks never split a ring's hole; with no span, it registers a slab.
+// blocks never split a ring's hole. With no span, it returns the idle
+// blocks to their slabs and looks again, and only then registers a slab.
 func (p *Pool) carve(rounded int) (*slab, int, error) {
 	small := int64(rounded)*16 < p.slabBytes
 	for i := range p.slabs {
@@ -175,6 +235,9 @@ func (p *Pool) carve(rounded int) (*slab, int, error) {
 				return s, off, nil
 			}
 		}
+	}
+	if p.flush() {
+		return p.carve(rounded)
 	}
 	size := p.slabBytes
 	if 2*int64(rounded) >= size { // half a slab or more: a slab of its own
@@ -212,42 +275,56 @@ func (p *Pool) Close() {
 		_ = s.mr.Deregister()
 	}
 	p.hPinned.Add(-p.pinned)
-	p.slabs, p.byClass = nil, nil
+	p.slabs, p.byClass, p.idle = nil, nil, nil
 	p.pinned, p.inUse, p.blocks = 0, 0, 0
 }
 
+// release books b's return: a local-only block waits idle, and a remote
+// one, its window revoked, goes back to its slab.
 func (p *Pool) release(b *Block) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
-	// The free list stays sorted and coalesced, so a release only needs
-	// a binary search for the insertion point and a merge with at most
-	// the two adjacent spans — not a full re-sort (release runs under
-	// the pool mutex on responder hot paths).
-	free := b.slab.free
-	i := sort.Search(len(free), func(i int) bool { return free[i].off > b.off })
-	prevAdj := i > 0 && free[i-1].off+free[i-1].n == b.off
-	nextAdj := i < len(free) && b.off+b.rounded == free[i].off
-	switch {
-	case prevAdj && nextAdj:
-		free[i-1].n += b.rounded + free[i].n
-		free = append(free[:i], free[i+1:]...)
-	case prevAdj:
-		free[i-1].n += b.rounded
-	case nextAdj:
-		free[i].off = b.off
-		free[i].n += b.rounded
-	default:
-		free = append(free, span{})
-		copy(free[i+1:], free[i:])
-		free[i] = span{off: b.off, n: b.rounded}
-	}
-	b.slab.free = free
 	p.inUse -= int64(b.rounded)
 	p.blocks--
 	p.byClass[b.class] -= int64(b.rounded)
+	if b.win != nil {
+		b.slab.put(b.off, b.rounded)
+		return
+	}
+	c := idleClass(b.rounded)
+	for len(p.idle) <= c {
+		p.idle = append(p.idle, nil)
+	}
+	p.idle[c] = append(p.idle[c], b)
+}
+
+// put returns n bytes at off to the slab, under the pool's mutex. The
+// free list stays sorted and coalesced, so a put only needs a binary
+// search for the insertion point and a merge with at most the two
+// adjacent spans — not a full re-sort.
+func (s *slab) put(off, n int) {
+	free := s.free
+	i := sort.Search(len(free), func(i int) bool { return free[i].off > off })
+	prevAdj := i > 0 && free[i-1].off+free[i-1].n == off
+	nextAdj := i < len(free) && off+n == free[i].off
+	switch {
+	case prevAdj && nextAdj:
+		free[i-1].n += n + free[i].n
+		free = append(free[:i], free[i+1:]...)
+	case prevAdj:
+		free[i-1].n += n
+	case nextAdj:
+		free[i].off = off
+		free[i].n += n
+	default:
+		free = append(free, span{})
+		copy(free[i+1:], free[i:])
+		free[i] = span{off: off, n: n}
+	}
+	s.free = free
 }
 
 // PinnedBytes reports total slab bytes registered with the device.
@@ -257,14 +334,16 @@ func (p *Pool) PinnedBytes() int64 {
 	return p.pinned
 }
 
-// InUseBytes reports bytes currently allocated out of the slabs.
+// InUseBytes reports bytes currently allocated out of the slabs; idle
+// blocks are not.
 func (p *Pool) InUseBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.inUse
 }
 
-// OutstandingBlocks reports live (unfreed) blocks — the leak assertion:
+// OutstandingBlocks reports live (unfreed) blocks, idle ones not among
+// them — the leak assertion:
 // a drained subsystem must leave this at its pre-traffic value.
 func (p *Pool) OutstandingBlocks() int64 {
 	p.mu.Lock()
@@ -285,7 +364,9 @@ func (p *Pool) Attribution() map[string]int64 {
 	return out
 }
 
-// Block is one carve out of a registered slab.
+// Block is one carve out of a registered slab. A local-only block that
+// is freed may be handed out again by a later Alloc, the same *Block:
+// its holder gives up every use of it at Free.
 type Block struct {
 	pool    *Pool
 	slab    *slab
@@ -294,9 +375,7 @@ type Block struct {
 	rounded int
 	win     *verbs.MemoryWindow
 	class   string
-
-	mu    sync.Mutex
-	freed bool
+	freed   atomic.Bool
 }
 
 // Bytes returns the block's memory. Capacity is clamped to the block
@@ -335,24 +414,18 @@ func (b *Block) RKey() uint32 {
 // Window exposes the bound memory window (nil for local-only blocks).
 func (b *Block) Window() *verbs.MemoryWindow { return b.win }
 
-// Freed reports whether the block has been returned to its slab.
-func (b *Block) Freed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.freed
-}
+// Freed reports whether the block has been freed and not handed out
+// again.
+func (b *Block) Freed() bool { return b.freed.Load() }
 
 // Free invalidates the block's window (stale remote RDMA faults from
-// here on) and returns the carve to the slab. Double-free panics: the
-// accountant's books must never balance by accident.
+// here on) and returns the carve to the slab, or, for a local-only
+// block, to the idle list. Double-free panics, while the block is idle:
+// the accountant's books must never balance by accident.
 func (b *Block) Free() {
-	b.mu.Lock()
-	if b.freed {
-		b.mu.Unlock()
+	if !b.freed.CompareAndSwap(false, true) {
 		panic(fmt.Sprintf("mrpool: double free of %d-byte %q block", b.n, b.class))
 	}
-	b.freed = true
-	b.mu.Unlock()
 	if b.win != nil {
 		_ = b.win.Invalidate()
 	}

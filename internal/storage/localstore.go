@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Store errors.
@@ -18,9 +17,7 @@ var (
 
 // LocalStore is the functional-plane local filesystem: a concurrency-safe
 // named-object store holding map output files, spill runs, and DataNode
-// blocks as byte slices. It tracks read/write byte counters so tests and
-// the caching experiments can observe disk traffic (PrefetchCache hits
-// must NOT touch the store).
+// blocks as byte slices.
 //
 // A stored object is immutable from the moment it is stored: nothing
 // writes a stored slice again, writers replace the map entry. Get
@@ -28,9 +25,7 @@ var (
 // readers may share and hold for as long as they like — after Overwrite
 // or Delete of the name it still reads the version it was, and the
 // garbage collector frees it with its last reader. Readers must treat it
-// as read-only and clone to mutate; the lock guards only the map, and the
-// traffic counters are atomics so that counting a read does not need the
-// write lock.
+// as read-only and clone to mutate; the lock guards only the map.
 //
 // A pinned object (OverwritePinned) holds bytes the store does not own —
 // a map output run encoded straight into registered memory a shuffle
@@ -40,11 +35,6 @@ var (
 type LocalStore struct {
 	mu      sync.RWMutex
 	objects map[string]object
-
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-	reads        atomic.Int64
-	writes       atomic.Int64
 }
 
 // object is one stored object: its bytes and, for a pinned object, the
@@ -70,8 +60,6 @@ func NewLocalStore() *LocalStore {
 func (s *LocalStore) replace(name string, obj object) object {
 	old := s.objects[name]
 	s.objects[name] = obj
-	s.bytesWritten.Add(int64(len(obj.data)))
-	s.writes.Add(1)
 	return old
 }
 
@@ -126,7 +114,7 @@ func (s *LocalStore) OverwritePinned(name string, data []byte, owner Pinned) {
 // Get returns the stored object itself, not a copy: a read-only view
 // with its capacity clamped to its length, valid for as long as the
 // caller holds it whatever happens to the name afterwards. Every Get
-// counts as disk traffic; the PrefetchCache exists precisely to avoid
+// stands for a disk read; the PrefetchCache exists precisely to avoid
 // calls into here. A pinned object is the exception: its bytes are
 // reused once its owner lets go, so Get returns a private copy, taken
 // while the store still holds them — what a disk read costs anyway.
@@ -154,7 +142,7 @@ func (s *LocalStore) GetKey(name []byte) ([]byte, error) {
 	return data, nil
 }
 
-// lend counts a read of obj and returns the bytes Get hands out for it.
+// lend returns the bytes Get hands out for obj.
 // Caller holds s.mu, read-locked.
 func (s *LocalStore) lend(obj object, ok bool) []byte {
 	if !ok {
@@ -164,8 +152,6 @@ func (s *LocalStore) lend(obj object, ok bool) []byte {
 	if obj.owner != nil {
 		data = slices.Clone(data)
 	}
-	s.bytesRead.Add(int64(len(data)))
-	s.reads.Add(1)
 	return data[:len(data):len(data)]
 }
 
@@ -196,7 +182,8 @@ func (s *LocalStore) Demote(name string, owner Pinned) bool {
 	return ok
 }
 
-// Size returns the stored length of name without counting as a read.
+// Size returns the stored length of name. It is not a read: it lends no
+// bytes.
 func (s *LocalStore) Size(name string) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -233,10 +220,4 @@ func (s *LocalStore) List(prefix string) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Counters reports cumulative traffic: bytes read, bytes written, read
-// ops, write ops.
-func (s *LocalStore) Counters() (bytesRead, bytesWritten, reads, writes int64) {
-	return s.bytesRead.Load(), s.bytesWritten.Load(), s.reads.Load(), s.writes.Load()
 }
