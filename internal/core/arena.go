@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"rdmamr/internal/mapred"
-	"rdmamr/internal/shuffle/stream"
 )
 
 // fetchNode is what the fetchers of one device share (D26): the arenas
@@ -32,6 +31,20 @@ func nodeOf(tt *mapred.TaskTracker) *fetchNode {
 	return tt.Device().Value(fetchNodeKey{}, func() any { return new(fetchNode) }).(*fetchNode)
 }
 
+// release gives a chunk's buffer back once nothing reads it: the merge
+// retired it, the fetcher closed, or nobody was left to deliver it to.
+func (nd *fetchNode) release(pl payload) {
+	switch {
+	case pl.blk != nil:
+		nd.giveBack(pl.blk.Bytes())
+		pl.blk.Free()
+	case pl.buf != nil:
+		buf := pl.buf[:cap(pl.buf)]
+		nd.giveBack(buf)
+		nd.heap.put(buf)
+	}
+}
+
 // giveBack books a chunk buffer's return, poisoning it if asked to.
 func (nd *fetchNode) giveBack(buf []byte) {
 	nd.out.Add(-1)
@@ -45,18 +58,18 @@ func (nd *fetchNode) giveBack(buf []byte) {
 // fetchArena is what a fetcher allocates in proportion to its maps and
 // hosts: a segment per map; a peer per host, with its request queue and
 // the books its connections keep (ring slot table, free-slot stack, send
-// batch); the host index; and the merged stream with its gather arrays
+// batch); the host index; and the merged stream with its source array
 // and merge tree. A node's fetchers share arenas (DESIGN.md D26): Close
 // gives the arena back to the node's free list once every supervisor has
 // exited, cleared, and the next Fetch takes it. A given-back arena
 // holds no fetcher and nothing bound to a device — hostPeers sets each
 // peer's fetcher and health again on every Fetch, and the closed stream
-// drops its recycle func — and live connection state is never in it.
+// drops its fetcher — and live connection state is never in it.
 type fetchArena struct {
 	segs   []segment
 	peers  []hostPeer
 	byHost map[string]*hostPeer
-	it     stream.Iterator[payload]
+	it     mergedStream
 }
 
 // An arena is not kept once it has held more than maxArenaMaps segments

@@ -8,7 +8,7 @@
 // side it provides the RDMACopier and the chunked priority-queue merge
 // over refillable segments (§III-B.2), which the reduce function pulls
 // directly — the paper's DataToReduceQueue is a function call here
-// (internal/shuffle/stream, DESIGN.md D17) — so shuffle, merge and reduce
+// (the merged stream, stream.go, DESIGN.md D17) — so shuffle, merge and reduce
 // overlap (§III-B.4). Bulk data moves by RDMA writes into the copier's
 // registered buffers over the emulated verbs fabric.
 package core

@@ -14,7 +14,6 @@ import (
 	"rdmamr/internal/mapred"
 	"rdmamr/internal/mrpool"
 	"rdmamr/internal/obs"
-	"rdmamr/internal/shuffle/stream"
 	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/ucr"
 	"rdmamr/internal/verbs"
@@ -34,7 +33,7 @@ type chunk struct {
 // next set of key-value pairs from that particular map task to resume
 // extracting from Priority Queue" (§III-B.2). It is a kv.Iterator, so
 // the merge is kv.Merger's, pulled by the reduce goroutine through the
-// fetcher's stream.Iterator; blocking refills (and the map recovery a
+// fetcher's mergedStream; blocking refills (and the map recovery a
 // failed one triggers) run on that goroutine under the fetcher's lifetime
 // context. A fetcher allocates its segments together, one per map.
 type segment struct {
@@ -190,9 +189,9 @@ func (seg *segment) Next() bool {
 			if seg.cur.buf != nil {
 				// The chunk is drained, but the record the consumer holds
 				// until this Next returns may be its last one: the buffer
-				// is retired to the iterator, which gives it back on the
+				// is retired to the stream, which gives it back on the
 				// following call.
-				seg.f.it.Retire(seg.cur)
+				seg.f.it.retire(seg.cur)
 				seg.cur = payload{}
 			}
 		}
@@ -233,10 +232,10 @@ func (seg *segment) Err() error { return seg.err }
 // mid-stream: the chunk being walked and the one delivered ahead of it.
 // Only after the supervisors have exited and the consumer has let go.
 func (seg *segment) drop() {
-	seg.f.release(seg.cur)
+	seg.f.node.release(seg.cur)
 	seg.cur = payload{}
 	if seg.arrived {
-		seg.f.release(seg.next.pl)
+		seg.f.node.release(seg.next.pl)
 		seg.next, seg.arrived = chunk{}, false
 	}
 }
@@ -622,20 +621,6 @@ func (hc *hostConn) releaseLease(ctx context.Context, id uint64) {
 type payload struct {
 	buf []byte
 	blk *mrpool.Block
-}
-
-// release gives a chunk's buffer back once nothing reads it: the merge
-// retired it, the fetcher closed, or nobody was left to deliver it to.
-func (f *fetcher) release(pl payload) {
-	switch {
-	case pl.blk != nil:
-		f.node.giveBack(pl.blk.Bytes())
-		pl.blk.Free()
-	case pl.buf != nil:
-		buf := pl.buf[:cap(pl.buf)]
-		f.node.giveBack(buf)
-		f.node.heap.put(buf)
-	}
 }
 
 // payloadCap is the capacity a heap chunk buffer of n > 0 bytes is made
@@ -1258,7 +1243,7 @@ func (f *fetcher) executeRead(ctx context.Context, p *hostPeer, hc *hostConn, jo
 			// ReadSG returns only after the READ has executed, so the
 			// fabric is done with the block. Only from here may the block
 			// be reused.
-			f.release(payload{blk: blk})
+			f.node.release(payload{blk: blk})
 			f.readFailed(ctx, p, hc, job, err)
 			return
 		}
@@ -1298,7 +1283,7 @@ func (f *fetcher) readFailed(ctx context.Context, p *hostPeer, hc *hostConn, job
 }
 
 // fetcher is the ReduceTask-side pipeline: RDMACopier connections and the
-// segments they fill, merged by the stream.Iterator the reduce function
+// segments they fill, merged by the mergedStream the reduce function
 // pulls (the paper's DataToReduceQueue is that call; DESIGN.md D17).
 type fetcher struct {
 	task        mapred.ReduceTaskInfo
@@ -1344,12 +1329,12 @@ type fetcher struct {
 
 	// it is the merged stream Fetch returns (nil until then); segments
 	// retire drained chunk buffers to it.
-	it *stream.Iterator[payload]
+	it *mergedStream
 	// mrp is the device's slab pool: READ chunks land in its blocks.
 	mrp *mrpool.Pool
 	// segs holds every segment, one per map, allocated at Fetch: the event
-	// goroutine opens them in order, and Close reads them once that
-	// goroutine has exited.
+	// loop opens them in order, and Close reads them once that goroutine
+	// has exited.
 	segs []segment
 	// Chunk delivery (segment.deliver / await): dmu guards each segment's
 	// next chunk and waiting, the segment the merge is parked on, which
@@ -1401,7 +1386,8 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	return f
 }
 
-// Fetch implements mapred.ReduceFetcher.
+// Fetch implements mapred.ReduceFetcher. The goroutines it starts are one
+// per host, its supervisor, and the event loop.
 func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	if f.it != nil {
 		return nil, errors.New("core: Fetch called twice")
@@ -1409,9 +1395,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	f.cancel = cancel
 	f.runCtx = ctx
-	var window func() func()
 	if f.tr != nil {
-		window = f.mergeWindow
 		// The shuffle window for this reduce opens now (deliveries
 		// extend it): it is the TTFB origin.
 		now := time.Now()
@@ -1419,7 +1403,7 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 	}
 	f.arena = f.node.arenas.get()
 	f.it = &f.arena.it
-	f.it.Reset(ctx, f.task.Job.Comparator, f.release, window)
+	f.it.reset(f)
 
 	// "Initially, RDMACopier sends end point information to RDMAListener
 	// in TaskTracker to establish the connection ... to all available
@@ -1432,71 +1416,77 @@ func (f *fetcher) Fetch(ctx context.Context) (kv.Iterator, error) {
 		f.wg.Add(1)
 		go f.peerLoop(ctx, p)
 	}
-
-	// Liveness watcher: loss announcements from the cluster's heartbeat
-	// detector fast-fail the named host's peer — the copier stops
-	// burning deadlines and reconnect budget against a decommissioned
-	// tracker and escalates straight to map recovery.
-	if f.task.Losses != nil {
-		lossCh, unsub := f.task.Losses.Subscribe()
-		lostNotices := f.task.Local.Counters().Counter("shuffle.rdma.lost.notices")
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer unsub()
-			for {
-				select {
-				case host, ok := <-lossCh:
-					if !ok {
-						return
-					}
-					if p := f.peers[host]; p != nil && p.markLost() {
-						lostNotices.Add(1)
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
+	// Subscribed here, before Fetch returns, so that no loss announced
+	// after it is missed (a nil feed yields no notices).
+	losses, unsub := f.task.Losses.Subscribe()
 	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		f.it.Gather(f.task.Events, f.task.Job.NumMaps, f.openSegment)
-	}()
+	go f.eventLoop(losses, unsub)
 	// Streaming iterator: reduce overlaps shuffle+merge.
 	return f.it, nil
 }
 
-// openSegment starts streaming one completed map's partition: its
-// first-chunk request goes out as the event arrives.
-func (f *fetcher) openSegment(ev mapred.MapEvent) (kv.Iterator, error) {
+// eventLoop is the fetch's one event goroutine. Until the last map event
+// it is the paper's Map Completion Fetcher: it opens a segment for every
+// completed map, and then hands the segments to the merged stream — or
+// the error that kept it from gathering them. Throughout, and after the
+// hand-over until the fetch ends, it takes the cluster's loss notices:
+// each fast-fails the named host's peer, so the copier stops burning
+// deadlines and reconnect budget against a decommissioned tracker and
+// escalates straight to map recovery.
+func (f *fetcher) eventLoop(losses <-chan string, unsub func()) {
+	defer f.wg.Done()
+	defer unsub()
+	events := f.task.Events
+	for events != nil || losses != nil {
+		select {
+		case ev, ok := <-events:
+			var err error
+			switch {
+			case ok:
+				err = f.openSegment(ev)
+			case len(f.segs) != f.task.Job.NumMaps:
+				err = fmt.Errorf("shuffle: saw %d map events, want %d", len(f.segs), f.task.Job.NumMaps)
+			}
+			if err != nil || !ok {
+				f.it.handOver(err)
+				events = nil
+			}
+		case host, ok := <-losses:
+			if !ok {
+				losses = nil
+				continue
+			}
+			if p := f.peers[host]; p != nil && p.markLost() {
+				f.task.Local.Counters().Counter("shuffle.rdma.lost.notices").Add(1)
+			}
+		case <-f.runCtx.Done():
+			if events != nil {
+				f.it.handOver(f.runCtx.Err())
+			}
+			return
+		}
+	}
+}
+
+// openSegment starts streaming one completed map's partition, its
+// first-chunk request going out as the event arrives, and gives the
+// segment to the stream.
+func (f *fetcher) openSegment(ev mapred.MapEvent) error {
 	p := f.peers[ev.Host]
 	if p == nil {
-		return nil, fmt.Errorf("core: map event from unknown host %s", ev.Host)
+		return fmt.Errorf("core: map event from unknown host %s", ev.Host)
 	}
-	if len(f.segs) == cap(f.segs) {
-		// Growing segs would move the segments the supervisors deliver into.
-		return nil, fmt.Errorf("core: map event %d past the job's %d maps", ev.MapID, cap(f.segs))
+	// One event a map, so segs, room for every map, never grows and moves
+	// the segments the supervisors deliver into.
+	srcs := f.it.srcs
+	if ev.MapID < 0 || ev.MapID >= len(srcs) || srcs[ev.MapID] != nil {
+		return fmt.Errorf("core: map event %d: not one of the job's %d maps, or seen twice", ev.MapID, len(srcs))
 	}
 	f.segs = append(f.segs, segment{mapID: int32(ev.MapID), peer: p, f: f})
 	seg := &f.segs[len(f.segs)-1]
+	srcs[ev.MapID] = seg
 	seg.request(0)
-	return seg, nil
-}
-
-// mergeWindow opens this reduce's merge window and returns what closes
-// it. The window spans priority-queue priming (the first Next, once every
-// map is in: "while receiving these key-value pairs from all map
-// locations, a ReduceTask now merges all these data to build up a
-// Priority Queue") through the last extracted record; profiling it against
-// the shuffle window is what measures the paper's shuffle/merge overlap.
-// The merge runs inside the reduce slot's goroutine but keeps its own
-// trace lane, so the two spans read side by side.
-func (f *fetcher) mergeWindow() func() {
-	start := time.Now()
-	return func() { f.tr.Add(f.span(obs.KindMerge, start, time.Now())) }
+	return nil
 }
 
 // span starts a span of this reduce attempt's kind k.

@@ -218,18 +218,6 @@ func (fs *FileSystem) AddDataNode(dn *DataNode) error {
 	return nil
 }
 
-// DataNodes returns the registered DataNode host names, sorted.
-func (fs *FileSystem) DataNodes() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	names := make([]string, 0, len(fs.datanodes))
-	for _, dn := range fs.datanodes {
-		names = append(names, dn.Name())
-	}
-	sort.Strings(names)
-	return names
-}
-
 // placeReplicas picks replication targets: the preferred (client-local)
 // host first when registered, then round-robin across the rest.
 func (fs *FileSystem) placeReplicas(preferred string) []*DataNode {

@@ -200,10 +200,9 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("double delete: %v", err)
 	}
 	// Blocks must be reclaimed from datanode stores.
-	for _, name := range fs.DataNodes() {
-		dn := fs.byName[name]
+	for _, dn := range fs.datanodes {
 		if got := dn.Store().List("blk_"); len(got) != 0 {
-			t.Fatalf("%s still holds blocks: %v", name, got)
+			t.Fatalf("%s still holds blocks: %v", dn.Name(), got)
 		}
 	}
 }

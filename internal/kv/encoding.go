@@ -226,9 +226,13 @@ type RunReader struct {
 
 // NewRunReader validates the framing of buf and returns a reader. It does
 // not check the trailer CRC: Next checks only that the body ends where the
-// trailer's count does. A run's bytes are checked by the HDFS block CRC on every
-// block read and, for a job's output, by the RunScanner in
-// workload.Validate.
+// trailer's count does. A run read from HDFS (a job's input, through
+// RunInput) was checked by the block CRC as its blocks were read, and a
+// job's output is checked again by the RunScanner in workload.Validate.
+// Nothing checks the runs read from memory or from a node's LocalStore,
+// which keeps no CRC: the http shuffle's fetched segments and spills
+// (its finalMerge) and every run MergeRuns folds, map-side spills
+// included. ROADMAP item 6 settles which check each hop keeps.
 func NewRunReader(buf []byte) (*RunReader, error) {
 	if len(buf) < len(runMagic)+12 {
 		return nil, ErrCorrupt

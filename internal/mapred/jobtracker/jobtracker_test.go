@@ -163,7 +163,7 @@ func TestDWRRRemove(t *testing.T) {
 
 func TestStragglerNeedsMinFinished(t *testing.T) {
 	base := time.Unix(0, 0)
-	s := NewStragglers(StragglerConfig{RatioPercent: 150, MinFinished: 3}, 8)
+	s := NewStragglers(8)
 	s.Started(0, base)
 	// Far past any threshold, but nothing has finished: no speculation.
 	if s.Straggler(0, base.Add(time.Hour)) {
@@ -184,9 +184,9 @@ func TestStragglerNeedsMinFinished(t *testing.T) {
 
 func TestStragglerMinFinishedCappedBySmallJob(t *testing.T) {
 	base := time.Unix(0, 0)
-	// 2-task job with MinFinished 3: the cap (total-1 = 1) applies, else
-	// the last task could never speculate.
-	s := NewStragglers(StragglerConfig{RatioPercent: 150, MinFinished: 3}, 2)
+	// 2-task job: the cap on the three completions asked for (total-1 =
+	// 1) applies, else the last task could never speculate.
+	s := NewStragglers(2)
 	s.Started(0, base)
 	s.Started(1, base)
 	s.Finished(1, base.Add(10*time.Millisecond))
@@ -197,10 +197,12 @@ func TestStragglerMinFinishedCappedBySmallJob(t *testing.T) {
 
 func TestStragglerThresholdFloor(t *testing.T) {
 	base := time.Unix(0, 0)
-	s := NewStragglers(StragglerConfig{RatioPercent: 150, MinFinished: 1}, 4)
+	s := NewStragglers(4)
 	s.Started(0, base)
-	s.Started(1, base)
-	s.Finished(1, base) // 0-duration attempts: median 0
+	for id := 1; id <= 3; id++ {
+		s.Started(id, base)
+		s.Finished(id, base) // 0-duration attempts: median 0
+	}
 	if s.Straggler(0, base.Add(500*time.Microsecond)) {
 		t.Fatal("zero median must not make every running task a straggler")
 	}
@@ -210,13 +212,20 @@ func TestStragglerThresholdFloor(t *testing.T) {
 }
 
 func TestStragglerUnknownTask(t *testing.T) {
-	s := NewStragglers(StragglerConfig{RatioPercent: 150, MinFinished: 1}, 4)
-	if s.Straggler(9, time.Now()) {
+	base := time.Unix(0, 0)
+	s := NewStragglers(4)
+	for id := 1; id <= 3; id++ {
+		s.Started(id, base)
+		s.Finished(id, base.Add(10*time.Millisecond))
+	}
+	// Three finished, so only its being unknown keeps task 9 from
+	// speculating however long it has been.
+	if s.Straggler(9, base.Add(time.Hour)) {
 		t.Fatal("unknown task reported as straggler")
 	}
-	s.Finished(9, time.Now()) // no-op, must not panic or skew the median
-	if got := s.Median(); got != 0 {
-		t.Fatalf("median from unstarted finish = %v", got)
+	s.Finished(9, base.Add(time.Hour)) // no-op, must not panic or skew the median
+	if got := s.Median(); got != 10*time.Millisecond {
+		t.Fatalf("median after an unstarted finish = %v, want 10ms", got)
 	}
 }
 

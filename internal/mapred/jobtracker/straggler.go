@@ -12,15 +12,15 @@ import (
 // median rounds to zero.
 const minStragglerThreshold = time.Millisecond
 
-// StragglerConfig tunes detection: an attempt is a straggler when its
-// elapsed running time exceeds RatioPercent% of the median completed
-// attempt duration, and at least MinFinished attempts (capped at
-// numTasks-1 so the last task of a small job can still speculate) have
-// completed to make the median meaningful.
-type StragglerConfig struct {
-	RatioPercent int64
-	MinFinished  int
-}
+// An attempt is a straggler when its elapsed running time exceeds
+// stragglerRatioPercent % of the median completed attempt duration, once
+// stragglerMinFinished attempts (capped at numTasks-1 so the last task of
+// a small job can still speculate) have completed to make the median
+// meaningful.
+const (
+	stragglerRatioPercent = 150
+	stragglerMinFinished  = 3
+)
 
 // Stragglers tracks attempt durations for one task kind of one job and
 // answers "is this running task worth a backup attempt?" — Hadoop's
@@ -29,7 +29,6 @@ type StragglerConfig struct {
 // attempts do not report fractional progress).
 type Stragglers struct {
 	mu      sync.Mutex
-	cfg     StragglerConfig
 	total   int
 	started map[int]time.Time
 	took    []time.Duration // completed attempt durations, unsorted
@@ -37,14 +36,8 @@ type Stragglers struct {
 
 // NewStragglers returns a detector for a job with totalTasks tasks of
 // this kind.
-func NewStragglers(cfg StragglerConfig, totalTasks int) *Stragglers {
-	if cfg.RatioPercent < 100 {
-		cfg.RatioPercent = 100
-	}
-	if cfg.MinFinished < 1 {
-		cfg.MinFinished = 1
-	}
-	return &Stragglers{cfg: cfg, total: totalTasks, started: make(map[int]time.Time)}
+func NewStragglers(totalTasks int) *Stragglers {
+	return &Stragglers{total: totalTasks, started: make(map[int]time.Time)}
 }
 
 // Started records that an original (non-backup) attempt of task id began
@@ -82,7 +75,7 @@ func (s *Stragglers) Straggler(id int, now time.Time) bool {
 	if !ok {
 		return false
 	}
-	need := s.cfg.MinFinished
+	need := stragglerMinFinished
 	if limit := s.total - 1; limit >= 1 && need > limit {
 		need = limit
 	}
@@ -92,7 +85,7 @@ func (s *Stragglers) Straggler(id int, now time.Time) bool {
 	sorted := append([]time.Duration(nil), s.took...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	median := sorted[len(sorted)/2]
-	threshold := time.Duration(int64(median) * s.cfg.RatioPercent / 100)
+	threshold := time.Duration(int64(median) * stragglerRatioPercent / 100)
 	if threshold < minStragglerThreshold {
 		threshold = minStragglerThreshold
 	}

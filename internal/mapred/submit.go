@@ -131,10 +131,9 @@ var kindSpecs = [numKinds]kindSpec{
 // speculative map execution; per-job cache isolation is wired separately
 // through mapred.jobtracker.cache.job.quota.bytes.
 type jobTracker struct {
-	c            *Cluster
-	adm          *jobtracker.Admission
-	kinds        [numKinds]kindPool
-	stragglerCfg jobtracker.StragglerConfig
+	c     *Cluster
+	adm   *jobtracker.Admission
+	kinds [numKinds]kindPool
 
 	mu   sync.Mutex
 	jobs map[string]*runningJob
@@ -157,14 +156,11 @@ type kindPool struct {
 
 func newJobTracker(c *Cluster) *jobTracker {
 	jt := &jobTracker{
-		c:   c,
-		adm: jobtracker.NewAdmission(int(c.conf.Int(config.KeyJTMaxRunning))),
-		// An attempt past 1.5× the job's median completed attempt is a
-		// straggler, once three attempts have completed.
-		stragglerCfg: jobtracker.StragglerConfig{RatioPercent: 150, MinFinished: 3},
-		jobs:         make(map[string]*runningJob),
-		wake:         make(chan struct{}),
-		stop:         make(chan struct{}),
+		c:    c,
+		adm:  jobtracker.NewAdmission(int(c.conf.Int(config.KeyJTMaxRunning))),
+		jobs: make(map[string]*runningJob),
+		wake: make(chan struct{}),
+		stop: make(chan struct{}),
 	}
 	for k := range numKinds {
 		p := &jt.kinds[k]
@@ -715,7 +711,7 @@ func (c *Cluster) drive(ctx context.Context, h *JobHandle, job *Job, info JobInf
 		MaxTaskAttempts,
 		info.Conf.Bool(config.KeySpeculativeMaps))
 	if info.Conf.Bool(config.KeySpeculativeMaps) {
-		det := jobtracker.NewStragglers(jt.stragglerCfg, len(mapIDs))
+		det := jobtracker.NewStragglers(len(mapIDs))
 		rj.kinds[mapKind].det = det
 		rj.kinds[mapKind].q.setGate(func(id int) bool { return det.Straggler(id, time.Now()) })
 	}

@@ -3,8 +3,8 @@
 #
 #   bash scripts/unreached.sh
 #
-# Builds every main package outside scripts/ (cmd/rdmamr, benchmark,
-# examples/*) with inlining off, so that a function whose every call would
+# Builds every main package outside scripts/ (cmd/rdmamr, benchmark) with
+# inlining off, so that a function whose every call would
 # be inlined still has a symbol, into a temporary directory it removes. It
 # then lists the module's text symbols of each binary with `go tool nm` and
 # prints every function declared in the non-test files of internal/ and
