@@ -98,6 +98,7 @@ profile:
 # Ten seconds of fuzzing per fuzz target.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSortBuffer -fuzztime=10s ./internal/kv/
+	$(GO) test -run=NONE -fuzz=FuzzTotalOrderPartitioner -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzMerger -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzRunChunks -fuzztime=10s ./internal/kv/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/kv/

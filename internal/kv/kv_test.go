@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -471,6 +472,73 @@ func TestTotalOrderPartitionerMatchesFullSearch(t *testing.T) {
 			t.Fatalf("Partition(%x) = %d, full search says %d", r.Key, got, want)
 		}
 	}
+}
+
+// cutKeys cuts fuzz input into keys: a length byte (mod 13), then that
+// many raw bytes, so keys fall on both sides of the 8-byte prefix and
+// may be empty.
+func cutKeys(data []byte) [][]byte {
+	var keys [][]byte
+	for len(data) > 0 {
+		l := min(int(data[0]%13), len(data)-1)
+		keys = append(keys, data[1:1+l])
+		data = data[1+l:]
+	}
+	return keys
+}
+
+// encodeKeys is cutKeys' inverse, for building seeds.
+func encodeKeys(keys ...[]byte) []byte {
+	var data []byte
+	for _, k := range keys {
+		data = append(append(data, byte(len(k))), k...)
+	}
+	return data
+}
+
+// FuzzTotalOrderPartitioner: splits sampled from one input, keys cut from
+// the other, and every key, every split, and each split lengthened by a
+// zero byte or shortened by one byte must be routed as the full-key
+// search routes it.
+func FuzzTotalOrderPartitioner(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint16(1))
+	// 300 partitions over a sample that spans every first byte: more
+	// splits than the table has entries, one or two on each byte; every
+	// 1-byte key.
+	var wide, ones [][]byte
+	for i := 0; i < 900; i++ {
+		wide = append(wide, []byte{byte(i * 7), byte(i), byte(i >> 8), 'w'})
+	}
+	for c := 0; c < 256; c++ {
+		ones = append(ones, []byte{byte(c)})
+	}
+	f.Add(encodeKeys(wide...), encodeKeys(ones...), uint16(300))
+	// Splits sharing a first byte, an empty split, and keys equal to a
+	// split or alike with one for eight bytes and more.
+	shared := [][]byte{{}, {}, []byte("a"), []byte("a\x00"), []byte("ab"), []byte("abcdefgh"),
+		[]byte("abcdefghij"), []byte("abcdefghik"), []byte("abd"), []byte("b"), []byte("\xff\xff")}
+	f.Add(encodeKeys(shared...), encodeKeys([]byte{}, []byte("a"), []byte("abcdefgh\x00"),
+		[]byte("abcdefghi"), []byte("abcdefghij"), []byte("abcdefghiz"), []byte("abc"), []byte("\xff")), uint16(8))
+	f.Fuzz(func(t *testing.T, sample, keys []byte, parts uint16) {
+		splits := SampleSplits(cutKeys(sample), 1+int(parts%400))
+		p, err := NewTotalOrderPartitioner(splits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(splits) + 1
+		probe := append([][]byte{nil}, cutKeys(keys)...)
+		for _, s := range splits {
+			probe = append(probe, s, append(slices.Clone(s), 0))
+			if len(s) > 0 {
+				probe = append(probe, s[:len(s)-1])
+			}
+		}
+		for _, key := range probe {
+			if got, want := p.Partition(key, n), searchPartition(splits, key, n); got != want {
+				t.Fatalf("Partition(%q) over %d splits = %d, full search says %d", key, len(splits), got, want)
+			}
+		}
+	})
 }
 
 func TestTotalOrderPartitioner(t *testing.T) {

@@ -31,6 +31,9 @@ func (HashPartitioner) Partition(key []byte, n int) int {
 type TotalOrderPartitioner struct {
 	splits   [][]byte // len n-1, sorted ascending
 	prefixes []uint64 // keyPrefix of each split
+	// byFirst[c] is [lo, hi): the splits a key starting with byte c is
+	// still compared with; those below lo (empty ones too) sort before it.
+	byFirst [256][2]int32
 }
 
 // NewTotalOrderPartitioner builds a partitioner from sorted split points.
@@ -45,7 +48,19 @@ func NewTotalOrderPartitioner(splits [][]byte) (*TotalOrderPartitioner, error) {
 	for i, s := range splits {
 		prefixes[i] = keyPrefix(s)
 	}
-	return &TotalOrderPartitioner{splits: splits, prefixes: prefixes}, nil
+	p := &TotalOrderPartitioner{splits: splits, prefixes: prefixes}
+	lo := 0
+	for c := range p.byFirst {
+		for lo < len(splits) && (len(splits[lo]) == 0 || int(splits[lo][0]) < c) {
+			lo++
+		}
+		hi := lo
+		for hi < len(splits) && int(splits[hi][0]) == c {
+			hi++
+		}
+		p.byFirst[c] = [2]int32{int32(lo), int32(hi)}
+	}
+	return p, nil
 }
 
 // SampleSplits derives n-1 split points from a key sample, mirroring
@@ -68,15 +83,22 @@ func SampleSplits(sample [][]byte, n int) [][]byte {
 	return splits
 }
 
-// Partition implements Partitioner by binary search over the split points:
-// the first split the key sorts before. The search compares 8-byte
+// Partition implements Partitioner: it returns the first split the key
+// sorts before. The key's first byte picks, from a 256-entry table, the
+// splits that share that byte; when there are none — nearly every key of
+// a TeraSort — the table entry is the answer and no split is read.
+// Otherwise a binary search over just those splits compares 8-byte
 // prefixes, which order like the keys wherever they differ, and reads a
-// split point only on a prefix tie. The n argument must equal
-// len(splits)+1; it is accepted for interface compatibility and validated
-// in tests.
+// split point only on a prefix tie. An empty key searches every split.
+// The n argument must equal len(splits)+1; it is accepted for interface
+// compatibility and validated in tests.
 func (p *TotalOrderPartitioner) Partition(key []byte, n int) int {
-	kp := keyPrefix(key)
 	lo, hi := 0, len(p.splits)
+	if len(key) > 0 {
+		r := &p.byFirst[key[0]]
+		lo, hi = int(r[0]), int(r[1])
+	}
+	kp := keyPrefix(key)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		sp := p.prefixes[mid]

@@ -3,6 +3,7 @@ package kv
 import (
 	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 )
 
@@ -27,9 +28,10 @@ type SortBuffer struct {
 	arena     []byte
 	arenaHint int
 	index     []sortEntry
-	scratch   []sortEntry // Sort's ping-pong twin of index
-	parts     []partStat  // per partition, maintained at Add
-	starts    []int       // Sort's per-partition scatter cursors
+	scratch   []sortEntry  // Sort's ping-pong twin of index
+	parts     []partStat   // per partition, maintained at Add
+	starts    []int        // partition p's sorted entries are index[starts[p]:starts[p+1]]
+	counts    [1 << 12]int // sortRange's bucket cursors
 	encoded   int64
 }
 
@@ -155,80 +157,99 @@ func (b *SortBuffer) record(e *sortEntry) Record {
 // makes equal keys keep their emission order — exactly what a stable
 // sort of the records would produce.
 //
-// It is a radix sort on the entries alone. The index starts in emission
-// order; a least-significant-digit pass per byte of the prefix that is
-// not the same in every entry, each a stable counting scatter between
-// the index and its scratch twin, leaves it ordered by prefix with equal
-// prefixes in emission order; one more stable scatter by partition,
-// whose bucket sizes Add already counted, makes that partition → prefix
-// → emission order. Only then are keys looked at: equal prefixes do not
-// imply equal keys ("a" and "a\x00" share one), so every stretch of two
-// or more entries with one (partition, prefix) is ordered by the
-// comparator, then the offset. Under a custom comparator every prefix is
-// zero, no digit pass runs, and the stretch is the whole partition.
+// It sorts the entries alone, never record bytes. A stable counting
+// scatter by partition, whose bucket sizes Add already counted, moves the
+// index into its scratch twin (with one partition the two swap roles);
+// sortRange brings each partition's range back sorted. Every scatter is
+// stable and insertion sorts move an entry only past a strictly greater
+// one, so equal keys stay in emission order.
 func (b *SortBuffer) Sort() {
 	n := len(b.index)
-	if n < 2 {
-		return
-	}
 	if cap(b.scratch) < cap(b.index) {
 		b.scratch = make([]sortEntry, cap(b.index))
 	}
+	b.starts = slices.Grow(b.starts[:0], b.n+1)[:b.n+1]
+	for p, st := range b.parts {
+		b.starts[p+1] = b.starts[p] + st.records
+	}
 	src, dst := b.index, b.scratch[:n]
-
-	var hist [8][256]int
-	for i := range src {
-		p := src[i].prefix
-		hist[0][byte(p)]++
-		hist[1][byte(p>>8)]++
-		hist[2][byte(p>>16)]++
-		hist[3][byte(p>>24)]++
-		hist[4][byte(p>>32)]++
-		hist[5][byte(p>>40)]++
-		hist[6][byte(p>>48)]++
-		hist[7][byte(p>>56)]++
-	}
-	for d := range hist {
-		h, shift := &hist[d], 8*d
-		if h[byte(src[0].prefix>>shift)] == n {
-			continue // every entry has the same digit here
-		}
-		next := 0
-		for v, count := range h {
-			h[v], next = next, next+count
-		}
-		for i := range src {
-			v := byte(src[i].prefix >> shift)
-			dst[h[v]] = src[i]
-			h[v]++
-		}
-		src, dst = dst, src
-	}
 	if b.n > 1 {
-		b.starts = slices.Grow(b.starts[:0], b.n)[:b.n]
-		next := 0
-		for p, st := range b.parts {
-			b.starts[p], next = next, next+st.records
-		}
+		copy(b.starts[1:], b.starts[:b.n]) // starts[p+1] is p's cursor
 		for i := range src {
-			p := src[i].part
+			p := src[i].part + 1
 			dst[b.starts[p]] = src[i]
 			b.starts[p]++
 		}
 		src, dst = dst, src
 	}
-	b.index, b.scratch = src, dst
+	b.index, b.scratch = dst, src
+	for p := range b.n {
+		s, e := b.starts[p], b.starts[p+1]
+		b.sortRange(src[s:e], dst[s:e])
+	}
+}
 
-	byKey := b.compareKeys
-	for i := 0; i < n; {
+// sortRange writes src's entries, ordered by prefix, then key, then
+// offset, into dst, and may reorder src. Unless all prefixes are equal (as
+// under a custom comparator: all zero), one stable counting scatter on the
+// top 4 to 12 bits in which they differ, by the range's length, leaves dst
+// in buckets of equal top bits; buckets over 16 are sorted the same way a
+// level down, and one insertion sort over dst finishes the rest.
+func (b *SortBuffer) sortRange(src, dst []sortEntry) {
+	if len(src) <= 16 {
+		copy(dst, src)
+		b.insertionSort(dst)
+		return
+	}
+	lo, hi := src[0].prefix, src[0].prefix
+	for i := range src {
+		lo, hi = min(lo, src[i].prefix), max(hi, src[i].prefix)
+	}
+	if lo == hi {
+		copy(dst, src)
+		slices.SortFunc(dst, b.compareKeys)
+		return
+	}
+	shift := max(bits.Len64(lo^hi)-min(max(bits.Len(uint(len(src))), 4), 12), 0)
+	base := lo >> shift
+	counts := b.counts[:hi>>shift-base+1]
+	clear(counts)
+	for i := range src {
+		counts[src[i].prefix>>shift-base]++
+	}
+	next, big := 0, 0
+	for v, c := range counts {
+		counts[v], next, big = next, next+c, max(big, c)
+	}
+	for i := range src {
+		v := src[i].prefix>>shift - base
+		dst[counts[v]] = src[i]
+		counts[v]++
+	}
+	for i := 0; big > 16 && i < len(dst); {
 		j := i + 1
-		for j < n && src[j].prefix == src[i].prefix && src[j].part == src[i].part {
+		for j < len(dst) && dst[j].prefix>>shift == dst[i].prefix>>shift {
 			j++
 		}
-		if j-i > 1 {
-			slices.SortFunc(src[i:j], byKey)
+		if j-i > 16 {
+			copy(src[i:j], dst[i:j])
+			b.sortRange(src[i:j], dst[i:j])
 		}
 		i = j
+	}
+	b.insertionSort(dst)
+}
+
+// insertionSort orders a by prefix, then key ("a" and "a\x00" share a
+// prefix), moving an entry only past a strictly greater one, so ties keep
+// their order. Handed ordered buckets of at most 16, it is linear.
+func (b *SortBuffer) insertionSort(a []sortEntry) {
+	for i := 1; i < len(a); i++ {
+		e, j := a[i], i
+		for ; j > 0 && (e.prefix < a[j-1].prefix || e.prefix == a[j-1].prefix && b.cmp(b.key(&e), b.key(&a[j-1])) < 0); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = e
 	}
 }
 
@@ -243,11 +264,7 @@ func (b *SortBuffer) compareKeys(x, y sortEntry) int {
 
 // entries returns partition p's slice of the sorted index.
 func (b *SortBuffer) entries(p int) []sortEntry {
-	start := 0
-	for _, st := range b.parts[:p] {
-		start += st.records
-	}
-	return b.index[start : start+b.parts[p].records]
+	return b.index[b.starts[p]:b.starts[p+1]]
 }
 
 // Run encodes partition p's records, in sorted order, as a complete run

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -187,9 +188,11 @@ func teraShaped(rng *rand.Rand, n int) []Record {
 
 // TestSortBufferRadixCorners aims the same oracle at what a radix sort of
 // prefixes can get wrong: most records sharing their first eight bytes
-// (every digit pass skipped or nearly so, long stretches left to the
-// comparator), prefixes that differ in one digit only, and more
-// partitions than a digit has values.
+// (long stretches left to the comparator), prefixes that differ in one
+// byte only, in the last bit only, or only below the top byte, more
+// partitions than a byte has values, partitions on both sides of the
+// 16-entry insertion-sort cut-off and of one entry, and a custom
+// comparator over three partitions of every size class.
 func TestSortBufferRadixCorners(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var shared []Record
@@ -218,6 +221,62 @@ func TestSortBufferRadixCorners(t *testing.T) {
 
 	checkAgainstReference(t, teraShaped(rng, 5000), 300)
 	checkAgainstReference(t, shared, 70)
+
+	// One top byte for all: the varying bits start below it.
+	oneTop := teraShaped(rng, 3000)
+	for _, r := range oneTop {
+		r.Key[0] = 'q'
+	}
+	checkAgainstReference(t, oneTop, 4)
+
+	// Prefixes that differ in bit 0 alone: two buckets, each left to the
+	// comparator on the bytes past the prefix, with duplicates.
+	var bit0 []Record
+	for i := 0; i < 1000; i++ {
+		key := []byte{'b', 'i', 't', 'z', 'e', 'r', 'o', byte(0x40 | rng.Intn(2)), byte(rng.Intn(4))}
+		bit0 = append(bit0, Record{Key: key, Value: []byte{byte(i), byte(i >> 8)}})
+	}
+	checkAgainstReference(t, bit0, 2)
+
+	// Under range partitioning, partitions of exactly 16 and 17 entries:
+	// every "k" key sorts before the first "n" key, the split. Keys repeat,
+	// so emission order decides between equal ones on each side of the cut.
+	var cut []Record
+	for i := 0; i < 33; i++ {
+		key := fmt.Sprintf("n%d", i%4)
+		if i%2 == 0 && i < 32 {
+			key = fmt.Sprintf("k%d", i%3)
+		}
+		cut = append(cut, Record{Key: []byte(key), Value: []byte{byte(i)}})
+	}
+	checkAgainstReference(t, cut, 2)
+
+	// One entry a partition: 40 distinct keys into 40 ranges.
+	checkAgainstReference(t, teraShaped(rng, 40), 40)
+
+	// A custom comparator over 3 partitions of 5, 16 and 300 entries.
+	var three []Record
+	for i, size := range []int{5, 16, 300} {
+		for j := 0; j < size; j++ {
+			key := []byte{byte('a' + i), byte(rng.Intn(6)), byte(rng.Intn(3))}
+			three = append(three, Record{Key: key, Value: []byte{byte(j), byte(j >> 8)}})
+		}
+	}
+	rng.Shuffle(len(three), func(i, j int) { three[i], three[j] = three[j], three[i] })
+	checkAgainstReference(t, three, 3)
+	// checkAgainstReference's ranges come from a sample; these are the
+	// three groups exactly.
+	total, err := NewTotalOrderPartitioner([][]byte{[]byte("b"), []byte("c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceRuns(three, total, 3, reverseComparator)
+	got := sortBufferRuns(t, three, total, 3, reverseComparator)
+	for p, size := range []int{5, 16, 300} {
+		if !bytes.Equal(got[p], want[p]) {
+			t.Fatalf("custom comparator: partition %d (%d entries) differs from the reference", p, size)
+		}
+	}
 }
 
 func TestSortBufferPrefixTieIsNotKeyEquality(t *testing.T) {
@@ -416,4 +475,73 @@ func TestPartitionAndSortStable(t *testing.T) {
 	if got != "a2 a4 b1 b3 " {
 		t.Fatalf("PartitionAndSort = %q, want equal keys in input order", got)
 	}
+}
+
+// BenchmarkSortBuffer prices each layer of the map's collect path at the
+// benchmark TeraSort's shape: a 1 MiB split of TeraSort records (10 485)
+// into 8 range partitions from SampleSplits, every figure in ns/rec.
+func BenchmarkSortBuffer(b *testing.B) {
+	const n, parts = 10485, 8
+	recs := teraShaped(rand.New(rand.NewSource(1)), n)
+	keys := make([][]byte, n)
+	for i, r := range recs {
+		keys[i] = r.Key
+	}
+	part, err := NewTotalOrderPartitioner(SampleSplits(slices.Clone(keys), parts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := NewSortBuffer(part, parts, nil, n*100)
+	fill := func() {
+		buf.Reset(part, parts, nil, n*100)
+		for _, r := range recs {
+			buf.Add(r.Key, r.Value)
+		}
+	}
+	perRec := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+	}
+	b.Run("Partition", func(b *testing.B) {
+		sum := 0
+		for range b.N {
+			for _, k := range keys {
+				sum += part.Partition(k, parts)
+			}
+		}
+		perRec(b)
+		if sum < 0 {
+			b.Fatal(sum)
+		}
+	})
+	b.Run("Add", func(b *testing.B) {
+		for range b.N {
+			fill()
+		}
+		perRec(b)
+	})
+	b.Run("Sort", func(b *testing.B) {
+		fill()
+		added := slices.Clone(buf.index)
+		for range b.N {
+			b.StopTimer()
+			buf.index = append(buf.index[:0], added...)
+			b.StartTimer()
+			buf.Sort()
+		}
+		perRec(b)
+	})
+	b.Run("RunInto", func(b *testing.B) {
+		fill()
+		buf.Sort()
+		dst := make([][]byte, parts)
+		for p := range dst {
+			dst[p] = make([]byte, buf.RunLen(p))
+		}
+		for range b.N {
+			for p := range dst {
+				buf.RunInto(p, dst[p])
+			}
+		}
+		perRec(b)
+	})
 }
